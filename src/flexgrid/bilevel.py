@@ -21,7 +21,6 @@ inside [v_min, v_max].  Three steps:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,18 +30,19 @@ from .feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 from .follower import (
     ACTIVATIONS,
     MAX_V,
-    MIN_V,
     NEGATIVE,
     POSITIVE,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
     FlexContext,
     FollowerProblem,
+    MaterializedFollower,
     Scenario,
     all_scenarios,
     available_flexibility_bounds,
     build_follower,
     fix_worst_case_setpoints,
+    screened_extrema,
     slot_gamma,
     slot_qbar,
     slot_qset,
@@ -55,22 +55,9 @@ LAMBDA_CAP = 1e3
 LAMBDA_ESCALATIONS = 3
 VM_BOX = (0.0, 2.0)  # conservative |v| box for volt-var products
 
-DIRECTIONS = ("both", "overvoltage", "undervoltage")
-
 
 class BilevelError(RuntimeError):
     pass
-
-
-def _direction_extrema(direction: str) -> tuple[str, ...]:
-    try:
-        return {
-            "both": (MIN_V, MAX_V),
-            "overvoltage": (MAX_V,),
-            "undervoltage": (MIN_V,),
-        }[direction]
-    except KeyError:
-        raise ValueError(f"unknown direction {direction!r}") from None
 
 
 def check_anchor(ctx: FlexContext) -> None:
@@ -119,15 +106,35 @@ class WorstCaseLimits:
         return k, self.lower_family[k]
 
 
-def _bisect_limit(
-    mf, node: int, *, full: float, v_min: float, v_max: float,
-    extremum: str, tol_abs: float,
-) -> float:
-    """Largest |band edge| keeping the follower's extreme |v| inside the band.
+def _family_follower(
+    ctx: FlexContext, mode: str, activation: str, extremum: str,
+    slots: dict[str, float], *, fix_q: bool,
+) -> MaterializedFollower:
+    """The follower LP of one (activation, extremum) family at fixed slots.
 
-    ``full`` is the signed availability bound (bracket far end).  The value
-    function is monotone in |edge|, so plain bisection is exact to tol_abs.
+    Only the objective depends on the target node, so one materialized LP
+    serves every node of the family: each solve swaps its node in.  ``slots``
+    may carry more than the family reads (both band edges, say).
     """
+    problem = build_follower(
+        ctx, Scenario(node=0, activation=activation, extremum=extremum), mode, fix_q=fix_q
+    )
+    missing = [s for s in problem.slot_names if s not in slots]
+    if missing:
+        raise BilevelError(f"decision lacks slots required by followers: {missing}")
+    return problem.materialize({s: slots[s] for s in problem.slot_names})
+
+
+def _bisect_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
+    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in band.
+
+    The bracket's far end is the family's band edge as materialized in
+    ``mf``.  The value function is monotone in |edge|, so plain bisection is
+    exact to tol_abs.
+    """
+    ctx = mf.problem.ctx
+    scenario = mf.problem.scenario
+    full = mf.slots[scenario.dp_slot]
 
     def ok(t: float) -> bool:
         cert = mf.solve(node=node, dp_bound=t)
@@ -137,10 +144,10 @@ def _bisect_limit(
                 "feasible by construction at Δp = 0, so this signals an "
                 "assembly bug or inconsistent device data"
             )
-        vm = mf.problem.scenario.sigma * cert.objective
-        if extremum == MAX_V:
-            return vm <= v_max + 1e-9
-        return vm >= v_min - 1e-9
+        vm = scenario.sigma * cert.objective
+        if scenario.extremum == MAX_V:
+            return vm <= ctx.v_max + 1e-9
+        return vm >= ctx.v_min - 1e-9
 
     if full == 0.0:
         return 0.0
@@ -159,33 +166,13 @@ def _bisect_limit(
     return sign * lo
 
 
-def _screen_family(
+def _family_limits(
     ctx: FlexContext, mode: str, activation: str, extremum: str,
-    nodes: list[int], tol_abs: float,
+    slots: dict[str, float], nodes: list[int], *, fix_q: bool, tol_abs: float,
 ) -> list[float]:
-    """Bisection limits for one (activation, extremum) family over ``nodes``."""
-    scenario = Scenario(node=nodes[0], activation=activation, extremum=extremum)
-    problem = build_follower(ctx, scenario, mode, fix_q=False)
-    if mode == MODE_CONSTANT_Q:
-        slots: dict[str, float] = {}
-    else:
-        slots = fix_worst_case_setpoints(ctx, mode, extremum)
-    dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
-    full = dp_up if activation == POSITIVE else dp_lo
-    slots[scenario.dp_slot] = full
-    mf = problem.materialize(slots)
-    return [
-        _bisect_limit(
-            mf, k, full=full, v_min=ctx.v_min, v_max=ctx.v_max,
-            extremum=extremum, tol_abs=tol_abs,
-        )
-        for k in nodes
-    ]
-
-
-def _screen_family_star(args):
-    ctx, mode, activation, extremum, nodes, tol_abs = args
-    return activation, extremum, nodes, _screen_family(ctx, mode, activation, extremum, nodes, tol_abs)
+    """Bisection limits of one family's band edge at each of ``nodes``."""
+    mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=fix_q)
+    return [_bisect_limit(mf, k, tol_abs) for k in nodes]
 
 
 def worst_case_limits(
@@ -193,8 +180,6 @@ def worst_case_limits(
     mode: str,
     *,
     direction: str = "both",
-    workers: int = 1,
-    tol_rel: float = BISECTION_TOL_REL,
 ) -> WorstCaseLimits:
     """Per-node worst-case band limits (step 1 of the iterative method).
 
@@ -208,42 +193,31 @@ def worst_case_limits(
     check_anchor(ctx)
     n = ctx.n
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
-    tol_abs = tol_rel * max(dp_up, -dp_lo, 1e-12)
-    extrema = _direction_extrema(direction)
+    tol_abs = BISECTION_TOL_REL * max(dp_up, -dp_lo, 1e-12)
+    extrema = screened_extrema(direction)
 
     upper = np.full(n, dp_up)
     lower = np.full(n, dp_lo)
     upper_family = [extrema[0]] * n
     lower_family = [extrema[0]] * n
-
-    tasks = []
     for activation in ACTIVATIONS:
         for extremum in extrema:
-            node_list = list(range(n))
-            if workers > 1 and n > 1:
-                chunk = max(1, math.ceil(n / workers))
-                pieces = [node_list[i:i + chunk] for i in range(0, n, chunk)]
-            else:
-                pieces = [node_list]
-            for piece in pieces:
-                tasks.append((ctx, mode, activation, extremum, piece, tol_abs))
-
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_screen_family_star, tasks))
-    else:
-        results = [_screen_family_star(t) for t in tasks]
-
-    for activation, extremum, nodes, limits in results:
-        for k, lim in zip(nodes, limits):
-            if activation == POSITIVE:
-                if lim < upper[k] - 1e-15:
-                    upper[k] = lim
-                    upper_family[k] = extremum
-            else:
-                if lim > lower[k] + 1e-15:
-                    lower[k] = lim
-                    lower_family[k] = extremum
+            slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+            if mode != MODE_CONSTANT_Q:
+                slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
+            limits = _family_limits(
+                ctx, mode, activation, extremum, slots, list(range(n)),
+                fix_q=False, tol_abs=tol_abs,
+            )
+            for k, lim in enumerate(limits):
+                if activation == POSITIVE:
+                    if lim < upper[k] - 1e-15:
+                        upper[k] = lim
+                        upper_family[k] = extremum
+                else:
+                    if lim > lower[k] + 1e-15:
+                        lower[k] = lim
+                        lower_family[k] = extremum
     return WorstCaseLimits(
         upper=upper, lower=lower, upper_family=upper_family,
         lower_family=lower_family, dp_box=(dp_lo, dp_up), direction=direction,
@@ -263,11 +237,10 @@ class UpperDecision:
     setpoints: dict[str, float]
     mode: str
 
-    def slots_for(self, scenario: Scenario) -> dict[str, float]:
-        slots = dict(self.setpoints)
-        slots[SLOT_DP_PLUS] = self.dp_plus
-        slots[SLOT_DP_MINUS] = self.dp_minus
-        return {k: v for k, v in slots.items()}
+    @property
+    def slots(self) -> dict[str, float]:
+        """Every slot value of the offer: the setpoints and both band edges."""
+        return {**self.setpoints, SLOT_DP_PLUS: self.dp_plus, SLOT_DP_MINUS: self.dp_minus}
 
 
 @dataclass
@@ -549,30 +522,25 @@ def _bisected_decision(
     infeasible outright at these setpoints (a constant-Q setpoint outside
     the cone reachable under the activation's sign rules does that).
     """
-    ctx = slmap.ctx
     up = slmap.upper_vars
     dp_up = float(ub[up[SLOT_DP_PLUS]])
     dp_lo = float(lb[up[SLOT_DP_MINUS]])
+    slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+    families: dict[tuple[str, str], list[int]] = {}
+    for block in slmap.blocks:
+        sc = block.scenario
+        families.setdefault((sc.activation, sc.extremum), []).append(sc.node)
     t_pos, t_neg = dp_up, dp_lo
     try:
-        for block in slmap.blocks:
-            sc = block.scenario
-            full = dp_up if sc.activation == POSITIVE else dp_lo
-            slots = {
-                s: v for s, v in setpoints.items()
-                if s in block.problem.slot_names
-            }
-            if sc.dp_slot in block.problem.slot_names:
-                slots[sc.dp_slot] = full
-            mf = block.problem.materialize(slots)
-            lim = _bisect_limit(
-                mf, sc.node, full=full, v_min=ctx.v_min, v_max=ctx.v_max,
-                extremum=sc.extremum, tol_abs=tol_abs,
+        for (activation, extremum), nodes in families.items():
+            limits = _family_limits(
+                slmap.ctx, slmap.mode, activation, extremum, slots, nodes,
+                fix_q=slmap.mode == MODE_CONSTANT_Q, tol_abs=tol_abs,
             )
-            if sc.activation == POSITIVE:
-                t_pos = min(t_pos, lim)
+            if activation == POSITIVE:
+                t_pos = min(t_pos, *limits)
             else:
-                t_neg = max(t_neg, lim)
+                t_neg = max(t_neg, *limits)
     except BilevelError:
         return None
     out = dict(setpoints)
@@ -803,22 +771,14 @@ def feasibility_check(
     LP engine is an assembly bug: at Δp = 0 every follower admits the
     zero-deviation point.
     """
-    extrema = _direction_extrema(direction)
-    fix_q = mode == MODE_CONSTANT_Q
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
     for activation in ACTIVATIONS:
-        for extremum in extrema:
-            proto = Scenario(node=0, activation=activation, extremum=extremum)
-            problem = build_follower(ctx, proto, mode, fix_q=fix_q)
-            slots = {
-                s: v for s, v in decision.slots_for(proto).items()
-                if s in problem.slot_names
-            }
-            missing = [s for s in problem.slot_names if s not in slots]
-            if missing:
-                raise BilevelError(f"decision lacks slots required by followers: {missing}")
-            mf = problem.materialize(slots)
+        for extremum in screened_extrema(direction):
+            mf = _family_follower(
+                ctx, mode, activation, extremum, decision.slots,
+                fix_q=mode == MODE_CONSTANT_Q,
+            )
             for k in range(ctx.n):
                 cert = mf.solve(node=k)
                 if cert.status != OPTIMAL:
@@ -826,18 +786,13 @@ def feasibility_check(
                         f"follower (node {k}, {activation}/{extremum}) reported "
                         f"{cert.status}; followers are feasible by construction"
                     )
-                vm = proto.sigma * cert.objective
+                scenario = Scenario(node=k, activation=activation, extremum=extremum)
+                vm = scenario.sigma * cert.objective
                 worst[(k, activation, extremum)] = vm
-                over = vm - ctx.v_max
-                under = ctx.v_min - vm
-                amount = max(over, under)
+                amount = max(vm - ctx.v_max, ctx.v_min - vm)
                 if amount > tol:
                     violations.append(
-                        Violation(
-                            scenario=Scenario(node=k, activation=activation, extremum=extremum),
-                            worst_vm=vm,
-                            amount=float(amount),
-                        )
+                        Violation(scenario=scenario, worst_vm=vm, amount=float(amount))
                     )
     violations.sort(key=lambda v: (-v.amount, v.scenario.node, v.scenario.number))
     return FeasibilityReport(violations=violations, worst_vm=worst)
@@ -874,7 +829,6 @@ def run_iterative(
     mode: str,
     *,
     direction: str = "both",
-    workers: int = 1,
     epsilon: float = 1e-4,
     max_iterations: int | None = None,
     node_limit: int = 5000,
@@ -886,12 +840,15 @@ def run_iterative(
     program, re-screens all followers at the accepted decision, and folds any
     violators back in.  The active set only grows, so the objective history
     is nonincreasing; the iteration cap defaults to the number of available
-    scenarios (4n, direction-filtered 2n).
+    scenarios (4n, direction-filtered 2n).  The run has converged when the
+    accepted band survives the re-screening and the last branch-and-bound
+    proved it optimal; a band that stopped at ``node_limit`` is feasible
+    but unproven.
     """
     check_anchor(ctx)
     if ctx.n == 0:
         raise BilevelError("feeder has no non-slack nodes")
-    wc = worst_case_limits(ctx, mode, direction=direction, workers=workers)
+    wc = worst_case_limits(ctx, mode, direction=direction)
     scenarios_all = all_scenarios(ctx.n, direction=direction)
     cap = max_iterations if max_iterations is not None else len(scenarios_all)
     cap = max(cap, 1)
@@ -917,7 +874,7 @@ def run_iterative(
             ctx, mode, result.decision, direction=direction
         )
         if report.ok:
-            converged = True
+            converged = result.bnb.status == OPTIMAL
             break
         added = False
         for v in report.violations:

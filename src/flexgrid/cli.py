@@ -4,8 +4,9 @@ and plot-data emission.
 Exit codes: 0 success, 2 validation error (bad arguments, feeder file or
 result file), 3 infeasible anchor (the current operating point violates the
 voltage band or the power flow fails), 4 iteration cap reached without a
-feasible decision.  All files are deterministic for a fixed configuration in
-single-worker mode.
+feasible decision, 5 feasible band whose optimality the branch-and-bound did
+not prove (it stopped at its node limit).  All files are deterministic for a
+fixed configuration.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import re
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
 from .bilevel import (
-    BISECTION_TOL_REL,
-    FEAS_TOL_PU,
     BilevelError,
     FlexibilityResult,
     UpperDecision,
@@ -30,7 +29,8 @@ from .bilevel import (
     worst_case_limits,
 )
 from .feeder import INVERTER_MODES, FeederError, load_feeder
-from .follower import build_context
+from .follower import DIRECTIONS, build_context
+from .lp import OPTIMAL
 from .oracle import OracleError, verify_decision
 from .powerflow import PowerFlowError
 
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE_ANCHOR = 3
 EXIT_ITERATION_CAP = 4
+EXIT_UNPROVEN = 5
 
 RESULT_FORMAT = "flexgrid-result"
 WORST_CASE_FORMAT = "flexgrid-worst-case"
@@ -58,14 +59,6 @@ def parse_slot(name: str) -> tuple[str, int]:
     return m.group(1), int(m.group(2))
 
 
-def default_workers() -> int:
-    raw = os.environ.get("FLEXGRID_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexgrid",
@@ -83,22 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--vmin", type=float, default=0.9, help="lower voltage limit, p.u.")
     common.add_argument("--vmax", type=float, default=1.1, help="upper voltage limit, p.u.")
     common.add_argument(
-        "--direction", choices=("both", "overvoltage", "undervoltage"),
+        "--direction", choices=tuple(DIRECTIONS),
         default="both", help="which voltage-band side the study guards",
     )
-    common.add_argument(
-        "--workers", type=int, default=None,
-        help="parallel follower solves (default: FLEXGRID_WORKERS or 1)",
-    )
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument(
-        "--bisect-tol", type=float, default=BISECTION_TOL_REL,
-        help="relative bisection tolerance on band limits",
-    )
-    common.add_argument(
-        "--feas-tol", type=float, default=FEAS_TOL_PU,
-        help="voltage feasibility tolerance, p.u.",
-    )
 
     p_wc = sub.add_parser(
         "worst-case", parents=[common],
@@ -146,9 +127,6 @@ def _load_study(args) -> tuple:
     """Feeder + context from common arguments (validation errors -> exit 2)."""
     if not (0.0 < args.vmin < args.vmax):
         raise FeederError("need 0 < vmin < vmax")
-    for name in ("bisect_tol", "feas_tol"):
-        if getattr(args, name, 1.0) <= 0:
-            raise FeederError(f"--{name.replace('_', '-')} must be positive")
     model = load_feeder(args.feeder)
     ctx = build_context(model, v_min=args.vmin, v_max=args.vmax)
     return model, ctx
@@ -197,11 +175,7 @@ def _worst_case_doc(ctx, wc, base_kva: float) -> dict:
 
 def cmd_worst_case(args) -> int:
     model, ctx = _load_study(args)
-    workers = args.workers if args.workers is not None else default_workers()
-    wc = worst_case_limits(
-        ctx, args.mode, direction=args.direction, workers=workers,
-        tol_rel=args.bisect_tol,
-    )
+    wc = worst_case_limits(ctx, args.mode, direction=args.direction)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = model.base_kva
@@ -250,6 +224,7 @@ def _setpoint_records(ctx, mode: str, decision: UpperDecision) -> list[dict]:
 
 def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
     base = model.base_kva
+    bnb = res.single_level.bnb
     return {
         "format": RESULT_FORMAT,
         "version": FORMAT_VERSION,
@@ -261,6 +236,9 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
         "base_kva": base,
         "converged": res.converged,
         "iterations": res.iterations,
+        "bnb_status": bnb.status,
+        "bnb_gap_kw": float(bnb.gap * base),
+        "bnb_nodes": bnb.nodes,
         "dp_plus_kw": float(res.dp_plus * base),
         "dp_minus_kw": float(res.dp_minus * base),
         "objective_history_kw": [float(v * base) for v in res.objective_history],
@@ -275,10 +253,10 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
 
 
 def cmd_solve(args) -> int:
+    t0 = time.perf_counter()
     model, ctx = _load_study(args)
-    workers = args.workers if args.workers is not None else default_workers()
     res = run_iterative(
-        ctx, args.mode, direction=args.direction, workers=workers,
+        ctx, args.mode, direction=args.direction,
         epsilon=args.epsilon, max_iterations=args.max_iterations,
     )
     out = Path(args.out)
@@ -289,13 +267,24 @@ def cmd_solve(args) -> int:
     wc = res.worst_case
     print(f"mode={res.mode} direction={res.direction}")
     print(f"worst-case range: [{wc.range_lower * base:.1f}, {wc.range_upper * base:.1f}] kW")
-    state = "converged" if res.converged else "ITERATION CAP REACHED"
+    bnb = res.single_level.bnb
+    if res.converged:
+        state, code = "converged", EXIT_OK
+    elif res.feasibility.ok and bnb.status != OPTIMAL:
+        state = (
+            f"feasible, NOT PROVEN OPTIMAL: branch-and-bound {bnb.status} "
+            f"after {bnb.nodes} node(s), gap {bnb.gap * base:.1f} kW"
+        )
+        code = EXIT_UNPROVEN
+    else:
+        state, code = "ITERATION CAP REACHED", EXIT_ITERATION_CAP
     print(
         f"ideal range: [{res.dp_minus * base:.1f}, {res.dp_plus * base:.1f}] kW "
         f"({res.iterations} iteration(s), {state})"
     )
     print(f"result written to {out / 'result.json'}")
-    return EXIT_OK if res.converged else EXIT_ITERATION_CAP
+    print(f"wall time: {time.perf_counter() - t0:.2f} s")
+    return code
 
 
 def _read_result(path: str) -> dict:

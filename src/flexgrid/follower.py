@@ -57,6 +57,13 @@ MIN_V = "min"
 MAX_V = "max"
 EXTREMA = (MIN_V, MAX_V)
 
+# Extremum families screened for each study direction.
+DIRECTIONS = {
+    "both": (MIN_V, MAX_V),
+    "overvoltage": (MAX_V,),
+    "undervoltage": (MIN_V,),
+}
+
 # Table ordering of the four scenario families per node.
 _SCENARIO_NUMBER = {
     (POSITIVE, MIN_V): 1,
@@ -560,6 +567,14 @@ def build_follower(
     return FollowerProblem(ctx, scenario, mode, fix_q=fix_q)
 
 
+def screened_extrema(direction: str) -> tuple[str, ...]:
+    """Extrema screened in ``direction`` (a key of ``DIRECTIONS``)."""
+    try:
+        return DIRECTIONS[direction]
+    except KeyError:
+        raise ValueError(f"unknown direction {direction!r}") from None
+
+
 def all_scenarios(
     n: int, *, direction: str = "both"
 ) -> list[Scenario]:
@@ -568,13 +583,7 @@ def all_scenarios(
     ``direction`` is one of "both", "overvoltage" (only max-|v| scenarios) or
     "undervoltage" (only min-|v| scenarios).
     """
-    extrema = {
-        "both": (MIN_V, MAX_V),
-        "overvoltage": (MAX_V,),
-        "undervoltage": (MIN_V,),
-    }.get(direction)
-    if extrema is None:
-        raise ValueError(f"unknown direction {direction!r}")
+    extrema = screened_extrema(direction)
     out = []
     for k in range(n):
         for act in ACTIVATIONS:

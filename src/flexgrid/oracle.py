@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilevel import UpperDecision, _direction_extrema
+from .bilevel import UpperDecision
 from .feeder import (
     MODE_CONSTANT_PF,
     MODE_CONSTANT_Q,
@@ -31,6 +31,7 @@ from .follower import (
     FollowerProblem,
     Scenario,
     build_follower,
+    screened_extrema,
     slot_gamma,
     slot_qbar,
     slot_qset,
@@ -103,7 +104,7 @@ class OracleReport:
 
 
 def _decision_slots(decision: UpperDecision, problem: FollowerProblem) -> dict[str, float]:
-    slots = decision.slots_for(problem.scenario)
+    slots = decision.slots
     out = {s: slots[s] for s in problem.slot_names if s in slots}
     missing = [s for s in problem.slot_names if s not in out]
     if missing:
@@ -132,7 +133,7 @@ def verify_decision(
     checks: list[ScenarioCheck] = []
     profile: tuple[Scenario, np.ndarray, np.ndarray] | None = None
     for activation in ACTIVATIONS:
-        for extremum in _direction_extrema(direction):
+        for extremum in screened_extrema(direction):
             proto = Scenario(node=0, activation=activation, extremum=extremum)
             problem = build_follower(ctx, proto, mode, fix_q=fix_q)
             slots = _decision_slots(decision, problem)

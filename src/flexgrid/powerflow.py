@@ -65,11 +65,6 @@ class OperatingPoint:
         return np.abs(self.v)
 
 
-def slack_voltage(model: FeederModel) -> np.ndarray:
-    """Per-phase slack voltage: the balanced unit phasor (a, b, c)."""
-    return SLACK_PHASOR.copy()
-
-
 def anchor_injections(
     model: FeederModel, index: BusPhaseIndex | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +124,7 @@ def solve_nonlinear_pf(
         raise ValueError(f"injections must have shape ({n},)")
 
     _, _, YL0, YLL = _partition_ybus(Y, index)
-    v0 = slack_voltage(model)
+    v0 = SLACK_PHASOR.copy()
     s_spec = p_inj + 1j * q_inj
 
     # Flat start: slack phasor replicated phase-wise to every node.
@@ -223,13 +218,6 @@ def build_fixed_point_model(
     z1 = sol[:, 0]
     z2 = sol[:, 1:]
     return LinearPFModel(index=index, z1=z1, z2=z2, anchor=anchor)
-
-
-def evaluate_linear_voltages(
-    lpf: LinearPFModel, p_inj: np.ndarray, q_inj: np.ndarray
-) -> np.ndarray:
-    """Complex node voltages predicted by the linear model."""
-    return lpf.voltages(p_inj, q_inj)
 
 
 @dataclass

@@ -57,7 +57,7 @@ def ieee13_runs(ieee13_model):
     runs = {}
     for mode in MODES:
         t0 = time.monotonic()
-        res = run_iterative(ctx, mode, direction="overvoltage", workers=1)
+        res = run_iterative(ctx, mode, direction="overvoltage")
         runs[mode] = (res, time.monotonic() - t0)
     return ctx, runs
 
@@ -70,7 +70,7 @@ def random_batch():
         mode = MODES[i % 3]
         rng = np.random.default_rng(7200 + i)
         ctx = random_context(rng, mode=mode)
-        res = run_iterative(ctx, mode, workers=1)
+        res = run_iterative(ctx, mode)
         records.append({"seed": 7200 + i, "mode": mode, "ctx": ctx, "res": res})
     return records
 
@@ -82,7 +82,7 @@ def _decision_problem(ctx, scenario, mode, decision):
     )
     problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
     slots = {
-        k: v for k, v in decision.slots_for(scenario).items()
+        k: v for k, v in decision.slots.items()
         if k in problem.slot_names
     }
     return problem, slots

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from feedergen import random_context
+
 from flexgrid import build_context, load_feeder
 from flexgrid.bilevel import (
     BilevelError,
@@ -78,8 +80,7 @@ def test_upper_decision_slot_view():
         dp_plus=0.4, dp_minus=-0.2,
         setpoints={"gamma[2]": 0.1}, mode=MODE_CONSTANT_PF,
     )
-    slots = dec.slots_for(Scenario(2, POSITIVE, MAX_V))
-    assert slots == {"gamma[2]": 0.1, SLOT_DP_PLUS: 0.4, SLOT_DP_MINUS: -0.2}
+    assert dec.slots == {"gamma[2]": 0.1, SLOT_DP_PLUS: 0.4, SLOT_DP_MINUS: -0.2}
 
 
 # --- worst-case screening --------------------------------------------------
@@ -129,15 +130,6 @@ def test_bisection_agrees_with_grid_threshold(pv_tight_ctx):
     last_ok = grid[max(i for i, f in enumerate(feas) if f)]
     assert feas[0], "zero band must always be safe"
     assert abs(wc.upper[k] - last_ok) <= (grid[1] - grid[0]) + 1e-6 * dp_up
-
-
-def test_workers_do_not_change_the_answer(pv_tight_ctx):
-    serial = worst_case_limits(pv_tight_ctx, MODE_VOLT_VAR)
-    par = worst_case_limits(pv_tight_ctx, MODE_VOLT_VAR, workers=2)
-    assert np.allclose(serial.upper, par.upper, atol=1e-12)
-    assert np.allclose(serial.lower, par.lower, atol=1e-12)
-    assert serial.upper_family == par.upper_family
-    assert serial.lower_family == par.lower_family
 
 
 def test_wider_band_never_shrinks_the_limits(pv_model):
@@ -273,6 +265,15 @@ def test_iterative_driver_contains_the_worst_case(pv_tight_ctx, mode):
     assert len(res.followers) >= 2
     # the accepted decision really is feasible when re-screened from scratch
     assert feasibility_check(pv_tight_ctx, mode, res.decision).ok
+
+
+def test_node_limit_leaves_a_feasible_band_unconverged():
+    """A band the B&B did not prove optimal is feasible, not converged."""
+    res = run_iterative(random_context(np.random.default_rng(7200)), MODE_CONSTANT_PF, node_limit=1)
+    assert res.single_level.bnb.status == "node_limit"
+    assert res.single_level.bnb.gap > 1e-3
+    assert res.feasibility.ok
+    assert not res.converged
 
 
 def test_direction_filter_restricts_the_follower_pool(pv_tight_ctx):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import shutil
 
 import pytest
@@ -65,6 +66,8 @@ def test_solve_result_document(solved):
     assert doc["feeder"] == str(pv_file)
     assert doc["converged"] is True
     assert doc["iterations"] >= 1
+    assert doc["bnb_status"] == "optimal" and doc["bnb_nodes"] >= 1
+    assert 0.0 <= doc["bnb_gap_kw"]
     assert doc["dp_minus_kw"] <= 0.0 <= doc["dp_plus_kw"]
     assert len(doc["objective_history_kw"]) == doc["iterations"]
     assert doc["verification"] is None
@@ -83,6 +86,7 @@ def test_solve_console_summary(pv_file, tmp_path, capsys):
     assert "worst-case range: [" in stdout
     assert "ideal range: [" in stdout and "converged" in stdout
     assert "result written to" in stdout
+    assert re.search(r"^wall time: \d+\.\d\d s$", stdout, re.MULTILINE)
 
 
 def test_solve_is_deterministic(pv_file, tmp_path, capsys):
@@ -90,7 +94,7 @@ def test_solve_is_deterministic(pv_file, tmp_path, capsys):
     for name in ("a", "b"):
         out = tmp_path / name
         code, _, _ = run(
-            ["solve", "--feeder", str(pv_file), "--out", str(out), "--workers", "1"],
+            ["solve", "--feeder", str(pv_file), "--out", str(out)],
             capsys,
         )
         assert code == cli.EXIT_OK
@@ -235,6 +239,29 @@ def test_iteration_cap_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     assert doc["converged"] is False
 
 
+def test_unproven_band_exit_code(pv_file, tmp_path, capsys, monkeypatch):
+    real = cli.run_iterative
+
+    def stopped(*args, **kwargs):
+        res = real(*args, **kwargs)
+        bnb = dataclasses.replace(res.single_level.bnb, status="node_limit", gap=0.05, nodes=7)
+        single = dataclasses.replace(res.single_level, bnb=bnb)
+        return dataclasses.replace(res, converged=False, single_level=single)
+
+    monkeypatch.setattr(cli, "run_iterative", stopped)
+    code, stdout, _ = run(
+        ["solve", "--feeder", str(pv_file), "--out", str(tmp_path / "unproven")], capsys
+    )
+    assert code == cli.EXIT_UNPROVEN
+    assert "NOT PROVEN OPTIMAL" in stdout and "node_limit" in stdout
+    assert "gap 5.0 kW" in stdout and "ITERATION CAP" not in stdout
+    doc = json.loads((tmp_path / "unproven" / "result.json").read_text())
+    assert doc["converged"] is False
+    assert doc["bnb_status"] == "node_limit"
+    assert doc["bnb_gap_kw"] == pytest.approx(5.0)
+    assert doc["bnb_nodes"] == 7
+
+
 def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):
     result_path, out, _ = solved
     good = json.loads(result_path.read_text())
@@ -267,22 +294,13 @@ def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):
     )
 
 
-def test_parse_slot_and_workers_default(monkeypatch):
+def test_parse_slot():
     assert cli.parse_slot("gamma[3]") == ("gamma", 3)
     assert cli.parse_slot("qbar[0]") == ("qbar", 0)
     assert cli.parse_slot("qset[12]") == ("qset", 12)
     for bad in ("gamma", "gamma[]", "gamma[-1]", "delta[2]", "gamma[2]x"):
         with pytest.raises(ValueError, match="not a setpoint slot"):
             cli.parse_slot(bad)
-
-    monkeypatch.delenv("FLEXGRID_WORKERS", raising=False)
-    assert cli.default_workers() == 1
-    monkeypatch.setenv("FLEXGRID_WORKERS", "3")
-    assert cli.default_workers() == 3
-    monkeypatch.setenv("FLEXGRID_WORKERS", "0")
-    assert cli.default_workers() == 1
-    monkeypatch.setenv("FLEXGRID_WORKERS", "many")
-    assert cli.default_workers() == 1
 
 
 def test_version_and_bad_arguments(capsys):

@@ -18,7 +18,6 @@ from flexgrid.powerflow import (
     anchor_injections,
     assemble_ybus,
     build_fixed_point_model,
-    evaluate_linear_voltages,
     magnitude_taylor,
     solve_nonlinear_pf,
 )
@@ -108,7 +107,7 @@ def test_fixed_point_model_exact_at_anchor():
         model = load_feeder(doc)
         op = solve_nonlinear_pf(model)
         lpf = build_fixed_point_model(model, op)
-        v_lin = evaluate_linear_voltages(lpf, op.p_inj, op.q_inj)
+        v_lin = lpf.voltages(op.p_inj, op.q_inj)
         assert np.max(np.abs(v_lin - op.v)) < 1e-12
 
 
