@@ -38,6 +38,7 @@ from .follower import (
 from .bilevel import (
     BilevelError,
     FlexibilityResult,
+    InfeasibleAnchorError,
     UpperDecision,
     WorstCaseLimits,
     feasibility_check,
@@ -71,6 +72,7 @@ __all__ = [
     "build_follower",
     "BilevelError",
     "FlexibilityResult",
+    "InfeasibleAnchorError",
     "UpperDecision",
     "WorstCaseLimits",
     "feasibility_check",

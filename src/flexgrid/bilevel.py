@@ -5,9 +5,10 @@ The DSO wants the widest aggregate band [Δp-, Δp+] (plus inverter setpoints)
 such that every adversarial follower keeps its node's voltage magnitude
 inside [v_min, v_max].  Three steps:
 
-1. ``worst_case_limits`` — per-node safe bounds under adversarial setpoints,
-   found by bisection on the scalar band edge (the follower optimum is
-   monotone in it);
+1. ``worst_case_limits`` — per-node safe bounds under adversarial setpoints.
+   The follower optimum is concave, piecewise linear and nondecreasing in
+   |band edge|, with the aggregate-row dual as its slope, so each bound is
+   found by a tangent/secant walk over its breakpoints;
 2. ``assemble_single_level``/``solve_single_level`` — the ideal case for a
    subset of followers, reformulated through LP duality: follower primal
    rows + dual feasibility rows + a strong-duality row certify follower
@@ -49,7 +50,8 @@ from .follower import (
 )
 from .lp import EQ, GE, INFEASIBLE, LE, MAX, OPTIMAL, LinearProgram
 
-BISECTION_TOL_REL = 1e-6
+EDGE_TOL_REL = 1e-6  # band-edge tolerance, relative to the availability span
+EDGE_ROOT_TOL = 1e-12  # a safe edge whose objective is this close to the limit is the root
 FEAS_TOL_PU = 1e-6
 LAMBDA_CAP = 1e3
 LAMBDA_ESCALATIONS = 3
@@ -60,20 +62,24 @@ class BilevelError(RuntimeError):
     pass
 
 
+class InfeasibleAnchorError(BilevelError):
+    """The current operating point already violates the voltage band."""
+
+
 def check_anchor(ctx: FlexContext) -> None:
     """The iterative method assumes the current operating point is legal."""
     vm = ctx.anchor.vm
     if np.any(vm > ctx.v_max + 1e-9) or np.any(vm < ctx.v_min - 1e-9):
         k = int(np.argmax(np.maximum(vm - ctx.v_max, ctx.v_min - vm)))
         bus, phase = ctx.index.nodes[k]
-        raise BilevelError(
+        raise InfeasibleAnchorError(
             f"anchor voltage {vm[k]:.4f} p.u. at ({bus}, {phase}) violates "
             f"[{ctx.v_min}, {ctx.v_max}]; no flexibility band exists"
         )
 
 
 # ---------------------------------------------------------------------------
-# Step 1: worst-case screening by bisection
+# Step 1: worst-case screening
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -125,54 +131,65 @@ def _family_follower(
     return problem.materialize({s: slots[s] for s in problem.slot_names})
 
 
-def _bisect_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
+def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
     """Largest |band edge| keeping the follower's extreme |v| at ``node`` in band.
 
-    The bracket's far end is the family's band edge as materialized in
-    ``mf``.  The value function is monotone in |edge|, so plain bisection is
-    exact to tol_abs.
+    The far end is the family's band edge as materialized in ``mf``.  With
+    F(s) the follower objective at |edge| = s, the edge is in band while
+    F(s) <= c.  F is concave, piecewise linear and nondecreasing, and the
+    aggregate-row dual is its slope, so a tangent step from the infeasible
+    end lands on the feasible side (exactly at the root once that end sits
+    on the crossing segment) and a secant step across a bracket lands on
+    the infeasible side.  Every step is confirmed by a solve, so the result
+    is a verified safe edge within ``tol_abs`` of the root whatever the
+    duals say; a step outside the bracket falls back to its midpoint.
     """
     ctx = mf.problem.ctx
     scenario = mf.problem.scenario
     full = mf.slots[scenario.dp_slot]
+    if full == 0.0:
+        return 0.0
+    sign = 1.0 if full > 0 else -1.0
+    # The objective is sigma * |v|, so both extrema compare it from below.
+    c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
+    # Steps aim half the stopping slack inside c, so a step that is exact up
+    # to rounding confirms as feasible and ends the walk.
+    aim = c - 0.5 * EDGE_ROOT_TOL
 
-    def ok(t: float) -> bool:
-        cert = mf.solve(node=node, dp_bound=t)
+    def value(s: float) -> tuple[float, float]:
+        cert = mf.solve(node=node, dp_bound=sign * s)
         if cert.status == INFEASIBLE:
             raise BilevelError(
                 "follower LP infeasible during screening; followers are "
                 "feasible by construction at Δp = 0, so this signals an "
                 "assembly bug or inconsistent device data"
             )
-        vm = scenario.sigma * cert.objective
-        if scenario.extremum == MAX_V:
-            return vm <= ctx.v_max + 1e-9
-        return vm >= ctx.v_min - 1e-9
+        return cert.objective, sign * mf.agg_dual(cert)
 
-    if full == 0.0:
-        return 0.0
-    if ok(full):
+    hi = abs(full)
+    f_hi, g_hi = value(hi)
+    if f_hi <= c:
         return full
-    if not ok(0.0):
-        return 0.0
-    sign = 1.0 if full > 0 else -1.0
-    lo, hi = 0.0, abs(full)  # lo feasible, hi infeasible
-    while hi - lo > tol_abs:
-        mid = 0.5 * (lo + hi)
-        if ok(sign * mid):
-            lo = mid
+    lo = f_lo = None  # lo: largest edge confirmed feasible
+    tangent = True
+    while lo is None or (hi - lo > tol_abs and f_lo < c - EDGE_ROOT_TOL):
+        if tangent:
+            s = hi - (f_hi - aim) / g_hi if g_hi > 0.0 else -math.inf
         else:
-            hi = mid
+            s = lo + (hi - lo) * (aim - f_lo) / (f_hi - f_lo)
+        if lo is None:
+            if not 0.0 <= s < hi:
+                s = 0.0
+        elif not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        f, g = value(s)
+        if f <= c:
+            lo, f_lo, tangent = s, f, False
+        elif s == 0.0:
+            return 0.0
+        else:
+            hi, f_hi, g_hi, tangent = s, f, g, True
     return sign * lo
-
-
-def _family_limits(
-    ctx: FlexContext, mode: str, activation: str, extremum: str,
-    slots: dict[str, float], nodes: list[int], *, fix_q: bool, tol_abs: float,
-) -> list[float]:
-    """Bisection limits of one family's band edge at each of ``nodes``."""
-    mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=fix_q)
-    return [_bisect_limit(mf, k, tol_abs) for k in nodes]
 
 
 def worst_case_limits(
@@ -185,7 +202,7 @@ def worst_case_limits(
 
     For every node and activation case, the follower is given adversarial
     setpoints (constant-Q leaves reactive power to the adversary outright)
-    and the largest safe band edge is found by bisection; positive
+    and the largest safe band edge is found by ``_edge_limit``; positive
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
@@ -193,7 +210,7 @@ def worst_case_limits(
     check_anchor(ctx)
     n = ctx.n
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
-    tol_abs = BISECTION_TOL_REL * max(dp_up, -dp_lo, 1e-12)
+    tol_abs = EDGE_TOL_REL * max(dp_up, -dp_lo, 1e-12)
     extrema = screened_extrema(direction)
 
     upper = np.full(n, dp_up)
@@ -205,11 +222,9 @@ def worst_case_limits(
             slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-            limits = _family_limits(
-                ctx, mode, activation, extremum, slots, list(range(n)),
-                fix_q=False, tol_abs=tol_abs,
-            )
-            for k, lim in enumerate(limits):
+            mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
+            for k in range(n):
+                lim = _edge_limit(mf, k, tol_abs)
                 if activation == POSITIVE:
                     if lim < upper[k] - 1e-15:
                         upper[k] = lim
@@ -459,8 +474,28 @@ def _decision_from_x(slmap: SingleLevelMap, x: np.ndarray) -> UpperDecision:
     )
 
 
+Families = dict[tuple[str, str], MaterializedFollower]
+
+
+def _family_followers(slmap: SingleLevelMap, slots: dict[str, float]) -> Families:
+    """One materialized follower per (activation, extremum) family of the blocks.
+
+    Each block's LP is its family's LP with the block's node as objective,
+    so the single-level heuristics re-slot these instead of rebuilding.
+    """
+    families = dict.fromkeys((b.scenario.activation, b.scenario.extremum) for b in slmap.blocks)
+    return {
+        (activation, extremum): _family_follower(
+            slmap.ctx, slmap.mode, activation, extremum, slots,
+            fix_q=slmap.mode == MODE_CONSTANT_Q,
+        )
+        for activation, extremum in families
+    }
+
+
 def _complete_point(
     slmap: SingleLevelMap,
+    followers: Families,
     decision_slots: dict[str, float],
     flags: dict,
     lb: np.ndarray,
@@ -478,10 +513,11 @@ def _complete_point(
     x = np.zeros(lb.shape[0])
     for name, vi in slmap.upper_vars.items():
         x[vi] = decision_slots[name]
+    for mf in followers.values():
+        mf.set_slots(decision_slots)
     for block in slmap.blocks:
-        cert = block.problem.solve(
-            {s: decision_slots[s] for s in block.problem.slot_names}
-        )
+        sc = block.scenario
+        cert = followers[(sc.activation, sc.extremum)].solve(node=sc.node)
         if cert.status != OPTIMAL:
             return None
         vm = block.problem.worst_voltage(cert)
@@ -507,18 +543,19 @@ def _complete_point(
     return x
 
 
-def _bisected_decision(
+def _edge_limited_decision(
     slmap: SingleLevelMap,
+    followers: Families,
     setpoints: dict[str, float],
     lb: np.ndarray,
     ub: np.ndarray,
     tol_abs: float,
 ) -> dict[str, float] | None:
-    """Largest feasible band edges for fixed setpoints, by bisection.
+    """Largest feasible band edges for fixed setpoints.
 
     Feasibility decomposes by direction: positive followers only see the
     upper edge and negative followers the lower one, so each edge is the
-    tightest per-follower bisection limit.  Returns None when a follower is
+    tightest per-follower ``_edge_limit``.  Returns None when a follower is
     infeasible outright at these setpoints (a constant-Q setpoint outside
     the cone reachable under the activation's sign rules does that).
     """
@@ -533,10 +570,9 @@ def _bisected_decision(
     t_pos, t_neg = dp_up, dp_lo
     try:
         for (activation, extremum), nodes in families.items():
-            limits = _family_limits(
-                slmap.ctx, slmap.mode, activation, extremum, slots, nodes,
-                fix_q=slmap.mode == MODE_CONSTANT_Q, tol_abs=tol_abs,
-            )
+            mf = followers[(activation, extremum)]
+            mf.set_slots(slots)
+            limits = [_edge_limit(mf, k, tol_abs) for k in nodes]
             if activation == POSITIVE:
                 t_pos = min(t_pos, *limits)
             else:
@@ -592,12 +628,13 @@ def _candidate_setpoint_sets(
 
 def _presolve_points(
     slmap: SingleLevelMap,
+    followers: Families,
     flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
     tol_abs: float,
 ) -> list[np.ndarray]:
-    """Heuristic incumbents: bang-bang setpoints with bisected band edges.
+    """Heuristic incumbents: bang-bang setpoints with their largest safe band edges.
 
     Each candidate also gets a zero-band fallback, so whenever any setpoint
     choice keeps every follower in band at zero deviation the search starts
@@ -605,14 +642,14 @@ def _presolve_points(
     """
     points: list[np.ndarray] = []
     for sp in _candidate_setpoint_sets(slmap, lb, ub):
-        dec = _bisected_decision(slmap, sp, lb, ub, tol_abs)
+        dec = _edge_limited_decision(slmap, followers, sp, lb, ub, tol_abs)
         trials = [dec]
         if dec is None or (dec[SLOT_DP_PLUS], dec[SLOT_DP_MINUS]) != (0.0, 0.0):
             trials.append(dict(sp, **{SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0}))
         for d in trials:
             if d is None:
                 continue
-            x = _complete_point(slmap, d, flags, lb, ub)
+            x = _complete_point(slmap, followers, d, flags, lb, ub)
             if x is not None:
                 points.append(x)
     return points
@@ -620,6 +657,7 @@ def _presolve_points(
 
 def _completion_hook(
     slmap: SingleLevelMap,
+    followers: Families,
     flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
@@ -630,9 +668,9 @@ def _completion_hook(
     Tries the relaxation's own upper-level values first; when a follower
     leaves the band at those values (the usual case early on, while the
     product envelopes still let the relaxation pair loose setpoints with
-    full band edges), retries with the edges bisected back to the largest
-    pair feasible for the relaxation's setpoints, which turns nearly every
-    node into a producer of genuine incumbents.
+    full band edges), retries with the edges cut back to the largest pair
+    feasible for the relaxation's setpoints, which turns nearly every node
+    into a producer of genuine incumbents.
     """
 
     def hook(x_rel: np.ndarray):
@@ -642,14 +680,14 @@ def _completion_hook(
             name: float(min(max(x_rel[vi], lb[vi]), ub[vi]))
             for name, vi in up.items()
         }
-        x = _complete_point(slmap, decision_slots, flags, lb, ub)
+        x = _complete_point(slmap, followers, decision_slots, flags, lb, ub)
         if x is not None:
             return x
         setpoints = {name: decision_slots[name] for name in slmap.setpoint_slots}
-        dec = _bisected_decision(slmap, setpoints, lb, ub, tol_abs)
+        dec = _edge_limited_decision(slmap, followers, setpoints, lb, ub, tol_abs)
         if dec is None:
             return None
-        return _complete_point(slmap, dec, flags, lb, ub)
+        return _complete_point(slmap, followers, dec, flags, lb, ub)
 
     return hook
 
@@ -688,10 +726,12 @@ def solve_single_level(
         ub = np.array(bp.base.ub)
         up = slmap.upper_vars
         dp_span = float(ub[up[SLOT_DP_PLUS]]) - float(lb[up[SLOT_DP_MINUS]])
-        tol_abs = BISECTION_TOL_REL * max(dp_span, 1e-12)
+        tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
         flags: dict = {}
-        warm = _presolve_points(slmap, flags, lb, ub, tol_abs)
-        hook = _completion_hook(slmap, flags, lb, ub, tol_abs)
+        # Any in-box slot values will do: every use re-slots the followers first.
+        followers = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+        warm = _presolve_points(slmap, followers, flags, lb, ub, tol_abs)
+        hook = _completion_hook(slmap, followers, flags, lb, ub, tol_abs)
         res = spatial_branch_and_bound(
             bp, epsilon=epsilon, node_limit=node_limit,
             incumbent_hook=hook, initial_points=warm,

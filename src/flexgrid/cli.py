@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 validation error (bad arguments, feeder file or
 result file), 3 infeasible anchor (the current operating point violates the
 voltage band or the power flow fails), 4 iteration cap reached without a
 feasible decision, 5 feasible band whose optimality the branch-and-bound did
-not prove (it stopped at its node limit).  All files are deterministic for a
-fixed configuration.
+not prove (it stopped at its node limit), 6 solver failure (any other
+bilevel error, such as a failed single-level solve or an infeasible follower
+LP).  All files are deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import __version__
 from .bilevel import (
     BilevelError,
     FlexibilityResult,
+    InfeasibleAnchorError,
     UpperDecision,
     run_iterative,
     setpoint_boxes,
@@ -39,6 +41,7 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE_ANCHOR = 3
 EXIT_ITERATION_CAP = 4
 EXIT_UNPROVEN = 5
+EXIT_SOLVER = 6
 
 RESULT_FORMAT = "flexgrid-result"
 WORST_CASE_FORMAT = "flexgrid-worst-case"
@@ -453,9 +456,12 @@ def main(argv: list[str] | None = None) -> int:
     except (FeederError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BilevelError, PowerFlowError) as exc:
+    except (InfeasibleAnchorError, PowerFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_ANCHOR
+    except BilevelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

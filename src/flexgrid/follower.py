@@ -520,14 +520,15 @@ def _instantiate(row: ParamRow, slots: dict[str, float]) -> tuple[np.ndarray, np
 class MaterializedFollower:
     """HiGHS-ready arrays for one follower at fixed slots.
 
-    Supports the two cheap mutations the screening loops need: swapping the
-    target node (objective) and moving the aggregate-row bound (rhs).
+    Supports the cheap mutations the screening loops need: swapping the
+    target node (objective), moving the aggregate-row bound (rhs) and
+    re-slotting (``set_slots`` rewrites only the slot-bearing entries).
     """
 
     def __init__(self, problem: FollowerProblem, slots: dict[str, float]):
         self.problem = problem
-        self.slots = dict(slots)
-        lp = problem.to_lp(self.slots)
+        lp = problem.to_lp(slots)
+        self.slots = {s: slots[s] for s in problem.slot_names}
         self.mat: MaterializedLP = lp.materialize()
         agg = problem.row_index("agg")
         self._agg_row = agg
@@ -535,6 +536,51 @@ class MaterializedFollower:
         pos = np.flatnonzero(self.mat.ub_rows == agg)
         self._agg_pos = int(pos[0]) if pos.size else None
         self._b_orig = self.mat.ub_sign * self.mat.b_ub  # original-convention rhs
+        self._coeff_sites, self._rhs_sites = self._slot_sites()
+
+    def _slot_sites(self) -> tuple[list, list]:
+        """Where each slot term lands in the materialized arrays.
+
+        Coefficient sites are (data array, position, sign, fixed part, terms)
+        and rhs sites (b array, position, sign, row); the sign is the >= row
+        folding.  Positions are stable: the CSR keeps explicit zeros.
+        """
+        mat = self.mat
+        place = {int(r): (mat.A_eq, mat.b_eq, i, 1.0) for i, r in enumerate(mat.eq_rows)}
+        for i, (r, sign) in enumerate(zip(mat.ub_rows, mat.ub_sign)):
+            place[int(r)] = (mat.A_ub, mat.b_ub, i, float(sign))
+        coeff_sites, rhs_sites = [], []
+        for r, row in enumerate(self.problem.rows):
+            if not (row.coeff_slots or row.rhs_slots):
+                continue
+            A, b, i, sign = place[r]
+            if row.rhs_slots:
+                rhs_sites.append((b, i, sign, row))
+            terms: dict[int, list[tuple[str, float]]] = {}
+            for var, slot, c in row.coeff_slots:
+                terms.setdefault(var, []).append((slot, c))
+            cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+            for var, var_terms in terms.items():
+                p = int(A.indptr[i] + np.flatnonzero(cols == var)[0])
+                fixed = sign * float(np.sum(row.val[row.idx == var]))
+                coeff_sites.append((A.data, p, sign, fixed, var_terms))
+        return coeff_sites, rhs_sites
+
+    def set_slots(self, slots: dict[str, float]) -> None:
+        """Re-slot in place: the same LP ``problem.materialize(slots)`` builds."""
+        values = {s: slots[s] for s in self.problem.slot_names}
+        for data, p, sign, fixed, terms in self._coeff_sites:
+            v = fixed
+            for slot, c in terms:
+                v += sign * (c * values[slot])
+            data[p] = v
+        for b, i, sign, row in self._rhs_sites:
+            rhs = row.rhs
+            for slot, c in row.rhs_slots:
+                rhs += c * values[slot]
+            b[i] = sign * float(rhs)
+        self.slots = values
+        self._b_orig = self.mat.ub_sign * self.mat.b_ub
 
     def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
         p = self.problem

@@ -8,6 +8,7 @@ import shutil
 import pytest
 
 from flexgrid import cli
+from flexgrid.bilevel import BilevelError
 
 
 def run(argv, capsys):
@@ -260,6 +261,18 @@ def test_unproven_band_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     assert doc["bnb_status"] == "node_limit"
     assert doc["bnb_gap_kw"] == pytest.approx(5.0)
     assert doc["bnb_nodes"] == 7
+
+
+def test_solver_failure_exit_code(pv_file, tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise BilevelError("single-level solve failed (no incumbent found)")
+
+    monkeypatch.setattr(cli, "run_iterative", failing)
+    code, _, stderr = run(
+        ["solve", "--feeder", str(pv_file), "--out", str(tmp_path / "failed")], capsys
+    )
+    assert code == cli.EXIT_SOLVER
+    assert "single-level solve failed" in stderr
 
 
 def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):

@@ -258,6 +258,29 @@ def test_dp_bound_override_matches_fresh_slots(pv_ctx):
         assert got.objective == pytest.approx(want.objective, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("activation", (POSITIVE, NEGATIVE))
+def test_set_slots_matches_a_fresh_materialization(pv_ctx, mode, activation):
+    rng = np.random.default_rng(5)
+    problem = build_follower(
+        pv_ctx, Scenario(0, activation, MAX_V), mode, fix_q=mode == MODE_CONSTANT_Q
+    )
+    mat = problem.materialize(random_slots(rng, pv_ctx, mode, problem=problem))
+    for _ in range(3):
+        slots = random_slots(rng, pv_ctx, mode)  # extra slots are ignored
+        mat.set_slots(slots)
+        fresh = problem.materialize(slots)
+        for got, want in ((mat.mat.A_eq, fresh.mat.A_eq), (mat.mat.A_ub, fresh.mat.A_ub)):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
+        assert np.array_equal(mat.mat.b_eq, fresh.mat.b_eq)
+        assert np.array_equal(mat.mat.b_ub, fresh.mat.b_ub)
+        assert mat.slots == fresh.slots
+        got, want = mat.solve(node=3, dp_bound=0.0), fresh.solve(node=3, dp_bound=0.0)
+        assert got.objective == want.objective
+
+
 def test_aggregate_dual_is_band_sensitivity(pv_ctx):
     problem = build_follower(pv_ctx, Scenario(4, POSITIVE, MAX_V), MODE_CONSTANT_PF)
     slots = {slot_gamma(k): 0.2 for k in pv_ctx.devices.inverter_nodes}
