@@ -142,7 +142,11 @@ def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
     on the crossing segment) and a secant step across a bracket lands on
     the infeasible side.  Every step is confirmed by a solve, so the result
     is a verified safe edge within ``tol_abs`` of the root whatever the
-    duals say; a step outside the bracket falls back to its midpoint.
+    duals say.  A step outside the bracket, or one following two steps that
+    did not halve it, falls back to the midpoint (to zero while no safe edge
+    is known), so rounding in the solver's objectives cannot make the walk
+    creep: once a safe edge is known, every three solves at least halve the
+    bracket.
     """
     ctx = mf.problem.ctx
     scenario = mf.problem.scenario
@@ -172,8 +176,11 @@ def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
         return full
     lo = f_lo = None  # lo: largest edge confirmed feasible
     tangent = True
+    widths = [hi]  # hi - lo after each solve, lo = 0 until confirmed
     while lo is None or (hi - lo > tol_abs and f_lo < c - EDGE_ROOT_TOL):
-        if tangent:
+        if len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
+            s = -math.inf  # two steps that did not halve the bracket
+        elif tangent:
             s = hi - (f_hi - aim) / g_hi if g_hi > 0.0 else -math.inf
         else:
             s = lo + (hi - lo) * (aim - f_lo) / (f_hi - f_lo)
@@ -189,6 +196,7 @@ def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
             return 0.0
         else:
             hi, f_hi, g_hi, tangent = s, f, g, True
+        widths.append(hi - (lo or 0.0))
     return sign * lo
 
 
@@ -483,19 +491,19 @@ def _family_followers(slmap: SingleLevelMap, slots: dict[str, float]) -> Familie
     Each block's LP is its family's LP with the block's node as objective,
     so the single-level heuristics re-slot these instead of rebuilding.
     """
-    families = dict.fromkeys((b.scenario.activation, b.scenario.extremum) for b in slmap.blocks)
+    keys = dict.fromkeys((b.scenario.activation, b.scenario.extremum) for b in slmap.blocks)
     return {
         (activation, extremum): _family_follower(
             slmap.ctx, slmap.mode, activation, extremum, slots,
             fix_q=slmap.mode == MODE_CONSTANT_Q,
         )
-        for activation, extremum in families
+        for activation, extremum in keys
     }
 
 
 def _complete_point(
     slmap: SingleLevelMap,
-    followers: Families,
+    families: Families,
     decision_slots: dict[str, float],
     flags: dict,
     lb: np.ndarray,
@@ -513,11 +521,11 @@ def _complete_point(
     x = np.zeros(lb.shape[0])
     for name, vi in slmap.upper_vars.items():
         x[vi] = decision_slots[name]
-    for mf in followers.values():
+    for mf in families.values():
         mf.set_slots(decision_slots)
     for block in slmap.blocks:
         sc = block.scenario
-        cert = followers[(sc.activation, sc.extremum)].solve(node=sc.node)
+        cert = families[(sc.activation, sc.extremum)].solve(node=sc.node)
         if cert.status != OPTIMAL:
             return None
         vm = block.problem.worst_voltage(cert)
@@ -545,7 +553,7 @@ def _complete_point(
 
 def _edge_limited_decision(
     slmap: SingleLevelMap,
-    followers: Families,
+    families: Families,
     setpoints: dict[str, float],
     lb: np.ndarray,
     ub: np.ndarray,
@@ -563,14 +571,14 @@ def _edge_limited_decision(
     dp_up = float(ub[up[SLOT_DP_PLUS]])
     dp_lo = float(lb[up[SLOT_DP_MINUS]])
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
-    families: dict[tuple[str, str], list[int]] = {}
+    nodes_of: dict[tuple[str, str], list[int]] = {}
     for block in slmap.blocks:
         sc = block.scenario
-        families.setdefault((sc.activation, sc.extremum), []).append(sc.node)
+        nodes_of.setdefault((sc.activation, sc.extremum), []).append(sc.node)
     t_pos, t_neg = dp_up, dp_lo
     try:
-        for (activation, extremum), nodes in families.items():
-            mf = followers[(activation, extremum)]
+        for (activation, extremum), nodes in nodes_of.items():
+            mf = families[(activation, extremum)]
             mf.set_slots(slots)
             limits = [_edge_limit(mf, k, tol_abs) for k in nodes]
             if activation == POSITIVE:
@@ -628,7 +636,7 @@ def _candidate_setpoint_sets(
 
 def _presolve_points(
     slmap: SingleLevelMap,
-    followers: Families,
+    families: Families,
     flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
@@ -642,14 +650,14 @@ def _presolve_points(
     """
     points: list[np.ndarray] = []
     for sp in _candidate_setpoint_sets(slmap, lb, ub):
-        dec = _edge_limited_decision(slmap, followers, sp, lb, ub, tol_abs)
+        dec = _edge_limited_decision(slmap, families, sp, lb, ub, tol_abs)
         trials = [dec]
         if dec is None or (dec[SLOT_DP_PLUS], dec[SLOT_DP_MINUS]) != (0.0, 0.0):
             trials.append(dict(sp, **{SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0}))
         for d in trials:
             if d is None:
                 continue
-            x = _complete_point(slmap, followers, d, flags, lb, ub)
+            x = _complete_point(slmap, families, d, flags, lb, ub)
             if x is not None:
                 points.append(x)
     return points
@@ -657,7 +665,7 @@ def _presolve_points(
 
 def _completion_hook(
     slmap: SingleLevelMap,
-    followers: Families,
+    families: Families,
     flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
@@ -680,14 +688,14 @@ def _completion_hook(
             name: float(min(max(x_rel[vi], lb[vi]), ub[vi]))
             for name, vi in up.items()
         }
-        x = _complete_point(slmap, followers, decision_slots, flags, lb, ub)
+        x = _complete_point(slmap, families, decision_slots, flags, lb, ub)
         if x is not None:
             return x
         setpoints = {name: decision_slots[name] for name in slmap.setpoint_slots}
-        dec = _edge_limited_decision(slmap, followers, setpoints, lb, ub, tol_abs)
+        dec = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
         if dec is None:
             return None
-        return _complete_point(slmap, followers, dec, flags, lb, ub)
+        return _complete_point(slmap, families, dec, flags, lb, ub)
 
     return hook
 
@@ -729,9 +737,9 @@ def solve_single_level(
         tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
         flags: dict = {}
         # Any in-box slot values will do: every use re-slots the followers first.
-        followers = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
-        warm = _presolve_points(slmap, followers, flags, lb, ub, tol_abs)
-        hook = _completion_hook(slmap, followers, flags, lb, ub, tol_abs)
+        families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+        warm = _presolve_points(slmap, families, flags, lb, ub, tol_abs)
+        hook = _completion_hook(slmap, families, flags, lb, ub, tol_abs)
         res = spatial_branch_and_bound(
             bp, epsilon=epsilon, node_limit=node_limit,
             incumbent_hook=hook, initial_points=warm,

@@ -212,6 +212,22 @@ def test_single_level_solution_is_clean(pv_tight_ctx):
     assert res.escalations == 0
 
 
+@pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_VOLT_VAR])
+def test_dual_box_escalation_reaches_the_same_band(pv_tight_ctx, mode):
+    """A λ box too tight for the incumbent is doubled and the solve re-run."""
+    followers = [Scenario(4, POSITIVE, MAX_V)]
+    ref = solve_single_level(pv_tight_ctx, mode, followers)
+    res = solve_single_level(pv_tight_ctx, mode, followers, lam_cap=0.01)
+    assert res.escalations >= 1
+    assert res.lam_cap == pytest.approx(0.01 * 2 ** res.escalations)
+    assert res.bnb.status == "optimal"
+    assert res.decision.dp_plus == pytest.approx(ref.decision.dp_plus, abs=1e-9)
+    assert res.decision.dp_minus == pytest.approx(ref.decision.dp_minus, abs=1e-9)
+    # Boxes still too tight after the last doubling end in a BilevelError.
+    with pytest.raises(BilevelError):
+        solve_single_level(pv_tight_ctx, mode, followers, lam_cap=1e-3)
+
+
 # --- feasibility check and the driver -------------------------------------
 
 

@@ -231,6 +231,36 @@ def test_walk_is_safe_and_tight_on_random_concave_functions():
         assert stub.solves <= reference.solves
 
 
+class ConvexStub(StubFollower):
+    """F(s) = c - 0.005 + 0.01 s + 1000 max(s - 0.9, 0), reported with a zero
+    slope.  Neither the duals nor concavity hold, so every secant from the
+    steep far end lands barely inside the root's safe side."""
+
+    def __init__(self):
+        super().__init__([(0.0, 0.0)], full=1.0)
+
+    def solve(self, *, node=None, dp_bound=None):
+        self.solves += 1
+        assert self.solves <= 1000, "the walk creeps"
+        s = abs(dp_bound)
+        f = _limit(MAX_V) - 0.005 + 0.01 * s + 1000.0 * max(s - 0.9, 0.0)
+        return SimpleNamespace(status=OPTIMAL, objective=f, dual=0.0)
+
+    def root(self):
+        return 0.5
+
+
+def test_walk_cannot_creep_when_the_model_is_wrong():
+    """Without its halving fallback the walk would need over a million secant
+    steps here; with it, it stays within a small multiple of the bisection."""
+    stub = ConvexStub()
+    result = _walk(stub)
+    _assert_safe_and_tight(stub, result)
+    reference = ConvexStub()
+    _reference_bisection(reference, 0, TOL)
+    assert stub.solves <= 3 * reference.solves
+
+
 # ---------------------------------------------------------------------------
 # The walk against the bisection on real follower LPs
 # ---------------------------------------------------------------------------
