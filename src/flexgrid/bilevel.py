@@ -317,7 +317,6 @@ def assemble_single_level(
     *,
     lam_cap: float = LAMBDA_CAP,
     fixed_setpoints: dict[str, float] | None = None,
-    vm_box: tuple[float, float] = VM_BOX,
 ) -> tuple[BilinearProgram, SingleLevelMap]:
     """Strong-duality reformulation of the ideal case for a follower subset.
 
@@ -361,13 +360,13 @@ def assemble_single_level(
         n_x = problem.n_vars
         x0 = lp.n_vars
         tag = f"s{scenario.number}k{scenario.node}"
+        lb, ub = problem.lb.copy(), problem.ub.copy()
+        if mode == MODE_VOLT_VAR:
+            # Volt-var products need a finite box on the (free) magnitudes.
+            vm = problem.i_vm(np.arange(problem.n))
+            lb[vm], ub[vm] = VM_BOX
         for v in range(n_x):
-            lo, hi = problem.lb[v], problem.ub[v]
-            # Volt-var products need finite |v| boxes on the magnitude block.
-            if mode == MODE_VOLT_VAR and 2 * problem.n <= v < 3 * problem.n:
-                lo = max(lo, vm_box[0]) if math.isinf(lo) else lo
-                hi = min(hi, vm_box[1]) if math.isinf(hi) else hi
-            lp.add_var(f"{tag}.x{v}", lb=lo, ub=hi)
+            lp.add_var(f"{tag}.x{v}", lb=lb[v], ub=ub[v])
         d0 = lp.n_vars
         for r, row in enumerate(problem.rows):
             has_product = bool(row.coeff_slots or row.rhs_slots)
@@ -893,13 +892,16 @@ def run_iterative(
     proved it optimal; a band that stopped at ``node_limit`` is feasible
     but unproven.
     """
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     check_anchor(ctx)
     if ctx.n == 0:
         raise BilevelError("feeder has no non-slack nodes")
     wc = worst_case_limits(ctx, mode, direction=direction)
     scenarios_all = all_scenarios(ctx.n, direction=direction)
     cap = max_iterations if max_iterations is not None else len(scenarios_all)
-    cap = max(cap, 1)
 
     k_up, fam_up = wc.binding_upper
     k_lo, fam_lo = wc.binding_lower

@@ -2,11 +2,14 @@
 
 Each follower models an aggregator that redispatches flexible devices against
 the DSO's offered band to push one node's voltage magnitude to an extreme.
-The LP couples, per single-phase node: the linearized power flow, the
-first-order magnitude relation, constant-power-factor load reactive power,
-the inverter capability outer approximation, the inverter control-mode rows
-and the aggregate activation row, under the activation sign rules (positive
-activation: loads may only shed, inverters may only raise; negative mirrored).
+The LP has 4n variables (n single-phase nodes): |v|, Δp_gen, Δp_load and
+q_gen.  The linearized power flow, the first-order magnitude relation and
+the constant-power-factor load reactive power compose into one affine map
+from device deviations to |v|, which enters as one magnitude-sensitivity row
+per node.  Around those rows sit the inverter capability outer
+approximation, the inverter control-mode rows and the aggregate activation
+row, under the activation sign rules (positive activation: loads may only
+shed, inverters may only raise; negative mirrored).
 
 Upper-level quantities (the offered band Δp±, per-inverter setpoints γ, q̄ or
 q_set) enter as named *slots*: every row stores its follower-variable
@@ -277,7 +280,18 @@ class FollowerProblem:
     """The adversary's LP for one scenario, with upper-level slots symbolic.
 
     Variable layout (n = number of single-phase nodes): blocks of length n in
-    order v_d, v_q, |v|, Δp_gen, Δp_load, q_load, q_gen — 7n variables total.
+    order |v|, Δp_gen, Δp_load, q_gen — 4n variables total.  Only this class
+    knows the order: callers index through ``i_vm`` and friends (which accept
+    arrays of nodes) and decode an argmax with ``injections``.
+
+    The voltages are eliminated through the sensitivity rows
+        |v_k| - S_p[k]·Δp_gen + (S_p[k] + S_q[k]·diag(β))·Δp_load
+              - S_q[k]·q_gen = m0_k,
+    with S_p = diag(α_d) Re Z2 + diag(α_q) Im Z2 and
+    S_q = diag(α_d) Im Z2 - diag(α_q) Re Z2.  |v| itself stays a variable
+    because the volt-var droop rows and the single-level band rows each read
+    the magnitude of one node: eliminating it would turn every droop row's
+    one slot product into n of them.
     """
 
     def __init__(self, ctx: FlexContext, scenario: Scenario, mode: str, *, fix_q: bool = False):
@@ -289,7 +303,7 @@ class FollowerProblem:
         self.fix_q = fix_q
         n = ctx.n
         self.n = n
-        self.n_vars = 7 * n
+        self.n_vars = 4 * n
         self.lb = np.full(self.n_vars, -np.inf)
         self.ub = np.full(self.n_vars, np.inf)
         self.rows: list[ParamRow] = []
@@ -298,26 +312,26 @@ class FollowerProblem:
         self._build()
 
     # --- variable layout -------------------------------------------------
-    def i_vd(self, k: int) -> int:
+    def i_vm(self, k):
         return k
 
-    def i_vq(self, k: int) -> int:
+    def i_dpg(self, k):
         return self.n + k
 
-    def i_vm(self, k: int) -> int:
+    def i_dpl(self, k):
         return 2 * self.n + k
 
-    def i_dpg(self, k: int) -> int:
+    def i_qg(self, k):
         return 3 * self.n + k
 
-    def i_dpl(self, k: int) -> int:
-        return 4 * self.n + k
-
-    def i_ql(self, k: int) -> int:
-        return 5 * self.n + k
-
-    def i_qg(self, k: int) -> int:
-        return 6 * self.n + k
+    def injections(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Net nodal injections (p, q) in p.u. encoded by a follower solution."""
+        dev = self.ctx.devices
+        nodes = np.arange(self.n)
+        p_load = dev.p_load0 + x[self.i_dpl(nodes)]
+        p = dev.p_gen0 + x[self.i_dpg(nodes)] - p_load
+        q = x[self.i_qg(nodes)] - dev.beta_load * p_load
+        return p, q
 
     @property
     def objective(self) -> np.ndarray:
@@ -362,52 +376,33 @@ class FollowerProblem:
                 f"empty deviation box at node(s) {np.flatnonzero(bad).tolist()}: "
                 "device bounds exclude the current operating point"
             )
-        for k in range(n):
-            self.lb[self.i_dpg(k)], self.ub[self.i_dpg(k)] = dpg_lo[k], max(dpg_lo[k], dpg_hi[k])
-            self.lb[self.i_dpl(k)], self.ub[self.i_dpl(k)] = dpl_lo[k], max(dpl_lo[k], dpl_hi[k])
-            self.lb[self.i_qg(k)], self.ub[self.i_qg(k)] = -dev.s_cap[k], dev.s_cap[k]
+        nodes = np.arange(n)
+        all_dpg = self.i_dpg(nodes)
+        all_dpl = self.i_dpl(nodes)
+        all_qg = self.i_qg(nodes)
+        self.lb[all_dpg], self.ub[all_dpg] = dpg_lo, np.maximum(dpg_lo, dpg_hi)
+        self.lb[all_dpl], self.ub[all_dpl] = dpl_lo, np.maximum(dpl_lo, dpl_hi)
+        self.lb[all_qg], self.ub[all_qg] = -dev.s_cap, dev.s_cap
 
-        # Magnitude linearization: alpha_d v_d + alpha_q v_q - |v| = 0.
-        t = ctx.taylor
-        for k in range(n):
-            self._add_row(ParamRow(
-                name=f"mag[{k}]", relation=EQ,
-                idx=np.array([self.i_vd(k), self.i_vq(k), self.i_vm(k)]),
-                val=np.array([t.alpha_d[k], t.alpha_q[k], -1.0]),
-            ))
-
-        # Load reactive coupling: q_load = beta * (p_load0 + Δp_load).
-        for k in range(n):
-            self._add_row(ParamRow(
-                name=f"loadq[{k}]", relation=EQ,
-                idx=np.array([self.i_ql(k), self.i_dpl(k)]),
-                val=np.array([1.0, -dev.beta_load[k]]),
-                rhs=dev.beta_load[k] * dev.p_load0[k],
-            ))
-
-        # Linearized power flow, rectangular components.  Injections are
-        # P = p_gen0 + Δp_gen - p_load0 - Δp_load, Q = q_gen - q_load.
+        # Magnitude-sensitivity rows: the linear flow v = z1 + Z2 (P - jQ)
+        # with P = p_gen0 + Δp_gen - p_load0 - Δp_load and
+        # Q = q_gen - β (p_load0 + Δp_load), seen through |v| = α_d v_d + α_q v_q.
         z2 = ctx.lpf.z2
         z1 = ctx.lpf.z1
-        p0 = dev.p_gen0 - dev.p_load0
-        re2, im2 = z2.real, z2.imag
-        all_dpg = np.arange(3 * n, 4 * n)
-        all_dpl = np.arange(4 * n, 5 * n)
-        all_ql = np.arange(5 * n, 6 * n)
-        all_qg = np.arange(6 * n, 7 * n)
+        t = ctx.taylor
+        ad, aq = t.alpha_d[:, None], t.alpha_q[:, None]
+        s_p = ad * z2.real + aq * z2.imag
+        s_q = ad * z2.imag - aq * z2.real
+        m0 = (
+            t.alpha_d * z1.real + t.alpha_q * z1.imag
+            + s_p @ (dev.p_gen0 - dev.p_load0) - s_q @ (dev.beta_load * dev.p_load0)
+        )
         for k in range(n):
-            idx = np.concatenate([[self.i_vd(k)], all_dpg, all_dpl, all_qg, all_ql])
-            val = np.concatenate([[1.0], -re2[k], re2[k], -im2[k], im2[k]])
             self._add_row(ParamRow(
-                name=f"pf_d[{k}]", relation=EQ, idx=idx, val=val,
-                rhs=float(z1[k].real + re2[k] @ p0),
-            ))
-        for k in range(n):
-            idx = np.concatenate([[self.i_vq(k)], all_dpg, all_dpl, all_qg, all_ql])
-            val = np.concatenate([[1.0], -im2[k], im2[k], re2[k], -re2[k]])
-            self._add_row(ParamRow(
-                name=f"pf_q[{k}]", relation=EQ, idx=idx, val=val,
-                rhs=float(z1[k].imag + im2[k] @ p0),
+                name=f"vm[{k}]", relation=EQ,
+                idx=np.concatenate([[self.i_vm(k)], all_dpg, all_dpl, all_qg]),
+                val=np.concatenate([[1.0], -s_p[k], s_p[k] + s_q[k] * dev.beta_load, -s_q[k]]),
+                rhs=float(m0[k]),
             ))
 
         # Inverter capability outer approximation (box part is in the bounds).

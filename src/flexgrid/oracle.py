@@ -44,19 +44,6 @@ class OracleError(RuntimeError):
     pass
 
 
-def follower_injections(problem: FollowerProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Net nodal injections (p, q) in p.u. encoded by a follower solution."""
-    dev = problem.ctx.devices
-    n = problem.n
-    dpg = x[3 * n:4 * n]
-    dpl = x[4 * n:5 * n]
-    ql = x[5 * n:6 * n]
-    qg = x[6 * n:7 * n]
-    p = (dev.p_gen0 + dpg) - (dev.p_load0 + dpl)
-    q = qg - ql
-    return p, q
-
-
 def linear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Voltage magnitudes as the LP sees them (linear flow + first-order |v|)."""
     v = ctx.lpf.voltages(p, q)
@@ -144,7 +131,7 @@ def verify_decision(
                     raise OracleError(
                         f"follower (node {k}, {activation}/{extremum}) returned {cert.status}"
                     )
-                p, q = follower_injections(problem, cert.x)
+                p, q = problem.injections(cert.x)
                 vm_lin = linear_magnitudes(ctx, p, q)
                 vm_nl = nonlinear_magnitudes(ctx, p, q, Y=Y)
                 lp_vm = proto.sigma * cert.objective

@@ -347,12 +347,21 @@ def test_linear_model_reproduces_every_anchor_exactly(ieee13_model, random_batch
 def test_activation_sign_rules_hold_in_every_solved_scenario(solved_scenarios):
     assert len(solved_scenarios) >= 80
     for problem, sc, _, cert in solved_scenarios:
-        n = problem.n
-        dpg = cert.x[3 * n:4 * n]
-        dpl = cert.x[4 * n:5 * n]
+        nodes = np.arange(problem.n)
+        dpg = cert.x[problem.i_dpg(nodes)]
+        dpl = cert.x[problem.i_dpl(nodes)]
         if sc.activation == POSITIVE:
             assert float(np.min(dpg)) >= 0.0, sc
             assert float(np.max(dpl)) <= 0.0, sc
         else:
             assert float(np.max(dpg)) <= 0.0, sc
             assert float(np.min(dpl)) >= 0.0, sc
+
+
+def test_argmax_magnitudes_are_the_linear_flow_of_its_injections(solved_scenarios):
+    """Every follower argmax carries the |v| profile its own injections give."""
+    assert len(solved_scenarios) >= 80
+    for problem, sc, _, cert in solved_scenarios:
+        p, q = problem.injections(cert.x)
+        vm = cert.x[problem.i_vm(np.arange(problem.n))]
+        assert np.max(np.abs(vm - linear_magnitudes(problem.ctx, p, q))) <= 1e-9, sc

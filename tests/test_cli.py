@@ -326,3 +326,16 @@ def test_version_and_bad_arguments(capsys):
         cli.main(["solve"])  # --feeder is required
     with pytest.raises(SystemExit):
         cli.main(["solve", "--feeder", "x.json", "--mode", "manual"])
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-iterations", "0"), ("--max-iterations", "-3"), ("--epsilon", "-1e-4")]
+)
+def test_bad_solve_limits_exit_code(pv_file, tmp_path, capsys, flag, value):
+    code, _, stderr = run(
+        ["solve", "--feeder", str(pv_file), "--out", str(tmp_path), f"{flag}={value}"],
+        capsys,
+    )
+    assert code == cli.EXIT_VALIDATION
+    assert flag.lstrip("-").replace("-", "_") in stderr
+    assert not (tmp_path / "result.json").exists()

@@ -26,6 +26,7 @@ from flexgrid.follower import (
     slot_qset,
 )
 from flexgrid.lp import verify_strong_duality
+from flexgrid.oracle import linear_magnitudes
 
 from conftest import pv_doc
 from feedergen import random_context, random_slots
@@ -113,7 +114,7 @@ def test_row_and_slot_structure_per_mode(pv_ctx):
     n = pv_ctx.n
     inv = pv_ctx.devices.inverter_nodes
     sc = Scenario(node=0, activation=POSITIVE, extremum=MAX_V)
-    base_rows = 4 * n + 2 * len(inv)  # mag, loadq, pf_d, pf_q, cap_hi/lo
+    base_rows = n + 2 * len(inv)  # vm, cap_hi/lo
 
     fp = build_follower(pv_ctx, sc, MODE_CONSTANT_PF)
     assert len(fp.rows) == base_rows + len(inv) + 1
@@ -150,6 +151,57 @@ def test_capability_rows_contain_the_true_disc(theta, r):
     assert dpg + q <= cap + 1e-12
     assert dpg - q <= cap + 1e-12
     assert abs(q) <= s + 1e-12
+
+
+@pytest.fixture(scope="module")
+def ieee13_ctx(ieee13_model):
+    return build_context(ieee13_model)
+
+
+@pytest.mark.parametrize("feeder", ["pv", "ieee13"])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("activation", (POSITIVE, NEGATIVE))
+def test_magnitude_rows_match_the_linear_flow(request, feeder, mode, activation):
+    """The vm rows are |v| of the linear flow, column by column.
+
+    Rebuilds every coefficient from unit device perturbations pushed through
+    ``linear_magnitudes`` (Z2 and the Taylor weights applied to injections),
+    a route that shares no code with the row assembly.
+    """
+    ctx = request.getfixturevalue("pv_ctx" if feeder == "pv" else "ieee13_ctx")
+    problem = build_follower(
+        ctx, Scenario(0, activation, MAX_V), mode, fix_q=mode == MODE_CONSTANT_Q
+    )
+    n, dev = ctx.n, ctx.devices
+    rows = [r for r in problem.rows if r.name.startswith("vm[")]
+    assert [r.name for r in rows] == [f"vm[{k}]" for k in range(n)]
+    A = np.zeros((n, problem.n_vars))
+    for k, row in enumerate(rows):
+        assert not (row.coeff_slots or row.rhs_slots)
+        np.add.at(A[k], row.idx, row.val)
+    rhs = np.array([row.rhs for row in rows])
+
+    def magnitudes(dpg, dpl, qg):
+        p_load = dev.p_load0 + dpl
+        p = dev.p_gen0 + dpg - p_load
+        q = qg - dev.beta_load * p_load
+        return linear_magnitudes(ctx, p, q)
+
+    zero = np.zeros(n)
+    base = magnitudes(zero, zero, zero)
+    assert np.allclose(rhs, base, rtol=0.0, atol=1e-12)
+    nodes = np.arange(n)
+    assert np.array_equal(A[:, problem.i_vm(nodes)], np.eye(n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        # row k reads |v_k| + a·x = m0_k, so d|v_k|/dx_j = -a_kj
+        for col, vm in (
+            (problem.i_dpg(j), magnitudes(e, zero, zero)),
+            (problem.i_dpl(j), magnitudes(zero, e, zero)),
+            (problem.i_qg(j), magnitudes(zero, zero, e)),
+        ):
+            assert np.allclose(-A[:, col], vm - base, rtol=0.0, atol=1e-12), (j, col)
 
 
 def test_sign_rule_boxes(pv_ctx):

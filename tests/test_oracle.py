@@ -26,7 +26,6 @@ from flexgrid.oracle import (
     OracleError,
     _droop_voltages,
     brute_force_worst_voltage,
-    follower_injections,
     linear_magnitudes,
     linearization_error,
     nonlinear_magnitudes,
@@ -62,18 +61,18 @@ def test_follower_injections_recover_the_device_bookkeeping(pv_ctx):
         pv_ctx, Scenario(0, POSITIVE, MAX_V), MODE_CONSTANT_PF
     )
     n = pv_ctx.n
+    nodes = np.arange(n)
     rng = np.random.default_rng(3)
     x = np.zeros(problem.n_vars)
     dpg = rng.normal(scale=0.02, size=n)
     dpl = rng.normal(scale=0.02, size=n)
-    ql = rng.normal(scale=0.01, size=n)
     qg = rng.normal(scale=0.01, size=n)
-    x[3 * n:4 * n] = dpg
-    x[4 * n:5 * n] = dpl
-    x[5 * n:6 * n] = ql
-    x[6 * n:7 * n] = qg
-    p, q = follower_injections(problem, x)
+    x[problem.i_dpg(nodes)] = dpg
+    x[problem.i_dpl(nodes)] = dpl
+    x[problem.i_qg(nodes)] = qg
+    p, q = problem.injections(x)
     dev = pv_ctx.devices
+    ql = dev.beta_load * (dev.p_load0 + dpl)  # constant-power-factor loads
     assert np.allclose(p, dev.p_gen0 + dpg - dev.p_load0 - dpl, atol=1e-15)
     assert np.allclose(q, qg - ql, atol=1e-15)
 
