@@ -48,7 +48,7 @@ from .follower import (
     slot_qbar,
     slot_qset,
 )
-from .lp import EQ, GE, INFEASIBLE, LE, MAX, OPTIMAL, LinearProgram
+from .lp import EQ, GE, INFEASIBLE, LE, MAX, OPTIMAL, DualCertificate, LinearProgram
 
 EDGE_TOL_REL = 1e-6  # band-edge tolerance, relative to the availability span
 EDGE_ROOT_TOL = 1e-12  # a safe edge whose objective is this close to the limit is the root
@@ -132,7 +132,17 @@ def _family_follower(
 
 
 def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
-    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in band.
+    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in band
+    (the edge ``_edge_walk`` finds)."""
+    return _edge_walk(mf, node, tol_abs)[0]
+
+
+def _edge_walk(
+    mf: MaterializedFollower, node: int, tol_abs: float
+) -> tuple[float, DualCertificate | None]:
+    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in
+    band, with the certificate of the solve that confirmed it safe (None when
+    no solve did: a zero far end, or a follower out of band at zero).
 
     The far end is the family's band edge as materialized in ``mf``.  With
     F(s) the follower objective at |edge| = s, the edge is in band while
@@ -152,7 +162,7 @@ def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
     scenario = mf.problem.scenario
     full = mf.slots[scenario.dp_slot]
     if full == 0.0:
-        return 0.0
+        return 0.0, None
     sign = 1.0 if full > 0 else -1.0
     # The objective is sigma * |v|, so both extrema compare it from below.
     c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
@@ -160,7 +170,7 @@ def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
     # to rounding confirms as feasible and ends the walk.
     aim = c - 0.5 * EDGE_ROOT_TOL
 
-    def value(s: float) -> tuple[float, float]:
+    def value(s: float) -> tuple[float, float, DualCertificate]:
         cert = mf.solve(node=node, dp_bound=sign * s)
         if cert.status == INFEASIBLE:
             raise BilevelError(
@@ -168,13 +178,13 @@ def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
                 "feasible by construction at Δp = 0, so this signals an "
                 "assembly bug or inconsistent device data"
             )
-        return cert.objective, sign * mf.agg_dual(cert)
+        return cert.objective, sign * mf.agg_dual(cert), cert
 
     hi = abs(full)
-    f_hi, g_hi = value(hi)
+    f_hi, g_hi, cert = value(hi)
     if f_hi <= c:
-        return full
-    lo = f_lo = None  # lo: largest edge confirmed feasible
+        return full, cert
+    lo = f_lo = cert_lo = None  # lo: largest edge confirmed feasible
     tangent = True
     widths = [hi]  # hi - lo after each solve, lo = 0 until confirmed
     while lo is None or (hi - lo > tol_abs and f_lo < c - EDGE_ROOT_TOL):
@@ -189,15 +199,15 @@ def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
                 s = 0.0
         elif not lo < s < hi:
             s = 0.5 * (lo + hi)
-        f, g = value(s)
+        f, g, cert = value(s)
         if f <= c:
-            lo, f_lo, tangent = s, f, False
+            lo, f_lo, cert_lo, tangent = s, f, cert, False
         elif s == 0.0:
-            return 0.0
+            return 0.0, None
         else:
             hi, f_hi, g_hi, tangent = s, f, g, True
         widths.append(hi - (lo or 0.0))
-    return sign * lo
+    return sign * lo, cert_lo
 
 
 def worst_case_limits(
@@ -507,16 +517,20 @@ def _complete_point(
     flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
+    certs: dict[Scenario, DualCertificate] | None = None,
 ) -> np.ndarray | None:
     """Assemble a full single-level point from fixed upper-level values.
 
     With the upper level pinned, every follower is an ordinary LP; its
     optimal primal/dual pair satisfies the primal, dual and strong-duality
     rows by construction, so a full single-level point can be assembled
-    exactly.  Returns None when a follower leaves the voltage band or fails
-    to solve (the candidate would be rejected anyway).
+    exactly.  ``certs`` holds follower solutions already made at exactly
+    these values (the band-edge walk's last safe solves), which are reused
+    instead of solved again.  Returns None when a follower leaves the
+    voltage band or fails to solve (the candidate would be rejected anyway).
     """
     ctx = slmap.ctx
+    certs = certs or {}
     x = np.zeros(lb.shape[0])
     for name, vi in slmap.upper_vars.items():
         x[vi] = decision_slots[name]
@@ -524,7 +538,9 @@ def _complete_point(
         mf.set_slots(decision_slots)
     for block in slmap.blocks:
         sc = block.scenario
-        cert = families[(sc.activation, sc.extremum)].solve(node=sc.node)
+        cert = certs.get(sc)
+        if cert is None:
+            cert = families[(sc.activation, sc.extremum)].solve(node=sc.node)
         if cert.status != OPTIMAL:
             return None
         vm = block.problem.worst_voltage(cert)
@@ -557,39 +573,44 @@ def _edge_limited_decision(
     lb: np.ndarray,
     ub: np.ndarray,
     tol_abs: float,
-) -> dict[str, float] | None:
+) -> tuple[dict[str, float], dict[Scenario, DualCertificate]] | None:
     """Largest feasible band edges for fixed setpoints.
 
     Feasibility decomposes by direction: positive followers only see the
     upper edge and negative followers the lower one, so each edge is the
-    tightest per-follower ``_edge_limit``.  Returns None when a follower is
-    infeasible outright at these setpoints (a constant-Q setpoint outside
-    the cone reachable under the activation's sign rules does that).
+    tightest per-follower ``_edge_walk``.  Returns the decision with the
+    walk certificates solved at exactly its edges (for ``_complete_point``),
+    or None when a follower is infeasible outright at these setpoints (a
+    constant-Q setpoint outside the cone reachable under the activation's
+    sign rules does that).
     """
     up = slmap.upper_vars
     dp_up = float(ub[up[SLOT_DP_PLUS]])
     dp_lo = float(lb[up[SLOT_DP_MINUS]])
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
-    nodes_of: dict[tuple[str, str], list[int]] = {}
-    for block in slmap.blocks:
-        sc = block.scenario
-        nodes_of.setdefault((sc.activation, sc.extremum), []).append(sc.node)
+    walks: dict[Scenario, tuple[float, DualCertificate | None]] = {}
     t_pos, t_neg = dp_up, dp_lo
     try:
-        for (activation, extremum), nodes in nodes_of.items():
-            mf = families[(activation, extremum)]
+        for family, mf in families.items():
             mf.set_slots(slots)
-            limits = [_edge_limit(mf, k, tol_abs) for k in nodes]
-            if activation == POSITIVE:
-                t_pos = min(t_pos, *limits)
-            else:
-                t_neg = max(t_neg, *limits)
+            for sc in (block.scenario for block in slmap.blocks):
+                if (sc.activation, sc.extremum) != family:
+                    continue
+                edge, _ = walks[sc] = _edge_walk(mf, sc.node, tol_abs)
+                if sc.activation == POSITIVE:
+                    t_pos = min(t_pos, edge)
+                else:
+                    t_neg = max(t_neg, edge)
     except BilevelError:
         return None
     out = dict(setpoints)
     out[SLOT_DP_PLUS] = max(t_pos, 0.0)
     out[SLOT_DP_MINUS] = min(t_neg, 0.0)
-    return out
+    certs = {
+        sc: cert for sc, (edge, cert) in walks.items()
+        if cert is not None and edge == out[sc.dp_slot]
+    }
+    return out, certs
 
 
 def _candidate_setpoint_sets(
@@ -649,14 +670,12 @@ def _presolve_points(
     """
     points: list[np.ndarray] = []
     for sp in _candidate_setpoint_sets(slmap, lb, ub):
-        dec = _edge_limited_decision(slmap, families, sp, lb, ub, tol_abs)
-        trials = [dec]
-        if dec is None or (dec[SLOT_DP_PLUS], dec[SLOT_DP_MINUS]) != (0.0, 0.0):
-            trials.append(dict(sp, **{SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0}))
-        for d in trials:
-            if d is None:
-                continue
-            x = _complete_point(slmap, families, d, flags, lb, ub)
+        walked = _edge_limited_decision(slmap, families, sp, lb, ub, tol_abs)
+        trials = [] if walked is None else [walked]
+        if walked is None or (walked[0][SLOT_DP_PLUS], walked[0][SLOT_DP_MINUS]) != (0.0, 0.0):
+            trials.append((dict(sp, **{SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0}), None))
+        for d, certs in trials:
+            x = _complete_point(slmap, families, d, flags, lb, ub, certs)
             if x is not None:
                 points.append(x)
     return points
@@ -691,10 +710,11 @@ def _completion_hook(
         if x is not None:
             return x
         setpoints = {name: decision_slots[name] for name in slmap.setpoint_slots}
-        dec = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
-        if dec is None:
+        walked = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
+        if walked is None:
             return None
-        return _complete_point(slmap, families, dec, flags, lb, ub)
+        dec, certs = walked
+        return _complete_point(slmap, families, dec, flags, lb, ub, certs)
 
     return hook
 

@@ -16,6 +16,16 @@ q_set) enter as named *slots*: every row stores its follower-variable
 coefficients plus optional slot-linear contributions to coefficients and
 right-hand side.  Fixing all slots yields an ordinary LP; leaving them
 symbolic is what the single-level reformulation consumes.
+
+With the slots fixed, ``MaterializedFollower.solve`` solves constant-pf
+followers and constant-q followers with a fixed q_set in closed form.  Their
+mode rows tie each node's q_gen to that node's own Δp_gen, and |v| is an
+affine function of the device deviations, so the follower maximizes a linear
+gain over per-node device intervals under the one aggregate row: a
+fractional knapsack, which filling devices in order of gain solves exactly
+(Dantzig 1957).  The fill also gives exact row and bound duals.  Constant-q
+followers with free q_gen and volt-var followers (whose droop rows couple
+q_gen to |v| at the node) are solved by HiGHS.
 """
 
 from __future__ import annotations
@@ -36,8 +46,10 @@ from .feeder import (
 from .lp import (
     EQ,
     GE,
+    INFEASIBLE,
     LE,
     MAX,
+    OPTIMAL,
     DualCertificate,
     LinearProgram,
     MaterializedLP,
@@ -77,6 +89,9 @@ _SCENARIO_NUMBER = {
 
 SLOT_DP_PLUS = "dp_plus"
 SLOT_DP_MINUS = "dp_minus"
+
+CLOSED_FORM = "closed-form"  # ``DualCertificate.method`` of the knapsack solve
+FEAS_TOL = 1e-7  # row slack the closed form tolerates, HiGHS's primal feasibility default
 
 
 def slot_gamma(node: int) -> str:
@@ -397,11 +412,14 @@ class FollowerProblem:
             t.alpha_d * z1.real + t.alpha_q * z1.imag
             + s_p @ (dev.p_gen0 - dev.p_load0) - s_q @ (dev.beta_load * dev.p_load0)
         )
+        # |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen, kept for the closed form.
+        self.s_p, self.s_q, self.s_l = s_p, s_q, s_p + s_q * dev.beta_load
+        self.m0 = m0
         for k in range(n):
             self._add_row(ParamRow(
                 name=f"vm[{k}]", relation=EQ,
                 idx=np.concatenate([[self.i_vm(k)], all_dpg, all_dpl, all_qg]),
-                val=np.concatenate([[1.0], -s_p[k], s_p[k] + s_q[k] * dev.beta_load, -s_q[k]]),
+                val=np.concatenate([[1.0], -s_p[k], self.s_l[k], -s_q[k]]),
                 rhs=float(m0[k]),
             ))
 
@@ -513,11 +531,20 @@ def _instantiate(row: ParamRow, slots: dict[str, float]) -> tuple[np.ndarray, np
 
 
 class MaterializedFollower:
-    """HiGHS-ready arrays for one follower at fixed slots.
+    """One follower at fixed slots, solved for any target node and band edge.
 
-    Supports the cheap mutations the screening loops need: swapping the
-    target node (objective), moving the aggregate-row bound (rhs) and
-    re-slotting (``set_slots`` rewrites only the slot-bearing entries).
+    Constant-pf followers and constant-q followers with a fixed q_set are
+    solved in closed form (``_Knapsack``): their mode rows pin each node's
+    reactive output to its own active power, so the aggregate row is the
+    only row coupling nodes and the follower is a fractional knapsack.  The
+    closed form returns the same optimum and a full dual certificate (row
+    and bound duals in ``problem.rows`` and variable order), so strong
+    duality and the single-level completion read it as they read HiGHS.
+    Every other follower (free-q constant-q, volt-var) goes to HiGHS through
+    the materialized arrays ``mat``.  Both paths support the cheap mutations
+    the screening loops need: swapping the target node (objective), moving
+    the aggregate-row bound (rhs) and re-slotting (``set_slots`` rewrites
+    only the slot-bearing entries).
     """
 
     def __init__(self, problem: FollowerProblem, slots: dict[str, float]):
@@ -532,6 +559,10 @@ class MaterializedFollower:
         self._agg_pos = int(pos[0]) if pos.size else None
         self._b_orig = self.mat.ub_sign * self.mat.b_ub  # original-convention rhs
         self._coeff_sites, self._rhs_sites = self._slot_sites()
+        separable = problem.mode == MODE_CONSTANT_PF or (
+            problem.mode == MODE_CONSTANT_Q and problem.fix_q
+        )
+        self._knapsack = _Knapsack(problem, self.slots) if separable else None
 
     def _slot_sites(self) -> tuple[list, list]:
         """Where each slot term lands in the materialized arrays.
@@ -576,9 +607,16 @@ class MaterializedFollower:
             b[i] = sign * float(rhs)
         self.slots = values
         self._b_orig = self.mat.ub_sign * self.mat.b_ub
+        if self._knapsack is not None:
+            self._knapsack.set_slots(values)
 
     def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
         p = self.problem
+        if self._knapsack is not None:
+            return self._knapsack.solve(
+                p.scenario.node if node is None else node,
+                self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound,
+            )
         c = None
         if node is not None and node != p.scenario.node:
             c = np.zeros(p.n_vars)
@@ -594,6 +632,190 @@ class MaterializedFollower:
     def agg_dual(self, cert: DualCertificate) -> float:
         """Sensitivity of the objective to the aggregate bound."""
         return float(cert.row_duals[self._agg_row])
+
+
+class _Knapsack:
+    """Closed-form solve of a follower whose only cross-node row is ``agg``.
+
+    Substituting |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen and the
+    node's mode row (pfq: q_gen = γ(p_gen0 + Δp_gen); qfix: q_gen = q_set)
+    leaves each node's Δp_gen in one interval, cut from its own box by the
+    q_gen box and the capability (and cone) rows, next to Δp_load's box.
+    Row t of the sensitivities gives every device a gain per unit of the
+    aggregate row, and filling devices in order of gain until the band
+    edge is used up is optimal (Dantzig's fractional knapsack).  The fill
+    also yields the duals: the aggregate dual is the gain of the device the
+    edge runs out in, each device's reduced cost goes to the constraint
+    defining the end of its interval it sits at, and the mode row takes what
+    the q_gen column leaves over.  So the certificate satisfies the LP's
+    dual-feasibility rows as well as strong duality.
+    """
+
+    def __init__(self, problem: FollowerProblem, slots: dict[str, float]):
+        p = problem
+        n, dev = p.n, p.ctx.devices
+        self.problem = p
+        nodes = np.arange(n)
+        self.inv = inv = np.array(dev.inverter_nodes, dtype=np.int64)
+        rows = {r.name: i for i, r in enumerate(p.rows)}
+        self.agg_row = rows["agg"]
+        self.vm_rows = np.array([rows[f"vm[{k}]"] for k in nodes], dtype=np.int64)
+        mode_row = "pfq" if p.mode == MODE_CONSTANT_PF else "qfix"
+        self.mode_rows = np.array([rows[f"{mode_row}[{k}]"] for k in inv], dtype=np.int64)
+        self.sign = 1.0 if p.scenario.activation == POSITIVE else -1.0  # agg row <= or >=
+
+        # Constraints on an inverter node's (Δp_gen, q_gen), a·Δp_gen + e·q_gen <= b:
+        # both bounds of each variable, then the node's inequality rows.  Each
+        # column's dual lands at ``target`` of [row duals, lower, upper] as
+        # ``dual_sign`` times its multiplier.
+        n_rows, n_vars = len(p.rows), p.n_vars
+        dpg, qg = p.i_dpg(inv), p.i_qg(inv)
+        one, zero = np.ones(inv.size), np.zeros(inv.size)
+        cols = [
+            (one, zero, p.ub[dpg], n_rows + n_vars + dpg, 1.0),
+            (-one, zero, -p.lb[dpg], n_rows + dpg, -1.0),
+            (zero, one, p.ub[qg], n_rows + n_vars + qg, 1.0),
+            (zero, -one, -p.lb[qg], n_rows + qg, -1.0),
+        ]
+        names = ("cap_hi", "cap_lo") + (("cq_hi", "cq_lo") if p.mode == MODE_CONSTANT_Q else ())
+        for name in names:
+            r = np.array([rows[f"{name}[{k}]"] for k in inv], dtype=np.int64)
+            a = np.array([p.rows[i].val[p.rows[i].idx == v].sum() for i, v in zip(r, dpg)])
+            e = np.array([p.rows[i].val[p.rows[i].idx == v].sum() for i, v in zip(r, qg)])
+            cols.append((a, e, np.array([p.rows[i].rhs for i in r]), r, 1.0))
+        self.a, self.e, self.b, self.target = (
+            np.stack([c[i] for c in cols], axis=1) for i in range(4)
+        )
+        self.dual_sign = np.array([c[4] for c in cols])
+        # Variables whose reduced cost goes to the bound they sit at: all but
+        # the free |v| and the inverter nodes' Δp_gen and q_gen (columns above).
+        self.box_only = np.ones(n_vars, dtype=bool)
+        self.box_only[p.i_vm(nodes)] = False
+        self.box_only[dpg] = self.box_only[qg] = False
+        self.set_slots(slots)
+
+    def set_slots(self, slots: dict[str, float]) -> None:
+        """Fold each inverter node's rows into its Δp_gen interval at these setpoints."""
+        p, inv = self.problem, self.inv
+        n, m = p.n, inv.size
+        p_gen0 = p.ctx.devices.p_gen0[inv]
+        if p.mode == MODE_CONSTANT_PF:
+            kappa = np.array([slots[slot_gamma(k)] for k in inv], dtype=float)
+            q0 = kappa * p_gen0
+        else:
+            kappa = np.zeros(m)
+            q0 = np.array([slots[slot_qset(k)] for k in inv], dtype=float)
+        # With q_gen = q0 + kappa·Δp_gen, column j reads ap_j·Δp_gen <= bp_j.
+        ap = self.a + self.e * kappa[:, None]
+        bp = self.b - self.e * q0[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = bp / ap
+        up = np.where(ap > 0.0, ratio, np.inf)
+        dn = np.where(ap < 0.0, ratio, -np.inf)
+        self.c_hi, self.c_lo = up.argmin(axis=1), dn.argmax(axis=1)
+        hi, lo = up[np.arange(m), self.c_hi], dn[np.arange(m), self.c_lo]
+        self.feasible = not (
+            np.any((ap == 0.0) & (bp < -FEAS_TOL)) or np.any(lo > hi + FEAS_TOL)
+        )
+        # An interval empty within the tolerance pinches to a point of the box.
+        pinch = lo > hi
+        lo[pinch] = hi[pinch] = np.minimum(lo[pinch], self.b[pinch, 0])
+        self.ap = ap
+        self.kappa, self.q0 = np.zeros(n), np.zeros(n)
+        self.kappa[inv], self.q0[inv] = kappa, q0
+        nodes = np.arange(n)
+        g_lo, g_hi = p.lb[p.i_dpg(nodes)].copy(), p.ub[p.i_dpg(nodes)].copy()
+        g_lo[inv], g_hi[inv] = lo, hi
+        l_lo, l_hi = p.lb[p.i_dpl(nodes)], p.ub[p.i_dpl(nodes)]
+        # Knapsack variables z = sign·(Δp_gen, -Δp_load), so the aggregate row
+        # reads sum(z) <= sign·edge for either activation.
+        if self.sign > 0:
+            self.z_lo, self.z_hi = np.concatenate([g_lo, -l_hi]), np.concatenate([g_hi, -l_lo])
+        else:
+            self.z_lo, self.z_hi = np.concatenate([-g_hi, l_lo]), np.concatenate([-g_lo, l_hi])
+
+    def solve(self, node: int, edge: float) -> DualCertificate:
+        p, inv, n = self.problem, self.inv, self.problem.n
+        if not self.feasible:
+            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
+        sigma, sign = p.scenario.sigma, self.sign
+        gain_g = sigma * (p.s_p[node] + self.kappa * p.s_q[node])  # per unit Δp_gen
+        gain_l = sigma * p.s_l[node]  # per unit of load shed, -Δp_load
+        fill = _fill(sign * np.concatenate([gain_g, gain_l]), self.z_lo, self.z_hi, sign * edge)
+        if fill is None:
+            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
+        z, mu = fill
+        agg_dual = sign * mu
+        nodes = np.arange(n)
+        dpg, dpl = sign * z[:n], -sign * z[n:]
+        # q_gen is pinned by the mode row at inverter nodes and sits at the
+        # better end of its box elsewhere.
+        gain_q = sigma * p.s_q[node]
+        qg = p.i_qg(nodes)
+        q = np.where(gain_q > 0.0, p.ub[qg], p.lb[qg])
+        q[inv] = self.q0[inv] + self.kappa[inv] * dpg[inv]
+        x = np.zeros(p.n_vars)
+        x[p.i_vm(nodes)] = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ q
+        x[p.i_dpg(nodes)], x[p.i_dpl(nodes)], x[qg] = dpg, dpl, q
+
+        # Duals as [row duals, lower, upper]; reduced costs of box-only
+        # variables go to the bound they sit at.
+        n_rows = len(p.rows)
+        duals = np.zeros(n_rows + 2 * p.n_vars)
+        row_duals = duals[:n_rows]
+        lower = duals[n_rows:n_rows + p.n_vars]
+        upper = duals[n_rows + p.n_vars:]
+        row_duals[self.vm_rows[node]] = sigma
+        row_duals[self.agg_row] = agg_dual
+        reduced = np.zeros(p.n_vars)
+        reduced[p.i_dpg(nodes)] = gain_g - agg_dual
+        reduced[p.i_dpl(nodes)] = agg_dual - gain_l
+        reduced[qg] = gain_q
+        box_only = self.box_only
+        lower[box_only] = np.minimum(reduced[box_only], 0.0)
+        upper[box_only] = np.maximum(reduced[box_only], 0.0)
+        # At an inverter node the Δp_gen reduced cost goes to the column
+        # defining the interval end it sits at; the mode row balances q_gen.
+        r = reduced[p.i_dpg(inv)]
+        m = np.arange(inv.size)
+        col = np.where(r > 0.0, self.c_hi, self.c_lo)
+        mult = r / self.ap[m, col]
+        duals[self.target[m, col]] += self.dual_sign[col] * mult
+        row_duals[self.mode_rows] = gain_q[inv] - mult * self.e[m, col]
+        return DualCertificate(
+            status=OPTIMAL,
+            objective=float(sigma * x[p.i_vm(node)]),
+            x=x,
+            row_duals=row_duals,
+            lower_duals=lower,
+            upper_duals=upper,
+            method=CLOSED_FORM,
+        )
+
+
+def _fill(gain: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: float):
+    """Fractional knapsack: maximize gain·z over lo <= z <= hi with sum(z) <= budget.
+
+    Returns the optimal z and the budget row's dual (the gain of the item
+    the budget runs out in, zero when it never does), or None when even
+    sum(lo) exceeds the budget.
+    """
+    room = budget - float(lo.sum())
+    if room < -FEAS_TOL:
+        return None
+    room = max(room, 0.0)
+    z = lo.copy()
+    up = np.flatnonzero(gain > 0.0)
+    order = up[np.argsort(-gain[up], kind="stable")]
+    filled = np.cumsum(hi[order] - lo[order])
+    k = int(np.searchsorted(filled, room))
+    if k == order.size:
+        z[order] = hi[order]
+        return z, 0.0
+    z[order[:k]] = hi[order[:k]]
+    j = order[k]
+    z[j] = min(lo[j] + (room - (filled[k - 1] if k else 0.0)), hi[j])
+    return z, float(gain[j])
 
 
 def build_follower(

@@ -297,3 +297,39 @@ def test_direction_filter_restricts_the_follower_pool(pv_tight_ctx):
     assert res.direction == "overvoltage"
     assert all(s.extremum == MAX_V for s in res.followers)
     assert res.converged
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_completion_reuses_the_edge_walk_certificates(pv_tight_ctx, mode, monkeypatch):
+    """Each side's only block decides its edge, so the walk's last safe solves
+    complete the point without a follower solve, bit-identical to solving
+    the blocks again (HiGHS for volt-var, the closed form otherwise)."""
+    from flexgrid.bilevel import (
+        EDGE_TOL_REL,
+        _complete_point,
+        _edge_limited_decision,
+        _family_followers,
+    )
+    from flexgrid.follower import NEGATIVE, MaterializedFollower
+
+    ctx = pv_tight_ctx
+    followers = [Scenario(ctx.n - 1, POSITIVE, MAX_V), Scenario(0, NEGATIVE, MIN_V)]
+    bp, slmap = assemble_single_level(ctx, mode, followers)
+    lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
+    up = slmap.upper_vars
+    families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+    tol_abs = EDGE_TOL_REL * (ub[up[SLOT_DP_PLUS]] - lb[up[SLOT_DP_MINUS]])
+    decision, certs = _edge_limited_decision(
+        slmap, families, neutral_setpoints(ctx, mode), lb, ub, tol_abs
+    )
+    assert set(certs) == set(followers)
+
+    calls = []
+    solve = MaterializedFollower.solve
+    monkeypatch.setattr(MaterializedFollower, "solve",
+                        lambda self, **kw: calls.append(1) or solve(self, **kw))
+    reused = _complete_point(slmap, families, decision, {}, lb, ub, certs)
+    assert not calls
+    fresh = _complete_point(slmap, families, decision, {}, lb, ub)
+    assert len(calls) == len(followers)
+    assert reused is not None and np.array_equal(reused, fresh)
