@@ -340,12 +340,13 @@ class FollowerProblem:
         return 3 * self.n + k
 
     def injections(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Net nodal injections (p, q) in p.u. encoded by a follower solution."""
+        """Net nodal injections (p, q) in p.u. encoded by a follower solution
+        ``x`` (or by each row of a stack of them)."""
         dev = self.ctx.devices
         nodes = np.arange(self.n)
-        p_load = dev.p_load0 + x[self.i_dpl(nodes)]
-        p = dev.p_gen0 + x[self.i_dpg(nodes)] - p_load
-        q = x[self.i_qg(nodes)] - dev.beta_load * p_load
+        p_load = dev.p_load0 + x[..., self.i_dpl(nodes)]
+        p = dev.p_gen0 + x[..., self.i_dpg(nodes)] - p_load
+        q = x[..., self.i_qg(nodes)] - dev.beta_load * p_load
         return p, q
 
     @property

@@ -5,7 +5,8 @@ magnitude expansion.  This module closes the loop without reusing either:
 worst-case injections coming out of the follower LPs are pushed through the
 Newton power flow, and on small feeders a brute-force grid plays the
 adversary directly in the nonlinear model (including volt-var droop as a
-fixed point of control and physics).
+fixed point of control and physics).  Both hand the Newton solver whole
+stacks of injection profiles rather than one profile at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ class OracleError(RuntimeError):
 
 
 def linear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Voltage magnitudes as the LP sees them (linear flow + first-order |v|)."""
+    """Voltage magnitudes as the LP sees them (linear flow + first-order |v|),
+    for one injection profile ``(n,)`` or a stack ``(P, n)``."""
     v = ctx.lpf.voltages(p, q)
     return ctx.taylor.alpha_d * v.real + ctx.taylor.alpha_q * v.imag
 
@@ -53,6 +55,7 @@ def linear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndar
 def nonlinear_magnitudes(
     ctx: FlexContext, p: np.ndarray, q: np.ndarray, *, Y: np.ndarray | None = None
 ) -> np.ndarray:
+    """Newton |v| of one injection profile ``(n,)`` or a stack ``(P, n)``."""
     op = solve_nonlinear_pf(ctx.feeder, p, q, index=ctx.index, Y=Y)
     return op.vm
 
@@ -111,51 +114,56 @@ def verify_decision(
     For each scenario the follower LP is solved at the decision, its argmax
     injection profile is evaluated exactly, and the report collects the
     largest |v| discrepancy plus how far the nonlinear voltages stray outside
-    the band.  Constant-Q runs expect the decision to carry q_set slots.
+    the band.  The n argmax profiles of each (activation, extremum) family
+    go through one stacked Newton solve and one matrix product of the linear
+    model.  Constant-Q runs expect the decision to carry q_set slots.
     """
+    if not ctx.n:
+        return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
     Y = assemble_ybus(ctx.feeder, ctx.index)
     fix_q = mode == MODE_CONSTANT_Q and any(
         s.startswith("qset") for s in decision.setpoints
     )
     checks: list[ScenarioCheck] = []
-    profile: tuple[Scenario, np.ndarray, np.ndarray] | None = None
+    profiles: list[tuple[np.ndarray, np.ndarray]] = []  # (linear, nonlinear) per family
     for activation in ACTIVATIONS:
         for extremum in screened_extrema(direction):
             proto = Scenario(node=0, activation=activation, extremum=extremum)
             problem = build_follower(ctx, proto, mode, fix_q=fix_q)
-            slots = _decision_slots(decision, problem)
-            mf = problem.materialize(slots)
-            for k in range(ctx.n):
-                cert = mf.solve(node=k)
+            mf = problem.materialize(_decision_slots(decision, problem))
+            certs = [mf.solve(node=k) for k in range(ctx.n)]
+            for k, cert in enumerate(certs):
                 if cert.status != OPTIMAL:
                     raise OracleError(
                         f"follower (node {k}, {activation}/{extremum}) returned {cert.status}"
                     )
-                p, q = problem.injections(cert.x)
-                vm_lin = linear_magnitudes(ctx, p, q)
-                vm_nl = nonlinear_magnitudes(ctx, p, q, Y=Y)
-                lp_vm = proto.sigma * cert.objective
-                excess = float(
-                    np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl))
+            # The family's n argmax profiles go through one stacked solve.
+            x = np.array([cert.x for cert in certs]).reshape(ctx.n, problem.n_vars)
+            p, q = problem.injections(x)
+            vm_lin = linear_magnitudes(ctx, p, q)
+            vm_nl = nonlinear_magnitudes(ctx, p, q, Y=Y)
+            errors = np.max(np.abs(vm_lin - vm_nl), axis=1)
+            excess = np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl), axis=1)
+            profiles.append((vm_lin, vm_nl))
+            checks += [
+                ScenarioCheck(
+                    scenario=Scenario(node=k, activation=activation, extremum=extremum),
+                    lp_vm=proto.sigma * cert.objective,
+                    nl_vm=float(vm_nl[k, k]),
+                    error=float(errors[k]),
+                    band_excess=float(excess[k]),
                 )
-                scenario = Scenario(node=k, activation=activation, extremum=extremum)
-                err = float(np.max(np.abs(vm_lin - vm_nl)))
-                if profile is None or err > max(c.error for c in checks):
-                    profile = (scenario, vm_lin.copy(), vm_nl.copy())
-                checks.append(ScenarioCheck(
-                    scenario=scenario,
-                    lp_vm=lp_vm,
-                    nl_vm=float(vm_nl[k]),
-                    error=err,
-                    band_excess=excess,
-                ))
+                for k, cert in enumerate(certs)
+            ]
+    worst = int(np.argmax([c.error for c in checks]))  # first of the largest errors
+    vm_lin, vm_nl = (np.concatenate(arrays) for arrays in zip(*profiles))
     return OracleReport(
         checks=checks,
-        max_error=max(c.error for c in checks) if checks else 0.0,
-        max_band_excess=max(c.band_excess for c in checks) if checks else -math.inf,
-        profile_scenario=profile[0] if profile else None,
-        profile_linear=profile[1] if profile else None,
-        profile_nonlinear=profile[2] if profile else None,
+        max_error=checks[worst].error,
+        max_band_excess=max(c.band_excess for c in checks),
+        profile_scenario=checks[worst].scenario,
+        profile_linear=vm_lin[worst],
+        profile_nonlinear=vm_nl[worst],
     )
 
 
@@ -184,21 +192,37 @@ def _droop_voltages(
     """Fixed point of volt-var control and the nonlinear power flow.
 
     q_inverter(vm) follows the droop line through (v_min, +q̄) and
-    (v_max, -q̄); loads' reactive draw is in ``q_other``.  Returns (vm, q).
+    (v_max, -q̄); loads' reactive draw is in ``q_other``.  ``p`` and
+    ``q_other`` hold one profile ``(n,)`` or a stack ``(P, n)``.  Every
+    profile runs its own damped Picard iteration from the anchor |v|; each
+    step pushes all unsettled profiles through one stacked Newton solve, and
+    a profile drops out once its |v| moves less than ``tol``.  Profiles that
+    do not settle in ``max_iter`` steps restart from the anchor with a
+    smaller damping factor.  Returns (vm, q) in the input's shape, NaN in
+    the rows that never settle.
     """
     band = ctx.v_max - ctx.v_min
+    p_rows = np.atleast_2d(p)
+    q_rows = np.atleast_2d(q_other)
+    vm_out = np.full(p_rows.shape, np.nan)
+    q_out = np.full(p_rows.shape, np.nan)
+    rows = np.arange(len(p_rows))
     # Damped Picard iteration: undamped steps oscillate once the droop gain
     # times the grid sensitivity nears one (weak grids, large q̄).
     for alpha in (1.0, 0.5, 0.2):
-        vm = ctx.anchor.vm.copy()
+        vm = np.tile(ctx.anchor.vm, (len(rows), 1))
         for _ in range(max_iter):
-            q_inv = qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
-            q = q_other + q_inv
-            new_vm = nonlinear_magnitudes(ctx, p, q, Y=Y)
-            if np.max(np.abs(new_vm - vm)) < tol:
-                return new_vm, q
-            vm = vm + alpha * (new_vm - vm)
-    raise OracleError("volt-var droop fixed point did not converge")
+            if not rows.size:
+                break
+            q = q_rows[rows] + qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
+            new_vm = nonlinear_magnitudes(ctx, p_rows[rows], q, Y=Y)
+            done = np.max(np.abs(new_vm - vm), axis=1) < tol
+            vm_out[rows[done]] = new_vm[done]
+            q_out[rows[done]] = q[done]
+            rows, vm = rows[~done], (vm + alpha * (new_vm - vm))[~done]
+    if np.ndim(p) == 1:
+        return vm_out[0], q_out[0]
+    return vm_out, q_out
 
 
 def brute_force_worst_voltage(
@@ -214,10 +238,13 @@ def brute_force_worst_voltage(
     """Grid-search the adversary directly in the nonlinear model.
 
     Enumerates device deviations on a grid (plus inverter reactive output
-    for constant-Q without a q_set), keeps points that respect the sign
-    rules, device limits, the exact apparent-power circle and the aggregate
-    bound, and runs a Newton solve per point.  Only meant for feeders with
-    at most ``max_devices`` flexible devices.
+    for constant-Q without a q_set) as one array of grid points, keeps the
+    points that respect the sign rules, device limits, the exact
+    apparent-power circle and the aggregate bound (boolean masks over the
+    array), and solves all of them in one stacked Newton call (volt-var:
+    one stacked droop fixed point).  The extreme is the first grid point, in
+    enumeration order, with the most adverse |v| at the scenario's node.
+    Only meant for feeders with at most ``max_devices`` flexible devices.
     """
     dev = ctx.devices
     fix_q = mode == MODE_CONSTANT_Q and any(
@@ -239,87 +266,65 @@ def brute_force_worst_voltage(
             f"{len(dims)} flexible devices exceed the brute-force limit {max_devices}"
         )
 
-    free_q = mode == MODE_CONSTANT_Q and not fix_q
-    dp_cap = decision.dp_plus if scenario.activation == POSITIVE else decision.dp_minus
+    # Every grid point as a row, in itertools.product order.
+    grid = np.array(list(itertools.product(*(d[2] for d in dims))), dtype=float)
+    grid = grid.reshape(-1, len(dims))
+    dpg = np.zeros((len(grid), n))
+    dpl = np.zeros((len(grid), n))
+    for j, (kind, k, _) in enumerate(dims):
+        (dpg if kind == "dpg" else dpl)[:, k] = grid[:, j]
+    agg = np.sum(dpg, axis=1) - np.sum(dpl, axis=1)
+    if scenario.activation == POSITIVE:
+        keep = agg <= decision.dp_plus + 1e-9
+    else:
+        keep = agg >= decision.dp_minus - 1e-9
+    dpg, dpl = dpg[keep], dpl[keep]
+    pg = dev.p_gen0 + dpg
+    p = pg - (dev.p_load0 + dpl)
+    q_load = dev.beta_load * (dev.p_load0 + dpl)
+    head = np.sqrt(np.maximum(dev.s_cap**2 - pg**2, 0.0))
+    inv = np.array(dev.inverter_nodes, dtype=int)
     Y = assemble_ybus(ctx.feeder, ctx.index)
-    sigma = scenario.sigma
-    best_nl = -math.inf
-    best_lin = 0.0
-    points = 0
 
-    grids = [d[2] for d in dims]
-    for combo in itertools.product(*grids) if dims else [()]:
-        dpg = np.zeros(n)
-        dpl = np.zeros(n)
-        for (kind, k, _), value in zip(dims, combo):
-            if kind == "dpg":
-                dpg[k] = value
-            else:
-                dpl[k] = value
-        agg = float(np.sum(dpg) - np.sum(dpl))
-        if scenario.activation == POSITIVE:
-            if agg > dp_cap + 1e-9:
-                continue
-        else:
-            if agg < dp_cap - 1e-9:
-                continue
-        pg = dev.p_gen0 + dpg
-        p = pg - (dev.p_load0 + dpl)
-        q_load = dev.beta_load * (dev.p_load0 + dpl)
-
-        # Inverter reactive output per mode, on the exact capability circle.
-        def finish(q_gen: np.ndarray) -> None:
-            nonlocal best_nl, best_lin, points
-            head = np.sqrt(np.maximum(dev.s_cap**2 - pg**2, 0.0))
-            if np.any(np.abs(q_gen) > head + 1e-9):
-                return
-            q = q_gen - q_load
-            vm = nonlinear_magnitudes(ctx, p, q, Y=Y)
-            points += 1
-            if sigma * vm[scenario.node] > sigma * best_nl or best_nl == -math.inf:
-                best_nl = float(vm[scenario.node])
-                best_lin = float(linear_magnitudes(ctx, p, q)[scenario.node])
-
+    # Inverter reactive output per mode, on the exact capability circle.
+    if mode == MODE_VOLT_VAR:  # droop joins the physics
+        qbar = np.zeros(n)
+        qbar[inv] = [decision.setpoints[slot_qbar(k)] for k in inv]
+        vm, q = _droop_voltages(ctx, p, qbar, -q_load, Y=Y)
+        # NaN rows (droop never settled) fail the comparison and drop out.
+        ok = np.all(np.abs(q + q_load) <= head + 1e-9, axis=1)
+        vm, p, q = vm[ok], p[ok], q[ok]
+    else:
+        q_gen = np.zeros_like(pg)
         if mode == MODE_CONSTANT_PF:
-            q_gen = np.zeros(n)
-            for k in dev.inverter_nodes:
-                q_gen[k] = decision.setpoints[slot_gamma(k)] * pg[k]
-            finish(q_gen)
-        elif mode == MODE_CONSTANT_Q and fix_q:
-            q_gen = np.zeros(n)
-            for k in dev.inverter_nodes:
-                q_gen[k] = decision.setpoints[slot_qset(k)]
-            cone = dev.gamma_const * pg
-            if np.all(np.abs(q_gen) <= cone + 1e-9):
-                finish(q_gen)
-        elif free_q:
-            q_dims = [
-                (k, np.linspace(-dev.gamma_const[k] * pg[k], dev.gamma_const[k] * pg[k], q_steps))
-                for k in dev.inverter_nodes
-            ]
-            for q_combo in itertools.product(*[g for _, g in q_dims]):
-                q_gen = np.zeros(n)
-                for (k, _), value in zip(q_dims, q_combo):
-                    q_gen[k] = value
-                finish(q_gen)
-        else:  # volt-var: droop joins the physics
-            qbar = np.zeros(n)
-            for k in dev.inverter_nodes:
-                qbar[k] = decision.setpoints[slot_qbar(k)]
-            head = np.sqrt(np.maximum(dev.s_cap**2 - pg**2, 0.0))
-            try:
-                vm, q = _droop_voltages(ctx, p, qbar, -q_load, Y=Y)
-            except OracleError:
-                continue
-            if np.any(np.abs(q + q_load) > head + 1e-9):
-                continue
-            points += 1
-            if sigma * vm[scenario.node] > sigma * best_nl or best_nl == -math.inf:
-                best_nl = float(vm[scenario.node])
-                best_lin = float(linear_magnitudes(ctx, p, q)[scenario.node])
+            gamma = np.array([decision.setpoints[slot_gamma(k)] for k in inv])
+            q_gen[:, inv] = gamma * pg[:, inv]
+        elif fix_q:
+            q_gen[:, inv] = [decision.setpoints[slot_qset(k)] for k in inv]
+            in_cone = np.all(np.abs(q_gen) <= dev.gamma_const * pg + 1e-9, axis=1)
+            p, q_load, head, q_gen = (a[in_cone] for a in (p, q_load, head, q_gen))
+        else:
+            # Free q: q_steps levels across each inverter's cone, every
+            # combination per grid point, in itertools.product order.
+            cone = dev.gamma_const[inv] * pg[:, inv]
+            levels = np.linspace(-cone, cone, q_steps, axis=-1)  # (point, inverter, level)
+            pick = np.array(list(itertools.product(range(q_steps), repeat=len(inv))), dtype=int)
+            pick = pick.reshape(-1, len(inv))
+            combos = levels[:, np.arange(len(inv)), pick]  # (point, combination, inverter)
+            p, q_load, head = (np.repeat(a, len(pick), axis=0) for a in (p, q_load, head))
+            q_gen = np.zeros_like(p)
+            q_gen[:, inv] = combos.reshape(-1, len(inv))
+        ok = np.all(np.abs(q_gen) <= head + 1e-9, axis=1)
+        p, q = p[ok], (q_gen - q_load)[ok]
+        vm = nonlinear_magnitudes(ctx, p, q, Y=Y)
 
+    points = len(vm)
     if points == 0:
         raise OracleError("no admissible grid points (check the decision)")
+    best = int(np.argmax(scenario.sigma * vm[:, scenario.node]))
     return BruteForceResult(
-        scenario=scenario, vm_nonlinear=best_nl, vm_linear=best_lin, points=points
+        scenario=scenario,
+        vm_nonlinear=float(vm[best, scenario.node]),
+        vm_linear=float(linear_magnitudes(ctx, p[best], q[best])[scenario.node]),
+        points=points,
     )

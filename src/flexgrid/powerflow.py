@@ -2,9 +2,11 @@
 
 Two solvers live here:
 
-* a Newton power flow in rectangular voltage coordinates (dense LU steps,
-  flat start at the balanced slack phasor), used to compute operating points
-  and as the nonlinear reference everywhere else;
+* a Newton power flow in rectangular voltage coordinates (flat start at the
+  balanced slack phasor), used to compute operating points and as the
+  nonlinear reference everywhere else.  It solves a whole stack of injection
+  profiles at once: each iteration takes every unconverged profile's step
+  with one stacked LU solve over their Jacobians;
 * a fixed-point linear voltage model anchored at an operating point, exact at
   the anchor by construction, plus the first-order voltage-magnitude
   linearization used by the LP layers.
@@ -27,6 +29,11 @@ SLACK_PHASOR = np.exp(1j * np.deg2rad(np.array([0.0, -120.0, 120.0])))
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 50
+# Memory budget of one stacked Newton solve.  A profile in the stack holds
+# its complex (n, 2n) derivative block and its real (2n, 2n) Jacobian,
+# ROW_BYTES_PER_NODE2 * n^2 bytes; longer stacks are solved in chunks.
+NEWTON_STACK_BYTES = 4 * 2**20
+ROW_BYTES_PER_NODE2 = 64
 
 
 class PowerFlowError(RuntimeError):
@@ -35,8 +42,10 @@ class PowerFlowError(RuntimeError):
 
 @dataclass
 class OperatingPoint:
-    """A converged power-flow solution.
+    """A converged power-flow solution, or a stack of them.
 
+    The per-node arrays have shape ``(n,)`` for one profile and ``(P, n)``
+    for a stack of ``P`` (``slack_power`` likewise per slack phase).
     ``p_inj``/``q_inj`` hold the *realized* injections V·conj(I) at the
     solution, which agree with the requested ones to the Newton tolerance but
     are exactly consistent with ``v`` — that consistency is what makes the
@@ -49,8 +58,8 @@ class OperatingPoint:
     p_inj: np.ndarray  # realized active injections, p.u., generation-positive
     q_inj: np.ndarray  # realized reactive injections, p.u.
     slack_power: np.ndarray  # complex per-phase power injected by the slack
-    iterations: int
-    residual: float  # max |S_spec - S(v)| over nodes, p.u.
+    iterations: int  # Newton steps (of the slowest profile in a stack)
+    residual: float  # max |S_spec - S(v)| over nodes (and profiles), p.u.
 
     @property
     def vd(self) -> np.ndarray:
@@ -104,12 +113,21 @@ def solve_nonlinear_pf(
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> OperatingPoint:
-    """Newton power flow in rectangular coordinates.
+    """Newton power flow in rectangular coordinates, one profile or a stack.
 
-    With no injections given, solves the feeder's current operating point
-    (see ``anchor_injections``).  Starts flat at the slack phasor replicated
-    to every node and iterates full Newton steps with a dense LU solve until
-    the power mismatch drops below ``tol`` (p.u.).
+    ``p_inj``/``q_inj`` are one injection profile of shape ``(n,)`` or a
+    stack of ``P`` profiles of shape ``(P, n)``; with none given, solves the
+    feeder's current operating point (see ``anchor_injections``).  Every
+    profile starts flat at the slack phasor replicated to every node and
+    takes full Newton steps.  Each iteration builds the Jacobians of all
+    unconverged profiles as one ``(P, 2n, 2n)`` stack and solves them in one
+    stacked LU call.  A profile leaves the stack once its own power mismatch
+    drops below ``tol`` (p.u.), so it ends on the iterate a lone solve
+    would.  Stacks larger than ``NEWTON_STACK_BYTES`` allows are solved in
+    chunks.  The result has the input's shape; for a stack, ``iterations``
+    is the step count of the slowest profile and ``residual`` the largest
+    final mismatch.  A singular Jacobian, a collapsing voltage or the
+    iteration limit in any profile raises ``PowerFlowError``.
     """
     if index is None:
         index = index_nodes(model)
@@ -120,60 +138,110 @@ def solve_nonlinear_pf(
     p_inj = np.asarray(p_inj, dtype=float)
     q_inj = np.asarray(q_inj, dtype=float)
     n = index.n
-    if p_inj.shape != (n,) or q_inj.shape != (n,):
-        raise ValueError(f"injections must have shape ({n},)")
+    if p_inj.shape != q_inj.shape or p_inj.ndim not in (1, 2) or p_inj.shape[-1] != n:
+        raise ValueError(f"injections must have shape ({n},) or (P, {n})")
 
-    _, _, YL0, YLL = _partition_ybus(Y, index)
+    Y00, Y0L, YL0, YLL = _partition_ybus(Y, index)
     v0 = SLACK_PHASOR.copy()
-    s_spec = p_inj + 1j * q_inj
-
     # Flat start: slack phasor replicated phase-wise to every node.
     phase_pos = {"a": 0, "b": 1, "c": 2}
-    v = np.array([v0[phase_pos[ph]] for (_, ph) in index.nodes], dtype=complex)
-
+    v_flat = np.array([v0[phase_pos[ph]] for (_, ph) in index.nodes], dtype=complex)
+    s_spec = np.atleast_2d(p_inj + 1j * q_inj)
+    v = np.empty(s_spec.shape, dtype=complex)
+    s_calc = np.empty_like(v)
     i_lin = YL0 @ v0
+    iterations, residual = 0, 0.0
+    rows = max(1, NEWTON_STACK_BYTES // (ROW_BYTES_PER_NODE2 * max(n, 1) ** 2))
+    for i in range(0, len(s_spec), rows):
+        chunk = slice(i, i + rows)
+        steps, worst = _newton(
+            YLL, i_lin, v_flat, s_spec[chunk], v[chunk], s_calc[chunk], tol, max_iter
+        )
+        iterations, residual = max(iterations, steps), max(residual, worst)
+    i_slack = Y00 @ v0 + v @ Y0L.T
+    slack_power = v0 * np.conj(i_slack)
+    if p_inj.ndim == 1:
+        v, s_calc, slack_power = v[0], s_calc[0], slack_power[0]
+    return OperatingPoint(
+        index=index,
+        v=v,
+        v_slack=v0,
+        p_inj=s_calc.real.copy(),
+        q_inj=s_calc.imag.copy(),
+        slack_power=slack_power,
+        iterations=iterations,
+        residual=residual,
+    )
+
+
+def _newton(
+    YLL: np.ndarray,
+    i_lin: np.ndarray,
+    v_flat: np.ndarray,
+    s_spec: np.ndarray,
+    v: np.ndarray,
+    s_calc: np.ndarray,
+    tol: float,
+    max_iter: int,
+) -> tuple[int, float]:
+    """Newton iterations on the ``(P, n)`` stack ``s_spec`` from a flat start.
+
+    Writes the voltages into ``v`` and the realized injections into
+    ``s_calc``; returns the step count of the slowest row and the largest
+    final mismatch.
+    """
+    m, n = s_spec.shape
+    worst = 0.0
+    live = np.arange(m)  # rows still iterating, and their iterates and targets
+    v_live = np.repeat(v_flat[None, :], m, axis=0)
+    s_live = s_spec
+    YLL_T = YLL.T
+    # [conj(YLL), -j conj(YLL)] per node row: the off-diagonal parts of
+    # d(S)/d(vd) and d(S)/d(vq) once scaled by that node's voltage.
+    YLL_pair = np.conj(YLL)[:, None, :] * np.array([[1.0], [-1j]])
+    diag = 2 * n + 1  # stride of an (n, 2n) block's diagonals in its flat layout
     residual = np.inf
     for it in range(1, max_iter + 1):
-        i_node = i_lin + YLL @ v
-        s_calc = v * np.conj(i_node)
-        mismatch = s_spec - s_calc
-        residual = float(np.max(np.abs(mismatch))) if n else 0.0
-        if residual < tol:
-            i_slack = Y[: len(index.slack_nodes)] @ np.concatenate([v0, v])
-            return OperatingPoint(
-                index=index,
-                v=v,
-                v_slack=v0,
-                p_inj=s_calc.real.copy(),
-                q_inj=s_calc.imag.copy(),
-                slack_power=v0 * np.conj(i_slack),
-                iterations=it - 1,
-                residual=residual,
+        i_node = i_lin + v_live @ YLL_T
+        s_now = v_live * np.conj(i_node)
+        mismatch = s_live - s_now
+        residual = np.abs(mismatch).max(axis=1, initial=0.0)
+        done = residual < tol
+        finished = np.count_nonzero(done)
+        if finished == live.size:  # the last rows converge: the stack took it - 1 steps
+            v[live] = v_live
+            s_calc[live] = s_now
+            return it - 1, max(worst, float(residual.max()))
+        if finished:
+            v[live[done]] = v_live[done]
+            s_calc[live[done]] = s_now[done]
+            worst = max(worst, float(residual[done].max()))
+            keep = ~done
+            live, v_live, s_live, i_node, mismatch = (
+                a[keep] for a in (live, v_live, s_live, i_node, mismatch)
             )
         # d(S)/d(vd) = diag(conj I) + diag(V) conj(YLL);  d(S)/d(vq) = j(diag(conj I) - diag(V) conj(YLL))
-        A = np.diag(np.conj(i_node))
-        B = v[:, None] * np.conj(YLL)
-        dS_dvd = A + B
-        dS_dvq = 1j * (A - B)
-        J = np.block(
-            [
-                [dS_dvd.real, dS_dvq.real],
-                [dS_dvd.imag, dS_dvq.imag],
-            ]
-        )
-        rhs = np.concatenate([mismatch.real, mismatch.imag])
+        # Built as the complex (n, 2n) block [d(S)/d(vd), d(S)/d(vq)] of each
+        # row, whose real and imaginary parts are the P and Q rows of J.
+        dS = (v_live[:, :, None, None] * YLL_pair).reshape(live.size, n, 2 * n)
+        c = np.conj(i_node)
+        flat = dS.reshape(live.size, -1)
+        flat[:, ::diag] += c  # the diagonal of d(S)/d(vd)
+        flat[:, n::diag] += 1j * c  # the diagonal of d(S)/d(vq)
+        J = np.concatenate([dS.real, dS.imag], axis=1)
+        rhs = np.concatenate([mismatch.real, mismatch.imag], axis=1)
         try:
-            step = np.linalg.solve(J, rhs)
+            step = np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular Jacobian at iteration {it}") from exc
-        v = v + step[:n] + 1j * step[n:]
-        if np.any(np.abs(v) < 1e-6):
+        v_live = v_live + step[:, :n] + 1j * step[:, n:]
+        if (np.abs(v_live) < 1e-6).any():
             raise PowerFlowError(
                 "voltage magnitude collapsed toward zero; injections are likely infeasible"
             )
     raise PowerFlowError(
         f"Newton power flow did not converge in {max_iter} iterations "
-        f"(last mismatch {residual:.3e} p.u.)"
+        f"(last mismatch {np.max(residual):.3e} p.u.)"
     )
 
 
@@ -197,7 +265,8 @@ class LinearPFModel:
     anchor: OperatingPoint
 
     def voltages(self, p_inj: np.ndarray, q_inj: np.ndarray) -> np.ndarray:
-        return self.z1 + self.z2 @ (np.asarray(p_inj) - 1j * np.asarray(q_inj))
+        """Voltages of one injection profile ``(n,)`` or a stack ``(P, n)``."""
+        return self.z1 + (np.asarray(p_inj) - 1j * np.asarray(q_inj)) @ self.z2.T
 
 
 def build_fixed_point_model(

@@ -2,15 +2,26 @@
 
 ``bench/tracing.py`` wraps flexgrid functions at the names the calling
 modules bound at import.  A refactor that moves one of those call sites
-would make a traced benchmark run report that layer's metrics as missing;
-this check turns that into a test failure instead.  The module is loaded by
+would make a traced benchmark run report that layer's metrics as missing,
+and a span count that comes back as a numpy scalar would break the traced
+run's JSON output; these checks turn both into test failures instead.  The module is loaded by
 file path under a private name: ``bench`` is not a test path, and its
 ``feedergen`` module would clash with the one in ``tests``.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
+
+from flexgrid import oracle
+from flexgrid.bilevel import run_iterative
+from flexgrid.feeder import MODE_VOLT_VAR
+from flexgrid.follower import MAX_V, POSITIVE, Scenario
+
+from feedergen import random_context
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -34,3 +45,30 @@ def test_every_traced_name_resolves():
         except (ImportError, AttributeError):
             unresolved.append(f"{module_name}.{attr}")
     assert not unresolved
+
+
+def test_traced_oracle_run_serializes():
+    """Span counts must be plain Python numbers: the traced benchmark sums
+    them and writes them with ``json.dumps``, which rejects numpy scalars."""
+    tracing = _load_tracing()
+    ctx = random_context(np.random.default_rng(7208), mode=MODE_VOLT_VAR)
+    decision = run_iterative(ctx, MODE_VOLT_VAR, direction="both").decision
+
+    def case():
+        oracle.verify_decision(ctx, MODE_VOLT_VAR, decision)
+        return oracle.brute_force_worst_voltage(
+            ctx, MODE_VOLT_VAR, decision, Scenario(0, POSITIVE, MAX_V)
+        )
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_case("gen7208/volt-var", case)
+    finally:
+        tracer.uninstall()
+    json.dumps(tracer.spans)
+    metrics, missing = tracing.layer_metrics(tracer)
+    assert not [m for m in missing if m.startswith(("powerflow.", "oracle."))]
+    assert metrics["powerflow.newton_calls"][0] > 0
+    assert metrics["oracle.verify_scenarios"][0] == 4 * ctx.n
+    assert metrics["oracle.bruteforce_points"][0] > 0

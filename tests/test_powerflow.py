@@ -12,8 +12,10 @@ Expected values below were computed from that formula and frozen.
 import numpy as np
 import pytest
 
-from flexgrid.feeder import load_feeder
+from flexgrid import powerflow
+from flexgrid.feeder import index_nodes, load_feeder
 from flexgrid.powerflow import (
+    NEWTON_TOL,
     PowerFlowError,
     anchor_injections,
     assemble_ybus,
@@ -23,6 +25,7 @@ from flexgrid.powerflow import (
 )
 
 from conftest import balanced_doc, pv_doc
+from feedergen import random_feeder_doc
 
 Z_PU = (1.0 + 2.0j) / (1e3 * 2.4**2 / 100.0)
 
@@ -174,3 +177,137 @@ def test_bad_injection_shape_raises():
     model = load_feeder(balanced_doc())
     with pytest.raises(ValueError, match="shape"):
         solve_nonlinear_pf(model, np.zeros(2), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# Stacked solves: a (P, n) stack of profiles in one Newton call
+# ---------------------------------------------------------------------------
+
+STACK_ROWS = 24
+
+
+@pytest.fixture(params=["ieee13", "gen7204", "gen7205"])
+def feeder_stack(request, ieee13_model):
+    """A feeder and a stack of injection profiles scaled from its anchor's."""
+    if request.param == "ieee13":
+        model = ieee13_model
+    else:
+        seed = int(request.param[3:])
+        model = load_feeder(random_feeder_doc(np.random.default_rng(seed)))
+    index = index_nodes(model)
+    p0, q0 = anchor_injections(model, index)
+    rng = np.random.default_rng(11)
+    # From no load to 2.5 times the anchor, each injection jittered by 20 %.
+    amp = np.linspace(0.0, 2.5, STACK_ROWS)[:, None]
+    p = amp * p0 * rng.uniform(0.8, 1.2, (STACK_ROWS, index.n))
+    q = amp * q0 * rng.uniform(0.8, 1.2, (STACK_ROWS, index.n))
+    return model, index, p, q
+
+
+def test_stacked_newton_matches_lone_solves(feeder_stack):
+    model, index, p, q = feeder_stack
+    Y = assemble_ybus(model, index)
+    op = solve_nonlinear_pf(model, p, q, index=index, Y=Y)
+    assert op.v.shape == p.shape and op.slack_power.shape == (STACK_ROWS, 3)
+    lone = [solve_nonlinear_pf(model, p[i], q[i], index=index, Y=Y) for i in range(STACK_ROWS)]
+    for i, one in enumerate(lone):
+        assert np.max(np.abs(op.v[i] - one.v)) <= 1e-12, i
+        assert np.max(np.abs(op.p_inj[i] - one.p_inj)) <= 1e-12, i
+        assert np.max(np.abs(op.q_inj[i] - one.q_inj)) <= 1e-12, i
+        assert np.max(np.abs(op.slack_power[i] - one.slack_power)) <= 1e-12, i
+    assert op.iterations == max(one.iterations for one in lone)
+    assert op.residual == pytest.approx(max(one.residual for one in lone), abs=1e-12)
+
+
+def test_rows_leave_the_stack_at_their_own_step():
+    """A row that converges early keeps the iterate its lone solve stops at."""
+    model = load_feeder(random_feeder_doc(np.random.default_rng(7204)))
+    p0, q0 = anchor_injections(model)
+    amp = np.array([[2.5], [0.0], [0.5]])
+    p, q = amp * p0, amp * q0
+    lone = [solve_nonlinear_pf(model, p[i], q[i]) for i in range(3)]
+    assert [one.iterations for one in lone] == [3, 0, 2]
+    op = solve_nonlinear_pf(model, p, q)
+    assert op.iterations == 3
+    for i, one in enumerate(lone):
+        assert np.max(np.abs(op.v[i] - one.v)) <= 1e-12, i
+        assert np.max(np.abs(op.p_inj[i] - one.p_inj)) <= 1e-12, i
+
+
+def test_stacked_newton_realizes_the_requested_injections(feeder_stack):
+    """Every row's S = V conj(Y V), recomputed from the admittance matrix."""
+    model, index, p, q = feeder_stack
+    Y = assemble_ybus(model, index)
+    op = solve_nonlinear_pf(model, p, q, index=index, Y=Y)
+    ns = len(index.slack_nodes)
+    v_full = np.concatenate([np.tile(op.v_slack, (STACK_ROWS, 1)), op.v], axis=1)
+    s_full = v_full * np.conj(v_full @ Y.T)
+    assert np.max(np.abs(s_full[:, ns:] - (p + 1j * q))) < NEWTON_TOL
+    assert np.max(np.abs(s_full[:, ns:].real - op.p_inj)) < 1e-12
+    assert np.max(np.abs(s_full[:, ns:].imag - op.q_inj)) < 1e-12
+    assert np.max(np.abs(s_full[:, :ns] - op.slack_power)) < 1e-12
+
+
+def test_one_row_stack_equals_the_vector_call():
+    model = load_feeder(pv_doc())
+    p, q = anchor_injections(model)
+    p, q = p + 0.03, q - 0.01
+    one = solve_nonlinear_pf(model, p, q)
+    stack = solve_nonlinear_pf(model, p[None, :], q[None, :])
+    assert one.v.shape == (5,) and stack.v.shape == (1, 5)
+    assert np.max(np.abs(stack.v[0] - one.v)) <= 1e-12
+    assert np.max(np.abs(stack.slack_power[0] - one.slack_power)) <= 1e-12
+    assert stack.iterations == one.iterations
+
+
+def test_stack_with_one_infeasible_row_raises():
+    model = load_feeder(balanced_doc())
+    p = np.full((4, 3), -0.2)
+    q = np.full((4, 3), -0.05)
+    solve_nonlinear_pf(model, p, q)  # the feasible rows alone solve
+    p[2], q[2] = -60.0, -30.0
+    with pytest.raises(PowerFlowError):
+        solve_nonlinear_pf(model, p, q)
+
+
+@pytest.mark.parametrize(
+    "p_shape,q_shape",
+    [((4, 4), (4, 4)), ((4, 3), (3, 3)), ((4, 3), (3,)), ((2, 4, 3), (2, 4, 3))],
+)
+def test_bad_stack_shapes_raise(p_shape, q_shape):
+    model = load_feeder(balanced_doc())  # n = 3
+    with pytest.raises(ValueError, match="shape"):
+        solve_nonlinear_pf(model, np.zeros(p_shape), np.zeros(q_shape))
+
+
+def test_counts_are_python_scalars():
+    """Span tracers sum and serialize these; numpy scalars break json.dumps."""
+    model = load_feeder(pv_doc())
+    p, q = anchor_injections(model)
+    for op in (solve_nonlinear_pf(model), solve_nonlinear_pf(model, np.tile(p, (3, 1)), np.tile(q, (3, 1)))):
+        assert type(op.iterations) is int
+        assert type(op.residual) is float
+
+
+def test_memory_cap_splits_the_stack_into_chunks(feeder_stack, monkeypatch):
+    model, index, p, q = feeder_stack
+    Y = assemble_ybus(model, index)
+    whole = solve_nonlinear_pf(model, p, q, index=index, Y=Y)
+    chunks = []
+    newton = powerflow._newton
+
+    def recording(YLL, i_lin, v_flat, s_spec, *rest):
+        chunks.append(len(s_spec))
+        return newton(YLL, i_lin, v_flat, s_spec, *rest)
+
+    monkeypatch.setattr(powerflow, "_newton", recording)
+    solve_nonlinear_pf(model, p, q, index=index, Y=Y)
+    assert chunks == [STACK_ROWS]  # the default budget holds the whole stack
+    chunks.clear()
+    monkeypatch.setattr(
+        powerflow, "NEWTON_STACK_BYTES", 3 * powerflow.ROW_BYTES_PER_NODE2 * index.n**2
+    )
+    capped = solve_nonlinear_pf(model, p, q, index=index, Y=Y)
+    assert chunks == [3] * (STACK_ROWS // 3)
+    assert np.max(np.abs(capped.vm - whole.vm)) <= 1e-12
+    assert capped.iterations == whole.iterations
