@@ -17,15 +17,24 @@ coefficients plus optional slot-linear contributions to coefficients and
 right-hand side.  Fixing all slots yields an ordinary LP; leaving them
 symbolic is what the single-level reformulation consumes.
 
-With the slots fixed, ``MaterializedFollower.solve`` solves constant-pf
-followers and constant-q followers with a fixed q_set in closed form.  Their
-mode rows tie each node's q_gen to that node's own Δp_gen, and |v| is an
-affine function of the device deviations, so the follower maximizes a linear
-gain over per-node device intervals under the one aggregate row: a
-fractional knapsack, which filling devices in order of gain solves exactly
-(Dantzig 1957).  The fill also gives exact row and bound duals.  Constant-q
-followers with free q_gen and volt-var followers (whose droop rows couple
-q_gen to |v| at the node) are solved by HiGHS.
+With the slots fixed, ``MaterializedFollower.solve`` solves every follower
+in closed form.  |v| is an affine function of the device deviations and the
+aggregate row is the only row coupling nodes' active power, so each mode
+reduces to a fractional knapsack, which filling devices in order of gain
+solves exactly (Dantzig 1957):
+
+* constant-pf and fixed-q constant-q: the mode row ties each node's q_gen to
+  its own Δp_gen (``_Knapsack``);
+* free-q constant-q: each node's best q_gen is the end of its cone, box and
+  capability range that its gain prefers, a concave piecewise-linear function
+  of Δp_gen, so each node's Δp_gen splits into segments of falling gain
+  (``_FreeQ``);
+* volt-var: at fixed q̄ the droop rows are solved for q_gen, which turns the
+  target row of the sensitivities into transformed gains (``_VoltVar``).
+
+Each fill also gives exact row and bound duals.  HiGHS is kept as a fallback
+for the one case the closed forms cannot certify, a volt-var point that
+leaves the q_gen box or a capability row (and for inconsistent device data).
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .feeder import (
     MODE_VOLT_VAR,
     BusPhaseIndex,
     FeederModel,
+    assemble_ybus,
     index_nodes,
 )
 from .lp import (
@@ -90,7 +100,7 @@ _SCENARIO_NUMBER = {
 SLOT_DP_PLUS = "dp_plus"
 SLOT_DP_MINUS = "dp_minus"
 
-CLOSED_FORM = "closed-form"  # ``DualCertificate.method`` of the knapsack solve
+CLOSED_FORM = "closed-form"  # ``DualCertificate.method`` of the closed-form solves
 FEAS_TOL = 1e-7  # row slack the closed form tolerates, HiGHS's primal feasibility default
 
 
@@ -196,6 +206,7 @@ class FlexContext:
 
     feeder: FeederModel
     index: BusPhaseIndex
+    ybus: np.ndarray  # bus admittance matrix in ``index`` order
     anchor: OperatingPoint
     lpf: LinearPFModel
     taylor: MagnitudeTaylor
@@ -215,17 +226,19 @@ def build_context(
     v_max: float = 1.1,
     anchor: OperatingPoint | None = None,
 ) -> FlexContext:
-    """Solve the anchor power flow and assemble the linearized models."""
+    """Assemble the admittance matrix once, solve the anchor power flow and
+    assemble the linearized models."""
     if not v_min < v_max:
         raise ValueError("need v_min < v_max")
     index = index_nodes(model)
+    ybus = assemble_ybus(model, index)
     if anchor is None:
-        anchor = solve_nonlinear_pf(model, index=index)
-    lpf = build_fixed_point_model(model, anchor)
+        anchor = solve_nonlinear_pf(model, index=index, Y=ybus)
+    lpf = build_fixed_point_model(model, anchor, Y=ybus)
     taylor = magnitude_taylor(anchor)
     devices = build_devices(model, index)
     return FlexContext(
-        feeder=model, index=index, anchor=anchor, lpf=lpf,
+        feeder=model, index=index, ybus=ybus, anchor=anchor, lpf=lpf,
         taylor=taylor, devices=devices, v_min=v_min, v_max=v_max,
     )
 
@@ -534,108 +547,154 @@ def _instantiate(row: ParamRow, slots: dict[str, float]) -> tuple[np.ndarray, np
 class MaterializedFollower:
     """One follower at fixed slots, solved for any target node and band edge.
 
-    Constant-pf followers and constant-q followers with a fixed q_set are
-    solved in closed form (``_Knapsack``): their mode rows pin each node's
-    reactive output to its own active power, so the aggregate row is the
-    only row coupling nodes and the follower is a fractional knapsack.  The
-    closed form returns the same optimum and a full dual certificate (row
-    and bound duals in ``problem.rows`` and variable order), so strong
-    duality and the single-level completion read it as they read HiGHS.
-    Every other follower (free-q constant-q, volt-var) goes to HiGHS through
-    the materialized arrays ``mat``.  Both paths support the cheap mutations
-    the screening loops need: swapping the target node (objective), moving
-    the aggregate-row bound (rhs) and re-slotting (``set_slots`` rewrites
-    only the slot-bearing entries).
+    ``solve`` swaps the target node (objective) and the aggregate-row bound
+    (rhs) and solves in closed form (``_closed_form``).  Every closed form
+    returns the LP's optimum with a full dual certificate (row and bound
+    duals in ``problem.rows`` and variable order), so strong duality, the
+    single-level completion and the band-edge walk read it as they read
+    HiGHS.  When a closed form cannot certify its point, the solve falls
+    back to HiGHS on ``mat``, the arrays of ``problem.to_lp(slots)``: they
+    are built on the first fallback and ``set_slots`` drops them.
     """
 
     def __init__(self, problem: FollowerProblem, slots: dict[str, float]):
         self.problem = problem
-        lp = problem.to_lp(slots)
-        self.slots = {s: slots[s] for s in problem.slot_names}
-        self.mat: MaterializedLP = lp.materialize()
-        agg = problem.row_index("agg")
-        self._agg_row = agg
-        # Position of the aggregate row inside the folded <= block.
-        pos = np.flatnonzero(self.mat.ub_rows == agg)
-        self._agg_pos = int(pos[0]) if pos.size else None
-        self._b_orig = self.mat.ub_sign * self.mat.b_ub  # original-convention rhs
-        self._coeff_sites, self._rhs_sites = self._slot_sites()
-        separable = problem.mode == MODE_CONSTANT_PF or (
-            problem.mode == MODE_CONSTANT_Q and problem.fix_q
-        )
-        self._knapsack = _Knapsack(problem, self.slots) if separable else None
-
-    def _slot_sites(self) -> tuple[list, list]:
-        """Where each slot term lands in the materialized arrays.
-
-        Coefficient sites are (data array, position, sign, fixed part, terms)
-        and rhs sites (b array, position, sign, row); the sign is the >= row
-        folding.  Positions are stable: the CSR keeps explicit zeros.
-        """
-        mat = self.mat
-        place = {int(r): (mat.A_eq, mat.b_eq, i, 1.0) for i, r in enumerate(mat.eq_rows)}
-        for i, (r, sign) in enumerate(zip(mat.ub_rows, mat.ub_sign)):
-            place[int(r)] = (mat.A_ub, mat.b_ub, i, float(sign))
-        coeff_sites, rhs_sites = [], []
-        for r, row in enumerate(self.problem.rows):
-            if not (row.coeff_slots or row.rhs_slots):
-                continue
-            A, b, i, sign = place[r]
-            if row.rhs_slots:
-                rhs_sites.append((b, i, sign, row))
-            terms: dict[int, list[tuple[str, float]]] = {}
-            for var, slot, c in row.coeff_slots:
-                terms.setdefault(var, []).append((slot, c))
-            cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-            for var, var_terms in terms.items():
-                p = int(A.indptr[i] + np.flatnonzero(cols == var)[0])
-                fixed = sign * float(np.sum(row.val[row.idx == var]))
-                coeff_sites.append((A.data, p, sign, fixed, var_terms))
-        return coeff_sites, rhs_sites
+        self._agg_row = problem.row_index("agg")
+        self._closed = _closed_form(problem)
+        self.set_slots(slots)
 
     def set_slots(self, slots: dict[str, float]) -> None:
-        """Re-slot in place: the same LP ``problem.materialize(slots)`` builds."""
-        values = {s: slots[s] for s in self.problem.slot_names}
-        for data, p, sign, fixed, terms in self._coeff_sites:
-            v = fixed
-            for slot, c in terms:
-                v += sign * (c * values[slot])
-            data[p] = v
-        for b, i, sign, row in self._rhs_sites:
-            rhs = row.rhs
-            for slot, c in row.rhs_slots:
-                rhs += c * values[slot]
-            b[i] = sign * float(rhs)
-        self.slots = values
-        self._b_orig = self.mat.ub_sign * self.mat.b_ub
-        if self._knapsack is not None:
-            self._knapsack.set_slots(values)
+        """Re-slot in place: the follower ``problem.materialize(slots)`` builds."""
+        self.slots = {s: slots[s] for s in self.problem.slot_names}
+        self._mat: MaterializedLP | None = None
+        self._closed.set_slots(self.slots)
+
+    @property
+    def mat(self) -> MaterializedLP:
+        """HiGHS arrays of the LP at the current slots, built on first use."""
+        if self._mat is None:
+            self._mat = self.problem.to_lp(self.slots).materialize()
+        return self._mat
 
     def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
         p = self.problem
-        if self._knapsack is not None:
-            return self._knapsack.solve(
-                p.scenario.node if node is None else node,
-                self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound,
-            )
-        c = None
-        if node is not None and node != p.scenario.node:
-            c = np.zeros(p.n_vars)
-            c[p.i_vm(node)] = p.scenario.sigma
-        b_ub = None
-        if dp_bound is not None:
-            if self._agg_pos is None:
-                raise RuntimeError("aggregate row is not an inequality row")
-            b_ub = self._b_orig.copy()
-            b_ub[self._agg_pos] = dp_bound
-        return solve_materialized(self.mat, c=c, b_ub=b_ub)
+        node = p.scenario.node if node is None else node
+        edge = self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound
+        cert = self._closed.solve(node, edge)
+        if cert is not None:
+            return cert
+        mat = self.mat
+        c = np.zeros(p.n_vars)
+        c[p.i_vm(node)] = p.scenario.sigma
+        b_ub = mat.ub_sign * mat.b_ub  # back in the original row convention
+        b_ub[mat.ub_rows == self._agg_row] = edge
+        return solve_materialized(mat, c=c, b_ub=b_ub)
 
     def agg_dual(self, cert: DualCertificate) -> float:
         """Sensitivity of the objective to the aggregate bound."""
         return float(cert.row_duals[self._agg_row])
 
 
-class _Knapsack:
+def _closed_form(problem: FollowerProblem) -> "_ClosedForm":
+    """The closed-form solve of the follower's mode."""
+    if problem.mode == MODE_VOLT_VAR:
+        return _VoltVar(problem)
+    if problem.mode == MODE_CONSTANT_Q and not problem.fix_q:
+        return _FreeQ(problem)
+    return _Knapsack(problem)
+
+
+class _ClosedForm:
+    """What the closed-form solves share.
+
+    Each reduces the follower at fixed slots to a fractional knapsack over
+    z = sign·(Δp_gen, -Δp_load), sign = +1 under positive activation and -1
+    under negative, so the aggregate row reads sum(z) <= sign·edge for
+    either activation.  ``solve`` returns the optimum with its certificate,
+    an infeasible certificate, or None when the closed form cannot certify
+    the point (the caller then asks HiGHS).
+    """
+
+    def __init__(self, problem: FollowerProblem):
+        p = self.problem = problem
+        nodes = np.arange(p.n)
+        self.inv = np.array(p.ctx.devices.inverter_nodes, dtype=np.int64)
+        self._row = {r.name: i for i, r in enumerate(p.rows)}
+        self.agg_row = self._row["agg"]
+        self.vm_rows = self.rows("vm", nodes)
+        self.sign = 1.0 if p.scenario.activation == POSITIVE else -1.0
+        # Variables whose reduced cost goes to the bound they sit at: all but
+        # the free |v| and the columns a subclass balances on its own rows.
+        self.box_only = np.ones(p.n_vars, dtype=bool)
+        self.box_only[p.i_vm(nodes)] = False
+
+    def rows(self, name: str, nodes: np.ndarray | None = None) -> np.ndarray:
+        """Positions of the rows ``name[k]`` over ``nodes`` (default: the inverter nodes)."""
+        nodes = self.inv if nodes is None else nodes
+        return np.array([self._row[f"{name}[{k}]"] for k in nodes], dtype=np.int64)
+
+    def set_slots(self, slots: dict[str, float]) -> None:
+        pass
+
+    def z_box(self, g_lo: np.ndarray, g_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds of z from per-node Δp_gen intervals and Δp_load's box."""
+        p = self.problem
+        loads = p.i_dpl(np.arange(p.n))
+        l_lo, l_hi = p.lb[loads], p.ub[loads]
+        if self.sign > 0:
+            return np.concatenate([g_lo, -l_hi]), np.concatenate([g_hi, -l_lo])
+        return np.concatenate([-g_hi, l_lo]), np.concatenate([-g_lo, l_hi])
+
+    def fill(self, gain: np.ndarray, lo: np.ndarray, hi: np.ndarray, edge: float):
+        """``_fill`` over z for gains per unit of z's own variable (Δp_gen, or
+        load shed); returns z and the aggregate row's dual, or None."""
+        out = _fill(self.sign * gain, lo, hi, self.sign * edge)
+        if out is None:
+            return None
+        z, mu = out
+        return z, self.sign * mu
+
+    def certificate(self, node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q):
+        """The point of these device deviations and its certificate.
+
+        The vm rows take σy (y: the target row's weights on the
+        sensitivities), agg its dual, and each box-only variable's reduced
+        cost goes to the bound it sits at.  Also returns the duals as
+        [row duals, lower, upper] and the reduced costs, for the subclass to
+        place the rest.
+        """
+        p, n = self.problem, self.problem.n
+        nodes = np.arange(n)
+        sigma = p.scenario.sigma
+        x = np.zeros(p.n_vars)
+        x[p.i_vm(nodes)] = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ q
+        x[p.i_dpg(nodes)], x[p.i_dpl(nodes)], x[p.i_qg(nodes)] = dpg, dpl, q
+        n_rows, n_vars = len(p.rows), p.n_vars
+        duals = np.zeros(n_rows + 2 * n_vars)
+        lower = duals[n_rows:n_rows + n_vars]
+        upper = duals[n_rows + n_vars:]
+        duals[self.vm_rows] = sigma * y
+        duals[self.agg_row] = agg_dual
+        reduced = np.zeros(n_vars)
+        reduced[p.i_dpg(nodes)] = gain_g - agg_dual
+        reduced[p.i_dpl(nodes)] = agg_dual - gain_l
+        reduced[p.i_qg(nodes)] = gain_q
+        box = self.box_only
+        lower[box] = np.minimum(reduced[box], 0.0)
+        upper[box] = np.maximum(reduced[box], 0.0)
+        cert = DualCertificate(
+            status=OPTIMAL,
+            objective=float(sigma * x[p.i_vm(node)]),
+            x=x,
+            row_duals=duals[:n_rows],
+            lower_duals=lower,
+            upper_duals=upper,
+            method=CLOSED_FORM,
+        )
+        return cert, duals, reduced
+
+
+class _Knapsack(_ClosedForm):
     """Closed-form solve of a follower whose only cross-node row is ``agg``.
 
     Substituting |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen and the
@@ -652,18 +711,10 @@ class _Knapsack:
     dual-feasibility rows as well as strong duality.
     """
 
-    def __init__(self, problem: FollowerProblem, slots: dict[str, float]):
-        p = problem
-        n, dev = p.n, p.ctx.devices
-        self.problem = p
-        nodes = np.arange(n)
-        self.inv = inv = np.array(dev.inverter_nodes, dtype=np.int64)
-        rows = {r.name: i for i, r in enumerate(p.rows)}
-        self.agg_row = rows["agg"]
-        self.vm_rows = np.array([rows[f"vm[{k}]"] for k in nodes], dtype=np.int64)
-        mode_row = "pfq" if p.mode == MODE_CONSTANT_PF else "qfix"
-        self.mode_rows = np.array([rows[f"{mode_row}[{k}]"] for k in inv], dtype=np.int64)
-        self.sign = 1.0 if p.scenario.activation == POSITIVE else -1.0  # agg row <= or >=
+    def __init__(self, problem: FollowerProblem):
+        super().__init__(problem)
+        p, inv = self.problem, self.inv
+        self.mode_rows = self.rows("pfq" if p.mode == MODE_CONSTANT_PF else "qfix")
 
         # Constraints on an inverter node's (Δp_gen, q_gen), a·Δp_gen + e·q_gen <= b:
         # both bounds of each variable, then the node's inequality rows.  Each
@@ -680,7 +731,7 @@ class _Knapsack:
         ]
         names = ("cap_hi", "cap_lo") + (("cq_hi", "cq_lo") if p.mode == MODE_CONSTANT_Q else ())
         for name in names:
-            r = np.array([rows[f"{name}[{k}]"] for k in inv], dtype=np.int64)
+            r = self.rows(name)
             a = np.array([p.rows[i].val[p.rows[i].idx == v].sum() for i, v in zip(r, dpg)])
             e = np.array([p.rows[i].val[p.rows[i].idx == v].sum() for i, v in zip(r, qg)])
             cols.append((a, e, np.array([p.rows[i].rhs for i in r]), r, 1.0))
@@ -688,12 +739,7 @@ class _Knapsack:
             np.stack([c[i] for c in cols], axis=1) for i in range(4)
         )
         self.dual_sign = np.array([c[4] for c in cols])
-        # Variables whose reduced cost goes to the bound they sit at: all but
-        # the free |v| and the inverter nodes' Δp_gen and q_gen (columns above).
-        self.box_only = np.ones(n_vars, dtype=bool)
-        self.box_only[p.i_vm(nodes)] = False
         self.box_only[dpg] = self.box_only[qg] = False
-        self.set_slots(slots)
 
     def set_slots(self, slots: dict[str, float]) -> None:
         """Fold each inverter node's rows into its Δp_gen interval at these setpoints."""
@@ -724,57 +770,34 @@ class _Knapsack:
         self.ap = ap
         self.kappa, self.q0 = np.zeros(n), np.zeros(n)
         self.kappa[inv], self.q0[inv] = kappa, q0
-        nodes = np.arange(n)
-        g_lo, g_hi = p.lb[p.i_dpg(nodes)].copy(), p.ub[p.i_dpg(nodes)].copy()
+        gens = p.i_dpg(np.arange(n))
+        g_lo, g_hi = p.lb[gens].copy(), p.ub[gens].copy()
         g_lo[inv], g_hi[inv] = lo, hi
-        l_lo, l_hi = p.lb[p.i_dpl(nodes)], p.ub[p.i_dpl(nodes)]
-        # Knapsack variables z = sign·(Δp_gen, -Δp_load), so the aggregate row
-        # reads sum(z) <= sign·edge for either activation.
-        if self.sign > 0:
-            self.z_lo, self.z_hi = np.concatenate([g_lo, -l_hi]), np.concatenate([g_hi, -l_lo])
-        else:
-            self.z_lo, self.z_hi = np.concatenate([-g_hi, l_lo]), np.concatenate([-g_lo, l_hi])
+        self.z_lo, self.z_hi = self.z_box(g_lo, g_hi)
 
     def solve(self, node: int, edge: float) -> DualCertificate:
         p, inv, n = self.problem, self.inv, self.problem.n
         if not self.feasible:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
-        sigma, sign = p.scenario.sigma, self.sign
+        sigma = p.scenario.sigma
         gain_g = sigma * (p.s_p[node] + self.kappa * p.s_q[node])  # per unit Δp_gen
         gain_l = sigma * p.s_l[node]  # per unit of load shed, -Δp_load
-        fill = _fill(sign * np.concatenate([gain_g, gain_l]), self.z_lo, self.z_hi, sign * edge)
+        gain_q = sigma * p.s_q[node]
+        fill = self.fill(np.concatenate([gain_g, gain_l]), self.z_lo, self.z_hi, edge)
         if fill is None:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
-        z, mu = fill
-        agg_dual = sign * mu
-        nodes = np.arange(n)
-        dpg, dpl = sign * z[:n], -sign * z[n:]
+        z, agg_dual = fill
+        dpg, dpl = self.sign * z[:n], -self.sign * z[n:]
         # q_gen is pinned by the mode row at inverter nodes and sits at the
         # better end of its box elsewhere.
-        gain_q = sigma * p.s_q[node]
-        qg = p.i_qg(nodes)
+        qg = p.i_qg(np.arange(n))
         q = np.where(gain_q > 0.0, p.ub[qg], p.lb[qg])
         q[inv] = self.q0[inv] + self.kappa[inv] * dpg[inv]
-        x = np.zeros(p.n_vars)
-        x[p.i_vm(nodes)] = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ q
-        x[p.i_dpg(nodes)], x[p.i_dpl(nodes)], x[qg] = dpg, dpl, q
-
-        # Duals as [row duals, lower, upper]; reduced costs of box-only
-        # variables go to the bound they sit at.
-        n_rows = len(p.rows)
-        duals = np.zeros(n_rows + 2 * p.n_vars)
-        row_duals = duals[:n_rows]
-        lower = duals[n_rows:n_rows + p.n_vars]
-        upper = duals[n_rows + p.n_vars:]
-        row_duals[self.vm_rows[node]] = sigma
-        row_duals[self.agg_row] = agg_dual
-        reduced = np.zeros(p.n_vars)
-        reduced[p.i_dpg(nodes)] = gain_g - agg_dual
-        reduced[p.i_dpl(nodes)] = agg_dual - gain_l
-        reduced[qg] = gain_q
-        box_only = self.box_only
-        lower[box_only] = np.minimum(reduced[box_only], 0.0)
-        upper[box_only] = np.maximum(reduced[box_only], 0.0)
+        y = np.zeros(n)
+        y[node] = 1.0
+        cert, duals, reduced = self.certificate(
+            node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q
+        )
         # At an inverter node the Δp_gen reduced cost goes to the column
         # defining the interval end it sits at; the mode row balances q_gen.
         r = reduced[p.i_dpg(inv)]
@@ -782,16 +805,220 @@ class _Knapsack:
         col = np.where(r > 0.0, self.c_hi, self.c_lo)
         mult = r / self.ap[m, col]
         duals[self.target[m, col]] += self.dual_sign[col] * mult
-        row_duals[self.mode_rows] = gain_q[inv] - mult * self.e[m, col]
-        return DualCertificate(
-            status=OPTIMAL,
-            objective=float(sigma * x[p.i_vm(node)]),
-            x=x,
-            row_duals=row_duals,
-            lower_duals=lower,
-            upper_duals=upper,
-            method=CLOSED_FORM,
+        duals[self.mode_rows] = gain_q[inv] - mult * self.e[m, col]
+        return cert
+
+
+class _VoltVar(_ClosedForm):
+    """Closed-form solve of a volt-var follower at fixed q̄.
+
+    With u = s_p·Δp_gen - s_l·Δp_load the sensitivity rows read
+    |v| = m0 + u + s_q·q_gen, and at the inverter nodes I the droop rows
+    q_I = Q̄(c - d·|v|_I), d = 2/(v_max - v_min), c = (v_max + v_min)/(v_max - v_min),
+    solve to q_I = A⁻¹(Q̄(c - d·m0_I) - d·Q̄·u_I) with A = I + d·Q̄·s_q[I,I].
+    So |v_t| is affine in u with weights y = e_t - E_I·(d·Q̄·w), Aᵀw = s_q[t,I]ᵀ,
+    and without the q_gen box and the capability rows the follower is a
+    fractional knapsack over the device boxes, with gains σ·s_pᵀy per unit
+    Δp_gen and σ·s_lᵀy per unit of load shed.  The certificate puts σy on
+    the vm rows, σ(s_qᵀy)_I on the droop rows (which zeroes q_gen's reduced
+    cost at I), the fill's dual on agg and nothing on the q_gen box and the
+    capability rows.  It is exact when the fill's point meets those; when it
+    does not, or A is singular, ``solve`` returns None.  The fill solves a
+    relaxation of the LP, so an infeasible fill is an infeasible LP.
+    """
+
+    def __init__(self, problem: FollowerProblem):
+        super().__init__(problem)
+        p, inv = self.problem, self.inv
+        ctx, dev = p.ctx, p.ctx.devices
+        band = ctx.v_max - ctx.v_min
+        self.d, self.c = 2.0 / band, (ctx.v_max + ctx.v_min) / band
+        self.vv_rows = self.rows("vv")
+        self.s_q_ii = p.s_q[np.ix_(inv, inv)]
+        gens = p.i_dpg(np.arange(p.n))
+        self.z_lo, self.z_hi = self.z_box(p.lb[gens], p.ub[gens])
+        self.q_cap = dev.s_cap[inv]
+        self.pq_cap = math.sqrt(2.0) * dev.s_cap[inv] - dev.p_gen0[inv]  # capability rows' rhs
+        self.box_only[p.i_qg(inv)] = False
+
+    def set_slots(self, slots: dict[str, float]) -> None:
+        """Solve the droop system at these q̄ once: q_I = q0 - K·u_I, K = A⁻¹·d·Q̄."""
+        p, inv = self.problem, self.inv
+        qbar = np.array([slots[slot_qbar(k)] for k in inv], dtype=float)
+        dq = self.d * qbar
+        a = np.eye(inv.size) + dq[:, None] * self.s_q_ii
+        rhs = np.column_stack([qbar * (self.c - self.d * p.m0[inv]), np.diag(dq)])
+        try:
+            sol = np.linalg.solve(a, rhs) if inv.size else rhs
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is None or not np.all(np.isfinite(sol)):
+            self.q0 = self.k = None
+        else:
+            self.q0, self.k = sol[:, 0], sol[:, 1:]
+
+    def solve(self, node: int, edge: float) -> DualCertificate | None:
+        if self.k is None:
+            return None
+        p, inv, n = self.problem, self.inv, self.problem.n
+        sigma = p.scenario.sigma
+        y = np.zeros(n)
+        y[node] = 1.0
+        y[inv] -= self.k.T @ p.s_q[node, inv]  # d·Q̄·w = Kᵀ·s_q[t,I]ᵀ
+        gain_g, gain_l, gain_q = sigma * (y @ p.s_p), sigma * (y @ p.s_l), sigma * (y @ p.s_q)
+        fill = self.fill(np.concatenate([gain_g, gain_l]), self.z_lo, self.z_hi, edge)
+        if fill is None:
+            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
+        z, agg_dual = fill
+        dpg, dpl = self.sign * z[:n], -self.sign * z[n:]
+        q = np.zeros(n)
+        q[inv] = self.q0 - self.k @ (p.s_p[inv] @ dpg - p.s_l[inv] @ dpl)
+        q_abs = np.abs(q[inv])
+        if np.any(q_abs > self.q_cap + FEAS_TOL) or np.any(dpg[inv] + q_abs > self.pq_cap + FEAS_TOL):
+            return None
+        cert, duals, _ = self.certificate(node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q)
+        duals[self.vv_rows] = gain_q[inv]
+        return cert
+
+
+class _FreeQ(_ClosedForm):
+    """Closed-form solve of a constant-q follower with free q_gen (screening).
+
+    An inverter node's q_gen range is symmetric, |q_gen| <= h(Δp_gen) with
+    h = min(γ(p_gen0 + Δp_gen), s_cap, √2·s_cap - p_gen0 - Δp_gen) from the
+    cone rows, the q_gen bounds and the capability rows.  So its best q_gen
+    is sign(g_q)·h, g_q = σ·s_q[t,k], and the node's gain
+    g_x·Δp_gen + |g_q|·h(Δp_gen) is concave and piecewise linear: its
+    Δp_gen box splits at the kinks of h into up to three segments of falling
+    marginal gain, each defined by one of the three constraints on the side
+    g_q prefers, and the greedy fill over the segments stays exact.  In the
+    certificate, |g_q| (q_gen's reduced cost) goes to the constraint that
+    defines h where the fill leaves Δp_gen, and the rest of Δp_gen's reduced
+    cost to the box bound it sits at.  At a kink the two segments'
+    constraints share |g_q| so that the Δp_gen column balances.
+    """
+
+    def __init__(self, problem: FollowerProblem):
+        super().__init__(problem)
+        p, inv, dev = self.problem, self.inv, self.problem.ctx.devices
+        m, n_rows, n_vars = inv.size, len(p.rows), p.n_vars
+        gamma, p0, s = dev.gamma_const[inv], dev.p_gen0[inv], dev.s_cap[inv]
+        # h = min over pieces j (cone, q_gen bound, capability row) of
+        # b_j - a_j·Δp_gen; the pieces' slopes -a_j fall with j.
+        self.a = np.column_stack([-gamma, np.zeros(m), np.ones(m)])
+        self.b = np.column_stack([gamma * p0, s, math.sqrt(2.0) * s - p0])
+        dpg, qg = p.i_dpg(inv), p.i_qg(inv)
+        lo, hi = p.lb[dpg], p.ub[dpg]
+        # h is concave, so it is >= 0 on the box when it is at both ends (it
+        # is for any parsed inverter: s_cap > 0 and 0 <= p_gen0 <= s_cap).
+        self.ok = bool(np.all(self._h(lo) >= -FEAS_TOL) and np.all(self._h(hi) >= -FEAS_TOL))
+        # Where a piece's multiplier lands in [row duals, lower, upper], and
+        # its sign there, with q_gen at +h (side 0) or at -h (side 1).
+        self.target = np.stack([
+            np.column_stack([self.rows("cq_hi"), n_rows + n_vars + qg, self.rows("cap_hi")]),
+            np.column_stack([self.rows("cq_lo"), n_rows + qg, self.rows("cap_lo")]),
+        ], axis=2)
+        self.dual_sign = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+        # Segments per node in z order, padded to three: their pieces and z
+        # ranges (the first starts at the node's z, the others at 0).
+        self.piece = np.zeros((m, 3), dtype=np.int64)
+        self.valid = np.zeros((m, 3), dtype=bool)
+        self.seg_lo, self.seg_hi = np.zeros((m, 3)), np.zeros((m, 3))
+        for i in range(m):
+            segments = _envelope(self.a[i], self.b[i], lo[i], hi[i])
+            if self.sign < 0:
+                segments = [(-x1, -x0, j) for x0, x1, j in reversed(segments)]
+            for s_i, (z0, z1, j) in enumerate(segments):
+                self.piece[i, s_i], self.valid[i, s_i] = j, True
+                self.seg_lo[i, s_i] = z0 if s_i == 0 else 0.0
+                self.seg_hi[i, s_i] = z1 if s_i == 0 else z1 - z0
+        # Knapsack items: Δp_gen at nodes without an inverter, the segments, Δp_load.
+        nodes = np.arange(p.n)
+        self.other = np.setdiff1d(nodes, inv)
+        z_lo, z_hi = self.z_box(p.lb[p.i_dpg(nodes)], p.ub[p.i_dpg(nodes)])
+        self.item_lo = np.concatenate([z_lo[self.other], self.seg_lo[self.valid], z_lo[p.n:]])
+        self.item_hi = np.concatenate([z_hi[self.other], self.seg_hi[self.valid], z_hi[p.n:]])
+        self.box_only[dpg] = self.box_only[qg] = False
+
+    def _h(self, x: np.ndarray) -> np.ndarray:
+        """h at each inverter node's Δp_gen."""
+        return np.min(self.b - self.a * x[:, None], axis=1)
+
+    def solve(self, node: int, edge: float) -> DualCertificate | None:
+        if not self.ok:
+            return None
+        p, inv, n = self.problem, self.inv, self.problem.n
+        sigma = p.scenario.sigma
+        m = np.arange(inv.size)
+        gain_g, gain_l, gain_q = sigma * p.s_p[node], sigma * p.s_l[node], sigma * p.s_q[node]
+        g_abs = np.abs(gain_q[inv])
+        seg_gain = gain_g[inv, None] - g_abs[:, None] * self.a[m[:, None], self.piece]
+        fill = self.fill(
+            np.concatenate([gain_g[self.other], seg_gain[self.valid], gain_l]),
+            self.item_lo, self.item_hi, edge,
         )
+        if fill is None:
+            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
+        z, agg_dual = fill
+        n_other, n_seg = self.other.size, int(self.valid.sum())
+        zs = np.zeros(self.valid.shape)
+        zs[self.valid] = z[n_other:n_other + n_seg]
+        dpg = np.zeros(n)
+        dpg[self.other] = self.sign * z[:n_other]
+        dpg[inv] = self.sign * zs.sum(axis=1)
+        dpl = -self.sign * z[n_other + n_seg:]
+        side = (gain_q[inv] < 0.0).astype(np.int64)
+        q = np.zeros(n)
+        q[inv] = (1.0 - 2.0 * side) * self._h(dpg[inv])
+        y = np.zeros(n)
+        y[node] = 1.0
+        cert, duals, reduced = self.certificate(
+            node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q
+        )
+        # The fill leaves a node's segments full up to one partial segment (or
+        # a kink); ``cur`` is the segment defining h there, ``nxt`` the one after.
+        full = self.valid & (zs >= self.seg_hi)
+        partial = self.valid & ~full & (zs > self.seg_lo)
+        n_full, n_valid = full.sum(axis=1), self.valid.sum(axis=1)
+        has_partial = partial.any(axis=1)
+        cur = np.where(has_partial, partial.argmax(axis=1), np.maximum(n_full - 1, 0))
+        kink = ~has_partial & (n_full > 0) & (n_full < n_valid)
+        nxt = np.minimum(n_full, 2)
+        j_cur, j_nxt = self.piece[m, cur], self.piece[m, nxt]
+        a_cur, a_nxt = self.a[m, j_cur], self.a[m, j_nxt]
+        r = reduced[p.i_dpg(inv)] - a_cur * g_abs  # left for the Δp_gen bounds
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pi_nxt = np.where(kink, r / (a_nxt - a_cur), 0.0)
+        duals[self.target[m, j_cur, side]] += self.dual_sign[j_cur, side] * (g_abs - pi_nxt)
+        duals[self.target[m, j_nxt, side]] += self.dual_sign[j_nxt, side] * pi_nxt
+        r = np.where(kink | has_partial, 0.0, r)
+        n_rows = len(p.rows)
+        duals[n_rows + p.i_dpg(inv)] = np.minimum(r, 0.0)
+        duals[n_rows + p.n_vars + p.i_dpg(inv)] = np.maximum(r, 0.0)
+        return cert
+
+
+def _envelope(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[tuple[float, float, int]]:
+    """Pieces of h(x) = min_j (b_j - a_j·x) on [lo, hi] as (start, end, j) in
+    increasing x; one zero-length piece when the interval is a point."""
+    x = lo
+    j = min(range(len(a)), key=lambda i: (b[i] - a[i] * x, -a[i]))
+    pieces = []
+    while True:
+        # The next kink: the first crossing by a line that falls faster.
+        end, nxt = hi, None
+        for i in range(len(a)):
+            if a[i] > a[j]:
+                t = (b[i] - b[j]) / (a[i] - a[j])
+                if t <= end:
+                    end, nxt = t, i
+        if end > x or not pieces:
+            pieces.append((x, max(end, x), j))
+        if nxt is None or end >= hi:
+            break
+        x, j = end, nxt
+    return [pc for pc in pieces if pc[1] > pc[0]] or pieces[:1]
 
 
 def _fill(gain: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: float):

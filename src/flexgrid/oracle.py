@@ -22,7 +22,6 @@ from .feeder import (
     MODE_CONSTANT_PF,
     MODE_CONSTANT_Q,
     MODE_VOLT_VAR,
-    assemble_ybus,
 )
 from .follower import (
     ACTIVATIONS,
@@ -55,8 +54,9 @@ def linear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndar
 def nonlinear_magnitudes(
     ctx: FlexContext, p: np.ndarray, q: np.ndarray, *, Y: np.ndarray | None = None
 ) -> np.ndarray:
-    """Newton |v| of one injection profile ``(n,)`` or a stack ``(P, n)``."""
-    op = solve_nonlinear_pf(ctx.feeder, p, q, index=ctx.index, Y=Y)
+    """Newton |v| of one injection profile ``(n,)`` or a stack ``(P, n)``
+    (``Y`` defaults to the context's admittance matrix)."""
+    op = solve_nonlinear_pf(ctx.feeder, p, q, index=ctx.index, Y=ctx.ybus if Y is None else Y)
     return op.vm
 
 
@@ -120,7 +120,6 @@ def verify_decision(
     """
     if not ctx.n:
         return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
-    Y = assemble_ybus(ctx.feeder, ctx.index)
     fix_q = mode == MODE_CONSTANT_Q and any(
         s.startswith("qset") for s in decision.setpoints
     )
@@ -141,7 +140,7 @@ def verify_decision(
             x = np.array([cert.x for cert in certs]).reshape(ctx.n, problem.n_vars)
             p, q = problem.injections(x)
             vm_lin = linear_magnitudes(ctx, p, q)
-            vm_nl = nonlinear_magnitudes(ctx, p, q, Y=Y)
+            vm_nl = nonlinear_magnitudes(ctx, p, q)
             errors = np.max(np.abs(vm_lin - vm_nl), axis=1)
             excess = np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl), axis=1)
             profiles.append((vm_lin, vm_nl))
@@ -185,7 +184,7 @@ def _droop_voltages(
     qbar: np.ndarray,
     q_other: np.ndarray,
     *,
-    Y: np.ndarray,
+    Y: np.ndarray | None = None,
     max_iter: int = 100,
     tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -284,13 +283,12 @@ def brute_force_worst_voltage(
     q_load = dev.beta_load * (dev.p_load0 + dpl)
     head = np.sqrt(np.maximum(dev.s_cap**2 - pg**2, 0.0))
     inv = np.array(dev.inverter_nodes, dtype=int)
-    Y = assemble_ybus(ctx.feeder, ctx.index)
 
     # Inverter reactive output per mode, on the exact capability circle.
     if mode == MODE_VOLT_VAR:  # droop joins the physics
         qbar = np.zeros(n)
         qbar[inv] = [decision.setpoints[slot_qbar(k)] for k in inv]
-        vm, q = _droop_voltages(ctx, p, qbar, -q_load, Y=Y)
+        vm, q = _droop_voltages(ctx, p, qbar, -q_load)
         # NaN rows (droop never settled) fail the comparison and drop out.
         ok = np.all(np.abs(q + q_load) <= head + 1e-9, axis=1)
         vm, p, q = vm[ok], p[ok], q[ok]
@@ -316,7 +314,7 @@ def brute_force_worst_voltage(
             q_gen[:, inv] = combos.reshape(-1, len(inv))
         ok = np.all(np.abs(q_gen) <= head + 1e-9, axis=1)
         p, q = p[ok], (q_gen - q_load)[ok]
-        vm = nonlinear_magnitudes(ctx, p, q, Y=Y)
+        vm = nonlinear_magnitudes(ctx, p, q)
 
     points = len(vm)
     if points == 0:

@@ -1,13 +1,18 @@
-"""The closed-form follower solve against HiGHS.
+"""The closed-form follower solves against HiGHS.
 
-Constant-pf followers and constant-q followers with a fixed q_set are solved
-as fractional knapsacks inside ``MaterializedFollower.solve``.  The oracle
-shares no code with that path: HiGHS on the follower's plain LP from
-``problem.to_lp``, with the target node's objective.  Every closed-form
-certificate must also pass the LP-level checks the single-level
-completion relies on: strong duality, and dual feasibility of its row and
-bound duals (which ``verify_strong_duality`` does not test).
+Every follower mode is solved in closed form inside
+``MaterializedFollower.solve``: constant-pf and fixed-q constant-q
+followers as fractional knapsacks, free-q constant-q followers over
+segments of their concave node gains, and volt-var followers through the
+droop rows solved for q_gen.  The oracle shares no code with that path:
+HiGHS on the follower's plain LP from ``problem.to_lp``, with the target
+node's objective.  Every closed-form certificate must also pass the
+LP-level checks the single-level completion relies on: strong duality, and
+dual feasibility of its row and bound duals (which ``verify_strong_duality``
+does not test).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -38,6 +43,7 @@ from flexgrid.follower import (
     available_flexibility_bounds,
     build_follower,
     fix_worst_case_setpoints,
+    slot_qbar,
     slot_qset,
 )
 from flexgrid.lp import (
@@ -51,7 +57,13 @@ from flexgrid.lp import (
 )
 from flexgrid.oracle import verify_decision
 
-CLOSED_MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q)  # constant-q with fix_q=True
+# (mode, fix_q) of every follower kind the closed forms solve.
+FOLLOWER_KINDS = (
+    (MODE_CONSTANT_PF, False),
+    (MODE_CONSTANT_Q, True),
+    (MODE_CONSTANT_Q, False),
+    (MODE_VOLT_VAR, False),
+)
 
 
 def _pv_tight(pv_model):
@@ -132,24 +144,42 @@ class Oracle:
 
 
 def _breakpoint_edge(mf, node, edge):
-    """A band edge exactly where the fill at ``edge`` fills its partial device
-    (or, when no device is partial, where the fill stopped)."""
-    ks = mf._knapsack
-    cert = mf.solve(node=node, dp_bound=edge)
-    p = mf.problem
-    nodes = np.arange(p.n)
-    z = ks.sign * np.concatenate([cert.x[p.i_dpg(nodes)], -cert.x[p.i_dpl(nodes)]])
-    partial = np.flatnonzero((z > ks.z_lo + 1e-12) & (z < ks.z_hi - 1e-12))
-    used = float(np.sum(z))
-    if partial.size:
-        used += float(ks.z_hi[partial[0]] - z[partial[0]])
-    return ks.sign * used
+    """A band edge on a kink of F(s), the follower's objective at |band edge|
+    s: the first kink beyond |edge|, or the first beyond zero when F is
+    linear from |edge| on; None when there is neither.
+
+    F is concave and piecewise linear with the aggregate dual as its slope,
+    so the tangents at the two ends of an interval meet at or beyond its
+    first kink, and a point where F still lies on the left tangent is that
+    kink.  Only ``solve`` and ``agg_dual`` are read.
+    """
+    sign = 1.0 if mf.problem.scenario.activation == POSITIVE else -1.0
+    full = abs(mf.slots[mf.problem.scenario.dp_slot])
+
+    def tangent(s):
+        cert = mf.solve(node=node, dp_bound=sign * s)
+        return (cert.objective, sign * mf.agg_dual(cert)) if cert.is_optimal else None
+
+    for lo, hi in ((abs(edge), full), (0.0, abs(edge))):
+        ends = tangent(lo), tangent(hi)
+        if None in ends:
+            continue
+        (f_lo, g_lo), (f_hi, g_hi) = ends
+        for _ in range(20):
+            if g_lo - g_hi <= 1e-12:
+                break  # one piece: no kink inside
+            s = min(max((f_hi - f_lo + g_lo * lo - g_hi * hi) / (g_lo - g_hi), lo), hi)
+            f_s, g_s = tangent(s)
+            if f_s >= f_lo + g_lo * (s - lo) - 1e-12:
+                return sign * s
+            hi, f_hi, g_hi = s, f_s, g_s
+    return None
 
 
 def _check_certificate(oracle, mf, node, edge, where):
     want = oracle.solve(node, edge)
     got = mf.solve(node=node, dp_bound=edge)
-    assert got.method == CLOSED_FORM, where
+    assert got.method == CLOSED_FORM, where  # these draws never cut a volt-var optimum
     assert got.status == want.status, where
     if got.status == INFEASIBLE:
         return None
@@ -181,13 +211,14 @@ def test_closed_form_matches_highs(corpus, pv_model, ieee13_model):
         dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
         h = 1e-4 * max(dp_up, -dp_lo, 1e-3)
         stride = max(2, ctx.n // 4)  # difference quotients at two to four nodes per follower
-        for mode in CLOSED_MODES:
-            for sp_i, setpoints in enumerate(_setpoint_draws(rng, ctx, mode)):
+        for mode, fix_q in FOLLOWER_KINDS:
+            draws = _setpoint_draws(rng, ctx, mode) if fix_q or mode != MODE_CONSTANT_Q else [{}]
+            for sp_i, setpoints in enumerate(draws):
                 for activation in ACTIVATIONS:
                     full = dp_up if activation == POSITIVE else dp_lo
                     for extremum in EXTREMA:
                         problem = build_follower(ctx, Scenario(0, activation, extremum), mode,
-                                                 fix_q=mode == MODE_CONSTANT_Q)
+                                                 fix_q=fix_q)
                         slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
                         slots = {s: slots[s] for s in problem.slot_names}
                         mf = problem.materialize(slots)
@@ -196,9 +227,12 @@ def test_closed_form_matches_highs(corpus, pv_model, ieee13_model):
                             interior = float(rng.uniform(0.05, 0.95)) * full
                             edges = {"zero": 0.0, "full": full, "interior": interior}
                             if mf.solve(node=k, dp_bound=interior).is_optimal:
-                                edges["breakpoint"] = _breakpoint_edge(mf, k, interior)
+                                kink = _breakpoint_edge(mf, k, interior)
+                                if kink is not None:
+                                    edges["breakpoint"] = kink
                             for kind, edge in edges.items():
-                                where = (corpus, c_i, mode, sp_i, activation, extremum, k, kind)
+                                where = (corpus, c_i, mode, fix_q, sp_i, activation, extremum,
+                                         k, kind)
                                 cert = _check_certificate(oracle, mf, k, edge, where)
                                 if cert is not None and k % stride == 0:
                                     _check_subgradient(oracle, mf, k, edge, cert, h, where)
@@ -222,20 +256,25 @@ def test_q_set_outside_the_cone_is_infeasible_on_both_paths(pv_ctx, activation):
 
 
 def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatch):
-    """Constant-pf screening, feasibility and the Newton re-check on the 13-bus
-    feeder, and a fixed-q constant-q feasibility check, run without HiGHS."""
+    """Screening in every mode, feasibility and the Newton re-check in
+    constant-pf and volt-var on the 13-bus feeder, and a fixed-q constant-q
+    feasibility check, run without HiGHS."""
     def no_highs(*args, **kwargs):
         raise AssertionError("HiGHS called for a closed-form follower")
 
     monkeypatch.setattr(flexgrid.lp, "linprog", no_highs)
     ctx = build_context(ieee13_model)
-    wc = worst_case_limits(ctx, MODE_CONSTANT_PF, direction="overvoltage")
-    decision = UpperDecision(
-        dp_plus=wc.range_upper, dp_minus=wc.range_lower,
-        setpoints=neutral_setpoints(ctx, MODE_CONSTANT_PF), mode=MODE_CONSTANT_PF,
-    )
-    assert feasibility_check(ctx, MODE_CONSTANT_PF, decision).worst_vm
-    assert verify_decision(ctx, MODE_CONSTANT_PF, decision, direction="overvoltage").checks
+    for mode in (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR):
+        wc = worst_case_limits(ctx, mode, direction="overvoltage")
+        assert wc.upper.shape == (ctx.n,)
+        if mode == MODE_CONSTANT_Q:
+            continue
+        decision = UpperDecision(
+            dp_plus=wc.range_upper, dp_minus=wc.range_lower,
+            setpoints=neutral_setpoints(ctx, mode), mode=mode,
+        )
+        assert feasibility_check(ctx, mode, decision).worst_vm
+        assert verify_decision(ctx, mode, decision, direction="overvoltage").checks
 
     decision_q = UpperDecision(
         dp_plus=0.1, dp_minus=-0.1,
@@ -243,6 +282,109 @@ def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatc
     )
     report = feasibility_check(pv_ctx, MODE_CONSTANT_Q, decision_q)
     assert len(report.worst_vm) == 4 * pv_ctx.n
+
+
+def _cut_duals(problem, cert):
+    """Largest |dual| a certificate puts on a capability row or a q_gen bound."""
+    caps = [i for i, r in enumerate(problem.rows) if r.name.startswith("cap_")]
+    qg = problem.i_qg(np.array(problem.ctx.devices.inverter_nodes))
+    return max(np.max(np.abs(cert.row_duals[caps])),
+               np.max(np.abs(cert.lower_duals[qg])), np.max(np.abs(cert.upper_duals[qg])))
+
+
+def test_volt_var_optimum_cut_by_the_capability_falls_back_to_highs(pv_model):
+    """The band's lower end just under the inverters' anchor |v|: at q̄ = s_cap
+    the droop asks for about s_cap of reactive power, more than the
+    capability rows allow near full output, so the closed form's point
+    leaves them and HiGHS decides.  Re-slotting the same follower (and so
+    dropping its HiGHS arrays) still solves as a fresh materialization."""
+    probe = build_context(pv_model)
+    dev = probe.devices
+    v_min = float(np.max(probe.anchor.vm[list(dev.inverter_nodes)]) - 5e-4)
+    ctx = build_context(pv_model, v_min=v_min, v_max=v_min + 0.02, anchor=probe.anchor)
+    dp_lo, dp_up = available_flexibility_bounds(dev)
+    cut = {slot_qbar(k): float(dev.s_cap[k]) for k in dev.inverter_nodes}
+    off = {slot_qbar(k): 0.0 for k in dev.inverter_nodes}
+    cut_optima = 0
+    for activation in ACTIVATIONS:
+        full = dp_up if activation == POSITIVE else dp_lo
+        for extremum in EXTREMA:
+            problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_VOLT_VAR)
+            slots = {**cut, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+            mf = problem.materialize(slots)
+            oracle = Oracle(problem, mf.slots)
+            for k in range(ctx.n):
+                for edge in (0.0, 0.5 * full, full):
+                    got, want = mf.solve(node=k, dp_bound=edge), oracle.solve(k, edge)
+                    where = (activation, extremum, k, edge)
+                    assert got.status == want.status, where
+                    if got.is_optimal:
+                        assert abs(got.objective - want.objective) <= 1e-9, where
+                        if got.method != CLOSED_FORM:
+                            cut_optima += _cut_duals(problem, want) > 1e-9
+            for again in ({**slots, **off}, slots):
+                mf.set_slots(again)
+                fresh = problem.materialize(again)
+                for k in range(ctx.n):
+                    got, want = mf.solve(node=k), fresh.solve(node=k)
+                    assert (got.status, got.method) == (want.status, want.method), k
+                    assert got.objective == want.objective, k
+    assert cut_optima > 0
+
+
+def test_free_q_optimum_cut_by_the_capability_stays_closed_form(pv_model):
+    """Free-q constant-q with a tight s_cap and a wide cone: the capability
+    rows and the q_gen bounds cut h(Δp_gen) into three segments, and as
+    segments of the closed form they leave it exact."""
+    probe = build_context(pv_model)
+    dev = probe.devices
+    has_inv = dev.s_cap > 0.0
+    tight = dataclasses.replace(
+        dev, s_cap=np.where(has_inv, 1.05 * dev.p_gen_max, 0.0),
+        gamma_const=np.where(has_inv, 5.0, 0.0),
+    )
+    ctx = dataclasses.replace(probe, devices=tight)
+    dp_lo, dp_up = available_flexibility_bounds(tight)
+    rng = np.random.default_rng(11)
+    cut = 0
+    for activation in ACTIVATIONS:
+        full = dp_up if activation == POSITIVE else dp_lo
+        for extremum in EXTREMA:
+            problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_CONSTANT_Q)
+            slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+            mf = problem.materialize(slots)
+            oracle = Oracle(problem, mf.slots)
+            for k in range(ctx.n):
+                edges = [0.0, full, float(rng.uniform(0.05, 0.95)) * full]
+                kink = _breakpoint_edge(mf, k, edges[-1])
+                edges += [] if kink is None else [kink]
+                for edge in edges:
+                    _check_certificate(oracle, mf, k, edge, (activation, extremum, k, edge))
+                    cut += _cut_duals(problem, oracle.solve(k, edge)) > 1e-9
+    assert cut > 0
+
+
+def test_free_q_falls_back_when_the_capability_excludes_the_operating_point(pv_model):
+    """An inverter rated at zero that still produces: h < 0 on its Δp_gen
+    box, which the closed form does not certify; HiGHS finds the LP
+    infeasible, before and after re-slotting."""
+    probe = build_context(pv_model)
+    dev = probe.devices
+    k = dev.inverter_nodes[0]
+    ctx = dataclasses.replace(
+        probe, devices=dataclasses.replace(dev, s_cap=np.where(np.arange(probe.n) == k, 0.0, dev.s_cap))
+    )
+    for activation in ACTIVATIONS:
+        problem = build_follower(ctx, Scenario(0, activation, EXTREMA[1]), MODE_CONSTANT_Q)
+        mf = problem.materialize({SLOT_DP_PLUS: 0.1, SLOT_DP_MINUS: -0.1})
+        for slots in (mf.slots, {SLOT_DP_PLUS: 0.05, SLOT_DP_MINUS: -0.05}):
+            mf.set_slots(slots)
+            fresh = problem.materialize(slots)
+            assert solve_lp(problem.to_lp(mf.slots)).status == INFEASIBLE
+            for node in range(ctx.n):
+                got, want = mf.solve(node=node), fresh.solve(node=node)
+                assert got.status == want.status == INFEASIBLE
+                assert got.method != CLOSED_FORM
 
 
 class HighsFollower:
@@ -268,31 +410,33 @@ class HighsFollower:
 
 @pytest.mark.parametrize("corpus", ["pv_tight", "ieee13"])
 def test_edge_walk_over_the_closed_form_matches_highs(corpus, pv_model, ieee13_model):
-    """Per node: the same limit within tol_abs, the same binding family, and
-    no more solves than the walk makes over HiGHS."""
+    """Per node, in constant-pf, free-q constant-q and volt-var screening:
+    the same limit within tol_abs, the same binding family, and no more
+    solves than the walk makes over HiGHS."""
     ctx = _corpus(corpus, pv_model, ieee13_model)[0]
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
     tol_abs = EDGE_TOL_REL * max(dp_up, -dp_lo, 1e-12)
-    for activation in ACTIVATIONS:
-        limits = {"closed": {}, "highs": {}}
-        for extremum in EXTREMA:
-            slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo,
-                     **fix_worst_case_setpoints(ctx, MODE_CONSTANT_PF, extremum)}
-            mf = _family_follower(ctx, MODE_CONSTANT_PF, activation, extremum, slots,
-                                  fix_q=False)
-            reference = HighsFollower(mf.problem, mf.slots)
-            calls = []
-            solve = mf.solve
-            mf.solve = lambda **kw: calls.append(1) or solve(**kw)
+    for mode in (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR):
+        for activation in ACTIVATIONS:
+            limits = {"closed": {}, "highs": {}}
+            for extremum in EXTREMA:
+                slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+                if mode != MODE_CONSTANT_Q:
+                    slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
+                mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
+                reference = HighsFollower(mf.problem, mf.slots)
+                calls = []
+                solve = mf.solve
+                mf.solve = lambda **kw: calls.append(1) or solve(**kw)
+                for k in range(ctx.n):
+                    before = (len(calls), reference.solves)
+                    limits["closed"][extremum, k] = _edge_limit(mf, k, tol_abs)
+                    limits["highs"][extremum, k] = _edge_limit(reference, k, tol_abs)
+                    where = (mode, activation, extremum, k)
+                    assert len(calls) - before[0] <= reference.solves - before[1], where
             for k in range(ctx.n):
-                before = (len(calls), reference.solves)
-                limits["closed"][extremum, k] = _edge_limit(mf, k, tol_abs)
-                limits["highs"][extremum, k] = _edge_limit(reference, k, tol_abs)
-                where = (activation, extremum, k)
-                assert len(calls) - before[0] <= reference.solves - before[1], where
-        for k in range(ctx.n):
-            got = [limits["closed"][e, k] for e in EXTREMA]
-            want = [limits["highs"][e, k] for e in EXTREMA]
-            assert np.allclose(got, want, rtol=0.0, atol=tol_abs), (activation, k)
-            tightest = np.argmin if activation == POSITIVE else np.argmax
-            assert tightest(got) == tightest(want), (activation, k, got, want)
+                got = [limits["closed"][e, k] for e in EXTREMA]
+                want = [limits["highs"][e, k] for e in EXTREMA]
+                assert np.allclose(got, want, rtol=0.0, atol=tol_abs), (mode, activation, k)
+                tightest = np.argmin if activation == POSITIVE else np.argmax
+                assert tightest(got) == tightest(want), (mode, activation, k, got, want)
