@@ -131,12 +131,6 @@ def _family_follower(
     return problem.materialize({s: slots[s] for s in problem.slot_names})
 
 
-def _edge_limit(mf: MaterializedFollower, node: int, tol_abs: float) -> float:
-    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in band
-    (the edge ``_edge_walk`` finds)."""
-    return _edge_walk(mf, node, tol_abs)[0]
-
-
 def _edge_walk(
     mf: MaterializedFollower, node: int, tol_abs: float
 ) -> tuple[float, DualCertificate | None]:
@@ -220,7 +214,7 @@ def worst_case_limits(
 
     For every node and activation case, the follower is given adversarial
     setpoints (constant-Q leaves reactive power to the adversary outright)
-    and the largest safe band edge is found by ``_edge_limit``; positive
+    and the largest safe band edge is found by ``_edge_walk``; positive
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
@@ -242,7 +236,7 @@ def worst_case_limits(
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
             mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
             for k in range(n):
-                lim = _edge_limit(mf, k, tol_abs)
+                lim = _edge_walk(mf, k, tol_abs)[0]
                 if activation == POSITIVE:
                     if lim < upper[k] - 1e-15:
                         upper[k] = lim

@@ -20,13 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lp import (
-    EQ,
     GE,
     INFEASIBLE,
     LE,
     MAX,
     OPTIMAL,
-    DualCertificate,
     LinearProgram,
     solve_lp,
 )

@@ -2,11 +2,12 @@
 
 Each follower models an aggregator that redispatches flexible devices against
 the DSO's offered band to push one node's voltage magnitude to an extreme.
-The LP has 4n variables (n single-phase nodes): |v|, Δp_gen, Δp_load and
-q_gen.  The linearized power flow, the first-order magnitude relation and
-the constant-power-factor load reactive power compose into one affine map
-from device deviations to |v|, which enters as one magnitude-sensitivity row
-per node.  Around those rows sit the inverter capability outer
+The LP has a |v| column at each of the n single-phase nodes, Δp_gen and q_gen
+columns at each inverter node and a Δp_load column at each load node.  The
+linearized power flow, the first-order magnitude relation and the
+constant-power-factor load reactive power compose into one affine map from
+device deviations to |v|, which enters as one magnitude-sensitivity row per
+node.  Around those rows sit the inverter capability outer
 approximation, the inverter control-mode rows and the aggregate activation
 row, under the activation sign rules (positive activation: loads may only
 shed, inverters may only raise; negative mirrored).
@@ -157,6 +158,7 @@ class NodeDevices:
     gamma_cap: np.ndarray  # constant-pf mode: |gamma| bound from the pf rating
     gamma_const: np.ndarray  # constant-q mode: fixed cone half-width
     inverter_nodes: tuple[int, ...]
+    load_nodes: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -177,11 +179,13 @@ def build_devices(model: FeederModel, index: BusPhaseIndex | None = None) -> Nod
     dev = NodeDevices(
         p_load0=z(), p_load_min=z(), p_load_max=z(), beta_load=z(),
         p_gen0=z(), p_gen_min=z(), p_gen_max=z(), s_cap=z(),
-        gamma_cap=z(), gamma_const=z(), inverter_nodes=(),
+        gamma_cap=z(), gamma_const=z(), inverter_nodes=(), load_nodes=(),
     )
     base = model.base_kva
+    load_nodes = set()
     for ld in model.loads:
         k = index.of(ld.bus, ld.phase)
+        load_nodes.add(k)
         dev.p_load0[k] += ld.p_kw / base
         dev.p_load_min[k] += ld.p_min_kw / base
         dev.p_load_max[k] += ld.p_max_kw / base
@@ -197,6 +201,7 @@ def build_devices(model: FeederModel, index: BusPhaseIndex | None = None) -> Nod
         dev.gamma_cap[k] = math.sqrt(1.0 - g.pf**2) / g.pf
         dev.gamma_const[k] = g.gamma
     dev.inverter_nodes = tuple(sorted(inv_nodes))
+    dev.load_nodes = tuple(sorted(load_nodes))
     return dev
 
 
@@ -307,14 +312,16 @@ class ParamRow:
 class FollowerProblem:
     """The adversary's LP for one scenario, with upper-level slots symbolic.
 
-    Variable layout (n = number of single-phase nodes): blocks of length n in
-    order |v|, Δp_gen, Δp_load, q_gen — 4n variables total.  Only this class
-    knows the order: callers index through ``i_vm`` and friends (which accept
-    arrays of nodes) and decode an argmax with ``injections``.
+    Variable layout (n single-phase nodes, I the inverter nodes, L the load
+    nodes): |v| at every node, then Δp_gen over I, Δp_load over L and q_gen
+    over I, n + 2|I| + |L| variables in all.  Only this class knows the
+    order: callers index through ``i_vm`` and friends (which accept arrays
+    of nodes and raise for a device the node does not have) and decode an
+    argmax with ``injections``.
 
     The voltages are eliminated through the sensitivity rows
-        |v_k| - S_p[k]·Δp_gen + (S_p[k] + S_q[k]·diag(β))·Δp_load
-              - S_q[k]·q_gen = m0_k,
+        |v_k| - S_p[k,I]·Δp_gen + (S_p[k,L] + S_q[k,L]·diag(β_L))·Δp_load
+              - S_q[k,I]·q_gen = m0_k,
     with S_p = diag(α_d) Re Z2 + diag(α_q) Im Z2 and
     S_q = diag(α_d) Im Z2 - diag(α_q) Re Z2.  |v| itself stays a variable
     because the volt-var droop rows and the single-level band rows each read
@@ -331,7 +338,15 @@ class FollowerProblem:
         self.fix_q = fix_q
         n = ctx.n
         self.n = n
-        self.n_vars = 4 * n
+        self.inv = np.array(ctx.devices.inverter_nodes, dtype=np.int64)
+        self.loads = np.array(ctx.devices.load_nodes, dtype=np.int64)
+        m, n_loads = self.inv.size, self.loads.size
+        # Column of each node's Δp_gen, Δp_load and q_gen; -1 where it has no such device.
+        self._dpg, self._dpl, self._qg = (np.full(n, -1, dtype=np.int64) for _ in range(3))
+        self._dpg[self.inv] = n + np.arange(m)
+        self._dpl[self.loads] = n + m + np.arange(n_loads)
+        self._qg[self.inv] = n + m + n_loads + np.arange(m)
+        self.n_vars = n + 2 * m + n_loads
         self.lb = np.full(self.n_vars, -np.inf)
         self.ub = np.full(self.n_vars, np.inf)
         self.rows: list[ParamRow] = []
@@ -344,23 +359,33 @@ class FollowerProblem:
         return k
 
     def i_dpg(self, k):
-        return self.n + k
+        return self._column(self._dpg, k, "inverter")
 
     def i_dpl(self, k):
-        return 2 * self.n + k
+        return self._column(self._dpl, k, "load")
 
     def i_qg(self, k):
-        return 3 * self.n + k
+        return self._column(self._qg, k, "inverter")
+
+    @staticmethod
+    def _column(table: np.ndarray, k, device: str):
+        """``table[k]`` for a node or an array of nodes; raises where a node has no ``device``."""
+        cols = table[k]
+        if (cols < 0).any():
+            missing = np.atleast_1d(k)[np.atleast_1d(cols) < 0].tolist()
+            raise KeyError(f"no {device} at node(s) {missing}")
+        return cols
 
     def injections(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Net nodal injections (p, q) in p.u. encoded by a follower solution
         ``x`` (or by each row of a stack of them)."""
         dev = self.ctx.devices
-        nodes = np.arange(self.n)
-        p_load = dev.p_load0 + x[..., self.i_dpl(nodes)]
-        p = dev.p_gen0 + x[..., self.i_dpg(nodes)] - p_load
-        q = x[..., self.i_qg(nodes)] - dev.beta_load * p_load
-        return p, q
+        dpg, dpl, qg = (np.zeros(x.shape[:-1] + (self.n,)) for _ in range(3))
+        dpg[..., self.inv] = x[..., self._dpg[self.inv]]
+        dpl[..., self.loads] = x[..., self._dpl[self.loads]]
+        qg[..., self.inv] = x[..., self._qg[self.inv]]
+        p_load = dev.p_load0 + dpl
+        return dev.p_gen0 + dpg - p_load, qg - dev.beta_load * p_load
 
     @property
     def objective(self) -> np.ndarray:
@@ -374,44 +399,34 @@ class FollowerProblem:
             self.slot_names.append(name)
         return name
 
-    def _add_row(self, row: ParamRow) -> None:
-        self.rows.append(row)
-
     # --- assembly --------------------------------------------------------
     def _build(self) -> None:
-        ctx, n = self.ctx, self.n
+        ctx, n, inv, loads = self.ctx, self.n, self.inv, self.loads
         dev = ctx.devices
         sc = self.scenario
         positive = sc.activation == POSITIVE
 
         # Device deviation bounds with the activation sign rules folded in.
-        dpg_lo = np.maximum(dev.p_gen_min, 0.0) - dev.p_gen0
-        dpg_hi = np.minimum(dev.p_gen_max, dev.s_cap) - dev.p_gen0
-        dpl_lo = dev.p_load_min - dev.p_load0
-        dpl_hi = dev.p_load_max - dev.p_load0
+        dpg_lo = np.maximum(dev.p_gen_min[inv], 0.0) - dev.p_gen0[inv]
+        dpg_hi = np.minimum(dev.p_gen_max[inv], dev.s_cap[inv]) - dev.p_gen0[inv]
+        dpl_lo = dev.p_load_min[loads] - dev.p_load0[loads]
+        dpl_hi = dev.p_load_max[loads] - dev.p_load0[loads]
         if positive:
             dpg_lo = np.maximum(dpg_lo, 0.0)
             dpl_hi = np.minimum(dpl_hi, 0.0)
         else:
             dpg_hi = np.minimum(dpg_hi, 0.0)
             dpl_lo = np.maximum(dpl_lo, 0.0)
-        no_inv = dev.s_cap <= 0.0
-        no_load = (dev.p_load0 == 0) & (dev.p_load_min == 0) & (dev.p_load_max == 0)
-        dpg_lo[no_inv] = dpg_hi[no_inv] = 0.0
-        dpl_lo[no_load] = dpl_hi[no_load] = 0.0
-        bad = (dpg_lo > dpg_hi + 1e-12) | (dpl_lo > dpl_hi + 1e-12)
-        if np.any(bad):
+        bad = {*inv[dpg_lo > dpg_hi + 1e-12].tolist(), *loads[dpl_lo > dpl_hi + 1e-12].tolist()}
+        if bad:
             raise ValueError(
-                f"empty deviation box at node(s) {np.flatnonzero(bad).tolist()}: "
+                f"empty deviation box at node(s) {sorted(bad)}: "
                 "device bounds exclude the current operating point"
             )
-        nodes = np.arange(n)
-        all_dpg = self.i_dpg(nodes)
-        all_dpl = self.i_dpl(nodes)
-        all_qg = self.i_qg(nodes)
+        all_dpg, all_dpl, all_qg = self._dpg[inv], self._dpl[loads], self._qg[inv]
         self.lb[all_dpg], self.ub[all_dpg] = dpg_lo, np.maximum(dpg_lo, dpg_hi)
         self.lb[all_dpl], self.ub[all_dpl] = dpl_lo, np.maximum(dpl_lo, dpl_hi)
-        self.lb[all_qg], self.ub[all_qg] = -dev.s_cap, dev.s_cap
+        self.lb[all_qg], self.ub[all_qg] = -dev.s_cap[inv], dev.s_cap[inv]
 
         # Magnitude-sensitivity rows: the linear flow v = z1 + Z2 (P - jQ)
         # with P = p_gen0 + Δp_gen - p_load0 - Δp_load and
@@ -426,87 +441,80 @@ class FollowerProblem:
             t.alpha_d * z1.real + t.alpha_q * z1.imag
             + s_p @ (dev.p_gen0 - dev.p_load0) - s_q @ (dev.beta_load * dev.p_load0)
         )
-        # |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen, kept for the closed form.
-        self.s_p, self.s_q, self.s_l = s_p, s_q, s_p + s_q * dev.beta_load
+        # |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen over the device
+        # columns, kept for the closed form.
+        self.s_p, self.s_q = s_p[:, inv], s_q[:, inv]
+        self.s_l = s_p[:, loads] + s_q[:, loads] * dev.beta_load[loads]
         self.m0 = m0
         for k in range(n):
-            self._add_row(ParamRow(
+            self.rows.append(ParamRow(
                 name=f"vm[{k}]", relation=EQ,
                 idx=np.concatenate([[self.i_vm(k)], all_dpg, all_dpl, all_qg]),
-                val=np.concatenate([[1.0], -s_p[k], self.s_l[k], -s_q[k]]),
+                val=np.concatenate([[1.0], -self.s_p[k], self.s_l[k], -self.s_q[k]]),
                 rhs=float(m0[k]),
             ))
 
         # Inverter capability outer approximation (box part is in the bounds).
         root2 = math.sqrt(2.0)
-        for k in dev.inverter_nodes:
+        inverters = list(zip(dev.inverter_nodes, all_dpg.tolist(), all_qg.tolist()))
+        for k, i_g, i_q in inverters:
             cap = root2 * dev.s_cap[k] - dev.p_gen0[k]
-            self._add_row(ParamRow(
+            self.rows.append(ParamRow(
                 name=f"cap_hi[{k}]", relation=LE,
-                idx=np.array([self.i_dpg(k), self.i_qg(k)]),
-                val=np.array([1.0, 1.0]), rhs=cap,
+                idx=np.array([i_g, i_q]), val=np.array([1.0, 1.0]), rhs=cap,
             ))
-            self._add_row(ParamRow(
+            self.rows.append(ParamRow(
                 name=f"cap_lo[{k}]", relation=LE,
-                idx=np.array([self.i_dpg(k), self.i_qg(k)]),
-                val=np.array([1.0, -1.0]), rhs=cap,
+                idx=np.array([i_g, i_q]), val=np.array([1.0, -1.0]), rhs=cap,
             ))
 
         # Control-mode rows.
         vband = ctx.v_max - ctx.v_min
-        for k in dev.inverter_nodes:
+        for k, i_g, i_q in inverters:
             if self.mode == MODE_CONSTANT_PF:
                 g = self._slot(slot_gamma(k))
-                self._add_row(ParamRow(
+                self.rows.append(ParamRow(
                     name=f"pfq[{k}]", relation=EQ,
-                    idx=np.array([self.i_qg(k)]), val=np.array([1.0]),
-                    coeff_slots=[(self.i_dpg(k), g, -1.0)],
+                    idx=np.array([i_q]), val=np.array([1.0]),
+                    coeff_slots=[(i_g, g, -1.0)],
                     rhs_slots=[(g, dev.p_gen0[k])],
                 ))
             elif self.mode == MODE_CONSTANT_Q:
                 gc = dev.gamma_const[k]
-                self._add_row(ParamRow(
+                self.rows.append(ParamRow(
                     name=f"cq_hi[{k}]", relation=LE,
-                    idx=np.array([self.i_qg(k), self.i_dpg(k)]),
-                    val=np.array([1.0, -gc]), rhs=gc * dev.p_gen0[k],
+                    idx=np.array([i_q, i_g]), val=np.array([1.0, -gc]), rhs=gc * dev.p_gen0[k],
                 ))
-                self._add_row(ParamRow(
+                self.rows.append(ParamRow(
                     name=f"cq_lo[{k}]", relation=LE,
-                    idx=np.array([self.i_qg(k), self.i_dpg(k)]),
-                    val=np.array([-1.0, -gc]), rhs=gc * dev.p_gen0[k],
+                    idx=np.array([i_q, i_g]), val=np.array([-1.0, -gc]), rhs=gc * dev.p_gen0[k],
                 ))
                 if self.fix_q:
                     q = self._slot(slot_qset(k))
-                    self._add_row(ParamRow(
+                    self.rows.append(ParamRow(
                         name=f"qfix[{k}]", relation=EQ,
-                        idx=np.array([self.i_qg(k)]), val=np.array([1.0]),
+                        idx=np.array([i_q]), val=np.array([1.0]),
                         rhs_slots=[(q, 1.0)],
                     ))
             else:  # volt-var droop through the linearized magnitude
                 qb = self._slot(slot_qbar(k))
-                self._add_row(ParamRow(
+                self.rows.append(ParamRow(
                     name=f"vv[{k}]", relation=EQ,
-                    idx=np.array([self.i_qg(k)]), val=np.array([1.0]),
+                    idx=np.array([i_q]), val=np.array([1.0]),
                     coeff_slots=[(self.i_vm(k), qb, 2.0 / vband)],
                     rhs_slots=[(qb, (ctx.v_max + ctx.v_min) / vband)],
                 ))
 
         # Aggregate activation row: one-sided per activation case.
         dp = self._slot(sc.dp_slot)
-        agg_idx = np.concatenate([all_dpg, all_dpl])
-        agg_val = np.concatenate([np.ones(n), -np.ones(n)])
-        self._add_row(ParamRow(
+        self.rows.append(ParamRow(
             name="agg", relation=LE if positive else GE,
-            idx=agg_idx, val=agg_val, rhs_slots=[(dp, 1.0)],
+            idx=np.concatenate([all_dpg, all_dpl]),
+            val=np.concatenate([np.ones(inv.size), -np.ones(loads.size)]),
+            rhs_slots=[(dp, 1.0)],
         ))
 
     # --- materialization and solving -------------------------------------
-    def row_index(self, name: str) -> int:
-        for i, r in enumerate(self.rows):
-            if r.name == name:
-                return i
-        raise KeyError(name)
-
     def to_lp(self, slots: dict[str, float]) -> LinearProgram:
         """Instantiate as a plain LP with all slots fixed (builder path)."""
         missing = [s for s in self.slot_names if s not in slots]
@@ -559,7 +567,6 @@ class MaterializedFollower:
 
     def __init__(self, problem: FollowerProblem, slots: dict[str, float]):
         self.problem = problem
-        self._agg_row = problem.row_index("agg")
         self._closed = _closed_form(problem)
         self.set_slots(slots)
 
@@ -587,12 +594,12 @@ class MaterializedFollower:
         c = np.zeros(p.n_vars)
         c[p.i_vm(node)] = p.scenario.sigma
         b_ub = mat.ub_sign * mat.b_ub  # back in the original row convention
-        b_ub[mat.ub_rows == self._agg_row] = edge
+        b_ub[mat.ub_rows == self._closed.agg_row] = edge
         return solve_materialized(mat, c=c, b_ub=b_ub)
 
     def agg_dual(self, cert: DualCertificate) -> float:
         """Sensitivity of the objective to the aggregate bound."""
-        return float(cert.row_duals[self._agg_row])
+        return float(cert.row_duals[self._closed.agg_row])
 
 
 def _closed_form(problem: FollowerProblem) -> "_ClosedForm":
@@ -610,15 +617,18 @@ class _ClosedForm:
     Each reduces the follower at fixed slots to a fractional knapsack over
     z = sign·(Δp_gen, -Δp_load), sign = +1 under positive activation and -1
     under negative, so the aggregate row reads sum(z) <= sign·edge for
-    either activation.  ``solve`` returns the optimum with its certificate,
-    an infeasible certificate, or None when the closed form cannot certify
-    the point (the caller then asks HiGHS).
+    either activation.  Device arrays run over the problem's inverter nodes
+    (Δp_gen, q_gen) and load nodes (Δp_load) in its column order.  ``solve``
+    returns the optimum with its certificate, an infeasible certificate, or
+    None when the closed form cannot certify the point (the caller then asks
+    HiGHS).
     """
 
     def __init__(self, problem: FollowerProblem):
         p = self.problem = problem
         nodes = np.arange(p.n)
-        self.inv = np.array(p.ctx.devices.inverter_nodes, dtype=np.int64)
+        self.inv = p.inv
+        self.gen_cols, self.load_cols, self.q_cols = p.i_dpg(p.inv), p.i_dpl(p.loads), p.i_qg(p.inv)
         self._row = {r.name: i for i, r in enumerate(p.rows)}
         self.agg_row = self._row["agg"]
         self.vm_rows = self.rows("vm", nodes)
@@ -637,10 +647,9 @@ class _ClosedForm:
         pass
 
     def z_box(self, g_lo: np.ndarray, g_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds of z from per-node Δp_gen intervals and Δp_load's box."""
+        """Bounds of z from the inverters' Δp_gen intervals and Δp_load's box."""
         p = self.problem
-        loads = p.i_dpl(np.arange(p.n))
-        l_lo, l_hi = p.lb[loads], p.ub[loads]
+        l_lo, l_hi = p.lb[self.load_cols], p.ub[self.load_cols]
         if self.sign > 0:
             return np.concatenate([g_lo, -l_hi]), np.concatenate([g_hi, -l_lo])
         return np.concatenate([-g_hi, l_lo]), np.concatenate([-g_lo, l_hi])
@@ -663,12 +672,12 @@ class _ClosedForm:
         [row duals, lower, upper] and the reduced costs, for the subclass to
         place the rest.
         """
-        p, n = self.problem, self.problem.n
-        nodes = np.arange(n)
+        p = self.problem
+        gens, loads, qg = self.gen_cols, self.load_cols, self.q_cols
         sigma = p.scenario.sigma
         x = np.zeros(p.n_vars)
-        x[p.i_vm(nodes)] = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ q
-        x[p.i_dpg(nodes)], x[p.i_dpl(nodes)], x[p.i_qg(nodes)] = dpg, dpl, q
+        x[p.i_vm(np.arange(p.n))] = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ q
+        x[gens], x[loads], x[qg] = dpg, dpl, q
         n_rows, n_vars = len(p.rows), p.n_vars
         duals = np.zeros(n_rows + 2 * n_vars)
         lower = duals[n_rows:n_rows + n_vars]
@@ -676,9 +685,9 @@ class _ClosedForm:
         duals[self.vm_rows] = sigma * y
         duals[self.agg_row] = agg_dual
         reduced = np.zeros(n_vars)
-        reduced[p.i_dpg(nodes)] = gain_g - agg_dual
-        reduced[p.i_dpl(nodes)] = agg_dual - gain_l
-        reduced[p.i_qg(nodes)] = gain_q
+        reduced[gens] = gain_g - agg_dual
+        reduced[loads] = agg_dual - gain_l
+        reduced[qg] = gain_q
         box = self.box_only
         lower[box] = np.minimum(reduced[box], 0.0)
         upper[box] = np.maximum(reduced[box], 0.0)
@@ -721,7 +730,7 @@ class _Knapsack(_ClosedForm):
         # column's dual lands at ``target`` of [row duals, lower, upper] as
         # ``dual_sign`` times its multiplier.
         n_rows, n_vars = len(p.rows), p.n_vars
-        dpg, qg = p.i_dpg(inv), p.i_qg(inv)
+        dpg, qg = self.gen_cols, self.q_cols
         one, zero = np.ones(inv.size), np.zeros(inv.size)
         cols = [
             (one, zero, p.ub[dpg], n_rows + n_vars + dpg, 1.0),
@@ -744,7 +753,7 @@ class _Knapsack(_ClosedForm):
     def set_slots(self, slots: dict[str, float]) -> None:
         """Fold each inverter node's rows into its Δp_gen interval at these setpoints."""
         p, inv = self.problem, self.inv
-        n, m = p.n, inv.size
+        m = inv.size
         p_gen0 = p.ctx.devices.p_gen0[inv]
         if p.mode == MODE_CONSTANT_PF:
             kappa = np.array([slots[slot_gamma(k)] for k in inv], dtype=float)
@@ -767,16 +776,11 @@ class _Knapsack(_ClosedForm):
         # An interval empty within the tolerance pinches to a point of the box.
         pinch = lo > hi
         lo[pinch] = hi[pinch] = np.minimum(lo[pinch], self.b[pinch, 0])
-        self.ap = ap
-        self.kappa, self.q0 = np.zeros(n), np.zeros(n)
-        self.kappa[inv], self.q0[inv] = kappa, q0
-        gens = p.i_dpg(np.arange(n))
-        g_lo, g_hi = p.lb[gens].copy(), p.ub[gens].copy()
-        g_lo[inv], g_hi[inv] = lo, hi
-        self.z_lo, self.z_hi = self.z_box(g_lo, g_hi)
+        self.ap, self.kappa, self.q0 = ap, kappa, q0
+        self.z_lo, self.z_hi = self.z_box(lo, hi)
 
     def solve(self, node: int, edge: float) -> DualCertificate:
-        p, inv, n = self.problem, self.inv, self.problem.n
+        p, m = self.problem, self.inv.size
         if not self.feasible:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
         sigma = p.scenario.sigma
@@ -787,25 +791,21 @@ class _Knapsack(_ClosedForm):
         if fill is None:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
         z, agg_dual = fill
-        dpg, dpl = self.sign * z[:n], -self.sign * z[n:]
-        # q_gen is pinned by the mode row at inverter nodes and sits at the
-        # better end of its box elsewhere.
-        qg = p.i_qg(np.arange(n))
-        q = np.where(gain_q > 0.0, p.ub[qg], p.lb[qg])
-        q[inv] = self.q0[inv] + self.kappa[inv] * dpg[inv]
-        y = np.zeros(n)
+        dpg, dpl = self.sign * z[:m], -self.sign * z[m:]
+        q = self.q0 + self.kappa * dpg  # the mode row pins q_gen
+        y = np.zeros(p.n)
         y[node] = 1.0
         cert, duals, reduced = self.certificate(
             node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q
         )
-        # At an inverter node the Δp_gen reduced cost goes to the column
-        # defining the interval end it sits at; the mode row balances q_gen.
-        r = reduced[p.i_dpg(inv)]
-        m = np.arange(inv.size)
+        # The Δp_gen reduced cost goes to the column defining the interval
+        # end it sits at; the mode row balances q_gen.
+        r = reduced[self.gen_cols]
+        i = np.arange(m)
         col = np.where(r > 0.0, self.c_hi, self.c_lo)
-        mult = r / self.ap[m, col]
-        duals[self.target[m, col]] += self.dual_sign[col] * mult
-        duals[self.mode_rows] = gain_q[inv] - mult * self.e[m, col]
+        mult = r / self.ap[i, col]
+        duals[self.target[i, col]] += self.dual_sign[col] * mult
+        duals[self.mode_rows] = gain_q - mult * self.e[i, col]
         return cert
 
 
@@ -834,12 +834,11 @@ class _VoltVar(_ClosedForm):
         band = ctx.v_max - ctx.v_min
         self.d, self.c = 2.0 / band, (ctx.v_max + ctx.v_min) / band
         self.vv_rows = self.rows("vv")
-        self.s_q_ii = p.s_q[np.ix_(inv, inv)]
-        gens = p.i_dpg(np.arange(p.n))
-        self.z_lo, self.z_hi = self.z_box(p.lb[gens], p.ub[gens])
+        self.s_q_ii = p.s_q[inv]
+        self.z_lo, self.z_hi = self.z_box(p.lb[self.gen_cols], p.ub[self.gen_cols])
         self.q_cap = dev.s_cap[inv]
         self.pq_cap = math.sqrt(2.0) * dev.s_cap[inv] - dev.p_gen0[inv]  # capability rows' rhs
-        self.box_only[p.i_qg(inv)] = False
+        self.box_only[self.q_cols] = False
 
     def set_slots(self, slots: dict[str, float]) -> None:
         """Solve the droop system at these q̄ once: q_I = q0 - K·u_I, K = A⁻¹·d·Q̄."""
@@ -860,24 +859,23 @@ class _VoltVar(_ClosedForm):
     def solve(self, node: int, edge: float) -> DualCertificate | None:
         if self.k is None:
             return None
-        p, inv, n = self.problem, self.inv, self.problem.n
+        p, inv, m = self.problem, self.inv, self.inv.size
         sigma = p.scenario.sigma
-        y = np.zeros(n)
+        y = np.zeros(p.n)
         y[node] = 1.0
-        y[inv] -= self.k.T @ p.s_q[node, inv]  # d·Q̄·w = Kᵀ·s_q[t,I]ᵀ
+        y[inv] -= self.k.T @ p.s_q[node]  # d·Q̄·w = Kᵀ·s_q[t,I]ᵀ
         gain_g, gain_l, gain_q = sigma * (y @ p.s_p), sigma * (y @ p.s_l), sigma * (y @ p.s_q)
         fill = self.fill(np.concatenate([gain_g, gain_l]), self.z_lo, self.z_hi, edge)
         if fill is None:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
         z, agg_dual = fill
-        dpg, dpl = self.sign * z[:n], -self.sign * z[n:]
-        q = np.zeros(n)
-        q[inv] = self.q0 - self.k @ (p.s_p[inv] @ dpg - p.s_l[inv] @ dpl)
-        q_abs = np.abs(q[inv])
-        if np.any(q_abs > self.q_cap + FEAS_TOL) or np.any(dpg[inv] + q_abs > self.pq_cap + FEAS_TOL):
+        dpg, dpl = self.sign * z[:m], -self.sign * z[m:]
+        q = self.q0 - self.k @ (p.s_p[inv] @ dpg - p.s_l[inv] @ dpl)
+        q_abs = np.abs(q)
+        if np.any(q_abs > self.q_cap + FEAS_TOL) or np.any(dpg + q_abs > self.pq_cap + FEAS_TOL):
             return None
         cert, duals, _ = self.certificate(node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q)
-        duals[self.vv_rows] = gain_q[inv]
+        duals[self.vv_rows] = gain_q
         return cert
 
 
@@ -907,7 +905,7 @@ class _FreeQ(_ClosedForm):
         # b_j - a_j·Δp_gen; the pieces' slopes -a_j fall with j.
         self.a = np.column_stack([-gamma, np.zeros(m), np.ones(m)])
         self.b = np.column_stack([gamma * p0, s, math.sqrt(2.0) * s - p0])
-        dpg, qg = p.i_dpg(inv), p.i_qg(inv)
+        dpg, qg = self.gen_cols, self.q_cols
         lo, hi = p.lb[dpg], p.ub[dpg]
         # h is concave, so it is >= 0 on the box when it is at both ends (it
         # is for any parsed inverter: s_cap > 0 and 0 <= p_gen0 <= s_cap).
@@ -933,12 +931,10 @@ class _FreeQ(_ClosedForm):
                 self.piece[i, s_i], self.valid[i, s_i] = j, True
                 self.seg_lo[i, s_i] = z0 if s_i == 0 else 0.0
                 self.seg_hi[i, s_i] = z1 if s_i == 0 else z1 - z0
-        # Knapsack items: Δp_gen at nodes without an inverter, the segments, Δp_load.
-        nodes = np.arange(p.n)
-        self.other = np.setdiff1d(nodes, inv)
-        z_lo, z_hi = self.z_box(p.lb[p.i_dpg(nodes)], p.ub[p.i_dpg(nodes)])
-        self.item_lo = np.concatenate([z_lo[self.other], self.seg_lo[self.valid], z_lo[p.n:]])
-        self.item_hi = np.concatenate([z_hi[self.other], self.seg_hi[self.valid], z_hi[p.n:]])
+        # Knapsack items: the segments, then Δp_load.
+        z_lo, z_hi = self.z_box(lo, hi)
+        self.item_lo = np.concatenate([self.seg_lo[self.valid], z_lo[m:]])
+        self.item_hi = np.concatenate([self.seg_hi[self.valid], z_hi[m:]])
         self.box_only[dpg] = self.box_only[qg] = False
 
     def _h(self, x: np.ndarray) -> np.ndarray:
@@ -948,30 +944,26 @@ class _FreeQ(_ClosedForm):
     def solve(self, node: int, edge: float) -> DualCertificate | None:
         if not self.ok:
             return None
-        p, inv, n = self.problem, self.inv, self.problem.n
+        p, inv = self.problem, self.inv
         sigma = p.scenario.sigma
         m = np.arange(inv.size)
         gain_g, gain_l, gain_q = sigma * p.s_p[node], sigma * p.s_l[node], sigma * p.s_q[node]
-        g_abs = np.abs(gain_q[inv])
-        seg_gain = gain_g[inv, None] - g_abs[:, None] * self.a[m[:, None], self.piece]
+        g_abs = np.abs(gain_q)
+        seg_gain = gain_g[:, None] - g_abs[:, None] * self.a[m[:, None], self.piece]
         fill = self.fill(
-            np.concatenate([gain_g[self.other], seg_gain[self.valid], gain_l]),
-            self.item_lo, self.item_hi, edge,
+            np.concatenate([seg_gain[self.valid], gain_l]), self.item_lo, self.item_hi, edge,
         )
         if fill is None:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
         z, agg_dual = fill
-        n_other, n_seg = self.other.size, int(self.valid.sum())
+        n_seg = int(self.valid.sum())
         zs = np.zeros(self.valid.shape)
-        zs[self.valid] = z[n_other:n_other + n_seg]
-        dpg = np.zeros(n)
-        dpg[self.other] = self.sign * z[:n_other]
-        dpg[inv] = self.sign * zs.sum(axis=1)
-        dpl = -self.sign * z[n_other + n_seg:]
-        side = (gain_q[inv] < 0.0).astype(np.int64)
-        q = np.zeros(n)
-        q[inv] = (1.0 - 2.0 * side) * self._h(dpg[inv])
-        y = np.zeros(n)
+        zs[self.valid] = z[:n_seg]
+        dpg = self.sign * zs.sum(axis=1)
+        dpl = -self.sign * z[n_seg:]
+        side = (gain_q < 0.0).astype(np.int64)
+        q = (1.0 - 2.0 * side) * self._h(dpg)
+        y = np.zeros(p.n)
         y[node] = 1.0
         cert, duals, reduced = self.certificate(
             node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q
@@ -987,15 +979,15 @@ class _FreeQ(_ClosedForm):
         nxt = np.minimum(n_full, 2)
         j_cur, j_nxt = self.piece[m, cur], self.piece[m, nxt]
         a_cur, a_nxt = self.a[m, j_cur], self.a[m, j_nxt]
-        r = reduced[p.i_dpg(inv)] - a_cur * g_abs  # left for the Δp_gen bounds
+        r = reduced[self.gen_cols] - a_cur * g_abs  # left for the Δp_gen bounds
         with np.errstate(divide="ignore", invalid="ignore"):
             pi_nxt = np.where(kink, r / (a_nxt - a_cur), 0.0)
         duals[self.target[m, j_cur, side]] += self.dual_sign[j_cur, side] * (g_abs - pi_nxt)
         duals[self.target[m, j_nxt, side]] += self.dual_sign[j_nxt, side] * pi_nxt
         r = np.where(kink | has_partial, 0.0, r)
         n_rows = len(p.rows)
-        duals[n_rows + p.i_dpg(inv)] = np.minimum(r, 0.0)
-        duals[n_rows + p.n_vars + p.i_dpg(inv)] = np.maximum(r, 0.0)
+        duals[n_rows + self.gen_cols] = np.minimum(r, 0.0)
+        duals[n_rows + p.n_vars + self.gen_cols] = np.maximum(r, 0.0)
         return cert
 
 

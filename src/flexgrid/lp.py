@@ -19,7 +19,7 @@ skip the row-building cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -229,17 +229,13 @@ def solve_materialized(
     beq = mat.b_eq if b_eq is None else np.asarray(b_eq, dtype=float)
 
     sign = -1.0 if mat.sense == MAX else 1.0
-    bounds = [
-        (None if not math.isfinite(l) else l, None if not math.isfinite(u) else u)
-        for l, u in zip(mat.lb, mat.ub)
-    ]
     res = linprog(
         sign * cc,
         A_ub=mat.A_ub if mat.b_ub.size else None,
         b_ub=bub if mat.b_ub.size else None,
         A_eq=mat.A_eq if mat.b_eq.size else None,
         b_eq=beq if mat.b_eq.size else None,
-        bounds=bounds,
+        bounds=np.column_stack([mat.lb, mat.ub]),
         method=method,
     )
     if res.status == 2:

@@ -25,7 +25,6 @@ from .feeder import (
 )
 from .follower import (
     ACTIVATIONS,
-    MAX_V,
     POSITIVE,
     FlexContext,
     FollowerProblem,
@@ -253,13 +252,12 @@ def brute_force_worst_voltage(
     n = ctx.n
 
     dims: list[tuple[str, int, np.ndarray]] = []  # (kind, node, grid values)
-    for k in range(n):
-        lo, hi = problem.lb[problem.i_dpg(k)], problem.ub[problem.i_dpg(k)]
+    columns = [("dpg", k, problem.i_dpg(k)) for k in dev.inverter_nodes]
+    columns += [("dpl", k, problem.i_dpl(k)) for k in dev.load_nodes]
+    for kind, k, v in sorted(columns, key=lambda c: c[1]):  # node by node, Δp_gen first
+        lo, hi = problem.lb[v], problem.ub[v]
         if hi - lo > 1e-12:
-            dims.append(("dpg", k, np.linspace(lo, hi, steps)))
-        lo, hi = problem.lb[problem.i_dpl(k)], problem.ub[problem.i_dpl(k)]
-        if hi - lo > 1e-12:
-            dims.append(("dpl", k, np.linspace(lo, hi, steps)))
+            dims.append((kind, k, np.linspace(lo, hi, steps)))
     if len(dims) > max_devices:
         raise OracleError(
             f"{len(dims)} flexible devices exceed the brute-force limit {max_devices}"

@@ -347,9 +347,9 @@ def test_linear_model_reproduces_every_anchor_exactly(ieee13_model, random_batch
 def test_activation_sign_rules_hold_in_every_solved_scenario(solved_scenarios):
     assert len(solved_scenarios) >= 80
     for problem, sc, _, cert in solved_scenarios:
-        nodes = np.arange(problem.n)
-        dpg = cert.x[problem.i_dpg(nodes)]
-        dpl = cert.x[problem.i_dpl(nodes)]
+        dev = problem.ctx.devices
+        dpg = cert.x[problem.i_dpg(np.array(dev.inverter_nodes))]
+        dpl = cert.x[problem.i_dpl(np.array(dev.load_nodes))]
         if sc.activation == POSITIVE:
             assert float(np.min(dpg)) >= 0.0, sc
             assert float(np.max(dpl)) <= 0.0, sc

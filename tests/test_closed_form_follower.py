@@ -24,7 +24,7 @@ from flexgrid import build_context
 from flexgrid.bilevel import (
     EDGE_TOL_REL,
     UpperDecision,
-    _edge_limit,
+    _edge_walk,
     _family_follower,
     feasibility_check,
     neutral_setpoints,
@@ -112,7 +112,7 @@ class Oracle:
         self.problem = problem
         self.lp = problem.to_lp(slots)
         self.mat = self.lp.materialize()
-        self.agg = problem.row_index("agg")
+        self.agg = [r.name for r in problem.rows].index("agg")
         self.vm = problem.i_vm(np.arange(problem.n))
         self.A = np.array([self.lp.row_dense(r) for r in range(self.lp.n_rows)])
 
@@ -332,6 +332,40 @@ def test_volt_var_optimum_cut_by_the_capability_falls_back_to_highs(pv_model):
     assert cut_optima > 0
 
 
+def test_volt_var_singular_droop_system_falls_back_to_highs(pv_ctx, monkeypatch):
+    """When the droop system A = I + d·Q̄·S_q[I,I] has no solution
+    (``np.linalg.solve`` raises as it does for a singular A), the closed form
+    certifies nothing: every solve is HiGHS's on ``to_lp``.  Re-slotting with
+    a solvable system brings the closed form back."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    dev = pv_ctx.devices
+    dp_lo, dp_up = available_flexibility_bounds(dev)
+    rng = np.random.default_rng(5)
+    for activation in ACTIVATIONS:
+        full = dp_up if activation == POSITIVE else dp_lo
+        for extremum in EXTREMA:
+            problem = build_follower(pv_ctx, Scenario(0, activation, extremum), MODE_VOLT_VAR)
+            slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+            slots.update({slot_qbar(k): float(rng.uniform(0.0, dev.s_cap[k]))
+                          for k in dev.inverter_nodes})
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", singular)
+                mf = problem.materialize(slots)
+            oracle = Oracle(problem, mf.slots)
+            for k in range(pv_ctx.n):
+                for edge in (0.0, 0.5 * full, full):
+                    got, want = mf.solve(node=k, dp_bound=edge), oracle.solve(k, edge)
+                    where = (activation, extremum, k, edge)
+                    assert got.method != CLOSED_FORM, where
+                    assert got.status == want.status, where
+                    if got.is_optimal:
+                        assert abs(got.objective - want.objective) <= 1e-9, where
+            mf.set_slots(slots)
+            assert mf.solve().method == CLOSED_FORM
+
+
 def test_free_q_optimum_cut_by_the_capability_stays_closed_form(pv_model):
     """Free-q constant-q with a tight s_cap and a wide cone: the capability
     rows and the q_gen bounds cut h(Δp_gen) into three segments, and as
@@ -365,15 +399,19 @@ def test_free_q_optimum_cut_by_the_capability_stays_closed_form(pv_model):
 
 
 def test_free_q_falls_back_when_the_capability_excludes_the_operating_point(pv_model):
-    """An inverter rated at zero that still produces: h < 0 on its Δp_gen
-    box, which the closed form does not certify; HiGHS finds the LP
-    infeasible, before and after re-slotting."""
+    """An inverter whose constant-q cone has a negative width, held at its
+    output (p_gen_min = p_gen0): h < 0 on its Δp_gen box, which the closed
+    form does not certify; HiGHS finds the LP infeasible, before and after
+    re-slotting.  (An inverter rated below its output cannot serve: its
+    Δp_gen box is empty, which ``build_follower`` rejects.)"""
     probe = build_context(pv_model)
     dev = probe.devices
     k = dev.inverter_nodes[0]
-    ctx = dataclasses.replace(
-        probe, devices=dataclasses.replace(dev, s_cap=np.where(np.arange(probe.n) == k, 0.0, dev.s_cap))
-    )
+    at_k = np.arange(probe.n) == k
+    ctx = dataclasses.replace(probe, devices=dataclasses.replace(
+        dev, gamma_const=np.where(at_k, -0.5, dev.gamma_const),
+        p_gen_min=np.where(at_k, dev.p_gen0, dev.p_gen_min),
+    ))
     for activation in ACTIVATIONS:
         problem = build_follower(ctx, Scenario(0, activation, EXTREMA[1]), MODE_CONSTANT_Q)
         mf = problem.materialize({SLOT_DP_PLUS: 0.1, SLOT_DP_MINUS: -0.1})
@@ -430,8 +468,8 @@ def test_edge_walk_over_the_closed_form_matches_highs(corpus, pv_model, ieee13_m
                 mf.solve = lambda **kw: calls.append(1) or solve(**kw)
                 for k in range(ctx.n):
                     before = (len(calls), reference.solves)
-                    limits["closed"][extremum, k] = _edge_limit(mf, k, tol_abs)
-                    limits["highs"][extremum, k] = _edge_limit(reference, k, tol_abs)
+                    limits["closed"][extremum, k] = _edge_walk(mf, k, tol_abs)[0]
+                    limits["highs"][extremum, k] = _edge_walk(reference, k, tol_abs)[0]
                     where = (mode, activation, extremum, k)
                     assert len(calls) - before[0] <= reference.solves - before[1], where
             for k in range(ctx.n):

@@ -1,4 +1,4 @@
-"""The band-edge walk (``bilevel._edge_limit``) against its references.
+"""The band-edge walk (``bilevel._edge_walk``) against its references.
 
 Two references share no code with the walk: a stub follower whose value
 function is a known concave piecewise-linear F(|edge|), which gives the exact
@@ -18,7 +18,7 @@ from flexgrid import build_context
 from flexgrid.bilevel import (
     EDGE_TOL_REL,
     BilevelError,
-    _edge_limit,
+    _edge_walk,
     _family_follower,
     worst_case_limits,
 )
@@ -139,7 +139,7 @@ def _concave(f0, breaks, slopes):
 
 
 def _walk(stub):
-    return _edge_limit(stub, 0, TOL)
+    return _edge_walk(stub, 0, TOL)[0]
 
 
 def _assert_safe_and_tight(stub, result):
@@ -321,7 +321,7 @@ def test_walk_matches_the_bisection_on_screening_followers(corpus, pv_model, iee
                     walk_solves = bisection_solves = 0
                     for k in range(ctx.n):
                         mf.solves = 0
-                        walk = _edge_limit(mf, k, tol_abs)
+                        walk = _edge_walk(mf, k, tol_abs)[0]
                         walk_solves += mf.solves
                         mf.solves = 0
                         bisection = _reference_bisection(mf, k, tol_abs)

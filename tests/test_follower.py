@@ -158,6 +158,45 @@ def ieee13_ctx(ieee13_model):
     return build_context(ieee13_model)
 
 
+@pytest.mark.parametrize("feeder", ["pv", "ieee13", "random_batch"])
+def test_one_column_per_device(request, feeder):
+    """|v| at every node, Δp_gen and q_gen at each inverter node and Δp_load
+    at each load node, and no other column.  A unit step in a column moves
+    the injections ``injections`` decodes at that column's node only, and an
+    accessor asked for a device the node lacks raises."""
+    if feeder == "random_batch":
+        modes = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
+        contexts = [random_context(np.random.default_rng(7200 + i), mode=modes[i % 3])
+                    for i in range(6)]
+    else:
+        contexts = [request.getfixturevalue("pv_ctx" if feeder == "pv" else "ieee13_ctx")]
+    missing = 0
+    for ctx in contexts:
+        dev, n = ctx.devices, ctx.n
+        inv, loads = np.array(dev.inverter_nodes), np.array(dev.load_nodes)
+        problem = build_follower(ctx, Scenario(0, POSITIVE, MAX_V), MODE_CONSTANT_PF)
+        assert problem.n_vars == n + 2 * inv.size + loads.size
+        cols = np.concatenate([problem.i_vm(np.arange(n)), problem.i_dpg(inv),
+                               problem.i_qg(inv), problem.i_dpl(loads)])
+        assert sorted(cols.tolist()) == list(range(problem.n_vars))
+
+        zero = problem.injections(np.zeros(problem.n_vars))
+        for kind, nodes, accessor in (("dpg", inv, problem.i_dpg), ("qg", inv, problem.i_qg),
+                                      ("dpl", loads, problem.i_dpl)):
+            for k in nodes:
+                x = np.zeros(problem.n_vars)
+                x[accessor(k)] = 1.0
+                moved = np.flatnonzero(np.any(np.array(problem.injections(x)) != zero, axis=0))
+                assert moved.tolist() == [k], (kind, k)
+            for k in np.setdiff1d(np.arange(n), nodes):
+                missing += 1
+                with pytest.raises(KeyError, match="no "):
+                    accessor(k)
+                with pytest.raises(KeyError, match="no "):
+                    accessor(np.array([*nodes[:1], k]))
+    assert missing > 0
+
+
 @pytest.mark.parametrize("feeder", ["pv", "ieee13"])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("activation", (POSITIVE, NEGATIVE))
@@ -196,11 +235,13 @@ def test_magnitude_rows_match_the_linear_flow(request, feeder, mode, activation)
         e = np.zeros(n)
         e[j] = 1.0
         # row k reads |v_k| + a·x = m0_k, so d|v_k|/dx_j = -a_kj
-        for col, vm in (
-            (problem.i_dpg(j), magnitudes(e, zero, zero)),
-            (problem.i_dpl(j), magnitudes(zero, e, zero)),
-            (problem.i_qg(j), magnitudes(zero, zero, e)),
-        ):
+        columns = []
+        if j in dev.inverter_nodes:
+            columns += [(problem.i_dpg(j), magnitudes(e, zero, zero)),
+                        (problem.i_qg(j), magnitudes(zero, zero, e))]
+        if j in dev.load_nodes:
+            columns += [(problem.i_dpl(j), magnitudes(zero, e, zero))]
+        for col, vm in columns:
             assert np.allclose(-A[:, col], vm - base, rtol=0.0, atol=1e-12), (j, col)
 
 
@@ -208,12 +249,13 @@ def test_sign_rule_boxes(pv_ctx):
     dev = pv_ctx.devices
     pos = build_follower(pv_ctx, Scenario(0, POSITIVE, MAX_V), MODE_CONSTANT_PF)
     neg = build_follower(pv_ctx, Scenario(0, NEGATIVE, MAX_V), MODE_CONSTANT_PF)
-    for k in range(pv_ctx.n):
-        # positive activation: generation may only rise, load may only shed
+    # positive activation: generation may only rise, load may only shed;
+    # negative activation mirrored
+    for k in dev.inverter_nodes:
         assert pos.lb[pos.i_dpg(k)] >= -1e-12
-        assert pos.ub[pos.i_dpl(k)] <= 1e-12
-        # negative activation mirrored
         assert neg.ub[neg.i_dpg(k)] <= 1e-12
+    for k in dev.load_nodes:
+        assert pos.ub[pos.i_dpl(k)] <= 1e-12
         assert neg.lb[neg.i_dpl(k)] >= -1e-12
     for k in dev.inverter_nodes:
         assert pos.ub[pos.i_dpg(k)] == pytest.approx(
@@ -227,6 +269,11 @@ def test_empty_deviation_box_is_rejected():
     ctx.devices.p_gen_min[k] = ctx.devices.p_gen0[k] + 0.05  # must back *up*
     with pytest.raises(ValueError, match="empty deviation box"):
         build_follower(ctx, Scenario(0, NEGATIVE, MAX_V), MODE_CONSTANT_PF)
+    ctx = build_context(load_feeder(pv_doc()))
+    ctx.devices.s_cap[k] = 0.0  # rated below its output: it may not raise it
+    build_follower(ctx, Scenario(0, NEGATIVE, MAX_V), MODE_CONSTANT_PF)
+    with pytest.raises(ValueError, match="empty deviation box"):
+        build_follower(ctx, Scenario(0, POSITIVE, MAX_V), MODE_CONSTANT_PF)
 
 
 # --- solves ---------------------------------------------------------------

@@ -68,17 +68,18 @@ def test_follower_injections_recover_the_device_bookkeeping(pv_ctx):
         pv_ctx, Scenario(0, POSITIVE, MAX_V), MODE_CONSTANT_PF
     )
     n = pv_ctx.n
-    nodes = np.arange(n)
+    dev = pv_ctx.devices
+    inv, loads = np.array(dev.inverter_nodes), np.array(dev.load_nodes)
     rng = np.random.default_rng(3)
     x = np.zeros(problem.n_vars)
-    dpg = rng.normal(scale=0.02, size=n)
-    dpl = rng.normal(scale=0.02, size=n)
-    qg = rng.normal(scale=0.01, size=n)
-    x[problem.i_dpg(nodes)] = dpg
-    x[problem.i_dpl(nodes)] = dpl
-    x[problem.i_qg(nodes)] = qg
+    dpg, dpl, qg = np.zeros(n), np.zeros(n), np.zeros(n)
+    dpg[inv] = rng.normal(scale=0.02, size=inv.size)
+    dpl[loads] = rng.normal(scale=0.02, size=loads.size)
+    qg[inv] = rng.normal(scale=0.01, size=inv.size)
+    x[problem.i_dpg(inv)] = dpg[inv]
+    x[problem.i_dpl(loads)] = dpl[loads]
+    x[problem.i_qg(inv)] = qg[inv]
     p, q = problem.injections(x)
-    dev = pv_ctx.devices
     ql = dev.beta_load * (dev.p_load0 + dpl)  # constant-power-factor loads
     assert np.allclose(p, dev.p_gen0 + dpg - dev.p_load0 - dpl, atol=1e-15)
     assert np.allclose(q, qg - ql, atol=1e-15)
@@ -245,12 +246,14 @@ def _reference_brute_force(ctx, mode, decision, scenario, *, steps=7, q_steps=5)
     n = ctx.n
     dims = []
     for k in range(n):
-        lo, hi = problem.lb[problem.i_dpg(k)], problem.ub[problem.i_dpg(k)]
-        if hi - lo > 1e-12:
-            dims.append(("dpg", k, np.linspace(lo, hi, steps)))
-        lo, hi = problem.lb[problem.i_dpl(k)], problem.ub[problem.i_dpl(k)]
-        if hi - lo > 1e-12:
-            dims.append(("dpl", k, np.linspace(lo, hi, steps)))
+        if k in dev.inverter_nodes:
+            lo, hi = problem.lb[problem.i_dpg(k)], problem.ub[problem.i_dpg(k)]
+            if hi - lo > 1e-12:
+                dims.append(("dpg", k, np.linspace(lo, hi, steps)))
+        if k in dev.load_nodes:
+            lo, hi = problem.lb[problem.i_dpl(k)], problem.ub[problem.i_dpl(k)]
+            if hi - lo > 1e-12:
+                dims.append(("dpl", k, np.linspace(lo, hi, steps)))
     free_q = mode == MODE_CONSTANT_Q and not fix_q
     dp_cap = decision.dp_plus if scenario.activation == POSITIVE else decision.dp_minus
     Y = assemble_ybus(ctx.feeder, ctx.index)
