@@ -22,7 +22,7 @@ inside [v_min, v_max].  Three steps:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,8 +53,8 @@ from .lp import EQ, GE, INFEASIBLE, LE, MAX, OPTIMAL, DualCertificate, LinearPro
 EDGE_TOL_REL = 1e-6  # band-edge tolerance, relative to the availability span
 EDGE_ROOT_TOL = 1e-12  # a safe edge whose objective is this close to the limit is the root
 FEAS_TOL_PU = 1e-6
-LAMBDA_CAP = 1e3
-LAMBDA_ESCALATIONS = 3
+LAMBDA_CAP = 1e3  # McCormick box of every follower dual that meets a slot in a product
+DUAL_BOX = "dual_box"  # B&B status of an incumbent the λ box may have cut off
 VM_BOX = (0.0, 2.0)  # conservative |v| box for volt-var products
 
 
@@ -288,7 +288,6 @@ class SingleLevelMap:
     setpoint_slots: list[str]
     blocks: list[FollowerBlock]
     product_duals: list[int]  # dual variable indices that appear in products
-    lam_cap: float
 
 
 def setpoint_boxes(ctx: FlexContext, mode: str) -> dict[str, tuple[float, float]]:
@@ -319,7 +318,6 @@ def assemble_single_level(
     mode: str,
     followers: list[Scenario],
     *,
-    lam_cap: float = LAMBDA_CAP,
     fixed_setpoints: dict[str, float] | None = None,
 ) -> tuple[BilinearProgram, SingleLevelMap]:
     """Strong-duality reformulation of the ideal case for a follower subset.
@@ -332,7 +330,7 @@ def assemble_single_level(
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
     parametric right-hand side).  Only duals participating in products get
-    the ±``lam_cap`` McCormick box.  ``fixed_setpoints`` pins chosen slots to
+    the ±``LAMBDA_CAP`` McCormick box.  ``fixed_setpoints`` pins chosen slots to
     constants (degenerate boxes), used for worst-case cross-checks.
     """
     if not followers:
@@ -374,12 +372,12 @@ def assemble_single_level(
         d0 = lp.n_vars
         for r, row in enumerate(problem.rows):
             has_product = bool(row.coeff_slots or row.rhs_slots)
+            lim = LAMBDA_CAP if has_product else math.inf
             if row.relation == LE:
-                lo, hi = 0.0, lam_cap if has_product else math.inf
+                lo, hi = 0.0, lim
             elif row.relation == GE:
-                lo, hi = -lam_cap if has_product else -math.inf, 0.0
+                lo, hi = -lim, 0.0
             else:
-                lim = lam_cap if has_product else math.inf
                 lo, hi = -lim, lim
             d = lp.add_var(f"{tag}.lam[{row.name}]", lb=lo, ub=hi)
             if has_product:
@@ -469,7 +467,7 @@ def assemble_single_level(
     slmap = SingleLevelMap(
         ctx=ctx, mode=mode, upper_vars=upper_vars,
         setpoint_slots=list(sp_boxes), blocks=blocks,
-        product_duals=product_duals, lam_cap=lam_cap,
+        product_duals=product_duals,
     )
     return bp, slmap
 
@@ -508,7 +506,6 @@ def _complete_point(
     slmap: SingleLevelMap,
     families: Families,
     decision_slots: dict[str, float],
-    flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
     certs: dict[Scenario, DualCertificate] | None = None,
@@ -543,13 +540,8 @@ def _complete_point(
         nx = block.problem.n_vars
         lo = lb[block.x_offset:block.x_offset + nx]
         hi = ub[block.x_offset:block.x_offset + nx]
-        if np.any(cert.x < lo - 1e-9) or np.any(cert.x > hi + 1e-9):
-            flags["vm_overflow"] = True
         x[block.x_offset:block.x_offset + nx] = np.clip(cert.x, lo, hi)
-        duals = cert.row_duals
-        x[block.dual_offset:block.dual_offset + len(block.problem.rows)] = duals
-        if np.any(np.abs(duals) > slmap.lam_cap):
-            flags["dual_overflow"] = True
+        x[block.dual_offset:block.dual_offset + len(block.problem.rows)] = cert.row_duals
         # Bound duals in the z >= 0 convention of the assembly.
         zl = -cert.lower_duals
         zu = cert.upper_duals
@@ -631,54 +623,32 @@ def _candidate_setpoint_sets(
             c[name] = v
         if c not in cands:
             cands.append(c)
-    # A constant-Q setpoint deeper than the cone at anchor generation makes
-    # negative-activation followers infeasible (no curtailment can restore
-    # the cone), so also try the deepest hold the cone admits either way.
-    if slmap.mode == MODE_CONSTANT_Q:
-        dev = slmap.ctx.devices
-        for sign in (-1.0, 1.0):
-            c = {}
-            for k in dev.inverter_nodes:
-                name = slot_qset(k)
-                vi = up[name]
-                hold = sign * float(dev.gamma_const[k] * dev.p_gen0[k])
-                c[name] = min(max(hold, float(lb[vi])), float(ub[vi]))
-            if c and c not in cands:
-                cands.append(c)
     return cands
 
 
 def _presolve_points(
     slmap: SingleLevelMap,
     families: Families,
-    flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
     tol_abs: float,
 ) -> list[np.ndarray]:
-    """Heuristic incumbents: bang-bang setpoints with their largest safe band edges.
-
-    Each candidate also gets a zero-band fallback, so whenever any setpoint
-    choice keeps every follower in band at zero deviation the search starts
-    with an incumbent in hand instead of hunting for one through the tree.
-    """
+    """Heuristic incumbents: bang-bang setpoints with their largest safe band edges."""
     points: list[np.ndarray] = []
     for sp in _candidate_setpoint_sets(slmap, lb, ub):
         walked = _edge_limited_decision(slmap, families, sp, lb, ub, tol_abs)
-        trials = [] if walked is None else [walked]
-        if walked is None or (walked[0][SLOT_DP_PLUS], walked[0][SLOT_DP_MINUS]) != (0.0, 0.0):
-            trials.append((dict(sp, **{SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0}), None))
-        for d, certs in trials:
-            x = _complete_point(slmap, families, d, flags, lb, ub, certs)
-            if x is not None:
-                points.append(x)
+        if walked is None:
+            continue
+        decision, certs = walked
+        x = _complete_point(slmap, families, decision, lb, ub, certs)
+        if x is not None:
+            points.append(x)
     return points
 
 
 def _completion_hook(
     slmap: SingleLevelMap,
     families: Families,
-    flags: dict,
     lb: np.ndarray,
     ub: np.ndarray,
     tol_abs: float,
@@ -700,7 +670,7 @@ def _completion_hook(
             name: float(min(max(x_rel[vi], lb[vi]), ub[vi]))
             for name, vi in up.items()
         }
-        x = _complete_point(slmap, families, decision_slots, flags, lb, ub)
+        x = _complete_point(slmap, families, decision_slots, lb, ub)
         if x is not None:
             return x
         setpoints = {name: decision_slots[name] for name in slmap.setpoint_slots}
@@ -708,7 +678,7 @@ def _completion_hook(
         if walked is None:
             return None
         dec, certs = walked
-        return _complete_point(slmap, families, dec, flags, lb, ub, certs)
+        return _complete_point(slmap, families, dec, lb, ub, certs)
 
     return hook
 
@@ -718,8 +688,7 @@ class SingleLevelResult:
     decision: UpperDecision
     objective: float
     bnb: BnBResult
-    lam_cap: float
-    escalations: int
+    escalations: int = 0  # always 0: the λ box is never widened (the benchmark still reads it)
 
 
 def solve_single_level(
@@ -728,71 +697,57 @@ def solve_single_level(
     followers: list[Scenario],
     *,
     epsilon: float = 1e-4,
-    lam_cap: float = LAMBDA_CAP,
     fixed_setpoints: dict[str, float] | None = None,
     node_limit: int = 5000,
 ) -> SingleLevelResult:
-    """Solve the ideal case for a follower subset to global optimality.
+    """Solve the ideal case for a follower subset by spatial branch-and-bound.
 
-    Re-solves with doubled dual boxes (up to three times) whenever the
-    incumbent leans on a λ box, so the cap never silently binds.
+    The duals that meet a slot in a product sit in a ±``LAMBDA_CAP`` box, a
+    big-M that nothing certifies.  So when the incumbent is below the
+    availability ceiling and either one of its product duals sits at the box
+    or some completion's duals left it (the B&B rejects such a point), the
+    box may have cut off a wider band: the B&B status becomes ``DUAL_BOX``,
+    never optimal.  Raises ``BilevelError`` when no incumbent is found.
     """
-    cap = lam_cap
-    last_exc: BilevelError | None = None
-    for attempt in range(LAMBDA_ESCALATIONS + 1):
-        bp, slmap = assemble_single_level(
-            ctx, mode, followers, lam_cap=cap, fixed_setpoints=fixed_setpoints
+    bp, slmap = assemble_single_level(ctx, mode, followers, fixed_setpoints=fixed_setpoints)
+    lb = np.array(bp.base.lb)
+    ub = np.array(bp.base.ub)
+    up = slmap.upper_vars
+    dp_span = float(ub[up[SLOT_DP_PLUS]]) - float(lb[up[SLOT_DP_MINUS]])
+    tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
+    # Any in-box slot values will do: every use re-slots the followers first.
+    families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+    duals = slmap.product_duals
+    left_box = False
+
+    def boxed(x: np.ndarray | None) -> np.ndarray | None:
+        nonlocal left_box
+        if x is not None and np.any(np.abs(x[duals]) > LAMBDA_CAP):
+            left_box = True
+        return x
+
+    warm = [boxed(x) for x in _presolve_points(slmap, families, lb, ub, tol_abs)]
+    hook = _completion_hook(slmap, families, lb, ub, tol_abs)
+    res = spatial_branch_and_bound(
+        bp, epsilon=epsilon, node_limit=node_limit,
+        incumbent_hook=lambda x_rel: boxed(hook(x_rel)), initial_points=warm,
+    )
+    if res.x is None:
+        raise BilevelError(
+            f"single-level solve failed: no incumbent (branch-and-bound {res.status} "
+            f"after {res.nodes} node(s)); either the upper-level setpoints force a "
+            "follower out of the voltage band at zero deviation, or the dual boxes "
+            "cut off every completion"
         )
-        lb = np.array(bp.base.lb)
-        ub = np.array(bp.base.ub)
-        up = slmap.upper_vars
-        dp_span = float(ub[up[SLOT_DP_PLUS]]) - float(lb[up[SLOT_DP_MINUS]])
-        tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
-        flags: dict = {}
-        # Any in-box slot values will do: every use re-slots the followers first.
-        families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
-        warm = _presolve_points(slmap, families, flags, lb, ub, tol_abs)
-        hook = _completion_hook(slmap, families, flags, lb, ub, tol_abs)
-        res = spatial_branch_and_bound(
-            bp, epsilon=epsilon, node_limit=node_limit,
-            incumbent_hook=hook, initial_points=warm,
-        )
-        if res.status == INFEASIBLE or res.x is None:
-            detail = "no incumbent found" if res.x is None else "program infeasible"
-            last_exc = BilevelError(
-                f"single-level solve failed ({detail}); either the upper-level "
-                "setpoints force a follower out of the voltage band at zero "
-                "deviation, or the dual boxes are too tight"
-                + ("; a follower voltage left the McCormick box"
-                   if flags.get("vm_overflow") else "")
-            )
-            if flags.get("dual_overflow"):
-                cap *= 2.0
-                continue
-            raise last_exc
-        x = res.x
-        # An incumbent at the availability ceiling cannot be improved by any
-        # relaxation of the dual boxes: the objective is capped by the
-        # deviation boxes alone.
-        at_ceiling = res.objective >= dp_span - 1e-9 * (1.0 + dp_span)
-        box_active = any(
-            abs(x[d]) >= 0.999 * cap for d in slmap.product_duals
-        )
-        if (
-            not at_ceiling
-            and (flags.get("dual_overflow") or box_active)
-            and attempt < LAMBDA_ESCALATIONS
-        ):
-            cap *= 2.0
-            continue
-        return SingleLevelResult(
-            decision=_decision_from_x(slmap, x),
-            objective=res.objective,
-            bnb=res,
-            lam_cap=cap,
-            escalations=attempt,
-        )
-    raise last_exc or BilevelError("dual box escalation exhausted")
+    # The deviation boxes alone cap the objective, so no dual box can cut off
+    # anything above an incumbent at the availability ceiling.
+    at_ceiling = res.objective >= dp_span - 1e-9 * (1.0 + dp_span)
+    box_active = np.any(np.abs(res.x[duals]) >= 0.999 * LAMBDA_CAP)
+    if not at_ceiling and (left_box or box_active):
+        res = replace(res, status=DUAL_BOX)
+    return SingleLevelResult(
+        decision=_decision_from_x(slmap, res.x), objective=res.objective, bnb=res,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -903,8 +858,8 @@ def run_iterative(
     is nonincreasing; the iteration cap defaults to the number of available
     scenarios (4n, direction-filtered 2n).  The run has converged when the
     accepted band survives the re-screening and the last branch-and-bound
-    proved it optimal; a band that stopped at ``node_limit`` is feasible
-    but unproven.
+    proved it optimal; a band that stopped at ``node_limit``, or whose
+    dual box binds (``DUAL_BOX``), is feasible but unproven.
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")

@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 validation error (bad arguments, feeder file or
 result file), 3 infeasible anchor (the current operating point violates the
 voltage band or the power flow fails), 4 iteration cap reached without a
 feasible decision, 5 feasible band whose optimality the branch-and-bound did
-not prove (it stopped at its node limit), 6 solver failure (any other
-bilevel error, such as a failed single-level solve or an infeasible follower
+not prove (it stopped at its node limit, or the dual box binds at its
+incumbent: status ``dual_box``), 6 solver failure (any other bilevel error,
+such as a single-level solve with no incumbent or an infeasible follower
 LP).  All files are deterministic for a fixed configuration.
 """
 

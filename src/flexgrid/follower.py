@@ -530,7 +530,15 @@ class FollowerProblem:
         return lp
 
     def materialize(self, slots: dict[str, float]) -> "MaterializedFollower":
-        return MaterializedFollower(self, slots)
+        """The closed-form follower of this problem's mode at ``slots``."""
+        if self.mode == MODE_VOLT_VAR:
+            mf = _VoltVar(self)
+        elif self.mode == MODE_CONSTANT_Q and not self.fix_q:
+            mf = _FreeQ(self)
+        else:
+            mf = _Knapsack(self)
+        mf.set_slots(slots)
+        return mf
 
     def solve(self, slots: dict[str, float], *, node: int | None = None) -> DualCertificate:
         return self.materialize(slots).solve(node=node)
@@ -556,72 +564,24 @@ class MaterializedFollower:
     """One follower at fixed slots, solved for any target node and band edge.
 
     ``solve`` swaps the target node (objective) and the aggregate-row bound
-    (rhs) and solves in closed form (``_closed_form``).  Every closed form
-    returns the LP's optimum with a full dual certificate (row and bound
-    duals in ``problem.rows`` and variable order), so strong duality, the
-    single-level completion and the band-edge walk read it as they read
-    HiGHS.  When a closed form cannot certify its point, the solve falls
-    back to HiGHS on ``mat``, the arrays of ``problem.to_lp(slots)``: they
-    are built on the first fallback and ``set_slots`` drops them.
-    """
+    (rhs) and solves in closed form; ``FollowerProblem.materialize`` picks
+    the subclass of the follower's mode (``_Knapsack``, ``_FreeQ`` or
+    ``_VoltVar``).  Every closed form returns the LP's optimum with a full
+    dual certificate (row and bound duals in ``problem.rows`` and variable
+    order), so strong duality, the single-level completion and the
+    band-edge walk read it as they read HiGHS.  When a closed form cannot
+    certify its point, the solve falls back to HiGHS on ``mat``, the arrays
+    of ``problem.to_lp(slots)``: they are built on the first fallback and
+    ``set_slots`` drops them.
 
-    def __init__(self, problem: FollowerProblem, slots: dict[str, float]):
-        self.problem = problem
-        self._closed = _closed_form(problem)
-        self.set_slots(slots)
-
-    def set_slots(self, slots: dict[str, float]) -> None:
-        """Re-slot in place: the follower ``problem.materialize(slots)`` builds."""
-        self.slots = {s: slots[s] for s in self.problem.slot_names}
-        self._mat: MaterializedLP | None = None
-        self._closed.set_slots(self.slots)
-
-    @property
-    def mat(self) -> MaterializedLP:
-        """HiGHS arrays of the LP at the current slots, built on first use."""
-        if self._mat is None:
-            self._mat = self.problem.to_lp(self.slots).materialize()
-        return self._mat
-
-    def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
-        p = self.problem
-        node = p.scenario.node if node is None else node
-        edge = self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound
-        cert = self._closed.solve(node, edge)
-        if cert is not None:
-            return cert
-        mat = self.mat
-        c = np.zeros(p.n_vars)
-        c[p.i_vm(node)] = p.scenario.sigma
-        b_ub = mat.ub_sign * mat.b_ub  # back in the original row convention
-        b_ub[mat.ub_rows == self._closed.agg_row] = edge
-        return solve_materialized(mat, c=c, b_ub=b_ub)
-
-    def agg_dual(self, cert: DualCertificate) -> float:
-        """Sensitivity of the objective to the aggregate bound."""
-        return float(cert.row_duals[self._closed.agg_row])
-
-
-def _closed_form(problem: FollowerProblem) -> "_ClosedForm":
-    """The closed-form solve of the follower's mode."""
-    if problem.mode == MODE_VOLT_VAR:
-        return _VoltVar(problem)
-    if problem.mode == MODE_CONSTANT_Q and not problem.fix_q:
-        return _FreeQ(problem)
-    return _Knapsack(problem)
-
-
-class _ClosedForm:
-    """What the closed-form solves share.
-
-    Each reduces the follower at fixed slots to a fractional knapsack over
-    z = sign·(Δp_gen, -Δp_load), sign = +1 under positive activation and -1
-    under negative, so the aggregate row reads sum(z) <= sign·edge for
-    either activation.  Device arrays run over the problem's inverter nodes
-    (Δp_gen, q_gen) and load nodes (Δp_load) in its column order.  ``solve``
-    returns the optimum with its certificate, an infeasible certificate, or
-    None when the closed form cannot certify the point (the caller then asks
-    HiGHS).
+    Each closed form reduces the follower at fixed slots to a fractional
+    knapsack over z = sign·(Δp_gen, -Δp_load), sign = +1 under positive
+    activation and -1 under negative, so the aggregate row reads
+    sum(z) <= sign·edge for either activation.  Device arrays run over the
+    problem's inverter nodes (Δp_gen, q_gen) and load nodes (Δp_load) in its
+    column order.  A subclass's ``_solve_closed`` returns the optimum with
+    its certificate, an infeasible certificate, or None when the closed form
+    cannot certify the point.
     """
 
     def __init__(self, problem: FollowerProblem):
@@ -638,13 +598,43 @@ class _ClosedForm:
         self.box_only = np.ones(p.n_vars, dtype=bool)
         self.box_only[p.i_vm(nodes)] = False
 
+    def set_slots(self, slots: dict[str, float]) -> None:
+        """Re-slot in place: the follower ``problem.materialize(slots)`` builds."""
+        self.slots = {s: slots[s] for s in self.problem.slot_names}
+        self._mat: MaterializedLP | None = None
+
+    @property
+    def mat(self) -> MaterializedLP:
+        """HiGHS arrays of the LP at the current slots, built on first use."""
+        if self._mat is None:
+            self._mat = self.problem.to_lp(self.slots).materialize()
+        return self._mat
+
+    def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
+        p = self.problem
+        node = p.scenario.node if node is None else node
+        edge = self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound
+        cert = self._solve_closed(node, edge)
+        if cert is not None:
+            return cert
+        mat = self.mat
+        c = np.zeros(p.n_vars)
+        c[p.i_vm(node)] = p.scenario.sigma
+        b_ub = mat.ub_sign * mat.b_ub  # back in the original row convention
+        b_ub[mat.ub_rows == self.agg_row] = edge
+        return solve_materialized(mat, c=c, b_ub=b_ub)
+
+    def _solve_closed(self, node: int, edge: float) -> DualCertificate | None:
+        raise NotImplementedError
+
+    def agg_dual(self, cert: DualCertificate) -> float:
+        """Sensitivity of the objective to the aggregate bound."""
+        return float(cert.row_duals[self.agg_row])
+
     def rows(self, name: str, nodes: np.ndarray | None = None) -> np.ndarray:
         """Positions of the rows ``name[k]`` over ``nodes`` (default: the inverter nodes)."""
         nodes = self.inv if nodes is None else nodes
         return np.array([self._row[f"{name}[{k}]"] for k in nodes], dtype=np.int64)
-
-    def set_slots(self, slots: dict[str, float]) -> None:
-        pass
 
     def z_box(self, g_lo: np.ndarray, g_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of z from the inverters' Δp_gen intervals and Δp_load's box."""
@@ -703,7 +693,7 @@ class _ClosedForm:
         return cert, duals, reduced
 
 
-class _Knapsack(_ClosedForm):
+class _Knapsack(MaterializedFollower):
     """Closed-form solve of a follower whose only cross-node row is ``agg``.
 
     Substituting |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen and the
@@ -752,6 +742,7 @@ class _Knapsack(_ClosedForm):
 
     def set_slots(self, slots: dict[str, float]) -> None:
         """Fold each inverter node's rows into its Δp_gen interval at these setpoints."""
+        super().set_slots(slots)
         p, inv = self.problem, self.inv
         m = inv.size
         p_gen0 = p.ctx.devices.p_gen0[inv]
@@ -779,7 +770,7 @@ class _Knapsack(_ClosedForm):
         self.ap, self.kappa, self.q0 = ap, kappa, q0
         self.z_lo, self.z_hi = self.z_box(lo, hi)
 
-    def solve(self, node: int, edge: float) -> DualCertificate:
+    def _solve_closed(self, node: int, edge: float) -> DualCertificate:
         p, m = self.problem, self.inv.size
         if not self.feasible:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
@@ -809,7 +800,7 @@ class _Knapsack(_ClosedForm):
         return cert
 
 
-class _VoltVar(_ClosedForm):
+class _VoltVar(MaterializedFollower):
     """Closed-form solve of a volt-var follower at fixed q̄.
 
     With u = s_p·Δp_gen - s_l·Δp_load the sensitivity rows read
@@ -823,7 +814,7 @@ class _VoltVar(_ClosedForm):
     the vm rows, σ(s_qᵀy)_I on the droop rows (which zeroes q_gen's reduced
     cost at I), the fill's dual on agg and nothing on the q_gen box and the
     capability rows.  It is exact when the fill's point meets those; when it
-    does not, or A is singular, ``solve`` returns None.  The fill solves a
+    does not, or A is singular, ``_solve_closed`` returns None.  The fill solves a
     relaxation of the LP, so an infeasible fill is an infeasible LP.
     """
 
@@ -842,6 +833,7 @@ class _VoltVar(_ClosedForm):
 
     def set_slots(self, slots: dict[str, float]) -> None:
         """Solve the droop system at these q̄ once: q_I = q0 - K·u_I, K = A⁻¹·d·Q̄."""
+        super().set_slots(slots)
         p, inv = self.problem, self.inv
         qbar = np.array([slots[slot_qbar(k)] for k in inv], dtype=float)
         dq = self.d * qbar
@@ -856,7 +848,7 @@ class _VoltVar(_ClosedForm):
         else:
             self.q0, self.k = sol[:, 0], sol[:, 1:]
 
-    def solve(self, node: int, edge: float) -> DualCertificate | None:
+    def _solve_closed(self, node: int, edge: float) -> DualCertificate | None:
         if self.k is None:
             return None
         p, inv, m = self.problem, self.inv, self.inv.size
@@ -879,7 +871,7 @@ class _VoltVar(_ClosedForm):
         return cert
 
 
-class _FreeQ(_ClosedForm):
+class _FreeQ(MaterializedFollower):
     """Closed-form solve of a constant-q follower with free q_gen (screening).
 
     An inverter node's q_gen range is symmetric, |q_gen| <= h(Δp_gen) with
@@ -941,7 +933,7 @@ class _FreeQ(_ClosedForm):
         """h at each inverter node's Δp_gen."""
         return np.min(self.b - self.a * x[:, None], axis=1)
 
-    def solve(self, node: int, edge: float) -> DualCertificate | None:
+    def _solve_closed(self, node: int, edge: float) -> DualCertificate | None:
         if not self.ok:
             return None
         p, inv = self.problem, self.inv

@@ -92,6 +92,15 @@ class OracleReport:
         return self.max_error <= tol
 
 
+def decision_fixes_q(mode: str, decision: UpperDecision) -> bool:
+    """Whether the followers at ``decision`` hold q_gen at its q_set slots.
+
+    A constant-Q decision that carries q_set setpoints fixes each inverter's
+    reactive output; without them the adversary owns q_gen.
+    """
+    return mode == MODE_CONSTANT_Q and any(s.startswith("qset") for s in decision.setpoints)
+
+
 def _decision_slots(decision: UpperDecision, problem: FollowerProblem) -> dict[str, float]:
     slots = decision.slots
     out = {s: slots[s] for s in problem.slot_names if s in slots}
@@ -119,9 +128,7 @@ def verify_decision(
     """
     if not ctx.n:
         return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
-    fix_q = mode == MODE_CONSTANT_Q and any(
-        s.startswith("qset") for s in decision.setpoints
-    )
+    fix_q = decision_fixes_q(mode, decision)
     checks: list[ScenarioCheck] = []
     profiles: list[tuple[np.ndarray, np.ndarray]] = []  # (linear, nonlinear) per family
     for activation in ACTIVATIONS:
@@ -245,9 +252,7 @@ def brute_force_worst_voltage(
     Only meant for feeders with at most ``max_devices`` flexible devices.
     """
     dev = ctx.devices
-    fix_q = mode == MODE_CONSTANT_Q and any(
-        s.startswith("qset") for s in decision.setpoints
-    )
+    fix_q = decision_fixes_q(mode, decision)
     problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
     n = ctx.n
 

@@ -39,7 +39,7 @@ from flexgrid.follower import (
     fix_worst_case_setpoints,
 )
 from flexgrid.lp import solve_lp, verify_strong_duality
-from flexgrid.oracle import linear_magnitudes, verify_decision
+from flexgrid.oracle import decision_fixes_q, linear_magnitudes, verify_decision
 from flexgrid.powerflow import anchor_injections
 
 MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
@@ -77,10 +77,7 @@ def random_batch():
 
 def _decision_problem(ctx, scenario, mode, decision):
     """Follower for a scenario at an accepted decision, plus its slot values."""
-    fix_q = mode == MODE_CONSTANT_Q and any(
-        s.startswith("qset") for s in decision.setpoints
-    )
-    problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
+    problem = build_follower(ctx, scenario, mode, fix_q=decision_fixes_q(mode, decision))
     slots = {
         k: v for k, v in decision.slots.items()
         if k in problem.slot_names

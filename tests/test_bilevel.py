@@ -5,8 +5,9 @@ import pytest
 
 from feedergen import random_context
 
-from flexgrid import build_context, load_feeder
+from flexgrid import bilevel, build_context, load_feeder
 from flexgrid.bilevel import (
+    DUAL_BOX,
     BilevelError,
     UpperDecision,
     assemble_single_level,
@@ -213,19 +214,73 @@ def test_single_level_solution_is_clean(pv_tight_ctx):
 
 
 @pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_VOLT_VAR])
-def test_dual_box_escalation_reaches_the_same_band(pv_tight_ctx, mode):
-    """A λ box too tight for the incumbent is doubled and the solve re-run."""
+def test_dual_box_escalation_reaches_the_same_band(pv_tight_ctx, mode, monkeypatch):
+    """No escalation is needed to reach the same band: a λ box as small as
+    the one a doubling from 0.01 used to end at gives the default box's band
+    in one pass, and a box too tight is an error, never silently widened."""
     followers = [Scenario(4, POSITIVE, MAX_V)]
     ref = solve_single_level(pv_tight_ctx, mode, followers)
-    res = solve_single_level(pv_tight_ctx, mode, followers, lam_cap=0.01)
-    assert res.escalations >= 1
-    assert res.lam_cap == pytest.approx(0.01 * 2 ** res.escalations)
+    assembled = []
+    assemble = bilevel.assemble_single_level
+    monkeypatch.setattr(bilevel, "assemble_single_level",
+                        lambda *a, **kw: assembled.append(1) or assemble(*a, **kw))
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.04)
+    res = solve_single_level(pv_tight_ctx, mode, followers)
+    assert len(assembled) == 1
+    assert res.escalations == 0
     assert res.bnb.status == "optimal"
     assert res.decision.dp_plus == pytest.approx(ref.decision.dp_plus, abs=1e-9)
     assert res.decision.dp_minus == pytest.approx(ref.decision.dp_minus, abs=1e-9)
-    # Boxes still too tight after the last doubling end in a BilevelError.
-    with pytest.raises(BilevelError):
-        solve_single_level(pv_tight_ctx, mode, followers, lam_cap=1e-3)
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.01)
+    with pytest.raises(BilevelError, match="no incumbent"):
+        solve_single_level(pv_tight_ctx, mode, followers)
+    assert len(assembled) == 2
+
+
+def test_a_binding_dual_box_leaves_the_band_unproven(pv_tight_ctx, monkeypatch):
+    """A λ box that cuts off the optimum gives a feasible band marked
+    ``dual_box``, not converged, from one assembly per single-level solve."""
+    full = run_iterative(pv_tight_ctx, MODE_CONSTANT_Q)
+    assert full.converged
+
+    calls = {"assemble": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bilevel, "assemble_single_level",
+                        counted("assemble", bilevel.assemble_single_level))
+    monkeypatch.setattr(bilevel, "solve_single_level",
+                        counted("solve", bilevel.solve_single_level))
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.01)
+    res = run_iterative(pv_tight_ctx, MODE_CONSTANT_Q)
+    assert res.single_level.bnb.status == DUAL_BOX
+    assert res.converged is False
+    assert res.single_level.escalations == 0
+    assert calls["assemble"] == calls["solve"] == res.iterations
+    assert feasibility_check(pv_tight_ctx, MODE_CONSTANT_Q, res.decision).ok
+    # The box really cut: the band is narrower than the one a wide box proves.
+    assert res.dp_plus - res.dp_minus < full.dp_plus - full.dp_minus - 0.1
+
+
+def test_a_dual_box_cannot_cut_below_an_incumbent_at_the_ceiling(pv_tight_ctx, monkeypatch):
+    """Completions leave this box, but the incumbent already offers the whole
+    availability band, which no dual box can cut: the proof stands."""
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.006)
+    res = run_iterative(pv_tight_ctx, MODE_VOLT_VAR)
+    assert res.single_level.bnb.status == "optimal" and res.converged
+    dp_lo, dp_up = res.worst_case.dp_box
+    assert res.dp_plus - res.dp_minus == pytest.approx(dp_up - dp_lo)
+
+
+def test_a_dual_box_that_cuts_off_every_completion_is_an_error(monkeypatch):
+    """No incumbent under the box is a solver failure, not a narrower band."""
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.02)
+    with pytest.raises(BilevelError, match="no incumbent"):
+        run_iterative(random_context(np.random.default_rng(7200)), MODE_CONSTANT_PF)
 
 
 # --- feasibility check and the driver -------------------------------------
@@ -303,7 +358,7 @@ def test_direction_filter_restricts_the_follower_pool(pv_tight_ctx):
 def test_completion_reuses_the_edge_walk_certificates(pv_tight_ctx, mode, monkeypatch):
     """Each side's only block decides its edge, so the walk's last safe solves
     complete the point without a follower solve, bit-identical to solving
-    the blocks again (HiGHS for volt-var, the closed form otherwise)."""
+    the blocks again."""
     from flexgrid.bilevel import (
         EDGE_TOL_REL,
         _complete_point,
@@ -328,8 +383,8 @@ def test_completion_reuses_the_edge_walk_certificates(pv_tight_ctx, mode, monkey
     solve = MaterializedFollower.solve
     monkeypatch.setattr(MaterializedFollower, "solve",
                         lambda self, **kw: calls.append(1) or solve(self, **kw))
-    reused = _complete_point(slmap, families, decision, {}, lb, ub, certs)
+    reused = _complete_point(slmap, families, decision, lb, ub, certs)
     assert not calls
-    fresh = _complete_point(slmap, families, decision, {}, lb, ub)
+    fresh = _complete_point(slmap, families, decision, lb, ub)
     assert len(calls) == len(followers)
     assert reused is not None and np.array_equal(reused, fresh)

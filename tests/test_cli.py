@@ -5,9 +5,12 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
-from flexgrid import cli
+from conftest import pv_doc
+
+from flexgrid import bilevel, build_context, cli, load_feeder
 from flexgrid.bilevel import BilevelError
 
 
@@ -273,6 +276,28 @@ def test_solver_failure_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     )
     assert code == cli.EXIT_SOLVER
     assert "single-level solve failed" in stderr
+
+
+def test_binding_dual_box_exit_codes(pv_file, tmp_path, capsys, monkeypatch):
+    """A real solve whose λ box binds exits 5; one whose box admits no
+    incumbent exits 6."""
+    vm = build_context(load_feeder(pv_doc())).anchor.vm
+    band = ["--vmin", repr(float(np.min(vm) - 0.010)), "--vmax", repr(float(np.max(vm) + 0.004))]
+    argv = ["solve", "--feeder", str(pv_file), "--mode", "constant-q", *band]
+
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.01)
+    code, stdout, _ = run([*argv, "--out", str(tmp_path / "boxed")], capsys)
+    assert code == cli.EXIT_UNPROVEN
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("ideal range"))
+    assert "NOT PROVEN OPTIMAL" in line and "dual_box" in line
+    doc = json.loads((tmp_path / "boxed" / "result.json").read_text())
+    assert doc["bnb_status"] == "dual_box"
+    assert doc["converged"] is False
+
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.005)
+    code, _, stderr = run([*argv, "--out", str(tmp_path / "cut")], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert "no incumbent" in stderr
 
 
 def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):

@@ -31,6 +31,7 @@ from flexgrid.oracle import (
     OracleError,
     _droop_voltages,
     brute_force_worst_voltage,
+    decision_fixes_q,
     linear_magnitudes,
     linearization_error,
     nonlinear_magnitudes,
@@ -241,7 +242,7 @@ def _reference_brute_force(ctx, mode, decision, scenario, *, steps=7, q_steps=5)
     point whose nonlinear |v| ties the extreme within 1e-12.
     """
     dev = ctx.devices
-    fix_q = mode == MODE_CONSTANT_Q and any(s.startswith("qset") for s in decision.setpoints)
+    fix_q = decision_fixes_q(mode, decision)
     problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
     n = ctx.n
     dims = []
