@@ -2,12 +2,16 @@
 
 A ``BilinearProgram`` is a base LP plus a list of product terms
 ``coeff * x_i * x_j`` attached either to a constraint row or to the
-objective (``row = OBJ_ROW``).  ``mccormick_relax`` replaces every distinct
-product with an auxiliary variable bounded by the four McCormick envelope
-rows over the current variable boxes; ``spatial_branch_and_bound`` drives
-the usual best-first refine loop: solve the relaxation, try to promote a
-feasible incumbent, branch on the variable behind the largest envelope
-violation, split at the relaxation point clamped away from the box edges.
+objective (``row = OBJ_ROW``).  Its McCormick relaxation replaces every
+distinct product with an auxiliary variable bounded by the envelope rows
+over the current variable boxes.  A ``RelaxationTemplate`` assembles that
+relaxation once per search as one CSC matrix with ranged rows;
+``mccormick_relax`` then writes, in numpy only, what a node changes: the
+column bounds, the envelope coefficients and the envelope row bounds.
+``spatial_branch_and_bound`` drives the usual best-first refine loop: solve
+the relaxation (primal-only), try to promote a feasible incumbent, branch
+on the variable behind the largest envelope violation, split at the
+relaxation point clamped away from the box edges.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
 
 from .lp import (
     GE,
@@ -26,6 +31,7 @@ from .lp import (
     MAX,
     OPTIMAL,
     LinearProgram,
+    RangedLP,
     solve_lp,
 )
 
@@ -64,46 +70,20 @@ class BilinearProgram:
         return list(seen)
 
     def true_objective(self, x: np.ndarray) -> float:
-        val = float(np.dot(self.base.obj, x))
-        for t in self.terms:
-            if t.row == OBJ_ROW:
-                val += t.coeff * x[t.var_i] * x[t.var_j]
-        return val
+        return RelaxationTemplate(self).true_objective(x)
 
     def max_row_violation(self, x: np.ndarray) -> float:
         """Worst constraint violation of a point with products evaluated exactly."""
-        lhs = np.zeros(self.base.n_rows)
-        for r in range(self.base.n_rows):
-            idx, val = self.base.row_coeffs(r)
-            lhs[r] = float(val @ x[idx])
-        for t in self.terms:
-            if t.row != OBJ_ROW:
-                lhs[t.row] += t.coeff * x[t.var_i] * x[t.var_j]
-        worst = 0.0
-        for r, rel in enumerate(self.base.relations):
-            resid = lhs[r] - self.base.rhs[r]
-            if rel == LE:
-                worst = max(worst, resid)
-            elif rel == GE:
-                worst = max(worst, -resid)
-            else:
-                worst = max(worst, abs(resid))
-        # Bounds violations count too; branching must never exclude an incumbent.
-        lb = np.array(self.base.lb)
-        ub = np.array(self.base.ub)
-        worst = max(worst, float(np.max(np.where(np.isfinite(lb), lb - x, 0.0), initial=0.0)))
-        worst = max(worst, float(np.max(np.where(np.isfinite(ub), x - ub, 0.0), initial=0.0)))
-        return worst
+        return RelaxationTemplate(self).max_row_violation(x)
 
 
-def mccormick_rows(
-    l1: float, u1: float, l2: float, u2: float
-) -> list[tuple[float, float, float, str, float]]:
+def mccormick_rows(l1, u1, l2, u2) -> list[tuple]:
     """Envelope rows for w = x*y over [l1,u1] x [l2,u2].
 
     Each entry is (a_w, a_x, a_y, relation, rhs) for a_w*w + a_x*x + a_y*y REL rhs.
     Underestimators:  w >= l2*x + l1*y - l1*l2   and   w >= u2*x + u1*y - u1*u2
     Overestimators:   w <= u2*x + l1*y - l1*u2   and   w <= l2*x + u1*y - u1*l2
+    The bounds may be floats or equal-shape arrays (one product per entry).
     """
     return [
         (1.0, -l2, -l1, GE, -l1 * l2),
@@ -113,73 +93,198 @@ def mccormick_rows(
     ]
 
 
-@dataclass
-class Relaxation:
-    lp: LinearProgram
-    product_var: dict[tuple[int, int], int]  # (i, j) -> aux w index in lp
+def square_rows(lo, hi) -> list[tuple]:
+    """Envelope rows for w = x^2 over [lo, hi]: the tangents at both box
+    edges below, the secant above.  Each entry is (a_w, a_x, relation, rhs)
+    for a_w*w + a_x*x REL rhs; the bounds may be floats or arrays."""
+    return [
+        (1.0, -2.0 * lo, GE, -lo * lo),
+        (1.0, -2.0 * hi, GE, -hi * hi),
+        (1.0, -(lo + hi), LE, -lo * hi),
+    ]
+
+
+_FOLD = {LE: 1.0, GE: -1.0}  # >= rows are negated into <= rows
+
+
+class RelaxationTemplate:
+    """The McCormick relaxation of a bilinear program, assembled once.
+
+    Columns: the base variables, then one auxiliary w per distinct product,
+    in ``bp.products()`` order (column ``n_vars + k`` for product k).  Rows,
+    in the order ``LinearProgram.materialize`` gives them: the base <= rows
+    (>= rows negated), the envelope rows product by product (four per
+    product x*y, three per square x*x; >= rows negated), then the base =
+    rows.  A row's product terms sit on the w columns.  The template is a
+    snapshot: terms or rows added to ``bp`` later are not in it.
+
+    It also screens candidate points: the base rows evaluated at the lifted
+    point (x, x_i*x_j) are exactly the bilinear rows.
+    """
+
+    def __init__(self, bp: BilinearProgram):
+        base = bp.base
+        mat = base.materialize()
+        n = base.n_vars
+        products = bp.products()
+        n_w = len(products)
+        self.sense = base.sense
+        self.n_vars = n
+        self.var_names = list(base.var_names)
+        pi = np.array([i for i, _ in products], dtype=np.int64)
+        pj = np.array([j for _, j in products], dtype=np.int64)
+        self.prod_i, self.prod_j = pi, pj
+        self.lb, self.ub = mat.lb, mat.ub
+
+        # Product terms on the w columns, accumulated in term order.
+        col = {p: n + k for k, p in enumerate(products)}
+        obj_w = np.zeros(n_w)
+        row_extra: dict[tuple[int, int], float] = {}
+        for t in bp.terms:
+            w = col[(min(t.var_i, t.var_j), max(t.var_i, t.var_j))]
+            if t.row == OBJ_ROW:
+                obj_w[w - n] += t.coeff
+            else:
+                row_extra[(t.row, w)] = row_extra.get((t.row, w), 0.0) + t.coeff
+        self.c = np.concatenate([mat.c, obj_w])
+
+        # Base rows (<= then =) with their product terms: the screening matrix.
+        n_ub = mat.b_ub.size
+        out_row = np.empty(base.n_rows, dtype=np.int64)
+        out_row[mat.ub_rows] = np.arange(n_ub)
+        out_row[mat.eq_rows] = n_ub + np.arange(mat.b_eq.size)
+        fold = np.ones(base.n_rows)
+        fold[mat.ub_rows] = mat.ub_sign
+        ub_coo, eq_coo = mat.A_ub.tocoo(), mat.A_eq.tocoo()
+        ex_r = np.fromiter((r for r, _ in row_extra), dtype=np.int64, count=len(row_extra))
+        ex_c = np.fromiter((w for _, w in row_extra), dtype=np.int64, count=len(row_extra))
+        ex_v = np.fromiter(row_extra.values(), dtype=float, count=len(row_extra))
+        rows = np.concatenate([ub_coo.row, n_ub + eq_coo.row, out_row[ex_r]])
+        cols = np.concatenate([ub_coo.col, eq_coo.col, ex_c])
+        vals = np.concatenate([ub_coo.data, eq_coo.data, fold[ex_r] * ex_v])
+        n_base = base.n_rows
+        self._screen = csr_array((vals, (rows, cols)), shape=(n_base, n + n_w))
+        self._screen_rhs = np.concatenate([mat.b_ub, mat.b_eq])
+        self._n_ub = n_ub
+
+        # Envelope rows: product k's block starts at env_start[k].
+        square = pi == pj
+        n_env_k = np.where(square, 3, 4)
+        env_start = n_ub + np.cumsum(n_env_k) - n_env_k
+        n_env = int(n_env_k.sum())
+        sq = self._sq = np.flatnonzero(square)
+        bi = self._bi = np.flatnonzero(~square)
+        sq_rows = env_start[sq, None] + np.arange(3)
+        bi_rows = env_start[bi, None] + np.arange(4)
+        w_sq = np.array([_FOLD[rel] * a_w for a_w, _, rel, _ in square_rows(0.0, 0.0)])
+        w_bi = np.array([_FOLD[rel] * a_w for a_w, _, _, rel, _ in mccormick_rows(0.0, 0.0, 0.0, 0.0)])
+        one3, one4 = np.ones(3, dtype=np.int64), np.ones(4, dtype=np.int64)
+        env_r = np.concatenate([
+            sq_rows.ravel(), sq_rows.ravel(),
+            bi_rows.ravel(), bi_rows.ravel(), bi_rows.ravel(),
+        ])
+        env_c = np.concatenate([
+            np.outer(n + sq, one3).ravel(), np.outer(pi[sq], one3).ravel(),
+            np.outer(n + bi, one4).ravel(), np.outer(pi[bi], one4).ravel(),
+            np.outer(pj[bi], one4).ravel(),
+        ])
+        # The x/y coefficients are placeholders until a node writes them.
+        env_v = np.concatenate([
+            np.tile(w_sq, sq.size), np.ones(3 * sq.size),
+            np.tile(w_bi, bi.size), np.ones(8 * bi.size),
+        ])
+        shift = np.where(rows >= n_ub, n_env, 0)
+        m = n_base + n_env
+        self.A = csc_array(
+            (np.concatenate([vals, env_v]),
+             (np.concatenate([rows + shift, env_r]), np.concatenate([cols, env_c]))),
+            shape=(m, n + n_w),
+        )
+        self.A.sort_indices()
+        # Position in A.data of each envelope entry: CSC keys col*m + row ascend.
+        keys = np.repeat(np.arange(n + n_w, dtype=np.int64) * m, np.diff(self.A.indptr))
+        keys += self.A.indices
+
+        def positions(r, c):
+            return np.searchsorted(keys, c * m + r)
+
+        # The entries a node writes, row kind by row kind, in the order
+        # ``mccormick_relax`` lists their values.
+        self._coef_pos = np.concatenate([
+            positions(sq_rows, pi[sq, None]).T.ravel(),
+            positions(bi_rows, pi[bi, None]).T.ravel(),
+            positions(bi_rows, pj[bi, None]).T.ravel(),
+        ])
+        self._rhs_rows = np.concatenate([sq_rows.T.ravel(), bi_rows.T.ravel()])
+        self.row_lb = np.concatenate([np.full(n_ub + n_env, -np.inf), mat.b_eq])
+        self.row_ub = np.concatenate([mat.b_ub, np.zeros(n_env), mat.b_eq])
+
+    def _lifted(self, x: np.ndarray) -> np.ndarray:
+        """Base point followed by the exact value of each product."""
+        return np.concatenate([x, x[self.prod_i] * x[self.prod_j]])
+
+    def true_objective(self, x: np.ndarray) -> float:
+        return float(self.c @ self._lifted(np.asarray(x, dtype=float)))
+
+    def max_row_violation(self, x: np.ndarray) -> float:
+        """Worst constraint violation of a point with products evaluated exactly."""
+        x = np.asarray(x, dtype=float)
+        resid = self._screen @ self._lifted(x) - self._screen_rhs
+        resid[self._n_ub:] = np.abs(resid[self._n_ub:])  # = rows
+        # Bounds violations count too; branching must never exclude an incumbent.
+        return float(max(
+            np.max(resid, initial=0.0),
+            np.max(self.lb - x, initial=0.0),
+            np.max(x - self.ub, initial=0.0),
+        ))
 
 
 def mccormick_relax(
-    bp: BilinearProgram, boxes: dict[int, tuple[float, float]] | None = None
-) -> Relaxation:
-    """Build the LP relaxation with one auxiliary variable per distinct product.
+    tpl: RelaxationTemplate, lb: np.ndarray | None = None, ub: np.ndarray | None = None
+) -> RangedLP:
+    """The template's relaxation over the variable boxes ``[lb, ub]``.
 
-    ``boxes`` overrides variable bounds (the branch-and-bound nodes pass their
-    current boxes); every variable appearing in a product must end up with
-    finite bounds.  A degenerate box [c, c] collapses the envelope to the
-    exact linear relation w = c*y.
+    ``lb``/``ub`` override the base bounds of every variable (the
+    branch-and-bound nodes pass their current boxes); every variable
+    appearing in a product must have finite bounds.  A degenerate box
+    [c, c] collapses the envelope to the exact linear relation w = c*y.
     """
-    base = bp.base
-    boxes = boxes or {}
-    lp = LinearProgram(sense=base.sense, name=base.name)
-    for v in range(base.n_vars):
-        lo, hi = boxes.get(v, (base.lb[v], base.ub[v]))
-        lp.add_var(name=base.var_names[v], lb=lo, ub=hi, obj=base.obj[v])
+    lb = tpl.lb if lb is None else lb
+    ub = tpl.ub if ub is None else ub
+    li, ui = lb[tpl.prod_i], ub[tpl.prod_i]
+    lj, uj = lb[tpl.prod_j], ub[tpl.prod_j]
+    finite = np.isfinite(np.stack([li, ui, lj, uj])).all(axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(
+            f"product ({tpl.var_names[tpl.prod_i[k]]}, {tpl.var_names[tpl.prod_j[k]]}) "
+            "needs finite boxes"
+        )
+    corners = np.stack([li * lj, li * uj, ui * lj, ui * uj])
 
-    product_var: dict[tuple[int, int], int] = {}
-    for i, j in bp.products():
-        li, ui = lp.lb[i], lp.ub[i]
-        lj, uj = lp.lb[j], lp.ub[j]
-        if not all(map(math.isfinite, (li, ui, lj, uj))):
-            raise ValueError(
-                f"product ({base.var_names[i]}, {base.var_names[j]}) needs finite boxes"
-            )
-        corners = [li * lj, li * uj, ui * lj, ui * uj]
-        w = lp.add_var(name=f"w[{base.var_names[i]}*{base.var_names[j]}]",
-                       lb=min(corners), ub=max(corners))
-        product_var[(i, j)] = w
-
-    # Per-row bilinear contributions become linear terms on the aux variables.
-    row_extra: dict[int, dict[int, float]] = {}
-    obj_extra: dict[int, float] = {}
-    for t in bp.terms:
-        key = (min(t.var_i, t.var_j), max(t.var_i, t.var_j))
-        w = product_var[key]
-        if t.row == OBJ_ROW:
-            obj_extra[w] = obj_extra.get(w, 0.0) + t.coeff
-        else:
-            row_extra.setdefault(t.row, {})[w] = row_extra.get(t.row, {}).get(w, 0.0) + t.coeff
-    for w, coeff in obj_extra.items():
-        lp.set_objective(w, coeff)
-    for r in range(base.n_rows):
-        idx, val = base.row_coeffs(r)
-        extra = row_extra.get(r)
-        if extra:
-            idx = np.concatenate([idx, np.fromiter(extra.keys(), dtype=np.int64)])
-            val = np.concatenate([val, np.fromiter(extra.values(), dtype=float)])
-        lp.add_row((idx, val), base.relations[r], base.rhs[r], name=base.row_names[r])
-
-    for (i, j), w in product_var.items():
-        if i == j:
-            lo, hi = lp.lb[i], lp.ub[i]
-            # Secants/tangents for the square term w = x^2.
-            lp.add_row({w: 1.0, i: -2.0 * lo}, GE, -lo * lo)
-            lp.add_row({w: 1.0, i: -2.0 * hi}, GE, -hi * hi)
-            lp.add_row({w: 1.0, i: -(lo + hi)}, LE, -lo * hi)
-        else:
-            for a_w, a_x, a_y, rel, rhs in mccormick_rows(lp.lb[i], lp.ub[i], lp.lb[j], lp.ub[j]):
-                lp.add_row({w: a_w, i: a_x, j: a_y}, rel, rhs)
-    return Relaxation(lp=lp, product_var=product_var)
+    sq, bi = tpl._sq, tpl._bi
+    sq_rows = square_rows(li[sq], ui[sq])
+    bi_rows = mccormick_rows(li[bi], ui[bi], lj[bi], uj[bi])
+    data = tpl.A.data.copy()
+    data[tpl._coef_pos] = np.concatenate(
+        [_FOLD[rel] * a_x for _, a_x, rel, _ in sq_rows]
+        + [_FOLD[rel] * a_x for _, a_x, _, rel, _ in bi_rows]
+        + [_FOLD[rel] * a_y for _, _, a_y, rel, _ in bi_rows]
+    )
+    row_ub = tpl.row_ub.copy()
+    row_ub[tpl._rhs_rows] = np.concatenate(
+        [_FOLD[rel] * rhs for _, _, rel, rhs in sq_rows]
+        + [_FOLD[rel] * rhs for _, _, _, rel, rhs in bi_rows]
+    )
+    return RangedLP(
+        sense=tpl.sense,
+        c=tpl.c,
+        A=csc_array((data, tpl.A.indices, tpl.A.indptr), shape=tpl.A.shape),
+        row_lb=tpl.row_lb,
+        row_ub=row_ub,
+        lb=np.concatenate([lb, corners.min(axis=0)]),
+        ub=np.concatenate([ub, corners.max(axis=0)]),
+    )
 
 
 @dataclass
@@ -203,24 +308,23 @@ def spatial_branch_and_bound(
 ) -> BnBResult:
     """Globally solve a bilinear program by box refinement.
 
-    Best-first search on the relaxation bound.  At each node the McCormick
-    relaxation is solved; the relaxation point (and optionally
-    ``incumbent_hook(x_rel)``, which may return a candidate point in base
-    variable space) is screened for true feasibility within ``feas_tol``.
-    ``initial_points`` are warm-start candidates screened the same way before
-    the search, which lets a caller with a cheap primal heuristic start from
-    a real incumbent instead of waiting for one to fall out of the tree.
-    Branching picks the product variable with the largest envelope violation
-    and splits its box at the relaxation value clamped to the middle half of
-    the box.  Terminates when the remaining bound is within ``epsilon``
+    Best-first search on the relaxation bound.  The McCormick relaxation is
+    assembled once; at each node ``mccormick_relax`` rewrites it for the
+    node's boxes and it is solved primal-only.  The relaxation point (and
+    optionally ``incumbent_hook(x_rel)``, which may return a candidate point
+    in base variable space) is screened for true feasibility within
+    ``feas_tol``.  ``initial_points`` are warm-start candidates screened the
+    same way before the search, which lets a caller with a cheap primal
+    heuristic start from a real incumbent instead of waiting for one to fall
+    out of the tree.  Branching picks the product with the largest envelope
+    violation (the first one on ties) and splits the wider box of its two
+    variables at the relaxation value clamped to the middle half of the
+    box.  Terminates when the remaining bound is within ``epsilon``
     (relative) of the incumbent.
     """
-    base = bp.base
-    sigma = 1.0 if base.sense == MAX else -1.0  # work in "maximize sigma*obj"
-    products = bp.products()
-    root_boxes = {
-        v: (base.lb[v], base.ub[v]) for v in bp.product_vars()
-    }
+    tpl = RelaxationTemplate(bp)
+    n = tpl.n_vars
+    sigma = 1.0 if tpl.sense == MAX else -1.0  # work in "maximize sigma*obj"
 
     best_x: np.ndarray | None = None
     best_val = -math.inf  # in sigma-space
@@ -230,9 +334,9 @@ def spatial_branch_and_bound(
         if x is None:
             return
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != base.n_vars or bp.max_row_violation(x) > feas_tol:
+        if x.shape[0] != n or tpl.max_row_violation(x) > feas_tol:
             return
-        val = sigma * bp.true_objective(x)
+        val = sigma * tpl.true_objective(x)
         if val > best_val + 1e-12:
             best_val = val
             best_x = x.copy()
@@ -244,14 +348,16 @@ def spatial_branch_and_bound(
         try_candidate(point)
 
     counter = itertools.count()
-    # Heap entries: (-sigma_bound, tiebreak, boxes).  Root bound is +inf until solved.
-    heap: list[tuple[float, int, dict]] = [(-math.inf, next(counter), root_boxes)]
+    # Heap entries: (-sigma_bound, tiebreak, lb, ub).  Root bound is +inf until solved.
+    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = [
+        (-math.inf, next(counter), tpl.lb, tpl.ub)
+    ]
     nodes = 0
     exhausted = True
     leftover_bound = -math.inf  # tightest open bound at an early exit
 
     while heap:
-        neg_bound, _, boxes = heapq.heappop(heap)
+        neg_bound, _, lb, ub = heapq.heappop(heap)
         parent_bound = -neg_bound
         if best_x is not None and close_enough(parent_bound):
             # Best-first order: every remaining node is at least as loose.
@@ -263,15 +369,14 @@ def spatial_branch_and_bound(
             break
         nodes += 1
 
-        relax = mccormick_relax(bp, boxes)
-        cert = solve_lp(relax.lp)
+        cert = solve_lp(mccormick_relax(tpl, lb, ub))
         if cert.status == INFEASIBLE:
             continue
         if cert.status != OPTIMAL:
             # Unbounded relaxation: only possible with unbounded non-product
             # variables; treat as a modeling error.
             raise ValueError(f"relaxation solve failed: {cert.status}")
-        x_rel = cert.x[: base.n_vars]
+        x_rel = cert.x[:n]
         node_bound = min(parent_bound, sigma * cert.objective)  # monotone down the tree
 
         try_candidate(x_rel)
@@ -281,36 +386,28 @@ def spatial_branch_and_bound(
             continue
 
         # Largest envelope violation picks the branching product.
-        worst_gap = 0.0
-        worst_pair = None
-        for (i, j) in products:
-            w = cert.x[relax.product_var[(i, j)]]
-            gap = abs(w - x_rel[i] * x_rel[j])
-            if gap > worst_gap + 1e-15:
-                worst_gap = gap
-                worst_pair = (i, j)
-        if worst_pair is None or worst_gap <= 1e-12:
+        gaps = np.abs(cert.x[n:] - x_rel[tpl.prod_i] * x_rel[tpl.prod_j])
+        if not gaps.size or gaps.max() <= 1e-12:
             # Envelope already exact: the relaxation point was a true candidate,
             # so this node is closed.
             continue
-
-        i, j = worst_pair
-        wi = boxes[i][1] - boxes[i][0]
-        wj = boxes[j][1] - boxes[j][0]
-        v = i if (i == j or wi >= wj) else j
-        lo, hi = boxes[v]
+        # Gaps within 1e-15 of the largest tie; the first of them wins.
+        k = int(np.argmax(gaps >= gaps.max() - 1e-15))
+        i, j = tpl.prod_i[k], tpl.prod_j[k]
+        v = i if (i == j or ub[i] - lb[i] >= ub[j] - lb[j]) else j
+        lo, hi = lb[v], ub[v]
         split = min(max(x_rel[v], lo + 0.25 * (hi - lo)), lo + 0.75 * (hi - lo))
         for child_lo, child_hi in ((lo, split), (split, hi)):
-            child = dict(boxes)
-            child[v] = (child_lo, child_hi)
-            heapq.heappush(heap, (-node_bound, next(counter), child))
+            clb, cub = lb.copy(), ub.copy()
+            clb[v], cub[v] = child_lo, child_hi
+            heapq.heappush(heap, (-node_bound, next(counter), clb, cub))
 
     if best_x is None:
         status = INFEASIBLE if exhausted else "node_limit"
         return BnBResult(status=status, x=None, objective=None,
                          bound=math.inf * sigma, gap=math.inf, nodes=nodes)
 
-    open_bound = max((-b for b, _, _ in heap), default=-math.inf)
+    open_bound = max((-b for b, *_ in heap), default=-math.inf)
     open_bound = max(open_bound, leftover_bound, best_val)
     gap = open_bound - best_val
     status = OPTIMAL if (exhausted or gap <= epsilon * (1.0 + abs(best_val))) else "node_limit"

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .bilevel import (
+    DUAL_BOX,
     BilevelError,
     FlexibilityResult,
     InfeasibleAnchorError,
@@ -241,7 +242,9 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
         "converged": res.converged,
         "iterations": res.iterations,
         "bnb_status": bnb.status,
-        "bnb_gap_kw": float(bnb.gap * base),
+        # A dual_box gap is measured inside the boxed program, so it bounds
+        # nothing about the band the box may have cut off.
+        "bnb_gap_kw": None if bnb.status == DUAL_BOX else float(bnb.gap * base),
         "bnb_nodes": bnb.nodes,
         "dp_plus_kw": float(res.dp_plus * base),
         "dp_minus_kw": float(res.dp_minus * base),
@@ -275,9 +278,12 @@ def cmd_solve(args) -> int:
     if res.converged:
         state, code = "converged", EXIT_OK
     elif res.feasibility.ok and bnb.status != OPTIMAL:
+        gap = f"gap {bnb.gap * base:.1f} kW"
+        if bnb.status == DUAL_BOX:
+            gap += " within the dual box only"
         state = (
             f"feasible, NOT PROVEN OPTIMAL: branch-and-bound {bnb.status} "
-            f"after {bnb.nodes} node(s), gap {bnb.gap * base:.1f} kW"
+            f"after {bnb.nodes} node(s), {gap}"
         )
         code = EXIT_UNPROVEN
     else:

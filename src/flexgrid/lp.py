@@ -13,7 +13,9 @@ identity plus complementary slackness on a returned certificate.
 
 The materialized form (split <=/=/ arrays) is exposed so hot loops that
 re-solve the same structure with a mutated objective or right-hand side can
-skip the row-building cost.
+skip the row-building cost.  A ``RangedLP`` (one CSC matrix with ranged rows)
+is the form a caller that assembles its own arrays hands over; ``solve_lp``
+solves it primal-only, with no duals on the certificate.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csc_array, csr_matrix
 
 LE = "<="
 GE = ">="
@@ -275,8 +277,54 @@ def solve_materialized(
     )
 
 
-def solve_lp(lp: LinearProgram, *, method: str = DEFAULT_METHOD) -> DualCertificate:
-    """Solve an LP exactly and return the primal point with dual sensitivities."""
+@dataclass
+class RangedLP:
+    """An LP as HiGHS holds it: ``row_lb <= A x <= row_ub``, ``lb <= x <= ub``.
+
+    ``A`` is a CSC matrix; an equality row has ``row_lb == row_ub`` and a
+    one-sided row an infinite side.
+    """
+
+    sense: str
+    c: np.ndarray
+    A: csc_array
+    row_lb: np.ndarray
+    row_ub: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+
+
+def _solve_ranged(lp: RangedLP) -> DualCertificate:
+    """Primal-only solve through ``milp`` with no integrality: the LP goes to
+    HiGHS as given, without the split and restack ``linprog`` performs."""
+    sign = -1.0 if lp.sense == MAX else 1.0
+    res = milp(
+        sign * lp.c,
+        bounds=Bounds(lp.lb, lp.ub),
+        constraints=LinearConstraint(lp.A, lp.row_lb, lp.row_ub),
+    )
+    if res.status == 2:
+        return DualCertificate(status=INFEASIBLE)
+    if res.status == 3:
+        return DualCertificate(status=UNBOUNDED)
+    if res.status != 0:
+        raise LPEngineError(f"LP backend failure (status {res.status}): {res.message}")
+    x = np.asarray(res.x, dtype=float)
+    return DualCertificate(status=OPTIMAL, objective=float(lp.c @ x), x=x)
+
+
+def solve_lp(
+    lp: LinearProgram | RangedLP, *, method: str = DEFAULT_METHOD
+) -> DualCertificate:
+    """Solve an LP exactly.
+
+    A ``LinearProgram`` comes back with the primal point and its dual
+    sensitivities.  A ``RangedLP`` is solved primal-only by HiGHS's default
+    LP solver (``method`` does not apply): its certificate carries the
+    status, ``x`` and the objective, and no duals.
+    """
+    if isinstance(lp, RangedLP):
+        return _solve_ranged(lp)
     return solve_materialized(lp.materialize(), method=method)
 
 

@@ -4,16 +4,20 @@ The vertex enumerator solves an LP by trying every candidate active set, so
 it shares no code path with the HiGHS backend; the grid oracle solves small
 bilinear programs by meshing the box, completing points onto constraint
 boundaries and zooming.  Instance generators keep constraint pools small
-enough that both stay exact and fast.
+enough that both stay exact and fast.  ``reference_relaxation`` builds the
+McCormick relaxation row by row as a ``LinearProgram``, the reference for
+``bnb.RelaxationTemplate``, and ``reference_true_objective`` /
+``reference_max_row_violation`` screen a point term by term and row by row.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.sparse import vstack
 
-from flexgrid.bnb import OBJ_ROW, BilinearProgram
-from flexgrid.lp import EQ, GE, LE, MAX, MIN, LinearProgram
+from flexgrid.bnb import OBJ_ROW, BilinearProgram, mccormick_rows, square_rows
+from flexgrid.lp import EQ, GE, LE, MAX, MIN, LinearProgram, RangedLP
 
 
 def random_lp(rng, *, max_vars=12):
@@ -110,6 +114,108 @@ def vertex_enumeration_optimum(lp, *, feas_tol=1e-8):
         if best is None or val > best:
             best = val
     return None if best is None else sign * best
+
+
+def ranged_form(lp):
+    """The ranged-row form of a ``LinearProgram``, with the rows in the order
+    and the entries ``materialize`` (and so ``linprog``) gives them."""
+    mat = lp.materialize()
+    return RangedLP(
+        sense=lp.sense,
+        c=mat.c,
+        A=vstack([mat.A_ub, mat.A_eq]).tocsc(),
+        row_lb=np.concatenate([np.full(mat.b_ub.size, -np.inf), mat.b_eq]),
+        row_ub=np.concatenate([mat.b_ub, mat.b_eq]),
+        lb=mat.lb,
+        ub=mat.ub,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row McCormick relaxation and point screening
+# ---------------------------------------------------------------------------
+
+def reference_relaxation(bp, lb=None, ub=None):
+    """The McCormick relaxation over the boxes ``[lb, ub]``, built row by row.
+
+    One auxiliary variable per distinct product, in ``bp.products()`` order,
+    after the base variables; the envelope rows follow the base rows.
+    """
+    base = bp.base
+    lb = base.lb if lb is None else lb
+    ub = base.ub if ub is None else ub
+    lp = LinearProgram(sense=base.sense, name=base.name)
+    for v in range(base.n_vars):
+        lp.add_var(name=base.var_names[v], lb=lb[v], ub=ub[v], obj=base.obj[v])
+
+    product_var = {}
+    for i, j in bp.products():
+        li, ui = lp.lb[i], lp.ub[i]
+        lj, uj = lp.lb[j], lp.ub[j]
+        if not all(map(math.isfinite, (li, ui, lj, uj))):
+            raise ValueError(
+                f"product ({base.var_names[i]}, {base.var_names[j]}) needs finite boxes"
+            )
+        corners = [li * lj, li * uj, ui * lj, ui * uj]
+        product_var[(i, j)] = lp.add_var(lb=min(corners), ub=max(corners))
+
+    row_extra = {}
+    obj_extra = {}
+    for t in bp.terms:
+        w = product_var[(min(t.var_i, t.var_j), max(t.var_i, t.var_j))]
+        if t.row == OBJ_ROW:
+            obj_extra[w] = obj_extra.get(w, 0.0) + t.coeff
+        else:
+            row_extra.setdefault(t.row, {})[w] = row_extra.get(t.row, {}).get(w, 0.0) + t.coeff
+    for w, coeff in obj_extra.items():
+        lp.set_objective(w, coeff)
+    for r in range(base.n_rows):
+        idx, val = base.row_coeffs(r)
+        extra = row_extra.get(r)
+        if extra:
+            idx = np.concatenate([idx, np.fromiter(extra.keys(), dtype=np.int64)])
+            val = np.concatenate([val, np.fromiter(extra.values(), dtype=float)])
+        lp.add_row((idx, val), base.relations[r], base.rhs[r], name=base.row_names[r])
+
+    for (i, j), w in product_var.items():
+        if i == j:
+            for a_w, a_x, rel, rhs in square_rows(lp.lb[i], lp.ub[i]):
+                lp.add_row({w: a_w, i: a_x}, rel, rhs)
+        else:
+            for a_w, a_x, a_y, rel, rhs in mccormick_rows(lp.lb[i], lp.ub[i], lp.lb[j], lp.ub[j]):
+                lp.add_row({w: a_w, i: a_x, j: a_y}, rel, rhs)
+    return lp
+
+
+def reference_true_objective(bp, x):
+    val = float(np.dot(bp.base.obj, x))
+    for t in bp.terms:
+        if t.row == OBJ_ROW:
+            val += t.coeff * x[t.var_i] * x[t.var_j]
+    return val
+
+
+def reference_max_row_violation(bp, x):
+    base = bp.base
+    lhs = np.zeros(base.n_rows)
+    for r in range(base.n_rows):
+        idx, val = base.row_coeffs(r)
+        lhs[r] = float(val @ x[idx])
+    for t in bp.terms:
+        if t.row != OBJ_ROW:
+            lhs[t.row] += t.coeff * x[t.var_i] * x[t.var_j]
+    worst = 0.0
+    for r, rel in enumerate(base.relations):
+        resid = lhs[r] - base.rhs[r]
+        if rel == LE:
+            worst = max(worst, resid)
+        elif rel == GE:
+            worst = max(worst, -resid)
+        else:
+            worst = max(worst, abs(resid))
+    for v in range(base.n_vars):
+        worst = max(worst, base.lb[v] - x[v], x[v] - base.ub[v])
+    return worst
 
 
 # ---------------------------------------------------------------------------

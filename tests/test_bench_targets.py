@@ -18,7 +18,7 @@ import numpy as np
 
 from flexgrid import oracle
 from flexgrid.bilevel import run_iterative
-from flexgrid.feeder import MODE_VOLT_VAR
+from flexgrid.feeder import MODE_CONSTANT_PF, MODE_VOLT_VAR
 from flexgrid.follower import MAX_V, POSITIVE, Scenario
 
 from feedergen import random_context
@@ -72,3 +72,34 @@ def test_traced_oracle_run_serializes():
     assert metrics["powerflow.newton_calls"][0] > 0
     assert metrics["oracle.verify_scenarios"][0] == 4 * ctx.n
     assert metrics["oracle.bruteforce_points"][0] > 0
+
+
+def test_traced_search_builds_and_solves_through_the_wrapped_names():
+    """Every branch-and-bound node builds its relaxation through
+    ``flexgrid.bnb.mccormick_relax`` and solves it through
+    ``flexgrid.bnb.solve_lp``, the names the tracer wraps, so the traced
+    benchmark's relaxation counts and times cover every node."""
+    tracing = _load_tracing()
+    ctx = random_context(np.random.default_rng(7200), mode=MODE_CONSTANT_PF)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_case(
+            "gen7200/constant-pf",
+            lambda: run_iterative(ctx, MODE_CONSTANT_PF, node_limit=4),
+        )
+    finally:
+        tracer.uninstall()
+    metrics, missing = tracing.layer_metrics(tracer)
+    assert not [m for m in missing if m.startswith(("lp.", "bnb."))]
+    spans = tracer.spans
+
+    def in_search(name):
+        return sum(1 for s in spans
+                   if s[1] == name and s[3] is not None and spans[s[3]][1] == "bnb.search")
+
+    nodes = metrics["bnb.nodes"][0]
+    assert nodes > 0
+    assert in_search("bnb.relax_build") == nodes
+    assert in_search("lp.solve") == nodes
+    assert metrics["lp.solves"][0] > 0

@@ -5,16 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexgrid.bilevel import assemble_single_level, solve_single_level
 from flexgrid.bnb import (
     OBJ_ROW,
     BilinearProgram,
+    RelaxationTemplate,
     mccormick_relax,
     mccormick_rows,
     spatial_branch_and_bound,
+    square_rows,
 )
-from flexgrid.lp import GE, LE, MAX, MIN, LinearProgram, solve_lp
+from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
+from flexgrid.follower import MAX_V, MIN_V, NEGATIVE, POSITIVE, Scenario
+from flexgrid.lp import GE, LE, MAX, MIN, OPTIMAL, LinearProgram, solve_lp
 
-from lpgen import grid_oracle, random_bilinear
+from feedergen import random_context
+from lpgen import (
+    grid_oracle,
+    random_bilinear,
+    ranged_form,
+    reference_max_row_violation,
+    reference_relaxation,
+    reference_true_objective,
+)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 bound = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -41,10 +54,15 @@ def test_mccormick_rows_contain_the_true_product(l1, w1, l2, w2, t1, t2):
 def test_square_envelope_brackets_the_parabola(lo, width, t):
     hi = lo + width
     x = lo + t * width
+    w = x * x
+    slop = 1e-9 * (1 + w)
     # tangents at the box edges sit under x^2, the secant sits above
-    assert x * x >= 2 * lo * x - lo * lo - 1e-9
-    assert x * x >= 2 * hi * x - hi * hi - 1e-9
-    assert x * x <= (lo + hi) * x - lo * hi + 1e-9 * (1 + x * x)
+    for a_w, a_x, rel, rhs in square_rows(lo, hi):
+        lhs = a_w * w + a_x * x
+        if rel == LE:
+            assert lhs <= rhs + slop
+        else:
+            assert lhs >= rhs - slop
 
 
 def _product_bp():
@@ -97,11 +115,11 @@ def test_nonconvex_feasible_set_row_product():
 def test_degenerate_box_is_exact_in_one_node():
     # pinning x to 2 collapses the envelope to w = 2*y: no branching needed
     bp = _product_bp()
-    relax = mccormick_relax(bp, {0: (2.0, 2.0), 1: (0.0, 3.0)})
-    cert = solve_lp(relax.lp)
+    tpl = RelaxationTemplate(bp)
+    cert = solve_lp(mccormick_relax(tpl, np.array([2.0, 0.0]), np.array([2.0, 3.0])))
     # relaxation optimum: max 2*y with x + y <= 3, x = 2  ->  y = 1, w = 2
     assert cert.objective == pytest.approx(2.0, abs=1e-9)
-    w = cert.x[relax.product_var[(0, 1)]]
+    w = cert.x[bp.base.n_vars]  # the only product's auxiliary column
     assert w == pytest.approx(cert.x[0] * cert.x[1], abs=1e-9)
 
 
@@ -109,7 +127,7 @@ def test_relaxation_bounds_the_true_optimum():
     rng = np.random.default_rng(7)
     for _ in range(6):
         bp = random_bilinear(rng)
-        root = solve_lp(mccormick_relax(bp).lp)
+        root = solve_lp(mccormick_relax(RelaxationTemplate(bp)))
         res = spatial_branch_and_bound(bp, epsilon=1e-6)
         assert root.is_optimal and res.status == "optimal"
         sigma = 1.0 if bp.base.sense == MAX else -1.0
@@ -133,7 +151,7 @@ def test_infinite_product_box_is_rejected():
     bp = BilinearProgram(base)
     bp.add_term(OBJ_ROW, -1.0, x, x)
     with pytest.raises(ValueError, match="finite boxes"):
-        mccormick_relax(bp)
+        mccormick_relax(RelaxationTemplate(bp))
 
 
 def test_initial_points_are_screened_and_used():
@@ -197,3 +215,73 @@ def test_structure_helpers():
     assert bp.max_row_violation(pt) == pytest.approx(1.3)
     # bound violations are included
     assert bp.max_row_violation(np.array([-0.2, 0.0, 0.0])) == pytest.approx(0.2)
+
+
+def _sub_boxes(rng, tpl, anchor, count):
+    """Random boxes over the product variables: the root, sub-boxes holding
+    ``anchor`` (a feasible point) with some degenerate [c, c] coordinates,
+    and boxes drawn anywhere in the root box, which may be infeasible."""
+    pv = np.union1d(tpl.prod_i, tpl.prod_j)
+    yield tpl.lb, tpl.ub
+    for n in range(count):
+        lb, ub = tpl.lb.copy(), tpl.ub.copy()
+        lo, hi = lb[pv], ub[pv]
+        if n % 3 == 2:
+            a, b = np.sort(rng.uniform(lo, hi, (2, pv.size)), axis=0)
+        else:
+            x = anchor[pv]
+            a = x - rng.uniform(0.0, 1.0, pv.size) * (x - lo)
+            b = x + rng.uniform(0.0, 1.0, pv.size) * (hi - x)
+        pin = rng.random(pv.size) < 0.25
+        a[pin] = b[pin] = (anchor[pv] if n % 3 != 2 else a)[pin]
+        lb[pv], ub[pv] = a, b
+        yield lb, ub
+
+
+def _single_level_programs(pv_tight_ctx):
+    gen = random_context(np.random.default_rng(7200), mode=MODE_CONSTANT_PF)
+    cases = [(gen, MODE_CONSTANT_PF)] + [
+        (pv_tight_ctx, mode) for mode in (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
+    ]
+    for ctx, mode in cases:
+        followers = [Scenario(ctx.n - 1, POSITIVE, MAX_V), Scenario(0, NEGATIVE, MIN_V)]
+        bp, _ = assemble_single_level(ctx, mode, followers)
+        x = solve_single_level(ctx, mode, followers, node_limit=3).bnb.x
+        yield bp, x
+
+
+def test_template_matches_the_row_by_row_reference(pv_tight_ctx):
+    """Each node relaxation from the template is the LP the row-by-row
+    builder gives: the same entries in the same order, the same row and
+    column bounds, and a bit-identical primal point from the solve."""
+    rng = np.random.default_rng(11)
+    programs = []
+    for _ in range(8):
+        bp = random_bilinear(rng)
+        programs.append((bp, spatial_branch_and_bound(bp, epsilon=1e-6).x))
+    programs += list(_single_level_programs(pv_tight_ctx))
+    assert any(i == j for bp, _ in programs for i, j in bp.products())
+    solved = 0
+    for bp, anchor in programs:
+        tpl = RelaxationTemplate(bp)
+        for lb, ub in _sub_boxes(rng, tpl, anchor, 6):
+            got = mccormick_relax(tpl, lb, ub)
+            ref_lp = reference_relaxation(bp, lb, ub)
+            ref = ranged_form(ref_lp)
+            assert got.sense == ref.sense
+            for name in ("c", "row_lb", "row_ub", "lb", "ub"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.A, name), getattr(ref.A, name)), name
+            mine, want = solve_lp(got), solve_lp(ref_lp)
+            assert mine.status == want.status
+            if want.status == OPTIMAL:
+                solved += 1
+                assert np.array_equal(mine.x, want.x)
+                assert mine.objective == want.objective
+        for x in (anchor, anchor + rng.normal(0.0, 0.1, anchor.size)):
+            assert tpl.true_objective(x) == pytest.approx(
+                reference_true_objective(bp, x), rel=1e-12, abs=1e-12)
+            assert tpl.max_row_violation(x) == pytest.approx(
+                reference_max_row_violation(bp, x), rel=1e-12, abs=1e-12)
+    assert solved >= len(programs) * 3

@@ -279,8 +279,8 @@ def test_solver_failure_exit_code(pv_file, tmp_path, capsys, monkeypatch):
 
 
 def test_binding_dual_box_exit_codes(pv_file, tmp_path, capsys, monkeypatch):
-    """A real solve whose λ box binds exits 5; one whose box admits no
-    incumbent exits 6."""
+    """A real solve whose λ box binds exits 5 and reports no gap outside the
+    box; one whose box admits no incumbent exits 6."""
     vm = build_context(load_feeder(pv_doc())).anchor.vm
     band = ["--vmin", repr(float(np.min(vm) - 0.010)), "--vmax", repr(float(np.max(vm) + 0.004))]
     argv = ["solve", "--feeder", str(pv_file), "--mode", "constant-q", *band]
@@ -290,9 +290,12 @@ def test_binding_dual_box_exit_codes(pv_file, tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_UNPROVEN
     line = next(ln for ln in stdout.splitlines() if ln.startswith("ideal range"))
     assert "NOT PROVEN OPTIMAL" in line and "dual_box" in line
+    # The B&B gap is measured inside the box, not against the band it may cut off.
+    assert "within the dual box only" in line
     doc = json.loads((tmp_path / "boxed" / "result.json").read_text())
     assert doc["bnb_status"] == "dual_box"
     assert doc["converged"] is False
+    assert doc["bnb_gap_kw"] is None
 
     monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.005)
     code, _, stderr = run([*argv, "--out", str(tmp_path / "cut")], capsys)

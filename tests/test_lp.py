@@ -18,7 +18,7 @@ from flexgrid.lp import (
     verify_strong_duality,
 )
 
-from lpgen import random_lp, vertex_enumeration_optimum
+from lpgen import random_lp, ranged_form, vertex_enumeration_optimum
 
 
 def test_objective_matches_vertex_enumeration():
@@ -26,11 +26,12 @@ def test_objective_matches_vertex_enumeration():
     checked = 0
     for _ in range(40):
         lp = random_lp(rng, max_vars=8)
-        cert = solve_lp(lp)
-        assert cert.status == OPTIMAL  # generator guarantees feasible + bounded
         ref = vertex_enumeration_optimum(lp)
         assert ref is not None
-        assert cert.objective == pytest.approx(ref, abs=1e-8)
+        # the dual-certificate solve and the primal-only solve of the ranged form
+        for cert in (solve_lp(lp), solve_lp(ranged_form(lp))):
+            assert cert.status == OPTIMAL  # generator guarantees feasible + bounded
+            assert cert.objective == pytest.approx(ref, abs=1e-8)
         checked += 1
     assert checked == 40
 
@@ -141,10 +142,12 @@ def test_infeasible_and_unbounded_detection():
     lp.add_row({x: 1.0}, LE, 1.0)
     lp.add_row({x: 1.0}, GE, 2.0)
     assert solve_lp(lp).status == INFEASIBLE
+    assert solve_lp(ranged_form(lp)).status == INFEASIBLE
 
     lp = LinearProgram(sense=MAX)
     lp.add_var(lb=0.0, obj=1.0)
     assert solve_lp(lp).status == UNBOUNDED
+    assert solve_lp(ranged_form(lp)).status == UNBOUNDED
 
     with pytest.raises(ValueError, match="optimal certificate"):
         verify_strong_duality(lp, solve_lp(lp))
