@@ -14,7 +14,10 @@ inside [v_min, v_max].  Three steps:
    rows + dual feasibility rows + a strong-duality row certify follower
    optimality inside a single maximization, with the products of upper-level
    decisions and follower quantities handled by McCormick + spatial
-   branch-and-bound;
+   branch-and-bound.  Its incumbents all come from fixing the setpoints
+   (the bang-bang ones before the search, each node's relaxation setpoints
+   during it), walking the band edges as in step 1 and completing the point
+   with the followers' optimal primal/dual pairs;
 3. ``feasibility_check`` — re-screen all followers at the accepted decision,
    feeding violators back into step 2 (``run_iterative``).
 """
@@ -626,63 +629,6 @@ def _candidate_setpoint_sets(
     return cands
 
 
-def _presolve_points(
-    slmap: SingleLevelMap,
-    families: Families,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    tol_abs: float,
-) -> list[np.ndarray]:
-    """Heuristic incumbents: bang-bang setpoints with their largest safe band edges."""
-    points: list[np.ndarray] = []
-    for sp in _candidate_setpoint_sets(slmap, lb, ub):
-        walked = _edge_limited_decision(slmap, families, sp, lb, ub, tol_abs)
-        if walked is None:
-            continue
-        decision, certs = walked
-        x = _complete_point(slmap, families, decision, lb, ub, certs)
-        if x is not None:
-            points.append(x)
-    return points
-
-
-def _completion_hook(
-    slmap: SingleLevelMap,
-    families: Families,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    tol_abs: float,
-):
-    """Candidate generator for the B&B: fix the upper level, solve followers.
-
-    Tries the relaxation's own upper-level values first; when a follower
-    leaves the band at those values (the usual case early on, while the
-    product envelopes still let the relaxation pair loose setpoints with
-    full band edges), retries with the edges cut back to the largest pair
-    feasible for the relaxation's setpoints, which turns nearly every node
-    into a producer of genuine incumbents.
-    """
-
-    def hook(x_rel: np.ndarray):
-        up = slmap.upper_vars
-        # Clamp upper-level values into their boxes to kill LP roundoff.
-        decision_slots = {
-            name: float(min(max(x_rel[vi], lb[vi]), ub[vi]))
-            for name, vi in up.items()
-        }
-        x = _complete_point(slmap, families, decision_slots, lb, ub)
-        if x is not None:
-            return x
-        setpoints = {name: decision_slots[name] for name in slmap.setpoint_slots}
-        walked = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
-        if walked is None:
-            return None
-        dec, certs = walked
-        return _complete_point(slmap, families, dec, lb, ub, certs)
-
-    return hook
-
-
 @dataclass
 class SingleLevelResult:
     decision: UpperDecision
@@ -720,17 +666,30 @@ def solve_single_level(
     duals = slmap.product_duals
     left_box = False
 
-    def boxed(x: np.ndarray | None) -> np.ndarray | None:
+    def walk_and_complete(setpoints: dict[str, float]) -> np.ndarray | None:
+        """A candidate incumbent: the widest safe band edges at ``setpoints``,
+        completed with every follower's optimal primal/dual pair."""
         nonlocal left_box
+        walked = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
+        if walked is None:
+            return None
+        decision, certs = walked
+        x = _complete_point(slmap, families, decision, lb, ub, certs)
         if x is not None and np.any(np.abs(x[duals]) > LAMBDA_CAP):
             left_box = True
         return x
 
-    warm = [boxed(x) for x in _presolve_points(slmap, families, lb, ub, tol_abs)]
-    hook = _completion_hook(slmap, families, lb, ub, tol_abs)
+    def hook(x_rel: np.ndarray) -> np.ndarray | None:
+        # Clamp the relaxation's setpoints into their boxes to kill LP roundoff.
+        return walk_and_complete({
+            name: float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
+            for name in slmap.setpoint_slots
+        })
+
+    warm = [walk_and_complete(sp) for sp in _candidate_setpoint_sets(slmap, lb, ub)]
     res = spatial_branch_and_bound(
         bp, epsilon=epsilon, node_limit=node_limit,
-        incumbent_hook=lambda x_rel: boxed(hook(x_rel)), initial_points=warm,
+        incumbent_hook=hook, initial_points=warm,
     )
     if res.x is None:
         raise BilevelError(
@@ -825,6 +784,7 @@ class FlexibilityResult:
     decision: UpperDecision
     iterations: int
     converged: bool
+    stalled: bool  # re-screening found only followers already active
     worst_case: WorstCaseLimits
     followers: list[Scenario]
     objective_history: list[float]
@@ -859,7 +819,9 @@ def run_iterative(
     scenarios (4n, direction-filtered 2n).  The run has converged when the
     accepted band survives the re-screening and the last branch-and-bound
     proved it optimal; a band that stopped at ``node_limit``, or whose
-    dual box binds (``DUAL_BOX``), is feasible but unproven.
+    dual box binds (``DUAL_BOX``), is feasible but unproven.  A re-screening
+    that finds only followers already active ends the loop early
+    (``stalled``): solving again would give the same decision.
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
@@ -882,7 +844,7 @@ def run_iterative(
     history: list[float] = []
     result: SingleLevelResult | None = None
     report: FeasibilityReport | None = None
-    converged = False
+    converged = stalled = False
     iterations = 0
     for iterations in range(1, cap + 1):
         result = solve_single_level(
@@ -902,6 +864,7 @@ def run_iterative(
                 added = True
         if not added:
             # Same violators as before: tolerance knife-edge; stop rather than loop.
+            stalled = True
             break
     assert result is not None and report is not None
     return FlexibilityResult(
@@ -910,6 +873,7 @@ def run_iterative(
         decision=result.decision,
         iterations=iterations,
         converged=converged,
+        stalled=stalled,
         worst_case=wc,
         followers=list(active),
         objective_history=history,

@@ -54,27 +54,12 @@ class BilinearProgram:
     def add_term(self, row: int, coeff: float, var_i: int, var_j: int) -> None:
         self.terms.append(BilinearTerm(row, float(coeff), var_i, var_j))
 
-    def product_vars(self) -> list[int]:
-        """Variables participating in at least one product, ascending."""
-        seen: set[int] = set()
-        for t in self.terms:
-            seen.add(t.var_i)
-            seen.add(t.var_j)
-        return sorted(seen)
-
     def products(self) -> list[tuple[int, int]]:
         """Distinct products as ordered (min, max) index pairs."""
         seen: dict[tuple[int, int], None] = {}
         for t in self.terms:
             seen.setdefault((min(t.var_i, t.var_j), max(t.var_i, t.var_j)))
         return list(seen)
-
-    def true_objective(self, x: np.ndarray) -> float:
-        return RelaxationTemplate(self).true_objective(x)
-
-    def max_row_violation(self, x: np.ndarray) -> float:
-        """Worst constraint violation of a point with products evaluated exactly."""
-        return RelaxationTemplate(self).max_row_violation(x)
 
 
 def mccormick_rows(l1, u1, l2, u2) -> list[tuple]:

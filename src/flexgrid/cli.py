@@ -286,6 +286,9 @@ def cmd_solve(args) -> int:
             f"after {bnb.nodes} node(s), {gap}"
         )
         code = EXIT_UNPROVEN
+    elif res.stalled:
+        state = "STALLED: re-screening found only followers already active"
+        code = EXIT_ITERATION_CAP
     else:
         state, code = "ITERATION CAP REACHED", EXIT_ITERATION_CAP
     print(

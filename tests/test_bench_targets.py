@@ -78,7 +78,8 @@ def test_traced_search_builds_and_solves_through_the_wrapped_names():
     """Every branch-and-bound node builds its relaxation through
     ``flexgrid.bnb.mccormick_relax`` and solves it through
     ``flexgrid.bnb.solve_lp``, the names the tracer wraps, so the traced
-    benchmark's relaxation counts and times cover every node."""
+    benchmark's relaxation counts and times cover every node; its hook
+    calls are counted too."""
     tracing = _load_tracing()
     ctx = random_context(np.random.default_rng(7200), mode=MODE_CONSTANT_PF)
     tracer = tracing.Tracer()
@@ -92,6 +93,11 @@ def test_traced_search_builds_and_solves_through_the_wrapped_names():
         tracer.uninstall()
     metrics, missing = tracing.layer_metrics(tracer)
     assert not [m for m in missing if m.startswith(("lp.", "bnb."))]
+    # The tracer sees the node hook only through the search's
+    # ``incumbent_hook`` keyword, so its metrics read 0 if the hook bypasses it.
+    hook_metrics = [m for m in tracing.LAYER_METRICS if m.startswith("bnb.hook_")]
+    assert hook_metrics and not set(hook_metrics) & set(missing)
+    assert metrics["bnb.hook_calls"][0] > 0
     spans = tracer.spans
 
     def in_search(name):

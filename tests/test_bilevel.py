@@ -27,6 +27,7 @@ from flexgrid.follower import (
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
     Scenario,
+    all_scenarios,
     build_follower,
     fix_worst_case_setpoints,
     slot_gamma,
@@ -388,3 +389,55 @@ def test_completion_reuses_the_edge_walk_certificates(pv_tight_ctx, mode, monkey
     fresh = _complete_point(slmap, families, decision, lb, ub)
     assert len(calls) == len(followers)
     assert reused is not None and np.array_equal(reused, fresh)
+
+
+def test_the_node_hook_widens_the_presolve_band():
+    """The bang-bang setpoints walk to 0.329407 p.u. on this feeder; only the
+    walks from the nodes' relaxation setpoints reach the wider band."""
+    ctx = random_context(np.random.default_rng(7210), mode=MODE_CONSTANT_PF, z_scale=2.0)
+    res = run_iterative(ctx, MODE_CONSTANT_PF, node_limit=300)
+    assert res.feasibility.ok
+    assert res.dp_plus - res.dp_minus >= 0.339017
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mode):
+    """At fixed setpoints every follower's extreme |v| is nondecreasing in
+    |band edge|, so whenever in-box edges keep every follower in band, the
+    walk at the same setpoints reaches them (within its tolerance): a
+    completion at raw relaxation edges would add no incumbent."""
+    from flexgrid.bilevel import (
+        EDGE_TOL_REL,
+        _complete_point,
+        _edge_limited_decision,
+        _family_followers,
+    )
+
+    rng = np.random.default_rng(11)
+    contexts = [pv_tight_ctx] + [
+        random_context(np.random.default_rng(seed), mode=mode) for seed in (7200, 7201, 7202)
+    ]
+    completed = binding = 0
+    for ctx in contexts:
+        bp, slmap = assemble_single_level(ctx, mode, all_scenarios(ctx.n))
+        lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
+        up = slmap.upper_vars
+        dp_up, dp_lo = ub[up[SLOT_DP_PLUS]], lb[up[SLOT_DP_MINUS]]
+        tol_abs = EDGE_TOL_REL * (dp_up - dp_lo)
+        families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+        boxes = setpoint_boxes(ctx, mode)
+        for _ in range(30):
+            setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
+            raw = {**setpoints, SLOT_DP_PLUS: float(rng.uniform(0.0, dp_up)),
+                   SLOT_DP_MINUS: float(rng.uniform(dp_lo, 0.0))}
+            if _complete_point(slmap, families, raw, lb, ub) is None:
+                continue
+            completed += 1
+            walked = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
+            assert walked is not None
+            edges = walked[0]
+            assert edges[SLOT_DP_PLUS] >= raw[SLOT_DP_PLUS] - tol_abs
+            assert edges[SLOT_DP_MINUS] <= raw[SLOT_DP_MINUS] + tol_abs
+            binding += (edges[SLOT_DP_PLUS] < dp_up) + (edges[SLOT_DP_MINUS] > dp_lo)
+    # Not vacuous: raw edges complete, and some walks stop inside the box.
+    assert completed > 0 and binding > 0

@@ -132,7 +132,7 @@ def test_relaxation_bounds_the_true_optimum():
         assert root.is_optimal and res.status == "optimal"
         sigma = 1.0 if bp.base.sense == MAX else -1.0
         assert sigma * root.objective >= sigma * res.objective - 1e-9
-        assert bp.max_row_violation(res.x) <= 1e-6
+        assert RelaxationTemplate(bp).max_row_violation(res.x) <= 1e-6
 
 
 def test_matches_dense_grid_search():
@@ -164,7 +164,7 @@ def test_initial_points_are_screened_and_used():
     assert res.status == "optimal"
     assert res.objective == pytest.approx(2.25, abs=1e-6)
     # the infeasible seed must not become the incumbent
-    assert bp.max_row_violation(res.x) <= 1e-6
+    assert RelaxationTemplate(bp).max_row_violation(res.x) <= 1e-6
 
     # with the optimum handed over and a zero node budget, the answer survives
     res0 = spatial_branch_and_bound(
@@ -207,14 +207,14 @@ def test_structure_helpers():
     bp.add_term(OBJ_ROW, -1.0, z, z)
 
     assert bp.products() == [(0, 1), (2, 2)]
-    assert bp.product_vars() == [0, 1, 2]
 
+    tpl = RelaxationTemplate(bp)
     pt = np.array([0.5, 0.8, -0.5])
-    assert bp.true_objective(pt) == pytest.approx(2 * 0.5 + 0.5 * 0.5 * 0.8 - 1.0 * 0.25)
+    assert tpl.true_objective(pt) == pytest.approx(2 * 0.5 + 0.5 * 0.5 * 0.8 - 1.0 * 0.25)
     # row r: x - z + 2*y*x = 0.5 + 0.5 + 0.8 = 1.8 vs rhs 0.5 -> violation 1.3
-    assert bp.max_row_violation(pt) == pytest.approx(1.3)
+    assert tpl.max_row_violation(pt) == pytest.approx(1.3)
     # bound violations are included
-    assert bp.max_row_violation(np.array([-0.2, 0.0, 0.0])) == pytest.approx(0.2)
+    assert tpl.max_row_violation(np.array([-0.2, 0.0, 0.0])) == pytest.approx(0.2)
 
 
 def _sub_boxes(rng, tpl, anchor, count):

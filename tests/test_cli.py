@@ -12,6 +12,7 @@ from conftest import pv_doc
 
 from flexgrid import bilevel, build_context, cli, load_feeder
 from flexgrid.bilevel import BilevelError
+from flexgrid.follower import POSITIVE, Scenario
 
 
 def run(argv, capsys):
@@ -240,6 +241,29 @@ def test_iteration_cap_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     assert "ITERATION CAP REACHED" in stdout
     # the result file still lands, flagged as unconverged
     doc = json.loads((tmp_path / "cap" / "result.json").read_text())
+    assert doc["converged"] is False
+
+
+def test_stalled_loop_exit_code(pv_file, tmp_path, capsys, monkeypatch):
+    """A re-screening that keeps reporting an active follower stops the loop
+    below its cap; the console says it stalled, with the cap's exit code."""
+
+    def stuck(ctx, mode, decision, *, direction="both"):
+        k, family = bilevel.worst_case_limits(ctx, mode, direction=direction).binding_upper
+        seeded = Scenario(node=k, activation=POSITIVE, extremum=family)
+        return bilevel.FeasibilityReport(
+            violations=[bilevel.Violation(scenario=seeded, worst_vm=2.0, amount=1.0)],
+            worst_vm={},
+        )
+
+    monkeypatch.setattr(bilevel, "feasibility_check", stuck)
+    code, stdout, _ = run(
+        ["solve", "--feeder", str(pv_file), "--out", str(tmp_path / "stalled")], capsys
+    )
+    assert code == cli.EXIT_ITERATION_CAP
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("ideal range"))
+    assert "(1 iteration(s), STALLED" in line and "ITERATION CAP" not in line
+    doc = json.loads((tmp_path / "stalled" / "result.json").read_text())
     assert doc["converged"] is False
 
 
