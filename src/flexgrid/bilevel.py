@@ -679,12 +679,20 @@ def solve_single_level(
             left_box = True
         return x
 
+    # The relaxations keep landing on the same box vertices, and a walk at
+    # setpoints already walked returns the same point: walk each set once.
+    walked: dict[tuple[float, ...], np.ndarray | None] = {}
+
     def hook(x_rel: np.ndarray) -> np.ndarray | None:
         # Clamp the relaxation's setpoints into their boxes to kill LP roundoff.
-        return walk_and_complete({
+        setpoints = {
             name: float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
             for name in slmap.setpoint_slots
-        })
+        }
+        key = tuple(setpoints.values())
+        if key not in walked:
+            walked[key] = walk_and_complete(setpoints)
+        return walked[key]
 
     warm = [walk_and_complete(sp) for sp in _candidate_setpoint_sets(slmap, lb, ub)]
     res = spatial_branch_and_bound(

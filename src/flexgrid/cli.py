@@ -240,6 +240,7 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
         "v_max": args.vmax,
         "base_kva": base,
         "converged": res.converged,
+        "stalled": res.stalled,
         "iterations": res.iterations,
         "bnb_status": bnb.status,
         # A dual_box gap is measured inside the boxed program, so it bounds

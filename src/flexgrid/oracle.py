@@ -25,6 +25,8 @@ from .feeder import (
 )
 from .follower import (
     ACTIVATIONS,
+    EXTREMA,
+    MAX_V,
     POSITIVE,
     FlexContext,
     FollowerProblem,
@@ -230,16 +232,25 @@ def _droop_voltages(
     return vm_out, q_out
 
 
-def brute_force_worst_voltage(
+@dataclass
+class ActivationExtremes:
+    """The brute force's extreme |v| at every node under one activation."""
+
+    points: int  # admissible grid points evaluated
+    vm_nonlinear: dict[str, np.ndarray]  # extremum -> (n,) extreme |v| at each node
+    vm_linear: dict[str, np.ndarray]  # extremum -> (n,) linear |v| at the same points
+
+
+def brute_force_extremes(
     ctx: FlexContext,
     mode: str,
     decision: UpperDecision,
-    scenario: Scenario,
+    activation: str,
     *,
     steps: int = 7,
     q_steps: int = 5,
     max_devices: int = 4,
-) -> BruteForceResult:
+) -> ActivationExtremes:
     """Grid-search the adversary directly in the nonlinear model.
 
     Enumerates device deviations on a grid (plus inverter reactive output
@@ -247,13 +258,16 @@ def brute_force_worst_voltage(
     points that respect the sign rules, device limits, the exact
     apparent-power circle and the aggregate bound (boolean masks over the
     array), and solves all of them in one stacked Newton call (volt-var:
-    one stacked droop fixed point).  The extreme is the first grid point, in
-    enumeration order, with the most adverse |v| at the scenario's node.
-    Only meant for feeders with at most ``max_devices`` flexible devices.
+    one stacked droop fixed point).  The grid depends on the activation but
+    not on the node or the extremum, so this one solve gives every
+    scenario of ``activation``: the extreme at a node is the first grid
+    point, in enumeration order, with the most adverse |v| there.  Only
+    meant for feeders with at most ``max_devices`` flexible devices.
     """
     dev = ctx.devices
     fix_q = decision_fixes_q(mode, decision)
-    problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
+    proto = Scenario(node=0, activation=activation, extremum=MAX_V)
+    problem = build_follower(ctx, proto, mode, fix_q=fix_q)
     n = ctx.n
 
     dims: list[tuple[str, int, np.ndarray]] = []  # (kind, node, grid values)
@@ -276,7 +290,7 @@ def brute_force_worst_voltage(
     for j, (kind, k, _) in enumerate(dims):
         (dpg if kind == "dpg" else dpl)[:, k] = grid[:, j]
     agg = np.sum(dpg, axis=1) - np.sum(dpl, axis=1)
-    if scenario.activation == POSITIVE:
+    if activation == POSITIVE:
         keep = agg <= decision.dp_plus + 1e-9
     else:
         keep = agg >= decision.dp_minus - 1e-9
@@ -322,10 +336,60 @@ def brute_force_worst_voltage(
     points = len(vm)
     if points == 0:
         raise OracleError("no admissible grid points (check the decision)")
-    best = int(np.argmax(scenario.sigma * vm[:, scenario.node]))
+    # Per extremum, the first most adverse grid point at each node; the
+    # linear |v| of all 2n chosen points comes from one stacked product.
+    sigma = np.array([Scenario(0, activation, ext).sigma for ext in EXTREMA])
+    best = np.argmax(sigma[:, None, None] * vm, axis=1)  # (extremum, node)
+    nodes = np.arange(n)
+    vm_lin = linear_magnitudes(ctx, p[best.ravel()], q[best.ravel()]).reshape(len(EXTREMA), n, n)
+    return ActivationExtremes(
+        points=points,
+        vm_nonlinear=dict(zip(EXTREMA, vm[best, nodes])),
+        vm_linear=dict(zip(EXTREMA, np.diagonal(vm_lin, axis1=1, axis2=2))),
+    )
+
+
+# Per activation, the last ``brute_force_extremes`` result with the context
+# it was computed on and every other input its grid read.  ``all_scenarios``
+# orders scenarios node -> activation -> extremum, so one entry per
+# activation serves a whole loop over them with one grid each.
+_BRUTE_FORCE_MEMO: dict[str, tuple[FlexContext, tuple, ActivationExtremes]] = {}
+
+
+def brute_force_worst_voltage(
+    ctx: FlexContext,
+    mode: str,
+    decision: UpperDecision,
+    scenario: Scenario,
+    *,
+    steps: int = 7,
+    q_steps: int = 5,
+    max_devices: int = 4,
+) -> BruteForceResult:
+    """The brute-force extreme of one scenario, read off its activation's grid.
+
+    ``brute_force_extremes`` runs once per activation and is kept while the
+    context (the same object), its voltage limits, the mode, the
+    activation's band edge, the setpoint values and the grid options stay
+    the same; a call that raises keeps nothing.
+    """
+    activation = scenario.activation
+    key = (
+        ctx.v_min, ctx.v_max, mode, decision_fixes_q(mode, decision),
+        decision.dp_plus if activation == POSITIVE else decision.dp_minus,
+        tuple(sorted(decision.setpoints.items())), steps, q_steps, max_devices,
+    )
+    held = _BRUTE_FORCE_MEMO.get(activation)
+    if held is None or held[0] is not ctx or held[1] != key:
+        extremes = brute_force_extremes(
+            ctx, mode, decision, activation,
+            steps=steps, q_steps=q_steps, max_devices=max_devices,
+        )
+        held = _BRUTE_FORCE_MEMO[activation] = (ctx, key, extremes)
+    extremes = held[2]
     return BruteForceResult(
         scenario=scenario,
-        vm_nonlinear=float(vm[best, scenario.node]),
-        vm_linear=float(linear_magnitudes(ctx, p[best], q[best])[scenario.node]),
-        points=points,
+        vm_nonlinear=float(extremes.vm_nonlinear[scenario.extremum][scenario.node]),
+        vm_linear=float(extremes.vm_linear[scenario.extremum][scenario.node]),
+        points=extremes.points,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from flexgrid import oracle
 from flexgrid.bilevel import run_iterative
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_VOLT_VAR
-from flexgrid.follower import MAX_V, POSITIVE, Scenario
+from flexgrid.follower import MAX_V, MIN_V, POSITIVE, Scenario
 
 from feedergen import random_context
 
@@ -49,29 +49,41 @@ def test_every_traced_name_resolves():
 
 def test_traced_oracle_run_serializes():
     """Span counts must be plain Python numbers: the traced benchmark sums
-    them and writes them with ``json.dumps``, which rejects numpy scalars."""
+    them and writes them with ``json.dumps``, which rejects numpy scalars.
+    Two scenarios of one activation share one grid: the traced points count
+    both calls, and the Newton calls are those of one grid."""
     tracing = _load_tracing()
     ctx = random_context(np.random.default_rng(7208), mode=MODE_VOLT_VAR)
     decision = run_iterative(ctx, MODE_VOLT_VAR, direction="both").decision
+    scenarios = (Scenario(0, POSITIVE, MAX_V), Scenario(ctx.n - 1, POSITIVE, MIN_V))
 
-    def case():
+    def traced(case):
+        oracle._BRUTE_FORCE_MEMO.clear()
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            out = tracer.run_case("gen7208/volt-var", case)
+        finally:
+            tracer.uninstall()
+        json.dumps(tracer.spans)
+        return out, tracing.layer_metrics(tracer)
+
+    def two_scenarios():
         oracle.verify_decision(ctx, MODE_VOLT_VAR, decision)
-        return oracle.brute_force_worst_voltage(
-            ctx, MODE_VOLT_VAR, decision, Scenario(0, POSITIVE, MAX_V)
-        )
+        return [oracle.brute_force_worst_voltage(ctx, MODE_VOLT_VAR, decision, sc)
+                for sc in scenarios]
 
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        tracer.run_case("gen7208/volt-var", case)
-    finally:
-        tracer.uninstall()
-    json.dumps(tracer.spans)
-    metrics, missing = tracing.layer_metrics(tracer)
+    def one_grid():
+        oracle.verify_decision(ctx, MODE_VOLT_VAR, decision)
+        return oracle.brute_force_extremes(ctx, MODE_VOLT_VAR, decision, POSITIVE)
+
+    brute, (metrics, missing) = traced(two_scenarios)
+    extremes, (grid_metrics, _) = traced(one_grid)
     assert not [m for m in missing if m.startswith(("powerflow.", "oracle."))]
-    assert metrics["powerflow.newton_calls"][0] > 0
     assert metrics["oracle.verify_scenarios"][0] == 4 * ctx.n
-    assert metrics["oracle.bruteforce_points"][0] > 0
+    assert [b.points for b in brute] == [extremes.points] * 2
+    assert metrics["oracle.bruteforce_points"][0] == 2 * extremes.points > 0
+    assert metrics["powerflow.newton_calls"][0] == grid_metrics["powerflow.newton_calls"][0] > 4
 
 
 def test_traced_search_builds_and_solves_through_the_wrapped_names():

@@ -400,6 +400,61 @@ def test_the_node_hook_widens_the_presolve_band():
     assert res.dp_plus - res.dp_minus >= 0.339017
 
 
+def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
+    """The relaxations land on few distinct setpoint sets; the hook walks
+    each one once, and the search is the one that walked them every time:
+    87 nodes to a band bit-identical to 0.31177 / -0.22848 p.u."""
+    slmaps, hook_keys, walk_keys = [], [], []
+    in_hook = False
+
+    assemble = bilevel.assemble_single_level
+
+    def capture_map(*args, **kwargs):
+        bp, slmap = assemble(*args, **kwargs)
+        slmaps.append((slmap, np.array(bp.base.lb), np.array(bp.base.ub)))
+        return bp, slmap
+
+    def clamped(x_rel):
+        slmap, lb, ub = slmaps[-1]
+        up = slmap.upper_vars
+        return tuple(
+            float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
+            for name in slmap.setpoint_slots
+        )
+
+    search = bilevel.spatial_branch_and_bound
+
+    def watch_hook(bp, *, incumbent_hook, **kwargs):
+        def hook(x_rel):
+            nonlocal in_hook
+            hook_keys.append(clamped(x_rel))
+            in_hook = True
+            try:
+                return incumbent_hook(x_rel)
+            finally:
+                in_hook = False
+
+        return search(bp, incumbent_hook=hook, **kwargs)
+
+    walk = bilevel._edge_limited_decision
+
+    def count_walk(slmap, families, setpoints, *args):
+        if in_hook:
+            walk_keys.append(tuple(setpoints.values()))
+        return walk(slmap, families, setpoints, *args)
+
+    monkeypatch.setattr(bilevel, "assemble_single_level", capture_map)
+    monkeypatch.setattr(bilevel, "spatial_branch_and_bound", watch_hook)
+    monkeypatch.setattr(bilevel, "_edge_limited_decision", count_walk)
+    res = run_iterative(random_context(np.random.default_rng(7200)), MODE_CONSTANT_PF)
+    assert res.iterations == 1 and res.single_level.bnb.nodes == 87
+    assert len(hook_keys) > len(set(hook_keys))  # the relaxations repeat setpoints
+    assert sorted(walk_keys) == sorted(set(hook_keys))
+    assert (res.dp_plus.hex(), res.dp_minus.hex()) == (
+        "0x1.3f3e0370cdc88p-2", "-0x1.d3eb769efd182p-3",
+    )
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mode):
     """At fixed setpoints every follower's extreme |v| is nondecreasing in

@@ -265,6 +265,7 @@ def test_stalled_loop_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     assert "(1 iteration(s), STALLED" in line and "ITERATION CAP" not in line
     doc = json.loads((tmp_path / "stalled" / "result.json").read_text())
     assert doc["converged"] is False
+    assert doc["stalled"] is True
 
 
 def test_unproven_band_exit_code(pv_file, tmp_path, capsys, monkeypatch):

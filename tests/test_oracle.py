@@ -1,11 +1,12 @@
 """Nonlinear re-validation: injections, Newton cross-checks, brute force."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from flexgrid import build_context, load_feeder
+from flexgrid import build_context, load_feeder, oracle
 from flexgrid.bilevel import UpperDecision, neutral_setpoints, run_iterative, setpoint_boxes
 from flexgrid.feeder import (
     MODE_CONSTANT_PF,
@@ -15,7 +16,6 @@ from flexgrid.feeder import (
 )
 from flexgrid.follower import (
     MAX_V,
-    MIN_V,
     NEGATIVE,
     POSITIVE,
     SLOT_DP_PLUS,
@@ -30,6 +30,7 @@ from flexgrid.oracle import (
     BruteForceResult,
     OracleError,
     _droop_voltages,
+    brute_force_extremes,
     brute_force_worst_voltage,
     decision_fixes_q,
     linear_magnitudes,
@@ -235,15 +236,15 @@ def _reference_droop(ctx, p, qbar, q_other, *, Y, max_iter=100, tol=1e-10):
     raise OracleError("volt-var droop fixed point did not converge")
 
 
-def _reference_brute_force(ctx, mode, decision, scenario, *, steps=7, q_steps=5):
+def _reference_grid(ctx, mode, decision, activation, *, steps=7, q_steps=5):
     """The grid adversary as a Python loop with one Newton solve per point.
 
-    Returns the result and the linear |v| at the scenario node of every
-    point whose nonlinear |v| ties the extreme within 1e-12.
+    Returns (nonlinear |v| at every node, p, q) of every admissible point of
+    ``activation``'s grid, in enumeration order.
     """
     dev = ctx.devices
     fix_q = decision_fixes_q(mode, decision)
-    problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
+    problem = build_follower(ctx, Scenario(0, activation, MAX_V), mode, fix_q=fix_q)
     n = ctx.n
     dims = []
     for k in range(n):
@@ -256,9 +257,9 @@ def _reference_brute_force(ctx, mode, decision, scenario, *, steps=7, q_steps=5)
             if hi - lo > 1e-12:
                 dims.append(("dpl", k, np.linspace(lo, hi, steps)))
     free_q = mode == MODE_CONSTANT_Q and not fix_q
-    dp_cap = decision.dp_plus if scenario.activation == POSITIVE else decision.dp_minus
+    dp_cap = decision.dp_plus if activation == POSITIVE else decision.dp_minus
     Y = assemble_ybus(ctx.feeder, ctx.index)
-    evaluated = []  # (|v| at the scenario node, p, q) per admissible point
+    evaluated = []  # (|v| at every node, p, q) per admissible point
 
     for combo in itertools.product(*[d[2] for d in dims]) if dims else [()]:
         dpg = np.zeros(n)
@@ -269,9 +270,9 @@ def _reference_brute_force(ctx, mode, decision, scenario, *, steps=7, q_steps=5)
             else:
                 dpl[k] = value
         agg = float(np.sum(dpg) - np.sum(dpl))
-        if scenario.activation == POSITIVE and agg > dp_cap + 1e-9:
+        if activation == POSITIVE and agg > dp_cap + 1e-9:
             continue
-        if scenario.activation != POSITIVE and agg < dp_cap - 1e-9:
+        if activation != POSITIVE and agg < dp_cap - 1e-9:
             continue
         pg = dev.p_gen0 + dpg
         p = pg - (dev.p_load0 + dpl)
@@ -282,7 +283,7 @@ def _reference_brute_force(ctx, mode, decision, scenario, *, steps=7, q_steps=5)
             if np.any(np.abs(q_gen) > head + 1e-9):
                 return
             q = q_gen - q_load
-            evaluated.append((nonlinear_magnitudes(ctx, p, q, Y=Y)[scenario.node], p, q))
+            evaluated.append((nonlinear_magnitudes(ctx, p, q, Y=Y), p, q))
 
         if mode == MODE_CONSTANT_PF:
             q_gen = np.zeros(n)
@@ -315,36 +316,47 @@ def _reference_brute_force(ctx, mode, decision, scenario, *, steps=7, q_steps=5)
                 continue
             if np.any(np.abs(q + q_load) > head + 1e-9):
                 continue
-            evaluated.append((vm[scenario.node], p, q))
+            evaluated.append((vm, p, q))
 
     if not evaluated:
         raise OracleError("no admissible grid points")
-    sigma = scenario.sigma
+    return evaluated
+
+
+def _reference_extreme(ctx, evaluated, scenario):
+    """The scenario's extreme over a reference grid, and the linear |v| at the
+    scenario node of every point whose nonlinear |v| ties it within 1e-12."""
+    k, sigma = scenario.node, scenario.sigma
     best = None
     for i, (vm, _, _) in enumerate(evaluated):  # the first strict improvement wins
-        if best is None or sigma * vm > sigma * evaluated[best][0]:
+        if best is None or sigma * vm[k] > sigma * evaluated[best][0][k]:
             best = i
     vm_best, p, q = evaluated[best]
 
     def lin_at(p, q):
-        return float(linear_magnitudes(ctx, p, q)[scenario.node])
+        return float(linear_magnitudes(ctx, p, q)[k])
 
-    ties = [lin_at(p, q) for vm, p, q in evaluated if abs(vm - vm_best) <= 1e-12]
+    ties = [lin_at(p, q) for vm, p, q in evaluated if abs(vm[k] - vm_best[k]) <= 1e-12]
     result = BruteForceResult(
-        scenario=scenario, vm_nonlinear=float(vm_best), vm_linear=lin_at(p, q),
+        scenario=scenario, vm_nonlinear=float(vm_best[k]), vm_linear=lin_at(p, q),
         points=len(evaluated),
     )
     return result, ties
 
 
 def _assert_matches_reference(ctx, mode, decision, scenarios):
+    grids = {}  # activation -> reference grid, None where it has no admissible point
     for sc in scenarios:
-        try:
-            ref, ties = _reference_brute_force(ctx, mode, decision, sc)
-        except OracleError:
+        if sc.activation not in grids:
+            try:
+                grids[sc.activation] = _reference_grid(ctx, mode, decision, sc.activation)
+            except OracleError:
+                grids[sc.activation] = None
+        if grids[sc.activation] is None:
             with pytest.raises(OracleError, match="no admissible grid points"):
                 brute_force_worst_voltage(ctx, mode, decision, sc)
             continue
+        ref, ties = _reference_extreme(ctx, grids[sc.activation], sc)
         got = brute_force_worst_voltage(ctx, mode, decision, sc)
         assert got.scenario == sc
         assert got.points == ref.points, sc
@@ -354,25 +366,19 @@ def _assert_matches_reference(ctx, mode, decision, scenarios):
 
 
 @pytest.mark.parametrize(
-    "seed,mode,nodes",
+    "seed,mode",
     [
-        (7204, MODE_CONSTANT_Q, (0, 5)),
-        (7205, MODE_VOLT_VAR, (0, 5)),
-        (7206, MODE_CONSTANT_PF, None),
-        (7208, MODE_VOLT_VAR, None),
+        (7204, MODE_CONSTANT_Q),
+        (7205, MODE_VOLT_VAR),
+        (7206, MODE_CONSTANT_PF),
+        (7208, MODE_VOLT_VAR),
     ],
 )
-def test_stacked_brute_force_matches_the_per_point_loop(seed, mode, nodes):
-    """At the solved decision, on every scenario of the listed nodes (all if None).
-
-    Every scenario of one activation evaluates the same grid, so the node
-    subsets on the two six-node feeders, kept for suite time, still cover
-    every grid point.
-    """
+def test_stacked_brute_force_matches_the_per_point_loop(seed, mode):
+    """At the solved decision, on every scenario of every node."""
     ctx = random_context(np.random.default_rng(seed), mode=mode)
     decision = run_iterative(ctx, mode, direction="both").decision
-    scenarios = [sc for sc in all_scenarios(ctx.n) if nodes is None or sc.node in nodes]
-    _assert_matches_reference(ctx, mode, decision, scenarios)
+    _assert_matches_reference(ctx, mode, decision, all_scenarios(ctx.n))
 
 
 @pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR])
@@ -395,11 +401,7 @@ def test_stacked_brute_force_matches_the_per_point_loop_on_one_inverter(mode):
 
 @pytest.mark.parametrize("seed,mode", [(7207, MODE_CONSTANT_Q), (7208, MODE_VOLT_VAR)])
 def test_stacked_brute_force_matches_off_the_solved_setpoints(seed, mode):
-    """Free-q sub-grids and a strong droop on generated feeders.
-
-    Every scenario of one activation evaluates the same grid, so one
-    scenario per activation covers every point.
-    """
+    """Free-q sub-grids and a strong droop on generated feeders."""
     ctx = random_context(np.random.default_rng(seed), mode=mode)
     decision = run_iterative(ctx, mode, direction="both").decision
     setpoints = {} if mode == MODE_CONSTANT_Q else {
@@ -408,8 +410,7 @@ def test_stacked_brute_force_matches_off_the_solved_setpoints(seed, mode):
     trial = UpperDecision(
         dp_plus=decision.dp_plus, dp_minus=decision.dp_minus, setpoints=setpoints, mode=mode
     )
-    scenarios = [Scenario(0, POSITIVE, MAX_V), Scenario(ctx.n - 1, NEGATIVE, MIN_V)]
-    _assert_matches_reference(ctx, mode, trial, scenarios)
+    _assert_matches_reference(ctx, mode, trial, all_scenarios(ctx.n))
 
 
 @pytest.mark.parametrize("qbar,max_iter,all_settle", [(0.1, 30, True), (0.15, 6, False)])
@@ -440,3 +441,87 @@ def test_stacked_droop_matches_the_per_profile_iteration(qbar, max_iter, all_set
         assert np.max(np.abs(q[i] - q_ref)) <= 1e-12, i
     assert settled > 0
     assert (settled == len(p)) == all_settle
+
+
+# ---------------------------------------------------------------------------
+# One grid per activation behind the per-scenario call
+# ---------------------------------------------------------------------------
+
+def _solved(seed, mode):
+    ctx = random_context(np.random.default_rng(seed), mode=mode)
+    return ctx, run_iterative(ctx, mode, direction="both").decision
+
+
+@pytest.mark.parametrize("seed,mode", [(7204, MODE_CONSTANT_Q), (7205, MODE_VOLT_VAR)])
+def test_a_scenario_loop_builds_one_grid_per_activation(seed, mode, monkeypatch):
+    """The 4n scenarios make exactly the Newton calls of the two
+    activations' grids (constant-q: one call per grid; volt-var: one per
+    droop step), and each answer is read off its activation's extremes."""
+    ctx, decision = _solved(seed, mode)
+    calls = []
+    real = oracle.nonlinear_magnitudes
+    monkeypatch.setattr(oracle, "nonlinear_magnitudes",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    extremes = {}
+    for activation in (POSITIVE, NEGATIVE):
+        extremes[activation] = brute_force_extremes(ctx, mode, decision, activation)
+    per_grid = len(calls)
+    assert mode != MODE_CONSTANT_Q or per_grid == 2
+
+    calls.clear()
+    oracle._BRUTE_FORCE_MEMO.clear()
+    for sc in all_scenarios(ctx.n):
+        got = brute_force_worst_voltage(ctx, mode, decision, sc)
+        ext = extremes[sc.activation]
+        assert got.points == ext.points
+        assert got.vm_nonlinear == ext.vm_nonlinear[sc.extremum][sc.node]
+        assert got.vm_linear == ext.vm_linear[sc.extremum][sc.node]
+    assert len(calls) == per_grid
+
+
+def _fresh(ctx, mode, decision, scenario):
+    oracle._BRUTE_FORCE_MEMO.clear()
+    return brute_force_worst_voltage(ctx, mode, decision, scenario)
+
+
+@pytest.mark.parametrize("change", ["setpoints in place", "dp_plus", "v_max", "v_max in place"])
+def test_the_brute_force_memo_misses_on_any_changed_input(change):
+    """A decision or context changed after a call gives what a memo-cleared
+    call gives, and not the answer kept for the old inputs."""
+    ctx, solved = _solved(7205, MODE_VOLT_VAR)
+    boxes = setpoint_boxes(ctx, MODE_VOLT_VAR)
+    # Full droop authority, so that the droop and its v_max show.
+    decision = dataclasses.replace(solved, setpoints={slot: hi for slot, (_, hi) in boxes.items()})
+    sc = Scenario(0, POSITIVE, MAX_V)
+    before = _fresh(ctx, MODE_VOLT_VAR, decision, sc)
+    if change == "setpoints in place":
+        for slot, (lo, hi) in boxes.items():
+            decision.setpoints[slot] = (lo + hi) / 2
+    elif change == "dp_plus":
+        decision = dataclasses.replace(decision, dp_plus=decision.dp_plus / 2)
+    elif change == "v_max":
+        ctx = dataclasses.replace(ctx, v_max=ctx.v_max + 0.02)
+    else:
+        ctx = dataclasses.replace(ctx)
+        brute_force_worst_voltage(ctx, MODE_VOLT_VAR, decision, sc)
+        ctx.v_max += 0.02
+    after = brute_force_worst_voltage(ctx, MODE_VOLT_VAR, decision, sc)
+    assert after != before
+    assert after == _fresh(ctx, MODE_VOLT_VAR, decision, sc)
+
+
+def test_a_raising_brute_force_keeps_nothing(monkeypatch):
+    """Each call at an unreachable setpoint builds its grid and raises again."""
+    ctx = build_context(load_feeder(one_inverter_doc(MODE_CONSTANT_Q)))
+    q_deep = float(ctx.devices.gamma_const[0] * ctx.devices.p_gen_max[0] * 1.5)
+    decision = UpperDecision(
+        dp_plus=0.05, dp_minus=0.0, setpoints={slot_qset(0): q_deep}, mode=MODE_CONSTANT_Q,
+    )
+    builds = []
+    real = oracle.build_follower
+    monkeypatch.setattr(oracle, "build_follower",
+                        lambda *args, **kwargs: builds.append(1) or real(*args, **kwargs))
+    for _ in range(3):
+        with pytest.raises(OracleError, match="no admissible grid points"):
+            brute_force_worst_voltage(ctx, MODE_CONSTANT_Q, decision, Scenario(0, POSITIVE, MAX_V))
+    assert len(builds) == 3
