@@ -679,22 +679,25 @@ def solve_single_level(
             left_box = True
         return x
 
-    # The relaxations keep landing on the same box vertices, and a walk at
-    # setpoints already walked returns the same point: walk each set once.
+    # The relaxations keep landing on the same box vertices (often the
+    # presolve's), and a walk at setpoints already walked returns the same
+    # point: walk each set once over the presolve and the search.
     walked: dict[tuple[float, ...], np.ndarray | None] = {}
 
-    def hook(x_rel: np.ndarray) -> np.ndarray | None:
-        # Clamp the relaxation's setpoints into their boxes to kill LP roundoff.
-        setpoints = {
-            name: float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
-            for name in slmap.setpoint_slots
-        }
+    def walk_once(setpoints: dict[str, float]) -> np.ndarray | None:
         key = tuple(setpoints.values())
         if key not in walked:
             walked[key] = walk_and_complete(setpoints)
         return walked[key]
 
-    warm = [walk_and_complete(sp) for sp in _candidate_setpoint_sets(slmap, lb, ub)]
+    def hook(x_rel: np.ndarray) -> np.ndarray | None:
+        # Clamp the relaxation's setpoints into their boxes to kill LP roundoff.
+        return walk_once({
+            name: float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
+            for name in slmap.setpoint_slots
+        })
+
+    warm = [walk_once(sp) for sp in _candidate_setpoint_sets(slmap, lb, ub)]
     res = spatial_branch_and_bound(
         bp, epsilon=epsilon, node_limit=node_limit,
         incumbent_hook=hook, initial_points=warm,

@@ -15,7 +15,9 @@ The materialized form (split <=/=/ arrays) is exposed so hot loops that
 re-solve the same structure with a mutated objective or right-hand side can
 skip the row-building cost.  A ``RangedLP`` (one CSC matrix with ranged rows)
 is the form a caller that assembles its own arrays hands over; ``solve_lp``
-solves it primal-only, with no duals on the certificate.
+solves it primal-only, with no duals on the certificate, on one HiGHS
+instance the module keeps: each solve passes the whole model, which drops
+the previous model and basis, so every solve starts cold.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse import csc_array, csr_matrix
 
 LE = "<="
@@ -282,7 +285,8 @@ class RangedLP:
     """An LP as HiGHS holds it: ``row_lb <= A x <= row_ub``, ``lb <= x <= ub``.
 
     ``A`` is a CSC matrix; an equality row has ``row_lb == row_ub`` and a
-    one-sided row an infinite side.
+    one-sided row an infinite side.  ``solve_lp`` hands these arrays to
+    HiGHS as they are.
     """
 
     sense: str
@@ -294,22 +298,51 @@ class RangedLP:
     ub: np.ndarray
 
 
+_highs: highs._Highs | None = None
+
+# HiGHS model status -> certificate status, as ``milp`` maps them.  A model
+# HiGHS rejects (such as a column whose bounds are both +inf) counts as
+# infeasible; any status not listed is an engine failure.
+_RANGED_STATUS = {
+    highs.HighsModelStatus.kOptimal: OPTIMAL,
+    highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    highs.HighsModelStatus.kModelError: INFEASIBLE,
+    highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+
 def _solve_ranged(lp: RangedLP) -> DualCertificate:
-    """Primal-only solve through ``milp`` with no integrality: the LP goes to
-    HiGHS as given, without the split and restack ``linprog`` performs."""
+    """Primal-only solve on the module's HiGHS instance, created on first use
+    with console logging off."""
+    global _highs
+    if _highs is None:
+        _highs = highs._Highs()
+        _highs.setOptionValue("log_to_console", False)
     sign = -1.0 if lp.sense == MAX else 1.0
-    res = milp(
-        sign * lp.c,
-        bounds=Bounds(lp.lb, lp.ub),
-        constraints=LinearConstraint(lp.A, lp.row_lb, lp.row_ub),
-    )
-    if res.status == 2:
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.c.size
+    model.num_row_ = model.a_matrix_.num_row_ = lp.row_lb.size
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = lp.A.indptr
+    model.a_matrix_.index_ = lp.A.indices
+    model.a_matrix_.value_ = lp.A.data
+    model.col_cost_ = sign * lp.c
+    model.col_lower_ = lp.lb
+    model.col_upper_ = lp.ub
+    model.row_lower_ = lp.row_lb
+    model.row_upper_ = lp.row_ub
+    if _highs.passModel(model) == highs.HighsStatus.kError:
         return DualCertificate(status=INFEASIBLE)
-    if res.status == 3:
-        return DualCertificate(status=UNBOUNDED)
-    if res.status != 0:
-        raise LPEngineError(f"LP backend failure (status {res.status}): {res.message}")
-    x = np.asarray(res.x, dtype=float)
+    _highs.run()
+    model_status = _highs.getModelStatus()
+    status = _RANGED_STATUS.get(model_status)
+    if status is None:
+        raise LPEngineError(
+            f"LP backend failure: {_highs.modelStatusToString(model_status)}"
+        )
+    if status != OPTIMAL:
+        return DualCertificate(status=status)
+    x = np.array(_highs.getSolution().col_value)
     return DualCertificate(status=OPTIMAL, objective=float(lp.c @ x), x=x)
 
 
@@ -320,8 +353,9 @@ def solve_lp(
 
     A ``LinearProgram`` comes back with the primal point and its dual
     sensitivities.  A ``RangedLP`` is solved primal-only by HiGHS's default
-    LP solver (``method`` does not apply): its certificate carries the
-    status, ``x`` and the objective, and no duals.
+    LP solver, called directly rather than through scipy (``method`` does
+    not apply): its certificate carries the status, ``x`` and the
+    objective, and no duals.
     """
     if isinstance(lp, RangedLP):
         return _solve_ranged(lp)

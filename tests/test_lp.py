@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csc_array
 
 from flexgrid.lp import (
     EQ,
@@ -13,6 +15,7 @@ from flexgrid.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    RangedLP,
     solve_lp,
     solve_materialized,
     verify_strong_duality,
@@ -241,3 +244,78 @@ def test_row_dense_accumulates_duplicate_indices():
     x = lp.add_var(lb=0.0, ub=1.0)
     lp.add_row((np.array([x, x]), np.array([1.0, 2.0])), LE, 1.0)
     assert lp.row_dense(0)[x] == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# Ranged solves against scipy's ``milp``, the front end they replaced
+# ---------------------------------------------------------------------------
+
+MILP_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def milp_solve(lp: RangedLP):
+    """The ranged LP through ``milp``: (status, x, objective in lp's sense)."""
+    sign = -1.0 if lp.sense == MAX else 1.0
+    res = milp(
+        sign * lp.c,
+        bounds=Bounds(lp.lb, lp.ub),
+        constraints=LinearConstraint(lp.A, lp.row_lb, lp.row_ub),
+    )
+    status = MILP_STATUS[res.status]
+    if status != OPTIMAL:
+        return status, None, None
+    return status, res.x, float(lp.c @ res.x)
+
+
+def one_column(*, c=1.0, lb=0.0, ub=np.inf, rows=()):
+    """max c·x over one column, with rows given as (row_lb, row_ub) on x."""
+    return RangedLP(
+        sense=MAX,
+        c=np.array([c]),
+        A=csc_array(np.ones((len(rows), 1))),
+        row_lb=np.array([lo for lo, _ in rows], dtype=float),
+        row_ub=np.array([hi for _, hi in rows], dtype=float),
+        lb=np.array([lb], dtype=float),
+        ub=np.array([ub], dtype=float),
+    )
+
+
+def test_ranged_solve_matches_milp_on_random_lps():
+    for seed in range(60):
+        lp = ranged_form(random_lp(np.random.default_rng(seed)))
+        status, x, objective = milp_solve(lp)
+        cert = solve_lp(lp)
+        assert cert.status == status == OPTIMAL
+        np.testing.assert_allclose(cert.x, x, rtol=0.0, atol=1e-9)
+        assert cert.objective == pytest.approx(objective, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("lp, status", [
+    (one_column(rows=[(-np.inf, 1.0), (2.0, np.inf)]), INFEASIBLE),
+    (one_column(), UNBOUNDED),
+    (one_column(lb=1.0, ub=0.0), INFEASIBLE),  # lb > ub
+    (one_column(lb=np.inf, ub=np.inf), INFEASIBLE),  # HiGHS rejects the model
+], ids=["infeasible", "unbounded", "lb-above-ub", "model-error"])
+def test_ranged_solve_maps_each_status_as_milp_does(lp, status):
+    assert milp_solve(lp)[0] == status
+    cert = solve_lp(lp)
+    assert cert.status == status
+    assert cert.x is None and cert.objective is None
+
+
+def test_ranged_solves_leave_nothing_behind():
+    """Each ranged solve starts cold.  A = max x0 + x1 + x2 on the simplex
+    has every vertex optimal, so a basis kept from B = max x2 on the same
+    rows would bring A back at B's vertex instead of its own."""
+    def simplex_lp(c):
+        return RangedLP(
+            sense=MAX, c=np.array(c, dtype=float), A=csc_array(np.ones((1, 3))),
+            row_lb=np.array([-np.inf]), row_ub=np.array([1.0]),
+            lb=np.zeros(3), ub=np.ones(3),
+        )
+
+    first = solve_lp(simplex_lp([1, 1, 1]))
+    other = solve_lp(simplex_lp([0, 0, 1]))
+    again = solve_lp(simplex_lp([1, 1, 1]))
+    assert first.x.tobytes() == again.x.tobytes()
+    assert other.x.tobytes() != first.x.tobytes()
