@@ -747,15 +747,14 @@ def feasibility_check(
     decision: UpperDecision,
     *,
     direction: str = "both",
-    tol: float = FEAS_TOL_PU,
 ) -> FeasibilityReport:
     """Screen every follower at a fixed decision.
 
     Solves the 4n (or direction-filtered 2n) follower LPs with the decision's
     band edges and setpoints and reports scenarios whose extreme voltage
-    leaves [v_min - tol, v_max + tol].  A follower reported infeasible by the
-    LP engine is an assembly bug: at Δp = 0 every follower admits the
-    zero-deviation point.
+    leaves [v_min, v_max] by more than ``FEAS_TOL_PU``.  A follower reported
+    infeasible by the LP engine is an assembly bug: at Δp = 0 every follower
+    admits the zero-deviation point.
     """
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
@@ -776,7 +775,7 @@ def feasibility_check(
                 vm = scenario.sigma * cert.objective
                 worst[(k, activation, extremum)] = vm
                 amount = max(vm - ctx.v_max, ctx.v_min - vm)
-                if amount > tol:
+                if amount > FEAS_TOL_PU:
                     violations.append(
                         Violation(scenario=scenario, worst_vm=vm, amount=float(amount))
                     )

@@ -36,6 +36,7 @@ from .lp import (
 )
 
 OBJ_ROW = -1  # sentinel: the bilinear term lives in the objective
+FEAS_TOL = 1e-6  # worst row violation of a point the search accepts as feasible
 
 
 @dataclass(frozen=True)
@@ -286,7 +287,6 @@ def spatial_branch_and_bound(
     bp: BilinearProgram,
     *,
     epsilon: float = 1e-4,
-    feas_tol: float = 1e-6,
     node_limit: int = 5000,
     incumbent_hook=None,
     initial_points=None,
@@ -298,7 +298,7 @@ def spatial_branch_and_bound(
     node's boxes and it is solved primal-only.  The relaxation point (and
     optionally ``incumbent_hook(x_rel)``, which may return a candidate point
     in base variable space) is screened for true feasibility within
-    ``feas_tol``.  ``initial_points`` are warm-start candidates screened the
+    ``FEAS_TOL``.  ``initial_points`` are warm-start candidates screened the
     same way before the search, which lets a caller with a cheap primal
     heuristic start from a real incumbent instead of waiting for one to fall
     out of the tree.  Branching picks the product with the largest envelope
@@ -319,7 +319,7 @@ def spatial_branch_and_bound(
         if x is None:
             return
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != n or tpl.max_row_violation(x) > feas_tol:
+        if x.shape[0] != n or tpl.max_row_violation(x) > FEAS_TOL:
             return
         val = sigma * tpl.true_objective(x)
         if val > best_val + 1e-12:

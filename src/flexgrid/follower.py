@@ -63,7 +63,6 @@ from .lp import (
     OPTIMAL,
     DualCertificate,
     LinearProgram,
-    MaterializedLP,
     solve_materialized,
 )
 from .powerflow import (
@@ -570,9 +569,9 @@ class MaterializedFollower:
     dual certificate (row and bound duals in ``problem.rows`` and variable
     order), so strong duality, the single-level completion and the
     band-edge walk read it as they read HiGHS.  When a closed form cannot
-    certify its point, the solve falls back to HiGHS on ``mat``, the arrays
-    of ``problem.to_lp(slots)``: they are built on the first fallback and
-    ``set_slots`` drops them.
+    certify its point, the solve falls back to HiGHS on
+    ``problem.to_lp``, built at the slots with the band edge in the
+    aggregate slot and the target node's objective.
 
     Each closed form reduces the follower at fixed slots to a fractional
     knapsack over z = sign·(Δp_gen, -Δp_load), sign = +1 under positive
@@ -601,14 +600,6 @@ class MaterializedFollower:
     def set_slots(self, slots: dict[str, float]) -> None:
         """Re-slot in place: the follower ``problem.materialize(slots)`` builds."""
         self.slots = {s: slots[s] for s in self.problem.slot_names}
-        self._mat: MaterializedLP | None = None
-
-    @property
-    def mat(self) -> MaterializedLP:
-        """HiGHS arrays of the LP at the current slots, built on first use."""
-        if self._mat is None:
-            self._mat = self.problem.to_lp(self.slots).materialize()
-        return self._mat
 
     def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
         p = self.problem
@@ -617,12 +608,10 @@ class MaterializedFollower:
         cert = self._solve_closed(node, edge)
         if cert is not None:
             return cert
-        mat = self.mat
-        c = np.zeros(p.n_vars)
-        c[p.i_vm(node)] = p.scenario.sigma
-        b_ub = mat.ub_sign * mat.b_ub  # back in the original row convention
-        b_ub[mat.ub_rows == self.agg_row] = edge
-        return solve_materialized(mat, c=c, b_ub=b_ub)
+        lp = p.to_lp({**self.slots, p.scenario.dp_slot: edge})
+        lp.set_objective(p.i_vm(p.scenario.node), 0.0)
+        lp.set_objective(p.i_vm(node), p.scenario.sigma)
+        return solve_materialized(lp.materialize())
 
     def _solve_closed(self, node: int, edge: float) -> DualCertificate | None:
         raise NotImplementedError

@@ -11,11 +11,12 @@ where bound terms run over finite bounds only, and the reduced cost of a
 variable is lower_duals + upper_duals.  ``verify_strong_duality`` checks that
 identity plus complementary slackness on a returned certificate.
 
-The materialized form (split <=/=/ arrays) is exposed so hot loops that
-re-solve the same structure with a mutated objective or right-hand side can
-skip the row-building cost.  A ``RangedLP`` (one CSC matrix with ranged rows)
-is the form a caller that assembles its own arrays hands over; ``solve_lp``
-solves it primal-only, with no duals on the certificate, on one HiGHS
+``LinearProgram.materialize`` splits the rows into the <= and = arrays
+scipy's ``linprog`` takes, negating >= rows, and ``solve_materialized``
+solves those arrays and undoes the negation on the duals.  A ``RangedLP``
+(one CSC matrix with ranged rows) is the form a caller that assembles its
+own arrays hands over; ``solve_lp`` checks it for NaN and infinite entries
+and solves it primal-only, with no duals on the certificate, on one HiGHS
 instance the module keeps: each solve passes the whole model, which drops
 the previous model and basis, so every solve starts cold.
 """
@@ -214,44 +215,27 @@ class DualCertificate:
         return self.status == OPTIMAL
 
 
-def solve_materialized(
-    mat: MaterializedLP,
-    *,
-    c: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    method: str = DEFAULT_METHOD,
-) -> DualCertificate:
-    """Solve a materialized LP, optionally overriding objective or right-hand sides.
-
-    Overrides are in the *original* row convention (the >= sign folding is
-    applied here), so callers can mutate rhs values without tracking signs.
-    """
-    cc = mat.c if c is None else np.asarray(c, dtype=float)
-    bub = mat.b_ub
-    if b_ub is not None:
-        bub = mat.ub_sign * np.asarray(b_ub, dtype=float)
-    beq = mat.b_eq if b_eq is None else np.asarray(b_eq, dtype=float)
-
+def solve_materialized(mat: MaterializedLP) -> DualCertificate:
+    """Solve a materialized LP with HiGHS through ``linprog``, with duals."""
     sign = -1.0 if mat.sense == MAX else 1.0
     res = linprog(
-        sign * cc,
+        sign * mat.c,
         A_ub=mat.A_ub if mat.b_ub.size else None,
-        b_ub=bub if mat.b_ub.size else None,
+        b_ub=mat.b_ub if mat.b_ub.size else None,
         A_eq=mat.A_eq if mat.b_eq.size else None,
-        b_eq=beq if mat.b_eq.size else None,
+        b_eq=mat.b_eq if mat.b_eq.size else None,
         bounds=np.column_stack([mat.lb, mat.ub]),
-        method=method,
+        method=DEFAULT_METHOD,
     )
     if res.status == 2:
-        return DualCertificate(status=INFEASIBLE, method=method)
+        return DualCertificate(status=INFEASIBLE)
     if res.status == 3:
-        return DualCertificate(status=UNBOUNDED, method=method)
+        return DualCertificate(status=UNBOUNDED)
     if res.status != 0:
         raise LPEngineError(f"LP backend failure (status {res.status}): {res.message}")
 
     x = np.asarray(res.x, dtype=float)
-    objective = float(cc @ x)
+    objective = float(mat.c @ x)
     row_duals = np.zeros(mat.n_rows)
     lower_duals = np.zeros(mat.c.shape[0])
     upper_duals = np.zeros(mat.c.shape[0])
@@ -276,7 +260,6 @@ def solve_materialized(
         row_duals=row_duals,
         lower_duals=lower_duals,
         upper_duals=upper_duals,
-        method=method,
     )
 
 
@@ -313,8 +296,16 @@ _RANGED_STATUS = {
 
 def _solve_ranged(lp: RangedLP) -> DualCertificate:
     """Primal-only solve on the module's HiGHS instance, created on first use
-    with console logging off."""
+    with console logging off.
+
+    A NaN or infinite objective or matrix entry, or a NaN bound, raises
+    ``ValueError`` before HiGHS sees the model.
+    """
     global _highs
+    if not (np.isfinite(lp.c).all() and np.isfinite(lp.A.data).all()):
+        raise ValueError("RangedLP: c and A must hold finite numbers")
+    if any(np.isnan(b).any() for b in (lp.lb, lp.ub, lp.row_lb, lp.row_ub)):
+        raise ValueError("RangedLP: bounds must not hold NaN")
     if _highs is None:
         _highs = highs._Highs()
         _highs.setOptionValue("log_to_console", False)
@@ -346,20 +337,17 @@ def _solve_ranged(lp: RangedLP) -> DualCertificate:
     return DualCertificate(status=OPTIMAL, objective=float(lp.c @ x), x=x)
 
 
-def solve_lp(
-    lp: LinearProgram | RangedLP, *, method: str = DEFAULT_METHOD
-) -> DualCertificate:
+def solve_lp(lp: LinearProgram | RangedLP) -> DualCertificate:
     """Solve an LP exactly.
 
     A ``LinearProgram`` comes back with the primal point and its dual
     sensitivities.  A ``RangedLP`` is solved primal-only by HiGHS's default
-    LP solver, called directly rather than through scipy (``method`` does
-    not apply): its certificate carries the status, ``x`` and the
-    objective, and no duals.
+    LP solver, called directly rather than through scipy: its certificate
+    carries the status, ``x`` and the objective, and no duals.
     """
     if isinstance(lp, RangedLP):
         return _solve_ranged(lp)
-    return solve_materialized(lp.materialize(), method=method)
+    return solve_materialized(lp.materialize())
 
 
 @dataclass

@@ -40,6 +40,12 @@ from .follower import (
 from .lp import OPTIMAL
 from .powerflow import solve_nonlinear_pf
 
+DROOP_MAX_ITER = 100  # Picard steps per damping factor of the volt-var fixed point
+DROOP_TOL = 1e-10  # |v| move (p.u.) below which a droop profile has settled
+GRID_STEPS = 7  # brute-force grid values per device's Δp box
+GRID_Q_STEPS = 5  # brute-force reactive levels per inverter's cone (free q)
+GRID_MAX_DEVICES = 4  # flexible devices the brute-force grid accepts
+
 
 class OracleError(RuntimeError):
     pass
@@ -52,13 +58,9 @@ def linear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndar
     return ctx.taylor.alpha_d * v.real + ctx.taylor.alpha_q * v.imag
 
 
-def nonlinear_magnitudes(
-    ctx: FlexContext, p: np.ndarray, q: np.ndarray, *, Y: np.ndarray | None = None
-) -> np.ndarray:
-    """Newton |v| of one injection profile ``(n,)`` or a stack ``(P, n)``
-    (``Y`` defaults to the context's admittance matrix)."""
-    op = solve_nonlinear_pf(ctx.feeder, p, q, index=ctx.index, Y=ctx.ybus if Y is None else Y)
-    return op.vm
+def nonlinear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Newton |v| of one injection profile ``(n,)`` or a stack ``(P, n)``."""
+    return solve_nonlinear_pf(ctx.feeder, p, q, index=ctx.index, Y=ctx.ybus).vm
 
 
 def linearization_error(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> float:
@@ -187,14 +189,7 @@ class BruteForceResult:
 
 
 def _droop_voltages(
-    ctx: FlexContext,
-    p: np.ndarray,
-    qbar: np.ndarray,
-    q_other: np.ndarray,
-    *,
-    Y: np.ndarray | None = None,
-    max_iter: int = 100,
-    tol: float = 1e-10,
+    ctx: FlexContext, p: np.ndarray, qbar: np.ndarray, q_other: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed point of volt-var control and the nonlinear power flow.
 
@@ -203,10 +198,10 @@ def _droop_voltages(
     ``q_other`` hold one profile ``(n,)`` or a stack ``(P, n)``.  Every
     profile runs its own damped Picard iteration from the anchor |v|; each
     step pushes all unsettled profiles through one stacked Newton solve, and
-    a profile drops out once its |v| moves less than ``tol``.  Profiles that
-    do not settle in ``max_iter`` steps restart from the anchor with a
-    smaller damping factor.  Returns (vm, q) in the input's shape, NaN in
-    the rows that never settle.
+    a profile drops out once its |v| moves less than ``DROOP_TOL``.  Profiles
+    that do not settle in ``DROOP_MAX_ITER`` steps restart from the anchor
+    with a smaller damping factor.  Returns (vm, q) in the input's shape,
+    NaN in the rows that never settle.
     """
     band = ctx.v_max - ctx.v_min
     p_rows = np.atleast_2d(p)
@@ -218,12 +213,12 @@ def _droop_voltages(
     # times the grid sensitivity nears one (weak grids, large q̄).
     for alpha in (1.0, 0.5, 0.2):
         vm = np.tile(ctx.anchor.vm, (len(rows), 1))
-        for _ in range(max_iter):
+        for _ in range(DROOP_MAX_ITER):
             if not rows.size:
                 break
             q = q_rows[rows] + qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
-            new_vm = nonlinear_magnitudes(ctx, p_rows[rows], q, Y=Y)
-            done = np.max(np.abs(new_vm - vm), axis=1) < tol
+            new_vm = nonlinear_magnitudes(ctx, p_rows[rows], q)
+            done = np.max(np.abs(new_vm - vm), axis=1) < DROOP_TOL
             vm_out[rows[done]] = new_vm[done]
             q_out[rows[done]] = q[done]
             rows, vm = rows[~done], (vm + alpha * (new_vm - vm))[~done]
@@ -242,14 +237,7 @@ class ActivationExtremes:
 
 
 def brute_force_extremes(
-    ctx: FlexContext,
-    mode: str,
-    decision: UpperDecision,
-    activation: str,
-    *,
-    steps: int = 7,
-    q_steps: int = 5,
-    max_devices: int = 4,
+    ctx: FlexContext, mode: str, decision: UpperDecision, activation: str
 ) -> ActivationExtremes:
     """Grid-search the adversary directly in the nonlinear model.
 
@@ -261,8 +249,10 @@ def brute_force_extremes(
     one stacked droop fixed point).  The grid depends on the activation but
     not on the node or the extremum, so this one solve gives every
     scenario of ``activation``: the extreme at a node is the first grid
-    point, in enumeration order, with the most adverse |v| there.  Only
-    meant for feeders with at most ``max_devices`` flexible devices.
+    point, in enumeration order, with the most adverse |v| there.  Each
+    flexible device's box takes ``GRID_STEPS`` values and, for free q, each
+    inverter's cone ``GRID_Q_STEPS`` levels; only meant for feeders with at
+    most ``GRID_MAX_DEVICES`` flexible devices.
     """
     dev = ctx.devices
     fix_q = decision_fixes_q(mode, decision)
@@ -276,10 +266,10 @@ def brute_force_extremes(
     for kind, k, v in sorted(columns, key=lambda c: c[1]):  # node by node, Δp_gen first
         lo, hi = problem.lb[v], problem.ub[v]
         if hi - lo > 1e-12:
-            dims.append((kind, k, np.linspace(lo, hi, steps)))
-    if len(dims) > max_devices:
+            dims.append((kind, k, np.linspace(lo, hi, GRID_STEPS)))
+    if len(dims) > GRID_MAX_DEVICES:
         raise OracleError(
-            f"{len(dims)} flexible devices exceed the brute-force limit {max_devices}"
+            f"{len(dims)} flexible devices exceed the brute-force limit {GRID_MAX_DEVICES}"
         )
 
     # Every grid point as a row, in itertools.product order.
@@ -319,12 +309,12 @@ def brute_force_extremes(
             in_cone = np.all(np.abs(q_gen) <= dev.gamma_const * pg + 1e-9, axis=1)
             p, q_load, head, q_gen = (a[in_cone] for a in (p, q_load, head, q_gen))
         else:
-            # Free q: q_steps levels across each inverter's cone, every
+            # Free q: GRID_Q_STEPS levels across each inverter's cone, every
             # combination per grid point, in itertools.product order.
             cone = dev.gamma_const[inv] * pg[:, inv]
-            levels = np.linspace(-cone, cone, q_steps, axis=-1)  # (point, inverter, level)
-            pick = np.array(list(itertools.product(range(q_steps), repeat=len(inv))), dtype=int)
-            pick = pick.reshape(-1, len(inv))
+            levels = np.linspace(-cone, cone, GRID_Q_STEPS, axis=-1)  # (point, inverter, level)
+            pick = itertools.product(range(GRID_Q_STEPS), repeat=len(inv))
+            pick = np.array(list(pick), dtype=int).reshape(-1, len(inv))
             combos = levels[:, np.arange(len(inv)), pick]  # (point, combination, inverter)
             p, q_load, head = (np.repeat(a, len(pick), axis=0) for a in (p, q_load, head))
             q_gen = np.zeros_like(p)
@@ -350,41 +340,31 @@ def brute_force_extremes(
 
 
 # Per activation, the last ``brute_force_extremes`` result with the context
-# it was computed on and every other input its grid read.  ``all_scenarios``
+# it was computed on and every other argument its grid read.  ``all_scenarios``
 # orders scenarios node -> activation -> extremum, so one entry per
 # activation serves a whole loop over them with one grid each.
 _BRUTE_FORCE_MEMO: dict[str, tuple[FlexContext, tuple, ActivationExtremes]] = {}
 
 
 def brute_force_worst_voltage(
-    ctx: FlexContext,
-    mode: str,
-    decision: UpperDecision,
-    scenario: Scenario,
-    *,
-    steps: int = 7,
-    q_steps: int = 5,
-    max_devices: int = 4,
+    ctx: FlexContext, mode: str, decision: UpperDecision, scenario: Scenario
 ) -> BruteForceResult:
     """The brute-force extreme of one scenario, read off its activation's grid.
 
     ``brute_force_extremes`` runs once per activation and is kept while the
     context (the same object), its voltage limits, the mode, the
-    activation's band edge, the setpoint values and the grid options stay
-    the same; a call that raises keeps nothing.
+    activation's band edge and the setpoint values stay the same; a call
+    that raises keeps nothing.
     """
     activation = scenario.activation
     key = (
         ctx.v_min, ctx.v_max, mode, decision_fixes_q(mode, decision),
         decision.dp_plus if activation == POSITIVE else decision.dp_minus,
-        tuple(sorted(decision.setpoints.items())), steps, q_steps, max_devices,
+        tuple(sorted(decision.setpoints.items())),
     )
     held = _BRUTE_FORCE_MEMO.get(activation)
     if held is None or held[0] is not ctx or held[1] != key:
-        extremes = brute_force_extremes(
-            ctx, mode, decision, activation,
-            steps=steps, q_steps=q_steps, max_devices=max_devices,
-        )
+        extremes = brute_force_extremes(ctx, mode, decision, activation)
         held = _BRUTE_FORCE_MEMO[activation] = (ctx, key, extremes)
     extremes = held[2]
     return BruteForceResult(

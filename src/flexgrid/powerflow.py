@@ -110,8 +110,6 @@ def solve_nonlinear_pf(
     *,
     index: BusPhaseIndex | None = None,
     Y: np.ndarray | None = None,
-    tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> OperatingPoint:
     """Newton power flow in rectangular coordinates, one profile or a stack.
 
@@ -122,12 +120,13 @@ def solve_nonlinear_pf(
     takes full Newton steps.  Each iteration builds the Jacobians of all
     unconverged profiles as one ``(P, 2n, 2n)`` stack and solves them in one
     stacked LU call.  A profile leaves the stack once its own power mismatch
-    drops below ``tol`` (p.u.), so it ends on the iterate a lone solve
-    would.  Stacks larger than ``NEWTON_STACK_BYTES`` allows are solved in
-    chunks.  The result has the input's shape; for a stack, ``iterations``
-    is the step count of the slowest profile and ``residual`` the largest
-    final mismatch.  A singular Jacobian, a collapsing voltage or the
-    iteration limit in any profile raises ``PowerFlowError``.
+    drops below ``NEWTON_TOL`` (p.u.), so it ends on the iterate a lone
+    solve would.  Stacks larger than ``NEWTON_STACK_BYTES`` allows are
+    solved in chunks.  The result has the input's shape; for a stack,
+    ``iterations`` is the step count of the slowest profile and
+    ``residual`` the largest final mismatch.  A singular Jacobian, a
+    collapsing voltage or ``NEWTON_MAX_ITER`` steps without convergence in
+    any profile raises ``PowerFlowError``.
     """
     if index is None:
         index = index_nodes(model)
@@ -154,9 +153,7 @@ def solve_nonlinear_pf(
     rows = max(1, NEWTON_STACK_BYTES // (ROW_BYTES_PER_NODE2 * max(n, 1) ** 2))
     for i in range(0, len(s_spec), rows):
         chunk = slice(i, i + rows)
-        steps, worst = _newton(
-            YLL, i_lin, v_flat, s_spec[chunk], v[chunk], s_calc[chunk], tol, max_iter
-        )
+        steps, worst = _newton(YLL, i_lin, v_flat, s_spec[chunk], v[chunk], s_calc[chunk])
         iterations, residual = max(iterations, steps), max(residual, worst)
     i_slack = Y00 @ v0 + v @ Y0L.T
     slack_power = v0 * np.conj(i_slack)
@@ -181,10 +178,10 @@ def _newton(
     s_spec: np.ndarray,
     v: np.ndarray,
     s_calc: np.ndarray,
-    tol: float,
-    max_iter: int,
 ) -> tuple[int, float]:
-    """Newton iterations on the ``(P, n)`` stack ``s_spec`` from a flat start.
+    """Newton iterations on the ``(P, n)`` stack ``s_spec`` from a flat start,
+    at most ``NEWTON_MAX_ITER`` of them, until every row's mismatch is below
+    ``NEWTON_TOL``.
 
     Writes the voltages into ``v`` and the realized injections into
     ``s_calc``; returns the step count of the slowest row and the largest
@@ -201,12 +198,12 @@ def _newton(
     YLL_pair = np.conj(YLL)[:, None, :] * np.array([[1.0], [-1j]])
     diag = 2 * n + 1  # stride of an (n, 2n) block's diagonals in its flat layout
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         i_node = i_lin + v_live @ YLL_T
         s_now = v_live * np.conj(i_node)
         mismatch = s_live - s_now
         residual = np.abs(mismatch).max(axis=1, initial=0.0)
-        done = residual < tol
+        done = residual < NEWTON_TOL
         finished = np.count_nonzero(done)
         if finished == live.size:  # the last rows converge: the stack took it - 1 steps
             v[live] = v_live
@@ -240,7 +237,7 @@ def _newton(
                 "voltage magnitude collapsed toward zero; injections are likely infeasible"
             )
     raise PowerFlowError(
-        f"Newton power flow did not converge in {max_iter} iterations "
+        f"Newton power flow did not converge in {NEWTON_MAX_ITER} iterations "
         f"(last mismatch {np.max(residual):.3e} p.u.)"
     )
 

@@ -15,7 +15,6 @@ import numpy as np
 from flexgrid.feeder import load_feeder
 from flexgrid.follower import POSITIVE, MAX_V, build_context
 from flexgrid.oracle import nonlinear_magnitudes
-from flexgrid.feeder import assemble_ybus
 
 PHASE_CHOICES = ("a", "b", "c", "ab", "bc", "ac", "abc")
 
@@ -164,7 +163,7 @@ def _sign_boxes(dev, activation):
     return dpg_lo, np.maximum(dpg_lo, dpg_hi), dpl_lo, np.maximum(dpl_lo, dpl_hi)
 
 
-def _droop_fixed_point(ctx, p, qbar, q_other, Y, max_iter=200, tol=1e-10):
+def _droop_fixed_point(ctx, p, qbar, q_other, max_iter=200, tol=1e-10):
     band = ctx.v_max - ctx.v_min
     # Damped Picard; plain iteration oscillates on weak grids where the
     # droop gain times the voltage sensitivity approaches one.
@@ -172,7 +171,7 @@ def _droop_fixed_point(ctx, p, qbar, q_other, Y, max_iter=200, tol=1e-10):
         vm = ctx.anchor.vm.copy()
         for _ in range(max_iter):
             q = q_other + qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
-            new_vm = nonlinear_magnitudes(ctx, p, q, Y=Y)
+            new_vm = nonlinear_magnitudes(ctx, p, q)
             if np.max(np.abs(new_vm - vm)) < tol:
                 return new_vm
             vm = vm + alpha * (new_vm - vm)
@@ -180,7 +179,7 @@ def _droop_fixed_point(ctx, p, qbar, q_other, Y, max_iter=200, tol=1e-10):
 
 
 def bf_worst_vm(ctx, mode, setpoints, activation, extremum, node, t, *,
-                steps=3, q_steps=3, Y=None):
+                steps=3, q_steps=3):
     """Worst |v| at ``node`` from a grid adversary in the full nonlinear model.
 
     Grid points violating the aggregate cap ``t`` are scaled back onto the cap
@@ -191,8 +190,6 @@ def bf_worst_vm(ctx, mode, setpoints, activation, extremum, node, t, *,
     """
     dev = ctx.devices
     n = ctx.n
-    if Y is None:
-        Y = assemble_ybus(ctx.feeder, ctx.index)
     dpg_lo, dpg_hi, dpl_lo, dpl_hi = _sign_boxes(dev, activation)
 
     dims = []
@@ -245,7 +242,7 @@ def bf_worst_vm(ctx, mode, setpoints, activation, extremum, node, t, *,
             qbar = np.zeros(n)
             for k in dev.inverter_nodes:
                 qbar[k] = setpoints[f"qbar[{k}]"]
-            vm = _droop_fixed_point(ctx, p, qbar, -q_load, Y)
+            vm = _droop_fixed_point(ctx, p, qbar, -q_load)
             if vm is not None:
                 best = max(best, sigma * float(vm[node]))
             continue
@@ -253,7 +250,7 @@ def bf_worst_vm(ctx, mode, setpoints, activation, extremum, node, t, *,
         for qg in q_options:
             if np.any(np.abs(qg) > head + 1e-9):
                 continue
-            vm = nonlinear_magnitudes(ctx, p, qg - q_load, Y=Y)
+            vm = nonlinear_magnitudes(ctx, p, qg - q_load)
             best = max(best, sigma * float(vm[node]))
     assert best > -math.inf, "no admissible brute-force point"
     return sigma * best
@@ -262,12 +259,11 @@ def bf_worst_vm(ctx, mode, setpoints, activation, extremum, node, t, *,
 def bf_limit(ctx, mode, setpoints, activation, extremum, node, full, *,
              tol, steps=3, q_steps=3):
     """Bisection band limit with ``bf_worst_vm`` playing the follower."""
-    Y = assemble_ybus(ctx.feeder, ctx.index)
     sigma = 1.0 if extremum == MAX_V else -1.0
 
     def ok(t):
         vm = bf_worst_vm(ctx, mode, setpoints, activation, extremum, node, t,
-                         steps=steps, q_steps=q_steps, Y=Y)
+                         steps=steps, q_steps=q_steps)
         if sigma > 0:
             return vm <= ctx.v_max + 1e-9
         return vm >= ctx.v_min - 1e-9

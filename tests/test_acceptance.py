@@ -23,7 +23,6 @@ from flexgrid.feeder import (
     MODE_CONSTANT_PF,
     MODE_CONSTANT_Q,
     MODE_VOLT_VAR,
-    assemble_ybus,
     load_feeder,
 )
 from flexgrid.follower import (
@@ -164,7 +163,6 @@ def _binding_limit_window(rec, side):
     setpoints = {} if mode == MODE_CONSTANT_Q else fix_worst_case_setpoints(ctx, mode, fam)
     sigma = 1.0 if fam == MAX_V else -1.0
     edge = ctx.v_max if fam == MAX_V else ctx.v_min
-    Y = assemble_ybus(ctx.feeder, ctx.index)
 
     sc = Scenario(k, act, fam)
     problem = build_follower(ctx, sc, mode)
@@ -180,7 +178,7 @@ def _binding_limit_window(rec, side):
 
     def worst(band):
         return bf_worst_vm(ctx, mode, setpoints, act, fam, k, sgn * band,
-                           steps=5, q_steps=5, Y=Y)
+                           steps=5, q_steps=5)
 
     vm_in = worst(max(abs(t) - tol, 0.0))
     assert sigma * (vm_in - edge) <= 1e-9, (rec["seed"], side, t, vm_in)

@@ -23,6 +23,7 @@ from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 from flexgrid.follower import (
     MAX_V,
     MIN_V,
+    NEGATIVE,
     POSITIVE,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
@@ -346,6 +347,35 @@ def test_node_limit_leaves_a_feasible_band_unconverged():
     assert res.single_level.bnb.gap > 1e-3
     assert res.feasibility.ok
     assert not res.converged
+
+
+def test_the_active_set_grows_by_the_rescreen_violators(ieee13_model, monkeypatch):
+    """13-bus constant-pf with v_max 0.5 mV above the anchor: the first band
+    fails its re-screen, the violators not yet active join the two seeds,
+    and the second band passes (unproven at the node cap of 2)."""
+    anchor = build_context(ieee13_model).anchor
+    ctx = build_context(ieee13_model, v_min=0.9, v_max=float(anchor.vm.max()) + 0.0005,
+                        anchor=anchor)
+    reports = []
+    real = bilevel.feasibility_check
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(bilevel, "feasibility_check", recording)
+    res = run_iterative(ctx, MODE_CONSTANT_PF, direction="overvoltage", node_limit=2)
+    assert res.iterations == len(reports) == 2
+    assert res.objective_history == pytest.approx([2.73973, 2.27571], abs=1e-5)
+    assert res.feasibility.ok and not res.converged and not res.stalled
+    assert res.single_level.bnb.status == "node_limit"
+
+    (k_up, fam_up), (k_lo, fam_lo) = res.worst_case.binding_upper, res.worst_case.binding_lower
+    seeds = [Scenario(k_up, POSITIVE, fam_up), Scenario(k_lo, NEGATIVE, fam_lo)]
+    added = [v.scenario for v in reports[0].violations if v.scenario not in seeds]
+    assert not reports[0].ok and added
+    assert res.followers == seeds + added
+    assert len(res.followers) == 9
 
 
 def test_direction_filter_restricts_the_follower_pool(pv_tight_ctx):

@@ -106,7 +106,9 @@ def _setpoint_draws(rng, ctx, mode):
 class Oracle:
     """HiGHS on the follower's plain LP from ``problem.to_lp``, materialized
     once and solved with the target node's objective and the band edge as
-    the aggregate row's right-hand side."""
+    the aggregate row's right-hand side, both written into a copy of the
+    materialized arrays (the agg row's sign is folded as ``materialize``
+    folds it)."""
 
     def __init__(self, problem, slots):
         self.problem = problem
@@ -125,9 +127,9 @@ class Oracle:
 
     def solve(self, node, edge):
         self.retarget(node, edge)
-        rhs = np.array(self.lp.rhs)
-        return solve_materialized(self.mat, c=np.array(self.lp.obj),
-                                  b_ub=rhs[self.mat.ub_rows], b_eq=rhs[self.mat.eq_rows])
+        mat = self.mat
+        b_ub = mat.ub_sign * np.array(self.lp.rhs)[mat.ub_rows]
+        return solve_materialized(dataclasses.replace(mat, c=np.array(self.lp.obj), b_ub=b_ub))
 
     def dual_infeasibility(self, cert):
         """Largest violation of c = A'y + lower + upper and of the dual signs."""

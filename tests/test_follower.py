@@ -369,15 +369,15 @@ def test_set_slots_matches_a_fresh_materialization(pv_ctx, mode, activation):
         slots = random_slots(rng, pv_ctx, mode)  # extra slots are ignored
         mat.set_slots(slots)
         fresh = problem.materialize(slots)
-        for got, want in ((mat.mat.A_eq, fresh.mat.A_eq), (mat.mat.A_ub, fresh.mat.A_ub)):
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
-        assert np.array_equal(mat.mat.b_eq, fresh.mat.b_eq)
-        assert np.array_equal(mat.mat.b_ub, fresh.mat.b_ub)
         assert mat.slots == fresh.slots
-        got, want = mat.solve(node=3, dp_bound=0.0), fresh.solve(node=3, dp_bound=0.0)
-        assert got.objective == want.objective
+        for node in range(pv_ctx.n):
+            for dp_bound in (None, 0.0):
+                got = mat.solve(node=node, dp_bound=dp_bound)
+                want = fresh.solve(node=node, dp_bound=dp_bound)
+                assert (got.status, got.method) == (want.status, want.method)
+                assert got.objective == want.objective
+                for field in ("x", "row_duals", "lower_duals", "upper_duals"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_aggregate_dual_is_band_sensitivity(pv_ctx):

@@ -12,7 +12,6 @@ from flexgrid.feeder import (
     MODE_CONSTANT_PF,
     MODE_CONSTANT_Q,
     MODE_VOLT_VAR,
-    assemble_ybus,
 )
 from flexgrid.follower import (
     MAX_V,
@@ -96,13 +95,6 @@ def test_magnitude_routes_agree_at_the_anchor(pv_ctx):
         nonlinear_magnitudes(pv_ctx, p0, q0), pv_ctx.anchor.vm, atol=1e-9
     )
     assert linearization_error(pv_ctx, p0, q0) < 1e-9
-    # explicit admittance pass-through changes nothing
-    Y = assemble_ybus(pv_ctx.feeder, pv_ctx.index)
-    assert np.allclose(
-        nonlinear_magnitudes(pv_ctx, p0, q0, Y=Y),
-        nonlinear_magnitudes(pv_ctx, p0, q0),
-        atol=1e-12,
-    )
 
 
 def test_linearization_error_stays_small_off_anchor(pv_ctx):
@@ -165,16 +157,15 @@ def test_brute_force_agrees_with_the_lp_adversary():
 
 def test_droop_fixed_point_is_self_consistent():
     ctx = build_context(load_feeder(one_inverter_doc(MODE_VOLT_VAR)))
-    Y = assemble_ybus(ctx.feeder, ctx.index)
     p = np.array([0.12])
     qbar = np.array([0.08])
     q_other = np.zeros(1)
-    vm, q = _droop_voltages(ctx, p, qbar, q_other, Y=Y)
+    vm, q = _droop_voltages(ctx, p, qbar, q_other)
     # the droop line and the power flow hold simultaneously
     band = ctx.v_max - ctx.v_min
     q_line = qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
     assert np.allclose(q, q_other + q_line, atol=1e-8)
-    assert np.allclose(vm, nonlinear_magnitudes(ctx, p, q, Y=Y), atol=1e-8)
+    assert np.allclose(vm, nonlinear_magnitudes(ctx, p, q), atol=1e-8)
 
 
 def test_brute_force_volt_var_runs_the_droop(pv_model):
@@ -221,7 +212,7 @@ def test_brute_force_detects_an_unreachable_setpoint():
 # The stacked brute force against the per-point loop it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_droop(ctx, p, qbar, q_other, *, Y, max_iter=100, tol=1e-10):
+def _reference_droop(ctx, p, qbar, q_other, *, max_iter=100, tol=1e-10):
     """Volt-var fixed point of one profile, one Newton solve per Picard step."""
     band = ctx.v_max - ctx.v_min
     for alpha in (1.0, 0.5, 0.2):
@@ -229,7 +220,7 @@ def _reference_droop(ctx, p, qbar, q_other, *, Y, max_iter=100, tol=1e-10):
         for _ in range(max_iter):
             q_inv = qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
             q = q_other + q_inv
-            new_vm = nonlinear_magnitudes(ctx, p, q, Y=Y)
+            new_vm = nonlinear_magnitudes(ctx, p, q)
             if np.max(np.abs(new_vm - vm)) < tol:
                 return new_vm, q
             vm = vm + alpha * (new_vm - vm)
@@ -258,7 +249,6 @@ def _reference_grid(ctx, mode, decision, activation, *, steps=7, q_steps=5):
                 dims.append(("dpl", k, np.linspace(lo, hi, steps)))
     free_q = mode == MODE_CONSTANT_Q and not fix_q
     dp_cap = decision.dp_plus if activation == POSITIVE else decision.dp_minus
-    Y = assemble_ybus(ctx.feeder, ctx.index)
     evaluated = []  # (|v| at every node, p, q) per admissible point
 
     for combo in itertools.product(*[d[2] for d in dims]) if dims else [()]:
@@ -283,7 +273,7 @@ def _reference_grid(ctx, mode, decision, activation, *, steps=7, q_steps=5):
             if np.any(np.abs(q_gen) > head + 1e-9):
                 return
             q = q_gen - q_load
-            evaluated.append((nonlinear_magnitudes(ctx, p, q, Y=Y), p, q))
+            evaluated.append((nonlinear_magnitudes(ctx, p, q), p, q))
 
         if mode == MODE_CONSTANT_PF:
             q_gen = np.zeros(n)
@@ -311,7 +301,7 @@ def _reference_grid(ctx, mode, decision, activation, *, steps=7, q_steps=5):
             for k in dev.inverter_nodes:
                 qbar[k] = decision.setpoints[slot_qbar(k)]
             try:
-                vm, q = _reference_droop(ctx, p, qbar, -q_load, Y=Y)
+                vm, q = _reference_droop(ctx, p, qbar, -q_load)
             except OracleError:
                 continue
             if np.any(np.abs(q + q_load) > head + 1e-9):
@@ -414,7 +404,9 @@ def test_stacked_brute_force_matches_off_the_solved_setpoints(seed, mode):
 
 
 @pytest.mark.parametrize("qbar,max_iter,all_settle", [(0.1, 30, True), (0.15, 6, False)])
-def test_stacked_droop_matches_the_per_profile_iteration(qbar, max_iter, all_settle):
+def test_stacked_droop_matches_the_per_profile_iteration(
+    qbar, max_iter, all_settle, monkeypatch
+):
     """Rows that need the damped retries, or never settle, behave as alone.
 
     On a narrow band the droop gain is high: with q̄ = 0.1 and 30 steps some
@@ -422,16 +414,16 @@ def test_stacked_droop_matches_the_per_profile_iteration(qbar, max_iter, all_set
     q̄ = 0.15 and 6 steps one profile settles and the rest never do.
     """
     ctx = build_context(load_feeder(one_inverter_doc(MODE_VOLT_VAR)), v_min=0.995, v_max=1.005)
-    Y = assemble_ybus(ctx.feeder, ctx.index)
     p = np.linspace(0.0, 0.3, 7)[:, None]
     q_other = np.zeros_like(p)
-    vm, q = _droop_voltages(ctx, p, np.array([qbar]), q_other, Y=Y, max_iter=max_iter)
+    monkeypatch.setattr(oracle, "DROOP_MAX_ITER", max_iter)
+    vm, q = _droop_voltages(ctx, p, np.array([qbar]), q_other)
     assert vm.shape == q.shape == p.shape
     settled = 0
     for i in range(len(p)):
         try:
             vm_ref, q_ref = _reference_droop(
-                ctx, p[i], np.array([qbar]), q_other[i], Y=Y, max_iter=max_iter
+                ctx, p[i], np.array([qbar]), q_other[i], max_iter=max_iter
             )
         except OracleError:
             assert np.isnan(vm[i]).all() and np.isnan(q[i]).all(), i
