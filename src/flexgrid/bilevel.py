@@ -223,6 +223,8 @@ def worst_case_limits(
     ``direction``.  The global safe range is (max of lower, min of upper).
     """
     check_anchor(ctx)
+    if ctx.n == 0:
+        raise BilevelError("feeder has no non-slack nodes")
     n = ctx.n
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
     tol_abs = EDGE_TOL_REL * max(dp_up, -dp_lo, 1e-12)
@@ -837,9 +839,6 @@ def run_iterative(
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    check_anchor(ctx)
-    if ctx.n == 0:
-        raise BilevelError("feeder has no non-slack nodes")
     wc = worst_case_limits(ctx, mode, direction=direction)
     scenarios_all = all_scenarios(ctx.n, direction=direction)
     cap = max_iterations if max_iterations is not None else len(scenarios_all)

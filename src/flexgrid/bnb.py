@@ -90,19 +90,17 @@ def square_rows(lo, hi) -> list[tuple]:
     ]
 
 
-_FOLD = {LE: 1.0, GE: -1.0}  # >= rows are negated into <= rows
-
-
 class RelaxationTemplate:
     """The McCormick relaxation of a bilinear program, assembled once.
 
     Columns: the base variables, then one auxiliary w per distinct product,
-    in ``bp.products()`` order (column ``n_vars + k`` for product k).  Rows,
-    in the order ``LinearProgram.materialize`` gives them: the base <= rows
-    (>= rows negated), the envelope rows product by product (four per
-    product x*y, three per square x*x; >= rows negated), then the base =
-    rows.  A row's product terms sit on the w columns.  The template is a
-    snapshot: terms or rows added to ``bp`` later are not in it.
+    in ``bp.products()`` order (column ``n_vars + k`` for product k).  Rows:
+    the base rows as ``LinearProgram.materialize`` gives them (in program
+    order, ranged), then the envelope rows product by product (four per
+    product x*y, three per square x*x), each with its rhs on the side its
+    relation bounds.  A row's product terms sit on the w columns.  The
+    template is a snapshot: terms or rows added to ``bp`` later are not in
+    it.
 
     It also screens candidate points: the base rows evaluated at the lifted
     point (x, x_i*x_j) are exactly the bilinear rows.
@@ -134,36 +132,29 @@ class RelaxationTemplate:
                 row_extra[(t.row, w)] = row_extra.get((t.row, w), 0.0) + t.coeff
         self.c = np.concatenate([mat.c, obj_w])
 
-        # Base rows (<= then =) with their product terms: the screening matrix.
-        n_ub = mat.b_ub.size
-        out_row = np.empty(base.n_rows, dtype=np.int64)
-        out_row[mat.ub_rows] = np.arange(n_ub)
-        out_row[mat.eq_rows] = n_ub + np.arange(mat.b_eq.size)
-        fold = np.ones(base.n_rows)
-        fold[mat.ub_rows] = mat.ub_sign
-        ub_coo, eq_coo = mat.A_ub.tocoo(), mat.A_eq.tocoo()
+        # Base rows with their product terms: the screening matrix.
+        coo = mat.A.tocoo()
         ex_r = np.fromiter((r for r, _ in row_extra), dtype=np.int64, count=len(row_extra))
         ex_c = np.fromiter((w for _, w in row_extra), dtype=np.int64, count=len(row_extra))
         ex_v = np.fromiter(row_extra.values(), dtype=float, count=len(row_extra))
-        rows = np.concatenate([ub_coo.row, n_ub + eq_coo.row, out_row[ex_r]])
-        cols = np.concatenate([ub_coo.col, eq_coo.col, ex_c])
-        vals = np.concatenate([ub_coo.data, eq_coo.data, fold[ex_r] * ex_v])
+        rows = np.concatenate([coo.row, ex_r])
+        cols = np.concatenate([coo.col, ex_c])
+        vals = np.concatenate([coo.data, ex_v])
         n_base = base.n_rows
         self._screen = csr_array((vals, (rows, cols)), shape=(n_base, n + n_w))
-        self._screen_rhs = np.concatenate([mat.b_ub, mat.b_eq])
-        self._n_ub = n_ub
+        self._screen_lb, self._screen_ub = mat.row_lb, mat.row_ub
 
         # Envelope rows: product k's block starts at env_start[k].
         square = pi == pj
         n_env_k = np.where(square, 3, 4)
-        env_start = n_ub + np.cumsum(n_env_k) - n_env_k
+        env_start = n_base + np.cumsum(n_env_k) - n_env_k
         n_env = int(n_env_k.sum())
         sq = self._sq = np.flatnonzero(square)
         bi = self._bi = np.flatnonzero(~square)
         sq_rows = env_start[sq, None] + np.arange(3)
         bi_rows = env_start[bi, None] + np.arange(4)
-        w_sq = np.array([_FOLD[rel] * a_w for a_w, _, rel, _ in square_rows(0.0, 0.0)])
-        w_bi = np.array([_FOLD[rel] * a_w for a_w, _, _, rel, _ in mccormick_rows(0.0, 0.0, 0.0, 0.0)])
+        w_sq, rel_sq = zip(*((a_w, rel) for a_w, _, rel, _ in square_rows(0.0, 0.0)))
+        w_bi, rel_bi = zip(*((a_w, rel) for a_w, _, _, rel, _ in mccormick_rows(0.0, 0.0, 0.0, 0.0)))
         one3, one4 = np.ones(3, dtype=np.int64), np.ones(4, dtype=np.int64)
         env_r = np.concatenate([
             sq_rows.ravel(), sq_rows.ravel(),
@@ -179,11 +170,10 @@ class RelaxationTemplate:
             np.tile(w_sq, sq.size), np.ones(3 * sq.size),
             np.tile(w_bi, bi.size), np.ones(8 * bi.size),
         ])
-        shift = np.where(rows >= n_ub, n_env, 0)
         m = n_base + n_env
         self.A = csc_array(
             (np.concatenate([vals, env_v]),
-             (np.concatenate([rows + shift, env_r]), np.concatenate([cols, env_c]))),
+             (np.concatenate([rows, env_r]), np.concatenate([cols, env_c]))),
             shape=(m, n + n_w),
         )
         self.A.sort_indices()
@@ -194,16 +184,18 @@ class RelaxationTemplate:
         def positions(r, c):
             return np.searchsorted(keys, c * m + r)
 
-        # The entries a node writes, row kind by row kind, in the order
-        # ``mccormick_relax`` lists their values.
+        # The entries and row sides a node writes, row kind by row kind, in
+        # the order ``mccormick_relax`` lists their values.
         self._coef_pos = np.concatenate([
             positions(sq_rows, pi[sq, None]).T.ravel(),
             positions(bi_rows, pi[bi, None]).T.ravel(),
             positions(bi_rows, pj[bi, None]).T.ravel(),
         ])
-        self._rhs_rows = np.concatenate([sq_rows.T.ravel(), bi_rows.T.ravel()])
-        self.row_lb = np.concatenate([np.full(n_ub + n_env, -np.inf), mat.b_eq])
-        self.row_ub = np.concatenate([mat.b_ub, np.zeros(n_env), mat.b_eq])
+        kinds = list(zip(sq_rows.T, rel_sq)) + list(zip(bi_rows.T, rel_bi))
+        self._ge_rows = np.concatenate([r for r, rel in kinds if rel == GE])
+        self._le_rows = np.concatenate([r for r, rel in kinds if rel == LE])
+        self.row_lb = np.concatenate([mat.row_lb, np.full(n_env, -np.inf)])
+        self.row_ub = np.concatenate([mat.row_ub, np.full(n_env, np.inf)])
 
     def _lifted(self, x: np.ndarray) -> np.ndarray:
         """Base point followed by the exact value of each product."""
@@ -215,11 +207,11 @@ class RelaxationTemplate:
     def max_row_violation(self, x: np.ndarray) -> float:
         """Worst constraint violation of a point with products evaluated exactly."""
         x = np.asarray(x, dtype=float)
-        resid = self._screen @ self._lifted(x) - self._screen_rhs
-        resid[self._n_ub:] = np.abs(resid[self._n_ub:])  # = rows
+        ax = self._screen @ self._lifted(x)
         # Bounds violations count too; branching must never exclude an incumbent.
         return float(max(
-            np.max(resid, initial=0.0),
+            np.max(self._screen_lb - ax, initial=0.0),
+            np.max(ax - self._screen_ub, initial=0.0),
             np.max(self.lb - x, initial=0.0),
             np.max(x - self.ub, initial=0.0),
         ))
@@ -253,20 +245,18 @@ def mccormick_relax(
     bi_rows = mccormick_rows(li[bi], ui[bi], lj[bi], uj[bi])
     data = tpl.A.data.copy()
     data[tpl._coef_pos] = np.concatenate(
-        [_FOLD[rel] * a_x for _, a_x, rel, _ in sq_rows]
-        + [_FOLD[rel] * a_x for _, a_x, _, rel, _ in bi_rows]
-        + [_FOLD[rel] * a_y for _, _, a_y, rel, _ in bi_rows]
+        [a_x for _, a_x, _, _ in sq_rows]
+        + [a_x for _, a_x, _, _, _ in bi_rows]
+        + [a_y for _, _, a_y, _, _ in bi_rows]
     )
-    row_ub = tpl.row_ub.copy()
-    row_ub[tpl._rhs_rows] = np.concatenate(
-        [_FOLD[rel] * rhs for _, _, rel, rhs in sq_rows]
-        + [_FOLD[rel] * rhs for _, _, _, rel, rhs in bi_rows]
-    )
+    row_lb, row_ub = tpl.row_lb.copy(), tpl.row_ub.copy()
+    row_lb[tpl._ge_rows] = np.concatenate([rhs for *_, rel, rhs in sq_rows + bi_rows if rel == GE])
+    row_ub[tpl._le_rows] = np.concatenate([rhs for *_, rel, rhs in sq_rows + bi_rows if rel == LE])
     return RangedLP(
         sense=tpl.sense,
         c=tpl.c,
         A=csc_array((data, tpl.A.indices, tpl.A.indptr), shape=tpl.A.shape),
-        row_lb=tpl.row_lb,
+        row_lb=row_lb,
         row_ub=row_ub,
         lb=np.concatenate([lb, corners.min(axis=0)]),
         ub=np.concatenate([ub, corners.max(axis=0)]),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -49,6 +50,19 @@ RESULT_FORMAT = "flexgrid-result"
 WORST_CASE_FORMAT = "flexgrid-worst-case"
 REPORT_FORMAT = "flexgrid-oracle-report"
 FORMAT_VERSION = 1
+
+_WORST_CASE_FIELDS = (
+    "node", "bus", "phase", "dp_plus_kw", "dp_minus_kw", "upper_family", "lower_family"
+)
+# A result file's record tables: (where they sit, fields, the fields that
+# hold numbers, plot-data CSV).  The fields are also the CSV header.
+_RESULT_TABLES = (
+    ("worst_case.nodes", _WORST_CASE_FIELDS, ("dp_plus_kw", "dp_minus_kw"), "limits_per_node.csv"),
+    ("setpoints", ("slot", "kind", "node", "bus", "phase", "value", "lo", "hi"),
+     ("value", "lo", "hi"), "setpoints.csv"),
+    ("verification.nodes", ("node", "bus", "phase", "vm_linear", "vm_nonlinear"),
+     ("vm_linear", "vm_nonlinear"), "magnitudes.csv"),
+)
 
 _SLOT_RE = re.compile(r"^(gamma|qbar|qset)\[(\d+)\]$")
 
@@ -198,7 +212,7 @@ def cmd_worst_case(args) -> int:
     (out / "worst_case.json").write_text(json.dumps(doc, indent=2) + "\n")
     _write_csv(
         out / "worst_case_limits.csv",
-        ["node", "bus", "phase", "dp_plus_kw", "dp_minus_kw", "upper_family", "lower_family"],
+        list(_WORST_CASE_FIELDS),
         [
             [k, bus, phase, wc.upper[k] * base, wc.lower[k] * base,
              wc.upper_family[k], wc.lower_family[k]]
@@ -314,7 +328,42 @@ def _read_result(path: str) -> dict:
                 "dp_plus_kw", "dp_minus_kw", "setpoints"):
         if key not in doc:
             raise FeederError(f"{path}: result file lacks {key!r}")
+    for key in ("v_min", "v_max", "base_kva", "dp_plus_kw", "dp_minus_kw"):
+        _check_number(path, key, doc[key])
+    if doc["base_kva"] <= 0.0:
+        raise FeederError(f"{path}: 'base_kva' must be positive, got {doc['base_kva']!r}")
+    for where, fields, numbers, _ in _RESULT_TABLES:
+        for i, rec in enumerate(_records(path, doc, where)):
+            for key in fields:
+                if key not in rec:
+                    raise FeederError(f"{path}: {where}[{i}] lacks {key!r}")
+            for key in numbers:
+                _check_number(path, f"{where}[{i}].{key}", rec[key])
+    for rec in doc["setpoints"]:
+        if not isinstance(rec["slot"], str):
+            raise FeederError(f"{path}: setpoint 'slot' must be a string, got {rec['slot']!r}")
     return doc
+
+
+def _check_number(path: str, field: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise FeederError(f"{path}: {field!r} must be a finite number, got {value!r}")
+
+
+def _records(path: str, doc: dict, where: str) -> list[dict]:
+    """The records of the result table at ``where``: a top-level list, or
+    ``section.key``, a list in an optional section (absent or null: none)."""
+    section, _, key = where.partition(".")
+    if key:
+        part = doc.get(section) or {}
+        if not isinstance(part, dict):
+            raise FeederError(f"{path}: {section!r} must be an object, got {type(part).__name__}")
+        records = part.get(key, [])
+    else:
+        records = doc[section]
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise FeederError(f"{path}: {where!r} must be a list of objects")
+    return records
 
 
 def _decision_from_doc(ctx, doc: dict) -> UpperDecision:
@@ -426,35 +475,11 @@ def cmd_plotdata(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    wc = doc.get("worst_case") or {"nodes": []}
-    _write_csv(
-        out / "limits_per_node.csv",
-        ["node", "bus", "phase", "dp_plus_kw", "dp_minus_kw", "upper_family", "lower_family"],
-        [
-            [r["node"], r["bus"], r["phase"], float(r["dp_plus_kw"]),
-             float(r["dp_minus_kw"]), r["upper_family"], r["lower_family"]]
-            for r in wc["nodes"]
-        ],
-    )
-    _write_csv(
-        out / "setpoints.csv",
-        ["slot", "kind", "node", "bus", "phase", "value", "lo", "hi"],
-        [
-            [r["slot"], r["kind"], r["node"], r["bus"], r["phase"],
-             float(r["value"]), float(r["lo"]), float(r["hi"])]
-            for r in doc.get("setpoints", [])
-        ],
-    )
-    verification = doc.get("verification") or {}
-    _write_csv(
-        out / "magnitudes.csv",
-        ["node", "bus", "phase", "vm_linear", "vm_nonlinear"],
-        [
-            [r["node"], r["bus"], r["phase"], float(r["vm_linear"]),
-             float(r["vm_nonlinear"])]
-            for r in verification.get("nodes", [])
-        ],
-    )
+    for where, fields, numbers, name in _RESULT_TABLES:
+        _write_csv(out / name, list(fields), [
+            [float(r[k]) if k in numbers else r[k] for k in fields]
+            for r in _records(args.result, doc, where)
+        ])
     print(f"plot data written to {out}")
     return EXIT_OK
 

@@ -11,14 +11,17 @@ where bound terms run over finite bounds only, and the reduced cost of a
 variable is lower_duals + upper_duals.  ``verify_strong_duality`` checks that
 identity plus complementary slackness on a returned certificate.
 
-``LinearProgram.materialize`` splits the rows into the <= and = arrays
-scipy's ``linprog`` takes, negating >= rows, and ``solve_materialized``
-solves those arrays and undoes the negation on the duals.  A ``RangedLP``
-(one CSC matrix with ranged rows) is the form a caller that assembles its
-own arrays hands over; ``solve_lp`` checks it for NaN and infinite entries
-and solves it primal-only, with no duals on the certificate, on one HiGHS
-instance the module keeps: each solve passes the whole model, which drops
-the previous model and basis, so every solve starts cold.
+There is one materialized form, ``RangedLP``: one CSC matrix whose rows
+are ranged, ``row_lb <= A x <= row_ub``, as HiGHS holds them.
+``LinearProgram.materialize`` gives it with the rows in program order, and
+a caller that assembles its own arrays (the branch-and-bound relaxations)
+builds it directly.  Rows are folded only on the way into scipy's
+``linprog``, which takes <= and = rows: ``solve_materialized`` negates the
+>= rows there and undoes the negation on the duals.  ``solve_lp`` solves a
+``RangedLP`` primal-only, with no duals on the certificate, after checking
+it for NaN and infinite entries, on one HiGHS instance the module keeps:
+each solve passes the whole model, which drops the previous model and
+basis, so every solve starts cold.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as highs
-from scipy.sparse import csc_array, csr_matrix
+from scipy.sparse import csc_array
 
 LE = "<="
 GE = ">="
@@ -124,72 +127,44 @@ class LinearProgram:
         np.add.at(a, idx, val)
         return a
 
-    def materialize(self) -> "MaterializedLP":
-        """Split rows into the <= / = arrays HiGHS consumes (>= rows are negated)."""
-        n = self.n_vars
-        ub_rows: list[int] = []
-        eq_rows: list[int] = []
-        ub_sign: list[float] = []
-        for r, rel in enumerate(self.relations):
-            if rel == EQ:
-                eq_rows.append(r)
-            else:
-                ub_rows.append(r)
-                ub_sign.append(1.0 if rel == LE else -1.0)
-
-        def build(rows: list[int], signs: list[float] | None) -> tuple[csr_matrix, np.ndarray]:
-            data, ri, ci = [], [], []
-            b = np.empty(len(rows))
-            for out_i, r in enumerate(rows):
-                s = 1.0 if signs is None else signs[out_i]
-                idx, val = self._row_idx[r], self._row_val[r]
-                ri.append(np.full(idx.shape, out_i, dtype=np.int64))
-                ci.append(idx)
-                data.append(s * val)
-                b[out_i] = s * self.rhs[r]
-            if rows:
-                mat = csr_matrix(
-                    (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-                    shape=(len(rows), n),
-                )
-            else:
-                mat = csr_matrix((0, n))
-            return mat, b
-
-        A_ub, b_ub = build(ub_rows, ub_sign)
-        A_eq, b_eq = build(eq_rows, None)
-        return MaterializedLP(
+    def materialize(self) -> RangedLP:
+        """The rows in program order as ranged rows: a <= row gets the bounds
+        (-inf, rhs), a >= row (rhs, +inf) and an = row (rhs, rhs).  Repeated
+        column indices in a row are summed."""
+        counts = np.fromiter(map(len, self._row_idx), dtype=np.int64, count=self.n_rows)
+        rows = np.repeat(np.arange(self.n_rows), counts)
+        cols = np.concatenate(self._row_idx or [np.empty(0, dtype=np.int64)])
+        vals = np.concatenate(self._row_val or [np.empty(0)])
+        A = csc_array((vals, (rows, cols)), shape=(self.n_rows, self.n_vars))
+        relations = np.array(self.relations, dtype="U2")
+        rhs = np.array(self.rhs, dtype=float)
+        return RangedLP(
             sense=self.sense,
             c=np.array(self.obj, dtype=float),
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
+            A=A,
+            row_lb=np.where(relations == LE, -np.inf, rhs),
+            row_ub=np.where(relations == GE, np.inf, rhs),
             lb=np.array(self.lb, dtype=float),
             ub=np.array(self.ub, dtype=float),
-            ub_rows=np.array(ub_rows, dtype=np.int64),
-            ub_sign=np.array(ub_sign, dtype=float),
-            eq_rows=np.array(eq_rows, dtype=np.int64),
-            n_rows=self.n_rows,
         )
 
 
 @dataclass
-class MaterializedLP:
-    """HiGHS-ready arrays plus the bookkeeping to map duals back to row order."""
+class RangedLP:
+    """An LP as HiGHS holds it: ``row_lb <= A x <= row_ub``, ``lb <= x <= ub``.
+
+    ``A`` is a CSC matrix; an equality row has ``row_lb == row_ub`` and a
+    one-sided row an infinite side.  ``solve_lp`` hands these arrays to
+    HiGHS as they are; ``solve_materialized`` folds them for ``linprog``.
+    """
 
     sense: str
     c: np.ndarray
-    A_ub: csr_matrix
-    b_ub: np.ndarray
-    A_eq: csr_matrix
-    b_eq: np.ndarray
+    A: csc_array
+    row_lb: np.ndarray
+    row_ub: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    ub_rows: np.ndarray  # original row index of each <= row (after sign folding)
-    ub_sign: np.ndarray  # +1 for <= rows, -1 for >= rows folded to <=
-    eq_rows: np.ndarray
-    n_rows: int
 
 
 @dataclass
@@ -215,15 +190,33 @@ class DualCertificate:
         return self.status == OPTIMAL
 
 
-def solve_materialized(mat: MaterializedLP) -> DualCertificate:
-    """Solve a materialized LP with HiGHS through ``linprog``, with duals."""
+def solve_materialized(mat: RangedLP) -> DualCertificate:
+    """Solve an LP in the form ``LinearProgram.materialize`` gives with HiGHS
+    through ``linprog``, with duals.
+
+    ``linprog`` takes only <= and = rows, so this is the one place rows are
+    folded: a row with ``row_lb == row_ub`` is an = row, a row whose only
+    finite side is ``row_lb`` is negated into a <= row, and every other row
+    must have ``row_lb = -inf``, as ``materialize`` gives them.  The <= rows
+    keep their order, then come the = rows; the duals come back in row
+    order.
+    """
+    eq = mat.row_lb == mat.row_ub
+    ge = ~eq & np.isinf(mat.row_ub)
+    ub_rows, eq_rows = np.flatnonzero(~eq), np.flatnonzero(eq)
+    ub_sign = np.where(ge[ub_rows], -1.0, 1.0)
+    A = mat.A.tocsr()
+    A_ub, A_eq = A[ub_rows], A[eq_rows]
+    A_ub.data *= np.repeat(ub_sign, np.diff(A_ub.indptr))
+    b_ub = ub_sign * np.where(ge, mat.row_lb, mat.row_ub)[ub_rows]
+    b_eq = mat.row_ub[eq_rows]
     sign = -1.0 if mat.sense == MAX else 1.0
     res = linprog(
         sign * mat.c,
-        A_ub=mat.A_ub if mat.b_ub.size else None,
-        b_ub=mat.b_ub if mat.b_ub.size else None,
-        A_eq=mat.A_eq if mat.b_eq.size else None,
-        b_eq=mat.b_eq if mat.b_eq.size else None,
+        A_ub=A_ub if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=A_eq if b_eq.size else None,
+        b_eq=b_eq if b_eq.size else None,
         bounds=np.column_stack([mat.lb, mat.ub]),
         method=DEFAULT_METHOD,
     )
@@ -236,17 +229,17 @@ def solve_materialized(mat: MaterializedLP) -> DualCertificate:
 
     x = np.asarray(res.x, dtype=float)
     objective = float(mat.c @ x)
-    row_duals = np.zeros(mat.n_rows)
+    row_duals = np.zeros(mat.row_lb.size)
     lower_duals = np.zeros(mat.c.shape[0])
     upper_duals = np.zeros(mat.c.shape[0])
     # scipy marginals are sensitivities of the minimized objective; undo the
     # sense flip and the >=-row negation to get sensitivities of ours.  For a
     # maximize problem the minimized objective is the negative of ours, and
     # folding a >= row negates its rhs, so both corrections multiply in.
-    if mat.b_ub.size and res.ineqlin is not None:
-        row_duals[mat.ub_rows] = sign * mat.ub_sign * np.asarray(res.ineqlin.marginals)
-    if mat.b_eq.size and res.eqlin is not None:
-        row_duals[mat.eq_rows] = sign * np.asarray(res.eqlin.marginals)
+    if b_ub.size and res.ineqlin is not None:
+        row_duals[ub_rows] = sign * ub_sign * np.asarray(res.ineqlin.marginals)
+    if b_eq.size and res.eqlin is not None:
+        row_duals[eq_rows] = sign * np.asarray(res.eqlin.marginals)
     if res.lower is not None:
         lower_duals = sign * np.asarray(res.lower.marginals)
     if res.upper is not None:
@@ -261,24 +254,6 @@ def solve_materialized(mat: MaterializedLP) -> DualCertificate:
         lower_duals=lower_duals,
         upper_duals=upper_duals,
     )
-
-
-@dataclass
-class RangedLP:
-    """An LP as HiGHS holds it: ``row_lb <= A x <= row_ub``, ``lb <= x <= ub``.
-
-    ``A`` is a CSC matrix; an equality row has ``row_lb == row_ub`` and a
-    one-sided row an infinite side.  ``solve_lp`` hands these arrays to
-    HiGHS as they are.
-    """
-
-    sense: str
-    c: np.ndarray
-    A: csc_array
-    row_lb: np.ndarray
-    row_ub: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
 
 
 _highs: highs._Highs | None = None
@@ -340,10 +315,12 @@ def _solve_ranged(lp: RangedLP) -> DualCertificate:
 def solve_lp(lp: LinearProgram | RangedLP) -> DualCertificate:
     """Solve an LP exactly.
 
-    A ``LinearProgram`` comes back with the primal point and its dual
-    sensitivities.  A ``RangedLP`` is solved primal-only by HiGHS's default
-    LP solver, called directly rather than through scipy: its certificate
-    carries the status, ``x`` and the objective, and no duals.
+    A ``LinearProgram`` is materialized and solved through ``linprog`` by
+    ``solve_materialized``, and comes back with the primal point and its
+    dual sensitivities.  A ``RangedLP`` is solved primal-only by HiGHS's
+    default LP solver, called directly rather than through scipy, with its
+    ranged rows as they are: its certificate carries the status, ``x`` and
+    the objective, and no duals.
     """
     if isinstance(lp, RangedLP):
         return _solve_ranged(lp)

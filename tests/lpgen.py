@@ -14,10 +14,9 @@ import itertools
 import math
 
 import numpy as np
-from scipy.sparse import vstack
 
 from flexgrid.bnb import OBJ_ROW, BilinearProgram, mccormick_rows, square_rows
-from flexgrid.lp import EQ, GE, LE, MAX, MIN, LinearProgram, RangedLP
+from flexgrid.lp import EQ, GE, LE, MAX, MIN, LinearProgram
 
 
 def random_lp(rng, *, max_vars=12):
@@ -114,21 +113,6 @@ def vertex_enumeration_optimum(lp, *, feas_tol=1e-8):
         if best is None or val > best:
             best = val
     return None if best is None else sign * best
-
-
-def ranged_form(lp):
-    """The ranged-row form of a ``LinearProgram``, with the rows in the order
-    and the entries ``materialize`` (and so ``linprog``) gives them."""
-    mat = lp.materialize()
-    return RangedLP(
-        sense=lp.sense,
-        c=mat.c,
-        A=vstack([mat.A_ub, mat.A_eq]).tocsc(),
-        row_lb=np.concatenate([np.full(mat.b_ub.size, -np.inf), mat.b_eq]),
-        row_ub=np.concatenate([mat.b_ub, mat.b_eq]),
-        lb=mat.lb,
-        ub=mat.ub,
-    )
 
 
 # ---------------------------------------------------------------------------

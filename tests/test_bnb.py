@@ -23,7 +23,6 @@ from feedergen import random_context
 from lpgen import (
     grid_oracle,
     random_bilinear,
-    ranged_form,
     reference_max_row_violation,
     reference_relaxation,
     reference_true_objective,
@@ -252,8 +251,12 @@ def _single_level_programs(pv_tight_ctx):
 
 def test_template_matches_the_row_by_row_reference(pv_tight_ctx):
     """Each node relaxation from the template is the LP the row-by-row
-    builder gives: the same entries in the same order, the same row and
-    column bounds, and a bit-identical primal point from the solve."""
+    builder materializes: the same entries in the same order, the same row
+    and column bounds, and a bit-identical primal point from the solve.
+    The builder's LP solved through ``linprog`` agrees in status and
+    objective, and its point is feasible in the template's relaxation: it
+    may be another optimal vertex, since ``linprog`` takes the = rows after
+    the others while HiGHS gets them in program order."""
     rng = np.random.default_rng(11)
     programs = []
     for _ in range(8):
@@ -267,18 +270,22 @@ def test_template_matches_the_row_by_row_reference(pv_tight_ctx):
         for lb, ub in _sub_boxes(rng, tpl, anchor, 6):
             got = mccormick_relax(tpl, lb, ub)
             ref_lp = reference_relaxation(bp, lb, ub)
-            ref = ranged_form(ref_lp)
+            ref = ref_lp.materialize()
             assert got.sense == ref.sense
             for name in ("c", "row_lb", "row_ub", "lb", "ub"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got.A, name), getattr(ref.A, name)), name
-            mine, want = solve_lp(got), solve_lp(ref_lp)
-            assert mine.status == want.status
+            mine, want, dual = solve_lp(got), solve_lp(ref), solve_lp(ref_lp)
+            assert mine.status == want.status == dual.status
             if want.status == OPTIMAL:
                 solved += 1
                 assert np.array_equal(mine.x, want.x)
                 assert mine.objective == want.objective
+                assert dual.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
+                ax = got.A @ dual.x
+                assert max(np.max(got.row_lb - ax), np.max(ax - got.row_ub),
+                           np.max(got.lb - dual.x), np.max(dual.x - got.ub)) <= 1e-9
         for x in (anchor, anchor + rng.normal(0.0, 0.1, anchor.size)):
             assert tpl.true_objective(x) == pytest.approx(
                 reference_true_objective(bp, x), rel=1e-12, abs=1e-12)

@@ -360,6 +360,60 @@ def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):
     )
 
 
+@pytest.fixture(scope="module")
+def solved_doc(tmp_path_factory):
+    """The result document of one solve run, shared by the mutation cases."""
+    root = tmp_path_factory.mktemp("solved")
+    feeder = root / "pv_feeder.json"
+    feeder.write_text(json.dumps(pv_doc(), indent=2))
+    assert cli.main(["solve", "--feeder", str(feeder), "--out", str(root)]) == cli.EXIT_OK
+    return json.loads((root / "result.json").read_text())
+
+
+def _drop_slot(doc):
+    del doc["setpoints"][0]["slot"]
+
+
+def _drop_bus(doc):
+    del doc["worst_case"]["nodes"][0]["bus"]
+
+
+@pytest.mark.parametrize("command", ["verify", "plotdata"])
+@pytest.mark.parametrize("mutate, needle", [
+    (lambda d: d.update(base_kva=0), "'base_kva' must be positive"),
+    (lambda d: d.update(base_kva="x"), "'base_kva' must be a finite number"),
+    (lambda d: d.update(dp_plus_kw=None), "'dp_plus_kw' must be a finite number"),
+    (_drop_slot, "setpoints[0] lacks 'slot'"),
+    (lambda d: d.update(setpoints={r["slot"]: r for r in d["setpoints"]}),
+     "'setpoints' must be a list of objects"),
+    (_drop_bus, "worst_case.nodes[0] lacks 'bus'"),
+    (lambda d: d.update(worst_case=d["worst_case"]["nodes"]), "'worst_case' must be an object"),
+], ids=["zero-base", "text-base", "null-band", "no-slot", "setpoint-dict", "no-bus",
+        "worst-case-list"])
+def test_malformed_result_fields_are_validation_errors(
+    solved_doc, tmp_path, capsys, command, mutate, needle
+):
+    doc = json.loads(json.dumps(solved_doc))
+    mutate(doc)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run([command, "--result", str(path), "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert needle in stderr
+
+
+def test_worst_case_on_a_slack_only_feeder_is_a_solver_error(tmp_path, capsys):
+    feeder = tmp_path / "slack_only.json"
+    feeder.write_text(json.dumps({
+        "base_kva": 100.0, "base_kv": 2.4, "slack": "s",
+        "buses": [{"id": "s", "phases": "abc"}],
+        "segments": [], "loads": [], "inverters": [],
+    }))
+    code, _, stderr = run(["worst-case", "--feeder", str(feeder), "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert "feeder has no non-slack nodes" in stderr
+
+
 def test_parse_slot():
     assert cli.parse_slot("gamma[3]") == ("gamma", 3)
     assert cli.parse_slot("qbar[0]") == ("qbar", 0)

@@ -106,9 +106,8 @@ def _setpoint_draws(rng, ctx, mode):
 class Oracle:
     """HiGHS on the follower's plain LP from ``problem.to_lp``, materialized
     once and solved with the target node's objective and the band edge as
-    the aggregate row's right-hand side, both written into a copy of the
-    materialized arrays (the agg row's sign is folded as ``materialize``
-    folds it)."""
+    the aggregate row's bound, both written into a copy of the materialized
+    arrays (the edge goes on each side the agg row's relation bounds)."""
 
     def __init__(self, problem, slots):
         self.problem = problem
@@ -127,9 +126,14 @@ class Oracle:
 
     def solve(self, node, edge):
         self.retarget(node, edge)
-        mat = self.mat
-        b_ub = mat.ub_sign * np.array(self.lp.rhs)[mat.ub_rows]
-        return solve_materialized(dataclasses.replace(mat, c=np.array(self.lp.obj), b_ub=b_ub))
+        row_lb, row_ub = self.mat.row_lb.copy(), self.mat.row_ub.copy()
+        rel = self.lp.relations[self.agg]
+        if rel != GE:
+            row_ub[self.agg] = edge
+        if rel != LE:
+            row_lb[self.agg] = edge
+        return solve_materialized(dataclasses.replace(
+            self.mat, c=np.array(self.lp.obj), row_lb=row_lb, row_ub=row_ub))
 
     def dual_infeasibility(self, cert):
         """Largest violation of c = A'y + lower + upper and of the dual signs."""

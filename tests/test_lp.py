@@ -17,10 +17,11 @@ from flexgrid.lp import (
     LinearProgram,
     RangedLP,
     solve_lp,
+    solve_materialized,
     verify_strong_duality,
 )
 
-from lpgen import random_lp, ranged_form, vertex_enumeration_optimum
+from lpgen import random_lp, vertex_enumeration_optimum
 
 
 def test_objective_matches_vertex_enumeration():
@@ -31,7 +32,7 @@ def test_objective_matches_vertex_enumeration():
         ref = vertex_enumeration_optimum(lp)
         assert ref is not None
         # the dual-certificate solve and the primal-only solve of the ranged form
-        for cert in (solve_lp(lp), solve_lp(ranged_form(lp))):
+        for cert in (solve_lp(lp), solve_lp(lp.materialize())):
             assert cert.status == OPTIMAL  # generator guarantees feasible + bounded
             assert cert.objective == pytest.approx(ref, abs=1e-8)
         checked += 1
@@ -143,12 +144,12 @@ def test_infeasible_and_unbounded_detection():
     lp.add_row({x: 1.0}, LE, 1.0)
     lp.add_row({x: 1.0}, GE, 2.0)
     assert solve_lp(lp).status == INFEASIBLE
-    assert solve_lp(ranged_form(lp)).status == INFEASIBLE
+    assert solve_lp(lp.materialize()).status == INFEASIBLE
 
     lp = LinearProgram(sense=MAX)
     lp.add_var(lb=0.0, obj=1.0)
     assert solve_lp(lp).status == UNBOUNDED
-    assert solve_lp(ranged_form(lp)).status == UNBOUNDED
+    assert solve_lp(lp.materialize()).status == UNBOUNDED
 
     with pytest.raises(ValueError, match="optimal certificate"):
         verify_strong_duality(lp, solve_lp(lp))
@@ -209,6 +210,35 @@ def test_row_dense_accumulates_duplicate_indices():
     assert lp.row_dense(0)[x] == pytest.approx(3.0)
 
 
+def test_materialize_gives_each_row_its_ranged_bounds():
+    """``materialize`` keeps the rows in program order, sums repeated
+    columns, and bounds each row on the side its relation says; the
+    primal-only solve of that form agrees with the dual-certificate solve."""
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        lp = random_lp(rng)
+        x = solve_lp(lp).x
+        a = rng.normal(size=lp.n_vars)
+        # A >= row, an = row and a <= row that names column 0 twice, all
+        # satisfied at the optimum, so the LP stays feasible and bounded.
+        lp.add_row((np.arange(lp.n_vars), a), GE, float(a @ x) - 0.1)
+        lp.add_row((np.arange(lp.n_vars), a), EQ, float(a @ x))
+        v = rng.normal(size=3)
+        lp.add_row(([0, 1, 0], v), LE, float((v[0] + v[2]) * x[0] + v[1] * x[1]) + 0.1)
+        mat = lp.materialize()
+        assert mat.sense == lp.sense
+        assert mat.A.shape == (lp.n_rows, lp.n_vars)
+        for got, want in ((mat.c, lp.obj), (mat.lb, lp.lb), (mat.ub, lp.ub)):
+            assert np.array_equal(got, want)
+        for r, (rel, rhs) in enumerate(zip(lp.relations, lp.rhs)):
+            assert np.array_equal(mat.A[[r]].toarray()[0], lp.row_dense(r))
+            want = {LE: (-np.inf, rhs), GE: (rhs, np.inf), EQ: (rhs, rhs)}[rel]
+            assert (mat.row_lb[r], mat.row_ub[r]) == want
+        dual, primal = solve_lp(lp), solve_lp(mat)
+        assert dual.status == primal.status == OPTIMAL
+        assert primal.objective == pytest.approx(dual.objective, rel=1e-9, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Ranged solves against scipy's ``milp``, the front end they replaced
 # ---------------------------------------------------------------------------
@@ -243,9 +273,20 @@ def one_column(*, c=1.0, lb=0.0, ub=np.inf, rows=()):
     )
 
 
+def test_linprog_route_folds_ranged_rows():
+    """``solve_materialized`` takes a >= row as (rhs, +inf), a <= row as
+    (-inf, rhs) and an = row as (rhs, rhs), and gives each its dual."""
+    cert = solve_materialized(one_column(ub=5.0, rows=[(1.0, np.inf), (-np.inf, 3.0), (2.0, 2.0)]))
+    assert cert.status == OPTIMAL and cert.objective == pytest.approx(2.0)
+    assert cert.row_duals.tolist() == pytest.approx([0.0, 0.0, 1.0])
+    cert = solve_materialized(one_column(c=-1.0, rows=[(1.0, np.inf), (-np.inf, 3.0)]))
+    assert cert.objective == pytest.approx(-1.0)
+    assert cert.row_duals.tolist() == pytest.approx([-1.0, 0.0])
+
+
 def test_ranged_solve_matches_milp_on_random_lps():
     for seed in range(60):
-        lp = ranged_form(random_lp(np.random.default_rng(seed)))
+        lp = random_lp(np.random.default_rng(seed)).materialize()
         status, x, objective = milp_solve(lp)
         cert = solve_lp(lp)
         assert cert.status == status == OPTIMAL
