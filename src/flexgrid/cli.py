@@ -355,7 +355,8 @@ def _records(path: str, doc: dict, where: str) -> list[dict]:
     ``section.key``, a list in an optional section (absent or null: none)."""
     section, _, key = where.partition(".")
     if key:
-        part = doc.get(section) or {}
+        part = doc.get(section)
+        part = {} if part is None else part
         if not isinstance(part, dict):
             raise FeederError(f"{path}: {section!r} must be an object, got {type(part).__name__}")
         records = part.get(key, [])

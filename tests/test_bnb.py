@@ -17,7 +17,7 @@ from flexgrid.bnb import (
 )
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 from flexgrid.follower import MAX_V, MIN_V, NEGATIVE, POSITIVE, Scenario
-from flexgrid.lp import GE, LE, MAX, MIN, OPTIMAL, LinearProgram, solve_lp
+from flexgrid.lp import GE, LE, MAX, MIN, OPTIMAL, LinearProgram, RangedLP, solve_lp
 
 from feedergen import random_context
 from lpgen import (
@@ -253,10 +253,10 @@ def test_template_matches_the_row_by_row_reference(pv_tight_ctx):
     """Each node relaxation from the template is the LP the row-by-row
     builder materializes: the same entries in the same order, the same row
     and column bounds, and a bit-identical primal point from the solve.
-    The builder's LP solved through ``linprog`` agrees in status and
-    objective, and its point is feasible in the template's relaxation: it
-    may be another optimal vertex, since ``linprog`` takes the = rows after
-    the others while HiGHS gets them in program order."""
+    The builder's LP solved through ``linprog`` agrees in status, objective
+    and point with HiGHS given the same rows in ``linprog``'s order (the
+    other rows, then the = rows): on a degenerate relaxation the row order
+    can move the optimal vertex, the folding of >= rows must not."""
     rng = np.random.default_rng(11)
     programs = []
     for _ in range(8):
@@ -283,9 +283,14 @@ def test_template_matches_the_row_by_row_reference(pv_tight_ctx):
                 assert np.array_equal(mine.x, want.x)
                 assert mine.objective == want.objective
                 assert dual.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
-                ax = got.A @ dual.x
-                assert max(np.max(got.row_lb - ax), np.max(ax - got.row_ub),
-                           np.max(got.lb - dual.x), np.max(dual.x - got.ub)) <= 1e-9
+                eq = ref.row_lb == ref.row_ub
+                order = np.r_[np.flatnonzero(~eq), np.flatnonzero(eq)]
+                folded = solve_lp(RangedLP(
+                    sense=ref.sense, c=ref.c, A=ref.A.tocsr()[order].tocsc(),
+                    row_lb=ref.row_lb[order], row_ub=ref.row_ub[order], lb=ref.lb, ub=ref.ub,
+                ))
+                assert folded.status == OPTIMAL
+                np.testing.assert_allclose(dual.x, folded.x, rtol=0.0, atol=1e-12)
         for x in (anchor, anchor + rng.normal(0.0, 0.1, anchor.size)):
             assert tpl.true_objective(x) == pytest.approx(
                 reference_true_objective(bp, x), rel=1e-12, abs=1e-12)

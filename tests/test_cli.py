@@ -388,8 +388,9 @@ def _drop_bus(doc):
      "'setpoints' must be a list of objects"),
     (_drop_bus, "worst_case.nodes[0] lacks 'bus'"),
     (lambda d: d.update(worst_case=d["worst_case"]["nodes"]), "'worst_case' must be an object"),
+    (lambda d: d.update(worst_case=[]), "'worst_case' must be an object"),
 ], ids=["zero-base", "text-base", "null-band", "no-slot", "setpoint-dict", "no-bus",
-        "worst-case-list"])
+        "worst-case-list", "worst-case-empty-list"])
 def test_malformed_result_fields_are_validation_errors(
     solved_doc, tmp_path, capsys, command, mutate, needle
 ):
