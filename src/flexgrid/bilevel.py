@@ -277,10 +277,24 @@ class UpperDecision:
 
 @dataclass
 class FollowerBlock:
+    """One follower's share of the single-level program.
+
+    The block keeps the follower's device columns and all its rows but the
+    magnitude-sensitivity rows ``vm[j]`` of the nodes whose |v_j| the single
+    level does not read; it drops those rows with their |v_j| columns.  It
+    reads the target node's |v| (objective and band rows) and, in volt-var,
+    each inverter node's (its droop row ``vv[k]`` holds the product q̄·|v_k|).
+    A dropped |v_j| is free, costs nothing and appears in its own slot-free
+    = row only, so its dual-feasibility row pins that row's dual to 0:
+    dropping the column, the row, its dual and the dual row leaves the exact
+    projection of the full block, for the bilinear program and for every
+    McCormick relaxation of it, since no dropped entry meets a product.
+    """
+
     scenario: Scenario
     problem: FollowerProblem
-    x_offset: int  # first index of the follower primal block
-    dual_offset: int  # first index of the row-dual block
+    x_col: dict[int, int]  # kept follower var -> single-level column
+    dual_col: dict[int, int]  # kept follower row -> column of its dual
     zl: dict[int, int] = field(default_factory=dict)  # follower var -> zl index
     zu: dict[int, int] = field(default_factory=dict)
 
@@ -331,6 +345,10 @@ def assemble_single_level(
     registered products), dual-feasibility rows over its variables, one
     strong-duality row tying primal to dual objective, and the voltage band
     on its optimal magnitude.  Upper-level objective: maximize Δp+ - Δp-.
+    Each follower block keeps only the |v| columns and vm rows the program
+    reads: the target node's, and in volt-var each inverter node's, whose
+    droop row holds the product q̄·|v_k|.  The other vm rows, their |v|
+    columns, duals and dual rows drop out exactly (see ``FollowerBlock``).
 
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
@@ -364,18 +382,25 @@ def assemble_single_level(
 
     for scenario in followers:
         problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
-        n_x = problem.n_vars
-        x0 = lp.n_vars
         tag = f"s{scenario.number}k{scenario.node}"
+        # The |v| read here: the target's (objective, band rows) and, in
+        # volt-var, the droop rows' at the inverter nodes (``FollowerBlock``).
+        read = {scenario.node}
+        if mode == MODE_VOLT_VAR:
+            read.update(ctx.devices.inverter_nodes)
+        unread = np.array([j for j in range(problem.n) if j not in read], dtype=np.int64)
+        x_vars = np.setdiff1d(np.arange(problem.n_vars), problem.i_vm(unread))
+        unread_rows = {f"vm[{j}]" for j in unread}
+        rows = [(r, row) for r, row in enumerate(problem.rows) if row.name not in unread_rows]
+
         lb, ub = problem.lb.copy(), problem.ub.copy()
         if mode == MODE_VOLT_VAR:
             # Volt-var products need a finite box on the (free) magnitudes.
-            vm = problem.i_vm(np.arange(problem.n))
+            vm = problem.i_vm(np.array(sorted(read)))
             lb[vm], ub[vm] = VM_BOX
-        for v in range(n_x):
-            lp.add_var(f"{tag}.x{v}", lb=lb[v], ub=ub[v])
-        d0 = lp.n_vars
-        for r, row in enumerate(problem.rows):
+        x_col = {int(v): lp.add_var(f"{tag}.x{v}", lb=lb[v], ub=ub[v]) for v in x_vars}
+        dual_col: dict[int, int] = {}
+        for r, row in rows:
             has_product = bool(row.coeff_slots or row.rhs_slots)
             lim = LAMBDA_CAP if has_product else math.inf
             if row.relation == LE:
@@ -384,13 +409,11 @@ def assemble_single_level(
                 lo, hi = -lim, 0.0
             else:
                 lo, hi = -lim, lim
-            d = lp.add_var(f"{tag}.lam[{row.name}]", lb=lo, ub=hi)
+            d = dual_col[r] = lp.add_var(f"{tag}.lam[{row.name}]", lb=lo, ub=hi)
             if has_product:
                 product_duals.append(d)
-        block = FollowerBlock(
-            scenario=scenario, problem=problem, x_offset=x0, dual_offset=d0
-        )
-        for v in range(n_x):
+        block = FollowerBlock(scenario=scenario, problem=problem, x_col=x_col, dual_col=dual_col)
+        for v in x_col:
             if math.isfinite(problem.lb[v]):
                 block.zl[v] = lp.add_var(f"{tag}.zl[{v}]", lb=0.0)
             if math.isfinite(problem.ub[v]):
@@ -398,8 +421,10 @@ def assemble_single_level(
         blocks.append(block)
 
         # Primal rows: slot-linear terms move to the LHS, products registered.
-        for r, row in enumerate(problem.rows):
-            idx = list(x0 + row.idx)
+        col = np.full(problem.n_vars, -1, dtype=np.int64)
+        col[x_vars] = list(x_col.values())
+        for r, row in rows:
+            idx = list(col[row.idx])
             val = list(row.val)
             for slot, c in row.rhs_slots:
                 idx.append(upper_vars[slot])
@@ -409,19 +434,19 @@ def assemble_single_level(
                 row.relation, row.rhs, name=f"{tag}.{row.name}",
             )
             for var, slot, c in row.coeff_slots:
-                bp.add_term(rid, c, upper_vars[slot], x0 + var)
+                bp.add_term(rid, c, upper_vars[slot], x_col[var])
 
-        # Column view of the follower matrix for the dual-feasibility rows.
-        col_lin: list[list[tuple[int, float]]] = [[] for _ in range(n_x)]
-        col_slot: list[list[tuple[int, str, float]]] = [[] for _ in range(n_x)]
-        for r, row in enumerate(problem.rows):
+        # Column view of the kept rows for the dual-feasibility rows.
+        col_lin: dict[int, list[tuple[int, float]]] = {v: [] for v in x_col}
+        col_slot: dict[int, list[tuple[int, str, float]]] = {v: [] for v in x_col}
+        for r, row in rows:
             for j, a in zip(row.idx, row.val):
-                col_lin[int(j)].append((r, float(a)))
+                col_lin[int(j)].append((dual_col[r], float(a)))
             for var, slot, c in row.coeff_slots:
-                col_slot[var].append((r, slot, c))
+                col_slot[var].append((dual_col[r], slot, c))
         c_obj = problem.objective
-        for v in range(n_x):
-            idx = [d0 + r for r, _ in col_lin[v]]
+        for v in x_col:
+            idx = [d for d, _ in col_lin[v]]
             val = [a for _, a in col_lin[v]]
             if v in block.zu:
                 idx.append(block.zu[v])
@@ -433,8 +458,8 @@ def assemble_single_level(
                 (np.array(idx, dtype=np.int64), np.array(val)),
                 EQ, float(c_obj[v]), name=f"{tag}.dual[{v}]",
             )
-            for r, slot, c in col_slot[v]:
-                bp.add_term(rid, c, upper_vars[slot], d0 + r)
+            for d, slot, c in col_slot[v]:
+                bp.add_term(rid, c, upper_vars[slot], d)
 
         # Strong duality: primal objective >= dual objective (weak duality
         # provides <=, so the pair pins equality).
@@ -442,11 +467,11 @@ def assemble_single_level(
         sd_val: list[float] = []
         nz = np.nonzero(c_obj)[0]
         for v in nz:
-            sd_idx.append(x0 + int(v))
+            sd_idx.append(x_col[int(v)])
             sd_val.append(float(c_obj[v]))
-        for r, row in enumerate(problem.rows):
+        for r, row in rows:
             if row.rhs != 0.0:
-                sd_idx.append(d0 + r)
+                sd_idx.append(dual_col[r])
                 sd_val.append(-row.rhs)
         for v, zi in block.zu.items():
             if problem.ub[v] != 0.0:
@@ -460,12 +485,12 @@ def assemble_single_level(
             (np.array(sd_idx, dtype=np.int64), np.array(sd_val)),
             GE, 0.0, name=f"{tag}.strong_duality",
         )
-        for r, row in enumerate(problem.rows):
+        for r, row in rows:
             for slot, c in row.rhs_slots:
-                bp.add_term(rid, -c, upper_vars[slot], d0 + r)
+                bp.add_term(rid, -c, upper_vars[slot], dual_col[r])
 
         # Voltage band on this follower's optimal magnitude.
-        vm_var = x0 + problem.i_vm(scenario.node)
+        vm_var = x_col[problem.i_vm(scenario.node)]
         lp.add_row({vm_var: 1.0}, LE, ctx.v_max, name=f"{tag}.band_hi")
         lp.add_row({vm_var: 1.0}, GE, ctx.v_min, name=f"{tag}.band_lo")
 
@@ -542,11 +567,10 @@ def _complete_point(
         vm = block.problem.worst_voltage(cert)
         if vm > ctx.v_max + 1e-9 or vm < ctx.v_min - 1e-9:
             return None
-        nx = block.problem.n_vars
-        lo = lb[block.x_offset:block.x_offset + nx]
-        hi = ub[block.x_offset:block.x_offset + nx]
-        x[block.x_offset:block.x_offset + nx] = np.clip(cert.x, lo, hi)
-        x[block.dual_offset:block.dual_offset + len(block.problem.rows)] = cert.row_duals
+        # Only the kept entries: the dropped rows' duals are 0 (see ``FollowerBlock``).
+        vs, cols = list(block.x_col), list(block.x_col.values())
+        x[cols] = np.clip(cert.x[vs], lb[cols], ub[cols])
+        x[list(block.dual_col.values())] = cert.row_duals[list(block.dual_col)]
         # Bound duals in the z >= 0 convention of the assembly.
         zl = -cert.lower_duals
         zu = cert.upper_duals

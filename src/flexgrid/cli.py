@@ -332,6 +332,15 @@ def _read_result(path: str) -> dict:
         _check_number(path, key, doc[key])
     if doc["base_kva"] <= 0.0:
         raise FeederError(f"{path}: 'base_kva' must be positive, got {doc['base_kva']!r}")
+    if not 0.0 < doc["v_min"] < doc["v_max"]:
+        raise FeederError(
+            f"{path}: need 0 < v_min < v_max, got v_min={doc['v_min']!r}, v_max={doc['v_max']!r}"
+        )
+    direction = doc.get("direction", "both")
+    if not isinstance(direction, str) or direction not in DIRECTIONS:
+        raise FeederError(
+            f"{path}: 'direction' must be one of {', '.join(DIRECTIONS)}, got {direction!r}"
+        )
     for where, fields, numbers, _ in _RESULT_TABLES:
         for i, rec in enumerate(_records(path, doc, where)):
             for key in fields:

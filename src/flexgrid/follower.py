@@ -325,7 +325,11 @@ class FollowerProblem:
     S_q = diag(α_d) Im Z2 - diag(α_q) Re Z2.  |v| itself stays a variable
     because the volt-var droop rows and the single-level band rows each read
     the magnitude of one node: eliminating it would turn every droop row's
-    one slot product into n of them.
+    one slot product into n of them.  The single-level program keeps only
+    the |v| columns and vm rows it reads, the target node's and, in
+    volt-var, the inverter nodes'.  Any other |v_j| is free, costs nothing
+    and appears in its own slot-free row vm[j] only, so that row's dual is
+    0 and dropping the pair is exact (``bilevel.FollowerBlock``).
     """
 
     def __init__(self, ctx: FlexContext, scenario: Scenario, mode: str, *, fix_q: bool = False):

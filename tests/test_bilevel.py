@@ -29,12 +29,14 @@ from flexgrid.follower import (
     SLOT_DP_PLUS,
     Scenario,
     all_scenarios,
+    available_flexibility_bounds,
     build_follower,
     fix_worst_case_setpoints,
     slot_gamma,
     slot_qbar,
     slot_qset,
 )
+from flexgrid.lp import GE, LE, OPTIMAL, DualCertificate, verify_strong_duality
 
 MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
 
@@ -213,6 +215,98 @@ def test_single_level_solution_is_clean(pv_tight_ctx):
     assert res.decision.dp_plus >= -1e-12
     assert res.decision.dp_minus <= 1e-12
     assert res.escalations == 0
+
+
+@pytest.fixture(scope="module")
+def ieee13_binding_ctx(ieee13_model):
+    """The 13-bus feeder with v_max 0.5 mV above the anchor's highest |v|."""
+    probe = build_context(ieee13_model)
+    return build_context(
+        ieee13_model, v_max=float(probe.anchor.vm.max()) + 0.0005, anchor=probe.anchor
+    )
+
+
+def _lift_block(block, x):
+    """A single-level block lifted into its follower's full LP: the dropped
+    |v_j| rebuilt from the sensitivities, the dropped rows' duals 0."""
+    p = block.problem
+    xf = np.zeros(p.n_vars)
+    xf[list(block.x_col)] = x[list(block.x_col.values())]
+    dpg, dpl, qg = xf[p.i_dpg(p.inv)], xf[p.i_dpl(p.loads)], xf[p.i_qg(p.inv)]
+    vm = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ qg
+    dropped = np.array([j for j in range(p.n) if p.i_vm(j) not in block.x_col], dtype=np.int64)
+    xf[p.i_vm(dropped)] = vm[dropped]
+    row_duals = np.zeros(len(p.rows))
+    row_duals[list(block.dual_col)] = x[list(block.dual_col.values())]
+    lower, upper = np.zeros(p.n_vars), np.zeros(p.n_vars)
+    for v, zi in block.zl.items():
+        lower[v] = -x[zi]
+    for v, zi in block.zu.items():
+        upper[v] = x[zi]
+    return DualCertificate(
+        status=OPTIMAL, objective=float(p.objective @ xf), x=xf,
+        row_duals=row_duals, lower_duals=lower, upper_duals=upper,
+    )
+
+
+def _lift_cases():
+    fixed_hi = lambda ctx, mode: {n: hi for n, (_, hi) in setpoint_boxes(ctx, mode).items()}
+    pv_all = lambda ctx: all_scenarios(ctx.n)
+    ieee13 = lambda ctx: [
+        Scenario(1, POSITIVE, MAX_V), Scenario(1, NEGATIVE, MAX_V),
+        Scenario(6, POSITIVE, MAX_V), Scenario(35, NEGATIVE, MAX_V),
+    ]
+    return [
+        pytest.param("pv_tight_ctx", MODE_CONSTANT_PF, pv_all, fixed_hi, id="pv-constant-pf"),
+        pytest.param("pv_tight_ctx", MODE_CONSTANT_Q, pv_all, fixed_hi, id="pv-constant-q"),
+        pytest.param("pv_tight_ctx", MODE_VOLT_VAR, pv_all, None, id="pv-volt-var"),
+        pytest.param("ieee13_binding_ctx", MODE_CONSTANT_PF, ieee13, None, id="ieee13-constant-pf"),
+    ]
+
+
+@pytest.mark.parametrize("ctx_name, mode, followers, fixed", _lift_cases())
+def test_reduced_blocks_lift_to_certified_follower_optima(
+    request, ctx_name, mode, followers, fixed
+):
+    """Each block keeps the vm rows of the |v| the single level reads: the
+    target's, and in volt-var every inverter node's.  Lifted into the
+    follower's own LP (``to_lp``, which the assembly does not use), each
+    block of the single-level incumbent is primal feasible, dual feasible
+    and passes the strong-duality check: dropping the rest was exact."""
+    ctx = request.getfixturevalue(ctx_name)
+    followers = followers(ctx)
+    fixed = fixed(ctx, mode) if fixed else None
+    res = solve_single_level(ctx, mode, followers, fixed_setpoints=fixed, node_limit=5)
+    _, slmap = assemble_single_level(ctx, mode, followers, fixed_setpoints=fixed)
+    inverters = set(ctx.devices.inverter_nodes)
+    slots = res.decision.slots
+    binding = False
+    for block in slmap.blocks:
+        p, node = block.problem, block.scenario.node
+        vm_rows = [p.rows[r].name for r in block.dual_col if p.rows[r].name.startswith("vm[")]
+        want = {node} | (inverters if mode == MODE_VOLT_VAR else set())
+        assert sorted(vm_rows) == sorted(f"vm[{k}]" for k in want)
+
+        lp = p.to_lp({s: slots[s] for s in p.slot_names})
+        cert = _lift_block(block, res.bnb.x)
+        x = cert.x
+        A = np.array([lp.row_dense(r) for r in range(lp.n_rows)])
+        ax, rhs = A @ x, np.array(lp.rhs)
+        for r, rel in enumerate(lp.relations):
+            if rel != GE:
+                assert ax[r] <= rhs[r] + 1e-6, lp.row_names[r]
+            if rel != LE:
+                assert ax[r] >= rhs[r] - 1e-6, lp.row_names[r]
+        assert np.all(x >= np.array(lp.lb) - 1e-9) and np.all(x <= np.array(lp.ub) + 1e-9)
+        resid = np.array(lp.obj) - A.T @ cert.row_duals - cert.lower_duals - cert.upper_duals
+        assert np.max(np.abs(resid)) <= 1e-6
+        rep = verify_strong_duality(lp, cert)
+        assert rep.ok, (block.scenario, rep.gap, rep.max_slackness)
+        limit = ctx.v_max if block.scenario.sigma > 0 else ctx.v_min
+        binding |= abs(x[p.i_vm(node)] - limit) < 1e-6
+    # Not vacuous where the band binds: some follower sits at its voltage limit.
+    dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
+    assert binding or res.objective >= dp_up - dp_lo - 1e-9
 
 
 @pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_VOLT_VAR])

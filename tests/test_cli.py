@@ -389,8 +389,10 @@ def _drop_bus(doc):
     (_drop_bus, "worst_case.nodes[0] lacks 'bus'"),
     (lambda d: d.update(worst_case=d["worst_case"]["nodes"]), "'worst_case' must be an object"),
     (lambda d: d.update(worst_case=[]), "'worst_case' must be an object"),
+    (lambda d: d.update(direction=["x"]), "'direction' must be one of"),
+    (lambda d: d.update(v_min=-1.0), "need 0 < v_min < v_max"),
 ], ids=["zero-base", "text-base", "null-band", "no-slot", "setpoint-dict", "no-bus",
-        "worst-case-list", "worst-case-empty-list"])
+        "worst-case-list", "worst-case-empty-list", "direction-list", "negative-vmin"])
 def test_malformed_result_fields_are_validation_errors(
     solved_doc, tmp_path, capsys, command, mutate, needle
 ):

@@ -20,7 +20,7 @@ import pytest
 import flexgrid.lp
 from feedergen import random_context
 
-from flexgrid import build_context
+from flexgrid import build_context, load_feeder
 from flexgrid.bilevel import (
     EDGE_TOL_REL,
     UpperDecision,
@@ -36,6 +36,7 @@ from flexgrid.follower import (
     ACTIVATIONS,
     CLOSED_FORM,
     EXTREMA,
+    MAX_V,
     POSITIVE,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
@@ -370,6 +371,59 @@ def test_volt_var_singular_droop_system_falls_back_to_highs(pv_ctx, monkeypatch)
                         assert abs(got.objective - want.objective) <= 1e-9, where
             mf.set_slots(slots)
             assert mf.solve().method == CLOSED_FORM
+
+
+def _one_inverter_feeder():
+    """Slack plus one single-phase node carrying an inverter and nothing else."""
+    z = [[0.0, 0.0]] * 9
+    z[0] = z[4] = z[8] = [1.0, 2.0]
+    return load_feeder({
+        "base_kva": 100.0, "base_kv": 2.4, "slack": "s",
+        "buses": [{"id": "s", "phases": "abc"}, {"id": "m", "phases": "a"}],
+        "segments": [{"from": "s", "to": "m", "z": z}],
+        "loads": [],
+        "inverters": [{"bus": "m", "phase": "a", "p_kw": 8.0, "p_min": 0.0, "p_max": 16.0,
+                       "s_kva": 30.0, "mode": "volt-var", "mode_params": {"pf": 0.92}}],
+    })
+
+
+def test_volt_var_at_a_singular_droop_system_falls_back_to_highs():
+    """One inverter k re-slotted at q̄ = -1/(d·S_q[k,k]) makes the droop
+    system A = 1 + d·q̄·S_q[k,k] exactly 0, so ``np.linalg.solve`` raises and
+    every solve is HiGHS's on ``to_lp``.  The band is centred on the node's
+    linearized anchor magnitude, where the singular droop row still admits
+    the zero deviation, so those LPs have optima to compare."""
+    model = _one_inverter_feeder()
+    probe = build_context(model)
+    m0 = build_follower(probe, Scenario(0, POSITIVE, MAX_V), MODE_VOLT_VAR).m0[0]
+    ctx = build_context(model, v_min=m0 - 0.05, v_max=m0 + 0.05, anchor=probe.anchor)
+    dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
+    d = 2.0 / (ctx.v_max - ctx.v_min)
+    for activation in ACTIVATIONS:
+        full = dp_up if activation == POSITIVE else dp_lo
+        for extremum in EXTREMA:
+            problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_VOLT_VAR)
+            s = problem.s_q[problem.inv][0, 0]
+            # The q̄ within 200 ulps of -1/(d·s) whose A rounds to exactly 0
+            # (this feeder's S_q[k,k] has one; not every value does).
+            lo = hi = -1.0 / (d * s)
+            near = [lo]
+            for _ in range(200):
+                lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+                near += [lo, hi]
+            qbar = next(q for q in near if 1.0 + (d * q) * s == 0.0)
+            slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo, slot_qbar(0): float(qbar)}
+            mf = problem.materialize(slots)
+            assert mf.k is None  # the droop solve failed: no closed form
+            oracle = Oracle(problem, mf.slots)
+            for edge in (0.0, 0.5 * full, full):
+                where = (activation, extremum, edge)
+                got, want = mf.solve(dp_bound=edge), oracle.solve(0, edge)
+                assert got.method != CLOSED_FORM, where
+                assert got.status == want.status == OPTIMAL, where
+                assert abs(got.objective - want.objective) <= 1e-9, where
+                assert verify_strong_duality(oracle.lp, got).ok, where
+                assert oracle.dual_infeasibility(got) <= 1e-9, where
 
 
 def test_free_q_optimum_cut_by_the_capability_stays_closed_form(pv_model):
