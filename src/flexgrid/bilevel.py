@@ -25,7 +25,7 @@ inside [v_min, v_max].  Three steps:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -295,8 +295,8 @@ class FollowerBlock:
     problem: FollowerProblem
     x_col: dict[int, int]  # kept follower var -> single-level column
     dual_col: dict[int, int]  # kept follower row -> column of its dual
-    zl: dict[int, int] = field(default_factory=dict)  # follower var -> zl index
-    zu: dict[int, int] = field(default_factory=dict)
+    zl: dict[int, int]  # follower var -> zl index
+    zu: dict[int, int]
 
 
 @dataclass
@@ -349,6 +349,8 @@ def assemble_single_level(
     reads: the target node's, and in volt-var each inverter node's, whose
     droop row holds the product q̄·|v_k|.  The other vm rows, their |v|
     columns, duals and dual rows drop out exactly (see ``FollowerBlock``).
+    Each block is stacked from the follower's triplets as arrays, with one
+    ``add_vars`` and one ``add_rows`` call.
 
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
@@ -389,110 +391,93 @@ def assemble_single_level(
         if mode == MODE_VOLT_VAR:
             read.update(ctx.devices.inverter_nodes)
         unread = np.array([j for j in range(problem.n) if j not in read], dtype=np.int64)
-        x_vars = np.setdiff1d(np.arange(problem.n_vars), problem.i_vm(unread))
-        unread_rows = {f"vm[{j}]" for j in unread}
-        rows = [(r, row) for r, row in enumerate(problem.rows) if row.name not in unread_rows]
+        keep_x = np.ones(problem.n_vars, dtype=bool)
+        keep_x[problem.i_vm(unread)] = False
+        keep_r = np.ones(problem.n_rows, dtype=bool)
+        keep_r[problem.row_index("vm", unread)] = False
+        x_vars, kept = np.flatnonzero(keep_x), np.flatnonzero(keep_r)
+        n_x, n_k = x_vars.size, kept.size
+        # Where kept: a variable's position among the kept variables, a row's
+        # among the kept rows.
+        x_pos, r_pos = np.cumsum(keep_x) - 1, np.cumsum(keep_r) - 1
+        rhs_slots = [t for t in problem.rhs_slots if keep_r[t[0]]]
+        coeff_slots = [t for t in problem.coeff_slots if keep_r[t[0]]]
+        has_product = np.zeros(problem.n_rows, dtype=bool)
+        has_product[[t[0] for t in coeff_slots + rhs_slots]] = True
 
-        lb, ub = problem.lb.copy(), problem.ub.copy()
+        # Columns: the kept variables, one dual per kept row, then zl and zu
+        # per kept variable for its finite bounds.
+        lb, ub = problem.lb[x_vars], problem.ub[x_vars]
+        box_lb, box_ub = lb.copy(), ub.copy()
         if mode == MODE_VOLT_VAR:
             # Volt-var products need a finite box on the (free) magnitudes.
-            vm = problem.i_vm(np.array(sorted(read)))
-            lb[vm], ub[vm] = VM_BOX
-        x_col = {int(v): lp.add_var(f"{tag}.x{v}", lb=lb[v], ub=ub[v]) for v in x_vars}
-        dual_col: dict[int, int] = {}
-        for r, row in rows:
-            has_product = bool(row.coeff_slots or row.rhs_slots)
-            lim = LAMBDA_CAP if has_product else math.inf
-            if row.relation == LE:
-                lo, hi = 0.0, lim
-            elif row.relation == GE:
-                lo, hi = -lim, 0.0
-            else:
-                lo, hi = -lim, lim
-            d = dual_col[r] = lp.add_var(f"{tag}.lam[{row.name}]", lb=lo, ub=hi)
-            if has_product:
-                product_duals.append(d)
-        block = FollowerBlock(scenario=scenario, problem=problem, x_col=x_col, dual_col=dual_col)
-        for v in x_col:
-            if math.isfinite(problem.lb[v]):
-                block.zl[v] = lp.add_var(f"{tag}.zl[{v}]", lb=0.0)
-            if math.isfinite(problem.ub[v]):
-                block.zu[v] = lp.add_var(f"{tag}.zu[{v}]", lb=0.0)
-        blocks.append(block)
-
-        # Primal rows: slot-linear terms move to the LHS, products registered.
-        col = np.full(problem.n_vars, -1, dtype=np.int64)
-        col[x_vars] = list(x_col.values())
-        for r, row in rows:
-            idx = list(col[row.idx])
-            val = list(row.val)
-            for slot, c in row.rhs_slots:
-                idx.append(upper_vars[slot])
-                val.append(-c)
-            rid = lp.add_row(
-                (np.array(idx, dtype=np.int64), np.array(val)),
-                row.relation, row.rhs, name=f"{tag}.{row.name}",
-            )
-            for var, slot, c in row.coeff_slots:
-                bp.add_term(rid, c, upper_vars[slot], x_col[var])
-
-        # Column view of the kept rows for the dual-feasibility rows.
-        col_lin: dict[int, list[tuple[int, float]]] = {v: [] for v in x_col}
-        col_slot: dict[int, list[tuple[int, str, float]]] = {v: [] for v in x_col}
-        for r, row in rows:
-            for j, a in zip(row.idx, row.val):
-                col_lin[int(j)].append((dual_col[r], float(a)))
-            for var, slot, c in row.coeff_slots:
-                col_slot[var].append((dual_col[r], slot, c))
-        c_obj = problem.objective
-        for v in x_col:
-            idx = [d for d, _ in col_lin[v]]
-            val = [a for _, a in col_lin[v]]
-            if v in block.zu:
-                idx.append(block.zu[v])
-                val.append(1.0)
-            if v in block.zl:
-                idx.append(block.zl[v])
-                val.append(-1.0)
-            rid = lp.add_row(
-                (np.array(idx, dtype=np.int64), np.array(val)),
-                EQ, float(c_obj[v]), name=f"{tag}.dual[{v}]",
-            )
-            for d, slot, c in col_slot[v]:
-                bp.add_term(rid, c, upper_vars[slot], d)
-
-        # Strong duality: primal objective >= dual objective (weak duality
-        # provides <=, so the pair pins equality).
-        sd_idx: list[int] = []
-        sd_val: list[float] = []
-        nz = np.nonzero(c_obj)[0]
-        for v in nz:
-            sd_idx.append(x_col[int(v)])
-            sd_val.append(float(c_obj[v]))
-        for r, row in rows:
-            if row.rhs != 0.0:
-                sd_idx.append(dual_col[r])
-                sd_val.append(-row.rhs)
-        for v, zi in block.zu.items():
-            if problem.ub[v] != 0.0:
-                sd_idx.append(zi)
-                sd_val.append(-problem.ub[v])
-        for v, zi in block.zl.items():
-            if problem.lb[v] != 0.0:
-                sd_idx.append(zi)
-                sd_val.append(problem.lb[v])
-        rid = lp.add_row(
-            (np.array(sd_idx, dtype=np.int64), np.array(sd_val)),
-            GE, 0.0, name=f"{tag}.strong_duality",
+            vm = x_pos[problem.i_vm(np.array(sorted(read)))]
+            box_lb[vm], box_ub[vm] = VM_BOX
+        relations = [problem.relations[r] for r in kept.tolist()]
+        row_names = [problem.row_names[r] for r in kept.tolist()]
+        rel, lim = np.array(relations), np.where(has_product[kept], LAMBDA_CAP, math.inf)
+        finite = np.column_stack([np.isfinite(lb), np.isfinite(ub)]).ravel()
+        z_var, z_up = np.repeat(x_vars, 2)[finite], np.tile([False, True], n_x)[finite]
+        columns = lp.add_vars(
+            [f"{tag}.x{v}" for v in x_vars.tolist()]
+            + [f"{tag}.lam[{name}]" for name in row_names]
+            + [f"{tag}.z{'u' if u else 'l'}[{v}]" for v, u in zip(z_var.tolist(), z_up.tolist())],
+            np.concatenate([box_lb, np.where(rel == LE, 0.0, -lim), np.zeros(z_var.size)]),
+            np.concatenate([box_ub, np.where(rel == GE, 0.0, lim), np.full(z_var.size, math.inf)]),
         )
-        for r, row in rows:
-            for slot, c in row.rhs_slots:
-                bp.add_term(rid, -c, upper_vars[slot], dual_col[r])
+        x_col, d_col = columns[0] + x_pos, columns[n_x] + r_pos  # where kept
+        z_col = columns[n_x + n_k:]
+        zl_var, zl, zu_var, zu = z_var[~z_up], z_col[~z_up], z_var[z_up], z_col[z_up]
+        product_duals += d_col[kept[has_product[kept]]].tolist()
 
-        # Voltage band on this follower's optimal magnitude.
-        vm_var = x_col[problem.i_vm(scenario.node)]
-        lp.add_row({vm_var: 1.0}, LE, ctx.v_max, name=f"{tag}.band_hi")
-        lp.add_row({vm_var: 1.0}, GE, ctx.v_min, name=f"{tag}.band_lo")
+        # Rows, numbered within the block: the kept primal rows (A, and -c on
+        # the slot column of each rhs slot term), one dual-feasibility row per
+        # kept variable (Aᵀλ + z_u - z_l = c), the strong-duality row (primal
+        # objective >= dual objective; weak duality gives <=, so the pair
+        # pins equality) and the voltage band on the follower's optimal |v|.
+        sd = n_k + n_x
+        t = keep_r[problem.a_row]
+        a_row, a_col, a_val = problem.a_row[t], problem.a_col[t], problem.a_val[t]
+        c_obj = problem.objective
+        obj, nz_rhs = np.flatnonzero(c_obj), kept[problem.rhs[kept] != 0.0]
+        u_nz, l_nz = problem.ub[zu_var] != 0.0, problem.lb[zl_var] != 0.0
+        sd_cols = np.concatenate([x_col[obj], d_col[nz_rhs], zu[u_nz], zl[l_nz]])
+        sd_vals = np.concatenate([
+            c_obj[obj], -problem.rhs[nz_rhs], -problem.ub[zu_var[u_nz]], problem.lb[zl_var[l_nz]],
+        ])
+        vm_col = x_col[problem.i_vm(scenario.node)]
+        entries = [
+            (r_pos[a_row], x_col[a_col], a_val),
+            ([r_pos[r] for r, _, _ in rhs_slots], [upper_vars[s] for _, s, _ in rhs_slots],
+             [-c for _, _, c in rhs_slots]),
+            (n_k + x_pos[a_col], d_col[a_row], a_val),
+            (n_k + x_pos[zu_var], zu, np.ones(zu.size)),
+            (n_k + x_pos[zl_var], zl, -np.ones(zl.size)),
+            (np.full(sd_cols.size, sd), sd_cols, sd_vals),
+            ([sd + 1, sd + 2], [vm_col, vm_col], [1.0, 1.0]),
+        ]
+        first = int(lp.add_rows(
+            [np.concatenate(a) for a in zip(*entries)],
+            relations + [EQ] * n_x + [GE, LE, GE],
+            np.concatenate([problem.rhs[kept], c_obj[x_vars], [0.0, ctx.v_max, ctx.v_min]]),
+            [f"{tag}.{name}" for name in row_names] + [f"{tag}.dual[{v}]" for v in x_vars.tolist()]
+            + [f"{tag}.strong_duality", f"{tag}.band_hi", f"{tag}.band_lo"],
+        )[0])
+
+        # Products: slot x follower variable in the primal rows, slot x dual in
+        # the dual rows and in the strong-duality row's parametric rhs.
+        for r, v, s, c in coeff_slots:
+            bp.add_term(first + int(r_pos[r]), c, upper_vars[s], int(x_col[v]))
+        for r, v, s, c in sorted(coeff_slots, key=lambda term: term[1]):
+            bp.add_term(first + n_k + int(x_pos[v]), c, upper_vars[s], int(d_col[r]))
+        for r, s, c in rhs_slots:
+            bp.add_term(first + sd, -c, upper_vars[s], int(d_col[r]))
+        blocks.append(FollowerBlock(
+            scenario=scenario, problem=problem,
+            x_col=dict(zip(x_vars.tolist(), x_col[x_vars].tolist())),
+            dual_col=dict(zip(kept.tolist(), d_col[kept].tolist())),
+            zl=dict(zip(zl_var.tolist(), zl.tolist())), zu=dict(zip(zu_var.tolist(), zu.tolist())),
+        ))
 
     slmap = SingleLevelMap(
         ctx=ctx, mode=mode, upper_vars=upper_vars,

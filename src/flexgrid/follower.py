@@ -13,8 +13,10 @@ row, under the activation sign rules (positive activation: loads may only
 shed, inverters may only raise; negative mirrored).
 
 Upper-level quantities (the offered band Δp±, per-inverter setpoints γ, q̄ or
-q_set) enter as named *slots*: every row stores its follower-variable
-coefficients plus optional slot-linear contributions to coefficients and
+q_set) enter as named *slots*.  The constraints are one matrix form:
+(row, column, value) triplets of the follower-variable coefficients, per-row
+relations and right-hand sides, and two short lists of slot terms, (row,
+var, slot, c) adding c·slot to a coefficient and (row, slot, c) to a
 right-hand side.  Fixing all slots yields an ordinary LP; leaving them
 symbolic is what the single-level reformulation consumes.
 
@@ -41,7 +43,7 @@ leaves the q_gen box or a capability row (and for inconsistent device data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,24 +292,6 @@ def fix_worst_case_setpoints(ctx: FlexContext, mode: str, extremum: str) -> dict
     return slots
 
 
-@dataclass
-class ParamRow:
-    """One follower constraint with optional upper-level slot dependences.
-
-    Effective coefficient on follower variable v:
-        sum of (idx, val) entries for v  +  sum coeff_slots c * slot_value
-    Effective rhs: rhs + sum rhs_slots c * slot_value.
-    """
-
-    name: str
-    relation: str
-    idx: np.ndarray
-    val: np.ndarray
-    rhs: float = 0.0
-    coeff_slots: list[tuple[int, str, float]] = field(default_factory=list)
-    rhs_slots: list[tuple[str, float]] = field(default_factory=list)
-
-
 class FollowerProblem:
     """The adversary's LP for one scenario, with upper-level slots symbolic.
 
@@ -330,6 +314,12 @@ class FollowerProblem:
     volt-var, the inverter nodes'.  Any other |v_j| is free, costs nothing
     and appears in its own slot-free row vm[j] only, so that row's dual is
     0 and dropping the pair is exact (``bilevel.FollowerBlock``).
+
+    Rows, in order: vm[k] per node, cap_hi[k] and cap_lo[k] per inverter
+    node, its mode rows (pfq; cq_hi, cq_lo and with ``fix_q`` qfix; or vv)
+    and agg.  Row r is ``row_names[r]``: the triplets (``a_row``, ``a_col``,
+    ``a_val``) with ``a_row == r``, ``relations[r]``, ``rhs[r]`` and its
+    slot terms.  The closed forms, ``to_lp`` and the single level read it.
     """
 
     def __init__(self, ctx: FlexContext, scenario: Scenario, mode: str, *, fix_q: bool = False):
@@ -352,10 +342,16 @@ class FollowerProblem:
         self.n_vars = n + 2 * m + n_loads
         self.lb = np.full(self.n_vars, -np.inf)
         self.ub = np.full(self.n_vars, np.inf)
-        self.rows: list[ParamRow] = []
-        self.slot_names: list[str] = []
-        self._slot_seen: set[str] = set()
+        self.row_names: list[str] = []
+        self.relations: list[str] = []
+        self.coeff_slots: list[tuple[int, int, str, float]] = []  # (row, var, slot, c)
+        self.rhs_slots: list[tuple[int, str, float]] = []  # (row, slot, c)
         self._build()
+        self._row_at = {name: r for r, name in enumerate(self.row_names)}
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.row_names)
 
     # --- variable layout -------------------------------------------------
     def i_vm(self, k):
@@ -396,11 +392,19 @@ class FollowerProblem:
         c[self.i_vm(self.scenario.node)] = self.scenario.sigma
         return c
 
-    def _slot(self, name: str) -> str:
-        if name not in self._slot_seen:
-            self._slot_seen.add(name)
-            self.slot_names.append(name)
-        return name
+    def row_index(self, name: str, nodes: np.ndarray | None = None) -> np.ndarray:
+        """Positions of the rows ``name[k]`` over ``nodes`` (default: the inverter nodes)."""
+        nodes = self.inv if nodes is None else nodes
+        return np.array([self._row_at[f"{name}[{k}]"] for k in nodes], dtype=np.int64)
+
+    def coefficients(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The coefficient of column ``cols[i]`` in row ``rows[i]`` for each i
+        (``rows`` distinct), read from the triplets."""
+        at = np.full(self.n_rows, -1)
+        at[rows] = np.arange(rows.size)
+        i = at[self.a_row]  # -1 outside ``rows``, where the appended -1 is read
+        hit = (i >= 0) & (self.a_col == np.append(cols, -1)[i])
+        return np.bincount(i[hit], self.a_val[hit], minlength=rows.size)
 
     # --- assembly --------------------------------------------------------
     def _build(self) -> None:
@@ -408,6 +412,7 @@ class FollowerProblem:
         dev = ctx.devices
         sc = self.scenario
         positive = sc.activation == POSITIVE
+        m = inv.size
 
         # Device deviation bounds with the activation sign rules folded in.
         dpg_lo = np.maximum(dev.p_gen_min[inv], 0.0) - dev.p_gen0[inv]
@@ -449,73 +454,83 @@ class FollowerProblem:
         self.s_p, self.s_q = s_p[:, inv], s_q[:, inv]
         self.s_l = s_p[:, loads] + s_q[:, loads] * dev.beta_load[loads]
         self.m0 = m0
-        for k in range(n):
-            self.rows.append(ParamRow(
-                name=f"vm[{k}]", relation=EQ,
-                idx=np.concatenate([[self.i_vm(k)], all_dpg, all_dpl, all_qg]),
-                val=np.concatenate([[1.0], -self.s_p[k], self.s_l[k], -self.s_q[k]]),
-                rhs=float(m0[k]),
-            ))
+
+        # Row groups in order: their rhs and (row, column, value) triplets, in
+        # row order; ``add`` appends one (``row`` counts from 0 in the group).
+        groups: list[tuple[np.ndarray, ...]] = []
+
+        def add(names, relations, rhs, row, col, val) -> int:
+            first = self.n_rows
+            self.row_names += names
+            self.relations += relations
+            groups.append((np.asarray(rhs, dtype=float), first + row, col, val))
+            return first
+
+        # vm[k]: |v_k| - S_p[k,I]·Δp_gen + s_l[k]·Δp_load - S_q[k,I]·q_gen = m0_k.
+        nodes = np.arange(n)
+        device_cols = np.concatenate([all_dpg, all_dpl, all_qg])
+        add(
+            [f"vm[{k}]" for k in range(n)], [EQ] * n, m0, np.repeat(nodes, 1 + device_cols.size),
+            np.concatenate([self.i_vm(nodes)[:, None], np.repeat(device_cols[None], n, 0)], 1).ravel(),
+            np.concatenate([np.ones((n, 1)), -self.s_p, self.s_l, -self.s_q], 1).ravel(),
+        )
+
+        def per_inverter(kinds) -> np.ndarray:
+            """One row per kind (name, relation, rhs, [(columns, values), ...])
+            and inverter node, node by node; returns each kind's rows."""
+            rows = np.arange(m * len(kinds)).reshape(m, len(kinds)).T  # (kind, node)
+            terms = [(rows[j], c, v) for j, kind in enumerate(kinds) for c, v in kind[3]]
+            first = add(
+                [f"{name}[{i}]" for i in inv.tolist() for name, *_ in kinds],
+                [rel for _, rel, *_ in kinds] * m,
+                np.ravel([b for _, _, b, _ in kinds], order="F"),
+                *(np.ravel(a, order="F") for a in zip(*terms)),
+            )
+            return first + rows
 
         # Inverter capability outer approximation (box part is in the bounds).
-        root2 = math.sqrt(2.0)
-        inverters = list(zip(dev.inverter_nodes, all_dpg.tolist(), all_qg.tolist()))
-        for k, i_g, i_q in inverters:
-            cap = root2 * dev.s_cap[k] - dev.p_gen0[k]
-            self.rows.append(ParamRow(
-                name=f"cap_hi[{k}]", relation=LE,
-                idx=np.array([i_g, i_q]), val=np.array([1.0, 1.0]), rhs=cap,
-            ))
-            self.rows.append(ParamRow(
-                name=f"cap_lo[{k}]", relation=LE,
-                idx=np.array([i_g, i_q]), val=np.array([1.0, -1.0]), rhs=cap,
-            ))
+        one, zero = np.ones(m), np.zeros(m)
+        cap = math.sqrt(2.0) * dev.s_cap[inv] - dev.p_gen0[inv]
+        per_inverter([
+            ("cap_hi", LE, cap, [(all_dpg, one), (all_qg, one)]),
+            ("cap_lo", LE, cap, [(all_dpg, one), (all_qg, -one)]),
+        ])
 
         # Control-mode rows.
         vband = ctx.v_max - ctx.v_min
-        for k, i_g, i_q in inverters:
-            if self.mode == MODE_CONSTANT_PF:
-                g = self._slot(slot_gamma(k))
-                self.rows.append(ParamRow(
-                    name=f"pfq[{k}]", relation=EQ,
-                    idx=np.array([i_q]), val=np.array([1.0]),
-                    coeff_slots=[(i_g, g, -1.0)],
-                    rhs_slots=[(g, dev.p_gen0[k])],
-                ))
-            elif self.mode == MODE_CONSTANT_Q:
-                gc = dev.gamma_const[k]
-                self.rows.append(ParamRow(
-                    name=f"cq_hi[{k}]", relation=LE,
-                    idx=np.array([i_q, i_g]), val=np.array([1.0, -gc]), rhs=gc * dev.p_gen0[k],
-                ))
-                self.rows.append(ParamRow(
-                    name=f"cq_lo[{k}]", relation=LE,
-                    idx=np.array([i_q, i_g]), val=np.array([-1.0, -gc]), rhs=gc * dev.p_gen0[k],
-                ))
-                if self.fix_q:
-                    q = self._slot(slot_qset(k))
-                    self.rows.append(ParamRow(
-                        name=f"qfix[{k}]", relation=EQ,
-                        idx=np.array([i_q]), val=np.array([1.0]),
-                        rhs_slots=[(q, 1.0)],
-                    ))
-            else:  # volt-var droop through the linearized magnitude
-                qb = self._slot(slot_qbar(k))
-                self.rows.append(ParamRow(
-                    name=f"vv[{k}]", relation=EQ,
-                    idx=np.array([i_q]), val=np.array([1.0]),
-                    coeff_slots=[(self.i_vm(k), qb, 2.0 / vband)],
-                    rhs_slots=[(qb, (ctx.v_max + ctx.v_min) / vband)],
-                ))
+        slots: list[str] = []
+        if self.mode == MODE_CONSTANT_PF:
+            rows = per_inverter([("pfq", EQ, zero, [(all_qg, one)])])[0].tolist()
+            slots = [slot_gamma(k) for k in inv.tolist()]
+            self.coeff_slots += zip(rows, all_dpg.tolist(), slots, [-1.0] * m)
+            self.rhs_slots += zip(rows, slots, dev.p_gen0[inv].tolist())
+        elif self.mode == MODE_CONSTANT_Q:
+            gc = dev.gamma_const[inv]
+            cone = gc * dev.p_gen0[inv]
+            kinds = [
+                ("cq_hi", LE, cone, [(all_qg, one), (all_dpg, -gc)]),
+                ("cq_lo", LE, cone, [(all_qg, -one), (all_dpg, -gc)]),
+            ]
+            if self.fix_q:
+                kinds.append(("qfix", EQ, zero, [(all_qg, one)]))
+            rows = per_inverter(kinds)
+            if self.fix_q:
+                slots = [slot_qset(k) for k in inv.tolist()]
+                self.rhs_slots += zip(rows[2].tolist(), slots, [1.0] * m)
+        else:  # volt-var droop through the linearized magnitude
+            rows = per_inverter([("vv", EQ, zero, [(all_qg, one)])])[0].tolist()
+            slots = [slot_qbar(k) for k in inv.tolist()]
+            self.coeff_slots += zip(rows, self.i_vm(inv).tolist(), slots, [2.0 / vband] * m)
+            self.rhs_slots += zip(rows, slots, [(ctx.v_max + ctx.v_min) / vband] * m)
 
         # Aggregate activation row: one-sided per activation case.
-        dp = self._slot(sc.dp_slot)
-        self.rows.append(ParamRow(
-            name="agg", relation=LE if positive else GE,
-            idx=np.concatenate([all_dpg, all_dpl]),
-            val=np.concatenate([np.ones(inv.size), -np.ones(loads.size)]),
-            rhs_slots=[(dp, 1.0)],
-        ))
+        agg = add(
+            ["agg"], [LE if positive else GE], [0.0], np.zeros(m + loads.size, dtype=np.int64),
+            np.concatenate([all_dpg, all_dpl]), np.concatenate([one, -np.ones(loads.size)]),
+        )
+        self.rhs_slots.append((agg, sc.dp_slot, 1.0))
+        self.slot_names = slots + [sc.dp_slot]
+        self.rhs, self.a_row, self.a_col, self.a_val = (np.concatenate(a) for a in zip(*groups))
 
     # --- materialization and solving -------------------------------------
     def to_lp(self, slots: dict[str, float]) -> LinearProgram:
@@ -524,12 +539,17 @@ class FollowerProblem:
         if missing:
             raise KeyError(f"missing slot values: {missing}")
         lp = LinearProgram(sense=MAX, name=f"follower[s{self.scenario.number},k{self.scenario.node}]")
-        c = self.objective
-        for v in range(self.n_vars):
-            lp.add_var(lb=self.lb[v], ub=self.ub[v], obj=c[v])
-        for row in self.rows:
-            idx, val, rhs = _instantiate(row, slots)
-            lp.add_row((idx, val), row.relation, rhs, name=row.name)
+        lp.add_vars([""] * self.n_vars, self.lb, self.ub, self.objective)
+        rhs = self.rhs.copy()
+        for r, s, c in self.rhs_slots:
+            rhs[r] += c * slots[s]
+        terms = self.coeff_slots
+        entries = (
+            np.concatenate([self.a_row, np.array([t[0] for t in terms], dtype=np.int64)]),
+            np.concatenate([self.a_col, np.array([t[1] for t in terms], dtype=np.int64)]),
+            np.concatenate([self.a_val, [c * slots[s] for _, _, s, c in terms]]),
+        )
+        lp.add_rows(entries, self.relations, rhs, self.row_names)
         return lp
 
     def materialize(self, slots: dict[str, float]) -> "MaterializedFollower":
@@ -551,18 +571,6 @@ class FollowerProblem:
         return self.scenario.sigma * cert.objective
 
 
-def _instantiate(row: ParamRow, slots: dict[str, float]) -> tuple[np.ndarray, np.ndarray, float]:
-    idx, val, rhs = row.idx, row.val, row.rhs
-    if row.coeff_slots:
-        extra_i = np.array([v for v, _, _ in row.coeff_slots], dtype=np.int64)
-        extra_v = np.array([c * slots[s] for _, s, c in row.coeff_slots])
-        idx = np.concatenate([idx, extra_i])
-        val = np.concatenate([val, extra_v])
-    for s, c in row.rhs_slots:
-        rhs += c * slots[s]
-    return idx, val, float(rhs)
-
-
 class MaterializedFollower:
     """One follower at fixed slots, solved for any target node and band edge.
 
@@ -570,7 +578,7 @@ class MaterializedFollower:
     (rhs) and solves in closed form; ``FollowerProblem.materialize`` picks
     the subclass of the follower's mode (``_Knapsack``, ``_FreeQ`` or
     ``_VoltVar``).  Every closed form returns the LP's optimum with a full
-    dual certificate (row and bound duals in ``problem.rows`` and variable
+    dual certificate (row and bound duals in ``problem.row_names`` and variable
     order), so strong duality, the single-level completion and the
     band-edge walk read it as they read HiGHS.  When a closed form cannot
     certify its point, the solve falls back to HiGHS on
@@ -592,9 +600,8 @@ class MaterializedFollower:
         nodes = np.arange(p.n)
         self.inv = p.inv
         self.gen_cols, self.load_cols, self.q_cols = p.i_dpg(p.inv), p.i_dpl(p.loads), p.i_qg(p.inv)
-        self._row = {r.name: i for i, r in enumerate(p.rows)}
-        self.agg_row = self._row["agg"]
-        self.vm_rows = self.rows("vm", nodes)
+        self.agg_row = p.row_names.index("agg")
+        self.vm_rows = p.row_index("vm", nodes)
         self.sign = 1.0 if p.scenario.activation == POSITIVE else -1.0
         # Variables whose reduced cost goes to the bound they sit at: all but
         # the free |v| and the columns a subclass balances on its own rows.
@@ -623,11 +630,6 @@ class MaterializedFollower:
     def agg_dual(self, cert: DualCertificate) -> float:
         """Sensitivity of the objective to the aggregate bound."""
         return float(cert.row_duals[self.agg_row])
-
-    def rows(self, name: str, nodes: np.ndarray | None = None) -> np.ndarray:
-        """Positions of the rows ``name[k]`` over ``nodes`` (default: the inverter nodes)."""
-        nodes = self.inv if nodes is None else nodes
-        return np.array([self._row[f"{name}[{k}]"] for k in nodes], dtype=np.int64)
 
     def z_box(self, g_lo: np.ndarray, g_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of z from the inverters' Δp_gen intervals and Δp_load's box."""
@@ -661,7 +663,7 @@ class MaterializedFollower:
         x = np.zeros(p.n_vars)
         x[p.i_vm(np.arange(p.n))] = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ q
         x[gens], x[loads], x[qg] = dpg, dpl, q
-        n_rows, n_vars = len(p.rows), p.n_vars
+        n_rows, n_vars = p.n_rows, p.n_vars
         duals = np.zeros(n_rows + 2 * n_vars)
         lower = duals[n_rows:n_rows + n_vars]
         upper = duals[n_rows + n_vars:]
@@ -706,13 +708,13 @@ class _Knapsack(MaterializedFollower):
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
         p, inv = self.problem, self.inv
-        self.mode_rows = self.rows("pfq" if p.mode == MODE_CONSTANT_PF else "qfix")
+        self.mode_rows = p.row_index("pfq" if p.mode == MODE_CONSTANT_PF else "qfix")
 
         # Constraints on an inverter node's (Δp_gen, q_gen), a·Δp_gen + e·q_gen <= b:
         # both bounds of each variable, then the node's inequality rows.  Each
         # column's dual lands at ``target`` of [row duals, lower, upper] as
         # ``dual_sign`` times its multiplier.
-        n_rows, n_vars = len(p.rows), p.n_vars
+        n_rows, n_vars = p.n_rows, p.n_vars
         dpg, qg = self.gen_cols, self.q_cols
         one, zero = np.ones(inv.size), np.zeros(inv.size)
         cols = [
@@ -722,11 +724,9 @@ class _Knapsack(MaterializedFollower):
             (zero, -one, -p.lb[qg], n_rows + qg, -1.0),
         ]
         names = ("cap_hi", "cap_lo") + (("cq_hi", "cq_lo") if p.mode == MODE_CONSTANT_Q else ())
-        for name in names:
-            r = self.rows(name)
-            a = np.array([p.rows[i].val[p.rows[i].idx == v].sum() for i, v in zip(r, dpg)])
-            e = np.array([p.rows[i].val[p.rows[i].idx == v].sum() for i, v in zip(r, qg)])
-            cols.append((a, e, np.array([p.rows[i].rhs for i in r]), r, 1.0))
+        r = np.array([p.row_index(name) for name in names])  # (row kind, node)
+        a, e = (p.coefficients(r.ravel(), np.tile(c, len(names))).reshape(r.shape) for c in (dpg, qg))
+        cols += zip(a, e, p.rhs[r], r, [1.0] * len(names))
         self.a, self.e, self.b, self.target = (
             np.stack([c[i] for c in cols], axis=1) for i in range(4)
         )
@@ -817,7 +817,7 @@ class _VoltVar(MaterializedFollower):
         ctx, dev = p.ctx, p.ctx.devices
         band = ctx.v_max - ctx.v_min
         self.d, self.c = 2.0 / band, (ctx.v_max + ctx.v_min) / band
-        self.vv_rows = self.rows("vv")
+        self.vv_rows = p.row_index("vv")
         self.s_q_ii = p.s_q[inv]
         self.z_lo, self.z_hi = self.z_box(p.lb[self.gen_cols], p.ub[self.gen_cols])
         self.q_cap = dev.s_cap[inv]
@@ -884,7 +884,7 @@ class _FreeQ(MaterializedFollower):
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
         p, inv, dev = self.problem, self.inv, self.problem.ctx.devices
-        m, n_rows, n_vars = inv.size, len(p.rows), p.n_vars
+        m, n_rows, n_vars = inv.size, p.n_rows, p.n_vars
         gamma, p0, s = dev.gamma_const[inv], dev.p_gen0[inv], dev.s_cap[inv]
         # h = min over pieces j (cone, q_gen bound, capability row) of
         # b_j - a_j·Δp_gen; the pieces' slopes -a_j fall with j.
@@ -898,8 +898,8 @@ class _FreeQ(MaterializedFollower):
         # Where a piece's multiplier lands in [row duals, lower, upper], and
         # its sign there, with q_gen at +h (side 0) or at -h (side 1).
         self.target = np.stack([
-            np.column_stack([self.rows("cq_hi"), n_rows + n_vars + qg, self.rows("cap_hi")]),
-            np.column_stack([self.rows("cq_lo"), n_rows + qg, self.rows("cap_lo")]),
+            np.column_stack([p.row_index("cq_hi"), n_rows + n_vars + qg, p.row_index("cap_hi")]),
+            np.column_stack([p.row_index("cq_lo"), n_rows + qg, p.row_index("cap_lo")]),
         ], axis=2)
         self.dual_sign = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 
@@ -970,7 +970,7 @@ class _FreeQ(MaterializedFollower):
         duals[self.target[m, j_cur, side]] += self.dual_sign[j_cur, side] * (g_abs - pi_nxt)
         duals[self.target[m, j_nxt, side]] += self.dual_sign[j_nxt, side] * pi_nxt
         r = np.where(kink | has_partial, 0.0, r)
-        n_rows = len(p.rows)
+        n_rows = p.n_rows
         duals[n_rows + self.gen_cols] = np.minimum(r, 0.0)
         duals[n_rows + p.n_vars + self.gen_cols] = np.maximum(r, 0.0)
         return cert

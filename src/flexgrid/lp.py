@@ -1,7 +1,8 @@
 """Linear programming layer: problem container, exact solves, dual certificates.
 
-Problems are built row-by-row with free-form relations (<=, >=, =) and
-per-variable bounds, then handed to HiGHS (via scipy) for the actual solve.
+Problems are built in blocks of variables with bounds and of rows with
+free-form relations (<=, >=, =), their coefficients given as (row, column,
+value) triplets, then handed to HiGHS (via scipy) for the actual solve.
 Duals come back in a single sensitivity convention that makes the strong
 duality identity read the same for both senses:
 
@@ -54,7 +55,11 @@ class LPEngineError(RuntimeError):
 
 
 class LinearProgram:
-    """Growable LP: variables with bounds and an objective, rows with relations."""
+    """Growable LP: variables with bounds and an objective, rows with relations.
+
+    ``add_var`` and ``add_row`` add a block of one to ``add_vars``/``add_rows``;
+    the coefficients are kept as (row, column, value) triplets in row order.
+    """
 
     def __init__(self, sense: str = MAX, name: str = ""):
         if sense not in (MAX, MIN):
@@ -65,8 +70,7 @@ class LinearProgram:
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.var_names: list[str] = []
-        self._row_idx: list[np.ndarray] = []
-        self._row_val: list[np.ndarray] = []
+        self._coo = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
         self.relations: list[str] = []
         self.rhs: list[float] = []
         self.row_names: list[str] = []
@@ -79,6 +83,21 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.rhs)
 
+    def add_vars(self, names: list[str], lb=-math.inf, ub=math.inf, obj=0.0) -> np.ndarray:
+        """Add one variable per name (an empty name becomes ``x<column>``) and
+        return their columns; ``lb``, ``ub`` and ``obj`` are scalars or one per name."""
+        first, k = self.n_vars, len(names)
+        lb, ub, obj = (np.full(k, a, dtype=float) for a in (lb, ub, obj))
+        bad = np.flatnonzero(lb > ub)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"variable {names[i] or first + i}: lb {lb[i]} > ub {ub[i]}")
+        self.var_names += [name or f"x{first + i}" for i, name in enumerate(names)]
+        self.lb += lb.tolist()
+        self.ub += ub.tolist()
+        self.obj += obj.tolist()
+        return np.arange(first, first + k)
+
     def add_var(
         self,
         name: str = "",
@@ -86,44 +105,52 @@ class LinearProgram:
         ub: float = math.inf,
         obj: float = 0.0,
     ) -> int:
-        if lb > ub:
-            raise ValueError(f"variable {name or self.n_vars}: lb {lb} > ub {ub}")
-        self.var_names.append(name or f"x{self.n_vars}")
-        self.lb.append(float(lb))
-        self.ub.append(float(ub))
-        self.obj.append(float(obj))
-        return self.n_vars - 1
+        return int(self.add_vars([name], lb, ub, obj)[0])
 
     def set_objective(self, var: int, coeff: float) -> None:
         self.obj[var] = float(coeff)
 
+    def add_rows(self, entries, relations: list[str], rhs, names: list[str]) -> np.ndarray:
+        """Add one row per name (an empty name becomes ``r<row>``); returns them.
+
+        ``entries`` holds (row, column, value) arrays, rows counted from 0 in
+        the block, in any order; a row's entries keep their order.  Zeros and
+        repeated columns may be included (``materialize`` sums repeats)."""
+        first, k = self.n_rows, len(names)
+        rows, cols = (np.asarray(a, dtype=np.int64) for a in entries[:2])
+        vals = np.asarray(entries[2], dtype=float)
+        for relation in relations:
+            if relation not in _RELATIONS:
+                raise ValueError(f"unknown relation {relation!r}")
+        if cols.size and (cols.min() < 0 or cols.max() >= self.n_vars):
+            raise ValueError("row references an unknown variable index")
+        order = np.argsort(rows, kind="stable")
+        self._coo.append((first + rows[order], cols[order], vals[order]))
+        self.relations += relations
+        self.rhs += np.full(k, rhs, dtype=float).tolist()
+        self.row_names += [name or f"r{first + i}" for i, name in enumerate(names)]
+        return np.arange(first, first + k)
+
     def add_row(self, coeffs, relation: str, rhs: float, name: str = "") -> int:
         """Add a constraint row.  ``coeffs`` is a {var: coeff} dict or an
         (indices, values) pair; zero coefficients may be included."""
-        if relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {relation!r}")
-        if isinstance(coeffs, dict):
-            idx = np.fromiter(coeffs.keys(), dtype=np.int64, count=len(coeffs))
-            val = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
-        else:
-            idx, val = coeffs
-            idx = np.asarray(idx, dtype=np.int64)
-            val = np.asarray(val, dtype=float)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_vars):
-            raise ValueError("row references an unknown variable index")
-        self._row_idx.append(idx)
-        self._row_val.append(val)
-        self.relations.append(relation)
-        self.rhs.append(float(rhs))
-        self.row_names.append(name or f"r{self.n_rows - 1}")
-        return self.n_rows - 1
+        idx, val = (list(coeffs), list(coeffs.values())) if isinstance(coeffs, dict) else coeffs
+        return int(self.add_rows((np.zeros(len(idx)), idx, val), [relation], rhs, [name])[0])
+
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry as (row, column, value) arrays, rows ascending."""
+        if len(self._coo) > 1:
+            self._coo = [tuple(np.concatenate(a) for a in zip(*self._coo))]
+        return self._coo[0]
 
     def row_coeffs(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._row_idx[row], self._row_val[row]
+        rows, cols, vals = self._triplets()
+        lo, hi = np.searchsorted(rows, (row, row + 1))
+        return cols[lo:hi], vals[lo:hi]
 
     def row_dense(self, row: int) -> np.ndarray:
         a = np.zeros(self.n_vars)
-        idx, val = self._row_idx[row], self._row_val[row]
+        idx, val = self.row_coeffs(row)
         np.add.at(a, idx, val)
         return a
 
@@ -131,10 +158,7 @@ class LinearProgram:
         """The rows in program order as ranged rows: a <= row gets the bounds
         (-inf, rhs), a >= row (rhs, +inf) and an = row (rhs, rhs).  Repeated
         column indices in a row are summed."""
-        counts = np.fromiter(map(len, self._row_idx), dtype=np.int64, count=self.n_rows)
-        rows = np.repeat(np.arange(self.n_rows), counts)
-        cols = np.concatenate(self._row_idx or [np.empty(0, dtype=np.int64)])
-        vals = np.concatenate(self._row_val or [np.empty(0)])
+        rows, cols, vals = self._triplets()
         A = csc_array((vals, (rows, cols)), shape=(self.n_rows, self.n_vars))
         relations = np.array(self.relations, dtype="U2")
         rhs = np.array(self.rhs, dtype=float)
@@ -352,29 +376,19 @@ def verify_strong_duality(
     """
     if not cert.is_optimal:
         raise ValueError("strong duality can only be verified on an optimal certificate")
-    x = cert.x
-    primal = float(np.dot(lp.obj, x))
-    dual = 0.0
-    max_slack = 0.0
-    for r in range(lp.n_rows):
-        idx, val = lp.row_coeffs(r)
-        ax = float(val @ x[idx])
-        dual += cert.row_duals[r] * lp.rhs[r]
-        max_slack = max(max_slack, abs(cert.row_duals[r] * (lp.rhs[r] - ax)))
-    lb = np.array(lp.lb)
-    ub = np.array(lp.ub)
-    fin_l = np.isfinite(lb)
-    fin_u = np.isfinite(ub)
-    dual += float(cert.lower_duals[fin_l] @ lb[fin_l])
-    dual += float(cert.upper_duals[fin_u] @ ub[fin_u])
-    if fin_l.any():
-        max_slack = max(
-            max_slack, float(np.max(np.abs(cert.lower_duals[fin_l] * (x - lb)[fin_l])))
-        )
-    if fin_u.any():
-        max_slack = max(
-            max_slack, float(np.max(np.abs(cert.upper_duals[fin_u] * (ub - x)[fin_u])))
-        )
+    mat = lp.materialize()
+    x, y = cert.x, cert.row_duals
+    rhs = np.array(lp.rhs, dtype=float)
+    fin_l, fin_u = np.isfinite(mat.lb), np.isfinite(mat.ub)
+    primal = float(mat.c @ x)
+    dual = float(
+        y @ rhs + cert.lower_duals[fin_l] @ mat.lb[fin_l] + cert.upper_duals[fin_u] @ mat.ub[fin_u]
+    )
+    max_slack = float(max(
+        np.max(np.abs(y * (rhs - mat.A @ x)), initial=0.0),
+        np.max(np.abs(cert.lower_duals[fin_l] * (x - mat.lb)[fin_l]), initial=0.0),
+        np.max(np.abs(cert.upper_duals[fin_u] * (mat.ub - x)[fin_u]), initial=0.0),
+    ))
     gap = abs(primal - dual)
     scale = 1.0 + abs(primal)
     ok = gap <= gap_tol * scale and max_slack <= slack_tol * scale

@@ -112,6 +112,15 @@ def pv_tight_ctx(pv_model):
     )
 
 
+@pytest.fixture(scope="module")
+def ieee13_binding_ctx(ieee13_model):
+    """The 13-bus feeder with v_max 0.5 mV above the anchor's highest |v|."""
+    probe = build_context(ieee13_model)
+    return build_context(
+        ieee13_model, v_max=float(probe.anchor.vm.max()) + 0.0005, anchor=probe.anchor
+    )
+
+
 @pytest.fixture()
 def pv_file(tmp_path):
     path = tmp_path / "pv_feeder.json"

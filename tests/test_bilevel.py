@@ -217,15 +217,6 @@ def test_single_level_solution_is_clean(pv_tight_ctx):
     assert res.escalations == 0
 
 
-@pytest.fixture(scope="module")
-def ieee13_binding_ctx(ieee13_model):
-    """The 13-bus feeder with v_max 0.5 mV above the anchor's highest |v|."""
-    probe = build_context(ieee13_model)
-    return build_context(
-        ieee13_model, v_max=float(probe.anchor.vm.max()) + 0.0005, anchor=probe.anchor
-    )
-
-
 def _lift_block(block, x):
     """A single-level block lifted into its follower's full LP: the dropped
     |v_j| rebuilt from the sensitivities, the dropped rows' duals 0."""
@@ -236,7 +227,7 @@ def _lift_block(block, x):
     vm = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ qg
     dropped = np.array([j for j in range(p.n) if p.i_vm(j) not in block.x_col], dtype=np.int64)
     xf[p.i_vm(dropped)] = vm[dropped]
-    row_duals = np.zeros(len(p.rows))
+    row_duals = np.zeros(p.n_rows)
     row_duals[list(block.dual_col)] = x[list(block.dual_col.values())]
     lower, upper = np.zeros(p.n_vars), np.zeros(p.n_vars)
     for v, zi in block.zl.items():
@@ -283,7 +274,7 @@ def test_reduced_blocks_lift_to_certified_follower_optima(
     binding = False
     for block in slmap.blocks:
         p, node = block.problem, block.scenario.node
-        vm_rows = [p.rows[r].name for r in block.dual_col if p.rows[r].name.startswith("vm[")]
+        vm_rows = [p.row_names[r] for r in block.dual_col if p.row_names[r].startswith("vm[")]
         want = {node} | (inverters if mode == MODE_VOLT_VAR else set())
         assert sorted(vm_rows) == sorted(f"vm[{k}]" for k in want)
 

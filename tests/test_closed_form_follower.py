@@ -114,7 +114,7 @@ class Oracle:
         self.problem = problem
         self.lp = problem.to_lp(slots)
         self.mat = self.lp.materialize()
-        self.agg = [r.name for r in problem.rows].index("agg")
+        self.agg = problem.row_names.index("agg")
         self.vm = problem.i_vm(np.arange(problem.n))
         self.A = np.array([self.lp.row_dense(r) for r in range(self.lp.n_rows)])
 
@@ -293,7 +293,7 @@ def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatc
 
 def _cut_duals(problem, cert):
     """Largest |dual| a certificate puts on a capability row or a q_gen bound."""
-    caps = [i for i, r in enumerate(problem.rows) if r.name.startswith("cap_")]
+    caps = [i for i, name in enumerate(problem.row_names) if name.startswith("cap_")]
     qg = problem.i_qg(np.array(problem.ctx.devices.inverter_nodes))
     return max(np.max(np.abs(cert.row_duals[caps])),
                np.max(np.abs(cert.lower_duals[qg])), np.max(np.abs(cert.upper_duals[qg])))

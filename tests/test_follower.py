@@ -117,19 +117,19 @@ def test_row_and_slot_structure_per_mode(pv_ctx):
     base_rows = n + 2 * len(inv)  # vm, cap_hi/lo
 
     fp = build_follower(pv_ctx, sc, MODE_CONSTANT_PF)
-    assert len(fp.rows) == base_rows + len(inv) + 1
+    assert fp.n_rows == base_rows + len(inv) + 1
     assert fp.slot_names == [slot_gamma(k) for k in inv] + [SLOT_DP_PLUS]
 
     cq = build_follower(pv_ctx, sc, MODE_CONSTANT_Q)
-    assert len(cq.rows) == base_rows + 2 * len(inv) + 1
+    assert cq.n_rows == base_rows + 2 * len(inv) + 1
     assert cq.slot_names == [SLOT_DP_PLUS]
 
     cqf = build_follower(pv_ctx, sc, MODE_CONSTANT_Q, fix_q=True)
-    assert len(cqf.rows) == base_rows + 3 * len(inv) + 1
+    assert cqf.n_rows == base_rows + 3 * len(inv) + 1
     assert cqf.slot_names == [slot_qset(k) for k in inv] + [SLOT_DP_PLUS]
 
     vv = build_follower(pv_ctx, sc, MODE_VOLT_VAR)
-    assert len(vv.rows) == base_rows + len(inv) + 1
+    assert vv.n_rows == base_rows + len(inv) + 1
     assert vv.slot_names == [slot_qbar(k) for k in inv] + [SLOT_DP_PLUS]
 
     with pytest.raises(ValueError, match="unknown mode"):
@@ -212,13 +212,15 @@ def test_magnitude_rows_match_the_linear_flow(request, feeder, mode, activation)
         ctx, Scenario(0, activation, MAX_V), mode, fix_q=mode == MODE_CONSTANT_Q
     )
     n, dev = ctx.n, ctx.devices
-    rows = [r for r in problem.rows if r.name.startswith("vm[")]
-    assert [r.name for r in rows] == [f"vm[{k}]" for k in range(n)]
+    rows = [r for r, name in enumerate(problem.row_names) if name.startswith("vm[")]
+    assert [problem.row_names[r] for r in rows] == [f"vm[{k}]" for k in range(n)]
+    slotted = {t[0] for t in problem.coeff_slots} | {t[0] for t in problem.rhs_slots}
     A = np.zeros((n, problem.n_vars))
-    for k, row in enumerate(rows):
-        assert not (row.coeff_slots or row.rhs_slots)
-        np.add.at(A[k], row.idx, row.val)
-    rhs = np.array([row.rhs for row in rows])
+    for k, r in enumerate(rows):
+        assert r not in slotted
+        at = problem.a_row == r
+        np.add.at(A[k], problem.a_col[at], problem.a_val[at])
+    rhs = problem.rhs[rows]
 
     def magnitudes(dpg, dpl, qg):
         p_load = dev.p_load0 + dpl

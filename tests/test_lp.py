@@ -194,13 +194,62 @@ def test_builder_validation():
     lp = LinearProgram()
     with pytest.raises(ValueError, match="lb"):
         lp.add_var(lb=2.0, ub=1.0)
+    with pytest.raises(ValueError, match="b: lb"):
+        lp.add_vars(["a", "b"], [0.0, 2.0], [1.0, 1.0])
     x = lp.add_var(lb=0.0, ub=1.0)
     with pytest.raises(ValueError, match="unknown relation"):
         lp.add_row({x: 1.0}, "<", 1.0)
+    with pytest.raises(ValueError, match="unknown relation"):
+        lp.add_rows(([0, 1], [x, x], [1.0, 1.0]), [LE, "<"], [1.0, 1.0], ["", ""])
     with pytest.raises(ValueError, match="unknown variable"):
         lp.add_row({x + 5: 1.0}, LE, 1.0)
+    with pytest.raises(ValueError, match="unknown variable"):
+        lp.add_rows(([0, 1], [x, x + 5], [1.0, 1.0]), [LE, LE], [1.0, 1.0], ["", ""])
+    with pytest.raises(ValueError, match="unknown variable"):
+        lp.add_rows(([0], [-1], [1.0]), [LE], [1.0], [""])
+    # A rejected block leaves nothing behind.
+    assert (lp.n_vars, lp.n_rows) == (1, 0)
     with pytest.raises(ValueError, match="sense"):
         LinearProgram(sense="maximize")
+
+
+def test_bulk_rows_materialize_like_single_rows():
+    """A block from ``add_rows``, its entries out of row order, one row
+    naming a column twice and one row empty, gives the same LP as its rows
+    added one at a time."""
+    rng = np.random.default_rng(5)
+    rows = [
+        ([0, 2, 0], rng.normal(size=3), LE, 1.5),
+        ([1], [2.0], GE, -0.5),
+        ([], [], EQ, 0.0),
+        ([2, 1, 3], rng.normal(size=3), EQ, 0.25),
+    ]
+    single, bulk = LinearProgram(sense=MAX), LinearProgram(sense=MAX)
+    lb, ub, obj = [-1.0, 0.0, -2.0, 0.5], [1.0, 3.0, np.inf, 0.5], rng.normal(size=4)
+    for v in range(4):
+        single.add_var(lb=lb[v], ub=ub[v], obj=obj[v])
+    assert np.array_equal(bulk.add_vars([""] * 4, lb, ub, obj), np.arange(4))
+    for idx, val, rel, rhs in rows:
+        single.add_row((idx, val), rel, rhs)
+    # The block's rows last to first, each row's own entries in order.
+    entries = [(r, j, a) for r in reversed(range(len(rows))) for j, a in zip(*rows[r][:2])]
+    got = bulk.add_rows(
+        tuple(np.array(a) for a in zip(*entries)),
+        [rel for _, _, rel, _ in rows], [rhs for *_, rhs in rows], [""] * len(rows),
+    )
+    assert np.array_equal(got, np.arange(len(rows)))
+    a, b = single.materialize(), bulk.materialize()
+    for name in ("c", "row_lb", "row_ub", "lb", "ub"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.A, name), getattr(b.A, name)), name
+    assert b.A[[0]].toarray()[0, 0] == rows[0][1][0] + rows[0][1][2]
+    for lp in (single, bulk):
+        assert lp.var_names == [f"x{v}" for v in range(4)]
+        assert lp.row_names == [f"r{r}" for r in range(len(rows))]
+    for r in range(len(rows)):
+        for x, y in zip(single.row_coeffs(r), bulk.row_coeffs(r)):
+            assert np.array_equal(x, y)
 
 
 def test_row_dense_accumulates_duplicate_indices():
