@@ -8,7 +8,9 @@ inside [v_min, v_max].  Three steps:
 1. ``worst_case_limits`` — per-node safe bounds under adversarial setpoints.
    The follower optimum is concave, piecewise linear and nondecreasing in
    |band edge|, with the aggregate-row dual as its slope, so each bound is
-   found by a tangent/secant walk over its breakpoints;
+   found by a tangent/secant walk over its breakpoints.  A family's n nodes
+   walk in lockstep: each step evaluates every open walk with one call of
+   the follower's batched closed form;
 2. ``assemble_single_level``/``solve_single_level`` — the ideal case for a
    subset of followers, reformulated through LP duality: follower primal
    rows + dual feasibility rows + a strong-duality row certify follower
@@ -17,9 +19,11 @@ inside [v_min, v_max].  Three steps:
    branch-and-bound.  Its incumbents all come from fixing the setpoints
    (the bang-bang ones before the search, each node's relaxation setpoints
    during it), walking the band edges as in step 1 and completing the point
-   with the followers' optimal primal/dual pairs;
+   with the followers' optimal primal/dual pairs, whose certificates are
+   built only for the blocks that need one;
 3. ``feasibility_check`` — re-screen all followers at the accepted decision,
-   feeding violators back into step 2 (``run_iterative``).
+   one batched evaluation per family, feeding violators back into step 2
+   (``run_iterative``).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .follower import (
     SLOT_DP_PLUS,
     FlexContext,
     FollowerProblem,
+    FollowerValues,
     MaterializedFollower,
     Scenario,
     all_scenarios,
@@ -51,7 +56,7 @@ from .follower import (
     slot_qbar,
     slot_qset,
 )
-from .lp import EQ, GE, INFEASIBLE, LE, MAX, OPTIMAL, DualCertificate, LinearProgram
+from .lp import EQ, GE, LE, MAX, OPTIMAL, DualCertificate, LinearProgram
 
 EDGE_TOL_REL = 1e-6  # band-edge tolerance, relative to the availability span
 EDGE_ROOT_TOL = 1e-12  # a safe edge whose objective is this close to the limit is the root
@@ -122,8 +127,9 @@ def _family_follower(
     """The follower LP of one (activation, extremum) family at fixed slots.
 
     Only the objective depends on the target node, so one materialized LP
-    serves every node of the family: each solve swaps its node in.  ``slots``
-    may carry more than the family reads (both band edges, say).
+    serves every node of the family: ``values`` solves any batch of them at
+    once.  ``slots`` may carry more than the family reads (both band edges,
+    say).
     """
     problem = build_follower(
         ctx, Scenario(node=0, activation=activation, extremum=extremum), mode, fix_q=fix_q
@@ -134,56 +140,34 @@ def _family_follower(
     return problem.materialize({s: slots[s] for s in problem.slot_names})
 
 
-def _edge_walk(
-    mf: MaterializedFollower, node: int, tol_abs: float
-) -> tuple[float, DualCertificate | None]:
-    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in
-    band, with the certificate of the solve that confirmed it safe (None when
-    no solve did: a zero far end, or a follower out of band at zero).
+def _walk(full: float, c: float, tol_abs: float):
+    """One target's band-edge walk from the far end |edge| = ``full``, as a
+    coroutine: it yields each |edge| s to evaluate, is sent (F(s), F'(s))
+    back, and returns the largest |edge| confirmed safe (None when F(0) > c).
 
-    The far end is the family's band edge as materialized in ``mf``.  With
-    F(s) the follower objective at |edge| = s, the edge is in band while
-    F(s) <= c.  F is concave, piecewise linear and nondecreasing, and the
-    aggregate-row dual is its slope, so a tangent step from the infeasible
-    end lands on the feasible side (exactly at the root once that end sits
-    on the crossing segment) and a secant step across a bracket lands on
-    the infeasible side.  Every step is confirmed by a solve, so the result
-    is a verified safe edge within ``tol_abs`` of the root whatever the
-    duals say.  A step outside the bracket, or one following two steps that
-    did not halve it, falls back to the midpoint (to zero while no safe edge
-    is known), so rounding in the solver's objectives cannot make the walk
-    creep: once a safe edge is known, every three solves at least halve the
-    bracket.
+    With F(s) the follower objective at |edge| = s, the edge is in band
+    while F(s) <= c.  F is concave, piecewise linear and nondecreasing, and
+    the aggregate-row dual is its slope, so a tangent step from the
+    infeasible end lands on the feasible side (exactly at the root once that
+    end sits on the crossing segment) and a secant step across a bracket
+    lands on the infeasible side.  Every step is confirmed by an evaluation,
+    so the result is a verified safe edge within ``tol_abs`` of the root
+    whatever the duals say.  A step outside the bracket, or one following
+    two steps that did not halve it, falls back to the midpoint (to zero
+    while no safe edge is known), so rounding in the objectives cannot make
+    the walk creep: once a safe edge is known, every three evaluations at
+    least halve the bracket.
     """
-    ctx = mf.problem.ctx
-    scenario = mf.problem.scenario
-    full = mf.slots[scenario.dp_slot]
-    if full == 0.0:
-        return 0.0, None
-    sign = 1.0 if full > 0 else -1.0
-    # The objective is sigma * |v|, so both extrema compare it from below.
-    c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
     # Steps aim half the stopping slack inside c, so a step that is exact up
     # to rounding confirms as feasible and ends the walk.
     aim = c - 0.5 * EDGE_ROOT_TOL
-
-    def value(s: float) -> tuple[float, float, DualCertificate]:
-        cert = mf.solve(node=node, dp_bound=sign * s)
-        if cert.status == INFEASIBLE:
-            raise BilevelError(
-                "follower LP infeasible during screening; followers are "
-                "feasible by construction at Δp = 0, so this signals an "
-                "assembly bug or inconsistent device data"
-            )
-        return cert.objective, sign * mf.agg_dual(cert), cert
-
-    hi = abs(full)
-    f_hi, g_hi, cert = value(hi)
+    hi = full
+    f_hi, g_hi = yield hi
     if f_hi <= c:
-        return full, cert
-    lo = f_lo = cert_lo = None  # lo: largest edge confirmed feasible
+        return full
+    lo = f_lo = None  # lo: largest edge confirmed feasible
     tangent = True
-    widths = [hi]  # hi - lo after each solve, lo = 0 until confirmed
+    widths = [hi]  # hi - lo after each evaluation, lo = 0 until confirmed
     while lo is None or (hi - lo > tol_abs and f_lo < c - EDGE_ROOT_TOL):
         if len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
             s = -math.inf  # two steps that did not halve the bracket
@@ -196,15 +180,67 @@ def _edge_walk(
                 s = 0.0
         elif not lo < s < hi:
             s = 0.5 * (lo + hi)
-        f, g, cert = value(s)
+        f, g = yield s
         if f <= c:
-            lo, f_lo, cert_lo, tangent = s, f, cert, False
+            lo, f_lo, tangent = s, f, False
         elif s == 0.0:
-            return 0.0, None
+            return None
         else:
             hi, f_hi, g_hi, tangent = s, f, g, True
         widths.append(hi - (lo or 0.0))
-    return sign * lo, cert_lo
+    return lo
+
+
+def _edge_walk(
+    mf: MaterializedFollower, nodes, tol_abs: float
+) -> tuple[np.ndarray, list[tuple[FollowerValues, int] | None]]:
+    """Largest |band edge| keeping the follower's extreme |v| in band, for
+    each target node in ``nodes``, signed like the far end (0 where the
+    follower is out of band at zero).  Also returns, per target, the values
+    row of the evaluation that confirmed its edge safe (None where none
+    did: a zero far end, or a follower out of band at zero), from which
+    ``mf.certificate`` builds its certificate.
+
+    The far end is the family's band edge as materialized in ``mf``.  Each
+    target takes the steps of its own ``_walk``, and the targets walk in
+    lockstep: each step evaluates every target whose walk is still open
+    with one ``mf.values`` call.
+    """
+    ctx = mf.problem.ctx
+    scenario = mf.problem.scenario
+    nodes = np.asarray(nodes, dtype=np.int64)
+    limits = np.zeros(nodes.size)
+    safe: list[tuple[FollowerValues, int] | None] = [None] * nodes.size
+    full = mf.slots[scenario.dp_slot]
+    if full == 0.0:
+        return limits, safe
+    sign = 1.0 if full > 0 else -1.0
+    # The objective is sigma * |v|, so both extrema compare it from below.
+    c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
+    walks = [_walk(abs(full), c, tol_abs) for _ in range(nodes.size)]
+    live = list(range(nodes.size))
+    steps = [next(w) for w in walks]
+    while live:
+        vals = mf.values(nodes[live], sign * np.array(steps))
+        if not vals.optimal.all():
+            raise BilevelError(
+                "follower LP infeasible during screening; followers are "
+                "feasible by construction at Δp = 0, so this signals an "
+                "assembly bug or inconsistent device data"
+            )
+        walking, steps = [], []
+        slopes = (sign * vals.agg_dual).tolist()
+        for i, (t, f) in enumerate(zip(live, vals.objective.tolist())):
+            if f <= c:
+                safe[t] = (vals, i)
+            try:
+                steps.append(walks[t].send((f, slopes[i])))
+                walking.append(t)
+            except StopIteration as stop:
+                if stop.value is not None:
+                    limits[t] = sign * stop.value
+        live = walking
+    return limits, safe
 
 
 def worst_case_limits(
@@ -217,7 +253,8 @@ def worst_case_limits(
 
     For every node and activation case, the follower is given adversarial
     setpoints (constant-Q leaves reactive power to the adversary outright)
-    and the largest safe band edge is found by ``_edge_walk``; positive
+    and the largest safe band edge is found by ``_edge_walk``, which walks
+    a family's n nodes in lockstep, one kernel call per step; positive
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
@@ -240,16 +277,14 @@ def worst_case_limits(
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
             mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
-            for k in range(n):
-                lim = _edge_walk(mf, k, tol_abs)[0]
-                if activation == POSITIVE:
-                    if lim < upper[k] - 1e-15:
-                        upper[k] = lim
-                        upper_family[k] = extremum
-                else:
-                    if lim > lower[k] + 1e-15:
-                        lower[k] = lim
-                        lower_family[k] = extremum
+            lim = _edge_walk(mf, np.arange(n), tol_abs)[0]
+            if activation == POSITIVE:
+                tighter, limits, family = lim < upper - 1e-15, upper, upper_family
+            else:
+                tighter, limits, family = lim > lower + 1e-15, lower, lower_family
+            limits[tighter] = lim[tighter]
+            for k in np.flatnonzero(tighter):
+                family[k] = extremum
     return WorstCaseLimits(
         upper=upper, lower=lower, upper_family=upper_family,
         lower_family=lower_family, dp_box=(dp_lo, dp_up), direction=direction,
@@ -530,10 +565,11 @@ def _complete_point(
     With the upper level pinned, every follower is an ordinary LP; its
     optimal primal/dual pair satisfies the primal, dual and strong-duality
     rows by construction, so a full single-level point can be assembled
-    exactly.  ``certs`` holds follower solutions already made at exactly
-    these values (the band-edge walk's last safe solves), which are reused
-    instead of solved again.  Returns None when a follower leaves the
-    voltage band or fails to solve (the candidate would be rejected anyway).
+    exactly.  ``certs`` holds follower certificates already made at exactly
+    these values (from the band-edge walks' last safe evaluations), which
+    are reused instead of solved again.  Returns None when a follower leaves
+    the voltage band or fails to solve (the candidate would be rejected
+    anyway).
     """
     ctx = slmap.ctx
     certs = certs or {}
@@ -578,37 +614,41 @@ def _edge_limited_decision(
 
     Feasibility decomposes by direction: positive followers only see the
     upper edge and negative followers the lower one, so each edge is the
-    tightest per-follower ``_edge_walk``.  Returns the decision with the
-    walk certificates solved at exactly its edges (for ``_complete_point``),
-    or None when a follower is infeasible outright at these setpoints (a
-    constant-Q setpoint outside the cone reachable under the activation's
-    sign rules does that).
+    tightest ``_edge_walk`` over the blocks, each family's blocks walked in
+    one call.  Returns the decision with the certificates of the blocks
+    whose walks set its edges, built from the evaluations that confirmed
+    exactly those edges (for ``_complete_point``), or None when a follower
+    is infeasible outright at these setpoints (a constant-Q setpoint outside
+    the cone reachable under the activation's sign rules does that).
     """
     up = slmap.upper_vars
     dp_up = float(ub[up[SLOT_DP_PLUS]])
     dp_lo = float(lb[up[SLOT_DP_MINUS]])
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
-    walks: dict[Scenario, tuple[float, DualCertificate | None]] = {}
-    t_pos, t_neg = dp_up, dp_lo
+    walks: dict[Scenario, tuple[float, tuple[FollowerValues, int] | None]] = {}
     try:
         for family, mf in families.items():
             mf.set_slots(slots)
-            for sc in (block.scenario for block in slmap.blocks):
-                if (sc.activation, sc.extremum) != family:
-                    continue
-                edge, _ = walks[sc] = _edge_walk(mf, sc.node, tol_abs)
-                if sc.activation == POSITIVE:
-                    t_pos = min(t_pos, edge)
-                else:
-                    t_neg = max(t_neg, edge)
+            scenarios = [
+                b.scenario for b in slmap.blocks
+                if (b.scenario.activation, b.scenario.extremum) == family
+            ]
+            edges, safe = _edge_walk(mf, [sc.node for sc in scenarios], tol_abs)
+            walks.update(zip(scenarios, zip(edges.tolist(), safe)))
     except BilevelError:
         return None
+    t_pos, t_neg = dp_up, dp_lo
+    for sc, (edge, _) in walks.items():
+        if sc.activation == POSITIVE:
+            t_pos = min(t_pos, edge)
+        else:
+            t_neg = max(t_neg, edge)
     out = dict(setpoints)
     out[SLOT_DP_PLUS] = max(t_pos, 0.0)
     out[SLOT_DP_MINUS] = min(t_neg, 0.0)
     certs = {
-        sc: cert for sc, (edge, cert) in walks.items()
-        if cert is not None and edge == out[sc.dp_slot]
+        sc: families[(sc.activation, sc.extremum)].certificate(*safe)
+        for sc, (edge, safe) in walks.items() if safe is not None and edge == out[sc.dp_slot]
     }
     return out, certs
 
@@ -762,10 +802,10 @@ def feasibility_check(
     """Screen every follower at a fixed decision.
 
     Solves the 4n (or direction-filtered 2n) follower LPs with the decision's
-    band edges and setpoints and reports scenarios whose extreme voltage
-    leaves [v_min, v_max] by more than ``FEAS_TOL_PU``.  A follower reported
-    infeasible by the LP engine is an assembly bug: at Δp = 0 every follower
-    admits the zero-deviation point.
+    band edges and setpoints, each family's n nodes in one ``values`` call,
+    and reports scenarios whose extreme voltage leaves [v_min, v_max] by
+    more than ``FEAS_TOL_PU``.  An infeasible follower is an assembly bug:
+    at Δp = 0 every follower admits the zero-deviation point.
     """
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
@@ -775,15 +815,15 @@ def feasibility_check(
                 ctx, mode, activation, extremum, decision.slots,
                 fix_q=mode == MODE_CONSTANT_Q,
             )
-            for k in range(ctx.n):
-                cert = mf.solve(node=k)
-                if cert.status != OPTIMAL:
-                    raise BilevelError(
-                        f"follower (node {k}, {activation}/{extremum}) reported "
-                        f"{cert.status}; followers are feasible by construction"
-                    )
+            vals = mf.values(np.arange(ctx.n))
+            if not vals.optimal.all():
+                raise BilevelError(
+                    f"follower (node {int(np.argmin(vals.optimal))}, {activation}/{extremum}) "
+                    "has no optimum; followers are feasible by construction"
+                )
+            for k, objective in enumerate(vals.objective.tolist()):
                 scenario = Scenario(node=k, activation=activation, extremum=extremum)
-                vm = scenario.sigma * cert.objective
+                vm = scenario.sigma * objective
                 worst[(k, activation, extremum)] = vm
                 amount = max(vm - ctx.v_max, ctx.v_min - vm)
                 if amount > FEAS_TOL_PU:

@@ -20,11 +20,15 @@ var, slot, c) adding c·slot to a coefficient and (row, slot, c) to a
 right-hand side.  Fixing all slots yields an ordinary LP; leaving them
 symbolic is what the single-level reformulation consumes.
 
-With the slots fixed, ``MaterializedFollower.solve`` solves every follower
-in closed form.  |v| is an affine function of the device deviations and the
-aggregate row is the only row coupling nodes' active power, so each mode
-reduces to a fractional knapsack, which filling devices in order of gain
-solves exactly (Dantzig 1957):
+With the slots fixed, every follower is solved in closed form.  |v| is an
+affine function of the device deviations and the aggregate row is the only
+row coupling nodes' active power, so each mode reduces to a fractional
+knapsack, which filling devices in order of gain solves exactly (Dantzig
+1957).  The followers of one (activation, extremum) family share the
+knapsack's items, boxes and budget and differ only in their row of gains,
+so ``MaterializedFollower.values`` solves a batch of target nodes and band
+edges in one numpy pass, and ``solve`` is that pass on a batch of one plus
+the dual certificate:
 
 * constant-pf and fixed-q constant-q: the mode row ties each node's q_gen to
   its own Δp_gen (``_Knapsack``);
@@ -35,15 +39,17 @@ solves exactly (Dantzig 1957):
 * volt-var: at fixed q̄ the droop rows are solved for q_gen, which turns the
   target row of the sensitivities into transformed gains (``_VoltVar``).
 
-Each fill also gives exact row and bound duals.  HiGHS is kept as a fallback
-for the one case the closed forms cannot certify, a volt-var point that
-leaves the q_gen box or a capability row (and for inconsistent device data).
+Each fill also gives exact row and bound duals.  HiGHS is kept as a fallback,
+one target at a time, for the rows the closed forms cannot certify: a
+volt-var point that leaves the q_gen box or a capability row, a droop system
+that cannot be solved, and inconsistent device data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -223,6 +229,30 @@ class FlexContext:
     @property
     def n(self) -> int:
         return self.index.n
+
+    @cached_property
+    def sensitivities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(s_p, s_q, s_l, m0) with |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen
+        at every node, over the inverter (s_p, s_q) and load (s_l) nodes.
+
+        The linear flow v = z1 + Z2 (P - jQ) with P = p_gen0 + Δp_gen - p_load0
+        - Δp_load and Q = q_gen - β (p_load0 + Δp_load), seen through
+        |v| = α_d v_d + α_q v_q.  Computed on first use and kept: every
+        follower of the context reads the same rows.
+        """
+        dev, t = self.devices, self.taylor
+        z1, z2 = self.lpf.z1, self.lpf.z2
+        inv = np.array(dev.inverter_nodes, dtype=np.int64)
+        loads = np.array(dev.load_nodes, dtype=np.int64)
+        ad, aq = t.alpha_d[:, None], t.alpha_q[:, None]
+        s_p = ad * z2.real + aq * z2.imag
+        s_q = ad * z2.imag - aq * z2.real
+        m0 = (
+            t.alpha_d * z1.real + t.alpha_q * z1.imag
+            + s_p @ (dev.p_gen0 - dev.p_load0) - s_q @ (dev.beta_load * dev.p_load0)
+        )
+        s_l = s_p[:, loads] + s_q[:, loads] * dev.beta_load[loads]
+        return (*map(np.ascontiguousarray, (s_p[:, inv], s_q[:, inv], s_l)), m0)
 
 
 def build_context(
@@ -436,24 +466,8 @@ class FollowerProblem:
         self.lb[all_dpl], self.ub[all_dpl] = dpl_lo, np.maximum(dpl_lo, dpl_hi)
         self.lb[all_qg], self.ub[all_qg] = -dev.s_cap[inv], dev.s_cap[inv]
 
-        # Magnitude-sensitivity rows: the linear flow v = z1 + Z2 (P - jQ)
-        # with P = p_gen0 + Δp_gen - p_load0 - Δp_load and
-        # Q = q_gen - β (p_load0 + Δp_load), seen through |v| = α_d v_d + α_q v_q.
-        z2 = ctx.lpf.z2
-        z1 = ctx.lpf.z1
-        t = ctx.taylor
-        ad, aq = t.alpha_d[:, None], t.alpha_q[:, None]
-        s_p = ad * z2.real + aq * z2.imag
-        s_q = ad * z2.imag - aq * z2.real
-        m0 = (
-            t.alpha_d * z1.real + t.alpha_q * z1.imag
-            + s_p @ (dev.p_gen0 - dev.p_load0) - s_q @ (dev.beta_load * dev.p_load0)
-        )
-        # |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen over the device
-        # columns, kept for the closed form.
-        self.s_p, self.s_q = s_p[:, inv], s_q[:, inv]
-        self.s_l = s_p[:, loads] + s_q[:, loads] * dev.beta_load[loads]
-        self.m0 = m0
+        # Magnitude-sensitivity rows, shared by every follower of the context.
+        self.s_p, self.s_q, self.s_l, self.m0 = ctx.sensitivities
 
         # Row groups in order: their rhs and (row, column, value) triplets, in
         # row order; ``add`` appends one (``row`` counts from 0 in the group).
@@ -470,7 +484,8 @@ class FollowerProblem:
         nodes = np.arange(n)
         device_cols = np.concatenate([all_dpg, all_dpl, all_qg])
         add(
-            [f"vm[{k}]" for k in range(n)], [EQ] * n, m0, np.repeat(nodes, 1 + device_cols.size),
+            [f"vm[{k}]" for k in range(n)], [EQ] * n, self.m0,
+            np.repeat(nodes, 1 + device_cols.size),
             np.concatenate([self.i_vm(nodes)[:, None], np.repeat(device_cols[None], n, 0)], 1).ravel(),
             np.concatenate([np.ones((n, 1)), -self.s_p, self.s_l, -self.s_q], 1).ravel(),
         )
@@ -571,65 +586,179 @@ class FollowerProblem:
         return self.scenario.sigma * cert.objective
 
 
-class MaterializedFollower:
-    """One follower at fixed slots, solved for any target node and band edge.
+@dataclass
+class FollowerValues:
+    """The optima of one follower family at a batch of targets.
 
-    ``solve`` swaps the target node (objective) and the aggregate-row bound
-    (rhs) and solves in closed form; ``FollowerProblem.materialize`` picks
-    the subclass of the follower's mode (``_Knapsack``, ``_FreeQ`` or
-    ``_VoltVar``).  Every closed form returns the LP's optimum with a full
-    dual certificate (row and bound duals in ``problem.row_names`` and variable
-    order), so strong duality, the single-level completion and the
-    band-edge walk read it as they read HiGHS.  When a closed form cannot
-    certify its point, the solve falls back to HiGHS on
-    ``problem.to_lp``, built at the slots with the band edge in the
-    aggregate slot and the target node's objective.
-
-    Each closed form reduces the follower at fixed slots to a fractional
-    knapsack over z = sign·(Δp_gen, -Δp_load), sign = +1 under positive
-    activation and -1 under negative, so the aggregate row reads
-    sum(z) <= sign·edge for either activation.  Device arrays run over the
-    problem's inverter nodes (Δp_gen, q_gen) and load nodes (Δp_load) in its
-    column order.  A subclass's ``_solve_closed`` returns the optimum with
-    its certificate, an infeasible certificate, or None when the closed form
-    cannot certify the point.
+    Row i is the family's follower with target node ``nodes[i]`` and the
+    band edge asked for it: the objective σ|v_t| of its optimum, the aggregate
+    row's dual, the optimum's device columns (``device_cols`` of the
+    follower) and the knapsack fill ``z`` behind it.  ``optimal`` is False
+    where the LP is infeasible, and the row's other entries then mean
+    nothing.  ``certified`` is False where the closed form could not certify
+    the row; ``fallback`` holds HiGHS's certificate of each such row.
     """
+
+    nodes: np.ndarray
+    objective: np.ndarray
+    agg_dual: np.ndarray
+    devices: np.ndarray
+    z: np.ndarray
+    optimal: np.ndarray
+    certified: np.ndarray
+    fallback: dict[int, DualCertificate] = field(default_factory=dict)
+
+
+class MaterializedFollower:
+    """One follower family at fixed slots, solved for any target nodes and band edges.
+
+    ``values`` solves a batch of targets, each a target node (the objective)
+    and an aggregate-row bound (the band edge), in one numpy pass of the
+    closed form of the follower's mode; ``FollowerProblem.materialize``
+    picks the subclass (``_Knapsack``, ``_FreeQ`` or ``_VoltVar``).  Each
+    closed form reduces the follower at fixed slots to a fractional knapsack
+    over items z, sign·(Δp_gen, -Δp_load) or segments of it, with sign = +1
+    under positive activation and -1 under negative, so the aggregate row
+    reads sum(z) <= sign·edge for either activation.  Only the items' gains
+    depend on the target: a subclass keeps every node's row of them
+    (``gains``) for the current setpoints, and ``_fill`` fills the rows of a
+    batch at once.  Device arrays run over the problem's inverter nodes
+    (Δp_gen, q_gen) and load nodes (Δp_load) in its column order.
+
+    ``certificate`` turns a row of the values into the full dual
+    certificate (row and bound duals in ``problem.row_names`` and variable
+    order), so strong duality and the single-level completion read it as
+    they read HiGHS; ``solve`` is the kernel on a batch of one plus that
+    certificate.  Where a closed form cannot certify a target's point,
+    ``solve`` falls back to HiGHS on ``problem.to_lp``, built at the slots
+    with the band edge in the aggregate slot and the target node's
+    objective, and ``values`` hands each such target to ``solve``.
+    """
+
+    certifiable = True  # False where the closed form certifies nothing at these setpoints
+    feasible = True  # False where the setpoints leave an inverter no Δp_gen at all
 
     def __init__(self, problem: FollowerProblem):
         p = self.problem = problem
         nodes = np.arange(p.n)
         self.inv = p.inv
         self.gen_cols, self.load_cols, self.q_cols = p.i_dpg(p.inv), p.i_dpl(p.loads), p.i_qg(p.inv)
+        self.device_cols = np.concatenate([self.gen_cols, self.load_cols, self.q_cols])
+        # |v| = m0 + s_dev·x[device_cols] at every node; rows contiguous, so
+        # that a row sums alike in any batch.
+        self.s_dev = np.ascontiguousarray(np.concatenate([p.s_p, -p.s_l, p.s_q], axis=1))
         self.agg_row = p.row_names.index("agg")
         self.vm_rows = p.row_index("vm", nodes)
         self.sign = 1.0 if p.scenario.activation == POSITIVE else -1.0
+        # (Δp_gen, Δp_load) = z_sign·z where the items are the devices themselves.
+        self.z_sign = np.repeat([self.sign, -self.sign], [p.inv.size, p.loads.size])
         # Variables whose reduced cost goes to the bound they sit at: all but
         # the free |v| and the columns a subclass balances on its own rows.
         self.box_only = np.ones(p.n_vars, dtype=bool)
         self.box_only[p.i_vm(nodes)] = False
+        self.slots: dict[str, float] | None = None
 
     def set_slots(self, slots: dict[str, float]) -> None:
-        """Re-slot in place: the follower ``problem.materialize(slots)`` builds."""
-        self.slots = {s: slots[s] for s in self.problem.slot_names}
+        """Re-slot in place: the follower ``problem.materialize(slots)`` builds.
+
+        What a subclass derives from the setpoints is derived again when a
+        setpoint changed, or when the last derivation left the closed form
+        unable to certify anything; new band edges alone keep it."""
+        p = self.problem
+        new = {s: slots[s] for s in p.slot_names}
+        old, self.slots = self.slots, new
+        if (
+            old is None or not self.certifiable
+            or any(new[s] != old[s] for s in new if s != p.scenario.dp_slot)
+        ):
+            self._fix_setpoints()
+
+    def _fix_setpoints(self) -> None:
+        """Derive the items, their boxes and every node's gains from the setpoints in ``slots``."""
+
+    def values(self, nodes, edges=None) -> FollowerValues:
+        """The optima at target nodes ``nodes`` with band edges ``edges`` (one
+        per node, or one for all; default the slot's edge)."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        edges = np.asarray(self.slots[self.problem.scenario.dp_slot] if edges is None else edges,
+                           dtype=float)
+        if edges.shape != nodes.shape:
+            edges = np.full(nodes.shape, edges)
+        vals = self._closed(nodes, edges)
+        if vals.certified.all():
+            return vals
+        for i in np.flatnonzero(~vals.certified).tolist():
+            cert = vals.fallback[i] = self.solve(node=int(nodes[i]), dp_bound=float(edges[i]))
+            vals.optimal[i] = cert.is_optimal
+            if cert.is_optimal:
+                vals.objective[i], vals.agg_dual[i] = cert.objective, self.agg_dual(cert)
+                vals.devices[i] = cert.x[self.device_cols]
+        return vals
 
     def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
         p = self.problem
         node = p.scenario.node if node is None else node
         edge = self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound
-        cert = self._solve_closed(node, edge)
-        if cert is not None:
-            return cert
+        vals = self._closed(np.array([node], dtype=np.int64), np.array([edge], dtype=float))
+        if vals.certified[0]:
+            return self.certificate(vals, 0)
         lp = p.to_lp({**self.slots, p.scenario.dp_slot: edge})
         lp.set_objective(p.i_vm(p.scenario.node), 0.0)
         lp.set_objective(p.i_vm(node), p.scenario.sigma)
         return solve_materialized(lp.materialize())
 
-    def _solve_closed(self, node: int, edge: float) -> DualCertificate | None:
+    def certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
+        """The full certificate of row ``i`` of ``vals``, which must come from
+        this follower at its current setpoints."""
+        if i in vals.fallback:
+            return vals.fallback[i]
+        if not vals.optimal[i]:
+            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
+        return self._certificate(vals, i)
+
+    def _closed(self, nodes: np.ndarray, edges: np.ndarray) -> FollowerValues:
+        """The closed form at every target: the kernel under ``values`` and ``solve``."""
+        t = nodes.size
+        if not self.certifiable:
+            return FollowerValues(
+                nodes=nodes, objective=np.full(t, np.nan),
+                agg_dual=np.full(t, np.nan), devices=np.full((t, self.device_cols.size), np.nan),
+                z=np.full((t, self.item_lo.size), np.nan), optimal=np.zeros(t, dtype=bool),
+                certified=np.zeros(t, dtype=bool),
+            )
+        room = self.sign * edges - self.lo_sum
+        z, mu, fits = _fill(self.gains[nodes], self.item_lo, self.item_hi, room)
+        devices = self._devices(nodes, z)
+        return FollowerValues(
+            nodes=nodes, objective=self.problem.scenario.sigma * self._magnitudes(nodes, devices),
+            agg_dual=self.sign * mu, devices=devices, z=z, optimal=fits & self.feasible,
+            certified=self._certifies(devices, fits),
+        )
+
+    def _devices(self, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Device columns of the fills ``z`` of targets ``nodes``."""
         raise NotImplementedError
+
+    def _certifies(self, devices: np.ndarray, fits: np.ndarray) -> np.ndarray:
+        """Which of these points the closed form certifies: all."""
+        return np.ones(fits.size, dtype=bool)
+
+    def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
+        raise NotImplementedError
+
+    def _magnitudes(self, rows, devices: np.ndarray) -> np.ndarray:
+        """|v| at nodes ``rows`` of device columns ``devices`` (one set, or one
+        per row).  Each row is summed on its own, so a node's |v| is
+        bit-identical whatever batch it comes from."""
+        return self.problem.m0[rows] + (self.s_dev[rows] * devices).sum(axis=-1)
 
     def agg_dual(self, cert: DualCertificate) -> float:
         """Sensitivity of the objective to the aggregate bound."""
         return float(cert.row_duals[self.agg_row])
+
+    def set_items(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """The knapsack items' boxes (every item starts at its lower end)."""
+        self.item_lo, self.item_hi, self.lo_sum = lo, hi, lo.sum()
 
     def z_box(self, g_lo: np.ndarray, g_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds of z from the inverters' Δp_gen intervals and Δp_load's box."""
@@ -639,17 +768,8 @@ class MaterializedFollower:
             return np.concatenate([g_lo, -l_hi]), np.concatenate([g_hi, -l_lo])
         return np.concatenate([-g_hi, l_lo]), np.concatenate([-g_lo, l_hi])
 
-    def fill(self, gain: np.ndarray, lo: np.ndarray, hi: np.ndarray, edge: float):
-        """``_fill`` over z for gains per unit of z's own variable (Δp_gen, or
-        load shed); returns z and the aggregate row's dual, or None."""
-        out = _fill(self.sign * gain, lo, hi, self.sign * edge)
-        if out is None:
-            return None
-        z, mu = out
-        return z, self.sign * mu
-
-    def certificate(self, node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q):
-        """The point of these device deviations and its certificate.
+    def dual_parts(self, vals: FollowerValues, i: int, y, gain_g, gain_l, gain_q):
+        """The point of row ``i`` of ``vals`` and its certificate.
 
         The vm rows take σy (y: the target row's weights on the
         sensitivities), agg its dual, and each box-only variable's reduced
@@ -659,15 +779,15 @@ class MaterializedFollower:
         """
         p = self.problem
         gens, loads, qg = self.gen_cols, self.load_cols, self.q_cols
-        sigma = p.scenario.sigma
+        agg_dual = vals.agg_dual[i]
         x = np.zeros(p.n_vars)
-        x[p.i_vm(np.arange(p.n))] = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ q
-        x[gens], x[loads], x[qg] = dpg, dpl, q
+        x[p.i_vm(np.arange(p.n))] = self._magnitudes(slice(None), vals.devices[i])
+        x[self.device_cols] = vals.devices[i]
         n_rows, n_vars = p.n_rows, p.n_vars
         duals = np.zeros(n_rows + 2 * n_vars)
         lower = duals[n_rows:n_rows + n_vars]
         upper = duals[n_rows + n_vars:]
-        duals[self.vm_rows] = sigma * y
+        duals[self.vm_rows] = p.scenario.sigma * y
         duals[self.agg_row] = agg_dual
         reduced = np.zeros(n_vars)
         reduced[gens] = gain_g - agg_dual
@@ -678,7 +798,7 @@ class MaterializedFollower:
         upper[box] = np.maximum(reduced[box], 0.0)
         cert = DualCertificate(
             status=OPTIMAL,
-            objective=float(sigma * x[p.i_vm(node)]),
+            objective=float(vals.objective[i]),
             x=x,
             row_duals=duals[:n_rows],
             lower_duals=lower,
@@ -686,6 +806,12 @@ class MaterializedFollower:
             method=CLOSED_FORM,
         )
         return cert, duals, reduced
+
+    def _target(self, node) -> np.ndarray:
+        """e_t: the weights of target row ``node`` alone."""
+        y = np.zeros(self.problem.n)
+        y[node] = 1.0
+        return y
 
 
 class _Knapsack(MaterializedFollower):
@@ -733,10 +859,10 @@ class _Knapsack(MaterializedFollower):
         self.dual_sign = np.array([c[4] for c in cols])
         self.box_only[dpg] = self.box_only[qg] = False
 
-    def set_slots(self, slots: dict[str, float]) -> None:
-        """Fold each inverter node's rows into its Δp_gen interval at these setpoints."""
-        super().set_slots(slots)
-        p, inv = self.problem, self.inv
+    def _fix_setpoints(self) -> None:
+        """Fold each inverter node's rows into its Δp_gen interval at these
+        setpoints, and give every target its row of gains."""
+        p, inv, slots = self.problem, self.inv, self.slots
         m = inv.size
         p_gen0 = p.ctx.devices.p_gen0[inv]
         if p.mode == MODE_CONSTANT_PF:
@@ -761,35 +887,34 @@ class _Knapsack(MaterializedFollower):
         pinch = lo > hi
         lo[pinch] = hi[pinch] = np.minimum(lo[pinch], self.b[pinch, 0])
         self.ap, self.kappa, self.q0 = ap, kappa, q0
-        self.z_lo, self.z_hi = self.z_box(lo, hi)
+        self.set_items(*self.z_box(lo, hi))
+        # Gains per unit z: σ·(s_p + κ·s_q) per unit Δp_gen and σ·s_l per unit
+        # of load shed (-Δp_load), times sign.
+        self.gains = (self.sign * p.scenario.sigma) * np.concatenate(
+            [p.s_p + kappa * p.s_q, p.s_l], axis=1
+        )
 
-    def _solve_closed(self, node: int, edge: float) -> DualCertificate:
+    def _devices(self, nodes, z):
+        dp = z * self.z_sign
+        q = self.q0 + self.kappa * dp[:, :self.inv.size]  # the mode row pins q_gen
+        return np.concatenate([dp, q], axis=1)
+
+    def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
         p, m = self.problem, self.inv.size
-        if not self.feasible:
-            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
-        sigma = p.scenario.sigma
-        gain_g = sigma * (p.s_p[node] + self.kappa * p.s_q[node])  # per unit Δp_gen
-        gain_l = sigma * p.s_l[node]  # per unit of load shed, -Δp_load
-        gain_q = sigma * p.s_q[node]
-        fill = self.fill(np.concatenate([gain_g, gain_l]), self.z_lo, self.z_hi, edge)
-        if fill is None:
-            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
-        z, agg_dual = fill
-        dpg, dpl = self.sign * z[:m], -self.sign * z[m:]
-        q = self.q0 + self.kappa * dpg  # the mode row pins q_gen
-        y = np.zeros(p.n)
-        y[node] = 1.0
-        cert, duals, reduced = self.certificate(
-            node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q
+        node = vals.nodes[i]
+        gain = self.sign * self.gains[node]
+        gain_q = p.scenario.sigma * p.s_q[node]
+        cert, duals, reduced = self.dual_parts(
+            vals, i, self._target(node), gain[:m], gain[m:], gain_q
         )
         # The Δp_gen reduced cost goes to the column defining the interval
         # end it sits at; the mode row balances q_gen.
         r = reduced[self.gen_cols]
-        i = np.arange(m)
+        j = np.arange(m)
         col = np.where(r > 0.0, self.c_hi, self.c_lo)
-        mult = r / self.ap[i, col]
-        duals[self.target[i, col]] += self.dual_sign[col] * mult
-        duals[self.mode_rows] = gain_q - mult * self.e[i, col]
+        mult = r / self.ap[j, col]
+        duals[self.target[j, col]] += self.dual_sign[col] * mult
+        duals[self.mode_rows] = gain_q - mult * self.e[j, col]
         return cert
 
 
@@ -807,8 +932,8 @@ class _VoltVar(MaterializedFollower):
     the vm rows, σ(s_qᵀy)_I on the droop rows (which zeroes q_gen's reduced
     cost at I), the fill's dual on agg and nothing on the q_gen box and the
     capability rows.  It is exact when the fill's point meets those; when it
-    does not, or A is singular, ``_solve_closed`` returns None.  The fill solves a
-    relaxation of the LP, so an infeasible fill is an infeasible LP.
+    does not, or A is singular, the target is left uncertified.  The fill
+    solves a relaxation of the LP, so an infeasible fill is an infeasible LP.
     """
 
     def __init__(self, problem: FollowerProblem):
@@ -818,48 +943,61 @@ class _VoltVar(MaterializedFollower):
         band = ctx.v_max - ctx.v_min
         self.d, self.c = 2.0 / band, (ctx.v_max + ctx.v_min) / band
         self.vv_rows = p.row_index("vv")
-        self.s_q_ii = p.s_q[inv]
-        self.z_lo, self.z_hi = self.z_box(p.lb[self.gen_cols], p.ub[self.gen_cols])
+        self.s_ii = (p.s_p[inv], p.s_l[inv], p.s_q[inv])  # the inverter nodes' rows
+        self.set_items(*self.z_box(p.lb[self.gen_cols], p.ub[self.gen_cols]))
         self.q_cap = dev.s_cap[inv]
         self.pq_cap = math.sqrt(2.0) * dev.s_cap[inv] - dev.p_gen0[inv]  # capability rows' rhs
         self.box_only[self.q_cols] = False
 
-    def set_slots(self, slots: dict[str, float]) -> None:
-        """Solve the droop system at these q̄ once: q_I = q0 - K·u_I, K = A⁻¹·d·Q̄."""
-        super().set_slots(slots)
+    def _fix_setpoints(self) -> None:
+        """Solve the droop system at these q̄ once, q_I = q0 - K·u_I with
+        K = A⁻¹·d·Q̄, and give every target t its row of gains through
+        y = e_t - E_I·w, w = Kᵀ·s_q[t,I]ᵀ (the d·Q̄·w above)."""
         p, inv = self.problem, self.inv
-        qbar = np.array([slots[slot_qbar(k)] for k in inv], dtype=float)
+        qbar = np.array([self.slots[slot_qbar(k)] for k in inv], dtype=float)
         dq = self.d * qbar
-        a = np.eye(inv.size) + dq[:, None] * self.s_q_ii
+        s_p_ii, s_l_ii, s_q_ii = self.s_ii
+        a = np.eye(inv.size) + dq[:, None] * s_q_ii
         rhs = np.column_stack([qbar * (self.c - self.d * p.m0[inv]), np.diag(dq)])
         try:
             sol = np.linalg.solve(a, rhs) if inv.size else rhs
         except np.linalg.LinAlgError:
             sol = None
-        if sol is None or not np.all(np.isfinite(sol)):
+        self.certifiable = sol is not None and bool(np.all(np.isfinite(sol)))
+        if not self.certifiable:
             self.q0 = self.k = None
-        else:
-            self.q0, self.k = sol[:, 0], sol[:, 1:]
-
-    def _solve_closed(self, node: int, edge: float) -> DualCertificate | None:
-        if self.k is None:
-            return None
-        p, inv, m = self.problem, self.inv, self.inv.size
+            return
+        self.q0, self.k = sol[:, 0], sol[:, 1:]
+        self.w = p.s_q @ self.k  # row t: w of target t
         sigma = p.scenario.sigma
-        y = np.zeros(p.n)
-        y[node] = 1.0
-        y[inv] -= self.k.T @ p.s_q[node]  # d·Q̄·w = Kᵀ·s_q[t,I]ᵀ
-        gain_g, gain_l, gain_q = sigma * (y @ p.s_p), sigma * (y @ p.s_l), sigma * (y @ p.s_q)
-        fill = self.fill(np.concatenate([gain_g, gain_l]), self.z_lo, self.z_hi, edge)
-        if fill is None:
-            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
-        z, agg_dual = fill
-        dpg, dpl = self.sign * z[:m], -self.sign * z[m:]
-        q = self.q0 - self.k @ (p.s_p[inv] @ dpg - p.s_l[inv] @ dpl)
-        q_abs = np.abs(q)
-        if np.any(q_abs > self.q_cap + FEAS_TOL) or np.any(dpg + q_abs > self.pq_cap + FEAS_TOL):
-            return None
-        cert, duals, _ = self.certificate(node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q)
+        self.gains = self.sign * np.concatenate(
+            [sigma * (p.s_p - self.w @ s_p_ii), sigma * (p.s_l - self.w @ s_l_ii)], axis=1
+        )
+        # q_I = q0 - ks·(Δp_gen, Δp_load)
+        self.ks = self.k @ np.concatenate([s_p_ii, -s_l_ii], axis=1)
+
+    def _devices(self, nodes, z):
+        dp = z * self.z_sign
+        return np.concatenate([dp, self.q0 - np.einsum("td,id->ti", dp, self.ks)], axis=1)
+
+    def _certifies(self, devices, fits):
+        """Points inside the q_gen box and the capability rows, and infeasible
+        fills: the fill solves a relaxation."""
+        m = self.inv.size
+        q_abs = np.abs(devices[:, devices.shape[1] - m:])
+        inside = np.all(q_abs <= self.q_cap + FEAS_TOL, axis=1) & np.all(
+            devices[:, :m] + q_abs <= self.pq_cap + FEAS_TOL, axis=1
+        )
+        return ~fits | inside
+
+    def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
+        p, m = self.problem, self.inv.size
+        node = vals.nodes[i]
+        gain = self.sign * self.gains[node]
+        gain_q = p.scenario.sigma * (p.s_q[node] - self.w[node] @ self.s_ii[2])
+        y = self._target(node)
+        y[self.inv] -= self.w[node]
+        cert, duals, _ = self.dual_parts(vals, i, y, gain[:m], gain[m:], gain_q)
         duals[self.vv_rows] = gain_q
         return cert
 
@@ -894,7 +1032,9 @@ class _FreeQ(MaterializedFollower):
         lo, hi = p.lb[dpg], p.ub[dpg]
         # h is concave, so it is >= 0 on the box when it is at both ends (it
         # is for any parsed inverter: s_cap > 0 and 0 <= p_gen0 <= s_cap).
-        self.ok = bool(np.all(self._h(lo) >= -FEAS_TOL) and np.all(self._h(hi) >= -FEAS_TOL))
+        self.certifiable = bool(
+            np.all(self._h(lo) >= -FEAS_TOL) and np.all(self._h(hi) >= -FEAS_TOL)
+        )
         # Where a piece's multiplier lands in [row duals, lower, upper], and
         # its sign there, with q_gen at +h (side 0) or at -h (side 1).
         self.target = np.stack([
@@ -918,40 +1058,46 @@ class _FreeQ(MaterializedFollower):
                 self.seg_hi[i, s_i] = z1 if s_i == 0 else z1 - z0
         # Knapsack items: the segments, then Δp_load.
         z_lo, z_hi = self.z_box(lo, hi)
-        self.item_lo = np.concatenate([self.seg_lo[self.valid], z_lo[m:]])
-        self.item_hi = np.concatenate([self.seg_hi[self.valid], z_hi[m:]])
+        self.set_items(
+            np.concatenate([self.seg_lo[self.valid], z_lo[m:]]),
+            np.concatenate([self.seg_hi[self.valid], z_hi[m:]]),
+        )
+        self.n_seg = int(self.valid.sum())
         self.box_only[dpg] = self.box_only[qg] = False
+        # Every target's gains: per unit z, g_x - |g_q|·a_j on a segment of
+        # piece j, and the load shed's; q_gen sits at sign(g_q)·h.
+        sigma = p.scenario.sigma
+        g_abs = np.abs(sigma * p.s_q)[:, :, None]
+        seg_gain = sigma * p.s_p[:, :, None] - g_abs * self.a[np.arange(m)[:, None], self.piece]
+        self.gains = self.sign * np.concatenate([seg_gain[:, self.valid], sigma * p.s_l], axis=1)
+        self.q_side = np.where(sigma * p.s_q < 0.0, -1.0, 1.0)
 
     def _h(self, x: np.ndarray) -> np.ndarray:
-        """h at each inverter node's Δp_gen."""
-        return np.min(self.b - self.a * x[:, None], axis=1)
+        """h at each inverter node's Δp_gen (one set, or one per row)."""
+        return np.min(self.b - self.a * x[..., None], axis=-1)
 
-    def _solve_closed(self, node: int, edge: float) -> DualCertificate | None:
-        if not self.ok:
-            return None
-        p, inv = self.problem, self.inv
+    def _segments(self, z: np.ndarray) -> np.ndarray:
+        """The fills ``z`` of the segment items per inverter node and segment."""
+        zs = np.zeros(z.shape[:-1] + self.valid.shape)
+        zs[..., self.valid] = z[..., :self.n_seg]
+        return zs
+
+    def _devices(self, nodes, z):
+        dpg = self.sign * self._segments(z).sum(axis=-1)
+        dpl = -self.sign * z[:, self.n_seg:]
+        return np.concatenate([dpg, dpl, self.q_side[nodes] * self._h(dpg)], axis=1)
+
+    def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
+        p = self.problem
+        m = np.arange(self.inv.size)
+        node = vals.nodes[i]
         sigma = p.scenario.sigma
-        m = np.arange(inv.size)
         gain_g, gain_l, gain_q = sigma * p.s_p[node], sigma * p.s_l[node], sigma * p.s_q[node]
         g_abs = np.abs(gain_q)
-        seg_gain = gain_g[:, None] - g_abs[:, None] * self.a[m[:, None], self.piece]
-        fill = self.fill(
-            np.concatenate([seg_gain[self.valid], gain_l]), self.item_lo, self.item_hi, edge,
-        )
-        if fill is None:
-            return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
-        z, agg_dual = fill
-        n_seg = int(self.valid.sum())
-        zs = np.zeros(self.valid.shape)
-        zs[self.valid] = z[:n_seg]
-        dpg = self.sign * zs.sum(axis=1)
-        dpl = -self.sign * z[n_seg:]
         side = (gain_q < 0.0).astype(np.int64)
-        q = (1.0 - 2.0 * side) * self._h(dpg)
-        y = np.zeros(p.n)
-        y[node] = 1.0
-        cert, duals, reduced = self.certificate(
-            node, y, dpg, dpl, q, agg_dual, gain_g, gain_l, gain_q
+        zs = self._segments(vals.z[i])
+        cert, duals, reduced = self.dual_parts(
+            vals, i, self._target(node), gain_g, gain_l, gain_q
         )
         # The fill leaves a node's segments full up to one partial segment (or
         # a kink); ``cur`` is the segment defining h there, ``nxt`` the one after.
@@ -998,29 +1144,40 @@ def _envelope(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[tuple[
     return [pc for pc in pieces if pc[1] > pc[0]] or pieces[:1]
 
 
-def _fill(gain: np.ndarray, lo: np.ndarray, hi: np.ndarray, budget: float):
-    """Fractional knapsack: maximize gain·z over lo <= z <= hi with sum(z) <= budget.
+def _fill(gain: np.ndarray, lo: np.ndarray, hi: np.ndarray, room: np.ndarray):
+    """Fractional knapsacks: for each row i, maximize gain[i]·z over
+    lo <= z <= hi with sum(z - lo) <= room[i], room being what the budget
+    leaves over sum(lo).
 
-    Returns the optimal z and the budget row's dual (the gain of the item
-    the budget runs out in, zero when it never does), or None when even
-    sum(lo) exceeds the budget.
+    Each row fills its items of positive gain in order of falling gain (one
+    stable argsort per row, so ties go to the lower index): the items whose
+    cumulative width stays below the room are full, the next one takes what
+    room is left (Dantzig 1957), the rest stay at lo.  Returns z per row,
+    the budget row's dual per row (the gain of the item the room runs out
+    in, zero when it never does) and whether each row's room is
+    nonnegative; a row where it is not is infeasible, and its z and dual
+    mean nothing.
     """
-    room = budget - float(lo.sum())
-    if room < -FEAS_TOL:
-        return None
-    room = max(room, 0.0)
-    z = lo.copy()
-    up = np.flatnonzero(gain > 0.0)
-    order = up[np.argsort(-gain[up], kind="stable")]
-    filled = np.cumsum(hi[order] - lo[order])
-    k = int(np.searchsorted(filled, room))
-    if k == order.size:
-        z[order] = hi[order]
-        return z, 0.0
-    z[order[:k]] = hi[order[:k]]
-    j = order[k]
-    z[j] = min(lo[j] + (room - (filled[k - 1] if k else 0.0)), hi[j])
-    return z, float(gain[j])
+    rows, items = gain.shape
+    fits = room >= -FEAS_TOL
+    if not items:
+        return np.zeros((rows, 0)), np.zeros(rows), fits
+    room = np.maximum(room, 0.0)[:, None]
+    r = np.arange(rows)[:, None]
+    # Sorting -gain puts the items of positive gain first, in falling order.
+    order = (-gain).argsort(axis=1, kind="stable")
+    g, lo_s, hi_s = gain[r, order], lo[order], hi[order]
+    up = g > 0.0
+    filled = (hi_s - lo_s).cumsum(axis=1)
+    full = up & (filled < room)
+    before = np.zeros_like(filled)  # the width of the items ahead
+    before[:, 1:] = filled[:, :-1]
+    z = np.empty_like(filled)
+    z[r, order] = np.where(
+        full, hi_s, np.where(up, np.minimum(lo_s + np.maximum(room - before, 0.0), hi_s), lo_s)
+    )
+    # The first item of positive gain not full has the largest gain of them.
+    return z, np.where(up & ~full, g, 0.0).max(axis=1), fits
 
 
 def build_follower(

@@ -37,7 +37,6 @@ from .follower import (
     slot_qbar,
     slot_qset,
 )
-from .lp import OPTIMAL
 from .powerflow import solve_nonlinear_pf
 
 DROOP_MAX_ITER = 100  # Picard steps per damping factor of the volt-var fixed point
@@ -126,9 +125,10 @@ def verify_decision(
     For each scenario the follower LP is solved at the decision, its argmax
     injection profile is evaluated exactly, and the report collects the
     largest |v| discrepancy plus how far the nonlinear voltages stray outside
-    the band.  The n argmax profiles of each (activation, extremum) family
-    go through one stacked Newton solve and one matrix product of the linear
-    model.  Constant-Q runs expect the decision to carry q_set slots.
+    the band.  Each (activation, extremum) family takes its n argmax rows
+    from one ``values`` call and pushes them through one stacked Newton
+    solve and one matrix product of the linear model.  Constant-Q runs
+    expect the decision to carry q_set slots.
     """
     if not ctx.n:
         return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
@@ -140,14 +140,15 @@ def verify_decision(
             proto = Scenario(node=0, activation=activation, extremum=extremum)
             problem = build_follower(ctx, proto, mode, fix_q=fix_q)
             mf = problem.materialize(_decision_slots(decision, problem))
-            certs = [mf.solve(node=k) for k in range(ctx.n)]
-            for k, cert in enumerate(certs):
-                if cert.status != OPTIMAL:
-                    raise OracleError(
-                        f"follower (node {k}, {activation}/{extremum}) returned {cert.status}"
-                    )
+            vals = mf.values(np.arange(ctx.n))
+            if not vals.optimal.all():
+                raise OracleError(
+                    f"follower (node {int(np.argmin(vals.optimal))}, {activation}/{extremum}) "
+                    "has no optimum"
+                )
             # The family's n argmax profiles go through one stacked solve.
-            x = np.array([cert.x for cert in certs]).reshape(ctx.n, problem.n_vars)
+            x = np.zeros((ctx.n, problem.n_vars))
+            x[:, mf.device_cols] = vals.devices
             p, q = problem.injections(x)
             vm_lin = linear_magnitudes(ctx, p, q)
             vm_nl = nonlinear_magnitudes(ctx, p, q)
@@ -157,12 +158,12 @@ def verify_decision(
             checks += [
                 ScenarioCheck(
                     scenario=Scenario(node=k, activation=activation, extremum=extremum),
-                    lp_vm=proto.sigma * cert.objective,
+                    lp_vm=proto.sigma * objective,
                     nl_vm=float(vm_nl[k, k]),
                     error=float(errors[k]),
                     band_excess=float(excess[k]),
                 )
-                for k, cert in enumerate(certs)
+                for k, objective in enumerate(vals.objective.tolist())
             ]
     worst = int(np.argmax([c.error for c in checks]))  # first of the largest errors
     vm_lin, vm_nl = (np.concatenate(arrays) for arrays in zip(*profiles))

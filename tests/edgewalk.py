@@ -1,0 +1,66 @@
+"""The scalar band-edge walk, kept as the oracle of ``bilevel._edge_walk``.
+
+``scalar_edge_walk`` walks one target node at a time with one
+``solve(node=..., dp_bound=...)`` per step and reads the slope through
+``agg_dual``: the per-target walk the lockstep ``_edge_walk`` replaced, with
+the same tangent, secant and midpoint steps and the same halving rule.  The
+lockstep walk must give its limits with the same number of evaluations per
+target.
+"""
+
+import math
+
+from flexgrid.bilevel import EDGE_ROOT_TOL, BilevelError
+from flexgrid.follower import MAX_V
+from flexgrid.lp import INFEASIBLE
+
+
+def scalar_edge_walk(mf, node, tol_abs):
+    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in
+    band (signed like the family's far end), with the certificate of the
+    solve that confirmed it safe (None when no solve did: a zero far end, or
+    a follower out of band at zero)."""
+    ctx = mf.problem.ctx
+    scenario = mf.problem.scenario
+    full = mf.slots[scenario.dp_slot]
+    if full == 0.0:
+        return 0.0, None
+    sign = 1.0 if full > 0 else -1.0
+    # The objective is sigma * |v|, so both extrema compare it from below.
+    c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
+    aim = c - 0.5 * EDGE_ROOT_TOL
+
+    def value(s):
+        cert = mf.solve(node=node, dp_bound=sign * s)
+        if cert.status == INFEASIBLE:
+            raise BilevelError("follower LP infeasible during screening")
+        return cert.objective, sign * mf.agg_dual(cert), cert
+
+    hi = abs(full)
+    f_hi, g_hi, cert = value(hi)
+    if f_hi <= c:
+        return full, cert
+    lo = f_lo = cert_lo = None  # lo: largest edge confirmed feasible
+    tangent = True
+    widths = [hi]  # hi - lo after each solve, lo = 0 until confirmed
+    while lo is None or (hi - lo > tol_abs and f_lo < c - EDGE_ROOT_TOL):
+        if len(widths) > 2 and widths[-1] > 0.5 * widths[-3]:
+            s = -math.inf  # two steps that did not halve the bracket
+        elif tangent:
+            s = hi - (f_hi - aim) / g_hi if g_hi > 0.0 else -math.inf
+        else:
+            s = lo + (hi - lo) * (aim - f_lo) / (f_hi - f_lo)
+        if lo is None:
+            if not 0.0 <= s < hi:
+                s = 0.0
+        elif not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        f, g, cert = value(s)
+        if f <= c:
+            lo, f_lo, cert_lo, tangent = s, f, cert, False
+        elif s == 0.0:
+            return 0.0, None
+        else:
+            hi, f_hi, g_hi, tangent = s, f, g, True
+        widths.append(hi - (lo or 0.0))
+    return sign * lo, cert_lo

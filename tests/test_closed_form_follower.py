@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import flexgrid.lp
+from edgewalk import scalar_edge_walk
 from feedergen import random_context
 
 from flexgrid import build_context, load_feeder
@@ -509,8 +510,9 @@ class HighsFollower:
 @pytest.mark.parametrize("corpus", ["pv_tight", "ieee13"])
 def test_edge_walk_over_the_closed_form_matches_highs(corpus, pv_model, ieee13_model):
     """Per node, in constant-pf, free-q constant-q and volt-var screening:
-    the same limit within tol_abs, the same binding family, and no more
-    solves than the walk makes over HiGHS."""
+    the lockstep walk over the closed form gives the scalar walk's limit
+    over HiGHS within tol_abs, the same binding family, and evaluates no
+    target more often than that walk solves it."""
     ctx = _corpus(corpus, pv_model, ieee13_model)[0]
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
     tol_abs = EDGE_TOL_REL * max(dp_up, -dp_lo, 1e-12)
@@ -523,18 +525,237 @@ def test_edge_walk_over_the_closed_form_matches_highs(corpus, pv_model, ieee13_m
                     slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
                 mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
                 reference = HighsFollower(mf.problem, mf.slots)
-                calls = []
-                solve = mf.solve
-                mf.solve = lambda **kw: calls.append(1) or solve(**kw)
+                rows = np.zeros(ctx.n, dtype=int)
+                values = mf.values
+                mf.values = lambda nodes, edges: np.add.at(rows, nodes, 1) or values(nodes, edges)
+                closed = _edge_walk(mf, np.arange(ctx.n), tol_abs)[0]
                 for k in range(ctx.n):
-                    before = (len(calls), reference.solves)
-                    limits["closed"][extremum, k] = _edge_walk(mf, k, tol_abs)[0]
-                    limits["highs"][extremum, k] = _edge_walk(reference, k, tol_abs)[0]
+                    before = reference.solves
+                    limits["closed"][extremum, k] = closed[k]
+                    limits["highs"][extremum, k] = scalar_edge_walk(reference, k, tol_abs)[0]
                     where = (mode, activation, extremum, k)
-                    assert len(calls) - before[0] <= reference.solves - before[1], where
+                    assert rows[k] <= reference.solves - before, where
             for k in range(ctx.n):
                 got = [limits["closed"][e, k] for e in EXTREMA]
                 want = [limits["highs"][e, k] for e in EXTREMA]
                 assert np.allclose(got, want, rtol=0.0, atol=tol_abs), (mode, activation, k)
                 tightest = np.argmin if activation == POSITIVE else np.argmax
                 assert tightest(got) == tightest(want), (mode, activation, k, got, want)
+
+
+# ---------------------------------------------------------------------------
+# The batched kernel: ``values`` against per-target ``solve`` and HiGHS
+# ---------------------------------------------------------------------------
+
+
+def _cut_context(pv_model):
+    """The band's lower end just under the inverters' anchor |v|: at q̄ = s_cap
+    the droop asks for more reactive power than the capability rows allow
+    near full output, so some volt-var optima need the fallback."""
+    probe = build_context(pv_model)
+    dev = probe.devices
+    v_min = float(np.max(probe.anchor.vm[list(dev.inverter_nodes)]) - 5e-4)
+    return build_context(pv_model, v_min=v_min, v_max=v_min + 0.02, anchor=probe.anchor)
+
+
+def _free_q_excluded_context(pv_model):
+    """An inverter whose constant-q cone has a negative width, held at its
+    output: h < 0 on its Δp_gen box, which the free-q closed form does not
+    certify."""
+    probe = build_context(pv_model)
+    dev = probe.devices
+    at_k = np.arange(probe.n) == dev.inverter_nodes[0]
+    return dataclasses.replace(probe, devices=dataclasses.replace(
+        dev, gamma_const=np.where(at_k, -0.5, dev.gamma_const),
+        p_gen_min=np.where(at_k, dev.p_gen0, dev.p_gen_min),
+    ))
+
+
+def _check_values(mf, nodes, edges, where):
+    """One ``values`` call against a ``solve`` per row (bit for bit, the
+    certificate of each row included) and against HiGHS on ``to_lp``;
+    returns the row counts (closed-form, fallback)."""
+    problem = mf.problem
+    oracle = Oracle(problem, mf.slots)
+    vals = mf.values(nodes, edges)
+    for i, (node, edge) in enumerate(zip(nodes.tolist(), edges.tolist())):
+        got, want = mf.solve(node=node, dp_bound=edge), oracle.solve(node, edge)
+        at = (where, node, edge)
+        assert vals.optimal[i] == got.is_optimal == want.is_optimal, at
+        assert vals.certified[i] == (got.method == CLOSED_FORM), at
+        if not got.is_optimal:
+            continue
+        assert vals.objective[i] == got.objective, at
+        assert vals.agg_dual[i] == mf.agg_dual(got), at
+        assert np.array_equal(vals.devices[i], got.x[mf.device_cols]), at
+        assert abs(vals.objective[i] - want.objective) <= 1e-9, at
+        cert = mf.certificate(vals, i)
+        for name in ("status", "objective", "method"):
+            assert getattr(cert, name) == getattr(got, name), (at, name)
+        for name in ("x", "row_duals", "lower_duals", "upper_duals"):
+            assert np.array_equal(getattr(cert, name), getattr(got, name)), (at, name)
+    return int(vals.certified.sum()), int((~vals.certified).sum())
+
+
+def _batch(rng, n, full):
+    """Up to eight nodes at zero, half and the full edge, plus as many random
+    (node, edge) rows, shuffled."""
+    some = rng.permutation(n)[:8]
+    nodes = np.concatenate([np.repeat(some, 3), rng.integers(0, n, 3 * some.size)])
+    fractions = np.concatenate([np.tile([0.0, 0.5, 1.0], some.size),
+                                rng.uniform(0.0, 1.0, 3 * some.size)])
+    order = rng.permutation(nodes.size)
+    return nodes[order], fractions[order] * full
+
+
+@pytest.mark.parametrize("corpus", ["pv", "pv_tight", "ieee13"])
+def test_values_match_solve_and_highs(corpus, pv_model, ieee13_model):
+    """Every follower kind at random setpoints: each row of a shuffled batch
+    is the per-target solve's optimum, aggregate dual, devices and
+    certificate, and HiGHS's objective."""
+    rng = np.random.default_rng(7)
+    ctx = _corpus(corpus, pv_model, ieee13_model)[0]
+    dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
+    for mode, fix_q in FOLLOWER_KINDS:
+        draws = _setpoint_draws(rng, ctx, mode) if fix_q or mode != MODE_CONSTANT_Q else [{}]
+        for setpoints in draws:
+            for activation in ACTIVATIONS:
+                for extremum in EXTREMA:
+                    problem = build_follower(ctx, Scenario(0, activation, extremum), mode,
+                                             fix_q=fix_q)
+                    slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+                    mf = problem.materialize({s: slots[s] for s in problem.slot_names})
+                    full = dp_up if activation == POSITIVE else dp_lo
+                    nodes, edges = _batch(rng, ctx.n, full)
+                    _check_values(mf, nodes, edges, (mode, fix_q, activation, extremum))
+
+
+def test_values_mix_closed_form_and_fallback_rows(pv_model):
+    """Volt-var at q̄ = s_cap under the capability cut: one batch holds rows
+    the closed form certifies and rows HiGHS solves, each equal to its own
+    solve."""
+    ctx = _cut_context(pv_model)
+    dev = ctx.devices
+    dp_lo, dp_up = available_flexibility_bounds(dev)
+    rng = np.random.default_rng(3)
+    mixed = 0  # batches with rows of both kinds
+    for activation in ACTIVATIONS:
+        full = dp_up if activation == POSITIVE else dp_lo
+        for extremum in EXTREMA:
+            problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_VOLT_VAR)
+            slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+            slots.update({slot_qbar(k): float(dev.s_cap[k]) for k in dev.inverter_nodes})
+            mf = problem.materialize(slots)
+            nodes, edges = _batch(rng, ctx.n, full)
+            got = _check_values(mf, nodes, edges, (activation, extremum))
+            mixed += got[0] > 0 and got[1] > 0
+    assert mixed > 0
+
+
+def test_values_fall_back_at_a_singular_droop_system(pv_ctx, monkeypatch):
+    """A droop system ``np.linalg.solve`` cannot solve leaves every row of a
+    volt-var batch to HiGHS."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    dev = pv_ctx.devices
+    dp_lo, dp_up = available_flexibility_bounds(dev)
+    rng = np.random.default_rng(5)
+    for activation in ACTIVATIONS:
+        full = dp_up if activation == POSITIVE else dp_lo
+        for extremum in EXTREMA:
+            problem = build_follower(pv_ctx, Scenario(0, activation, extremum), MODE_VOLT_VAR)
+            slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+            slots.update({slot_qbar(k): float(rng.uniform(0.0, dev.s_cap[k]))
+                          for k in dev.inverter_nodes})
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", singular)
+                mf = problem.materialize(slots)
+            nodes, edges = _batch(rng, pv_ctx.n, full)
+            assert _check_values(mf, nodes, edges, (activation, extremum)) == (0, nodes.size)
+
+
+def test_values_fall_back_when_free_q_cannot_certify(pv_model):
+    """Free-q constant-q with h < 0 on an inverter's box: every row goes to
+    HiGHS, which finds the LP infeasible."""
+    ctx = _free_q_excluded_context(pv_model)
+    rng = np.random.default_rng(9)
+    for activation in ACTIVATIONS:
+        for extremum in EXTREMA:
+            problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_CONSTANT_Q)
+            mf = problem.materialize({SLOT_DP_PLUS: 0.1, SLOT_DP_MINUS: -0.1})
+            nodes, edges = _batch(rng, ctx.n, 0.1 if activation == POSITIVE else -0.1)
+            assert _check_values(mf, nodes, edges, (activation, extremum)) == (0, nodes.size)
+            vals = mf.values(nodes, edges)
+            assert not vals.optimal.any()
+            assert all(mf.certificate(vals, i).status == INFEASIBLE for i in range(nodes.size))
+
+
+def _count_fallbacks(monkeypatch):
+    """Patch ``values`` and ``solve`` to count values calls, uncertified rows
+    and solves."""
+    from flexgrid.follower import MaterializedFollower
+
+    counts = {"values": 0, "fallback_rows": 0, "solves": 0}
+    values, solve = MaterializedFollower.values, MaterializedFollower.solve
+
+    def counting_values(self, nodes, edges=None):
+        counts["values"] += 1
+        vals = values(self, nodes, edges)
+        counts["fallback_rows"] += int((~vals.certified).sum())
+        return vals
+
+    def counting_solve(self, **kwargs):
+        counts["solves"] += 1
+        return solve(self, **kwargs)
+
+    monkeypatch.setattr(MaterializedFollower, "values", counting_values)
+    monkeypatch.setattr(MaterializedFollower, "solve", counting_solve)
+    return counts
+
+
+def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
+    """``worst_case_limits`` and ``feasibility_check`` reach a per-target
+    ``solve`` (and so HiGHS) only for the rows the closed form cannot
+    certify, and the feasibility check makes one ``values`` call per
+    family: with every volt-var row uncertified (a singular droop solve), on
+    a batch that mixes both kinds (the capability cut) and in constant-pf,
+    which needs no fallback."""
+    counts = _count_fallbacks(monkeypatch)
+    dev = pv_ctx.devices
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", singular)
+        wc = worst_case_limits(pv_ctx, MODE_VOLT_VAR)
+        assert counts["solves"] == counts["fallback_rows"] > 0
+        decision = UpperDecision(
+            dp_plus=wc.range_upper, dp_minus=wc.range_lower,
+            setpoints=neutral_setpoints(pv_ctx, MODE_VOLT_VAR), mode=MODE_VOLT_VAR,
+        )
+        counts.update(values=0, fallback_rows=0, solves=0)
+        feasibility_check(pv_ctx, MODE_VOLT_VAR, decision)
+        assert counts["values"] == 4
+        assert counts["solves"] == counts["fallback_rows"] == 4 * pv_ctx.n
+
+    ctx = _cut_context(pv_model)
+    dp_lo, dp_up = available_flexibility_bounds(dev)
+    cut = UpperDecision(
+        dp_plus=dp_up, dp_minus=dp_lo, mode=MODE_VOLT_VAR,
+        setpoints={slot_qbar(k): float(dev.s_cap[k]) for k in dev.inverter_nodes},
+    )
+    counts.update(values=0, fallback_rows=0, solves=0)
+    feasibility_check(ctx, MODE_VOLT_VAR, cut)
+    assert counts["values"] == 4
+    assert 0 < counts["solves"] == counts["fallback_rows"] < 4 * ctx.n
+
+    counts.update(values=0, fallback_rows=0, solves=0)
+    wc = worst_case_limits(pv_ctx, MODE_CONSTANT_PF)
+    decision = UpperDecision(
+        dp_plus=wc.range_upper, dp_minus=wc.range_lower,
+        setpoints=neutral_setpoints(pv_ctx, MODE_CONSTANT_PF), mode=MODE_CONSTANT_PF,
+    )
+    feasibility_check(pv_ctx, MODE_CONSTANT_PF, decision)
+    assert counts["values"] > 4 and counts["solves"] == counts["fallback_rows"] == 0
