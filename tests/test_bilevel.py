@@ -506,6 +506,47 @@ def test_completion_reuses_the_edge_walk_certificates(pv_tight_ctx, mode, monkey
     assert reused is not None and np.array_equal(reused, fresh)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mode):
+    """Every certificate the band-edge walks hand to the completion is, bit
+    for bit, the follower's own solve at the decision's edge; over random
+    setpoints on feeders whose walks stop inside the availability box."""
+    from flexgrid.bilevel import EDGE_TOL_REL, _edge_limited_decision, _family_followers
+
+    rng = np.random.default_rng(17)
+    contexts = [pv_tight_ctx] + [
+        random_context(np.random.default_rng(seed), mode=mode, z_scale=2.0)
+        for seed in (7200, 7201, 7202)
+    ]
+    checked = inside = 0
+    for ctx in contexts:
+        bp, slmap = assemble_single_level(ctx, mode, all_scenarios(ctx.n))
+        lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
+        up = slmap.upper_vars
+        dp_up, dp_lo = ub[up[SLOT_DP_PLUS]], lb[up[SLOT_DP_MINUS]]
+        families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+        boxes = setpoint_boxes(ctx, mode)
+        for _ in range(10):
+            setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
+            walked = _edge_limited_decision(
+                slmap, families, setpoints, lb, ub, EDGE_TOL_REL * (dp_up - dp_lo)
+            )
+            if walked is None:
+                continue
+            decision, certs = walked
+            inside += (decision[SLOT_DP_PLUS] < dp_up) + (decision[SLOT_DP_MINUS] > dp_lo)
+            for sc, cert in certs.items():
+                want = families[(sc.activation, sc.extremum)].solve(
+                    node=sc.node, dp_bound=decision[sc.dp_slot]
+                )
+                assert (cert.status, cert.objective, cert.method) == (
+                    want.status, want.objective, want.method), sc
+                for field in ("x", "row_duals", "lower_duals", "upper_duals"):
+                    assert np.array_equal(getattr(cert, field), getattr(want, field)), (sc, field)
+                checked += 1
+    assert checked > 0 and inside > 0
+
+
 def test_the_node_hook_widens_the_presolve_band():
     """The bang-bang setpoints walk to 0.329407 p.u. on this feeder; only the
     walks from the nodes' relaxation setpoints reach the wider band."""

@@ -133,9 +133,8 @@ class StubFamily:
         edges = np.broadcast_to(edges, nodes.shape)
         np.add.at(self.evaluations, nodes, 1)
         f, g = np.array([self.functions[k](abs(e)) for k, e in zip(nodes, edges)]).T
-        return SimpleNamespace(
-            objective=f, agg_dual=self.sign * g, optimal=np.ones(nodes.size, dtype=bool)
-        )
+        return SimpleNamespace(objective=f, agg_dual=self.sign * g, edges=np.array(edges),
+                               optimal=np.ones(nodes.size, dtype=bool))
 
     def solve(self, *, node=0, dp_bound=None):
         vals = self.values([node], [dp_bound])
@@ -159,8 +158,18 @@ def _concave(f0, breaks, slopes):
 
 
 def _walk(family):
-    """The lockstep walk over all the family's targets in one call."""
-    return _edge_walk(family, np.arange(len(family.functions)), TOL)[0]
+    """The lockstep walk over all the family's targets in one call.  Each
+    nonzero limit comes with the evaluation that confirmed it: at exactly
+    that edge, and in band."""
+    limits, safe = _edge_walk(family, np.arange(len(family.functions)), TOL)
+    c = _limit(family.problem.scenario.extremum)
+    for limit, row in zip(limits, safe):
+        if row is None:
+            assert limit == 0.0
+        else:
+            vals, i = row
+            assert vals.edges[i] == limit and vals.objective[i] <= c
+    return limits
 
 
 def _assert_safe_and_tight(root, result):
