@@ -19,8 +19,9 @@ inside [v_min, v_max].  Three steps:
    branch-and-bound.  Its incumbents all come from fixing the setpoints
    (the bang-bang ones before the search, each node's relaxation setpoints
    during it), walking the band edges as in step 1 and completing the point
-   with the followers' optimal primal/dual pairs, whose certificates are
-   built only for the blocks that need one;
+   with the followers' optimal primal/dual pairs, each family's evaluated
+   with one batched call at the walked decision.  The walk returns only
+   the band edges, so it shares no code path with the completion;
 3. ``feasibility_check`` — re-screen all followers at the accepted decision,
    one batched evaluation per family, feeding violators back into step 2
    (``run_iterative``).
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bnb import BilinearProgram, BnBResult, spatial_branch_and_bound
-from .feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
+from .feeder import MODE_CONSTANT_Q, MODE_VOLT_VAR
 from .follower import (
     ACTIVATIONS,
     MAX_V,
@@ -44,7 +45,6 @@ from .follower import (
     SLOT_DP_PLUS,
     FlexContext,
     FollowerProblem,
-    FollowerValues,
     MaterializedFollower,
     Scenario,
     all_scenarios,
@@ -52,11 +52,9 @@ from .follower import (
     build_follower,
     fix_worst_case_setpoints,
     screened_extrema,
-    slot_gamma,
-    slot_qbar,
-    slot_qset,
+    setpoint_boxes,
 )
-from .lp import EQ, GE, LE, MAX, OPTIMAL, DualCertificate, LinearProgram
+from .lp import EQ, GE, LE, MAX, OPTIMAL, LinearProgram
 
 EDGE_TOL_REL = 1e-6  # band-edge tolerance, relative to the availability span
 EDGE_ROOT_TOL = 1e-12  # a safe edge whose objective is this close to the limit is the root
@@ -191,15 +189,10 @@ def _walk(full: float, c: float, tol_abs: float):
     return lo
 
 
-def _edge_walk(
-    mf: MaterializedFollower, nodes, tol_abs: float
-) -> tuple[np.ndarray, list[tuple[FollowerValues, int] | None]]:
+def _edge_walk(mf: MaterializedFollower, nodes, tol_abs: float) -> np.ndarray:
     """Largest |band edge| keeping the follower's extreme |v| in band, for
     each target node in ``nodes``, signed like the far end (0 where the
-    follower is out of band at zero).  Also returns, per target, the values
-    row of the evaluation that confirmed its edge safe (None where none
-    did: a zero far end, or a follower out of band at zero), from which
-    ``mf.certificate`` builds its certificate.
+    follower is out of band at zero).
 
     The far end is the family's band edge as materialized in ``mf``.  Each
     target takes the steps of its own ``_walk``, and the targets walk in
@@ -210,10 +203,9 @@ def _edge_walk(
     scenario = mf.problem.scenario
     nodes = np.asarray(nodes, dtype=np.int64)
     limits = np.zeros(nodes.size)
-    safe: list[tuple[FollowerValues, int] | None] = [None] * nodes.size
     full = mf.slots[scenario.dp_slot]
     if full == 0.0:
-        return limits, safe
+        return limits
     sign = 1.0 if full > 0 else -1.0
     # The objective is sigma * |v|, so both extrema compare it from below.
     c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
@@ -230,17 +222,15 @@ def _edge_walk(
             )
         walking, steps = [], []
         slopes = (sign * vals.agg_dual).tolist()
-        for i, (t, f) in enumerate(zip(live, vals.objective.tolist())):
-            if f <= c:
-                safe[t] = (vals, i)
+        for t, f, g in zip(live, vals.objective.tolist(), slopes):
             try:
-                steps.append(walks[t].send((f, slopes[i])))
+                steps.append(walks[t].send((f, g)))
                 walking.append(t)
             except StopIteration as stop:
                 if stop.value is not None:
                     limits[t] = sign * stop.value
         live = walking
-    return limits, safe
+    return limits
 
 
 def worst_case_limits(
@@ -277,7 +267,7 @@ def worst_case_limits(
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
             mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
-            lim = _edge_walk(mf, np.arange(n), tol_abs)[0]
+            lim = _edge_walk(mf, np.arange(n), tol_abs)
             if activation == POSITIVE:
                 tighter, limits, family = lim < upper - 1e-15, upper, upper_family
             else:
@@ -324,14 +314,19 @@ class FollowerBlock:
     dropping the column, the row, its dual and the dual row leaves the exact
     projection of the full block, for the bilinear program and for every
     McCormick relaxation of it, since no dropped entry meets a product.
+    Each pair of index arrays maps follower entries to single-level columns.
     """
 
     scenario: Scenario
     problem: FollowerProblem
-    x_col: dict[int, int]  # kept follower var -> single-level column
-    dual_col: dict[int, int]  # kept follower row -> column of its dual
-    zl: dict[int, int]  # follower var -> zl index
-    zu: dict[int, int]
+    x_vars: np.ndarray  # kept follower variables
+    x_cols: np.ndarray  # ... and their columns
+    rows: np.ndarray  # kept follower rows
+    dual_cols: np.ndarray  # ... and the columns of their duals
+    zl_vars: np.ndarray  # variables with a finite lower bound
+    zl_cols: np.ndarray  # ... and the columns of their bound duals
+    zu_vars: np.ndarray  # the same for finite upper bounds
+    zu_cols: np.ndarray
 
 
 @dataclass
@@ -342,24 +337,6 @@ class SingleLevelMap:
     setpoint_slots: list[str]
     blocks: list[FollowerBlock]
     product_duals: list[int]  # dual variable indices that appear in products
-
-
-def setpoint_boxes(ctx: FlexContext, mode: str) -> dict[str, tuple[float, float]]:
-    """Feasible boxes for the upper-level setpoint slots of ``mode``."""
-    dev = ctx.devices
-    boxes: dict[str, tuple[float, float]] = {}
-    for k in dev.inverter_nodes:
-        if mode == MODE_CONSTANT_PF:
-            cap = float(dev.gamma_cap[k])
-            boxes[slot_gamma(k)] = (-cap, cap)
-        elif mode == MODE_VOLT_VAR:
-            boxes[slot_qbar(k)] = (0.0, float(dev.s_cap[k]))
-        elif mode == MODE_CONSTANT_Q:
-            cap = float(dev.gamma_const[k] * min(dev.p_gen_max[k], dev.s_cap[k]))
-            boxes[slot_qset(k)] = (-cap, cap)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return boxes
 
 
 def neutral_setpoints(ctx: FlexContext, mode: str) -> dict[str, float]:
@@ -508,10 +485,9 @@ def assemble_single_level(
         for r, s, c in rhs_slots:
             bp.add_term(first + sd, -c, upper_vars[s], int(d_col[r]))
         blocks.append(FollowerBlock(
-            scenario=scenario, problem=problem,
-            x_col=dict(zip(x_vars.tolist(), x_col[x_vars].tolist())),
-            dual_col=dict(zip(kept.tolist(), d_col[kept].tolist())),
-            zl=dict(zip(zl_var.tolist(), zl.tolist())), zu=dict(zip(zu_var.tolist(), zu.tolist())),
+            scenario=scenario, problem=problem, x_vars=x_vars, x_cols=x_col[x_vars],
+            rows=kept, dual_cols=d_col[kept],
+            zl_vars=zl_var, zl_cols=zl, zu_vars=zu_var, zu_cols=zu,
         ))
 
     slmap = SingleLevelMap(
@@ -536,17 +512,19 @@ def _decision_from_x(slmap: SingleLevelMap, x: np.ndarray) -> UpperDecision:
 Families = dict[tuple[str, str], MaterializedFollower]
 
 
-def _family_followers(slmap: SingleLevelMap, slots: dict[str, float]) -> Families:
-    """One materialized follower per (activation, extremum) family of the blocks.
+def _family_followers(
+    ctx: FlexContext, mode: str, followers: list[Scenario], slots: dict[str, float]
+) -> Families:
+    """One materialized follower per (activation, extremum) family of ``followers``.
 
-    Each block's LP is its family's LP with the block's node as objective,
-    so the single-level heuristics re-slot these instead of rebuilding.
+    Each follower's LP is its family's LP with the follower's node as
+    objective, so the single-level heuristics re-slot these instead of
+    rebuilding.
     """
-    keys = dict.fromkeys((b.scenario.activation, b.scenario.extremum) for b in slmap.blocks)
+    keys = dict.fromkeys((sc.activation, sc.extremum) for sc in followers)
     return {
         (activation, extremum): _family_follower(
-            slmap.ctx, slmap.mode, activation, extremum, slots,
-            fix_q=slmap.mode == MODE_CONSTANT_Q,
+            ctx, mode, activation, extremum, slots, fix_q=mode == MODE_CONSTANT_Q
         )
         for activation, extremum in keys
     }
@@ -558,123 +536,94 @@ def _complete_point(
     decision_slots: dict[str, float],
     lb: np.ndarray,
     ub: np.ndarray,
-    certs: dict[Scenario, DualCertificate] | None = None,
 ) -> np.ndarray | None:
     """Assemble a full single-level point from fixed upper-level values.
 
     With the upper level pinned, every follower is an ordinary LP; its
     optimal primal/dual pair satisfies the primal, dual and strong-duality
     rows by construction, so a full single-level point can be assembled
-    exactly.  ``certs`` holds follower certificates already made at exactly
-    these values (from the band-edge walks' last safe evaluations), which
-    are reused instead of solved again.  Returns None when a follower leaves
-    the voltage band or fails to solve (the candidate would be rejected
-    anyway).
+    exactly.  Each family's blocks are evaluated with one ``values`` call
+    at the decision, and each block's certificate is built from its row.
+    Returns None when a follower leaves the voltage band or fails to solve
+    (the candidate would be rejected anyway).
     """
     ctx = slmap.ctx
-    certs = certs or {}
     x = np.zeros(lb.shape[0])
     for name, vi in slmap.upper_vars.items():
         x[vi] = decision_slots[name]
-    for mf in families.values():
+    for family, mf in families.items():
         mf.set_slots(decision_slots)
-    for block in slmap.blocks:
-        sc = block.scenario
-        cert = certs.get(sc)
-        if cert is None:
-            cert = families[(sc.activation, sc.extremum)].solve(node=sc.node)
-        if cert.status != OPTIMAL:
-            return None
-        vm = block.problem.worst_voltage(cert)
-        if vm > ctx.v_max + 1e-9 or vm < ctx.v_min - 1e-9:
-            return None
-        # Only the kept entries: the dropped rows' duals are 0 (see ``FollowerBlock``).
-        vs, cols = list(block.x_col), list(block.x_col.values())
-        x[cols] = np.clip(cert.x[vs], lb[cols], ub[cols])
-        x[list(block.dual_col.values())] = cert.row_duals[list(block.dual_col)]
-        # Bound duals in the z >= 0 convention of the assembly.
-        zl = -cert.lower_duals
-        zu = cert.upper_duals
-        for v, zi in block.zl.items():
-            x[zi] = max(zl[v], 0.0)
-        for v, zi in block.zu.items():
-            x[zi] = max(zu[v], 0.0)
+        blocks = [b for b in slmap.blocks if (b.scenario.activation, b.scenario.extremum) == family]
+        vals = mf.values([b.scenario.node for b in blocks])
+        for i, block in enumerate(blocks):
+            cert = mf.certificate(vals, i)
+            if cert.status != OPTIMAL:
+                return None
+            vm = block.problem.worst_voltage(cert)
+            if vm > ctx.v_max + 1e-9 or vm < ctx.v_min - 1e-9:
+                return None
+            # Only the kept entries: the dropped rows' duals are 0 (see
+            # ``FollowerBlock``).  Bound duals in the z >= 0 convention of the
+            # assembly.
+            cols = block.x_cols
+            x[cols] = np.clip(cert.x[block.x_vars], lb[cols], ub[cols])
+            x[block.dual_cols] = cert.row_duals[block.rows]
+            x[block.zl_cols] = np.maximum(-cert.lower_duals[block.zl_vars], 0.0)
+            x[block.zu_cols] = np.maximum(cert.upper_duals[block.zu_vars], 0.0)
     return x
 
 
 def _edge_limited_decision(
-    slmap: SingleLevelMap,
     families: Families,
+    followers: list[Scenario],
     setpoints: dict[str, float],
-    lb: np.ndarray,
-    ub: np.ndarray,
+    dp_box: tuple[float, float],
     tol_abs: float,
-) -> tuple[dict[str, float], dict[Scenario, DualCertificate]] | None:
-    """Largest feasible band edges for fixed setpoints.
+) -> dict[str, float] | None:
+    """Largest feasible band edges for fixed setpoints, within ``dp_box``
+    (Δp_lower, Δp_upper).
 
     Feasibility decomposes by direction: positive followers only see the
     upper edge and negative followers the lower one, so each edge is the
-    tightest ``_edge_walk`` over the blocks, each family's blocks walked in
-    one call.  Returns the decision with the certificates of the blocks
-    whose walks set its edges, built from the evaluations that confirmed
-    exactly those edges (for ``_complete_point``), or None when a follower
-    is infeasible outright at these setpoints (a constant-Q setpoint outside
-    the cone reachable under the activation's sign rules does that).
+    tightest ``_edge_walk`` over the followers, each family's followers
+    walked in one call.  Returns the decision's slots, or None when a
+    follower is infeasible outright at these setpoints (a constant-Q
+    setpoint outside the cone reachable under the activation's sign rules
+    does that).
     """
-    up = slmap.upper_vars
-    dp_up = float(ub[up[SLOT_DP_PLUS]])
-    dp_lo = float(lb[up[SLOT_DP_MINUS]])
+    dp_lo, dp_up = dp_box
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
-    walks: dict[Scenario, tuple[float, tuple[FollowerValues, int] | None]] = {}
+    t_pos, t_neg = dp_up, dp_lo
     try:
         for family, mf in families.items():
             mf.set_slots(slots)
-            scenarios = [
-                b.scenario for b in slmap.blocks
-                if (b.scenario.activation, b.scenario.extremum) == family
-            ]
-            edges, safe = _edge_walk(mf, [sc.node for sc in scenarios], tol_abs)
-            walks.update(zip(scenarios, zip(edges.tolist(), safe)))
+            nodes = [sc.node for sc in followers if (sc.activation, sc.extremum) == family]
+            edges = _edge_walk(mf, nodes, tol_abs).tolist()
+            if family[0] == POSITIVE:
+                t_pos = min([t_pos, *edges])
+            else:
+                t_neg = max([t_neg, *edges])
     except BilevelError:
         return None
-    t_pos, t_neg = dp_up, dp_lo
-    for sc, (edge, _) in walks.items():
-        if sc.activation == POSITIVE:
-            t_pos = min(t_pos, edge)
-        else:
-            t_neg = max(t_neg, edge)
-    out = dict(setpoints)
-    out[SLOT_DP_PLUS] = max(t_pos, 0.0)
-    out[SLOT_DP_MINUS] = min(t_neg, 0.0)
-    certs = {
-        sc: families[(sc.activation, sc.extremum)].certificate(*safe)
-        for sc, (edge, safe) in walks.items() if safe is not None and edge == out[sc.dp_slot]
-    }
-    return out, certs
+    return {**setpoints, SLOT_DP_PLUS: max(t_pos, 0.0), SLOT_DP_MINUS: min(t_neg, 0.0)}
 
 
 def _candidate_setpoint_sets(
     slmap: SingleLevelMap, lb: np.ndarray, ub: np.ndarray
 ) -> list[dict[str, float]]:
-    """Bang-bang heuristic setpoints: neutral, full-absorb, full-boost.
-
-    Droop authority boxes start at zero, so "absorb" means full authority
-    there; degenerate (fixed) boxes collapse all three to the same point.
-    """
-    up = slmap.upper_vars
+    """Bang-bang heuristic setpoints: neutral (0 clamped into each box),
+    every lower end and every upper end, duplicates dropped (degenerate,
+    fixed boxes collapse them)."""
+    boxes = {
+        name: (float(lb[slmap.upper_vars[name]]), float(ub[slmap.upper_vars[name]]))
+        for name in slmap.setpoint_slots
+    }
     cands: list[dict[str, float]] = []
-    for kind in ("neutral", "absorb", "boost"):
-        c: dict[str, float] = {}
-        for name in slmap.setpoint_slots:
-            vi = up[name]
-            lo, hi = float(lb[vi]), float(ub[vi])
-            if kind == "neutral":
-                v = min(max(0.0, lo), hi)
-            elif kind == "absorb":
-                v = hi if name.startswith("qbar[") else lo
-            else:
-                v = hi
-            c[name] = v
+    for c in (
+        {name: min(max(0.0, lo), hi) for name, (lo, hi) in boxes.items()},
+        {name: lo for name, (lo, _) in boxes.items()},
+        {name: hi for name, (_, hi) in boxes.items()},
+    ):
         if c not in cands:
             cands.append(c)
     return cands
@@ -710,10 +659,13 @@ def solve_single_level(
     lb = np.array(bp.base.lb)
     ub = np.array(bp.base.ub)
     up = slmap.upper_vars
-    dp_span = float(ub[up[SLOT_DP_PLUS]]) - float(lb[up[SLOT_DP_MINUS]])
+    dp_box = (float(lb[up[SLOT_DP_MINUS]]), float(ub[up[SLOT_DP_PLUS]]))
+    dp_span = dp_box[1] - dp_box[0]
     tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
     # Any in-box slot values will do: every use re-slots the followers first.
-    families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+    families = _family_followers(
+        ctx, mode, followers, {name: float(lb[vi]) for name, vi in up.items()}
+    )
     duals = slmap.product_duals
     left_box = False
 
@@ -721,11 +673,10 @@ def solve_single_level(
         """A candidate incumbent: the widest safe band edges at ``setpoints``,
         completed with every follower's optimal primal/dual pair."""
         nonlocal left_box
-        walked = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
-        if walked is None:
+        decision = _edge_limited_decision(families, followers, setpoints, dp_box, tol_abs)
+        if decision is None:
             return None
-        decision, certs = walked
-        x = _complete_point(slmap, families, decision, lb, ub, certs)
+        x = _complete_point(slmap, families, decision, lb, ub)
         if x is not None and np.any(np.abs(x[duals]) > LAMBDA_CAP):
             left_box = True
         return x

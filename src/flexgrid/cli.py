@@ -30,11 +30,10 @@ from .bilevel import (
     InfeasibleAnchorError,
     UpperDecision,
     run_iterative,
-    setpoint_boxes,
     worst_case_limits,
 )
 from .feeder import INVERTER_MODES, FeederError, load_feeder
-from .follower import DIRECTIONS, build_context
+from .follower import DIRECTIONS, build_context, setpoint_boxes
 from .lp import OPTIMAL
 from .oracle import OracleError, verify_decision
 from .powerflow import PowerFlowError

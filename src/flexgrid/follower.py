@@ -297,29 +297,40 @@ def available_flexibility_bounds(devices: NodeDevices) -> tuple[float, float]:
     return min(dn, 0.0), max(up, 0.0)
 
 
+def setpoint_boxes(ctx: FlexContext, mode: str) -> dict[str, tuple[float, float]]:
+    """Feasible boxes for the upper-level setpoint slots of ``mode``."""
+    dev = ctx.devices
+    boxes: dict[str, tuple[float, float]] = {}
+    for k in dev.inverter_nodes:
+        if mode == MODE_CONSTANT_PF:
+            cap = float(dev.gamma_cap[k])
+            boxes[slot_gamma(k)] = (-cap, cap)
+        elif mode == MODE_VOLT_VAR:
+            boxes[slot_qbar(k)] = (0.0, float(dev.s_cap[k]))
+        elif mode == MODE_CONSTANT_Q:
+            cap = float(dev.gamma_const[k] * min(dev.p_gen_max[k], dev.s_cap[k]))
+            boxes[slot_qset(k)] = (-cap, cap)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+    return boxes
+
+
 def fix_worst_case_setpoints(ctx: FlexContext, mode: str, extremum: str) -> dict[str, float]:
     """Adversarial setpoint choice for the worst-case screening step.
 
-    Maximum-voltage scenarios get full boost (γ at +cap, volt-var curve
-    disabled with q̄ = 0); minimum-voltage scenarios the mirror (γ at -cap,
-    q̄ at the apparent-power cap).  Constant-Q keeps its reactive output as a
+    Maximum-voltage scenarios get full boost, the end of each setpoint box
+    that raises |v| (γ at +cap, volt-var curve disabled with q̄ = 0);
+    minimum-voltage scenarios the other end (γ at -cap, q̄ at the
+    apparent-power cap).  Constant-Q keeps its reactive output as a
     follower variable, so there is nothing to fix.
     """
     if extremum not in EXTREMA:
         raise ValueError(f"bad extremum {extremum!r}")
     if mode == MODE_CONSTANT_Q:
         raise ValueError("constant-q mode has no worst-case setpoints to fix")
-    dev = ctx.devices
-    slots: dict[str, float] = {}
-    for k in dev.inverter_nodes:
-        if mode == MODE_CONSTANT_PF:
-            cap = dev.gamma_cap[k]
-            slots[slot_gamma(k)] = cap if extremum == MAX_V else -cap
-        elif mode == MODE_VOLT_VAR:
-            slots[slot_qbar(k)] = 0.0 if extremum == MAX_V else dev.s_cap[k]
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return slots
+    boost = 0 if mode == MODE_VOLT_VAR else 1  # the box end that raises |v|
+    end = boost if extremum == MAX_V else 1 - boost
+    return {name: box[end] for name, box in setpoint_boxes(ctx, mode).items()}
 
 
 class FollowerProblem:

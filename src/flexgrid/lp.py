@@ -357,7 +357,6 @@ class DualityReport:
     gap: float  # |primal - dual| objective gap
     max_slackness: float  # worst complementary-slackness residual
     primal_objective: float
-    dual_objective: float
 
 
 def verify_strong_duality(
@@ -397,5 +396,4 @@ def verify_strong_duality(
         gap=gap,
         max_slackness=max_slack,
         primal_objective=primal,
-        dual_objective=dual,
     )

@@ -17,14 +17,13 @@ from flexgrid.lp import INFEASIBLE
 
 def scalar_edge_walk(mf, node, tol_abs):
     """Largest |band edge| keeping the follower's extreme |v| at ``node`` in
-    band (signed like the family's far end), with the certificate of the
-    solve that confirmed it safe (None when no solve did: a zero far end, or
-    a follower out of band at zero)."""
+    band, signed like the family's far end (0 where the follower is out of
+    band at zero)."""
     ctx = mf.problem.ctx
     scenario = mf.problem.scenario
     full = mf.slots[scenario.dp_slot]
     if full == 0.0:
-        return 0.0, None
+        return 0.0
     sign = 1.0 if full > 0 else -1.0
     # The objective is sigma * |v|, so both extrema compare it from below.
     c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
@@ -34,13 +33,13 @@ def scalar_edge_walk(mf, node, tol_abs):
         cert = mf.solve(node=node, dp_bound=sign * s)
         if cert.status == INFEASIBLE:
             raise BilevelError("follower LP infeasible during screening")
-        return cert.objective, sign * mf.agg_dual(cert), cert
+        return cert.objective, sign * mf.agg_dual(cert)
 
     hi = abs(full)
-    f_hi, g_hi, cert = value(hi)
+    f_hi, g_hi = value(hi)
     if f_hi <= c:
-        return full, cert
-    lo = f_lo = cert_lo = None  # lo: largest edge confirmed feasible
+        return full
+    lo = f_lo = None  # lo: largest edge confirmed feasible
     tangent = True
     widths = [hi]  # hi - lo after each solve, lo = 0 until confirmed
     while lo is None or (hi - lo > tol_abs and f_lo < c - EDGE_ROOT_TOL):
@@ -55,12 +54,12 @@ def scalar_edge_walk(mf, node, tol_abs):
                 s = 0.0
         elif not lo < s < hi:
             s = 0.5 * (lo + hi)
-        f, g, cert = value(s)
+        f, g = value(s)
         if f <= c:
-            lo, f_lo, cert_lo, tangent = s, f, cert, False
+            lo, f_lo, tangent = s, f, False
         elif s == 0.0:
-            return 0.0, None
+            return 0.0
         else:
             hi, f_hi, g_hi, tangent = s, f, g, True
         widths.append(hi - (lo or 0.0))
-    return sign * lo, cert_lo
+    return sign * lo

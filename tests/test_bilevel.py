@@ -222,18 +222,16 @@ def _lift_block(block, x):
     |v_j| rebuilt from the sensitivities, the dropped rows' duals 0."""
     p = block.problem
     xf = np.zeros(p.n_vars)
-    xf[list(block.x_col)] = x[list(block.x_col.values())]
+    xf[block.x_vars] = x[block.x_cols]
     dpg, dpl, qg = xf[p.i_dpg(p.inv)], xf[p.i_dpl(p.loads)], xf[p.i_qg(p.inv)]
     vm = p.m0 + p.s_p @ dpg - p.s_l @ dpl + p.s_q @ qg
-    dropped = np.array([j for j in range(p.n) if p.i_vm(j) not in block.x_col], dtype=np.int64)
+    dropped = np.array([j for j in range(p.n) if p.i_vm(j) not in block.x_vars], dtype=np.int64)
     xf[p.i_vm(dropped)] = vm[dropped]
     row_duals = np.zeros(p.n_rows)
-    row_duals[list(block.dual_col)] = x[list(block.dual_col.values())]
+    row_duals[block.rows] = x[block.dual_cols]
     lower, upper = np.zeros(p.n_vars), np.zeros(p.n_vars)
-    for v, zi in block.zl.items():
-        lower[v] = -x[zi]
-    for v, zi in block.zu.items():
-        upper[v] = x[zi]
+    lower[block.zl_vars] = -x[block.zl_cols]
+    upper[block.zu_vars] = x[block.zu_cols]
     return DualCertificate(
         status=OPTIMAL, objective=float(p.objective @ xf), x=xf,
         row_duals=row_duals, lower_duals=lower, upper_duals=upper,
@@ -274,7 +272,7 @@ def test_reduced_blocks_lift_to_certified_follower_optima(
     binding = False
     for block in slmap.blocks:
         p, node = block.problem, block.scenario.node
-        vm_rows = [p.row_names[r] for r in block.dual_col if p.row_names[r].startswith("vm[")]
+        vm_rows = [p.row_names[r] for r in block.rows if p.row_names[r].startswith("vm[")]
         want = {node} | (inverters if mode == MODE_VOLT_VAR else set())
         assert sorted(vm_rows) == sorted(f"vm[{k}]" for k in want)
 
@@ -470,81 +468,117 @@ def test_direction_filter_restricts_the_follower_pool(pv_tight_ctx):
     assert res.converged
 
 
+def _completed_from_own_solves(slmap, families, decision, lb, ub):
+    """The single-level point at ``decision``, one block at a time from the
+    block's own ``solve`` at the decision's edge, entry by entry (None where
+    a follower fails or leaves the band)."""
+    ctx = slmap.ctx
+    x = np.zeros(lb.size)
+    for name, vi in slmap.upper_vars.items():
+        x[vi] = decision[name]
+    for block in slmap.blocks:
+        sc = block.scenario
+        mf = families[(sc.activation, sc.extremum)]
+        mf.set_slots(decision)
+        cert = mf.solve(node=sc.node, dp_bound=decision[sc.dp_slot])
+        vm = block.problem.worst_voltage(cert) if cert.status == OPTIMAL else np.nan
+        if not ctx.v_min - 1e-9 <= vm <= ctx.v_max + 1e-9:
+            return None
+        for v, col in zip(block.x_vars.tolist(), block.x_cols.tolist()):
+            x[col] = min(max(cert.x[v], lb[col]), ub[col])
+        for r, col in zip(block.rows.tolist(), block.dual_cols.tolist()):
+            x[col] = cert.row_duals[r]
+        for v, col in zip(block.zl_vars.tolist(), block.zl_cols.tolist()):
+            x[col] = max(-cert.lower_duals[v], 0.0)
+        for v, col in zip(block.zu_vars.tolist(), block.zu_cols.tolist()):
+            x[col] = max(cert.upper_duals[v], 0.0)
+    return x
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_completion_reuses_the_edge_walk_certificates(pv_tight_ctx, mode, monkeypatch):
-    """Each side's only block decides its edge, so the walk's last safe solves
-    complete the point without a follower solve, bit-identical to solving
-    the blocks again."""
+def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
+    """At the walked decisions of random setpoints, on feeders whose walks
+    stop inside the availability box, the completion makes one ``values``
+    call per family and no ``solve`` call beyond the fallback rows, and its
+    point is, bit for bit, the one assembled from each block's own solve at
+    the decision's edge."""
     from flexgrid.bilevel import (
         EDGE_TOL_REL,
         _complete_point,
         _edge_limited_decision,
         _family_followers,
     )
-    from flexgrid.follower import NEGATIVE, MaterializedFollower
+    from flexgrid.follower import MaterializedFollower
 
-    ctx = pv_tight_ctx
-    followers = [Scenario(ctx.n - 1, POSITIVE, MAX_V), Scenario(0, NEGATIVE, MIN_V)]
-    bp, slmap = assemble_single_level(ctx, mode, followers)
-    lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
-    up = slmap.upper_vars
-    families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
-    tol_abs = EDGE_TOL_REL * (ub[up[SLOT_DP_PLUS]] - lb[up[SLOT_DP_MINUS]])
-    decision, certs = _edge_limited_decision(
-        slmap, families, neutral_setpoints(ctx, mode), lb, ub, tol_abs
-    )
-    assert set(certs) == set(followers)
+    calls = {"values": 0, "solve": 0, "fallback": 0}
+    values, solve = MaterializedFollower.values, MaterializedFollower.solve
 
-    calls = []
-    solve = MaterializedFollower.solve
-    monkeypatch.setattr(MaterializedFollower, "solve",
-                        lambda self, **kw: calls.append(1) or solve(self, **kw))
-    reused = _complete_point(slmap, families, decision, lb, ub, certs)
-    assert not calls
-    fresh = _complete_point(slmap, families, decision, lb, ub)
-    assert len(calls) == len(followers)
-    assert reused is not None and np.array_equal(reused, fresh)
+    def count_values(self, nodes, edges=None):
+        calls["values"] += 1
+        vals = values(self, nodes, edges)
+        calls["fallback"] += len(vals.fallback)
+        return vals
 
-
-@pytest.mark.parametrize("mode", MODES)
-def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mode):
-    """Every certificate the band-edge walks hand to the completion is, bit
-    for bit, the follower's own solve at the decision's edge; over random
-    setpoints on feeders whose walks stop inside the availability box."""
-    from flexgrid.bilevel import EDGE_TOL_REL, _edge_limited_decision, _family_followers
+    def count_solve(self, **kwargs):
+        calls["solve"] += 1
+        return solve(self, **kwargs)
 
     rng = np.random.default_rng(17)
     contexts = [pv_tight_ctx] + [
         random_context(np.random.default_rng(seed), mode=mode, z_scale=2.0)
         for seed in (7200, 7201, 7202)
     ]
-    checked = inside = 0
+    completed = inside = 0
     for ctx in contexts:
-        bp, slmap = assemble_single_level(ctx, mode, all_scenarios(ctx.n))
+        followers = all_scenarios(ctx.n)
+        bp, slmap = assemble_single_level(ctx, mode, followers)
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up = slmap.upper_vars
-        dp_up, dp_lo = ub[up[SLOT_DP_PLUS]], lb[up[SLOT_DP_MINUS]]
-        families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+        dp_box = (lb[up[SLOT_DP_MINUS]], ub[up[SLOT_DP_PLUS]])
+        families = _family_followers(ctx, mode, followers, {n: float(lb[vi]) for n, vi in up.items()})
         boxes = setpoint_boxes(ctx, mode)
         for _ in range(10):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
-            walked = _edge_limited_decision(
-                slmap, families, setpoints, lb, ub, EDGE_TOL_REL * (dp_up - dp_lo)
+            decision = _edge_limited_decision(
+                families, followers, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
             )
-            if walked is None:
+            if decision is None:
                 continue
-            decision, certs = walked
-            inside += (decision[SLOT_DP_PLUS] < dp_up) + (decision[SLOT_DP_MINUS] > dp_lo)
-            for sc, cert in certs.items():
-                want = families[(sc.activation, sc.extremum)].solve(
-                    node=sc.node, dp_bound=decision[sc.dp_slot]
-                )
-                assert (cert.status, cert.objective, cert.method) == (
-                    want.status, want.objective, want.method), sc
-                for field in ("x", "row_duals", "lower_duals", "upper_duals"):
-                    assert np.array_equal(getattr(cert, field), getattr(want, field)), (sc, field)
-                checked += 1
-    assert checked > 0 and inside > 0
+            inside += (decision[SLOT_DP_PLUS] < dp_box[1]) + (decision[SLOT_DP_MINUS] > dp_box[0])
+            calls.update(values=0, solve=0, fallback=0)
+            with monkeypatch.context() as m:
+                m.setattr(MaterializedFollower, "values", count_values)
+                m.setattr(MaterializedFollower, "solve", count_solve)
+                x = _complete_point(slmap, families, decision, lb, ub)
+            assert calls["values"] == len(families)
+            assert calls["solve"] == calls["fallback"]
+            want = _completed_from_own_solves(slmap, families, decision, lb, ub)
+            assert x is not None and want is not None
+            assert np.array_equal(x, want)
+            completed += 1
+    assert completed > 0 and inside > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("fixed", [False, True], ids=["free", "one-fixed"])
+def test_candidate_setpoints_are_neutral_then_the_box_ends(pv_tight_ctx, mode, fixed):
+    """Neutral (0 clamped into each box), every lower end, every upper end,
+    duplicates dropped: in volt-var the lower ends are the neutral point."""
+    from flexgrid.bilevel import _candidate_setpoint_sets
+
+    ctx = pv_tight_ctx
+    boxes = setpoint_boxes(ctx, mode)
+    assert len(boxes) == 2
+    first = next(iter(boxes))
+    pin = {first: 0.5 * boxes[first][1]} if fixed else {}
+    bp, slmap = assemble_single_level(
+        ctx, mode, [Scenario(ctx.n - 1, POSITIVE, MAX_V)], fixed_setpoints=pin or None
+    )
+    neutral = {name: 0.0 for name in boxes} | pin
+    lower = {name: lo for name, (lo, _) in boxes.items()} | pin
+    upper = {name: hi for name, (_, hi) in boxes.items()} | pin
+    want = [neutral, upper] if mode == MODE_VOLT_VAR else [neutral, lower, upper]
+    assert _candidate_setpoint_sets(slmap, np.array(bp.base.lb), np.array(bp.base.ub)) == want
 
 
 def test_the_node_hook_widens_the_presolve_band():
@@ -595,12 +629,12 @@ def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
 
     walk = bilevel._edge_limited_decision
 
-    def count_walk(slmap, families, setpoints, *args):
+    def count_walk(families, followers, setpoints, *args):
         key = tuple(setpoints.values())
         walk_keys.append(key)
         if not in_hook:
             presolve_keys.append(key)
-        return walk(slmap, families, setpoints, *args)
+        return walk(families, followers, setpoints, *args)
 
     monkeypatch.setattr(bilevel, "assemble_single_level", capture_map)
     monkeypatch.setattr(bilevel, "spatial_branch_and_bound", watch_hook)
@@ -634,12 +668,13 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
     ]
     completed = binding = 0
     for ctx in contexts:
-        bp, slmap = assemble_single_level(ctx, mode, all_scenarios(ctx.n))
+        followers = all_scenarios(ctx.n)
+        bp, slmap = assemble_single_level(ctx, mode, followers)
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up = slmap.upper_vars
         dp_up, dp_lo = ub[up[SLOT_DP_PLUS]], lb[up[SLOT_DP_MINUS]]
         tol_abs = EDGE_TOL_REL * (dp_up - dp_lo)
-        families = _family_followers(slmap, {name: float(lb[vi]) for name, vi in up.items()})
+        families = _family_followers(ctx, mode, followers, {n: float(lb[vi]) for n, vi in up.items()})
         boxes = setpoint_boxes(ctx, mode)
         for _ in range(30):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
@@ -648,9 +683,8 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
             if _complete_point(slmap, families, raw, lb, ub) is None:
                 continue
             completed += 1
-            walked = _edge_limited_decision(slmap, families, setpoints, lb, ub, tol_abs)
-            assert walked is not None
-            edges = walked[0]
+            edges = _edge_limited_decision(families, followers, setpoints, (dp_lo, dp_up), tol_abs)
+            assert edges is not None
             assert edges[SLOT_DP_PLUS] >= raw[SLOT_DP_PLUS] - tol_abs
             assert edges[SLOT_DP_MINUS] <= raw[SLOT_DP_MINUS] + tol_abs
             binding += (edges[SLOT_DP_PLUS] < dp_up) + (edges[SLOT_DP_MINUS] > dp_lo)

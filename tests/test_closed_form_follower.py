@@ -528,11 +528,11 @@ def test_edge_walk_over_the_closed_form_matches_highs(corpus, pv_model, ieee13_m
                 rows = np.zeros(ctx.n, dtype=int)
                 values = mf.values
                 mf.values = lambda nodes, edges: np.add.at(rows, nodes, 1) or values(nodes, edges)
-                closed = _edge_walk(mf, np.arange(ctx.n), tol_abs)[0]
+                closed = _edge_walk(mf, np.arange(ctx.n), tol_abs)
                 for k in range(ctx.n):
                     before = reference.solves
                     limits["closed"][extremum, k] = closed[k]
-                    limits["highs"][extremum, k] = scalar_edge_walk(reference, k, tol_abs)[0]
+                    limits["highs"][extremum, k] = scalar_edge_walk(reference, k, tol_abs)
                     where = (mode, activation, extremum, k)
                     assert rows[k] <= reference.solves - before, where
             for k in range(ctx.n):

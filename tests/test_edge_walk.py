@@ -133,7 +133,7 @@ class StubFamily:
         edges = np.broadcast_to(edges, nodes.shape)
         np.add.at(self.evaluations, nodes, 1)
         f, g = np.array([self.functions[k](abs(e)) for k, e in zip(nodes, edges)]).T
-        return SimpleNamespace(objective=f, agg_dual=self.sign * g, edges=np.array(edges),
+        return SimpleNamespace(objective=f, agg_dual=self.sign * g,
                                optimal=np.ones(nodes.size, dtype=bool))
 
     def solve(self, *, node=0, dp_bound=None):
@@ -158,18 +158,18 @@ def _concave(f0, breaks, slopes):
 
 
 def _walk(family):
-    """The lockstep walk over all the family's targets in one call.  Each
-    nonzero limit comes with the evaluation that confirmed it: at exactly
-    that edge, and in band."""
-    limits, safe = _edge_walk(family, np.arange(len(family.functions)), TOL)
-    c = _limit(family.problem.scenario.extremum)
-    for limit, row in zip(limits, safe):
-        if row is None:
-            assert limit == 0.0
-        else:
-            vals, i = row
-            assert vals.edges[i] == limit and vals.objective[i] <= c
-    return limits
+    """The lockstep walk over all the family's targets in one call."""
+    return _edge_walk(family, np.arange(len(family.functions)), TOL)
+
+
+def _assert_in_band(family, limits):
+    """Each nonzero limit, evaluated again at exactly that edge, is in band.
+    Run after the evaluation counts are checked: it adds to them."""
+    nodes = np.flatnonzero(limits)
+    if nodes.size:
+        ctx, extremum = family.problem.ctx, family.problem.scenario.extremum
+        vals = family.values(nodes, limits[nodes])
+        assert np.all(vals.objective <= (ctx.v_max if extremum == MAX_V else -ctx.v_min) + 1e-9)
 
 
 def _assert_safe_and_tight(root, result):
@@ -184,8 +184,10 @@ def _stubs(piece_sets, full, extremum=MAX_V):
 def test_walk_returns_the_full_edge_when_it_is_safe():
     c = _limit(MAX_V)
     family = _stubs([_concave(c - 0.5, [0.3], [1.0, 0.2]), _concave(c - 0.9, [], [0.5])], 1.0)
-    assert _walk(family).tolist() == [1.0, 1.0]
+    result = _walk(family)
+    assert result.tolist() == [1.0, 1.0]
     assert family.evaluations.tolist() == [1, 1] and family.calls == 1
+    _assert_in_band(family, result)
 
 
 def test_walk_is_exact_from_a_point_on_the_crossing_segment():
@@ -200,6 +202,7 @@ def test_walk_is_exact_from_a_point_on_the_crossing_segment():
     for pieces, edge in zip(piece_sets, result):
         _assert_safe_and_tight(_root(pieces, 1.0, MAX_V), edge)
     assert _root(piece_sets[0], 1.0, MAX_V) == pytest.approx(2.0 / 3.0)
+    _assert_in_band(family, result)
 
 
 def test_walk_crosses_three_breakpoints_in_few_solves():
@@ -207,12 +210,13 @@ def test_walk_crosses_three_breakpoints_in_few_solves():
     # root on segment 1, the full edge on segment 4: breakpoints 0.4, 0.6, 0.8 between
     pieces = _concave(c - 0.25, [0.2, 0.4, 0.6, 0.8], [1.0, 0.5, 0.3, 0.2, 0.1])
     family = _stubs([pieces], 1.0)
-    result = _walk(family)[0]
-    _assert_safe_and_tight(_root(pieces, 1.0, MAX_V), result)
+    result = _walk(family)
+    _assert_safe_and_tight(_root(pieces, 1.0, MAX_V), result[0])
     assert _root(pieces, 1.0, MAX_V) == pytest.approx(0.3)
     reference = _stubs([pieces], 1.0)
     _reference_bisection(reference, 0, TOL)
     assert family.evaluations[0] <= 6 < reference.evaluations[0]
+    _assert_in_band(family, result)
 
 
 def test_walk_returns_zero_when_the_zero_edge_is_unsafe():
@@ -226,6 +230,7 @@ def test_walk_returns_zero_when_the_zero_edge_is_unsafe():
     assert result[0] == 0.0 and result[1] == 1.0
     _assert_safe_and_tight(_root(piece_sets[2], 1.0, MAX_V), result[2])
     assert family.evaluations.tolist() == [2, 1, 2]  # the full edge, then zero
+    _assert_in_band(family, result)
 
 
 def test_walk_recovers_from_a_zero_slope_at_the_far_end():
@@ -240,6 +245,7 @@ def test_walk_recovers_from_a_zero_slope_at_the_far_end():
         reference = _stubs([pieces], 1.0)
         _reference_bisection(reference, 0, TOL)
         assert family.evaluations[k] < reference.evaluations[0]
+    _assert_in_band(family, result)
 
 
 def test_walk_handles_negative_activation_and_minimum_voltage():
@@ -251,6 +257,7 @@ def test_walk_handles_negative_activation_and_minimum_voltage():
     assert family.evaluations.tolist() == [2, 2]
     for pieces, edge in zip(piece_sets, result):
         _assert_safe_and_tight(_root(pieces, -1.0, MIN_V), edge)
+    _assert_in_band(family, result)
 
 
 def test_walk_makes_no_solve_at_a_zero_edge():
@@ -283,11 +290,12 @@ def test_walk_is_safe_and_tight_on_random_concave_functions():
             assert np.sign(result[k]) in (0.0, np.sign(full))
             _assert_safe_and_tight(_root(pieces, full, extremum), result[k])
             oracle = _stubs([pieces], full, extremum)
-            assert scalar_edge_walk(oracle, 0, TOL)[0] == result[k]
+            assert scalar_edge_walk(oracle, 0, TOL) == result[k]
             assert oracle.evaluations[0] == family.evaluations[k]
             reference = _stubs([pieces], full, extremum)
             _reference_bisection(reference, 0, TOL)
             assert family.evaluations[k] <= reference.evaluations[0]
+        _assert_in_band(family, result)
 
 
 def _convex(s, counter):
@@ -314,6 +322,7 @@ def test_walk_cannot_creep_when_the_model_is_wrong():
     reference = StubFamily([lambda s: _convex(s, [])], full=1.0)
     _reference_bisection(reference, 0, TOL)
     assert family.evaluations[0] <= 3 * reference.evaluations[0]
+    _assert_in_band(family, result)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +393,7 @@ def test_walk_matches_the_bisection_on_screening_followers(corpus, pv_model, iee
     for ctx in _corpus(corpus, pv_model, ieee13_model):
         for where, mf, tol_abs in _screening_families(ctx):
             mf = _count_rows(mf)
-            walk = _edge_walk(mf, np.arange(ctx.n), tol_abs)[0]
+            walk = _edge_walk(mf, np.arange(ctx.n), tol_abs)
             walk_evaluations = int(mf.rows.sum())
             mf.rows[:] = 0
             for k in range(ctx.n):
@@ -403,7 +412,7 @@ def test_lockstep_walk_matches_the_scalar_walk(corpus, pv_model, ieee13_model):
     for ctx in _corpus(corpus, pv_model, ieee13_model):
         for where, mf, tol_abs in _screening_families(ctx):
             mf = _count_rows(mf)
-            limits = _edge_walk(mf, np.arange(ctx.n), tol_abs)[0]
+            limits = _edge_walk(mf, np.arange(ctx.n), tol_abs)
             rows, calls = mf.rows.copy(), mf.calls
             solves = np.zeros(ctx.n, dtype=int)
             solve = mf.solve
@@ -414,9 +423,10 @@ def test_lockstep_walk_matches_the_scalar_walk(corpus, pv_model, ieee13_model):
 
             mf.solve = counting
             for k in range(ctx.n):
-                assert scalar_edge_walk(mf, k, tol_abs)[0] == limits[k], (where, k)
+                assert scalar_edge_walk(mf, k, tol_abs) == limits[k], (where, k)
             assert np.array_equal(rows, solves), where
             assert calls == rows.max(), where
+            _assert_in_band(mf, limits)
 
 
 def test_ieee13_screening_solve_count(ieee13_model, monkeypatch):

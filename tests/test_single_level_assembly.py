@@ -96,15 +96,12 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
             d = dual_col[r] = lp.add_var(f"{tag}.lam[{name}]", lb=lo, ub=hi)
             if has_product:
                 product_duals.append(d)
-        block = FollowerBlock(
-            scenario=scenario, problem=problem, x_col=x_col, dual_col=dual_col, zl={}, zu={},
-        )
+        zl, zu = {}, {}
         for v in x_col:
             if math.isfinite(problem.lb[v]):
-                block.zl[v] = lp.add_var(f"{tag}.zl[{v}]", lb=0.0)
+                zl[v] = lp.add_var(f"{tag}.zl[{v}]", lb=0.0)
             if math.isfinite(problem.ub[v]):
-                block.zu[v] = lp.add_var(f"{tag}.zu[{v}]", lb=0.0)
-        blocks.append(block)
+                zu[v] = lp.add_var(f"{tag}.zu[{v}]", lb=0.0)
 
         col = np.full(problem.n_vars, -1, dtype=np.int64)
         col[x_vars] = list(x_col.values())
@@ -129,11 +126,11 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
         for v in x_col:
             idx = [d for d, _ in col_lin[v]]
             val = [a for _, a in col_lin[v]]
-            if v in block.zu:
-                idx.append(block.zu[v])
+            if v in zu:
+                idx.append(zu[v])
                 val.append(1.0)
-            if v in block.zl:
-                idx.append(block.zl[v])
+            if v in zl:
+                idx.append(zl[v])
                 val.append(-1.0)
             rid = lp.add_row((np.array(idx, dtype=np.int64), np.array(val)), EQ, float(c_obj[v]),
                              name=f"{tag}.dual[{v}]")
@@ -148,11 +145,11 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
             if rhs != 0.0:
                 sd_idx.append(dual_col[r])
                 sd_val.append(-rhs)
-        for v, zi in block.zu.items():
+        for v, zi in zu.items():
             if problem.ub[v] != 0.0:
                 sd_idx.append(zi)
                 sd_val.append(-problem.ub[v])
-        for v, zi in block.zl.items():
+        for v, zi in zl.items():
             if problem.lb[v] != 0.0:
                 sd_idx.append(zi)
                 sd_val.append(problem.lb[v])
@@ -165,6 +162,14 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
         vm_var = x_col[problem.i_vm(scenario.node)]
         lp.add_row({vm_var: 1.0}, LE, ctx.v_max, name=f"{tag}.band_hi")
         lp.add_row({vm_var: 1.0}, GE, ctx.v_min, name=f"{tag}.band_lo")
+
+        keys = lambda d: np.array(list(d), dtype=np.int64)
+        values = lambda d: np.array(list(d.values()), dtype=np.int64)
+        blocks.append(FollowerBlock(
+            scenario=scenario, problem=problem, x_vars=keys(x_col), x_cols=values(x_col),
+            rows=keys(dual_col), dual_cols=values(dual_col), zl_vars=keys(zl), zl_cols=values(zl),
+            zu_vars=keys(zu), zu_cols=values(zu),
+        ))
 
     slmap = SingleLevelMap(
         ctx=ctx, mode=mode, upper_vars=upper_vars, setpoint_slots=list(sp_boxes),
@@ -229,7 +234,7 @@ def test_assembly_matches_the_row_by_row_reference(request, ctx_name, mode, foll
     assert len(slmap.blocks) == len(ref_map.blocks)
     for block, ref in zip(slmap.blocks, ref_map.blocks):
         assert block.scenario == ref.scenario
-        for name in ("x_col", "dual_col", "zl", "zu"):
-            assert getattr(block, name) == getattr(ref, name), name
+        for name in ("x_vars", "x_cols", "rows", "dual_cols", "zl_vars", "zl_cols", "zu_vars", "zu_cols"):
+            assert np.array_equal(getattr(block, name), getattr(ref, name)), name
     # Not vacuous: every case's program carries products.
     assert bp.terms and slmap.product_duals
