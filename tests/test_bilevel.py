@@ -560,6 +560,51 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mode):
+    """At the walked decisions of random setpoints, every certificate built
+    from a family's one ``values`` call at the decision is, bit for bit, the
+    follower's own solve at the decision's edge; on feeders whose walks stop
+    inside the availability box."""
+    from flexgrid.bilevel import EDGE_TOL_REL, _edge_limited_decision, _family_followers
+
+    rng = np.random.default_rng(17)
+    contexts = [pv_tight_ctx] + [
+        random_context(np.random.default_rng(seed), mode=mode, z_scale=2.0)
+        for seed in (7200, 7201, 7202)
+    ]
+    checked = inside = 0
+    for ctx in contexts:
+        followers = all_scenarios(ctx.n)
+        bp, slmap = assemble_single_level(ctx, mode, followers)
+        lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
+        up = slmap.upper_vars
+        dp_box = (lb[up[SLOT_DP_MINUS]], ub[up[SLOT_DP_PLUS]])
+        families = _family_followers(ctx, mode, followers, {n: float(lb[vi]) for n, vi in up.items()})
+        boxes = setpoint_boxes(ctx, mode)
+        for _ in range(10):
+            setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
+            decision = _edge_limited_decision(
+                families, followers, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
+            )
+            if decision is None:
+                continue
+            inside += (decision[SLOT_DP_PLUS] < dp_box[1]) + (decision[SLOT_DP_MINUS] > dp_box[0])
+            for (activation, extremum), mf in families.items():
+                mf.set_slots(decision)
+                fam = [sc for sc in followers if (sc.activation, sc.extremum) == (activation, extremum)]
+                vals = mf.values([sc.node for sc in fam])
+                for i, sc in enumerate(fam):
+                    cert = mf.certificate(vals, i)
+                    want = mf.solve(node=sc.node, dp_bound=decision[sc.dp_slot])
+                    assert (cert.status, cert.objective, cert.method) == (
+                        want.status, want.objective, want.method), sc
+                    for field in ("x", "row_duals", "lower_duals", "upper_duals"):
+                        assert np.array_equal(getattr(cert, field), getattr(want, field)), (sc, field)
+                    checked += 1
+    assert checked > 0 and inside > 0
+
+
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("fixed", [False, True], ids=["free", "one-fixed"])
 def test_candidate_setpoints_are_neutral_then_the_box_ends(pv_tight_ctx, mode, fixed):
     """Neutral (0 clamped into each box), every lower end, every upper end,
