@@ -428,7 +428,7 @@ def cmd_verify(args) -> int:
         "max_linearization_error_pu": report.max_error,
         "max_band_excess_pu": report.max_band_excess,
         "tolerance_pu": args.verify_tol,
-        "passed": report.max_error <= args.verify_tol and not violations,
+        "passed": report.within(args.verify_tol) and not violations,
         "violations": violations,
         "profile_scenario": (
             {

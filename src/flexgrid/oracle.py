@@ -126,54 +126,61 @@ def verify_decision(
     injection profile is evaluated exactly, and the report collects the
     largest |v| discrepancy plus how far the nonlinear voltages stray outside
     the band.  Each (activation, extremum) family takes its n argmax rows
-    from one ``values`` call and pushes them through one stacked Newton
-    solve and one matrix product of the linear model.  Constant-Q runs
-    expect the decision to carry q_set slots.
+    from one ``values`` call.  The rows of all families are stacked and exact
+    repeats dropped (first occurrences kept): a follower's knapsack fill
+    depends on its target only through the order of its gains, so many
+    targets share one dispatch.  The distinct profiles go through one
+    stacked Newton solve and one matrix product of the linear model.
+    Constant-Q runs expect the decision to carry q_set slots.
     """
     if not ctx.n:
         return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
     fix_q = decision_fixes_q(mode, decision)
-    checks: list[ScenarioCheck] = []
-    profiles: list[tuple[np.ndarray, np.ndarray]] = []  # (linear, nonlinear) per family
+    nodes = np.arange(ctx.n)
+    scenarios: list[Scenario] = []
+    lp_vm: list[np.ndarray] = []
+    injections: list[np.ndarray] = []  # (n, 2n) rows [p, q] per family
     for activation in ACTIVATIONS:
         for extremum in screened_extrema(direction):
             proto = Scenario(node=0, activation=activation, extremum=extremum)
             problem = build_follower(ctx, proto, mode, fix_q=fix_q)
             mf = problem.materialize(_decision_slots(decision, problem))
-            vals = mf.values(np.arange(ctx.n))
+            vals = mf.values(nodes)
             if not vals.optimal.all():
                 raise OracleError(
                     f"follower (node {int(np.argmin(vals.optimal))}, {activation}/{extremum}) "
                     "has no optimum"
                 )
-            # The family's n argmax profiles go through one stacked solve.
             x = np.zeros((ctx.n, problem.n_vars))
             x[:, mf.device_cols] = vals.devices
-            p, q = problem.injections(x)
-            vm_lin = linear_magnitudes(ctx, p, q)
-            vm_nl = nonlinear_magnitudes(ctx, p, q)
-            errors = np.max(np.abs(vm_lin - vm_nl), axis=1)
-            excess = np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl), axis=1)
-            profiles.append((vm_lin, vm_nl))
-            checks += [
-                ScenarioCheck(
-                    scenario=Scenario(node=k, activation=activation, extremum=extremum),
-                    lp_vm=proto.sigma * objective,
-                    nl_vm=float(vm_nl[k, k]),
-                    error=float(errors[k]),
-                    band_excess=float(excess[k]),
-                )
-                for k, objective in enumerate(vals.objective.tolist())
-            ]
-    worst = int(np.argmax([c.error for c in checks]))  # first of the largest errors
-    vm_lin, vm_nl = (np.concatenate(arrays) for arrays in zip(*profiles))
+            injections.append(np.concatenate(problem.injections(x), axis=1))
+            lp_vm.append(proto.sigma * vals.objective)
+            scenarios += [Scenario(k, activation, extremum) for k in nodes.tolist()]
+    pq = np.concatenate(injections)
+    stack_row: dict[bytes, int] = {}  # profile bytes -> its row in the Newton stack
+    row = np.array([stack_row.setdefault(r.tobytes(), len(stack_row)) for r in pq])
+    first = np.unique(row, return_index=True)[1]
+    p, q = pq[first, : ctx.n], pq[first, ctx.n :]
+    vm_lin = linear_magnitudes(ctx, p, q)
+    vm_nl = nonlinear_magnitudes(ctx, p, q)
+    errors = np.max(np.abs(vm_lin - vm_nl), axis=1)[row]
+    excess = np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl), axis=1)[row]
+    nl_vm = vm_nl[row, np.tile(nodes, len(injections))]
+    checks = [
+        ScenarioCheck(scenario=sc, lp_vm=lp, nl_vm=nl, error=err, band_excess=ex)
+        for sc, lp, nl, err, ex in zip(
+            scenarios, np.concatenate(lp_vm).tolist(), nl_vm.tolist(), errors.tolist(),
+            excess.tolist(),
+        )
+    ]
+    worst = int(np.argmax(errors))  # first of the largest errors
     return OracleReport(
         checks=checks,
         max_error=checks[worst].error,
-        max_band_excess=max(c.band_excess for c in checks),
+        max_band_excess=float(excess.max()),
         profile_scenario=checks[worst].scenario,
-        profile_linear=vm_lin[worst],
-        profile_nonlinear=vm_nl[worst],
+        profile_linear=vm_lin[row[worst]],
+        profile_nonlinear=vm_nl[row[worst]],
     )
 
 

@@ -120,9 +120,10 @@ def solve_nonlinear_pf(
     takes full Newton steps.  Each iteration builds the Jacobians of all
     unconverged profiles as one ``(P, 2n, 2n)`` stack and solves them in one
     stacked LU call.  A profile leaves the stack once its own power mismatch
-    drops below ``NEWTON_TOL`` (p.u.), so it ends on the iterate a lone
-    solve would.  Stacks larger than ``NEWTON_STACK_BYTES`` allows are
-    solved in chunks.  The result has the input's shape; for a stack,
+    drops below ``NEWTON_TOL`` (p.u.), so it takes the steps a lone solve
+    would; its last bits may still depend on the other rows of its stack
+    (a matrix product's rounding can vary with the stack's length).  Stacks
+    larger than ``NEWTON_STACK_BYTES`` allows are solved in chunks.  The result has the input's shape; for a stack,
     ``iterations`` is the step count of the slowest profile and
     ``residual`` the largest final mismatch.  A singular Jacobian, a
     collapsing voltage or ``NEWTON_MAX_ITER`` steps without convergence in

@@ -51,7 +51,8 @@ def test_traced_oracle_run_serializes():
     """Span counts must be plain Python numbers: the traced benchmark sums
     them and writes them with ``json.dumps``, which rejects numpy scalars.
     Two scenarios of one activation share one grid: the traced points count
-    both calls, and the Newton calls are those of one grid."""
+    both calls, and the Newton calls are the verify's one stacked call plus
+    those of one grid."""
     tracing = _load_tracing()
     ctx = random_context(np.random.default_rng(7208), mode=MODE_VOLT_VAR)
     decision = run_iterative(ctx, MODE_VOLT_VAR, direction="both").decision
@@ -79,11 +80,17 @@ def test_traced_oracle_run_serializes():
 
     brute, (metrics, missing) = traced(two_scenarios)
     extremes, (grid_metrics, _) = traced(one_grid)
+    _, (grid_only, _) = traced(
+        lambda: oracle.brute_force_extremes(ctx, MODE_VOLT_VAR, decision, POSITIVE)
+    )
     assert not [m for m in missing if m.startswith(("powerflow.", "oracle."))]
     assert metrics["oracle.verify_scenarios"][0] == 4 * ctx.n
     assert [b.points for b in brute] == [extremes.points] * 2
     assert metrics["oracle.bruteforce_points"][0] == 2 * extremes.points > 0
-    assert metrics["powerflow.newton_calls"][0] == grid_metrics["powerflow.newton_calls"][0] > 4
+    grid_calls = grid_only["powerflow.newton_calls"][0]
+    assert grid_calls > 0
+    assert (metrics["powerflow.newton_calls"][0] == grid_metrics["powerflow.newton_calls"][0]
+            == 1 + grid_calls)
 
 
 def test_traced_search_builds_and_solves_through_the_wrapped_names():

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from flexgrid import build_context, load_feeder, oracle
+from flexgrid import build_context, load_feeder, oracle, powerflow
 from flexgrid.bilevel import UpperDecision, neutral_setpoints, run_iterative, setpoint_boxes
 from flexgrid.feeder import (
     MODE_CONSTANT_PF,
@@ -14,6 +14,7 @@ from flexgrid.feeder import (
     MODE_VOLT_VAR,
 )
 from flexgrid.follower import (
+    ACTIVATIONS,
     MAX_V,
     NEGATIVE,
     POSITIVE,
@@ -21,6 +22,7 @@ from flexgrid.follower import (
     Scenario,
     all_scenarios,
     build_follower,
+    screened_extrema,
     slot_gamma,
     slot_qbar,
     slot_qset,
@@ -28,6 +30,8 @@ from flexgrid.follower import (
 from flexgrid.oracle import (
     BruteForceResult,
     OracleError,
+    OracleReport,
+    ScenarioCheck,
     _droop_voltages,
     brute_force_extremes,
     brute_force_worst_voltage,
@@ -133,6 +137,166 @@ def test_verify_decision_requires_all_slots(pv_tight_ctx):
     bare = UpperDecision(dp_plus=0.1, dp_minus=-0.1, setpoints={}, mode=MODE_CONSTANT_PF)
     with pytest.raises(OracleError, match="lacks slots"):
         verify_decision(pv_tight_ctx, MODE_CONSTANT_PF, bare)
+
+
+# ---------------------------------------------------------------------------
+# One Newton stack of distinct profiles against one stack per family
+# ---------------------------------------------------------------------------
+
+def _argmax_families(ctx, mode, decision, direction):
+    """Per (activation, extremum) family: its prototype scenario, the
+    objectives of its n followers and the (p, q) of their argmax dispatches."""
+    fix_q = decision_fixes_q(mode, decision)
+    families = []
+    for activation in ACTIVATIONS:
+        for extremum in screened_extrema(direction):
+            proto = Scenario(0, activation, extremum)
+            problem = build_follower(ctx, proto, mode, fix_q=fix_q)
+            mf = problem.materialize({s: decision.slots[s] for s in problem.slot_names})
+            vals = mf.values(np.arange(ctx.n))
+            assert vals.optimal.all()
+            x = np.zeros((ctx.n, problem.n_vars))
+            x[:, mf.device_cols] = vals.devices
+            families.append((proto, vals.objective, *problem.injections(x)))
+    return families
+
+
+def _reference_verify(ctx, mode, decision, direction):
+    """``verify_decision`` with one stacked Newton solve per family, repeats
+    included."""
+    checks, profiles = [], []
+    for proto, objective, p, q in _argmax_families(ctx, mode, decision, direction):
+        vm_lin = linear_magnitudes(ctx, p, q)
+        vm_nl = nonlinear_magnitudes(ctx, p, q)
+        errors = np.max(np.abs(vm_lin - vm_nl), axis=1)
+        excess = np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl), axis=1)
+        profiles += zip(vm_lin, vm_nl)
+        checks += [
+            ScenarioCheck(
+                scenario=Scenario(k, proto.activation, proto.extremum),
+                lp_vm=proto.sigma * obj,
+                nl_vm=float(vm_nl[k, k]),
+                error=float(errors[k]),
+                band_excess=float(excess[k]),
+            )
+            for k, obj in enumerate(objective.tolist())
+        ]
+    worst = int(np.argmax([c.error for c in checks]))
+    return OracleReport(
+        checks=checks,
+        max_error=checks[worst].error,
+        max_band_excess=max(c.band_excess for c in checks),
+        profile_scenario=checks[worst].scenario,
+        profile_linear=profiles[worst][0],
+        profile_nonlinear=profiles[worst][1],
+    )
+
+
+def _assert_same_report(got, ref, tol):
+    """Field by field; ``tol`` 0 asks for the same bits."""
+
+    def same(a, b, what):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape, what
+        if tol == 0:
+            assert a.tobytes() == b.tobytes(), what
+        else:
+            assert np.max(np.abs(a - b), initial=0.0) <= tol, what
+
+    assert [c.scenario for c in got.checks] == [c.scenario for c in ref.checks]
+    for field in ("lp_vm", "nl_vm", "error", "band_excess"):
+        same([getattr(c, field) for c in got.checks], [getattr(c, field) for c in ref.checks],
+             field)
+    same(got.max_error, ref.max_error, "max_error")
+    same(got.max_band_excess, ref.max_band_excess, "max_band_excess")
+    assert got.profile_scenario == ref.profile_scenario
+    same(got.profile_linear, ref.profile_linear, "profile_linear")
+    same(got.profile_nonlinear, ref.profile_nonlinear, "profile_nonlinear")
+
+
+@pytest.fixture(scope="module")
+def solved_study(ieee13_binding_ctx, pv_tight_ctx):
+    """(ctx, accepted decision) of a named study in a mode, solved once."""
+    held = {}
+
+    def solved(study, mode):
+        if (study, mode) not in held:
+            if study == "ieee13-binding":  # the binding-13bus benchmark case
+                ctx, options = ieee13_binding_ctx, {"direction": "overvoltage", "node_limit": 2}
+            elif study == "pv-tight":
+                ctx, options = pv_tight_ctx, {}
+            else:  # "gen<seed>": the weak-grid generator feeders of binding-small
+                rng = np.random.default_rng(int(study.removeprefix("gen")))
+                ctx, options = random_context(rng, mode=mode, z_scale=2.0), {"direction": "both"}
+            held[study, mode] = ctx, run_iterative(ctx, mode, **options).decision
+        return held[study, mode]
+
+    return solved
+
+
+# The benchmark's cases among the studies below (ceiling-13bus and
+# nonlinear-recheck aside), whose reports must keep every bit.
+BENCHMARK_VERIFIES = {
+    ("ieee13-binding", MODE_CONSTANT_PF, "overvoltage"),
+    ("gen7200", MODE_CONSTANT_PF, "both"),
+    ("gen7201", MODE_CONSTANT_Q, "both"),
+    ("gen7202", MODE_VOLT_VAR, "both"),
+}
+MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
+
+
+@pytest.mark.parametrize(
+    "study,mode,direction",
+    [("ieee13-binding", MODE_CONSTANT_PF, d) for d in ("overvoltage", "both")]
+    + [
+        (study, mode, d)
+        for study in ("pv-tight", "gen7200", "gen7201", "gen7202")
+        for mode in MODES
+        for d in ("both", "overvoltage")
+    ],
+)
+def test_verify_matches_one_newton_stack_per_family(solved_study, study, mode, direction):
+    """Deduplicated profiles in one Newton stack report what one stack per
+    family reported: the same bits on the benchmark's cases, and within
+    1e-12 p.u. elsewhere (a row's last bits may depend on its stack)."""
+    ctx, decision = solved_study(study, mode)
+    got = verify_decision(ctx, mode, decision, direction=direction)
+    ref = _reference_verify(ctx, mode, decision, direction)
+    _assert_same_report(got, ref, 0 if (study, mode, direction) in BENCHMARK_VERIFIES else 1e-12)
+
+
+def test_verify_splits_its_stack_into_newton_chunks(solved_study, monkeypatch):
+    """A stack over the memory budget is solved in chunks with the same result."""
+    ctx, decision = solved_study("ieee13-binding", MODE_CONSTANT_PF)
+    ref = _reference_verify(ctx, MODE_CONSTANT_PF, decision, "both")
+    chunks = []
+    newton = powerflow._newton
+    monkeypatch.setattr(powerflow, "NEWTON_STACK_BYTES",
+                        4 * powerflow.ROW_BYTES_PER_NODE2 * ctx.n**2)
+    monkeypatch.setattr(powerflow, "_newton", lambda YLL, i_lin, v_flat, s_spec, *out: (
+        chunks.append(len(s_spec)) or newton(YLL, i_lin, v_flat, s_spec, *out)))
+    got = verify_decision(ctx, MODE_CONSTANT_PF, decision, direction="both")
+    assert len(chunks) > 1 and max(chunks) == 4
+    _assert_same_report(got, ref, 1e-12)
+
+
+def test_verify_makes_one_newton_call_over_the_distinct_profiles(ieee13_model, monkeypatch):
+    """At the availability ceiling every target of a family shares one
+    dispatch: the 72 scenarios of the overvoltage verify take one Newton
+    call over their few distinct (p, q) rows."""
+    ctx = build_context(ieee13_model)
+    decision = run_iterative(ctx, MODE_CONSTANT_PF, direction="overvoltage").decision
+    families = _argmax_families(ctx, MODE_CONSTANT_PF, decision, "overvoltage")
+    rows = np.concatenate([np.concatenate([p, q], axis=1) for *_, p, q in families])
+    distinct = len(np.unique(rows, axis=0))
+    calls = []
+    solve = oracle.solve_nonlinear_pf
+    monkeypatch.setattr(oracle, "solve_nonlinear_pf",
+                        lambda model, p, q, **kw: calls.append(len(p)) or solve(model, p, q, **kw))
+    report = verify_decision(ctx, MODE_CONSTANT_PF, decision, direction="overvoltage")
+    assert len(report.checks) == len(rows) == 72
+    assert calls == [distinct]
+    assert distinct <= 6
 
 
 def test_brute_force_agrees_with_the_lp_adversary():
