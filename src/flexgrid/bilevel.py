@@ -837,8 +837,8 @@ def run_iterative(
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite non-negative number, got {epsilon}")
     wc = worst_case_limits(ctx, mode, direction=direction)
     scenarios_all = all_scenarios(ctx.n, direction=direction)
     cap = max_iterations if max_iterations is not None else len(scenarios_all)

@@ -1,17 +1,18 @@
 """Bilinear programs: McCormick envelopes and spatial branch-and-bound.
 
 A ``BilinearProgram`` is a base LP plus a list of product terms
-``coeff * x_i * x_j`` attached either to a constraint row or to the
-objective (``row = OBJ_ROW``).  Its McCormick relaxation replaces every
-distinct product with an auxiliary variable bounded by the envelope rows
-over the current variable boxes.  A ``RelaxationTemplate`` assembles that
-relaxation once per search as one CSC matrix with ranged rows;
-``mccormick_relax`` then writes, in numpy only, what a node changes: the
-column bounds, the envelope coefficients and the envelope row bounds.
-``spatial_branch_and_bound`` drives the usual best-first refine loop: solve
-the relaxation (primal-only), try to promote a feasible incumbent, branch
-on the variable behind the largest envelope violation, split at the
-relaxation point clamped away from the box edges.
+``coeff * x_i * x_j`` of two distinct variables, each attached to a
+constraint row; the objective stays linear.  This is the form the LP-duality
+single level takes: every product is an upper-level slot times a follower
+variable or dual.  Its McCormick relaxation replaces every distinct product
+with an auxiliary variable bounded by the four envelope rows over the current
+variable boxes.  A ``RelaxationTemplate`` assembles that relaxation once per
+search as one CSC matrix with ranged rows; ``mccormick_relax`` then writes, in
+numpy only, what a node changes: the column bounds, the envelope coefficients
+and the envelope row bounds.  ``spatial_branch_and_bound`` drives the usual
+best-first refine loop: solve the relaxation (primal-only), try to promote a
+feasible incumbent, branch on the variable behind the largest envelope
+violation, split at the relaxation point clamped away from the box edges.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ from .lp import (
     solve_lp,
 )
 
-OBJ_ROW = -1  # sentinel: the bilinear term lives in the objective
 FEAS_TOL = 1e-6  # worst row violation of a point the search accepts as feasible
 
 
 @dataclass(frozen=True)
 class BilinearTerm:
-    row: int  # constraint row index, or OBJ_ROW
+    row: int  # constraint row index
     coeff: float
     var_i: int
     var_j: int
@@ -53,6 +53,8 @@ class BilinearProgram:
     terms: list[BilinearTerm] = field(default_factory=list)
 
     def add_term(self, row: int, coeff: float, var_i: int, var_j: int) -> None:
+        if var_i == var_j:
+            raise ValueError(f"product of {self.base.var_names[var_i]} with itself")
         self.terms.append(BilinearTerm(row, float(coeff), var_i, var_j))
 
     def products(self) -> list[tuple[int, int]]:
@@ -66,27 +68,16 @@ class BilinearProgram:
 def mccormick_rows(l1, u1, l2, u2) -> list[tuple]:
     """Envelope rows for w = x*y over [l1,u1] x [l2,u2].
 
-    Each entry is (a_w, a_x, a_y, relation, rhs) for a_w*w + a_x*x + a_y*y REL rhs.
+    Each entry is (a_x, a_y, relation, rhs) for w + a_x*x + a_y*y REL rhs.
     Underestimators:  w >= l2*x + l1*y - l1*l2   and   w >= u2*x + u1*y - u1*u2
     Overestimators:   w <= u2*x + l1*y - l1*u2   and   w <= l2*x + u1*y - u1*l2
     The bounds may be floats or equal-shape arrays (one product per entry).
     """
     return [
-        (1.0, -l2, -l1, GE, -l1 * l2),
-        (1.0, -u2, -u1, GE, -u1 * u2),
-        (1.0, -u2, -l1, LE, -l1 * u2),
-        (1.0, -l2, -u1, LE, -u1 * l2),
-    ]
-
-
-def square_rows(lo, hi) -> list[tuple]:
-    """Envelope rows for w = x^2 over [lo, hi]: the tangents at both box
-    edges below, the secant above.  Each entry is (a_w, a_x, relation, rhs)
-    for a_w*w + a_x*x REL rhs; the bounds may be floats or arrays."""
-    return [
-        (1.0, -2.0 * lo, GE, -lo * lo),
-        (1.0, -2.0 * hi, GE, -hi * hi),
-        (1.0, -(lo + hi), LE, -lo * hi),
+        (-l2, -l1, GE, -l1 * l2),
+        (-u2, -u1, GE, -u1 * u2),
+        (-u2, -l1, LE, -l1 * u2),
+        (-l2, -u1, LE, -u1 * l2),
     ]
 
 
@@ -96,9 +87,9 @@ class RelaxationTemplate:
     Columns: the base variables, then one auxiliary w per distinct product,
     in ``bp.products()`` order (column ``n_vars + k`` for product k).  Rows:
     the base rows as ``LinearProgram.materialize`` gives them (in program
-    order, ranged), then the envelope rows product by product (four per
-    product x*y, three per square x*x), each with its rhs on the side its
-    relation bounds.  A row's product terms sit on the w columns.  The
+    order, ranged), then the four envelope rows of each product in turn,
+    each with its rhs on the side its relation bounds.  A row's product
+    terms sit on the w columns; the objective is zero on them.  The
     template is a snapshot: terms or rows added to ``bp`` later are not in
     it.
 
@@ -119,18 +110,14 @@ class RelaxationTemplate:
         pj = np.array([j for _, j in products], dtype=np.int64)
         self.prod_i, self.prod_j = pi, pj
         self.lb, self.ub = mat.lb, mat.ub
+        self.c = np.concatenate([mat.c, np.zeros(n_w)])
 
         # Product terms on the w columns, accumulated in term order.
         col = {p: n + k for k, p in enumerate(products)}
-        obj_w = np.zeros(n_w)
         row_extra: dict[tuple[int, int], float] = {}
         for t in bp.terms:
-            w = col[(min(t.var_i, t.var_j), max(t.var_i, t.var_j))]
-            if t.row == OBJ_ROW:
-                obj_w[w - n] += t.coeff
-            else:
-                row_extra[(t.row, w)] = row_extra.get((t.row, w), 0.0) + t.coeff
-        self.c = np.concatenate([mat.c, obj_w])
+            key = (t.row, col[(min(t.var_i, t.var_j), max(t.var_i, t.var_j))])
+            row_extra[key] = row_extra.get(key, 0.0) + t.coeff
 
         # Base rows with their product terms: the screening matrix.
         coo = mat.A.tocoo()
@@ -144,35 +131,15 @@ class RelaxationTemplate:
         self._screen = csr_array((vals, (rows, cols)), shape=(n_base, n + n_w))
         self._screen_lb, self._screen_ub = mat.row_lb, mat.row_ub
 
-        # Envelope rows: product k's block starts at env_start[k].
-        square = pi == pj
-        n_env_k = np.where(square, 3, 4)
-        env_start = n_base + np.cumsum(n_env_k) - n_env_k
-        n_env = int(n_env_k.sum())
-        sq = self._sq = np.flatnonzero(square)
-        bi = self._bi = np.flatnonzero(~square)
-        sq_rows = env_start[sq, None] + np.arange(3)
-        bi_rows = env_start[bi, None] + np.arange(4)
-        w_sq, rel_sq = zip(*((a_w, rel) for a_w, _, rel, _ in square_rows(0.0, 0.0)))
-        w_bi, rel_bi = zip(*((a_w, rel) for a_w, _, _, rel, _ in mccormick_rows(0.0, 0.0, 0.0, 0.0)))
-        one3, one4 = np.ones(3, dtype=np.int64), np.ones(4, dtype=np.int64)
-        env_r = np.concatenate([
-            sq_rows.ravel(), sq_rows.ravel(),
-            bi_rows.ravel(), bi_rows.ravel(), bi_rows.ravel(),
-        ])
-        env_c = np.concatenate([
-            np.outer(n + sq, one3).ravel(), np.outer(pi[sq], one3).ravel(),
-            np.outer(n + bi, one4).ravel(), np.outer(pi[bi], one4).ravel(),
-            np.outer(pj[bi], one4).ravel(),
-        ])
-        # The x/y coefficients are placeholders until a node writes them.
-        env_v = np.concatenate([
-            np.tile(w_sq, sq.size), np.ones(3 * sq.size),
-            np.tile(w_bi, bi.size), np.ones(8 * bi.size),
-        ])
-        m = n_base + n_env
+        # Envelope rows: product k's four start at n_base + 4k, each with a
+        # w, an x and a y entry.  The x/y coefficients are placeholders until
+        # a node writes them.
+        env_rows = n_base + 4 * np.arange(n_w, dtype=np.int64)[:, None] + np.arange(4)
+        env_r = np.tile(env_rows.ravel(), 3)
+        env_c = np.repeat(np.concatenate([n + np.arange(n_w), pi, pj]), 4)
+        m = n_base + 4 * n_w
         self.A = csc_array(
-            (np.concatenate([vals, env_v]),
+            (np.concatenate([vals, np.ones(env_r.size)]),
              (np.concatenate([rows, env_r]), np.concatenate([cols, env_c]))),
             shape=(m, n + n_w),
         )
@@ -187,27 +154,19 @@ class RelaxationTemplate:
         # The entries and row sides a node writes, row kind by row kind, in
         # the order ``mccormick_relax`` lists their values.
         self._coef_pos = np.concatenate([
-            positions(sq_rows, pi[sq, None]).T.ravel(),
-            positions(bi_rows, pi[bi, None]).T.ravel(),
-            positions(bi_rows, pj[bi, None]).T.ravel(),
+            positions(env_rows, pi[:, None]).T.ravel(),
+            positions(env_rows, pj[:, None]).T.ravel(),
         ])
-        kinds = list(zip(sq_rows.T, rel_sq)) + list(zip(bi_rows.T, rel_bi))
-        self._ge_rows = np.concatenate([r for r, rel in kinds if rel == GE])
-        self._le_rows = np.concatenate([r for r, rel in kinds if rel == LE])
-        self.row_lb = np.concatenate([mat.row_lb, np.full(n_env, -np.inf)])
-        self.row_ub = np.concatenate([mat.row_ub, np.full(n_env, np.inf)])
-
-    def _lifted(self, x: np.ndarray) -> np.ndarray:
-        """Base point followed by the exact value of each product."""
-        return np.concatenate([x, x[self.prod_i] * x[self.prod_j]])
-
-    def true_objective(self, x: np.ndarray) -> float:
-        return float(self.c @ self._lifted(np.asarray(x, dtype=float)))
+        ge = np.array([rel == GE for *_, rel, _ in mccormick_rows(0.0, 0.0, 0.0, 0.0)])
+        self._ge_rows = env_rows[:, ge].T.ravel()
+        self._le_rows = env_rows[:, ~ge].T.ravel()
+        self.row_lb = np.concatenate([mat.row_lb, np.full(4 * n_w, -np.inf)])
+        self.row_ub = np.concatenate([mat.row_ub, np.full(4 * n_w, np.inf)])
 
     def max_row_violation(self, x: np.ndarray) -> float:
         """Worst constraint violation of a point with products evaluated exactly."""
         x = np.asarray(x, dtype=float)
-        ax = self._screen @ self._lifted(x)
+        ax = self._screen @ np.concatenate([x, x[self.prod_i] * x[self.prod_j]])
         # Bounds violations count too; branching must never exclude an incumbent.
         return float(max(
             np.max(self._screen_lb - ax, initial=0.0),
@@ -240,18 +199,14 @@ def mccormick_relax(
         )
     corners = np.stack([li * lj, li * uj, ui * lj, ui * uj])
 
-    sq, bi = tpl._sq, tpl._bi
-    sq_rows = square_rows(li[sq], ui[sq])
-    bi_rows = mccormick_rows(li[bi], ui[bi], lj[bi], uj[bi])
+    rows = mccormick_rows(li, ui, lj, uj)
     data = tpl.A.data.copy()
     data[tpl._coef_pos] = np.concatenate(
-        [a_x for _, a_x, _, _ in sq_rows]
-        + [a_x for _, a_x, _, _, _ in bi_rows]
-        + [a_y for _, _, a_y, _, _ in bi_rows]
+        [a_x for a_x, _, _, _ in rows] + [a_y for _, a_y, _, _ in rows]
     )
     row_lb, row_ub = tpl.row_lb.copy(), tpl.row_ub.copy()
-    row_lb[tpl._ge_rows] = np.concatenate([rhs for *_, rel, rhs in sq_rows + bi_rows if rel == GE])
-    row_ub[tpl._le_rows] = np.concatenate([rhs for *_, rel, rhs in sq_rows + bi_rows if rel == LE])
+    row_lb[tpl._ge_rows] = np.concatenate([rhs for *_, rel, rhs in rows if rel == GE])
+    row_ub[tpl._le_rows] = np.concatenate([rhs for *_, rel, rhs in rows if rel == LE])
     return RangedLP(
         sense=tpl.sense,
         c=tpl.c,
@@ -267,7 +222,7 @@ def mccormick_relax(
 class BnBResult:
     status: str  # "optimal" | "infeasible" | "node_limit"
     x: np.ndarray | None
-    objective: float | None  # true objective of the incumbent
+    objective: float | None  # objective of the incumbent
     bound: float  # best relaxation bound in the problem's sense
     gap: float
     nodes: int
@@ -311,7 +266,7 @@ def spatial_branch_and_bound(
         x = np.asarray(x, dtype=float)
         if x.shape[0] != n or tpl.max_row_violation(x) > FEAS_TOL:
             return
-        val = sigma * tpl.true_objective(x)
+        val = sigma * float(tpl.c[:n] @ x)
         if val > best_val + 1e-12:
             best_val = val
             best_x = x.copy()
@@ -369,7 +324,7 @@ def spatial_branch_and_bound(
         # Gaps within 1e-15 of the largest tie; the first of them wins.
         k = int(np.argmax(gaps >= gaps.max() - 1e-15))
         i, j = tpl.prod_i[k], tpl.prod_j[k]
-        v = i if (i == j or ub[i] - lb[i] >= ub[j] - lb[j]) else j
+        v = i if ub[i] - lb[i] >= ub[j] - lb[j] else j
         lo, hi = lb[v], ub[v]
         split = min(max(x_rel[v], lo + 0.25 * (hi - lo)), lo + 0.75 * (hi - lo))
         for child_lo, child_hi in ((lo, split), (split, hi)):

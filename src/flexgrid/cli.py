@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_study(args) -> tuple:
     """Feeder + context from common arguments (validation errors -> exit 2)."""
-    if not (0.0 < args.vmin < args.vmax):
-        raise FeederError("need 0 < vmin < vmax")
+    if not 0.0 < args.vmin < args.vmax < math.inf:
+        raise FeederError("need 0 < vmin < vmax, all finite")
     model = load_feeder(args.feeder)
     ctx = build_context(model, v_min=args.vmin, v_max=args.vmax)
     return model, ctx
@@ -402,6 +402,8 @@ def _decision_from_doc(ctx, doc: dict) -> UpperDecision:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.verify_tol < math.inf:
+        raise ValueError(f"verify_tol must be a finite non-negative number, got {args.verify_tol}")
     doc = _read_result(args.result)
     feeder_path = args.feeder or doc["feeder"]
     model = load_feeder(feeder_path)

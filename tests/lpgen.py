@@ -3,19 +3,21 @@
 The vertex enumerator solves an LP by trying every candidate active set, so
 it shares no code path with the HiGHS backend; the grid oracle solves small
 bilinear programs by meshing the box, completing points onto constraint
-boundaries and zooming.  Instance generators keep constraint pools small
+boundaries and zooming, then polishing the best point with SLSQP (no HiGHS
+and no McCormick envelope on either route).  Instance generators keep constraint pools small
 enough that both stay exact and fast.  ``reference_relaxation`` builds the
 McCormick relaxation row by row as a ``LinearProgram``, the reference for
-``bnb.RelaxationTemplate``, and ``reference_true_objective`` /
-``reference_max_row_violation`` screen a point term by term and row by row.
+``bnb.RelaxationTemplate``, and ``reference_max_row_violation`` screens a
+point term by term and row by row.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
-from flexgrid.bnb import OBJ_ROW, BilinearProgram, mccormick_rows, square_rows
+from flexgrid.bnb import BilinearProgram, mccormick_rows
 from flexgrid.lp import EQ, GE, LE, MAX, MIN, LinearProgram
 
 
@@ -144,15 +146,9 @@ def reference_relaxation(bp, lb=None, ub=None):
         product_var[(i, j)] = lp.add_var(lb=min(corners), ub=max(corners))
 
     row_extra = {}
-    obj_extra = {}
     for t in bp.terms:
         w = product_var[(min(t.var_i, t.var_j), max(t.var_i, t.var_j))]
-        if t.row == OBJ_ROW:
-            obj_extra[w] = obj_extra.get(w, 0.0) + t.coeff
-        else:
-            row_extra.setdefault(t.row, {})[w] = row_extra.get(t.row, {}).get(w, 0.0) + t.coeff
-    for w, coeff in obj_extra.items():
-        lp.set_objective(w, coeff)
+        row_extra.setdefault(t.row, {})[w] = row_extra.get(t.row, {}).get(w, 0.0) + t.coeff
     for r in range(base.n_rows):
         idx, val = base.row_coeffs(r)
         extra = row_extra.get(r)
@@ -162,21 +158,9 @@ def reference_relaxation(bp, lb=None, ub=None):
         lp.add_row((idx, val), base.relations[r], base.rhs[r], name=base.row_names[r])
 
     for (i, j), w in product_var.items():
-        if i == j:
-            for a_w, a_x, rel, rhs in square_rows(lp.lb[i], lp.ub[i]):
-                lp.add_row({w: a_w, i: a_x}, rel, rhs)
-        else:
-            for a_w, a_x, a_y, rel, rhs in mccormick_rows(lp.lb[i], lp.ub[i], lp.lb[j], lp.ub[j]):
-                lp.add_row({w: a_w, i: a_x, j: a_y}, rel, rhs)
+        for a_x, a_y, rel, rhs in mccormick_rows(lp.lb[i], lp.ub[i], lp.lb[j], lp.ub[j]):
+            lp.add_row({w: 1.0, i: a_x, j: a_y}, rel, rhs)
     return lp
-
-
-def reference_true_objective(bp, x):
-    val = float(np.dot(bp.base.obj, x))
-    for t in bp.terms:
-        if t.row == OBJ_ROW:
-            val += t.coeff * x[t.var_i] * x[t.var_j]
-    return val
 
 
 def reference_max_row_violation(bp, x):
@@ -186,8 +170,7 @@ def reference_max_row_violation(bp, x):
         idx, val = base.row_coeffs(r)
         lhs[r] = float(val @ x[idx])
     for t in bp.terms:
-        if t.row != OBJ_ROW:
-            lhs[t.row] += t.coeff * x[t.var_i] * x[t.var_j]
+        lhs[t.row] += t.coeff * x[t.var_i] * x[t.var_j]
     worst = 0.0
     for r, rel in enumerate(base.relations):
         resid = lhs[r] - base.rhs[r]
@@ -207,10 +190,12 @@ def reference_max_row_violation(bp, x):
 # ---------------------------------------------------------------------------
 
 def random_bilinear(rng, *, max_vars=3):
-    """Small bilinear program: box + a couple of rows, products anywhere.
+    """Small bilinear program: box, a linear objective and a couple of rows.
 
-    Squares only ever land in the objective so the grid oracle's boundary
-    completion (solving a row for one variable) stays linear.
+    Every product x_i*x_j (i != j) sits in a constraint row, the form the
+    single-level reformulation builds, so the feasible set is nonconvex.
+    Without squares the grid oracle's boundary completion (solving a row for
+    one variable) stays linear.  The box midpoint is strictly feasible.
     """
     n = int(rng.integers(2, max_vars + 1))
     lp = LinearProgram(sense=MAX if rng.random() < 0.5 else MIN)
@@ -225,12 +210,8 @@ def random_bilinear(rng, *, max_vars=3):
     row_terms = []
     for _ in range(n_terms):
         i = int(rng.integers(0, n))
-        j = int(rng.integers(0, n))
-        coeff = float(rng.uniform(0.4, 2.0) * rng.choice([-1.0, 1.0]))
-        if i == j or rng.random() < 0.6:
-            bp.add_term(OBJ_ROW, coeff, i, j)
-        else:
-            row_terms.append((coeff, i, j))
+        j = (i + int(rng.integers(1, n))) % n
+        row_terms.append((float(rng.uniform(0.4, 2.0) * rng.choice([-1.0, 1.0])), i, j))
 
     n_rows = int(rng.integers(1, 3))
     for r in range(n_rows):
@@ -254,11 +235,7 @@ def _bilinear_eval(bp, X):
     for r in range(base.n_rows):
         lhs[:, r] = X @ base.row_dense(r)
     for t in bp.terms:
-        prod = X[:, t.var_i] * X[:, t.var_j]
-        if t.row == OBJ_ROW:
-            obj += t.coeff * prod
-        else:
-            lhs[:, t.row] += t.coeff * prod
+        lhs[:, t.row] += t.coeff * X[:, t.var_i] * X[:, t.var_j]
     feas = np.ones(X.shape[0], dtype=bool)
     for r, rel in enumerate(base.relations):
         resid = lhs[:, r] - base.rhs[r]
@@ -335,4 +312,32 @@ def grid_oracle(bp, *, stages=3, pts=25, shrink=8.0):
             hi = min(base.ub[v], best_x[v] + half)
             new_boxes.append((lo, hi))
         boxes = new_boxes
-    return None if best_x is None else sigma * best_val
+    if best_x is None:
+        return None
+    polished = _polish(bp, best_x)
+    if polished is not None:
+        best_val = max(best_val, sigma * polished)
+    return sigma * best_val
+
+
+def _polish(bp, x0):
+    """Objective at the SLSQP local optimum from ``x0`` on the exact bilinear
+    rows, or None if that point is not feasible.  The mesh misses optima
+    where two curved rows meet; the polish walks there from the best mesh point."""
+    base = bp.base
+    sigma = 1.0 if base.sense == MAX else -1.0
+    A = np.array([base.row_dense(r) for r in range(base.n_rows)])
+    sign = np.array([{LE: -1.0, GE: 1.0}[rel] for rel in base.relations])
+
+    def slack(x):
+        lhs = A @ x
+        for t in bp.terms:
+            lhs[t.row] += t.coeff * x[t.var_i] * x[t.var_j]
+        return sign * (lhs - np.array(base.rhs))
+
+    res = minimize(lambda x: -sigma * float(np.dot(base.obj, x)), x0, method="SLSQP",
+                   bounds=list(zip(base.lb, base.ub)),
+                   constraints=[{"type": "ineq", "fun": slack}],
+                   options={"ftol": 1e-12, "maxiter": 200})
+    obj, feas = _bilinear_eval(bp, np.clip(res.x, base.lb, base.ub)[None, :])
+    return float(obj[0]) if feas[0] else None

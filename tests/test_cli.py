@@ -438,14 +438,24 @@ def test_version_and_bad_arguments(capsys):
         cli.main(["solve", "--feeder", "x.json", "--mode", "manual"])
 
 
-@pytest.mark.parametrize(
-    "flag, value", [("--max-iterations", "0"), ("--max-iterations", "-3"), ("--epsilon", "-1e-4")]
-)
-def test_bad_solve_limits_exit_code(pv_file, tmp_path, capsys, flag, value):
-    code, _, stderr = run(
-        ["solve", "--feeder", str(pv_file), "--out", str(tmp_path), f"{flag}={value}"],
-        capsys,
-    )
+@pytest.mark.parametrize("flag, value", [
+    ("--max-iterations", "0"), ("--max-iterations", "-3"), ("--epsilon", "-1e-4"),
+    ("--epsilon", "inf"), ("--epsilon", "nan"), ("--vmax", "inf"), ("--vmax", "nan"),
+    ("--verify-tol", "nan"), ("--verify-tol", "inf"), ("--verify-tol", "-0.01"),
+])
+def test_bad_solve_limits_exit_code(pv_file, solved_doc, tmp_path, capsys, flag, value):
+    """A bad limit of ``solve`` or ``verify`` exits 2 before any file is
+    read or written: ``verify`` leaves the result file as it was."""
+    result = tmp_path / "result.json"
+    if flag == "--verify-tol":
+        result.write_text(json.dumps(solved_doc, indent=2) + "\n")
+        argv = ["verify", "--result", str(result)]
+    else:
+        argv = ["solve", "--feeder", str(pv_file)]
+    before = result.read_bytes() if result.exists() else None
+    out = tmp_path / "out"
+    code, _, stderr = run(argv + ["--out", str(out), f"{flag}={value}"], capsys)
     assert code == cli.EXIT_VALIDATION
     assert flag.lstrip("-").replace("-", "_") in stderr
-    assert not (tmp_path / "result.json").exists()
+    assert not out.exists()
+    assert (result.read_bytes() if result.exists() else None) == before

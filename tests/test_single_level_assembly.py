@@ -238,3 +238,20 @@ def test_assembly_matches_the_row_by_row_reference(request, ctx_name, mode, foll
             assert np.array_equal(getattr(block, name), getattr(ref, name)), name
     # Not vacuous: every case's program carries products.
     assert bp.terms and slmap.product_duals
+
+
+@pytest.mark.parametrize("ctx_name, mode, followers, fixed", _cases())
+def test_every_product_is_an_upper_slot_times_a_follower_column_in_a_row(
+    request, ctx_name, mode, followers, fixed,
+):
+    """The products the B&B relaxes are all of one kind: each sits on a row
+    of the base program and multiplies an upper-level slot (first) with a
+    follower-side column, never a square."""
+    ctx = request.getfixturevalue(ctx_name)
+    fixed = fixed(ctx, mode) if fixed else None
+    bp, slmap = assemble_single_level(ctx, mode, followers(ctx), fixed_setpoints=fixed)
+    upper = set(slmap.upper_vars.values())
+    assert bp.terms
+    for t in bp.terms:
+        assert 0 <= t.row < bp.base.n_rows
+        assert t.var_i in upper and t.var_j not in upper
