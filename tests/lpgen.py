@@ -4,11 +4,11 @@ The vertex enumerator solves an LP by trying every candidate active set, so
 it shares no code path with the HiGHS backend; the grid oracle solves small
 bilinear programs by meshing the box, completing points onto constraint
 boundaries and zooming, then polishing the best point with SLSQP (no HiGHS
-and no McCormick envelope on either route).  Instance generators keep constraint pools small
-enough that both stay exact and fast.  ``reference_relaxation`` builds the
-McCormick relaxation row by row as a ``LinearProgram``, the reference for
-``bnb.RelaxationTemplate``, and ``reference_max_row_violation`` screens a
-point term by term and row by row.
+and no McCormick envelope on either route).  Instance generators keep
+constraint pools small enough that both stay exact and fast.
+``reference_relaxation`` builds the McCormick relaxation row by row as a
+``LinearProgram``, the reference for ``bnb.RelaxationTemplate``, and
+``reference_max_row_violation`` screens a point term by term and row by row.
 """
 
 import itertools
@@ -190,12 +190,16 @@ def reference_max_row_violation(bp, x):
 # ---------------------------------------------------------------------------
 
 def random_bilinear(rng, *, max_vars=3):
-    """Small bilinear program: box, a linear objective and a couple of rows.
+    """Small bilinear program: box, a couple of rows and a nonconvex objective.
 
     Every product x_i*x_j (i != j) sits in a constraint row, the form the
     single-level reformulation builds, so the feasible set is nonconvex.
-    Without squares the grid oracle's boundary completion (solving a row for
-    one variable) stays linear.  The box midpoint is strictly feasible.
+    Objective products go through an epigraph column t (objective weight 1)
+    and the row t - sum(coeff*x_i*x_j) <= 0 (>= 0 for MIN), whose envelope is
+    loose inside the box, so the branch-and-bound has to split.  Without
+    squares the grid oracle's boundary completion (solving a row for one
+    variable) stays linear.  The box midpoint of the x columns satisfies the
+    other rows strictly; the epigraph row holds with t at lb (ub for MIN).
     """
     n = int(rng.integers(2, max_vars + 1))
     lp = LinearProgram(sense=MAX if rng.random() < 0.5 else MIN)
@@ -207,11 +211,12 @@ def random_bilinear(rng, *, max_vars=3):
     x_mid = 0.5 * (lb + ub)
 
     n_terms = int(rng.integers(1, 4))
-    row_terms = []
+    obj_terms, row_terms = [], []
     for _ in range(n_terms):
         i = int(rng.integers(0, n))
         j = (i + int(rng.integers(1, n))) % n
-        row_terms.append((float(rng.uniform(0.4, 2.0) * rng.choice([-1.0, 1.0])), i, j))
+        coeff = float(rng.uniform(0.4, 2.0) * rng.choice([-1.0, 1.0]))
+        (obj_terms if rng.random() < 0.6 else row_terms).append((coeff, i, j))
 
     n_rows = int(rng.integers(1, 3))
     for r in range(n_rows):
@@ -224,6 +229,14 @@ def random_bilinear(rng, *, max_vars=3):
                    lhs_mid + float(rng.uniform(0.3, 1.0)))
         for coeff, i, j in terms_here:
             bp.add_term(lp.n_rows - 1, coeff, i, j)
+
+    if obj_terms:
+        corners = [[c * a * b for a in (lb[i], ub[i]) for b in (lb[j], ub[j])]
+                   for c, i, j in obj_terms]
+        t = lp.add_var(lb=sum(map(min, corners)), ub=sum(map(max, corners)), obj=1.0)
+        row = lp.add_row({t: 1.0}, LE if lp.sense == MAX else GE, 0.0)
+        for coeff, i, j in obj_terms:
+            bp.add_term(row, -coeff, i, j)
     return bp
 
 
@@ -279,22 +292,57 @@ def _axis_completions(bp, mesh_small, v, boxes):
     return out
 
 
+def _best_linear_values(bp, X, cols):
+    """Move each column of ``cols`` (in no product) at every point of X to the
+    end of its feasible interval that the objective prefers, the others held;
+    a point whose interval is empty keeps its value."""
+    base = bp.base
+    sigma = 1.0 if base.sense == MAX else -1.0
+    for u in cols:
+        lo = np.full(X.shape[0], base.lb[u])
+        hi = np.full(X.shape[0], base.ub[u])
+        for r, rel in enumerate(base.relations):
+            a = base.row_dense(r)
+            if a[u] == 0.0:
+                continue
+            rest = X @ a - a[u] * X[:, u]
+            for t in bp.terms:
+                if t.row == r:
+                    rest += t.coeff * X[:, t.var_i] * X[:, t.var_j]
+            bound = (base.rhs[r] - rest) / a[u]
+            upper = (rel == LE) == (a[u] > 0)
+            if rel == EQ or upper:
+                hi = np.minimum(hi, bound)
+            if rel == EQ or not upper:
+                lo = np.maximum(lo, bound)
+        ok = lo <= hi
+        X[ok, u] = (hi if sigma * base.obj[u] > 0 else lo)[ok]
+    return X
+
+
 def grid_oracle(bp, *, stages=3, pts=25, shrink=8.0):
-    """Best true-feasible objective from a zooming mesh with boundary completion."""
+    """Best true-feasible objective from a zooming mesh with boundary completion.
+
+    A column in no product enters every row linearly: its axis keeps only
+    its bounds and midpoint, and every candidate then moves it to the end of
+    its feasible interval that the objective prefers."""
     base = bp.base
     n = base.n_vars
+    in_product = {v for t in bp.terms for v in (t.var_i, t.var_j)}
+    linear = [v for v in range(n) if v not in in_product]
     sigma = 1.0 if base.sense == MAX else -1.0
     boxes = [(base.lb[v], base.ub[v]) for v in range(n)]
     widths0 = [hi - lo for lo, hi in boxes]
     best_val = -math.inf
     best_x = None
     for stage in range(stages):
-        axes = [np.linspace(lo, hi, pts) for lo, hi in boxes]
+        axes = [np.linspace(lo, hi, pts if v in in_product else 3)
+                for v, (lo, hi) in enumerate(boxes)]
         mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         cand = [mesh]
         for v in range(n):
             cand.extend(_axis_completions(bp, mesh, v, boxes))
-        X = np.vstack(cand)
+        X = _best_linear_values(bp, np.vstack(cand), linear)
         obj, feas = _bilinear_eval(bp, X)
         if np.any(feas):
             vals = sigma * obj[feas]

@@ -307,6 +307,7 @@ def test_lp_and_branch_and_bound_match_exhaustive_references():
         assert cert.status == "optimal", i
         assert cert.objective == pytest.approx(ref, abs=1e-8), i
 
+    branched = 0
     for i in range(20):
         bp = random_bilinear(rng)
         ref = grid_oracle(bp)
@@ -316,6 +317,8 @@ def test_lp_and_branch_and_bound_match_exhaustive_references():
         assert abs(res.objective - ref) <= 1e-4 * (1.0 + abs(ref)), (
             i, res.objective, ref,
         )
+        branched += res.nodes > 1
+    assert branched >= 6
 
 
 # ---------------------------------------------------------------------------
