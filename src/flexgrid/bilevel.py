@@ -51,6 +51,7 @@ from .follower import (
     available_flexibility_bounds,
     build_follower,
     fix_worst_case_setpoints,
+    fixes_q,
     screened_extrema,
     setpoint_boxes,
 )
@@ -97,7 +98,6 @@ class WorstCaseLimits:
     upper_family: list[str]  # extremum family attaining each upper limit
     lower_family: list[str]
     dp_box: tuple[float, float]  # (Δp_lower, Δp_upper) availability bounds
-    direction: str
 
     @property
     def range_upper(self) -> float:
@@ -118,20 +118,19 @@ class WorstCaseLimits:
         return k, self.lower_family[k]
 
 
-def _family_follower(
-    ctx: FlexContext, mode: str, activation: str, extremum: str,
-    slots: dict[str, float], *, fix_q: bool,
+def family_follower(
+    ctx: FlexContext, mode: str, activation: str, extremum: str, slots: dict[str, float]
 ) -> MaterializedFollower:
     """The follower LP of one (activation, extremum) family at fixed slots.
 
     Only the objective depends on the target node, so one materialized LP
     serves every node of the family: ``values`` solves any batch of them at
     once.  ``slots`` may carry more than the family reads (both band edges,
-    say).
+    say); whether constant-q followers hold q_gen at q_set is read off them
+    (``fixes_q``).
     """
-    problem = build_follower(
-        ctx, Scenario(node=0, activation=activation, extremum=extremum), mode, fix_q=fix_q
-    )
+    scenario = Scenario(node=0, activation=activation, extremum=extremum)
+    problem = build_follower(ctx, scenario, mode, fix_q=fixes_q(mode, slots))
     missing = [s for s in problem.slot_names if s not in slots]
     if missing:
         raise BilevelError(f"decision lacks slots required by followers: {missing}")
@@ -266,7 +265,7 @@ def worst_case_limits(
             slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-            mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
+            mf = family_follower(ctx, mode, activation, extremum, slots)
             lim = _edge_walk(mf, np.arange(n), tol_abs)
             if activation == POSITIVE:
                 tighter, limits, family = lim < upper - 1e-15, upper, upper_family
@@ -277,7 +276,7 @@ def worst_case_limits(
                 family[k] = extremum
     return WorstCaseLimits(
         upper=upper, lower=lower, upper_family=upper_family,
-        lower_family=lower_family, dp_box=(dp_lo, dp_up), direction=direction,
+        lower_family=lower_family, dp_box=(dp_lo, dp_up),
     )
 
 
@@ -287,12 +286,13 @@ def worst_case_limits(
 
 @dataclass
 class UpperDecision:
-    """A DSO offer: the band edges plus per-inverter setpoint slots (p.u.)."""
+    """A DSO offer: the band edges plus per-inverter setpoint slots (p.u.).
+    Its constant-q q_set slots fix q_gen; without them the adversary owns it
+    (``fixes_q``)."""
 
     dp_plus: float
     dp_minus: float
     setpoints: dict[str, float]
-    mode: str
 
     @property
     def slots(self) -> dict[str, float]:
@@ -332,7 +332,6 @@ class FollowerBlock:
 @dataclass
 class SingleLevelMap:
     ctx: FlexContext
-    mode: str
     upper_vars: dict[str, int]  # slot name -> variable index (incl. dp slots)
     setpoint_slots: list[str]
     blocks: list[FollowerBlock]
@@ -392,7 +391,8 @@ def assemble_single_level(
 
     blocks: list[FollowerBlock] = []
     product_duals: list[int] = []
-    fix_q = mode == MODE_CONSTANT_Q
+    # The blocks match the families the completion evaluates at these slots.
+    fix_q = fixes_q(mode, sp_boxes)
 
     for scenario in followers:
         problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
@@ -491,7 +491,7 @@ def assemble_single_level(
         ))
 
     slmap = SingleLevelMap(
-        ctx=ctx, mode=mode, upper_vars=upper_vars,
+        ctx=ctx, upper_vars=upper_vars,
         setpoint_slots=list(sp_boxes), blocks=blocks,
         product_duals=product_duals,
     )
@@ -505,7 +505,6 @@ def _decision_from_x(slmap: SingleLevelMap, x: np.ndarray) -> UpperDecision:
         dp_plus=float(x[up[SLOT_DP_PLUS]]),
         dp_minus=float(x[up[SLOT_DP_MINUS]]),
         setpoints=setpoints,
-        mode=slmap.mode,
     )
 
 
@@ -523,9 +522,7 @@ def _family_followers(
     """
     keys = dict.fromkeys((sc.activation, sc.extremum) for sc in followers)
     return {
-        (activation, extremum): _family_follower(
-            ctx, mode, activation, extremum, slots, fix_q=mode == MODE_CONSTANT_Q
-        )
+        (activation, extremum): family_follower(ctx, mode, activation, extremum, slots)
         for activation, extremum in keys
     }
 
@@ -755,17 +752,16 @@ def feasibility_check(
     Solves the 4n (or direction-filtered 2n) follower LPs with the decision's
     band edges and setpoints, each family's n nodes in one ``values`` call,
     and reports scenarios whose extreme voltage leaves [v_min, v_max] by
-    more than ``FEAS_TOL_PU``.  An infeasible follower is an assembly bug:
-    at Δp = 0 every follower admits the zero-deviation point.
+    more than ``FEAS_TOL_PU``.  A constant-q decision without q_set slots is
+    screened with free q_gen (``fixes_q``), the stronger adversary, as
+    ``oracle.verify_decision`` checks it.  An infeasible follower is an
+    assembly bug: at Δp = 0 every follower admits the zero-deviation point.
     """
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
     for activation in ACTIVATIONS:
         for extremum in screened_extrema(direction):
-            mf = _family_follower(
-                ctx, mode, activation, extremum, decision.slots,
-                fix_q=mode == MODE_CONSTANT_Q,
-            )
+            mf = family_follower(ctx, mode, activation, extremum, decision.slots)
             vals = mf.values(np.arange(ctx.n))
             if not vals.optimal.all():
                 raise BilevelError(

@@ -150,10 +150,6 @@ def _load_study(args) -> tuple:
     return model, ctx
 
 
-def _node_rows(ctx) -> list[tuple[int, str, str]]:
-    return [(k, bus, phase) for k, (bus, phase) in enumerate(ctx.index.nodes)]
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -164,7 +160,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _worst_case_doc(ctx, wc, base_kva: float) -> dict:
     nodes = []
-    for k, bus, phase in _node_rows(ctx):
+    for k, (bus, phase) in enumerate(ctx.index.nodes):
         nodes.append({
             "node": k, "bus": bus, "phase": phase,
             "dp_plus_kw": float(wc.upper[k] * base_kva),
@@ -212,11 +208,7 @@ def cmd_worst_case(args) -> int:
     _write_csv(
         out / "worst_case_limits.csv",
         list(_WORST_CASE_FIELDS),
-        [
-            [k, bus, phase, wc.upper[k] * base, wc.lower[k] * base,
-             wc.upper_family[k], wc.lower_family[k]]
-            for k, bus, phase in _node_rows(ctx)
-        ],
+        [[r[k] for k in _WORST_CASE_FIELDS] for r in doc["worst_case"]["nodes"]],
     )
     print(
         f"worst-case range: [{wc.range_lower * base:.1f}, {wc.range_upper * base:.1f}] kW "
@@ -398,7 +390,7 @@ def _decision_from_doc(ctx, doc: dict) -> UpperDecision:
     dp_minus = doc["dp_minus_kw"] / base
     if not (dp_minus <= 0.0 <= dp_plus):
         raise FeederError("result band must satisfy dp_minus <= 0 <= dp_plus")
-    return UpperDecision(dp_plus=dp_plus, dp_minus=dp_minus, setpoints=setpoints, mode=mode)
+    return UpperDecision(dp_plus=dp_plus, dp_minus=dp_minus, setpoints=setpoints)
 
 
 def cmd_verify(args) -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,11 +175,34 @@ def _require(cond: bool, msg: str) -> None:
         raise FeederError(msg)
 
 
-def _finite(x, where: str) -> float:
-    v = float(x)
-    if not math.isfinite(v):
-        raise FeederError(f"{where}: non-finite number {x!r}")
-    return v
+def _finite(x, where: str, key: str | None = None) -> float:
+    """``x`` as a finite float; ``where`` and ``key`` name it in errors."""
+    number = type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+    if not (number and math.isfinite(x)):
+        what = "non-finite number" if number else "not a number:"
+        raise FeederError(f"{where if key is None else f'{where} {key}'}: {what} {x!r}")
+    return float(x)
+
+
+def _records(doc: dict, section: str, kind: str):
+    """(index, record) of each object in the list ``doc[section]`` (absent: none)."""
+    recs = doc.get(section, [])
+    if not isinstance(recs, list):
+        raise FeederError(f"{section!r} must be a list of objects")
+    for i, rec in enumerate(recs):
+        if not isinstance(rec, dict):
+            raise FeederError(f"{kind} {i}: must be an object, got {rec!r}")
+        yield i, rec
+
+
+def _field(rec: dict, key: str, where: str):
+    if key not in rec:
+        raise FeederError(f"{where}: missing required key {key!r}")
+    return rec[key]
+
+
+def _number(rec: dict, key: str, where: str) -> float:
+    return _finite(_field(rec, key, where), where, key)
 
 
 def load_feeder(source) -> FeederModel:
@@ -204,6 +228,7 @@ def load_feeder(source) -> FeederModel:
         doc, origin = source, None
     else:
         raise FeederError(f"unsupported feeder source {type(source).__name__}")
+    _require(isinstance(doc, dict), "feeder document must be a JSON object")
 
     for key in ("base_kva", "base_kv", "slack", "buses", "segments"):
         _require(key in doc, f"feeder document missing required key {key!r}")
@@ -214,10 +239,10 @@ def load_feeder(source) -> FeederModel:
 
     buses: list[Bus] = []
     by_id: dict[str, Bus] = {}
-    for rec in doc["buses"]:
-        bid = str(rec["id"])
+    for i, rec in _records(doc, "buses", "bus"):
+        bid = str(_field(rec, "id", f"bus {i}"))
         _require(bid not in by_id, f"duplicate bus id {bid!r}")
-        bus = Bus(id=bid, phases=_canon_phases(rec["phases"], f"bus {bid}"))
+        bus = Bus(id=bid, phases=_canon_phases(_field(rec, "phases", f"bus {i}"), f"bus {bid}"))
         buses.append(bus)
         by_id[bid] = bus
 
@@ -229,36 +254,34 @@ def load_feeder(source) -> FeederModel:
     )
 
     segments: list[Segment] = []
-    for i, rec in enumerate(doc["segments"]):
-        fb, tb = str(rec["from"]), str(rec["to"])
+    for i, rec in _records(doc, "segments", "segment"):
+        where = f"segment {i}"
+        fb, tb = str(_field(rec, "from", where)), str(_field(rec, "to", where))
         _require(fb in by_id, f"segment {i}: unknown bus {fb!r}")
         _require(tb in by_id, f"segment {i}: unknown bus {tb!r}")
         _require(fb != tb, f"segment {i}: self-loop at {fb!r}")
-        zflat = rec["z"]
+        zflat = _field(rec, "z", where)
         _require(
             isinstance(zflat, list) and len(zflat) == 9,
             f"segment {i}: z must hold 9 [re, im] pairs (row-major 3x3)",
         )
         z = np.empty((3, 3), dtype=complex)
         for k, pair in enumerate(zflat):
-            _require(
-                isinstance(pair, (list, tuple)) and len(pair) == 2,
-                f"segment {i}: z entry {k} must be an [re, im] pair",
-            )
-            z[k // 3, k % 3] = complex(
-                _finite(pair[0], f"segment {i} z[{k}]"),
-                _finite(pair[1], f"segment {i} z[{k}]"),
-            )
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise FeederError(f"segment {i}: z entry {k} must be an [re, im] pair")
+            entry = f"segment {i} z[{k}]"
+            z[k // 3, k % 3] = complex(_finite(pair[0], entry), _finite(pair[1], entry))
         segments.append(Segment(from_bus=fb, to_bus=tb, z_ohm=z))
 
     regulators: list[Regulator] = []
     seen_seg: set[int] = set()
-    for i, rec in enumerate(doc.get("regulators", [])):
-        si = int(rec["segment"])
+    for i, rec in _records(doc, "regulators", "regulator"):
+        si = _field(rec, "segment", f"regulator {i}")
+        _require(type(si) is int, f"regulator {i} segment: not an integer: {si!r}")
         _require(0 <= si < len(segments), f"regulator {i}: segment index {si} out of range")
         _require(si not in seen_seg, f"regulator {i}: segment {si} already has a regulator")
         seen_seg.add(si)
-        taps = rec["taps"]
+        taps = _field(rec, "taps", f"regulator {i}")
         _require(
             isinstance(taps, (list, tuple)) and len(taps) == 3,
             f"regulator {i}: taps must list three per-phase ratios",
@@ -267,27 +290,28 @@ def load_feeder(source) -> FeederModel:
         _require(all(t > 0 for t in tvals), f"regulator {i}: taps must be positive")
         regulators.append(Regulator(segment=si, taps=tvals))
 
-    def _device_site(rec, i: int, kind: str) -> tuple[str, str]:
-        bid = str(rec["bus"])
-        _require(bid in by_id, f"{kind} {i}: unknown bus {bid!r}")
-        (phase,) = _canon_phases(rec["phase"], f"{kind} {i}")
+    def _device_site(rec, where: str) -> tuple[str, str]:
+        bid = str(_field(rec, "bus", where))
+        _require(bid in by_id, f"{where}: unknown bus {bid!r}")
+        (phase,) = _canon_phases(_field(rec, "phase", where), where)
         _require(
             phase in by_id[bid].phases,
-            f"{kind} {i}: phase {phase!r} not present at bus {bid!r}",
+            f"{where}: phase {phase!r} not present at bus {bid!r}",
         )
-        _require(bid != slack, f"{kind} {i}: devices may not sit on the slack bus")
+        _require(bid != slack, f"{where}: devices may not sit on the slack bus")
         return bid, phase
 
     # Several devices may share a (bus, phase) node -- they aggregate into one
     # per-node cone -- but then their reactive couplings must agree.
     loads: list[LoadSpec] = []
     load_pf: dict[tuple[str, str], float] = {}
-    for i, rec in enumerate(doc.get("loads", [])):
-        bid, phase = _device_site(rec, i, "load")
-        p = _finite(rec["p_kw"], f"load {i} p_kw")
-        pmin = max(0.0, _finite(rec["p_min"], f"load {i} p_min"))  # draw stays >= 0
-        pmax = _finite(rec["p_max"], f"load {i} p_max")
-        pf = _finite(rec["pf"], f"load {i} pf")
+    for i, rec in _records(doc, "loads", "load"):
+        where = f"load {i}"
+        bid, phase = _device_site(rec, where)
+        p = _number(rec, "p_kw", where)
+        pmin = max(0.0, _number(rec, "p_min", where))  # draw stays >= 0
+        pmax = _number(rec, "p_max", where)
+        pf = _number(rec, "pf", where)
         _require(0 < pf <= 1.0, f"load {i}: power factor must be in (0, 1]")
         _require(pmin <= p <= pmax, f"load {i}: need p_min <= p_kw <= p_max after clamping")
         prev = load_pf.setdefault((bid, phase), pf)
@@ -299,17 +323,19 @@ def load_feeder(source) -> FeederModel:
 
     inverters: list[InverterSpec] = []
     inv_params: dict[tuple[str, str], tuple[float, float]] = {}
-    for i, rec in enumerate(doc.get("inverters", [])):
-        bid, phase = _device_site(rec, i, "inverter")
-        p = _finite(rec["p_kw"], f"inverter {i} p_kw")
-        pmin = _finite(rec["p_min"], f"inverter {i} p_min")
-        pmax = _finite(rec["p_max"], f"inverter {i} p_max")
-        s = _finite(rec["s_kva"], f"inverter {i} s_kva")
+    for i, rec in _records(doc, "inverters", "inverter"):
+        where = f"inverter {i}"
+        bid, phase = _device_site(rec, where)
+        p = _number(rec, "p_kw", where)
+        pmin = _number(rec, "p_min", where)
+        pmax = _number(rec, "p_max", where)
+        s = _number(rec, "s_kva", where)
         mode = str(rec.get("mode", MODE_CONSTANT_PF))
         _require(mode in INVERTER_MODES, f"inverter {i}: unknown mode {mode!r}")
-        params = rec.get("mode_params", {}) or {}
-        pf = _finite(params.get("pf", 0.9), f"inverter {i} mode pf")
-        gamma = _finite(params.get("gamma", 0.48), f"inverter {i} mode gamma")
+        params = {} if rec.get("mode_params") is None else rec["mode_params"]
+        _require(isinstance(params, dict), f"{where} mode_params: not an object: {params!r}")
+        pf = _finite(params.get("pf", 0.9), where, "mode pf")
+        gamma = _finite(params.get("gamma", 0.48), where, "mode gamma")
         _require(0 < pf <= 1.0, f"inverter {i}: mode pf must be in (0, 1]")
         _require(gamma >= 0, f"inverter {i}: mode gamma must be >= 0")
         _require(s > 0, f"inverter {i}: s_kva must be positive")

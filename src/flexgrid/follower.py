@@ -124,6 +124,13 @@ def slot_qset(node: int) -> str:
     return f"qset[{node}]"
 
 
+def fixes_q(mode: str, slots) -> bool:
+    """Whether followers of ``mode`` at the slots named ``slots`` hold q_gen
+    at q_set: constant-q ones at a decision, which carries a q_set slot per
+    inverter, and not in the screening, which carries none."""
+    return mode == MODE_CONSTANT_Q and any(s.startswith("qset[") for s in slots)
+
+
 @dataclass(frozen=True)
 class Scenario:
     node: int
@@ -589,8 +596,8 @@ class FollowerProblem:
         mf.set_slots(slots)
         return mf
 
-    def solve(self, slots: dict[str, float], *, node: int | None = None) -> DualCertificate:
-        return self.materialize(slots).solve(node=node)
+    def solve(self, slots: dict[str, float]) -> DualCertificate:
+        return self.materialize(slots).solve()
 
     def worst_voltage(self, cert: DualCertificate) -> float:
         """Optimal |v| at the scenario's node (undo the min-objective sign)."""
@@ -1196,9 +1203,8 @@ def build_follower(
 ) -> FollowerProblem:
     """Assemble the follower LP structure for one scenario.
 
-    ``fix_q`` adds the q_gen = q_set binding rows used when a constant-Q
-    DSO setpoint is an upper-level decision (ideal case); the worst-case
-    screening leaves constant-Q reactive power to the adversary.
+    ``fix_q`` adds the constant-q q_gen = q_set binding rows; ``fixes_q``
+    says when a follower holds them: at slots carrying q_set setpoints.
     """
     return FollowerProblem(ctx, scenario, mode, fix_q=fix_q)
 

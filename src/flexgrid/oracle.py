@@ -17,21 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilevel import UpperDecision
-from .feeder import (
-    MODE_CONSTANT_PF,
-    MODE_CONSTANT_Q,
-    MODE_VOLT_VAR,
-)
+from .bilevel import BilevelError, UpperDecision, family_follower
+from .feeder import MODE_CONSTANT_PF, MODE_VOLT_VAR
 from .follower import (
     ACTIVATIONS,
     EXTREMA,
     MAX_V,
     POSITIVE,
     FlexContext,
-    FollowerProblem,
     Scenario,
     build_follower,
+    fixes_q,
     screened_extrema,
     slot_gamma,
     slot_qbar,
@@ -54,7 +50,7 @@ def linear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndar
     """Voltage magnitudes as the LP sees them (linear flow + first-order |v|),
     for one injection profile ``(n,)`` or a stack ``(P, n)``."""
     v = ctx.lpf.voltages(p, q)
-    return ctx.taylor.alpha_d * v.real + ctx.taylor.alpha_q * v.imag
+    return ctx.taylor.magnitude(v.real, v.imag)
 
 
 def nonlinear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -95,24 +91,6 @@ class OracleReport:
         return self.max_error <= tol
 
 
-def decision_fixes_q(mode: str, decision: UpperDecision) -> bool:
-    """Whether the followers at ``decision`` hold q_gen at its q_set slots.
-
-    A constant-Q decision that carries q_set setpoints fixes each inverter's
-    reactive output; without them the adversary owns q_gen.
-    """
-    return mode == MODE_CONSTANT_Q and any(s.startswith("qset") for s in decision.setpoints)
-
-
-def _decision_slots(decision: UpperDecision, problem: FollowerProblem) -> dict[str, float]:
-    slots = decision.slots
-    out = {s: slots[s] for s in problem.slot_names if s in slots}
-    missing = [s for s in problem.slot_names if s not in out]
-    if missing:
-        raise OracleError(f"decision lacks slots {missing}")
-    return out
-
-
 def verify_decision(
     ctx: FlexContext,
     mode: str,
@@ -131,20 +109,23 @@ def verify_decision(
     depends on its target only through the order of its gains, so many
     targets share one dispatch.  The distinct profiles go through one
     stacked Newton solve and one matrix product of the linear model.
-    Constant-Q runs expect the decision to carry q_set slots.
+    The families are ``bilevel.family_follower``'s at the decision's slots,
+    so a constant-q decision without q_set slots is checked with free q_gen,
+    the stronger adversary, as ``bilevel.feasibility_check`` screens it.
     """
     if not ctx.n:
         return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
-    fix_q = decision_fixes_q(mode, decision)
     nodes = np.arange(ctx.n)
     scenarios: list[Scenario] = []
     lp_vm: list[np.ndarray] = []
     injections: list[np.ndarray] = []  # (n, 2n) rows [p, q] per family
     for activation in ACTIVATIONS:
         for extremum in screened_extrema(direction):
-            proto = Scenario(node=0, activation=activation, extremum=extremum)
-            problem = build_follower(ctx, proto, mode, fix_q=fix_q)
-            mf = problem.materialize(_decision_slots(decision, problem))
+            try:
+                mf = family_follower(ctx, mode, activation, extremum, decision.slots)
+            except BilevelError as exc:  # the decision lacks slots
+                raise OracleError(str(exc)) from None
+            problem = mf.problem
             vals = mf.values(nodes)
             if not vals.optimal.all():
                 raise OracleError(
@@ -154,7 +135,7 @@ def verify_decision(
             x = np.zeros((ctx.n, problem.n_vars))
             x[:, mf.device_cols] = vals.devices
             injections.append(np.concatenate(problem.injections(x), axis=1))
-            lp_vm.append(proto.sigma * vals.objective)
+            lp_vm.append(problem.scenario.sigma * vals.objective)
             scenarios += [Scenario(k, activation, extremum) for k in nodes.tolist()]
     pq = np.concatenate(injections)
     stack_row: dict[bytes, int] = {}  # profile bytes -> its row in the Newton stack
@@ -263,9 +244,8 @@ def brute_force_extremes(
     most ``GRID_MAX_DEVICES`` flexible devices.
     """
     dev = ctx.devices
-    fix_q = decision_fixes_q(mode, decision)
     proto = Scenario(node=0, activation=activation, extremum=MAX_V)
-    problem = build_follower(ctx, proto, mode, fix_q=fix_q)
+    problem = build_follower(ctx, proto, mode, fix_q=fixes_q(mode, decision.setpoints))
     n = ctx.n
 
     dims: list[tuple[str, int, np.ndarray]] = []  # (kind, node, grid values)
@@ -312,7 +292,7 @@ def brute_force_extremes(
         if mode == MODE_CONSTANT_PF:
             gamma = np.array([decision.setpoints[slot_gamma(k)] for k in inv])
             q_gen[:, inv] = gamma * pg[:, inv]
-        elif fix_q:
+        elif problem.fix_q:
             q_gen[:, inv] = [decision.setpoints[slot_qset(k)] for k in inv]
             in_cone = np.all(np.abs(q_gen) <= dev.gamma_const * pg + 1e-9, axis=1)
             p, q_load, head, q_gen = (a[in_cone] for a in (p, q_load, head, q_gen))
@@ -365,11 +345,8 @@ def brute_force_worst_voltage(
     that raises keeps nothing.
     """
     activation = scenario.activation
-    key = (
-        ctx.v_min, ctx.v_max, mode, decision_fixes_q(mode, decision),
-        decision.dp_plus if activation == POSITIVE else decision.dp_minus,
-        tuple(sorted(decision.setpoints.items())),
-    )
+    edge = decision.dp_plus if activation == POSITIVE else decision.dp_minus
+    key = (ctx.v_min, ctx.v_max, mode, edge, tuple(sorted(decision.setpoints.items())))
     held = _BRUTE_FORCE_MEMO.get(activation)
     if held is None or held[0] is not ctx or held[1] != key:
         extremes = brute_force_extremes(ctx, mode, decision, activation)

@@ -298,7 +298,6 @@ class MagnitudeTaylor:
 
     alpha_d: np.ndarray
     alpha_q: np.ndarray
-    vm0: np.ndarray
 
     def magnitude(self, vd: np.ndarray, vq: np.ndarray) -> np.ndarray:
         return self.alpha_d * vd + self.alpha_q * vq
@@ -308,6 +307,4 @@ def magnitude_taylor(anchor: OperatingPoint) -> MagnitudeTaylor:
     vm0 = anchor.vm
     if np.any(vm0 <= 0):
         raise PowerFlowError("anchor voltage magnitude must be positive at every node")
-    return MagnitudeTaylor(
-        alpha_d=anchor.vd / vm0, alpha_q=anchor.vq / vm0, vm0=vm0.copy()
-    )
+    return MagnitudeTaylor(alpha_d=anchor.vd / vm0, alpha_q=anchor.vq / vm0)

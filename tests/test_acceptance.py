@@ -36,9 +36,10 @@ from flexgrid.follower import (
     build_context,
     build_follower,
     fix_worst_case_setpoints,
+    fixes_q,
 )
 from flexgrid.lp import solve_lp, verify_strong_duality
-from flexgrid.oracle import decision_fixes_q, linear_magnitudes, verify_decision
+from flexgrid.oracle import linear_magnitudes, verify_decision
 from flexgrid.powerflow import anchor_injections
 
 MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
@@ -76,7 +77,7 @@ def random_batch():
 
 def _decision_problem(ctx, scenario, mode, decision):
     """Follower for a scenario at an accepted decision, plus its slot values."""
-    problem = build_follower(ctx, scenario, mode, fix_q=decision_fixes_q(mode, decision))
+    problem = build_follower(ctx, scenario, mode, fix_q=fixes_q(mode, decision.setpoints))
     slots = {
         k: v for k, v in decision.slots.items()
         if k in problem.slot_names

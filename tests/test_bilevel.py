@@ -83,7 +83,7 @@ def test_setpoint_boxes_per_mode(pv_ctx):
 def test_upper_decision_slot_view():
     dec = UpperDecision(
         dp_plus=0.4, dp_minus=-0.2,
-        setpoints={"gamma[2]": 0.1}, mode=MODE_CONSTANT_PF,
+        setpoints={"gamma[2]": 0.1},
     )
     assert dec.slots == {"gamma[2]": 0.1, SLOT_DP_PLUS: 0.4, SLOT_DP_MINUS: -0.2}
 
@@ -379,7 +379,6 @@ def test_feasibility_check_flags_an_oversized_band(pv_tight_ctx):
     reckless = UpperDecision(
         dp_plus=dp_up, dp_minus=dp_lo,
         setpoints=fix_worst_case_setpoints(ctx, MODE_CONSTANT_PF, MAX_V),
-        mode=MODE_CONSTANT_PF,
     )
     report = feasibility_check(ctx, MODE_CONSTANT_PF, reckless)
     assert len(report.worst_vm) == 4 * ctx.n
@@ -394,14 +393,13 @@ def test_feasibility_check_flags_an_oversized_band(pv_tight_ctx):
     timid = UpperDecision(
         dp_plus=0.0, dp_minus=0.0,
         setpoints=neutral_setpoints(ctx, MODE_CONSTANT_PF),
-        mode=MODE_CONSTANT_PF,
     )
     assert feasibility_check(ctx, MODE_CONSTANT_PF, timid).ok
 
     with pytest.raises(BilevelError, match="lacks slots"):
         feasibility_check(
             ctx, MODE_CONSTANT_PF,
-            UpperDecision(0.0, 0.0, {}, MODE_CONSTANT_PF),
+            UpperDecision(0.0, 0.0, {}),
         )
 
 

@@ -216,6 +216,13 @@ def test_validation_exit_codes(pv_file, tmp_path, capsys):
     )
     assert code == cli.EXIT_VALIDATION and "vmin" in stderr
 
+    doc = pv_doc()
+    del doc["loads"][0]["pf"]
+    bad.write_text(json.dumps(doc))
+    code, _, stderr = run(["worst-case", "--feeder", str(bad)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert "error: load 0: missing required key 'pf'" in stderr
+
 
 def test_infeasible_anchor_exit_code(pv_file, tmp_path, capsys):
     code, _, stderr = run(

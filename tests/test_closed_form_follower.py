@@ -26,7 +26,7 @@ from flexgrid.bilevel import (
     EDGE_TOL_REL,
     UpperDecision,
     _edge_walk,
-    _family_follower,
+    family_follower,
     feasibility_check,
     neutral_setpoints,
     setpoint_boxes,
@@ -279,14 +279,14 @@ def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatc
             continue
         decision = UpperDecision(
             dp_plus=wc.range_upper, dp_minus=wc.range_lower,
-            setpoints=neutral_setpoints(ctx, mode), mode=mode,
+            setpoints=neutral_setpoints(ctx, mode),
         )
         assert feasibility_check(ctx, mode, decision).worst_vm
         assert verify_decision(ctx, mode, decision, direction="overvoltage").checks
 
     decision_q = UpperDecision(
         dp_plus=0.1, dp_minus=-0.1,
-        setpoints=neutral_setpoints(pv_ctx, MODE_CONSTANT_Q), mode=MODE_CONSTANT_Q,
+        setpoints=neutral_setpoints(pv_ctx, MODE_CONSTANT_Q),
     )
     report = feasibility_check(pv_ctx, MODE_CONSTANT_Q, decision_q)
     assert len(report.worst_vm) == 4 * pv_ctx.n
@@ -523,7 +523,7 @@ def test_edge_walk_over_the_closed_form_matches_highs(corpus, pv_model, ieee13_m
                 slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
                 if mode != MODE_CONSTANT_Q:
                     slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-                mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
+                mf = family_follower(ctx, mode, activation, extremum, slots)
                 reference = HighsFollower(mf.problem, mf.slots)
                 rows = np.zeros(ctx.n, dtype=int)
                 values = mf.values
@@ -733,7 +733,7 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
         assert counts["solves"] == counts["fallback_rows"] > 0
         decision = UpperDecision(
             dp_plus=wc.range_upper, dp_minus=wc.range_lower,
-            setpoints=neutral_setpoints(pv_ctx, MODE_VOLT_VAR), mode=MODE_VOLT_VAR,
+            setpoints=neutral_setpoints(pv_ctx, MODE_VOLT_VAR),
         )
         counts.update(values=0, fallback_rows=0, solves=0)
         feasibility_check(pv_ctx, MODE_VOLT_VAR, decision)
@@ -743,7 +743,7 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
     ctx = _cut_context(pv_model)
     dp_lo, dp_up = available_flexibility_bounds(dev)
     cut = UpperDecision(
-        dp_plus=dp_up, dp_minus=dp_lo, mode=MODE_VOLT_VAR,
+        dp_plus=dp_up, dp_minus=dp_lo,
         setpoints={slot_qbar(k): float(dev.s_cap[k]) for k in dev.inverter_nodes},
     )
     counts.update(values=0, fallback_rows=0, solves=0)
@@ -755,7 +755,7 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
     wc = worst_case_limits(pv_ctx, MODE_CONSTANT_PF)
     decision = UpperDecision(
         dp_plus=wc.range_upper, dp_minus=wc.range_lower,
-        setpoints=neutral_setpoints(pv_ctx, MODE_CONSTANT_PF), mode=MODE_CONSTANT_PF,
+        setpoints=neutral_setpoints(pv_ctx, MODE_CONSTANT_PF),
     )
     feasibility_check(pv_ctx, MODE_CONSTANT_PF, decision)
     assert counts["values"] > 4 and counts["solves"] == counts["fallback_rows"] == 0

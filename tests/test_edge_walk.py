@@ -21,7 +21,7 @@ from flexgrid import build_context
 from flexgrid.bilevel import (
     EDGE_TOL_REL,
     _edge_walk,
-    _family_follower,
+    family_follower,
     worst_case_limits,
 )
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
@@ -369,7 +369,7 @@ def _screening_families(ctx):
                 slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
                 if mode != MODE_CONSTANT_Q:
                     slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-                mf = _family_follower(ctx, mode, activation, extremum, slots, fix_q=False)
+                mf = family_follower(ctx, mode, activation, extremum, slots)
                 yield (mode, activation, extremum), mf, tol_abs
 
 

@@ -279,11 +279,39 @@ def test_validation_errors():
     doc["regulators"] = [{"segment": 0, "taps": [1.0, -1.0, 1.0]}]
     _expect_error(doc, "taps must be positive")
 
+    # Malformed records name their section, index and key.
+    doc = pv_doc()
+    del doc["loads"][0]["pf"]
+    _expect_error(doc, "load 0: missing required key 'pf'")
+
+    doc = pv_doc()
+    doc["buses"][1] = "mid"
+    _expect_error(doc, "bus 1: must be an object")
+
+    doc = pv_doc()
+    doc["inverters"][0]["mode_params"] = 3
+    _expect_error(doc, "inverter 0 mode_params: not an object")
+
+    doc = pv_doc()
+    doc["loads"] = None
+    _expect_error(doc, "'loads' must be a list of objects")
+
+    doc = pv_doc()
+    doc["inverters"][0]["s_kva"] = None
+    _expect_error(doc, "inverter 0 s_kva: not a number")
+
+    doc = pv_doc()
+    doc["regulators"] = [{"segment": "0", "taps": [1.0, 1.0, 1.0]}]
+    _expect_error(doc, "regulator 0 segment: not an integer")
+
 
 def test_not_json_and_bad_source(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     with pytest.raises(FeederError, match="not valid JSON"):
+        load_feeder(path)
+    path.write_text("[]")
+    with pytest.raises(FeederError, match="must be a JSON object"):
         load_feeder(path)
     with pytest.raises(FeederError, match="unsupported feeder source"):
         load_feeder(42)

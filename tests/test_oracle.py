@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from flexgrid import build_context, load_feeder, oracle, powerflow
-from flexgrid.bilevel import UpperDecision, neutral_setpoints, run_iterative, setpoint_boxes
+from flexgrid.bilevel import (
+    UpperDecision,
+    family_follower,
+    feasibility_check,
+    neutral_setpoints,
+    run_iterative,
+    setpoint_boxes,
+)
 from flexgrid.feeder import (
     MODE_CONSTANT_PF,
     MODE_CONSTANT_Q,
@@ -18,10 +25,15 @@ from flexgrid.follower import (
     MAX_V,
     NEGATIVE,
     POSITIVE,
+    SLOT_DP_MINUS,
     SLOT_DP_PLUS,
     Scenario,
+    _FreeQ,
+    _Knapsack,
     all_scenarios,
+    available_flexibility_bounds,
     build_follower,
+    fixes_q,
     screened_extrema,
     slot_gamma,
     slot_qbar,
@@ -35,7 +47,6 @@ from flexgrid.oracle import (
     _droop_voltages,
     brute_force_extremes,
     brute_force_worst_voltage,
-    decision_fixes_q,
     linear_magnitudes,
     linearization_error,
     nonlinear_magnitudes,
@@ -133,8 +144,46 @@ def test_verify_decision_on_a_converged_result(pv_tight_ctx):
     assert all(c.scenario.extremum == MAX_V for c in over.checks)
 
 
+@pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR])
+def test_the_slots_pick_the_family_for_the_re_screen_and_the_oracle(pv_tight_ctx, mode):
+    """A constant-q follower owns q_gen at the screening's slots and holds
+    it at a decision's q_set slots; at the decision the re-screen and the
+    oracle evaluate the same families, to the bit."""
+    ctx = pv_tight_ctx
+    decision = run_iterative(ctx, mode).decision
+    if mode == MODE_CONSTANT_Q:
+        dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
+        for activation, extremum in itertools.product(ACTIVATIONS, screened_extrema("both")):
+            free = family_follower(
+                ctx, mode, activation, extremum, {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+            )
+            held = family_follower(ctx, mode, activation, extremum, decision.slots)
+            assert type(free) is _FreeQ and type(held) is _Knapsack
+            qfix = [[r for r in mf.problem.row_names if r.startswith("qfix")] for mf in (free, held)]
+            assert qfix == [[], [f"qfix[{k}]" for k in ctx.devices.inverter_nodes]]
+    worst = feasibility_check(ctx, mode, decision).worst_vm
+    checks = verify_decision(ctx, mode, decision).checks
+    assert len(checks) == len(worst) == 4 * ctx.n
+    for c in checks:
+        assert c.lp_vm == worst[(c.scenario.node, c.scenario.activation, c.scenario.extremum)]
+
+
+def test_a_constant_q_decision_without_q_set_is_screened_with_free_q(pv_tight_ctx):
+    """Without q_set slots the re-screen and the oracle leave q_gen to the
+    adversary, whose optima bound those at any q_set from above."""
+    ctx = pv_tight_ctx
+    decision = run_iterative(ctx, MODE_CONSTANT_Q).decision
+    bare = dataclasses.replace(decision, setpoints={})
+    held = feasibility_check(ctx, MODE_CONSTANT_Q, decision).worst_vm
+    free = feasibility_check(ctx, MODE_CONSTANT_Q, bare).worst_vm
+    for c in verify_decision(ctx, MODE_CONSTANT_Q, bare).checks:
+        key = (c.scenario.node, c.scenario.activation, c.scenario.extremum)
+        assert c.lp_vm == free[key]
+        assert c.scenario.sigma * free[key] >= c.scenario.sigma * held[key] - 1e-12
+
+
 def test_verify_decision_requires_all_slots(pv_tight_ctx):
-    bare = UpperDecision(dp_plus=0.1, dp_minus=-0.1, setpoints={}, mode=MODE_CONSTANT_PF)
+    bare = UpperDecision(dp_plus=0.1, dp_minus=-0.1, setpoints={})
     with pytest.raises(OracleError, match="lacks slots"):
         verify_decision(pv_tight_ctx, MODE_CONSTANT_PF, bare)
 
@@ -146,7 +195,7 @@ def test_verify_decision_requires_all_slots(pv_tight_ctx):
 def _argmax_families(ctx, mode, decision, direction):
     """Per (activation, extremum) family: its prototype scenario, the
     objectives of its n followers and the (p, q) of their argmax dispatches."""
-    fix_q = decision_fixes_q(mode, decision)
+    fix_q = fixes_q(mode, decision.setpoints)
     families = []
     for activation in ACTIVATIONS:
         for extremum in screened_extrema(direction):
@@ -305,7 +354,7 @@ def test_brute_force_agrees_with_the_lp_adversary():
     ctx = build_context(load_feeder(one_inverter_doc(MODE_CONSTANT_PF)))
     decision = UpperDecision(
         dp_plus=0.1, dp_minus=0.0,
-        setpoints={slot_gamma(0): 0.3}, mode=MODE_CONSTANT_PF,
+        setpoints={slot_gamma(0): 0.3},
     )
     sc = Scenario(0, POSITIVE, MAX_V)
     problem = build_follower(ctx, sc, MODE_CONSTANT_PF)
@@ -336,7 +385,7 @@ def test_brute_force_volt_var_runs_the_droop(pv_model):
     ctx = build_context(load_feeder(one_inverter_doc(MODE_VOLT_VAR)))
     decision = UpperDecision(
         dp_plus=0.08, dp_minus=0.0,
-        setpoints={slot_qbar(0): 0.1}, mode=MODE_VOLT_VAR,
+        setpoints={slot_qbar(0): 0.1},
     )
     bf = brute_force_worst_voltage(
         ctx, MODE_VOLT_VAR, decision, Scenario(0, POSITIVE, MAX_V)
@@ -349,7 +398,6 @@ def test_brute_force_refuses_large_fleets(pv_tight_ctx):
     decision = UpperDecision(
         dp_plus=0.1, dp_minus=-0.1,
         setpoints=neutral_setpoints(pv_tight_ctx, MODE_CONSTANT_PF),
-        mode=MODE_CONSTANT_PF,
     )
     # negative activation opens boxes on all three loads plus both inverters
     with pytest.raises(OracleError, match="brute-force limit"):
@@ -364,7 +412,7 @@ def test_brute_force_detects_an_unreachable_setpoint():
     q_deep = float(dev.gamma_const[0] * dev.p_gen_max[0] * 1.5)  # outside the cone
     decision = UpperDecision(
         dp_plus=0.05, dp_minus=0.0,
-        setpoints={slot_qset(0): q_deep}, mode=MODE_CONSTANT_Q,
+        setpoints={slot_qset(0): q_deep},
     )
     with pytest.raises(OracleError, match="no admissible grid points"):
         brute_force_worst_voltage(
@@ -398,7 +446,7 @@ def _reference_grid(ctx, mode, decision, activation, *, steps=7, q_steps=5):
     ``activation``'s grid, in enumeration order.
     """
     dev = ctx.devices
-    fix_q = decision_fixes_q(mode, decision)
+    fix_q = fixes_q(mode, decision.setpoints)
     problem = build_follower(ctx, Scenario(0, activation, MAX_V), mode, fix_q=fix_q)
     n = ctx.n
     dims = []
@@ -548,7 +596,7 @@ def test_stacked_brute_force_matches_the_per_point_loop_on_one_inverter(mode):
         setpoint_sets.append({})
     for setpoints in setpoint_sets:
         trial = UpperDecision(
-            dp_plus=decision.dp_plus, dp_minus=decision.dp_minus, setpoints=setpoints, mode=mode
+            dp_plus=decision.dp_plus, dp_minus=decision.dp_minus, setpoints=setpoints
         )
         _assert_matches_reference(ctx, mode, trial, all_scenarios(ctx.n))
 
@@ -562,7 +610,7 @@ def test_stacked_brute_force_matches_off_the_solved_setpoints(seed, mode):
         s: box[1] for s, box in setpoint_boxes(ctx, mode).items()
     }
     trial = UpperDecision(
-        dp_plus=decision.dp_plus, dp_minus=decision.dp_minus, setpoints=setpoints, mode=mode
+        dp_plus=decision.dp_plus, dp_minus=decision.dp_minus, setpoints=setpoints
     )
     _assert_matches_reference(ctx, mode, trial, all_scenarios(ctx.n))
 
@@ -671,7 +719,7 @@ def test_a_raising_brute_force_keeps_nothing(monkeypatch):
     ctx = build_context(load_feeder(one_inverter_doc(MODE_CONSTANT_Q)))
     q_deep = float(ctx.devices.gamma_const[0] * ctx.devices.p_gen_max[0] * 1.5)
     decision = UpperDecision(
-        dp_plus=0.05, dp_minus=0.0, setpoints={slot_qset(0): q_deep}, mode=MODE_CONSTANT_Q,
+        dp_plus=0.05, dp_minus=0.0, setpoints={slot_qset(0): q_deep},
     )
     builds = []
     real = oracle.build_follower

@@ -172,7 +172,7 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
         ))
 
     slmap = SingleLevelMap(
-        ctx=ctx, mode=mode, upper_vars=upper_vars, setpoint_slots=list(sp_boxes),
+        ctx=ctx, upper_vars=upper_vars, setpoint_slots=list(sp_boxes),
         blocks=blocks, product_duals=product_duals,
     )
     return bp, slmap
