@@ -16,12 +16,16 @@ inside [v_min, v_max].  Three steps:
    rows + dual feasibility rows + a strong-duality row certify follower
    optimality inside a single maximization, with the products of upper-level
    decisions and follower quantities handled by McCormick + spatial
-   branch-and-bound.  Its incumbents all come from fixing the setpoints
-   (the bang-bang ones before the search, each node's relaxation setpoints
-   during it), walking the band edges as in step 1 and completing the point
-   with the followers' optimal primal/dual pairs, each family's evaluated
-   with one batched call at the walked decision.  The walk returns only
-   the band edges, so it shares no code path with the completion;
+   branch-and-bound.  Each band edge is read by one activation's followers
+   only, so the program splits into a positive and a negative half whose
+   bounds, summed, bound the band; the joint search runs only when the
+   walks at the halves' setpoints leave a gap.  Incumbents all come from
+   fixing the setpoints (the bang-bang ones before a search, each node's
+   relaxation setpoints during it), walking the band edges as in step 1
+   and completing the point with the followers' optimal primal/dual pairs,
+   each family's evaluated with one batched call at the walked decision.
+   The walk returns only the band edges, so it shares no code path with
+   the completion;
 3. ``feasibility_check`` — re-screen all followers at the accepted decision,
    one batched evaluation per family, feeding violators back into step 2
    (``run_iterative``).
@@ -34,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bnb import BilinearProgram, BnBResult, spatial_branch_and_bound
+from .bnb import NODE_LIMIT, BilinearProgram, BnBResult, spatial_branch_and_bound
 from .feeder import MODE_CONSTANT_Q, MODE_VOLT_VAR
 from .follower import (
     ACTIVATIONS,
@@ -343,6 +347,20 @@ def neutral_setpoints(ctx: FlexContext, mode: str) -> dict[str, float]:
     return {name: 0.0 for name in setpoint_boxes(ctx, mode)}
 
 
+def _pinned_boxes(
+    ctx: FlexContext, mode: str, fixed_setpoints: dict[str, float] | None
+) -> dict[str, tuple[float, float]]:
+    """Each setpoint slot's box, a point [v, v] where ``fixed_setpoints`` pins it."""
+    boxes = setpoint_boxes(ctx, mode)
+    for name, (lo, hi) in boxes.items():
+        if name in (fixed_setpoints or {}):
+            v = float(fixed_setpoints[name])
+            if not (lo - 1e-12 <= v <= hi + 1e-12):
+                raise ValueError(f"fixed setpoint {name}={v} outside its box [{lo}, {hi}]")
+            boxes[name] = (v, v)
+    return boxes
+
+
 def assemble_single_level(
     ctx: FlexContext,
     mode: str,
@@ -372,7 +390,6 @@ def assemble_single_level(
     if not followers:
         raise ValueError("need at least one follower scenario")
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
-    fixed_setpoints = fixed_setpoints or {}
 
     lp = LinearProgram(sense=MAX, name="single-level")
     bp = BilinearProgram(base=lp)
@@ -380,13 +397,8 @@ def assemble_single_level(
     upper_vars: dict[str, int] = {}
     upper_vars[SLOT_DP_PLUS] = lp.add_var("dp_plus", lb=0.0, ub=dp_up, obj=1.0)
     upper_vars[SLOT_DP_MINUS] = lp.add_var("dp_minus", lb=dp_lo, ub=0.0, obj=-1.0)
-    sp_boxes = setpoint_boxes(ctx, mode)
+    sp_boxes = _pinned_boxes(ctx, mode, fixed_setpoints)
     for name, (lo, hi) in sp_boxes.items():
-        if name in fixed_setpoints:
-            v = float(fixed_setpoints[name])
-            if not (lo - 1e-12 <= v <= hi + 1e-12):
-                raise ValueError(f"fixed setpoint {name}={v} outside its box [{lo}, {hi}]")
-            lo = hi = v
         upper_vars[name] = lp.add_var(name, lb=lo, ub=hi)
 
     blocks: list[FollowerBlock] = []
@@ -605,16 +617,10 @@ def _edge_limited_decision(
     return {**setpoints, SLOT_DP_PLUS: max(t_pos, 0.0), SLOT_DP_MINUS: min(t_neg, 0.0)}
 
 
-def _candidate_setpoint_sets(
-    slmap: SingleLevelMap, lb: np.ndarray, ub: np.ndarray
-) -> list[dict[str, float]]:
+def _candidate_setpoint_sets(boxes: dict[str, tuple[float, float]]) -> list[dict[str, float]]:
     """Bang-bang heuristic setpoints: neutral (0 clamped into each box),
     every lower end and every upper end, duplicates dropped (degenerate,
     fixed boxes collapse them)."""
-    boxes = {
-        name: (float(lb[slmap.upper_vars[name]]), float(ub[slmap.upper_vars[name]]))
-        for name in slmap.setpoint_slots
-    }
     cands: list[dict[str, float]] = []
     for c in (
         {name: min(max(0.0, lo), hi) for name, (lo, hi) in boxes.items()},
@@ -626,11 +632,24 @@ def _candidate_setpoint_sets(
     return cands
 
 
+JOINT = "joint"  # the search over all active followers
+SPLIT = "split"  # the bound summed from the POSITIVE and NEGATIVE halves' searches
+
+
 @dataclass
 class SingleLevelResult:
+    """A single-level solve.  ``bnb`` holds the status, gap and ``bound`` of
+    the whole solve, and in ``nodes`` every relaxation it solved;
+    ``nodes_by_search`` splits them by search (POSITIVE, NEGATIVE, JOINT)
+    and ``bound_by`` names the bound that holds (SPLIT or JOINT).  ``bnb.x``
+    is the joint program's point, None when the halves settled the band
+    without the joint program."""
+
     decision: UpperDecision
     objective: float
     bnb: BnBResult
+    nodes_by_search: dict[str, int]
+    bound_by: str
     escalations: int = 0  # always 0: the λ box is never widened (the benchmark still reads it)
 
 
@@ -642,81 +661,170 @@ def solve_single_level(
     epsilon: float = 1e-4,
     fixed_setpoints: dict[str, float] | None = None,
     node_limit: int = 5000,
+    split: bool = True,
 ) -> SingleLevelResult:
     """Solve the ideal case for a follower subset by spatial branch-and-bound.
 
+    The presolve walks every follower at the bang-bang setpoints.  When the
+    followers hold both activations and none of these walks reaches the
+    availability ceiling, the program is split: positive followers read only Δp+ and
+    negative ones only Δp-, so each activation's followers form a half
+    whose other edge sits at its box end, and each half gets its own
+    search.  Giving each half its own copy of the setpoints is a
+    relaxation, so U+ + U- - span bounds the band, U± being each half's
+    bound.  Walking all followers at each half's final setpoints gives
+    joint incumbents; when the best is within ``epsilon`` of that bound,
+    it is the proven band.  Otherwise (and always with ``split=False``,
+    with one activation or at the ceiling) the joint search over all
+    followers runs, seeded with every walked point and started from the
+    split bound.  ``node_limit`` caps the relaxations of the whole solve:
+    the positive half draws first, the negative half gets the rest, the
+    joint search what is left after both.  A family's walk at a setpoint
+    set is made once per solve, over the presolve and every search's node
+    hook.
+
     The duals that meet a slot in a product sit in a ±``LAMBDA_CAP`` box, a
-    big-M that nothing certifies.  So when the incumbent is below the
-    availability ceiling and either one of its product duals sits at the box
-    or some completion's duals left it (the B&B rejects such a point), the
-    box may have cut off a wider band: the B&B status becomes ``DUAL_BOX``,
-    never optimal.  Raises ``BilevelError`` when no incumbent is found.
+    big-M that nothing certifies.  So when the band is below the
+    availability ceiling and in some search either one of its incumbent's
+    product duals sits at the box or some completion's duals left it (the
+    B&B rejects such a point), the box may have cut off a wider band: the
+    status becomes ``DUAL_BOX``, never optimal.  Raises ``BilevelError``
+    when a search finds no incumbent.
     """
-    bp, slmap = assemble_single_level(ctx, mode, followers, fixed_setpoints=fixed_setpoints)
-    lb = np.array(bp.base.lb)
-    ub = np.array(bp.base.ub)
-    up = slmap.upper_vars
-    dp_box = (float(lb[up[SLOT_DP_MINUS]]), float(ub[up[SLOT_DP_PLUS]]))
+    boxes = _pinned_boxes(ctx, mode, fixed_setpoints)
+    dp_box = available_flexibility_bounds(ctx.devices)
     dp_span = dp_box[1] - dp_box[0]
     tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
     # Any in-box slot values will do: every use re-slots the followers first.
-    families = _family_followers(
-        ctx, mode, followers, {name: float(lb[vi]) for name, vi in up.items()}
-    )
-    duals = slmap.product_duals
-    left_box = False
-
-    def walk_and_complete(setpoints: dict[str, float]) -> np.ndarray | None:
-        """A candidate incumbent: the widest safe band edges at ``setpoints``,
-        completed with every follower's optimal primal/dual pair."""
-        nonlocal left_box
-        decision = _edge_limited_decision(families, followers, setpoints, dp_box, tol_abs)
-        if decision is None:
-            return None
-        x = _complete_point(slmap, families, decision, lb, ub)
-        if x is not None and np.any(np.abs(x[duals]) > LAMBDA_CAP):
-            left_box = True
-        return x
-
+    families = _family_followers(ctx, mode, followers, {
+        SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: dp_box[0], **{n: lo for n, (lo, _) in boxes.items()},
+    })
     # The relaxations keep landing on the same box vertices (often the
-    # presolve's), and a walk at setpoints already walked returns the same
-    # point: walk each set once over the presolve and the search.
-    walked: dict[tuple[float, ...], np.ndarray | None] = {}
+    # presolve's, or the other half's), and a family's walk depends on the
+    # setpoints alone: walk each family once at each set.
+    walks: dict[tuple, dict[str, float] | None] = {}
 
-    def walk_once(setpoints: dict[str, float]) -> np.ndarray | None:
+    def walk(fams: Families, setpoints: dict[str, float]) -> dict[str, float] | None:
+        """The widest safe band edges at ``setpoints`` for the families
+        ``fams``; an edge none of them reads stays at its box end."""
         key = tuple(setpoints.values())
-        if key not in walked:
-            walked[key] = walk_and_complete(setpoints)
-        return walked[key]
+        for family in fams:
+            if (family, key) not in walks:
+                walks[family, key] = _edge_limited_decision(
+                    {family: families[family]}, followers, setpoints, dp_box, tol_abs
+                )
+        edges = [walks[family, key] for family in fams]
+        if None in edges:
+            return None
+        return {**setpoints, SLOT_DP_PLUS: min(e[SLOT_DP_PLUS] for e in edges),
+                SLOT_DP_MINUS: max(e[SLOT_DP_MINUS] for e in edges)}
 
-    def hook(x_rel: np.ndarray) -> np.ndarray | None:
-        # Clamp the relaxation's setpoints into their boxes to kill LP roundoff.
-        return walk_once({
-            name: float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
-            for name in slmap.setpoint_slots
-        })
+    def search(subset: list[Scenario], seeds: list[dict[str, float]], limit: int,
+               bound: float | None = None) -> tuple[BnBResult, UpperDecision, bool]:
+        """Branch and bound over the single level of ``subset``, seeded with
+        the walks at ``seeds``; gives the result, its decision and whether
+        the λ box binds."""
+        bp, slmap = assemble_single_level(ctx, mode, subset, fixed_setpoints=fixed_setpoints)
+        lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
+        up, duals = slmap.upper_vars, slmap.product_duals
+        fams = {f: families[f] for f in dict.fromkeys((sc.activation, sc.extremum) for sc in subset)}
+        points: dict[tuple[float, ...], np.ndarray | None] = {}
+        left_box = False
 
-    warm = [walk_once(sp) for sp in _candidate_setpoint_sets(slmap, lb, ub)]
-    res = spatial_branch_and_bound(
-        bp, epsilon=epsilon, node_limit=node_limit,
-        incumbent_hook=hook, initial_points=warm,
-    )
-    if res.x is None:
-        raise BilevelError(
-            f"single-level solve failed: no incumbent (branch-and-bound {res.status} "
-            f"after {res.nodes} node(s)); either the upper-level setpoints force a "
-            "follower out of the voltage band at zero deviation, or the dual boxes "
-            "cut off every completion"
+        def walk_once(setpoints: dict[str, float]) -> np.ndarray | None:
+            """A candidate incumbent: the walk at ``setpoints`` completed
+            with every follower's optimal primal/dual pair."""
+            nonlocal left_box
+            key = tuple(setpoints.values())
+            if key not in points:
+                decision = walk(fams, setpoints)
+                x = None if decision is None else _complete_point(slmap, fams, decision, lb, ub)
+                left_box |= x is not None and bool(np.any(np.abs(x[duals]) > LAMBDA_CAP))
+                points[key] = x
+            return points[key]
+
+        def hook(x_rel: np.ndarray) -> np.ndarray | None:
+            # Clamp the relaxation's setpoints into their boxes to kill LP roundoff.
+            return walk_once({
+                name: float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
+                for name in slmap.setpoint_slots
+            })
+
+        res = spatial_branch_and_bound(
+            bp, epsilon=epsilon, node_limit=limit, incumbent_hook=hook,
+            initial_points=[walk_once(sp) for sp in seeds], bound=bound,
         )
-    # The deviation boxes alone cap the objective, so no dual box can cut off
-    # anything above an incumbent at the availability ceiling.
-    at_ceiling = res.objective >= dp_span - 1e-9 * (1.0 + dp_span)
-    box_active = np.any(np.abs(res.x[duals]) >= 0.999 * LAMBDA_CAP)
-    if not at_ceiling and (left_box or box_active):
-        res = replace(res, status=DUAL_BOX)
-    return SingleLevelResult(
-        decision=_decision_from_x(slmap, res.x), objective=res.objective, bnb=res,
+        if res.x is None:
+            raise BilevelError(
+                f"single-level solve failed: no incumbent (branch-and-bound {res.status} "
+                f"after {res.nodes} node(s)); either the upper-level setpoints force a "
+                "follower out of the voltage band at zero deviation, or the dual boxes "
+                "cut off every completion"
+            )
+        box = left_box or bool(np.any(np.abs(res.x[duals]) >= 0.999 * LAMBDA_CAP))
+        return res, _decision_from_x(slmap, res.x), box
+
+    def at_ceiling(width: float) -> bool:
+        return width >= dp_span - 1e-9 * (1.0 + dp_span)
+
+    def result(res: BnBResult, decision: UpperDecision, box: bool,
+               nodes: dict[str, int], bound_by: str) -> SingleLevelResult:
+        # The deviation boxes alone cap the objective, so no dual box can cut
+        # off anything above an incumbent at the availability ceiling.
+        if box and not at_ceiling(res.objective):
+            res = replace(res, status=DUAL_BOX)
+        return SingleLevelResult(
+            decision=decision, objective=res.objective, bnb=res,
+            nodes_by_search={POSITIVE: 0, NEGATIVE: 0, JOINT: 0, **nodes}, bound_by=bound_by,
+        )
+
+    def width(d: dict[str, float]) -> float:
+        return d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS]
+
+    candidates = _candidate_setpoint_sets(boxes)
+    halves = {a: [sc for sc in followers if sc.activation == a] for a in ACTIVATIONS}
+    presolve: list[dict[str, float]] = []
+    if split and all(halves.values()):
+        # Up to the first walk that reaches the ceiling, where no bound can
+        # do better (the joint search then walks the rest in its own order).
+        for sp in candidates:
+            d = walk(families, sp)
+            if d is not None:
+                presolve.append(d)
+                if at_ceiling(width(d)):
+                    break
+    if not presolve or at_ceiling(width(presolve[-1])):
+        res, decision, box = search(followers, candidates, node_limit)
+        return result(res, decision, box, {JOINT: res.nodes}, JOINT)
+
+    budget, nodes, finals, split_bound, box = node_limit, {}, [], -dp_span, False
+    for activation, subset in halves.items():
+        res, decision, half_box = search(subset, candidates, budget)
+        budget -= res.nodes
+        nodes[activation] = res.nodes
+        finals.append(decision.setpoints)
+        # A half's objective is its own edge plus the other edge's whole box,
+        # so the span caps it, also for a half stopped before its root.
+        split_bound += min(res.bound, dp_span)
+        box |= half_box
+    best = max(presolve + [d for d in (walk(families, sp) for sp in finals) if d is not None],
+               key=width)
+    proven = split_bound <= width(best) + epsilon * (1.0 + abs(width(best)))
+    if not proven and budget > 0:
+        res, decision, joint_box = search(followers, candidates + finals, budget, split_bound)
+        nodes[JOINT] = res.nodes
+        res = replace(res, nodes=sum(nodes.values()))
+        return result(res, decision, box or joint_box, nodes, JOINT)
+    res = BnBResult(
+        status=OPTIMAL if proven else NODE_LIMIT, x=None, objective=width(best),
+        bound=max(split_bound, width(best)), gap=max(split_bound - width(best), 0.0),
+        nodes=sum(nodes.values()),
     )
+    decision = UpperDecision(
+        dp_plus=best[SLOT_DP_PLUS], dp_minus=best[SLOT_DP_MINUS],
+        setpoints={name: best[name] for name in boxes},
+    )
+    return result(res, decision, box, nodes, SPLIT)
 
 
 # ---------------------------------------------------------------------------

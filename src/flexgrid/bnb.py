@@ -37,6 +37,7 @@ from .lp import (
 )
 
 FEAS_TOL = 1e-6  # worst row violation of a point the search accepts as feasible
+NODE_LIMIT = "node_limit"  # status of a search stopped at its node limit with a gap
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def mccormick_relax(
 
 @dataclass
 class BnBResult:
-    status: str  # "optimal" | "infeasible" | "node_limit"
+    status: str  # OPTIMAL | INFEASIBLE | NODE_LIMIT
     x: np.ndarray | None
     objective: float | None  # objective of the incumbent
     bound: float  # best relaxation bound in the problem's sense
@@ -235,6 +236,7 @@ def spatial_branch_and_bound(
     node_limit: int = 5000,
     incumbent_hook=None,
     initial_points=None,
+    bound: float | None = None,
 ) -> BnBResult:
     """Globally solve a bilinear program by box refinement.
 
@@ -250,7 +252,10 @@ def spatial_branch_and_bound(
     violation (the first one on ties) and splits the wider box of its two
     variables at the relaxation value clamped to the middle half of the
     box.  Terminates when the remaining bound is within ``epsilon``
-    (relative) of the incumbent.
+    (relative) of the incumbent.  ``bound``, in the problem's sense, is a
+    bound the caller already holds: it stands for the root's, which is
+    otherwise infinite, so an initial point within ``epsilon`` of it closes
+    the search before any node, and no node's bound exceeds it.
     """
     tpl = RelaxationTemplate(bp)
     n = tpl.n_vars
@@ -278,9 +283,11 @@ def spatial_branch_and_bound(
         try_candidate(point)
 
     counter = itertools.count()
-    # Heap entries: (-sigma_bound, tiebreak, lb, ub).  Root bound is +inf until solved.
+    # Heap entries: (-sigma_bound, tiebreak, lb, ub).  Root bound is +inf
+    # (or the caller's) until solved.
+    root_bound = math.inf if bound is None else sigma * bound
     heap: list[tuple[float, int, np.ndarray, np.ndarray]] = [
-        (-math.inf, next(counter), tpl.lb, tpl.ub)
+        (-root_bound, next(counter), tpl.lb, tpl.ub)
     ]
     nodes = 0
     exhausted = True
@@ -333,14 +340,14 @@ def spatial_branch_and_bound(
             heapq.heappush(heap, (-node_bound, next(counter), clb, cub))
 
     if best_x is None:
-        status = INFEASIBLE if exhausted else "node_limit"
+        status = INFEASIBLE if exhausted else NODE_LIMIT
         return BnBResult(status=status, x=None, objective=None,
                          bound=math.inf * sigma, gap=math.inf, nodes=nodes)
 
     open_bound = max((-b for b, *_ in heap), default=-math.inf)
     open_bound = max(open_bound, leftover_bound, best_val)
     gap = open_bound - best_val
-    status = OPTIMAL if (exhausted or gap <= epsilon * (1.0 + abs(best_val))) else "node_limit"
+    status = OPTIMAL if (exhausted or gap <= epsilon * (1.0 + abs(best_val))) else NODE_LIMIT
     return BnBResult(
         status=status,
         x=best_x,

@@ -252,6 +252,7 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
         # nothing about the band the box may have cut off.
         "bnb_gap_kw": None if bnb.status == DUAL_BOX else float(bnb.gap * base),
         "bnb_nodes": bnb.nodes,
+        "bnb_nodes_by_search": dict(res.single_level.nodes_by_search),
         "dp_plus_kw": float(res.dp_plus * base),
         "dp_minus_kw": float(res.dp_minus * base),
         "objective_history_kw": [float(v * base) for v in res.objective_history],
@@ -280,11 +281,12 @@ def cmd_solve(args) -> int:
     wc = res.worst_case
     print(f"mode={res.mode} direction={res.direction}")
     print(f"worst-case range: [{wc.range_lower * base:.1f}, {wc.range_upper * base:.1f}] kW")
-    bnb = res.single_level.bnb
+    single = res.single_level
+    bnb = single.bnb
     if res.converged:
         state, code = "converged", EXIT_OK
     elif res.feasibility.ok and bnb.status != OPTIMAL:
-        gap = f"gap {bnb.gap * base:.1f} kW"
+        gap = f"gap {bnb.gap * base:.1f} kW to the {single.bound_by} bound {bnb.bound * base:.1f} kW"
         if bnb.status == DUAL_BOX:
             gap += " within the dual box only"
         state = (

@@ -178,10 +178,14 @@ def _require(cond: bool, msg: str) -> None:
 def _finite(x, where: str, key: str | None = None) -> float:
     """``x`` as a finite float; ``where`` and ``key`` name it in errors."""
     number = type(x) is float or (isinstance(x, numbers.Real) and not isinstance(x, bool))
-    if not (number and math.isfinite(x)):
+    try:
+        value = float(x) if number else math.nan
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not (number and math.isfinite(value)):
         what = "non-finite number" if number else "not a number:"
         raise FeederError(f"{where if key is None else f'{where} {key}'}: {what} {x!r}")
-    return float(x)
+    return value
 
 
 def _records(doc: dict, section: str, kind: str):

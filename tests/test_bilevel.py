@@ -8,6 +8,8 @@ from feedergen import random_context
 from flexgrid import bilevel, build_context, load_feeder
 from flexgrid.bilevel import (
     DUAL_BOX,
+    JOINT,
+    SPLIT,
     BilevelError,
     UpperDecision,
     assemble_single_level,
@@ -260,12 +262,12 @@ def test_reduced_blocks_lift_to_certified_follower_optima(
     """Each block keeps the vm rows of the |v| the single level reads: the
     target's, and in volt-var every inverter node's.  Lifted into the
     follower's own LP (``to_lp``, which the assembly does not use), each
-    block of the single-level incumbent is primal feasible, dual feasible
+    block of the joint search's incumbent is primal feasible, dual feasible
     and passes the strong-duality check: dropping the rest was exact."""
     ctx = request.getfixturevalue(ctx_name)
     followers = followers(ctx)
     fixed = fixed(ctx, mode) if fixed else None
-    res = solve_single_level(ctx, mode, followers, fixed_setpoints=fixed, node_limit=5)
+    res = solve_single_level(ctx, mode, followers, fixed_setpoints=fixed, node_limit=5, split=False)
     _, slmap = assemble_single_level(ctx, mode, followers, fixed_setpoints=fixed)
     inverters = set(ctx.devices.inverter_nodes)
     slots = res.decision.slots
@@ -606,8 +608,9 @@ def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mo
 @pytest.mark.parametrize("fixed", [False, True], ids=["free", "one-fixed"])
 def test_candidate_setpoints_are_neutral_then_the_box_ends(pv_tight_ctx, mode, fixed):
     """Neutral (0 clamped into each box), every lower end, every upper end,
-    duplicates dropped: in volt-var the lower ends are the neutral point."""
-    from flexgrid.bilevel import _candidate_setpoint_sets
+    duplicates dropped: in volt-var the lower ends are the neutral point.
+    The boxes the solve draws them from are the assembled program's."""
+    from flexgrid.bilevel import _candidate_setpoint_sets, _pinned_boxes
 
     ctx = pv_tight_ctx
     boxes = setpoint_boxes(ctx, mode)
@@ -621,7 +624,10 @@ def test_candidate_setpoints_are_neutral_then_the_box_ends(pv_tight_ctx, mode, f
     lower = {name: lo for name, (lo, _) in boxes.items()} | pin
     upper = {name: hi for name, (_, hi) in boxes.items()} | pin
     want = [neutral, upper] if mode == MODE_VOLT_VAR else [neutral, lower, upper]
-    assert _candidate_setpoint_sets(slmap, np.array(bp.base.lb), np.array(bp.base.ub)) == want
+    up, lb, ub = slmap.upper_vars, bp.base.lb, bp.base.ub
+    assembled = {name: (lb[up[name]], ub[up[name]]) for name in slmap.setpoint_slots}
+    assert _pinned_boxes(ctx, mode, pin or None) == assembled
+    assert _candidate_setpoint_sets(assembled) == want
 
 
 def test_the_node_hook_widens_the_presolve_band():
@@ -633,63 +639,110 @@ def test_the_node_hook_widens_the_presolve_band():
     assert res.dp_plus - res.dp_minus >= 0.339017
 
 
-def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
-    """The relaxations land on few distinct setpoint sets, some of them the
-    presolve's; each set is walked once over the presolve and the hook, and
-    the search is the one that walked them every time: 87 nodes to a band
-    bit-identical to 0.31177 / -0.22848 p.u."""
-    slmaps, hook_keys, presolve_keys, walk_keys = [], [], [], []
-    in_hook = False
-
+def _recorded_walks(monkeypatch):
+    """Patch the single level to record, for each search, the activations
+    of its program and the clamped setpoints its node hook walks, and for
+    each family walk (family, setpoints, the activations of the search
+    whose hook walks it or None)."""
+    searches, walks = [], []
+    current = None
     assemble = bilevel.assemble_single_level
 
     def capture_map(*args, **kwargs):
         bp, slmap = assemble(*args, **kwargs)
-        slmaps.append((slmap, np.array(bp.base.lb), np.array(bp.base.ub)))
+        activations = {b.scenario.activation for b in slmap.blocks}
+        searches.append((slmap, np.array(bp.base.lb), np.array(bp.base.ub), activations, []))
         return bp, slmap
-
-    def clamped(x_rel):
-        slmap, lb, ub = slmaps[-1]
-        up = slmap.upper_vars
-        return tuple(
-            float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
-            for name in slmap.setpoint_slots
-        )
 
     search = bilevel.spatial_branch_and_bound
 
     def watch_hook(bp, *, incumbent_hook, **kwargs):
+        slmap, lb, ub, activations, hook_keys = searches[-1]  # assembled just before
+        up = slmap.upper_vars
+
         def hook(x_rel):
-            nonlocal in_hook
-            hook_keys.append(clamped(x_rel))
-            in_hook = True
+            nonlocal current
+            hook_keys.append(tuple(
+                float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
+                for name in slmap.setpoint_slots
+            ))
+            current = activations
             try:
                 return incumbent_hook(x_rel)
             finally:
-                in_hook = False
+                current = None
 
         return search(bp, incumbent_hook=hook, **kwargs)
 
     walk = bilevel._edge_limited_decision
 
     def count_walk(families, followers, setpoints, *args):
-        key = tuple(setpoints.values())
-        walk_keys.append(key)
-        if not in_hook:
-            presolve_keys.append(key)
+        walks.extend((family, tuple(setpoints.values()), current) for family in families)
         return walk(families, followers, setpoints, *args)
 
     monkeypatch.setattr(bilevel, "assemble_single_level", capture_map)
     monkeypatch.setattr(bilevel, "spatial_branch_and_bound", watch_hook)
     monkeypatch.setattr(bilevel, "_edge_limited_decision", count_walk)
-    res = run_iterative(random_context(np.random.default_rng(7200)), MODE_CONSTANT_PF)
-    assert res.iterations == 1 and res.single_level.bnb.nodes == 87
+    return searches, walks
+
+
+def _seed_followers(seed):
+    """A binding feeder and the two seed followers, one per activation,
+    that its run closes on in one iteration."""
+    ctx = random_context(np.random.default_rng(seed))
+    res = run_iterative(ctx, MODE_CONSTANT_PF)
+    assert res.iterations == 1
+    assert [sc.activation for sc in res.followers] == [POSITIVE, NEGATIVE]
+    return ctx, res.followers
+
+
+def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
+    """The joint search's relaxations land on few distinct setpoint sets,
+    some of them the presolve's; each family is walked once at each set
+    over the presolve and the hook, and the search is the one that walked
+    them every time: 87 nodes to a band bit-identical to 0.31177 / -0.22848
+    p.u."""
+    ctx, followers = _seed_followers(7200)
+    searches, walks = _recorded_walks(monkeypatch)
+    res = solve_single_level(ctx, MODE_CONSTANT_PF, followers, split=False)
+    assert res.bnb.nodes == 87 and res.bound_by == JOINT
+    assert res.nodes_by_search == {POSITIVE: 0, NEGATIVE: 0, JOINT: 87}
+    [(_, _, _, _, hook_keys)] = searches
+    presolve_keys = [key for _, key, hook in walks if hook is None]
     assert len(hook_keys) > len(set(hook_keys))  # the relaxations repeat setpoints
     assert set(hook_keys) & set(presolve_keys)  # ... and revisit the presolve's
-    assert sorted(walk_keys) == sorted(set(hook_keys) | set(presolve_keys))
-    assert (res.dp_plus.hex(), res.dp_minus.hex()) == (
+    families = {family for family, _, _ in walks}
+    keys = set(hook_keys) | set(presolve_keys)
+    assert sorted((f, k) for f, k, _ in walks) == sorted((f, k) for f in families for k in keys)
+    assert (res.decision.dp_plus.hex(), res.decision.dp_minus.hex()) == (
         "0x1.3f3e0370cdc88p-2", "-0x1.d3eb769efd182p-3",
     )
+
+
+def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
+    """Split by activation, the same followers close in 1 + 43 nodes, not
+    the joint search's 87, to the same band bit for bit.  Each half's hook
+    walks only its own families, no family is walked twice at one setpoint
+    set over the presolve and both halves, and the decision's setpoints,
+    one half's final ones, are walked by every family."""
+    ctx, followers = _seed_followers(7200)
+    searches, walks = _recorded_walks(monkeypatch)
+    res = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
+    assert res.bnb.status == "optimal" and res.bound_by == SPLIT and res.bnb.x is None
+    assert res.nodes_by_search == {POSITIVE: 1, NEGATIVE: 43, JOINT: 0}
+    assert res.bnb.nodes == 44
+    assert [activations for _, _, _, activations, _ in searches] == [{POSITIVE}, {NEGATIVE}]
+    assert all(family[0] in hook for family, _, hook in walks if hook is not None)
+    pairs = [(family, key) for family, key, _ in walks]
+    assert len(pairs) == len(set(pairs))
+    families = {family for family, _ in pairs}
+    assert {family[0] for family in families} == {POSITIVE, NEGATIVE}
+    decided = tuple(res.decision.setpoints.values())
+    assert {family for family, key in pairs if key == decided} == families
+    assert (res.decision.dp_plus.hex(), res.decision.dp_minus.hex()) == (
+        "0x1.3f3e0370cdc88p-2", "-0x1.d3eb769efd182p-3",
+    )
+    assert res.bnb.bound <= res.objective + 1e-4 * (1.0 + res.objective)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -733,3 +786,62 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
             binding += (edges[SLOT_DP_PLUS] < dp_up) + (edges[SLOT_DP_MINUS] > dp_lo)
     # Not vacuous: raw edges complete, and some walks stop inside the box.
     assert completed > 0 and binding > 0
+
+
+def test_a_binding_dual_box_in_a_half_leaves_the_split_band_unproven(monkeypatch):
+    """A half's λ box binds as the joint search's does: below the ceiling,
+    a box the halves' incumbents reach marks the split's band ``dual_box``,
+    and a box just wider leaves the same band proven."""
+    ctx, followers = _seed_followers(7200)
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.02335)
+    boxed = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
+    assert boxed.bound_by == SPLIT and boxed.bnb.status == DUAL_BOX
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.0235)
+    wider = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
+    assert wider.bound_by == SPLIT and wider.bnb.status == "optimal"
+    assert wider.objective == boxed.objective
+
+
+def test_the_split_proves_a_band_the_joint_search_loses():
+    """7210-z2 constant-q: at ``node_limit=2000`` the joint search over the
+    two seed followers stops at 0.3038 p.u., unproven; split by
+    activation, the same solve proves 0.42583 p.u."""
+    ctx = random_context(np.random.default_rng(7210), mode=MODE_CONSTANT_Q, z_scale=2.0)
+    res = run_iterative(ctx, MODE_CONSTANT_Q, node_limit=2000)
+    assert res.converged and res.single_level.bnb.status == "optimal"
+    assert res.single_level.bound_by == SPLIT
+    assert res.dp_plus - res.dp_minus == pytest.approx(0.42583, abs=1e-5)
+    assert res.iterations == 1
+    joint = solve_single_level(ctx, MODE_CONSTANT_Q, res.followers, node_limit=2000, split=False)
+    assert joint.bnb.status == "node_limit"
+    assert joint.objective == pytest.approx(0.3038, abs=1e-4)
+
+
+@pytest.mark.parametrize("seed, z_scale, mode", [
+    (7200, 2.0, MODE_CONSTANT_PF),
+    (7201, 3.0, MODE_CONSTANT_PF),
+    (7233, 3.0, MODE_CONSTANT_PF),
+    (7219, 3.0, MODE_CONSTANT_PF),
+    (7235, 3.0, MODE_CONSTANT_PF),
+    (7201, 3.0, MODE_CONSTANT_Q),
+    (7202, 2.0, MODE_VOLT_VAR),
+])
+def test_the_split_agrees_with_the_joint_search(seed, z_scale, mode):
+    """On the final active set of a binding run, the split and the joint
+    search, its oracle, both prove the band and agree within ``epsilon``.
+    On 7235-z3 the walks stop below the split bound, so the joint search
+    runs from it, and it never takes more nodes than on its own."""
+    epsilon = 1e-4
+    ctx = random_context(np.random.default_rng(seed), mode=mode, z_scale=z_scale)
+    followers = run_iterative(ctx, mode, epsilon=epsilon).followers
+    split = solve_single_level(ctx, mode, followers, epsilon=epsilon)
+    joint = solve_single_level(ctx, mode, followers, epsilon=epsilon, split=False)
+    assert split.bnb.status == joint.bnb.status == "optimal"
+    assert split.objective == pytest.approx(joint.objective, abs=epsilon * (1.0 + joint.objective))
+    assert split.objective == pytest.approx(split.decision.dp_plus - split.decision.dp_minus)
+    assert split.bnb.nodes == sum(split.nodes_by_search.values())
+    assert split.nodes_by_search[POSITIVE] >= 1 and split.nodes_by_search[NEGATIVE] >= 1
+    fallback = split.nodes_by_search[JOINT]
+    assert (fallback > 0) == (split.bound_by == JOINT) == (seed == 7235)
+    assert fallback <= joint.bnb.nodes
+    assert feasibility_check(ctx, mode, split.decision).ok

@@ -154,6 +154,38 @@ def test_initial_points_are_screened_and_used():
     assert res0.nodes == 0
 
 
+def test_a_caller_bound_replaces_the_root_bound():
+    """``bound`` stands for the root's bound: an initial point within
+    epsilon of it closes the search before any node, and a search that
+    branches never reports a bound above it, in either sense."""
+    res = spatial_branch_and_bound(
+        _product_bp(), epsilon=1e-6, initial_points=[OPTIMUM], bound=2.25 + 1e-7
+    )
+    assert res.status == "optimal" and res.nodes == 0
+    assert res.bound == 2.25 + 1e-7 and res.objective == pytest.approx(2.25, abs=1e-12)
+
+    # Stopped after its root, the search keeps the tighter of the caller's
+    # bound and the root relaxation's.
+    seed = [np.array([1.0, 1.0, 1.0])]
+    free = spatial_branch_and_bound(_product_bp(), node_limit=1, initial_points=seed)
+    assert free.nodes == 1 and free.bound > 2.5
+    capped = spatial_branch_and_bound(_product_bp(), node_limit=1, initial_points=seed, bound=2.5)
+    assert capped.nodes == 1 and capped.status == "node_limit"
+    assert capped.bound == 2.5 and capped.gap == pytest.approx(2.5 - capped.objective)
+
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        bp = random_bilinear(rng)
+        ref = spatial_branch_and_bound(bp, epsilon=1e-6)
+        sigma = 1.0 if bp.base.sense == MAX else -1.0
+        slack = sigma * 1e-3 * (1.0 + abs(ref.objective))
+        res = spatial_branch_and_bound(bp, epsilon=1e-6, bound=ref.objective + slack)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(ref.objective, abs=1e-6 * (1 + abs(ref.objective)))
+        assert sigma * res.bound <= sigma * (ref.objective + slack)
+        assert res.nodes <= ref.nodes
+
+
 def test_node_limit_without_incumbent():
     res = spatial_branch_and_bound(_product_bp(), node_limit=0)
     assert res.status == "node_limit"
@@ -228,7 +260,7 @@ def _single_level_programs(pv_tight_ctx):
     for ctx, mode in cases:
         followers = [Scenario(ctx.n - 1, POSITIVE, MAX_V), Scenario(0, NEGATIVE, MIN_V)]
         bp, _ = assemble_single_level(ctx, mode, followers)
-        x = solve_single_level(ctx, mode, followers, node_limit=3).bnb.x
+        x = solve_single_level(ctx, mode, followers, node_limit=3, split=False).bnb.x
         yield bp, x
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import pv_doc
+from feedergen import random_context, random_feeder_doc
 
 from flexgrid import bilevel, build_context, cli, load_feeder
 from flexgrid.bilevel import BilevelError
@@ -223,6 +224,15 @@ def test_validation_exit_codes(pv_file, tmp_path, capsys):
     assert code == cli.EXIT_VALIDATION
     assert "error: load 0: missing required key 'pf'" in stderr
 
+    doc = pv_doc()
+    doc["loads"][0]["p_kw"] = 10**400  # written out in full: no float holds it
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "huge"
+    code, _, stderr = run(["solve", "--feeder", str(bad), "--out", str(out)], capsys)
+    assert code == cli.EXIT_VALIDATION and not out.exists()
+    assert stderr.startswith("error: load 0 p_kw: non-finite number 1000")
+    assert "Traceback" not in stderr
+
 
 def test_infeasible_anchor_exit_code(pv_file, tmp_path, capsys):
     code, _, stderr = run(
@@ -296,6 +306,36 @@ def test_unproven_band_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     assert doc["bnb_status"] == "node_limit"
     assert doc["bnb_gap_kw"] == pytest.approx(5.0)
     assert doc["bnb_nodes"] == 7
+
+
+def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
+    """On a feeder whose single level splits by activation, result.json gives
+    each search's relaxations, and they sum to ``bnb_nodes``.  Stopped at a
+    node limit before the joint search can run, the console names the
+    bound that holds: the split's."""
+    feeder = tmp_path / "gen7200.json"
+    feeder.write_text(json.dumps(random_feeder_doc(np.random.default_rng(7200))))
+    ctx = random_context(np.random.default_rng(7200))
+    argv = ["solve", "--feeder", str(feeder), "--vmin", repr(ctx.v_min), "--vmax", repr(ctx.v_max)]
+    code, _, _ = run([*argv, "--out", str(tmp_path / "split")], capsys)
+    assert code == cli.EXIT_OK
+    doc = json.loads((tmp_path / "split" / "result.json").read_text())
+    assert doc["bnb_nodes_by_search"] == {"positive": 1, "negative": 43, "joint": 0}
+    assert doc["bnb_nodes"] == 44
+
+    real = cli.run_iterative
+    monkeypatch.setattr(cli, "run_iterative", lambda *a, **kw: real(*a, **kw, node_limit=1))
+    code, stdout, _ = run([*argv, "--out", str(tmp_path / "capped")], capsys)
+    assert code == cli.EXIT_UNPROVEN
+    doc = json.loads((tmp_path / "capped" / "result.json").read_text())
+    assert doc["bnb_nodes_by_search"] == {"positive": 1, "negative": 0, "joint": 0}
+    assert doc["bnb_nodes"] == 1 and doc["bnb_status"] == "node_limit"
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("ideal range"))
+    found = re.search(r"gap (\S+) kW to the split bound (\S+) kW", line)
+    assert found, line
+    width_kw = doc["dp_plus_kw"] - doc["dp_minus_kw"]
+    assert float(found[1]) == pytest.approx(doc["bnb_gap_kw"], abs=0.051)
+    assert float(found[2]) == pytest.approx(width_kw + doc["bnb_gap_kw"], abs=0.051)
 
 
 def test_solver_failure_exit_code(pv_file, tmp_path, capsys, monkeypatch):

@@ -196,6 +196,10 @@ def test_validation_errors():
     _expect_error(doc, "non-finite")
 
     doc = pv_doc()
+    doc["loads"][0]["p_kw"] = 10**400  # an integer no float can hold
+    _expect_error(doc, "load 0 p_kw: non-finite number")
+
+    doc = pv_doc()
     doc["buses"].append({"id": "mid", "phases": "a"})
     _expect_error(doc, "duplicate bus id")
 
