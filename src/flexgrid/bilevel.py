@@ -347,26 +347,10 @@ def neutral_setpoints(ctx: FlexContext, mode: str) -> dict[str, float]:
     return {name: 0.0 for name in setpoint_boxes(ctx, mode)}
 
 
-def _pinned_boxes(
-    ctx: FlexContext, mode: str, fixed_setpoints: dict[str, float] | None
-) -> dict[str, tuple[float, float]]:
-    """Each setpoint slot's box, a point [v, v] where ``fixed_setpoints`` pins it."""
-    boxes = setpoint_boxes(ctx, mode)
-    for name, (lo, hi) in boxes.items():
-        if name in (fixed_setpoints or {}):
-            v = float(fixed_setpoints[name])
-            if not (lo - 1e-12 <= v <= hi + 1e-12):
-                raise ValueError(f"fixed setpoint {name}={v} outside its box [{lo}, {hi}]")
-            boxes[name] = (v, v)
-    return boxes
-
-
 def assemble_single_level(
     ctx: FlexContext,
     mode: str,
     followers: list[Scenario],
-    *,
-    fixed_setpoints: dict[str, float] | None = None,
 ) -> tuple[BilinearProgram, SingleLevelMap]:
     """Strong-duality reformulation of the ideal case for a follower subset.
 
@@ -384,20 +368,19 @@ def assemble_single_level(
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
     parametric right-hand side).  Only duals participating in products get
-    the ±``LAMBDA_CAP`` McCormick box.  ``fixed_setpoints`` pins chosen slots to
-    constants (degenerate boxes), used for worst-case cross-checks.
+    the ±``LAMBDA_CAP`` McCormick box.
     """
     if not followers:
         raise ValueError("need at least one follower scenario")
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
 
-    lp = LinearProgram(sense=MAX, name="single-level")
+    lp = LinearProgram(sense=MAX)
     bp = BilinearProgram(base=lp)
 
     upper_vars: dict[str, int] = {}
     upper_vars[SLOT_DP_PLUS] = lp.add_var("dp_plus", lb=0.0, ub=dp_up, obj=1.0)
     upper_vars[SLOT_DP_MINUS] = lp.add_var("dp_minus", lb=dp_lo, ub=0.0, obj=-1.0)
-    sp_boxes = _pinned_boxes(ctx, mode, fixed_setpoints)
+    sp_boxes = setpoint_boxes(ctx, mode)
     for name, (lo, hi) in sp_boxes.items():
         upper_vars[name] = lp.add_var(name, lb=lo, ub=hi)
 
@@ -619,8 +602,8 @@ def _edge_limited_decision(
 
 def _candidate_setpoint_sets(boxes: dict[str, tuple[float, float]]) -> list[dict[str, float]]:
     """Bang-bang heuristic setpoints: neutral (0 clamped into each box),
-    every lower end and every upper end, duplicates dropped (degenerate,
-    fixed boxes collapse them)."""
+    every lower end and every upper end, duplicates dropped (zero-width
+    boxes collapse them)."""
     cands: list[dict[str, float]] = []
     for c in (
         {name: min(max(0.0, lo), hi) for name, (lo, hi) in boxes.items()},
@@ -659,7 +642,6 @@ def solve_single_level(
     followers: list[Scenario],
     *,
     epsilon: float = 1e-4,
-    fixed_setpoints: dict[str, float] | None = None,
     node_limit: int = 5000,
     split: bool = True,
 ) -> SingleLevelResult:
@@ -681,7 +663,8 @@ def solve_single_level(
     the positive half draws first, the negative half gets the rest, the
     joint search what is left after both.  A family's walk at a setpoint
     set is made once per solve, over the presolve and every search's node
-    hook.
+    hook.  ``split=False`` runs the joint search alone: it is the
+    reference the tests hold the split solve to.
 
     The duals that meet a slot in a product sit in a ±``LAMBDA_CAP`` box, a
     big-M that nothing certifies.  So when the band is below the
@@ -691,7 +674,7 @@ def solve_single_level(
     status becomes ``DUAL_BOX``, never optimal.  Raises ``BilevelError``
     when a search finds no incumbent.
     """
-    boxes = _pinned_boxes(ctx, mode, fixed_setpoints)
+    boxes = setpoint_boxes(ctx, mode)
     dp_box = available_flexibility_bounds(ctx.devices)
     dp_span = dp_box[1] - dp_box[0]
     tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
@@ -724,7 +707,7 @@ def solve_single_level(
         """Branch and bound over the single level of ``subset``, seeded with
         the walks at ``seeds``; gives the result, its decision and whether
         the λ box binds."""
-        bp, slmap = assemble_single_level(ctx, mode, subset, fixed_setpoints=fixed_setpoints)
+        bp, slmap = assemble_single_level(ctx, mode, subset)
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up, duals = slmap.upper_vars, slmap.product_duals
         fams = {f: families[f] for f in dict.fromkeys((sc.activation, sc.extremum) for sc in subset)}

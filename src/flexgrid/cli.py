@@ -341,9 +341,13 @@ def _read_result(path: str) -> dict:
                     raise FeederError(f"{path}: {where}[{i}] lacks {key!r}")
             for key in numbers:
                 _check_number(path, f"{where}[{i}].{key}", rec[key])
+    slots = set()
     for rec in doc["setpoints"]:
         if not isinstance(rec["slot"], str):
             raise FeederError(f"{path}: setpoint 'slot' must be a string, got {rec['slot']!r}")
+        if rec["slot"] in slots:
+            raise FeederError(f"{path}: setpoint {rec['slot']!r} is listed twice")
+        slots.add(rec["slot"])
     return doc
 
 
@@ -401,6 +405,10 @@ def cmd_verify(args) -> int:
     doc = _read_result(args.result)
     feeder_path = args.feeder or doc["feeder"]
     model = load_feeder(feeder_path)
+    if doc["base_kva"] != model.base_kva:
+        raise FeederError(
+            f"result base_kva {doc['base_kva']!r} differs from the feeder's {model.base_kva!r}"
+        )
     ctx = build_context(model, v_min=doc["v_min"], v_max=doc["v_max"])
     decision = _decision_from_doc(ctx, doc)
     direction = doc.get("direction", "both")

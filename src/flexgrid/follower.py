@@ -267,16 +267,14 @@ def build_context(
     *,
     v_min: float = 0.9,
     v_max: float = 1.1,
-    anchor: OperatingPoint | None = None,
 ) -> FlexContext:
-    """Assemble the admittance matrix once, solve the anchor power flow and
-    assemble the linearized models."""
+    """Assemble the admittance matrix once, solve the feeder's own operating
+    point (the anchor) by Newton power flow and linearize around it."""
     if not v_min < v_max:
         raise ValueError("need v_min < v_max")
     index = index_nodes(model)
     ybus = assemble_ybus(model, index)
-    if anchor is None:
-        anchor = solve_nonlinear_pf(model, index=index, Y=ybus)
+    anchor = solve_nonlinear_pf(model, index=index, Y=ybus)
     lpf = build_fixed_point_model(model, anchor, Y=ybus)
     taylor = magnitude_taylor(anchor)
     devices = build_devices(model, index)
@@ -571,7 +569,7 @@ class FollowerProblem:
         missing = [s for s in self.slot_names if s not in slots]
         if missing:
             raise KeyError(f"missing slot values: {missing}")
-        lp = LinearProgram(sense=MAX, name=f"follower[s{self.scenario.number},k{self.scenario.node}]")
+        lp = LinearProgram(sense=MAX)
         lp.add_vars([""] * self.n_vars, self.lb, self.ub, self.objective)
         rhs = self.rhs.copy()
         for r, s, c in self.rhs_slots:

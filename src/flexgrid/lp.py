@@ -61,11 +61,10 @@ class LinearProgram:
     the coefficients are kept as (row, column, value) triplets in row order.
     """
 
-    def __init__(self, sense: str = MAX, name: str = ""):
+    def __init__(self, sense: str = MAX):
         if sense not in (MAX, MIN):
             raise ValueError(f"sense must be {MAX!r} or {MIN!r}")
         self.sense = sense
-        self.name = name
         self.obj: list[float] = []
         self.lb: list[float] = []
         self.ub: list[float] = []

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flexgrid import build_context, load_feeder
+from flexgrid import bilevel, build_context, load_feeder
+from flexgrid.follower import setpoint_boxes
 
 DATA_13 = Path(__file__).resolve().parents[1] / "src" / "flexgrid" / "data" / "ieee13.json"
 
@@ -70,6 +71,27 @@ PV_FEEDER = {
 }
 
 
+@pytest.fixture()
+def pin_setpoints(monkeypatch):
+    """``pin_setpoints(pins)`` pins setpoint slots for the single level:
+    ``bilevel`` then reads the point box [v, v] for each pinned slot.
+    Raises when a pin leaves its box."""
+
+    def pin(pins: dict[str, float]) -> None:
+        def pinned_boxes(ctx, mode):
+            boxes = setpoint_boxes(ctx, mode)
+            for name, v in pins.items():
+                lo, hi = boxes[name]
+                if not lo - 1e-12 <= v <= hi + 1e-12:
+                    raise ValueError(f"pinned setpoint {name}={v} outside its box [{lo}, {hi}]")
+                boxes[name] = (float(v), float(v))
+            return boxes
+
+        monkeypatch.setattr(bilevel, "setpoint_boxes", pinned_boxes)
+
+    return pin
+
+
 def pv_doc():
     return copy.deepcopy(PV_FEEDER)
 
@@ -108,7 +130,6 @@ def pv_tight_ctx(pv_model):
         pv_model,
         v_min=float(np.min(vm) - 0.010),
         v_max=float(np.max(vm) + 0.004),
-        anchor=probe.anchor,
     )
 
 
@@ -116,9 +137,7 @@ def pv_tight_ctx(pv_model):
 def ieee13_binding_ctx(ieee13_model):
     """The 13-bus feeder with v_max 0.5 mV above the anchor's highest |v|."""
     probe = build_context(ieee13_model)
-    return build_context(
-        ieee13_model, v_max=float(probe.anchor.vm.max()) + 0.0005, anchor=probe.anchor
-    )
+    return build_context(ieee13_model, v_max=float(probe.anchor.vm.max()) + 0.0005)
 
 
 @pytest.fixture()

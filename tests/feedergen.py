@@ -121,7 +121,7 @@ def random_context(rng, *, mode="constant-pf", margin_lo=(0.005, 0.03), margin_u
     vm = probe.anchor.vm
     v_min = float(np.min(vm) - rng.uniform(*margin_lo))
     v_max = float(np.max(vm) + rng.uniform(*margin_up))
-    return build_context(model, v_min=v_min, v_max=v_max, anchor=probe.anchor)
+    return build_context(model, v_min=v_min, v_max=v_max)
 
 
 def random_slots(rng, ctx, mode, *, problem=None):

@@ -130,7 +130,7 @@ def reference_relaxation(bp, lb=None, ub=None):
     base = bp.base
     lb = base.lb if lb is None else lb
     ub = base.ub if ub is None else ub
-    lp = LinearProgram(sense=base.sense, name=base.name)
+    lp = LinearProgram(sense=base.sense)
     for v in range(base.n_vars):
         lp.add_var(name=base.var_names[v], lb=lb[v], ub=ub[v], obj=base.obj[v])
 

@@ -154,14 +154,14 @@ def test_wider_band_never_shrinks_the_limits(pv_model):
 # --- single-level ideal case ----------------------------------------------
 
 
-def test_assemble_rejects_bad_inputs(pv_tight_ctx):
+def test_assemble_rejects_bad_inputs(pv_tight_ctx, pin_setpoints):
     with pytest.raises(ValueError, match="at least one follower"):
         assemble_single_level(pv_tight_ctx, MODE_CONSTANT_PF, [])
     sc = [Scenario(0, POSITIVE, MAX_V)]
     cap = pv_tight_ctx.devices.gamma_cap[pv_tight_ctx.devices.inverter_nodes[0]]
-    bad = {slot_gamma(pv_tight_ctx.devices.inverter_nodes[0]): cap + 1.0}
+    pin_setpoints({slot_gamma(pv_tight_ctx.devices.inverter_nodes[0]): cap + 1.0})
     with pytest.raises(ValueError, match="outside its box"):
-        assemble_single_level(pv_tight_ctx, MODE_CONSTANT_PF, sc, fixed_setpoints=bad)
+        assemble_single_level(pv_tight_ctx, MODE_CONSTANT_PF, sc)
 
 
 def test_single_level_structure(pv_tight_ctx):
@@ -181,7 +181,7 @@ def test_single_level_structure(pv_tight_ctx):
         assert np.isfinite(lp.lb[d]) or np.isfinite(lp.ub[d])
 
 
-def test_single_level_matches_bisection_at_fixed_setpoints(pv_tight_ctx):
+def test_single_level_matches_bisection_at_fixed_setpoints(pv_tight_ctx, pin_setpoints):
     """Dual route to the same number: strong-duality B&B vs direct bisection."""
     ctx = pv_tight_ctx
     for mode, extremum in ((MODE_CONSTANT_PF, MAX_V), (MODE_VOLT_VAR, MAX_V)):
@@ -189,10 +189,8 @@ def test_single_level_matches_bisection_at_fixed_setpoints(pv_tight_ctx):
         wc = worst_case_limits(ctx, mode, direction=direction)
         k, _ = wc.binding_upper
         adv = fix_worst_case_setpoints(ctx, mode, extremum)
-        res = solve_single_level(
-            ctx, mode, [Scenario(k, POSITIVE, extremum)],
-            epsilon=1e-5, fixed_setpoints=adv,
-        )
+        pin_setpoints(adv)
+        res = solve_single_level(ctx, mode, [Scenario(k, POSITIVE, extremum)], epsilon=1e-5)
         dp_lo, dp_up = wc.dp_box
         span = dp_up - dp_lo
         assert res.decision.dp_plus == pytest.approx(wc.upper[k], abs=2e-3 * span)
@@ -257,7 +255,7 @@ def _lift_cases():
 
 @pytest.mark.parametrize("ctx_name, mode, followers, fixed", _lift_cases())
 def test_reduced_blocks_lift_to_certified_follower_optima(
-    request, ctx_name, mode, followers, fixed
+    request, pin_setpoints, ctx_name, mode, followers, fixed
 ):
     """Each block keeps the vm rows of the |v| the single level reads: the
     target's, and in volt-var every inverter node's.  Lifted into the
@@ -266,9 +264,10 @@ def test_reduced_blocks_lift_to_certified_follower_optima(
     and passes the strong-duality check: dropping the rest was exact."""
     ctx = request.getfixturevalue(ctx_name)
     followers = followers(ctx)
-    fixed = fixed(ctx, mode) if fixed else None
-    res = solve_single_level(ctx, mode, followers, fixed_setpoints=fixed, node_limit=5, split=False)
-    _, slmap = assemble_single_level(ctx, mode, followers, fixed_setpoints=fixed)
+    if fixed:
+        pin_setpoints(fixed(ctx, mode))
+    res = solve_single_level(ctx, mode, followers, node_limit=5, split=False)
+    _, slmap = assemble_single_level(ctx, mode, followers)
     inverters = set(ctx.devices.inverter_nodes)
     slots = res.decision.slots
     binding = False
@@ -437,8 +436,7 @@ def test_the_active_set_grows_by_the_rescreen_violators(ieee13_model, monkeypatc
     fails its re-screen, the violators not yet active join the two seeds,
     and the second band passes (unproven at the node cap of 2)."""
     anchor = build_context(ieee13_model).anchor
-    ctx = build_context(ieee13_model, v_min=0.9, v_max=float(anchor.vm.max()) + 0.0005,
-                        anchor=anchor)
+    ctx = build_context(ieee13_model, v_min=0.9, v_max=float(anchor.vm.max()) + 0.0005)
     reports = []
     real = bilevel.feasibility_check
 
@@ -606,27 +604,26 @@ def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mo
 
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("fixed", [False, True], ids=["free", "one-fixed"])
-def test_candidate_setpoints_are_neutral_then_the_box_ends(pv_tight_ctx, mode, fixed):
+def test_candidate_setpoints_are_neutral_then_the_box_ends(pv_tight_ctx, pin_setpoints, mode, fixed):
     """Neutral (0 clamped into each box), every lower end, every upper end,
     duplicates dropped: in volt-var the lower ends are the neutral point.
     The boxes the solve draws them from are the assembled program's."""
-    from flexgrid.bilevel import _candidate_setpoint_sets, _pinned_boxes
+    from flexgrid.bilevel import _candidate_setpoint_sets
 
     ctx = pv_tight_ctx
     boxes = setpoint_boxes(ctx, mode)
     assert len(boxes) == 2
     first = next(iter(boxes))
     pin = {first: 0.5 * boxes[first][1]} if fixed else {}
-    bp, slmap = assemble_single_level(
-        ctx, mode, [Scenario(ctx.n - 1, POSITIVE, MAX_V)], fixed_setpoints=pin or None
-    )
+    pin_setpoints(pin)
+    bp, slmap = assemble_single_level(ctx, mode, [Scenario(ctx.n - 1, POSITIVE, MAX_V)])
     neutral = {name: 0.0 for name in boxes} | pin
     lower = {name: lo for name, (lo, _) in boxes.items()} | pin
     upper = {name: hi for name, (_, hi) in boxes.items()} | pin
     want = [neutral, upper] if mode == MODE_VOLT_VAR else [neutral, lower, upper]
     up, lb, ub = slmap.upper_vars, bp.base.lb, bp.base.ub
     assembled = {name: (lb[up[name]], ub[up[name]]) for name in slmap.setpoint_slots}
-    assert _pinned_boxes(ctx, mode, pin or None) == assembled
+    assert bilevel.setpoint_boxes(ctx, mode) == assembled
     assert _candidate_setpoint_sets(assembled) == want
 
 

@@ -172,6 +172,17 @@ def test_verify_feeder_override(solved, tmp_path, capsys):
     )
     assert code == cli.EXIT_OK
     assert "verification PASSED" in stdout
+    # a feeder on another power base would rescale the band: rejected
+    rebased = json.loads(moved.read_text())
+    rebased["base_kva"] *= 2.0
+    moved.write_text(json.dumps(rebased))
+    code, _, stderr = run(
+        ["verify", "--result", str(result_path), "--feeder", str(moved),
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == cli.EXIT_VALIDATION
+    assert "base_kva" in stderr
 
 
 def test_plotdata_tables(solved, capsys):
@@ -425,6 +436,11 @@ def _drop_bus(doc):
     del doc["worst_case"]["nodes"][0]["bus"]
 
 
+def _repeat_slot(doc):
+    """A second record of the first slot, at its box end."""
+    doc["setpoints"].append({**doc["setpoints"][0], "value": doc["setpoints"][0]["hi"]})
+
+
 @pytest.mark.parametrize("command", ["verify", "plotdata"])
 @pytest.mark.parametrize("mutate, needle", [
     (lambda d: d.update(base_kva=0), "'base_kva' must be positive"),
@@ -438,8 +454,10 @@ def _drop_bus(doc):
     (lambda d: d.update(worst_case=[]), "'worst_case' must be an object"),
     (lambda d: d.update(direction=["x"]), "'direction' must be one of"),
     (lambda d: d.update(v_min=-1.0), "need 0 < v_min < v_max"),
+    (_repeat_slot, "listed twice"),
 ], ids=["zero-base", "text-base", "null-band", "no-slot", "setpoint-dict", "no-bus",
-        "worst-case-list", "worst-case-empty-list", "direction-list", "negative-vmin"])
+        "worst-case-list", "worst-case-empty-list", "direction-list", "negative-vmin",
+        "repeated-slot"])
 def test_malformed_result_fields_are_validation_errors(
     solved_doc, tmp_path, capsys, command, mutate, needle
 ):

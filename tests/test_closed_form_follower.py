@@ -72,7 +72,7 @@ def _pv_tight(pv_model):
     probe = build_context(pv_model)
     vm = probe.anchor.vm
     return build_context(pv_model, v_min=float(np.min(vm) - 0.010),
-                         v_max=float(np.max(vm) + 0.004), anchor=probe.anchor)
+                         v_max=float(np.max(vm) + 0.004))
 
 
 def _corpus(name, pv_model, ieee13_model):
@@ -309,7 +309,7 @@ def test_volt_var_optimum_cut_by_the_capability_falls_back_to_highs(pv_model):
     probe = build_context(pv_model)
     dev = probe.devices
     v_min = float(np.max(probe.anchor.vm[list(dev.inverter_nodes)]) - 5e-4)
-    ctx = build_context(pv_model, v_min=v_min, v_max=v_min + 0.02, anchor=probe.anchor)
+    ctx = build_context(pv_model, v_min=v_min, v_max=v_min + 0.02)
     dp_lo, dp_up = available_flexibility_bounds(dev)
     cut = {slot_qbar(k): float(dev.s_cap[k]) for k in dev.inverter_nodes}
     off = {slot_qbar(k): 0.0 for k in dev.inverter_nodes}
@@ -397,7 +397,7 @@ def test_volt_var_at_a_singular_droop_system_falls_back_to_highs():
     model = _one_inverter_feeder()
     probe = build_context(model)
     m0 = build_follower(probe, Scenario(0, POSITIVE, MAX_V), MODE_VOLT_VAR).m0[0]
-    ctx = build_context(model, v_min=m0 - 0.05, v_max=m0 + 0.05, anchor=probe.anchor)
+    ctx = build_context(model, v_min=m0 - 0.05, v_max=m0 + 0.05)
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
     d = 2.0 / (ctx.v_max - ctx.v_min)
     for activation in ACTIVATIONS:
@@ -555,7 +555,7 @@ def _cut_context(pv_model):
     probe = build_context(pv_model)
     dev = probe.devices
     v_min = float(np.max(probe.anchor.vm[list(dev.inverter_nodes)]) - 5e-4)
-    return build_context(pv_model, v_min=v_min, v_max=v_min + 0.02, anchor=probe.anchor)
+    return build_context(pv_model, v_min=v_min, v_max=v_min + 0.02)
 
 
 def _free_q_excluded_context(pv_model):

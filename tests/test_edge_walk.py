@@ -334,7 +334,7 @@ def _pv_tight_contexts(pv_model):
     probe = build_context(pv_model)
     vm = probe.anchor.vm
     return [build_context(pv_model, v_min=float(np.min(vm) - 0.010),
-                          v_max=float(np.max(vm) + 0.004), anchor=probe.anchor)]
+                          v_max=float(np.max(vm) + 0.004))]
 
 
 def _random_batch_contexts():

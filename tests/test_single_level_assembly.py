@@ -59,7 +59,7 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
     """``assemble_single_level`` one column and one row at a time."""
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
     fixed_setpoints = fixed_setpoints or {}
-    lp = LinearProgram(sense=MAX, name="single-level")
+    lp = LinearProgram(sense=MAX)
     bp = BilinearProgram(base=lp)
     upper_vars = {
         SLOT_DP_PLUS: lp.add_var("dp_plus", lb=0.0, ub=dp_up, obj=1.0),
@@ -211,11 +211,15 @@ def gen7202_volt_var_ctx():
 
 
 @pytest.mark.parametrize("ctx_name, mode, followers, fixed", _cases())
-def test_assembly_matches_the_row_by_row_reference(request, ctx_name, mode, followers, fixed):
+def test_assembly_matches_the_row_by_row_reference(
+    request, pin_setpoints, ctx_name, mode, followers, fixed,
+):
     ctx = request.getfixturevalue(ctx_name)
     followers = followers(ctx)
     fixed = fixed(ctx, mode) if fixed else None
-    bp, slmap = assemble_single_level(ctx, mode, followers, fixed_setpoints=fixed)
+    if fixed:
+        pin_setpoints(fixed)
+    bp, slmap = assemble_single_level(ctx, mode, followers)
     ref_bp, ref_map = reference_single_level(ctx, mode, followers, fixed)
 
     got, want = bp.base.materialize(), ref_bp.base.materialize()
@@ -242,14 +246,15 @@ def test_assembly_matches_the_row_by_row_reference(request, ctx_name, mode, foll
 
 @pytest.mark.parametrize("ctx_name, mode, followers, fixed", _cases())
 def test_every_product_is_an_upper_slot_times_a_follower_column_in_a_row(
-    request, ctx_name, mode, followers, fixed,
+    request, pin_setpoints, ctx_name, mode, followers, fixed,
 ):
     """The products the B&B relaxes are all of one kind: each sits on a row
     of the base program and multiplies an upper-level slot (first) with a
     follower-side column, never a square."""
     ctx = request.getfixturevalue(ctx_name)
-    fixed = fixed(ctx, mode) if fixed else None
-    bp, slmap = assemble_single_level(ctx, mode, followers(ctx), fixed_setpoints=fixed)
+    if fixed:
+        pin_setpoints(fixed(ctx, mode))
+    bp, slmap = assemble_single_level(ctx, mode, followers(ctx))
     upper = set(slmap.upper_vars.values())
     assert bp.terms
     for t in bp.terms:
