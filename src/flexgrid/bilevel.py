@@ -622,8 +622,9 @@ SPLIT = "split"  # the bound summed from the POSITIVE and NEGATIVE halves' searc
 @dataclass
 class SingleLevelResult:
     """A single-level solve.  ``bnb`` holds the status, gap and ``bound`` of
-    the whole solve, and in ``nodes`` every relaxation it solved;
-    ``nodes_by_search`` splits them by search (POSITIVE, NEGATIVE, JOINT)
+    the whole solve, in ``nodes`` every relaxation it solved and in
+    ``cold_resolves`` those solved again cold after a warm solve;
+    ``nodes_by_search`` splits the nodes by search (POSITIVE, NEGATIVE, JOINT)
     and ``bound_by`` names the bound that holds (SPLIT or JOINT).  ``bnb.x``
     is the joint program's point, None when the halves settled the band
     without the joint program."""
@@ -781,10 +782,12 @@ def solve_single_level(
         return result(res, decision, box, {JOINT: res.nodes}, JOINT)
 
     budget, nodes, finals, split_bound, box = node_limit, {}, [], -dp_span, False
+    cold_resolves = 0
     for activation, subset in halves.items():
         res, decision, half_box = search(subset, candidates, budget)
         budget -= res.nodes
         nodes[activation] = res.nodes
+        cold_resolves += res.cold_resolves
         finals.append(decision.setpoints)
         # A half's objective is its own edge plus the other edge's whole box,
         # so the span caps it, also for a half stopped before its root.
@@ -796,12 +799,13 @@ def solve_single_level(
     if not proven and budget > 0:
         res, decision, joint_box = search(followers, candidates + finals, budget, split_bound)
         nodes[JOINT] = res.nodes
-        res = replace(res, nodes=sum(nodes.values()))
+        res = replace(res, nodes=sum(nodes.values()),
+                      cold_resolves=cold_resolves + res.cold_resolves)
         return result(res, decision, box or joint_box, nodes, JOINT)
     res = BnBResult(
         status=OPTIMAL if proven else NODE_LIMIT, x=None, objective=width(best),
         bound=max(split_bound, width(best)), gap=max(split_bound - width(best), 0.0),
-        nodes=sum(nodes.values()),
+        nodes=sum(nodes.values()), cold_resolves=cold_resolves,
     )
     decision = UpperDecision(
         dp_plus=best[SLOT_DP_PLUS], dp_minus=best[SLOT_DP_MINUS],

@@ -13,6 +13,9 @@ and the envelope row bounds.  ``spatial_branch_and_bound`` drives the usual
 best-first refine loop: solve the relaxation (primal-only), try to promote a
 feasible incumbent, branch on the variable behind the largest envelope
 violation, split at the relaxation point clamped away from the box edges.
+One HiGHS model is kept per search: the root is solved cold, and every
+later node changes that model in place and re-solves warm from its
+parent's basis.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .lp import (
     LE,
     MAX,
     OPTIMAL,
+    KeptModel,
     LinearProgram,
     RangedLP,
     solve_lp,
@@ -227,6 +231,7 @@ class BnBResult:
     bound: float  # best relaxation bound in the problem's sense
     gap: float
     nodes: int
+    cold_resolves: int  # warm node solves HiGHS left unsettled, solved again cold
 
 
 def spatial_branch_and_bound(
@@ -242,7 +247,10 @@ def spatial_branch_and_bound(
 
     Best-first search on the relaxation bound.  The McCormick relaxation is
     assembled once; at each node ``mccormick_relax`` rewrites it for the
-    node's boxes and it is solved primal-only.  The relaxation point (and
+    node's boxes and it is solved primal-only on the search's one
+    ``KeptModel``: the root cold, every other node warm from the basis its
+    parent's solve ended at, so a node's start does not depend on the
+    order the heap hands out nodes.  The relaxation point (and
     optionally ``incumbent_hook(x_rel)``, which may return a candidate point
     in base variable space) is screened for true feasibility within
     ``FEAS_TOL``.  ``initial_points`` are warm-start candidates screened the
@@ -283,18 +291,17 @@ def spatial_branch_and_bound(
         try_candidate(point)
 
     counter = itertools.count()
-    # Heap entries: (-sigma_bound, tiebreak, lb, ub).  Root bound is +inf
-    # (or the caller's) until solved.
+    # Heap entries: (-sigma_bound, tiebreak, lb, ub, parent's basis).  Root
+    # bound is +inf (or the caller's) until solved; the root has no basis.
     root_bound = math.inf if bound is None else sigma * bound
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = [
-        (-root_bound, next(counter), tpl.lb, tpl.ub)
-    ]
+    heap: list[tuple] = [(-root_bound, next(counter), tpl.lb, tpl.ub, None)]
+    kept = KeptModel()
     nodes = 0
     exhausted = True
     leftover_bound = -math.inf  # tightest open bound at an early exit
 
     while heap:
-        neg_bound, _, lb, ub = heapq.heappop(heap)
+        neg_bound, _, lb, ub, basis = heapq.heappop(heap)
         parent_bound = -neg_bound
         if best_x is not None and close_enough(parent_bound):
             # Best-first order: every remaining node is at least as loose.
@@ -306,7 +313,7 @@ def spatial_branch_and_bound(
             break
         nodes += 1
 
-        cert = solve_lp(mccormick_relax(tpl, lb, ub))
+        cert = solve_lp(mccormick_relax(tpl, lb, ub), kept, basis)
         if cert.status == INFEASIBLE:
             continue
         if cert.status != OPTIMAL:
@@ -334,15 +341,17 @@ def spatial_branch_and_bound(
         v = i if ub[i] - lb[i] >= ub[j] - lb[j] else j
         lo, hi = lb[v], ub[v]
         split = min(max(x_rel[v], lo + 0.25 * (hi - lo)), lo + 0.75 * (hi - lo))
+        basis = kept.basis()
         for child_lo, child_hi in ((lo, split), (split, hi)):
             clb, cub = lb.copy(), ub.copy()
             clb[v], cub[v] = child_lo, child_hi
-            heapq.heappush(heap, (-node_bound, next(counter), clb, cub))
+            heapq.heappush(heap, (-node_bound, next(counter), clb, cub, basis))
+    kept.close()
 
     if best_x is None:
         status = INFEASIBLE if exhausted else NODE_LIMIT
-        return BnBResult(status=status, x=None, objective=None,
-                         bound=math.inf * sigma, gap=math.inf, nodes=nodes)
+        return BnBResult(status=status, x=None, objective=None, bound=math.inf * sigma,
+                         gap=math.inf, nodes=nodes, cold_resolves=kept.cold_resolves)
 
     open_bound = max((-b for b, *_ in heap), default=-math.inf)
     open_bound = max(open_bound, leftover_bound, best_val)
@@ -355,4 +364,5 @@ def spatial_branch_and_bound(
         bound=sigma * open_bound,
         gap=gap,
         nodes=nodes,
+        cold_resolves=kept.cold_resolves,
     )

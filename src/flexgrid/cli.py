@@ -253,6 +253,7 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
         "bnb_gap_kw": None if bnb.status == DUAL_BOX else float(bnb.gap * base),
         "bnb_nodes": bnb.nodes,
         "bnb_nodes_by_search": dict(res.single_level.nodes_by_search),
+        "bnb_cold_resolves": bnb.cold_resolves,
         "dp_plus_kw": float(res.dp_plus * base),
         "dp_minus_kw": float(res.dp_minus * base),
         "objective_history_kw": [float(v * base) for v in res.objective_history],

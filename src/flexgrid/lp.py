@@ -20,9 +20,11 @@ builds it directly.  Rows are folded only on the way into scipy's
 ``linprog``, which takes <= and = rows: ``solve_materialized`` negates the
 >= rows there and undoes the negation on the duals.  ``solve_lp`` solves a
 ``RangedLP`` primal-only, with no duals on the certificate, after checking
-it for NaN and infinite entries, on one HiGHS instance the module keeps:
-each solve passes the whole model, which drops the previous model and
-basis, so every solve starts cold.
+it for NaN and infinite entries.  A bare solve runs on one HiGHS instance
+the module keeps and passes the whole model, which drops the previous
+model and basis, so it starts cold.  A solve on a ``KeptModel`` (the
+branch-and-bound keeps one per search) writes only what differs from the
+LP that model holds and re-solves warm from a basis an earlier solve left.
 """
 
 from __future__ import annotations
@@ -292,21 +294,15 @@ _RANGED_STATUS = {
 }
 
 
-def _solve_ranged(lp: RangedLP) -> DualCertificate:
-    """Primal-only solve on the module's HiGHS instance, created on first use
-    with console logging off.
+def _new_highs() -> highs._Highs:
+    h = highs._Highs()
+    h.setOptionValue("log_to_console", False)
+    return h
 
-    A NaN or infinite objective or matrix entry, or a NaN bound, raises
-    ``ValueError`` before HiGHS sees the model.
-    """
-    global _highs
-    if not (np.isfinite(lp.c).all() and np.isfinite(lp.A.data).all()):
-        raise ValueError("RangedLP: c and A must hold finite numbers")
-    if any(np.isnan(b).any() for b in (lp.lb, lp.ub, lp.row_lb, lp.row_ub)):
-        raise ValueError("RangedLP: bounds must not hold NaN")
-    if _highs is None:
-        _highs = highs._Highs()
-        _highs.setOptionValue("log_to_console", False)
+
+def _pass_model(h: highs._Highs, lp: RangedLP) -> bool:
+    """Hand ``lp`` whole to ``h``, which drops its model and basis; False
+    when HiGHS rejects the model."""
     sign = -1.0 if lp.sense == MAX else 1.0
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = lp.c.size
@@ -320,22 +316,109 @@ def _solve_ranged(lp: RangedLP) -> DualCertificate:
     model.col_upper_ = lp.ub
     model.row_lower_ = lp.row_lb
     model.row_upper_ = lp.row_ub
-    if _highs.passModel(model) == highs.HighsStatus.kError:
-        return DualCertificate(status=INFEASIBLE)
-    _highs.run()
-    model_status = _highs.getModelStatus()
-    status = _RANGED_STATUS.get(model_status)
+    return h.passModel(model) != highs.HighsStatus.kError
+
+
+def _run(h: highs._Highs, lp: RangedLP) -> DualCertificate | None:
+    """Solve the model ``lp`` that ``h`` holds; None for a HiGHS status
+    ``_RANGED_STATUS`` does not map."""
+    h.run()
+    status = _RANGED_STATUS.get(h.getModelStatus())
     if status is None:
-        raise LPEngineError(
-            f"LP backend failure: {_highs.modelStatusToString(model_status)}"
-        )
+        return None
     if status != OPTIMAL:
         return DualCertificate(status=status)
-    x = np.array(_highs.getSolution().col_value)
+    x = np.array(h.getSolution().col_value)
     return DualCertificate(status=OPTIMAL, objective=float(lp.c @ x), x=x)
 
 
-def solve_lp(lp: LinearProgram | RangedLP) -> DualCertificate:
+def _run_cold(h: highs._Highs, lp: RangedLP) -> DualCertificate:
+    """``_run`` on a model just passed; an unmapped status is an engine failure."""
+    cert = _run(h, lp)
+    if cert is None:
+        raise LPEngineError(f"LP backend failure: {h.modelStatusToString(h.getModelStatus())}")
+    return cert
+
+
+# HiGHS instances of ended searches.  A new ``KeptModel`` takes one of these
+# before it makes its own, which spares a single-node search the set-up of a
+# fresh instance.
+_spare_highs: list[highs._Highs] = []
+
+
+class KeptModel:
+    """One HiGHS instance that re-solves a sequence of LPs in place.
+
+    An LP that comes without a basis, or whose sense, shape, objective or
+    sparsity pattern differs from the held one, is passed whole and solved
+    cold with HiGHS defaults, exactly as a bare ``solve_lp`` solves it.
+    Any other LP changes the held model where it differs (column bounds,
+    matrix entries, row bounds) and is re-solved from ``basis``, which
+    ``basis()`` gave after an earlier solve, with presolve off (on the
+    branch-and-bound's small relaxations it costs more than it saves).
+    A warm solve ending in a HiGHS status ``solve_lp`` does not map is
+    solved again cold; ``cold_resolves`` counts these.  ``close`` hands
+    the instance on to the next ``KeptModel`` made.
+    """
+
+    def __init__(self):
+        self._highs = _spare_highs.pop() if _spare_highs else _new_highs()
+        self._held: RangedLP | None = None  # the LP the instance holds
+        self.cold_resolves = 0
+
+    def close(self) -> None:
+        """Hand the instance on to a later ``KeptModel``; this one is done."""
+        _spare_highs.append(self._highs)
+        self._highs = self._held = None
+
+    def basis(self) -> highs.HighsBasis:
+        """A copy of the basis the last solve ended at."""
+        return self._highs.getBasis()
+
+    def _holds_shape_of(self, lp: RangedLP) -> bool:
+        held = self._held
+        return (
+            held is not None and held.sense == lp.sense and held.A.shape == lp.A.shape
+            and np.array_equal(held.c, lp.c) and np.array_equal(held.A.indptr, lp.A.indptr)
+            and np.array_equal(held.A.indices, lp.A.indices)
+        )
+
+    def _write_changes(self, lp: RangedLP) -> None:
+        held, h = self._held, self._highs
+        cols = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
+        if cols.size:
+            h.changeColsBounds(cols.size, cols.astype(np.int32), lp.lb[cols], lp.ub[cols])
+        pos = np.flatnonzero(lp.A.data != held.A.data)
+        pos_col = np.searchsorted(lp.A.indptr, pos, side="right") - 1
+        for r, c, v in zip(lp.A.indices[pos].tolist(), pos_col.tolist(), lp.A.data[pos].tolist()):
+            h.changeCoeff(r, c, v)
+        for r in np.flatnonzero((lp.row_lb != held.row_lb) | (lp.row_ub != held.row_ub)).tolist():
+            h.changeRowBounds(r, lp.row_lb[r], lp.row_ub[r])
+
+    def solve(self, lp: RangedLP, basis: highs.HighsBasis | None) -> DualCertificate:
+        h = self._highs
+        if basis is not None and self._holds_shape_of(lp):
+            self._write_changes(lp)
+            self._held = lp
+            h.setBasis(basis)
+            h.setOptionValue("presolve", "off")
+            cert = _run(h, lp)
+            if cert is not None:
+                return cert
+            self.cold_resolves += 1
+        h.setOptionValue("presolve", "choose")
+        if not _pass_model(h, lp):
+            self._held = None
+            return DualCertificate(status=INFEASIBLE)
+        self._held = lp
+        return _run_cold(h, lp)
+
+
+def solve_lp(
+    lp: LinearProgram | RangedLP,
+    kept: KeptModel | None = None,
+    basis: highs.HighsBasis | None = None,
+) -> DualCertificate:
     """Solve an LP exactly.
 
     A ``LinearProgram`` is materialized and solved through ``linprog`` by
@@ -343,11 +426,26 @@ def solve_lp(lp: LinearProgram | RangedLP) -> DualCertificate:
     dual sensitivities.  A ``RangedLP`` is solved primal-only by HiGHS's
     default LP solver, called directly rather than through scipy, with its
     ranged rows as they are: its certificate carries the status, ``x`` and
-    the objective, and no duals.
+    the objective, and no duals.  A NaN or infinite objective or matrix
+    entry, or a NaN bound, raises ``ValueError`` before HiGHS sees it.
+    Without ``kept`` the solve is cold and leaves nothing behind; with it,
+    ``kept`` solves the LP, warm from ``basis`` when it can (see
+    ``KeptModel``).
     """
-    if isinstance(lp, RangedLP):
-        return _solve_ranged(lp)
-    return solve_materialized(lp.materialize())
+    if not isinstance(lp, RangedLP):
+        return solve_materialized(lp.materialize())
+    if not (np.isfinite(lp.c).all() and np.isfinite(lp.A.data).all()):
+        raise ValueError("RangedLP: c and A must hold finite numbers")
+    if any(np.isnan(b).any() for b in (lp.lb, lp.ub, lp.row_lb, lp.row_ub)):
+        raise ValueError("RangedLP: bounds must not hold NaN")
+    if kept is not None:
+        return kept.solve(lp, basis)
+    global _highs
+    if _highs is None:
+        _highs = _new_highs()
+    if not _pass_model(_highs, lp):
+        return DualCertificate(status=INFEASIBLE)
+    return _run_cold(_highs, lp)
 
 
 @dataclass

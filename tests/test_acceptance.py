@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import balanced_doc, pv_doc
-from feedergen import bf_worst_vm, random_context, random_slots
+from randfeeders import bf_worst_vm, random_context, random_slots
 from lpgen import grid_oracle, random_bilinear, random_lp, vertex_enumeration_optimum
 
 from flexgrid.bilevel import run_iterative

@@ -5,8 +5,8 @@ modules bound at import.  A refactor that moves one of those call sites
 would make a traced benchmark run report that layer's metrics as missing,
 and a span count that comes back as a numpy scalar would break the traced
 run's JSON output; these checks turn both into test failures instead.  The module is loaded by
-file path under a private name: ``bench`` is not a test path, and its
-``feedergen`` module would clash with the one in ``tests``.
+file path under a private name, so these checks also run when pytest
+collects ``tests`` alone and ``bench`` is not on the import path.
 """
 
 import importlib
@@ -21,7 +21,7 @@ from flexgrid.bilevel import run_iterative
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_VOLT_VAR
 from flexgrid.follower import MAX_V, MIN_V, POSITIVE, Scenario
 
-from feedergen import random_context
+from randfeeders import random_context
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

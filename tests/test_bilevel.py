@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from feedergen import random_context
+from randfeeders import random_context
 
 from flexgrid import bilevel, build_context, load_feeder
 from flexgrid.bilevel import (
@@ -800,9 +800,13 @@ def test_a_binding_dual_box_in_a_half_leaves_the_split_band_unproven(monkeypatch
 
 
 def test_the_split_proves_a_band_the_joint_search_loses():
-    """7210-z2 constant-q: at ``node_limit=2000`` the joint search over the
-    two seed followers stops at 0.3038 p.u., unproven; split by
-    activation, the same solve proves 0.42583 p.u."""
+    """7210-z2 constant-q: split by activation, the solve at
+    ``node_limit=2000`` proves 0.42583 p.u., and the joint search over the
+    two seed followers proves the same band.  7208-z2 constant-pf: the
+    split proves 0.46450 p.u. in 96 nodes, where the joint search over the
+    same followers, capped at 400, stops at that band unproven, its bound
+    above 0.67 p.u."""
+    epsilon = 1e-4
     ctx = random_context(np.random.default_rng(7210), mode=MODE_CONSTANT_Q, z_scale=2.0)
     res = run_iterative(ctx, MODE_CONSTANT_Q, node_limit=2000)
     assert res.converged and res.single_level.bnb.status == "optimal"
@@ -810,8 +814,19 @@ def test_the_split_proves_a_band_the_joint_search_loses():
     assert res.dp_plus - res.dp_minus == pytest.approx(0.42583, abs=1e-5)
     assert res.iterations == 1
     joint = solve_single_level(ctx, MODE_CONSTANT_Q, res.followers, node_limit=2000, split=False)
+    assert joint.bnb.status == "optimal"
+    assert joint.objective == pytest.approx(res.single_level.objective,
+                                            abs=epsilon * (1.0 + joint.objective))
+
+    ctx = random_context(np.random.default_rng(7208), mode=MODE_CONSTANT_PF, z_scale=2.0)
+    res = run_iterative(ctx, MODE_CONSTANT_PF, node_limit=400)
+    assert res.converged and res.single_level.bound_by == SPLIT
+    assert res.single_level.bnb.nodes == 96
+    assert res.dp_plus - res.dp_minus == pytest.approx(0.46450, abs=1e-5)
+    joint = solve_single_level(ctx, MODE_CONSTANT_PF, res.followers, node_limit=400, split=False)
     assert joint.bnb.status == "node_limit"
-    assert joint.objective == pytest.approx(0.3038, abs=1e-4)
+    assert joint.objective <= res.single_level.objective + epsilon
+    assert joint.bnb.bound > 0.67
 
 
 @pytest.mark.parametrize("seed, z_scale, mode", [

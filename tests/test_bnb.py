@@ -15,9 +15,21 @@ from flexgrid.bnb import (
 )
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 from flexgrid.follower import MAX_V, MIN_V, NEGATIVE, POSITIVE, Scenario
-from flexgrid.lp import GE, LE, MAX, MIN, OPTIMAL, LinearProgram, RangedLP, solve_lp
+from flexgrid import lp as lp_module
+from flexgrid.lp import (
+    GE,
+    INFEASIBLE,
+    LE,
+    MAX,
+    MIN,
+    OPTIMAL,
+    KeptModel,
+    LinearProgram,
+    RangedLP,
+    solve_lp,
+)
 
-from feedergen import random_context
+from randfeeders import random_context
 from lpgen import (
     grid_oracle,
     random_bilinear,
@@ -322,3 +334,101 @@ def test_template_matches_the_row_by_row_reference(pv_tight_ctx):
             assert tpl.max_row_violation(x) == pytest.approx(
                 reference_max_row_violation(bp, x), rel=1e-12, abs=1e-12)
     assert solved >= len(programs) * 3
+
+
+def test_warm_re_solves_agree_with_cold_ones(pv_tight_ctx):
+    """One kept model walked through a sequence of boxes, each re-solved in
+    place from the basis of the last box solved to optimality (the root's
+    at first), matches a cold solve of each box: the same status and,
+    when optimal, the objective within 1e-9 relative.  The walk crosses
+    infeasible boxes; a warm solve HiGHS leaves unsettled (one here) is
+    solved again cold."""
+    rng = np.random.default_rng(5)
+    programs = []
+    for _ in range(8):
+        bp = random_bilinear(rng)
+        programs.append((bp, spatial_branch_and_bound(bp, epsilon=1e-6).x))
+    programs += list(_single_level_programs(pv_tight_ctx))
+    statuses = []
+    for bp, anchor in programs:
+        tpl = RelaxationTemplate(bp)
+        kept, basis = KeptModel(), None
+        for lb, ub in _sub_boxes(rng, tpl, anchor, 9):
+            relaxation = mccormick_relax(tpl, lb, ub)
+            warm, cold = solve_lp(relaxation, kept, basis), solve_lp(relaxation)
+            assert warm.status == cold.status
+            statuses.append(cold.status)
+            if cold.status == OPTIMAL:
+                assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+                basis = kept.basis()
+    assert INFEASIBLE in statuses and statuses.count(OPTIMAL) >= len(programs) * 5
+
+
+def test_a_search_passes_its_model_to_highs_once(monkeypatch):
+    """The root's relaxation is passed to HiGHS whole; every later node
+    changes the kept model in place."""
+    passed = []
+    pass_model = lp_module._pass_model
+    monkeypatch.setattr(lp_module, "_pass_model", lambda h, lp: passed.append(lp) or pass_model(h, lp))
+    res = spatial_branch_and_bound(_product_bp(), epsilon=1e-6)
+    assert res.nodes > 1 and res.cold_resolves == 0
+    assert len(passed) == 1
+
+
+class _UnsettledWhenWarm:
+    """A HiGHS instance whose solves of a model changed in place, rather
+    than passed whole, end in ``kUnknown``, a status ``solve_lp`` does not map."""
+
+    def __init__(self, highs):
+        self._highs = highs
+        self._passed = self._warm = False
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def passModel(self, model):
+        self._passed = True
+        return self._highs.passModel(model)
+
+    def run(self):
+        self._warm, self._passed = not self._passed, False
+        return self._highs.run()
+
+    def getModelStatus(self):
+        if self._warm:
+            return lp_module.highs.HighsModelStatus.kUnknown
+        return self._highs.getModelStatus()
+
+
+def test_a_warm_solve_highs_leaves_unsettled_is_solved_again_cold(monkeypatch):
+    """A warm solve ending in a status ``solve_lp`` does not map falls back
+    to a cold one with HiGHS defaults: the node gets the certificate a bare
+    cold solve gives, bit for bit, and the fallback is counted.  In a
+    search every node after the root falls back, and the search ends as
+    one whose nodes all solve warm."""
+    tpl = RelaxationTemplate(_product_bp())
+    kept = KeptModel()
+    assert solve_lp(mccormick_relax(tpl), kept).status == OPTIMAL
+    basis = kept.basis()
+    kept._highs = _UnsettledWhenWarm(kept._highs)
+    ub = tpl.ub.copy()
+    ub[0] = 1.0
+    child = mccormick_relax(tpl, tpl.lb, ub)
+    got, cold = solve_lp(child, kept, basis), solve_lp(child)
+    assert got.status == cold.status == OPTIMAL
+    assert got.x.tobytes() == cold.x.tobytes() and got.objective == cold.objective
+    assert kept.cold_resolves == 1
+
+    warm = spatial_branch_and_bound(_product_bp(), epsilon=1e-6)
+    init = KeptModel.__init__
+    monkeypatch.setattr(lp_module, "_spare_highs", [])  # the wrapped instances go with the test
+
+    def unsettled_init(self):
+        init(self)
+        self._highs = _UnsettledWhenWarm(self._highs)
+
+    monkeypatch.setattr(KeptModel, "__init__", unsettled_init)
+    fallen = spatial_branch_and_bound(_product_bp(), epsilon=1e-6)
+    assert fallen.status == warm.status == OPTIMAL
+    assert fallen.nodes > 1 and fallen.cold_resolves == fallen.nodes - 1
+    assert fallen.objective == pytest.approx(warm.objective, abs=1e-6 * (1 + abs(warm.objective)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import pv_doc
-from feedergen import random_context, random_feeder_doc
+from randfeeders import random_context, random_feeder_doc
 
 from flexgrid import bilevel, build_context, cli, load_feeder
 from flexgrid.bilevel import BilevelError
@@ -333,6 +333,7 @@ def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
     doc = json.loads((tmp_path / "split" / "result.json").read_text())
     assert doc["bnb_nodes_by_search"] == {"positive": 1, "negative": 43, "joint": 0}
     assert doc["bnb_nodes"] == 44
+    assert isinstance(doc["bnb_cold_resolves"], int) and doc["bnb_cold_resolves"] >= 0
 
     real = cli.run_iterative
     monkeypatch.setattr(cli, "run_iterative", lambda *a, **kw: real(*a, **kw, node_limit=1))

@@ -19,7 +19,7 @@ import pytest
 
 import flexgrid.lp
 from edgewalk import scalar_edge_walk
-from feedergen import random_context
+from randfeeders import random_context
 
 from flexgrid import build_context, load_feeder
 from flexgrid.bilevel import (

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from edgewalk import scalar_edge_walk
-from feedergen import random_context
+from randfeeders import random_context
 
 from flexgrid import build_context
 from flexgrid.bilevel import (

@@ -29,7 +29,7 @@ from flexgrid.lp import verify_strong_duality
 from flexgrid.oracle import linear_magnitudes
 
 from conftest import pv_doc
-from feedergen import random_context, random_slots
+from randfeeders import random_context, random_slots
 
 MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
 

@@ -14,6 +14,7 @@ from flexgrid.lp import (
     MIN,
     OPTIMAL,
     UNBOUNDED,
+    KeptModel,
     LinearProgram,
     RangedLP,
     solve_lp,
@@ -372,6 +373,32 @@ def test_ranged_solves_leave_nothing_behind():
     again = solve_lp(simplex_lp([1, 1, 1]))
     assert first.x.tobytes() == again.x.tobytes()
     assert other.x.tobytes() != first.x.tobytes()
+
+
+def test_a_closed_kept_model_hands_on_an_instance_that_starts_cold():
+    """A = max x0 + x1 + x2 on the simplex has every vertex optimal.  Re-solved
+    warm from the basis of B, the same LP with x0 and x1 fixed at 0, A comes
+    back at another vertex than a bare solve's; the model's HiGHS instance,
+    handed on by ``close``, solves A without a basis cold, at the bare
+    solve's vertex."""
+    def simplex_lp(ub):
+        return RangedLP(
+            sense=MAX, c=np.ones(3), A=csc_array(np.ones((1, 3))),
+            row_lb=np.array([-np.inf]), row_ub=np.array([1.0]),
+            lb=np.zeros(3), ub=np.array(ub, dtype=float),
+        )
+
+    a, b = simplex_lp([1, 1, 1]), simplex_lp([0, 0, 1])
+    first = KeptModel()
+    solve_lp(b, first)
+    warm = solve_lp(a, first, first.basis())
+    bare = solve_lp(a)
+    assert warm.objective == bare.objective and warm.x.tobytes() != bare.x.tobytes()
+    instance = first._highs
+    first.close()
+    second = KeptModel()
+    assert second._highs is instance
+    assert solve_lp(a, second).x.tobytes() == bare.x.tobytes()
 
 
 @pytest.mark.parametrize("lp", [

@@ -54,7 +54,7 @@ from flexgrid.oracle import (
 )
 from flexgrid.powerflow import anchor_injections
 
-from feedergen import random_context
+from randfeeders import random_context
 
 
 def one_inverter_doc(mode, **params):

@@ -25,7 +25,7 @@ from flexgrid.powerflow import (
 )
 
 from conftest import balanced_doc, pv_doc
-from feedergen import random_feeder_doc
+from randfeeders import random_feeder_doc
 
 Z_PU = (1.0 + 2.0j) / (1e3 * 2.4**2 / 100.0)
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from feedergen import random_context
+from randfeeders import random_context
 
 from flexgrid.bilevel import (
     LAMBDA_CAP,
