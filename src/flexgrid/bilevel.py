@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bnb import NODE_LIMIT, BilinearProgram, BnBResult, spatial_branch_and_bound
+from .bnb import FEAS_TOL, NODE_LIMIT, BilinearProgram, BnBResult, spatial_branch_and_bound
 from .feeder import MODE_CONSTANT_Q, MODE_VOLT_VAR
 from .follower import (
     ACTIVATIONS,
@@ -64,7 +64,9 @@ from .lp import EQ, GE, LE, MAX, OPTIMAL, LinearProgram
 EDGE_TOL_REL = 1e-6  # band-edge tolerance, relative to the availability span
 EDGE_ROOT_TOL = 1e-12  # a safe edge whose objective is this close to the limit is the root
 FEAS_TOL_PU = 1e-6
-LAMBDA_CAP = 1e3  # McCormick box of every follower dual that meets a slot in a product
+# McCormick box of every constant-pf and volt-var follower dual that meets a
+# slot in a product; fixed-q constant-q ones get ``_Knapsack.dual_box``.
+LAMBDA_CAP = 1e3
 DUAL_BOX = "dual_box"  # B&B status of an incumbent the λ box may have cut off
 VM_BOX = (0.0, 2.0)  # conservative |v| box for volt-var products
 
@@ -340,6 +342,7 @@ class SingleLevelMap:
     setpoint_slots: list[str]
     blocks: list[FollowerBlock]
     product_duals: list[int]  # dual variable indices that appear in products
+    capped_duals: list[int]  # ... those boxed at ±LAMBDA_CAP, not by a derived box
 
 
 def neutral_setpoints(ctx: FlexContext, mode: str) -> dict[str, float]:
@@ -368,7 +371,9 @@ def assemble_single_level(
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
     parametric right-hand side).  Only duals participating in products get
-    the ±``LAMBDA_CAP`` McCormick box.
+    a McCormick box: in fixed-q constant-q the bounds the closed-form
+    certificate proves for each block's target (``_Knapsack.dual_box``), in
+    the other modes ±``LAMBDA_CAP`` (``capped_duals``).
     """
     if not followers:
         raise ValueError("need at least one follower scenario")
@@ -386,8 +391,13 @@ def assemble_single_level(
 
     blocks: list[FollowerBlock] = []
     product_duals: list[int] = []
+    capped_duals: list[int] = []
     # The blocks match the families the completion evaluates at these slots.
     fix_q = fixes_q(mode, sp_boxes)
+    # Fixed-q blocks take their dual boxes from one closed form per family;
+    # the boxes hold at every q_set and edge, so any in-box slots will do.
+    knapsacks: Families = {}
+    neutral = {**dict.fromkeys(sp_boxes, 0.0), SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0}
 
     for scenario in followers:
         problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
@@ -422,7 +432,14 @@ def assemble_single_level(
             box_lb[vm], box_ub[vm] = VM_BOX
         relations = [problem.relations[r] for r in kept.tolist()]
         row_names = [problem.row_names[r] for r in kept.tolist()]
-        rel, lim = np.array(relations), np.where(has_product[kept], LAMBDA_CAP, math.inf)
+        rel = np.array(relations)
+        if fix_q:
+            family = (scenario.activation, scenario.extremum)
+            if family not in knapsacks:
+                knapsacks[family] = problem.materialize(neutral)
+            lim = knapsacks[family].dual_box(scenario.node)[kept]
+        else:
+            lim = np.where(has_product[kept], LAMBDA_CAP, math.inf)
         finite = np.column_stack([np.isfinite(lb), np.isfinite(ub)]).ravel()
         z_var, z_up = np.repeat(x_vars, 2)[finite], np.tile([False, True], n_x)[finite]
         columns = lp.add_vars(
@@ -436,6 +453,8 @@ def assemble_single_level(
         z_col = columns[n_x + n_k:]
         zl_var, zl, zu_var, zu = z_var[~z_up], z_col[~z_up], z_var[z_up], z_col[z_up]
         product_duals += d_col[kept[has_product[kept]]].tolist()
+        if not fix_q:
+            capped_duals += d_col[kept[has_product[kept]]].tolist()
 
         # Rows, numbered within the block: the kept primal rows (A, and -c on
         # the slot column of each rhs slot term), one dual-feasibility row per
@@ -488,7 +507,7 @@ def assemble_single_level(
     slmap = SingleLevelMap(
         ctx=ctx, upper_vars=upper_vars,
         setpoint_slots=list(sp_boxes), blocks=blocks,
-        product_duals=product_duals,
+        product_duals=product_duals, capped_duals=capped_duals,
     )
     return bp, slmap
 
@@ -667,13 +686,16 @@ def solve_single_level(
     hook.  ``split=False`` runs the joint search alone: it is the
     reference the tests hold the split solve to.
 
-    The duals that meet a slot in a product sit in a ±``LAMBDA_CAP`` box, a
-    big-M that nothing certifies.  So when the band is below the
-    availability ceiling and in some search either one of its incumbent's
-    product duals sits at the box or some completion's duals left it (the
-    B&B rejects such a point), the box may have cut off a wider band: the
-    status becomes ``DUAL_BOX``, never optimal.  Raises ``BilevelError``
-    when a search finds no incumbent.
+    In constant-pf and volt-var, the duals that meet a slot in a product
+    sit in a ±``LAMBDA_CAP`` box, a big-M that nothing certifies.  So when
+    the band is below the availability ceiling and in some search either
+    one of its incumbent's capped duals sits at the box or some
+    completion's capped duals left it (the B&B rejects such a point), the
+    box may have cut off a wider band: the status becomes ``DUAL_BOX``,
+    never optimal.  Fixed-q constant-q boxes are proven to hold a
+    certificate at every decision, so they never make a band ``DUAL_BOX``.
+    Raises ``BilevelError`` when a search finds no incumbent, or when a
+    completion leaves a proven box by more than the B&B tolerates.
     """
     boxes = setpoint_boxes(ctx, mode)
     dp_box = available_flexibility_bounds(ctx.devices)
@@ -710,7 +732,8 @@ def solve_single_level(
         the λ box binds."""
         bp, slmap = assemble_single_level(ctx, mode, subset)
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
-        up, duals = slmap.upper_vars, slmap.product_duals
+        up, capped = slmap.upper_vars, slmap.capped_duals
+        derived = np.setdiff1d(slmap.product_duals, capped)
         fams = {f: families[f] for f in dict.fromkeys((sc.activation, sc.extremum) for sc in subset)}
         points: dict[tuple[float, ...], np.ndarray | None] = {}
         left_box = False
@@ -723,7 +746,16 @@ def solve_single_level(
             if key not in points:
                 decision = walk(fams, setpoints)
                 x = None if decision is None else _complete_point(slmap, fams, decision, lb, ub)
-                left_box |= x is not None and bool(np.any(np.abs(x[duals]) > LAMBDA_CAP))
+                if x is not None:
+                    left_box |= bool(np.any(np.abs(x[capped]) > LAMBDA_CAP))
+                    # A derived box holds every certificate, so no completion may
+                    # leave it by more than the B&B accepts a point by.
+                    excess = np.max(np.maximum(lb - x, x - ub)[derived], initial=0.0)
+                    if excess > FEAS_TOL:
+                        raise BilevelError(
+                            f"a closed-form certificate leaves its derived dual box by {excess:.3g} "
+                            f"at setpoints {setpoints}: the box's proof does not hold"
+                        )
                 points[key] = x
             return points[key]
 
@@ -745,7 +777,7 @@ def solve_single_level(
                 "follower out of the voltage band at zero deviation, or the dual boxes "
                 "cut off every completion"
             )
-        box = left_box or bool(np.any(np.abs(res.x[duals]) >= 0.999 * LAMBDA_CAP))
+        box = left_box or bool(np.any(np.abs(res.x[capped]) >= 0.999 * LAMBDA_CAP))
         return res, _decision_from_x(slmap, res.x), box
 
     def at_ceiling(width: float) -> bool:
@@ -922,7 +954,8 @@ def run_iterative(
     scenarios (4n, direction-filtered 2n).  The run has converged when the
     accepted band survives the re-screening and the last branch-and-bound
     proved it optimal; a band that stopped at ``node_limit``, or whose
-    dual box binds (``DUAL_BOX``), is feasible but unproven.  A re-screening
+    ±``LAMBDA_CAP`` dual box binds (``DUAL_BOX``, constant-pf and volt-var
+    only), is feasible but unproven.  A re-screening
     that finds only followers already active ends the loop early
     (``stalled``): solving again would give the same decision.
     """

@@ -933,6 +933,37 @@ class _Knapsack(MaterializedFollower):
         duals[self.mode_rows] = gain_q - mult * self.e[j, col]
         return cert
 
+    def dual_box(self, node: int) -> np.ndarray:
+        """Bounds on |dual| of the rows that meet a slot, agg and qfix, that
+        every certificate for target ``node`` keeps at any q_set and band
+        edge; inf on the other rows.  Fixed-q constant-q only.
+
+        Proof, from ``_certificate``.  With κ = 0 the gains
+        sign·σ·(s_p[t,I], s_l[t,L]) do not depend on q_set, and the agg
+        dual is ±μ, μ being the gain of the item the fill runs out in, or
+        0: |μ| <= μ̄ = max(0, largest gain).  Inverter i's qfix dual is
+        σ·s_q[t,i] - r_i·e_c/a_c, where r_i = σ·s_p[t,i] ∓ μ, so
+        |r_i| <= |s_p[t,i]| + μ̄, and c is a column defining an end of the
+        interval, so a_c != 0.  Hence |λ_i| <= |s_q[t,i]| + (|s_p[t,i]| + μ̄)/d_i,
+        d_i the least |a_c/e_c| over i's columns with a_c != 0 != e_c: the
+        capability rows' 1 and the cone rows' gc_i, so d_i = min(1, gc_i),
+        and 1 where gc_i = 0 (a cone row with a = 0 never ends the
+        interval).  The closed form certifies every optimum of this mode,
+        so the box holds one optimal dual at every decision, and boxing the
+        single level by it cuts off no decision.
+        """
+        p = self.problem
+        if p.mode != MODE_CONSTANT_Q:
+            raise ValueError("derived dual boxes cover fixed-q constant-q followers only")
+        gains = (self.sign * p.scenario.sigma) * np.concatenate([p.s_p[node], p.s_l[node]])
+        mu = float(gains.max(initial=0.0))
+        both = (self.a != 0.0) & (self.e != 0.0)
+        d = np.abs(np.divide(self.a, self.e, out=np.full(self.a.shape, np.inf), where=both)).min(axis=1)
+        box = np.full(p.n_rows, np.inf)
+        box[self.agg_row] = mu
+        box[self.mode_rows] = np.abs(p.s_q[node]) + (np.abs(p.s_p[node]) + mu) / d
+        return box
+
 
 class _VoltVar(MaterializedFollower):
     """Closed-form solve of a volt-var follower at fixed q̄.

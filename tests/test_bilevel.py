@@ -323,13 +323,27 @@ def test_dual_box_escalation_reaches_the_same_band(pv_tight_ctx, mode, monkeypat
     assert len(assembled) == 2
 
 
-def test_a_binding_dual_box_leaves_the_band_unproven(pv_tight_ctx, monkeypatch):
-    """A λ box that cuts off the optimum gives a feasible band marked
-    ``dual_box``, not converged, from one assembly per single-level solve."""
-    full = run_iterative(pv_tight_ctx, MODE_CONSTANT_Q)
-    assert full.converged
+def _pv_below_ceiling(pv_model):
+    """The pv feeder with a band whose walks stay below the availability
+    ceiling (0.98 p.u.), in volt-var and in constant-q."""
+    vm = build_context(pv_model).anchor.vm
+    return build_context(pv_model, v_min=float(np.min(vm) - 0.005), v_max=float(np.max(vm) + 0.002))
 
-    calls = {"assemble": 0, "solve": 0}
+
+def test_a_binding_dual_box_leaves_the_band_unproven(pv_model, monkeypatch):
+    """A λ box that binds at the incumbent gives a feasible band marked
+    ``dual_box``, not converged, from one assembly per search.  Volt-var still boxes its duals at ±``LAMBDA_CAP``; fixed-q constant-q
+    boxes them by the closed form's proven bounds, so no cap can touch its
+    band."""
+    ctx = _pv_below_ceiling(pv_model)
+    full = run_iterative(ctx, MODE_VOLT_VAR)
+    assert full.converged
+    span = full.worst_case.dp_box[1] - full.worst_case.dp_box[0]
+    assert full.dp_plus - full.dp_minus < span - 0.1  # below the ceiling
+    constant_q = run_iterative(ctx, MODE_CONSTANT_Q)
+    assert constant_q.converged and constant_q.dp_plus - constant_q.dp_minus < span - 0.1
+
+    calls = {"assemble": 0, "search": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -339,17 +353,26 @@ def test_a_binding_dual_box_leaves_the_band_unproven(pv_tight_ctx, monkeypatch):
 
     monkeypatch.setattr(bilevel, "assemble_single_level",
                         counted("assemble", bilevel.assemble_single_level))
+    monkeypatch.setattr(bilevel, "spatial_branch_and_bound",
+                        counted("search", bilevel.spatial_branch_and_bound))
     monkeypatch.setattr(bilevel, "solve_single_level",
                         counted("solve", bilevel.solve_single_level))
-    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.01)
-    res = run_iterative(pv_tight_ctx, MODE_CONSTANT_Q)
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.025)
+    res = run_iterative(ctx, MODE_VOLT_VAR)
     assert res.single_level.bnb.status == DUAL_BOX
     assert res.converged is False
     assert res.single_level.escalations == 0
-    assert calls["assemble"] == calls["solve"] == res.iterations
-    assert feasibility_check(pv_tight_ctx, MODE_CONSTANT_Q, res.decision).ok
-    # The box really cut: the band is narrower than the one a wide box proves.
-    assert res.dp_plus - res.dp_minus < full.dp_plus - full.dp_minus - 0.1
+    # One assembly per search (the halves and the joint one), none re-run.
+    assert calls["assemble"] == calls["search"] <= 3 * calls["solve"]
+    assert calls["solve"] == res.iterations
+    assert feasibility_check(ctx, MODE_VOLT_VAR, res.decision).ok
+    # A box can only cut: the band is no wider than the one the wide box proves.
+    assert res.dp_plus - res.dp_minus <= full.dp_plus - full.dp_minus + 1e-9
+
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 1e-4)
+    boxed = run_iterative(ctx, MODE_CONSTANT_Q)
+    assert boxed.converged and boxed.single_level.bnb.status == "optimal"
+    assert boxed.dp_plus == constant_q.dp_plus and boxed.dp_minus == constant_q.dp_minus
 
 
 def test_a_dual_box_cannot_cut_below_an_incumbent_at_the_ceiling(pv_tight_ctx, monkeypatch):
@@ -827,6 +850,18 @@ def test_the_split_proves_a_band_the_joint_search_loses():
     assert joint.bnb.status == "node_limit"
     assert joint.objective <= res.single_level.objective + epsilon
     assert joint.bnb.bound > 0.67
+
+
+def test_derived_dual_boxes_prove_the_constant_q_band_the_cap_left_open():
+    """7235-z3 constant-q: with every product dual boxed at ±``LAMBDA_CAP``
+    the negative half used up ``node_limit=400`` and the run stopped
+    unproven at 0.390238 p.u.; with the closed form's proven boxes the same
+    budget proves 0.408245 p.u."""
+    epsilon = 1e-4
+    ctx = random_context(np.random.default_rng(7235), mode=MODE_CONSTANT_Q, z_scale=3.0)
+    res = run_iterative(ctx, MODE_CONSTANT_Q, epsilon=epsilon, node_limit=400)
+    assert res.converged and res.single_level.bnb.status == "optimal"
+    assert res.dp_plus - res.dp_minus == pytest.approx(0.408245, abs=epsilon * 1.408245)
 
 
 @pytest.mark.parametrize("seed, z_scale, mode", [

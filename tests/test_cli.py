@@ -363,13 +363,14 @@ def test_solver_failure_exit_code(pv_file, tmp_path, capsys, monkeypatch):
 
 
 def test_binding_dual_box_exit_codes(pv_file, tmp_path, capsys, monkeypatch):
-    """A real solve whose λ box binds exits 5 and reports no gap outside the
-    box; one whose box admits no incumbent exits 6."""
+    """A real volt-var solve whose λ box binds exits 5 and reports no gap
+    outside the box; one whose box admits no incumbent exits 6.  The band
+    keeps every walk below the availability ceiling."""
     vm = build_context(load_feeder(pv_doc())).anchor.vm
-    band = ["--vmin", repr(float(np.min(vm) - 0.010)), "--vmax", repr(float(np.max(vm) + 0.004))]
-    argv = ["solve", "--feeder", str(pv_file), "--mode", "constant-q", *band]
+    band = ["--vmin", repr(float(np.min(vm) - 0.005)), "--vmax", repr(float(np.max(vm) + 0.002))]
+    argv = ["solve", "--feeder", str(pv_file), "--mode", "volt-var", *band]
 
-    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.01)
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.025)
     code, stdout, _ = run([*argv, "--out", str(tmp_path / "boxed")], capsys)
     assert code == cli.EXIT_UNPROVEN
     line = next(ln for ln in stdout.splitlines() if ln.startswith("ideal range"))
@@ -381,7 +382,7 @@ def test_binding_dual_box_exit_codes(pv_file, tmp_path, capsys, monkeypatch):
     assert doc["converged"] is False
     assert doc["bnb_gap_kw"] is None
 
-    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.005)
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.01)
     code, _, stderr = run([*argv, "--out", str(tmp_path / "cut")], capsys)
     assert code == cli.EXIT_SOLVER
     assert "no incumbent" in stderr

@@ -263,6 +263,51 @@ def test_q_set_outside_the_cone_is_infeasible_on_both_paths(pv_ctx, activation):
             assert mf.solve(node=node).status == INFEASIBLE
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 2.0])
+def test_fixed_q_certificates_stay_in_their_derived_dual_boxes(pv_model, gamma):
+    """Every closed-form fixed-q certificate keeps its agg and qfix duals,
+    the ones that meet a slot in the single level, inside
+    ``_Knapsack.dual_box``: both activations and extrema, every target
+    node, band edges from zero to the availability end, q_set at both ends
+    of its box and drawn inside it, on three feeders whose cone half-width
+    ``gamma`` is set to 0, 1e-3 and 2.  The aggregate dual reaches its bound
+    somewhere, so the box is not vacuous."""
+    rng = np.random.default_rng(26)
+    probes = [build_context(pv_model), _pv_tight(pv_model),
+              random_context(np.random.default_rng(7201), mode=MODE_CONSTANT_Q, z_scale=2.0)]
+    families, reached = set(), 0
+    for probe in probes:
+        dev = probe.devices
+        ctx = dataclasses.replace(probe, devices=dataclasses.replace(
+            dev, gamma_const=np.where(dev.s_cap > 0.0, gamma, 0.0)))
+        boxes = setpoint_boxes(ctx, MODE_CONSTANT_Q)
+        dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
+        draws = [{name: box[end] for name, box in boxes.items()} for end in (0, 1)]
+        draws += [{name: float(rng.uniform(*box)) for name, box in boxes.items()} for _ in range(3)]
+        nodes = np.repeat(np.arange(ctx.n), 4)
+        for activation in ACTIVATIONS:
+            full = dp_up if activation == POSITIVE else dp_lo
+            for extremum in EXTREMA:
+                for q_set in draws:
+                    mf = family_follower(ctx, MODE_CONSTANT_Q, activation, extremum,
+                                         {**q_set, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})
+                    p = mf.problem
+                    slot_rows = [p.row_names.index("agg"), *p.row_index("qfix").tolist()]
+                    share = np.column_stack([np.zeros(ctx.n), np.ones(ctx.n), rng.uniform(size=(ctx.n, 2))])
+                    vals = mf.values(nodes, full * share.ravel())
+                    for i in np.flatnonzero(vals.optimal).tolist():
+                        cert = mf.certificate(vals, i)
+                        assert cert.method == CLOSED_FORM
+                        box = mf.dual_box(int(nodes[i]))
+                        assert np.flatnonzero(np.isfinite(box)).tolist() == sorted(slot_rows)
+                        duals = np.abs(cert.row_duals[slot_rows])
+                        where = (gamma, activation, extremum, int(nodes[i]), q_set)
+                        assert np.all(duals <= box[slot_rows] + 1e-12), where
+                        reached += bool(box[slot_rows[0]] > 0.0 and duals[0] == box[slot_rows[0]])
+                        families.add((activation, extremum))
+    assert len(families) == 4 and reached > 0
+
+
 def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatch):
     """Screening in every mode, feasibility and the Newton re-check in
     constant-pf and volt-var on the 13-bus feeder, and a fixed-q constant-q

@@ -5,7 +5,9 @@ and one ``add_row`` per row, with the dual-feasibility rows built from a
 dict-of-lists column view.  It reads each follower row's entries from the
 follower's triplets, so it checks how ``assemble_single_level`` lays out
 and stacks the blocks as arrays, bit for bit: the layout decides which
-degenerate vertex HiGHS returns, and so the B&B's node counts.
+degenerate vertex HiGHS returns, and so the B&B's node counts.  It boxes
+each fixed-q constant-q dual that meets a slot by ``derived_dual_box``,
+written out from the bound's formula, not read from the follower.
 """
 
 import math
@@ -55,6 +57,25 @@ def _param_rows(problem):
     return out
 
 
+def derived_dual_box(ctx, scenario, name):
+    """The bound on |dual| of fixed-q constant-q row ``name`` (agg or
+    qfix[k]) for ``scenario``'s target t.  The agg dual is at most
+    μ̄ = max(0, the largest item gain sign·σ·(s_p[t,I], s_l[t,L])), and the
+    qfix[k] dual at most |s_q[t,k]| + (|s_p[t,k]| + μ̄)/min(1, γ_k), with 1
+    in place of min(1, γ_k) where the cone half-width γ_k is 0."""
+    s_p, s_q, s_l, _ = ctx.sensitivities
+    t = scenario.node
+    sign = 1.0 if scenario.activation == POSITIVE else -1.0
+    mu = max(0.0, *(sign * scenario.sigma * float(g) for g in [*s_p[t], *s_l[t]]))
+    if name == "agg":
+        return mu
+    assert name.startswith("qfix[")
+    k = int(name[5:-1])
+    i = list(ctx.devices.inverter_nodes).index(k)
+    gamma = float(ctx.devices.gamma_const[k])
+    return abs(float(s_q[t, i])) + (abs(float(s_p[t, i])) + mu) / (min(1.0, gamma) if gamma > 0.0 else 1.0)
+
+
 def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
     """``assemble_single_level`` one column and one row at a time."""
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
@@ -71,7 +92,7 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
             lo = hi = float(fixed_setpoints[name])
         upper_vars[name] = lp.add_var(name, lb=lo, ub=hi)
 
-    blocks, product_duals = [], []
+    blocks, product_duals, capped_duals = [], [], []
     for scenario in followers:
         problem = build_follower(ctx, scenario, mode, fix_q=mode == MODE_CONSTANT_Q)
         tag = f"s{scenario.number}k{scenario.node}"
@@ -92,10 +113,14 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
         for r, (name, relation, _, _, _, coeff_slots, rhs_slots) in rows:
             has_product = bool(coeff_slots or rhs_slots)
             lim = LAMBDA_CAP if has_product else math.inf
+            if has_product and mode == MODE_CONSTANT_Q:
+                lim = derived_dual_box(ctx, scenario, name)
             lo, hi = {LE: (0.0, lim), GE: (-lim, 0.0), EQ: (-lim, lim)}[relation]
             d = dual_col[r] = lp.add_var(f"{tag}.lam[{name}]", lb=lo, ub=hi)
             if has_product:
                 product_duals.append(d)
+                if mode != MODE_CONSTANT_Q:
+                    capped_duals.append(d)
         zl, zu = {}, {}
         for v in x_col:
             if math.isfinite(problem.lb[v]):
@@ -173,7 +198,7 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
 
     slmap = SingleLevelMap(
         ctx=ctx, upper_vars=upper_vars, setpoint_slots=list(sp_boxes),
-        blocks=blocks, product_duals=product_duals,
+        blocks=blocks, product_duals=product_duals, capped_duals=capped_duals,
     )
     return bp, slmap
 
@@ -233,6 +258,7 @@ def test_assembly_matches_the_row_by_row_reference(
     assert bp.base.var_names == ref_bp.base.var_names
     assert bp.base.row_names == ref_bp.base.row_names
     assert slmap.product_duals == ref_map.product_duals
+    assert slmap.capped_duals == ref_map.capped_duals
     assert slmap.upper_vars == ref_map.upper_vars
     assert slmap.setpoint_slots == ref_map.setpoint_slots
     assert len(slmap.blocks) == len(ref_map.blocks)
