@@ -64,8 +64,9 @@ from .lp import EQ, GE, LE, MAX, OPTIMAL, LinearProgram
 EDGE_TOL_REL = 1e-6  # band-edge tolerance, relative to the availability span
 EDGE_ROOT_TOL = 1e-12  # a safe edge whose objective is this close to the limit is the root
 FEAS_TOL_PU = 1e-6
-# McCormick box of every constant-pf and volt-var follower dual that meets a
-# slot in a product; fixed-q constant-q ones get ``_Knapsack.dual_box``.
+# McCormick box of every follower dual that meets a slot in a product and
+# has no bound proven by ``FollowerProblem.dual_box``: constant-pf's pfq
+# duals and volt-var's.
 LAMBDA_CAP = 1e3
 DUAL_BOX = "dual_box"  # B&B status of an incumbent the λ box may have cut off
 VM_BOX = (0.0, 2.0)  # conservative |v| box for volt-var products
@@ -124,8 +125,13 @@ class WorstCaseLimits:
         return k, self.lower_family[k]
 
 
+# One run's family followers, by (activation, extremum, ``fixes_q``).
+Built = dict[tuple[str, str, bool], MaterializedFollower]
+
+
 def family_follower(
-    ctx: FlexContext, mode: str, activation: str, extremum: str, slots: dict[str, float]
+    ctx: FlexContext, mode: str, activation: str, extremum: str, slots: dict[str, float],
+    *, built: Built | None = None,
 ) -> MaterializedFollower:
     """The follower LP of one (activation, extremum) family at fixed slots.
 
@@ -133,14 +139,26 @@ def family_follower(
     serves every node of the family: ``values`` solves any batch of them at
     once.  ``slots`` may carry more than the family reads (both band edges,
     say); whether constant-q followers hold q_gen at q_set is read off them
-    (``fixes_q``).
+    (``fixes_q``).  A family found in ``built`` (followers of ``ctx`` and
+    ``mode`` only) is re-slotted rather than built again; one built here
+    is added to it.
     """
-    scenario = Scenario(node=0, activation=activation, extremum=extremum)
-    problem = build_follower(ctx, scenario, mode, fix_q=fixes_q(mode, slots))
+    key = (activation, extremum, fixes_q(mode, slots))
+    mf = None if built is None else built.get(key)
+    problem = mf.problem if mf is not None else build_follower(
+        ctx, Scenario(node=0, activation=activation, extremum=extremum), mode, fix_q=key[2]
+    )
     missing = [s for s in problem.slot_names if s not in slots]
     if missing:
         raise BilevelError(f"decision lacks slots required by followers: {missing}")
-    return problem.materialize({s: slots[s] for s in problem.slot_names})
+    values = {s: slots[s] for s in problem.slot_names}
+    if mf is not None:
+        mf.set_slots(values)
+        return mf
+    mf = problem.materialize(values)
+    if built is not None:
+        built[key] = mf
+    return mf
 
 
 def _walk(full: float, c: float, tol_abs: float):
@@ -243,6 +261,7 @@ def worst_case_limits(
     mode: str,
     *,
     direction: str = "both",
+    built: Built | None = None,
 ) -> WorstCaseLimits:
     """Per-node worst-case band limits (step 1 of the iterative method).
 
@@ -253,6 +272,8 @@ def worst_case_limits(
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
+    ``built`` shares the family followers with the rest of a run
+    (``family_follower``).
     """
     check_anchor(ctx)
     if ctx.n == 0:
@@ -271,7 +292,7 @@ def worst_case_limits(
             slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-            mf = family_follower(ctx, mode, activation, extremum, slots)
+            mf = family_follower(ctx, mode, activation, extremum, slots, built=built)
             lim = _edge_walk(mf, np.arange(n), tol_abs)
             if activation == POSITIVE:
                 tighter, limits, family = lim < upper - 1e-15, upper, upper_family
@@ -342,7 +363,7 @@ class SingleLevelMap:
     setpoint_slots: list[str]
     blocks: list[FollowerBlock]
     product_duals: list[int]  # dual variable indices that appear in products
-    capped_duals: list[int]  # ... those boxed at ±LAMBDA_CAP, not by a derived box
+    capped_duals: list[int]  # ... those boxed at ±LAMBDA_CAP: constant-pf pfq, volt-var
 
 
 def neutral_setpoints(ctx: FlexContext, mode: str) -> dict[str, float]:
@@ -371,9 +392,11 @@ def assemble_single_level(
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
     parametric right-hand side).  Only duals participating in products get
-    a McCormick box: in fixed-q constant-q the bounds the closed-form
-    certificate proves for each block's target (``_Knapsack.dual_box``), in
-    the other modes ±``LAMBDA_CAP`` (``capped_duals``).
+    a McCormick box: the bound the closed-form certificate proves for the
+    block's target over the setpoint boxes (``FollowerProblem.dual_box``,
+    read off the follower's rows: fixed-q constant-q's agg and qfix duals,
+    constant-pf's agg dual), and ±``LAMBDA_CAP`` where it proves none
+    (``capped_duals``: constant-pf's pfq duals, volt-var's).
     """
     if not followers:
         raise ValueError("need at least one follower scenario")
@@ -394,10 +417,6 @@ def assemble_single_level(
     capped_duals: list[int] = []
     # The blocks match the families the completion evaluates at these slots.
     fix_q = fixes_q(mode, sp_boxes)
-    # Fixed-q blocks take their dual boxes from one closed form per family;
-    # the boxes hold at every q_set and edge, so any in-box slots will do.
-    knapsacks: Families = {}
-    neutral = {**dict.fromkeys(sp_boxes, 0.0), SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0}
 
     for scenario in followers:
         problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
@@ -433,13 +452,9 @@ def assemble_single_level(
         relations = [problem.relations[r] for r in kept.tolist()]
         row_names = [problem.row_names[r] for r in kept.tolist()]
         rel = np.array(relations)
-        if fix_q:
-            family = (scenario.activation, scenario.extremum)
-            if family not in knapsacks:
-                knapsacks[family] = problem.materialize(neutral)
-            lim = knapsacks[family].dual_box(scenario.node)[kept]
-        else:
-            lim = np.where(has_product[kept], LAMBDA_CAP, math.inf)
+        derived = problem.dual_box(sp_boxes)[kept]
+        capped = has_product[kept] & np.isinf(derived)
+        lim = np.where(capped, LAMBDA_CAP, derived)
         finite = np.column_stack([np.isfinite(lb), np.isfinite(ub)]).ravel()
         z_var, z_up = np.repeat(x_vars, 2)[finite], np.tile([False, True], n_x)[finite]
         columns = lp.add_vars(
@@ -453,8 +468,7 @@ def assemble_single_level(
         z_col = columns[n_x + n_k:]
         zl_var, zl, zu_var, zu = z_var[~z_up], z_col[~z_up], z_var[z_up], z_col[z_up]
         product_duals += d_col[kept[has_product[kept]]].tolist()
-        if not fix_q:
-            capped_duals += d_col[kept[has_product[kept]]].tolist()
+        capped_duals += d_col[kept[capped]].tolist()
 
         # Rows, numbered within the block: the kept primal rows (A, and -c on
         # the slot column of each rhs slot term), one dual-feasibility row per
@@ -526,7 +540,8 @@ Families = dict[tuple[str, str], MaterializedFollower]
 
 
 def _family_followers(
-    ctx: FlexContext, mode: str, followers: list[Scenario], slots: dict[str, float]
+    ctx: FlexContext, mode: str, followers: list[Scenario], slots: dict[str, float],
+    *, built: Built | None = None,
 ) -> Families:
     """One materialized follower per (activation, extremum) family of ``followers``.
 
@@ -536,7 +551,7 @@ def _family_followers(
     """
     keys = dict.fromkeys((sc.activation, sc.extremum) for sc in followers)
     return {
-        (activation, extremum): family_follower(ctx, mode, activation, extremum, slots)
+        (activation, extremum): family_follower(ctx, mode, activation, extremum, slots, built=built)
         for activation, extremum in keys
     }
 
@@ -664,6 +679,7 @@ def solve_single_level(
     epsilon: float = 1e-4,
     node_limit: int = 5000,
     split: bool = True,
+    built: Built | None = None,
 ) -> SingleLevelResult:
     """Solve the ideal case for a follower subset by spatial branch-and-bound.
 
@@ -684,17 +700,19 @@ def solve_single_level(
     joint search what is left after both.  A family's walk at a setpoint
     set is made once per solve, over the presolve and every search's node
     hook.  ``split=False`` runs the joint search alone: it is the
-    reference the tests hold the split solve to.
+    reference the tests hold the split solve to.  ``built`` shares the
+    family followers with the rest of a run (``family_follower``).
 
-    In constant-pf and volt-var, the duals that meet a slot in a product
-    sit in a ±``LAMBDA_CAP`` box, a big-M that nothing certifies.  So when
-    the band is below the availability ceiling and in some search either
-    one of its incumbent's capped duals sits at the box or some
-    completion's capped duals left it (the B&B rejects such a point), the
-    box may have cut off a wider band: the status becomes ``DUAL_BOX``,
-    never optimal.  Fixed-q constant-q boxes are proven to hold a
-    certificate at every decision, so they never make a band ``DUAL_BOX``.
-    Raises ``BilevelError`` when a search finds no incumbent, or when a
+    The capped duals (constant-pf's pfq duals and every volt-var dual
+    that meets a slot in a product) sit in a ±``LAMBDA_CAP`` box, a big-M
+    that nothing certifies.  So when the band is below the availability
+    ceiling and in some search either one of its incumbent's capped duals
+    sits at the box or some completion's capped duals left it (the B&B
+    rejects such a point), the box may have cut off a wider band: the
+    status becomes ``DUAL_BOX``, never optimal.  The other boxes (fixed-q
+    constant-q's, constant-pf's agg) are proven to hold a certificate at
+    every decision, so they never make a band ``DUAL_BOX``.  Raises
+    ``BilevelError`` when a search finds no incumbent, or when a
     completion leaves a proven box by more than the B&B tolerates.
     """
     boxes = setpoint_boxes(ctx, mode)
@@ -704,7 +722,7 @@ def solve_single_level(
     # Any in-box slot values will do: every use re-slots the followers first.
     families = _family_followers(ctx, mode, followers, {
         SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: dp_box[0], **{n: lo for n, (lo, _) in boxes.items()},
-    })
+    }, built=built)
     # The relaxations keep landing on the same box vertices (often the
     # presolve's, or the other half's), and a family's walk depends on the
     # setpoints alone: walk each family once at each set.
@@ -873,6 +891,7 @@ def feasibility_check(
     decision: UpperDecision,
     *,
     direction: str = "both",
+    built: Built | None = None,
 ) -> FeasibilityReport:
     """Screen every follower at a fixed decision.
 
@@ -883,12 +902,13 @@ def feasibility_check(
     screened with free q_gen (``fixes_q``), the stronger adversary, as
     ``oracle.verify_decision`` checks it.  An infeasible follower is an
     assembly bug: at Δp = 0 every follower admits the zero-deviation point.
+    ``built`` shares the family followers with the rest of a run.
     """
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
     for activation in ACTIVATIONS:
         for extremum in screened_extrema(direction):
-            mf = family_follower(ctx, mode, activation, extremum, decision.slots)
+            mf = family_follower(ctx, mode, activation, extremum, decision.slots, built=built)
             vals = mf.values(np.arange(ctx.n))
             if not vals.optimal.all():
                 raise BilevelError(
@@ -954,16 +974,20 @@ def run_iterative(
     scenarios (4n, direction-filtered 2n).  The run has converged when the
     accepted band survives the re-screening and the last branch-and-bound
     proved it optimal; a band that stopped at ``node_limit``, or whose
-    ±``LAMBDA_CAP`` dual box binds (``DUAL_BOX``, constant-pf and volt-var
-    only), is feasible but unproven.  A re-screening
+    ±``LAMBDA_CAP`` dual box binds (``DUAL_BOX``: constant-pf's pfq duals
+    and volt-var's only), is feasible but unproven.  A re-screening
     that finds only followers already active ends the loop early
-    (``stalled``): solving again would give the same decision.
+    (``stalled``): solving again would give the same decision.  Each
+    (activation, extremum) family follower, with q_gen held or free, is
+    built once per run and re-slotted for the screening, every
+    single-level solve and every re-screening (``family_follower``).
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite non-negative number, got {epsilon}")
-    wc = worst_case_limits(ctx, mode, direction=direction)
+    built: Built = {}
+    wc = worst_case_limits(ctx, mode, direction=direction, built=built)
     scenarios_all = all_scenarios(ctx.n, direction=direction)
     cap = max_iterations if max_iterations is not None else len(scenarios_all)
 
@@ -981,11 +1005,11 @@ def run_iterative(
     iterations = 0
     for iterations in range(1, cap + 1):
         result = solve_single_level(
-            ctx, mode, active, epsilon=epsilon, node_limit=node_limit
+            ctx, mode, active, epsilon=epsilon, node_limit=node_limit, built=built
         )
         history.append(result.objective)
         report = feasibility_check(
-            ctx, mode, result.decision, direction=direction
+            ctx, mode, result.decision, direction=direction, built=built
         )
         if report.ok:
             converged = result.bnb.status == OPTIMAL

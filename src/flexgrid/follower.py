@@ -601,6 +601,52 @@ class FollowerProblem:
         """Optimal |v| at the scenario's node (undo the min-objective sign)."""
         return self.scenario.sigma * cert.objective
 
+    def dual_box(self, boxes: dict[str, tuple[float, float]]) -> np.ndarray:
+        """Bounds on |dual| per row that every closed-form certificate for
+        the scenario's target t keeps at any band edge and any setpoints in
+        ``boxes``; inf on the rows without one.  Constant-pf bounds agg,
+        fixed-q constant-q agg and qfix; free-q constant-q and volt-var
+        bound nothing.
+
+        Proof, from ``_Knapsack``.  At setpoints κ (constant-pf: γ;
+        fixed-q: 0) the items' gains are sign·σ·(s_p[t,i] + κ_i·s_q[t,i])
+        per inverter and sign·σ·s_l[t,l] per load, and the agg dual is ±μ,
+        μ being the gain of the item the fill runs out in, or 0.  Each gain
+        is affine in κ_i, so its largest value over the box sits at an end:
+        |μ| <= μ̄ = max(0, every gain at both ends of the γ box).  In
+        fixed-q, inverter i's qfix dual is σ·s_q[t,i] - r_i·e_c/a_c, where
+        r_i = σ·s_p[t,i] ∓ μ, so |r_i| <= |s_p[t,i]| + μ̄, and c is a column
+        defining an end of the interval, so a_c != 0.  Hence
+        |λ_i| <= |s_q[t,i]| + (|s_p[t,i]| + μ̄)/d_i, d_i the least |a_c/e_c|
+        over i's rows with a_c != 0 != e_c: the capability rows' 1 and the
+        cone rows' gc_i, so d_i = min(1, gc_i), and 1 where gc_i = 0 (a cone
+        row with a = 0 never ends the interval).  A constant-pf pfq dual
+        divides by a_c + e_c·γ_i instead, which can vanish inside the box,
+        so it gets no bound.  The closed form certifies every optimum of
+        these modes, so the box holds one optimal dual at every decision,
+        and boxing the single level by it cuts off no decision.
+        """
+        t, m = self.scenario.node, self.inv.size
+        box = np.full(self.n_rows, np.inf)
+        fixed_q = self.mode == MODE_CONSTANT_Q and self.fix_q
+        if self.mode != MODE_CONSTANT_PF and not fixed_q:
+            return box
+        kappa = np.zeros((1, m))
+        if self.mode == MODE_CONSTANT_PF:
+            ends = [boxes[slot_gamma(k)] for k in self.inv.tolist()]
+            kappa = np.array(ends, dtype=float).reshape(m, 2).T  # (lower end, upper end)
+        sign = 1.0 if self.scenario.activation == POSITIVE else -1.0
+        gains = (sign * self.scenario.sigma) * np.concatenate(
+            [(self.s_p[t] + kappa * self.s_q[t]).ravel(), self.s_l[t]]
+        )
+        mu = float(gains.max(initial=0.0))
+        box[self._row_at["agg"]] = mu
+        if fixed_q:
+            gc = self.ctx.devices.gamma_const[self.inv]
+            d = np.where(gc > 0.0, np.minimum(1.0, gc), 1.0)
+            box[self.row_index("qfix")] = np.abs(self.s_q[t]) + (np.abs(self.s_p[t]) + mu) / d
+        return box
+
 
 @dataclass
 class FollowerValues:
@@ -932,37 +978,6 @@ class _Knapsack(MaterializedFollower):
         duals[self.target[j, col]] += self.dual_sign[col] * mult
         duals[self.mode_rows] = gain_q - mult * self.e[j, col]
         return cert
-
-    def dual_box(self, node: int) -> np.ndarray:
-        """Bounds on |dual| of the rows that meet a slot, agg and qfix, that
-        every certificate for target ``node`` keeps at any q_set and band
-        edge; inf on the other rows.  Fixed-q constant-q only.
-
-        Proof, from ``_certificate``.  With κ = 0 the gains
-        sign·σ·(s_p[t,I], s_l[t,L]) do not depend on q_set, and the agg
-        dual is ±μ, μ being the gain of the item the fill runs out in, or
-        0: |μ| <= μ̄ = max(0, largest gain).  Inverter i's qfix dual is
-        σ·s_q[t,i] - r_i·e_c/a_c, where r_i = σ·s_p[t,i] ∓ μ, so
-        |r_i| <= |s_p[t,i]| + μ̄, and c is a column defining an end of the
-        interval, so a_c != 0.  Hence |λ_i| <= |s_q[t,i]| + (|s_p[t,i]| + μ̄)/d_i,
-        d_i the least |a_c/e_c| over i's columns with a_c != 0 != e_c: the
-        capability rows' 1 and the cone rows' gc_i, so d_i = min(1, gc_i),
-        and 1 where gc_i = 0 (a cone row with a = 0 never ends the
-        interval).  The closed form certifies every optimum of this mode,
-        so the box holds one optimal dual at every decision, and boxing the
-        single level by it cuts off no decision.
-        """
-        p = self.problem
-        if p.mode != MODE_CONSTANT_Q:
-            raise ValueError("derived dual boxes cover fixed-q constant-q followers only")
-        gains = (self.sign * p.scenario.sigma) * np.concatenate([p.s_p[node], p.s_l[node]])
-        mu = float(gains.max(initial=0.0))
-        both = (self.a != 0.0) & (self.e != 0.0)
-        d = np.abs(np.divide(self.a, self.e, out=np.full(self.a.shape, np.inf), where=both)).min(axis=1)
-        box = np.full(p.n_rows, np.inf)
-        box[self.agg_row] = mu
-        box[self.mode_rows] = np.abs(p.s_q[node]) + (np.abs(p.s_p[node]) + mu) / d
-        return box
 
 
 class _VoltVar(MaterializedFollower):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corpus import corpus_context
 from randfeeders import random_context
 
 from flexgrid import bilevel, build_context, load_feeder
@@ -29,6 +30,7 @@ from flexgrid.follower import (
     POSITIVE,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
+    FollowerProblem,
     Scenario,
     all_scenarios,
     available_flexibility_bounds,
@@ -386,8 +388,10 @@ def test_a_dual_box_cannot_cut_below_an_incumbent_at_the_ceiling(pv_tight_ctx, m
 
 
 def test_a_dual_box_that_cuts_off_every_completion_is_an_error(monkeypatch):
-    """No incumbent under the box is a solver failure, not a narrower band."""
-    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.02)
+    """No incumbent under the box is a solver failure, not a narrower band.
+    Constant-pf boxes its agg duals by their proven bound, so the box that
+    cuts here is the pfq duals' ±``LAMBDA_CAP``."""
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 1e-4)
     with pytest.raises(BilevelError, match="no incumbent"):
         run_iterative(random_context(np.random.default_rng(7200)), MODE_CONSTANT_PF)
 
@@ -480,6 +484,42 @@ def test_the_active_set_grows_by_the_rescreen_violators(ieee13_model, monkeypatc
     assert not reports[0].ok and added
     assert res.followers == seeds + added
     assert len(res.followers) == 9
+
+
+@pytest.mark.parametrize("seed, z_scale, mode", [
+    (7200, 3.0, MODE_CONSTANT_PF),
+    (7210, 3.0, MODE_CONSTANT_Q),
+    (7202, 2.0, MODE_VOLT_VAR),
+])
+def test_a_run_materializes_each_family_follower_once(seed, z_scale, mode, monkeypatch):
+    """``run_iterative`` materializes each (activation, extremum) family
+    once per q_gen treatment, held or free, and re-slots it for the
+    screening, every single-level solve and every re-screening: 4 families
+    in constant-pf and volt-var, 8 in constant-q, whose screening frees
+    q_gen.  The run is bit for bit the one that builds a fresh follower at
+    every use.  The constant-pf and constant-q cases take 2 iterations."""
+    ctx = corpus_context(seed, z_scale, mode)
+    built = []
+    materialize = FollowerProblem.materialize
+
+    def counted(problem, slots):
+        built.append((problem.scenario.activation, problem.scenario.extremum, problem.fix_q))
+        return materialize(problem, slots)
+
+    monkeypatch.setattr(FollowerProblem, "materialize", counted)
+    res = run_iterative(ctx, mode)
+    assert len(built) == len(set(built)) == (8 if mode == MODE_CONSTANT_Q else 4)
+    assert res.iterations == (1 if mode == MODE_VOLT_VAR else 2)
+
+    family_follower = bilevel.family_follower
+    monkeypatch.setattr(bilevel, "family_follower",
+                        lambda *args, built=None: family_follower(*args))
+    runs = len(built)
+    fresh = run_iterative(ctx, mode)
+    assert len(built) - runs > len(set(built))
+    assert fresh.decision == res.decision
+    assert fresh.objective_history == res.objective_history
+    assert fresh.single_level.bnb.nodes == res.single_level.bnb.nodes
 
 
 def test_direction_filter_restricts_the_follower_pool(pv_tight_ctx):
@@ -720,13 +760,13 @@ def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
     """The joint search's relaxations land on few distinct setpoint sets,
     some of them the presolve's; each family is walked once at each set
     over the presolve and the hook, and the search is the one that walked
-    them every time: 87 nodes to a band bit-identical to 0.31177 / -0.22848
+    them every time: 7 nodes to a band bit-identical to 0.31177 / -0.22848
     p.u."""
     ctx, followers = _seed_followers(7200)
     searches, walks = _recorded_walks(monkeypatch)
     res = solve_single_level(ctx, MODE_CONSTANT_PF, followers, split=False)
-    assert res.bnb.nodes == 87 and res.bound_by == JOINT
-    assert res.nodes_by_search == {POSITIVE: 0, NEGATIVE: 0, JOINT: 87}
+    assert res.bnb.nodes == 7 and res.bound_by == JOINT
+    assert res.nodes_by_search == {POSITIVE: 0, NEGATIVE: 0, JOINT: 7}
     [(_, _, _, _, hook_keys)] = searches
     presolve_keys = [key for _, key, hook in walks if hook is None]
     assert len(hook_keys) > len(set(hook_keys))  # the relaxations repeat setpoints
@@ -740,8 +780,8 @@ def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
 
 
 def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
-    """Split by activation, the same followers close in 1 + 43 nodes, not
-    the joint search's 87, to the same band bit for bit.  Each half's hook
+    """Split by activation, the same followers close in 1 + 3 nodes, not
+    the joint search's 7, to the same band bit for bit.  Each half's hook
     walks only its own families, no family is walked twice at one setpoint
     set over the presolve and both halves, and the decision's setpoints,
     one half's final ones, are walked by every family."""
@@ -749,8 +789,8 @@ def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
     searches, walks = _recorded_walks(monkeypatch)
     res = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
     assert res.bnb.status == "optimal" and res.bound_by == SPLIT and res.bnb.x is None
-    assert res.nodes_by_search == {POSITIVE: 1, NEGATIVE: 43, JOINT: 0}
-    assert res.bnb.nodes == 44
+    assert res.nodes_by_search == {POSITIVE: 1, NEGATIVE: 3, JOINT: 0}
+    assert res.bnb.nodes == 4
     assert [activations for _, _, _, activations, _ in searches] == [{POSITIVE}, {NEGATIVE}]
     assert all(family[0] in hook for family, _, hook in walks if hook is not None)
     pairs = [(family, key) for family, key, _ in walks]
@@ -811,13 +851,16 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
 def test_a_binding_dual_box_in_a_half_leaves_the_split_band_unproven(monkeypatch):
     """A half's λ box binds as the joint search's does: below the ceiling,
     a box the halves' incumbents reach marks the split's band ``dual_box``,
-    and a box just wider leaves the same band proven."""
-    ctx, followers = _seed_followers(7200)
-    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.02335)
-    boxed = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
+    and a box just wider leaves the same band proven.  7201-z2 volt-var,
+    whose duals that meet a slot all sit at ±``LAMBDA_CAP``."""
+    ctx = corpus_context(7201, 2.0, MODE_VOLT_VAR)
+    res = run_iterative(ctx, MODE_VOLT_VAR)
+    assert res.iterations == 1 and [sc.activation for sc in res.followers] == [POSITIVE, NEGATIVE]
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.0705)
+    boxed = solve_single_level(ctx, MODE_VOLT_VAR, res.followers)
     assert boxed.bound_by == SPLIT and boxed.bnb.status == DUAL_BOX
-    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.0235)
-    wider = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.071)
+    wider = solve_single_level(ctx, MODE_VOLT_VAR, res.followers)
     assert wider.bound_by == SPLIT and wider.bnb.status == "optimal"
     assert wider.objective == boxed.objective
 
@@ -826,9 +869,9 @@ def test_the_split_proves_a_band_the_joint_search_loses():
     """7210-z2 constant-q: split by activation, the solve at
     ``node_limit=2000`` proves 0.42583 p.u., and the joint search over the
     two seed followers proves the same band.  7208-z2 constant-pf: the
-    split proves 0.46450 p.u. in 96 nodes, where the joint search over the
+    split proves 0.46450 p.u. in 24 nodes, where the joint search over the
     same followers, capped at 400, stops at that band unproven, its bound
-    above 0.67 p.u."""
+    above 0.52 p.u."""
     epsilon = 1e-4
     ctx = random_context(np.random.default_rng(7210), mode=MODE_CONSTANT_Q, z_scale=2.0)
     res = run_iterative(ctx, MODE_CONSTANT_Q, node_limit=2000)
@@ -844,12 +887,12 @@ def test_the_split_proves_a_band_the_joint_search_loses():
     ctx = random_context(np.random.default_rng(7208), mode=MODE_CONSTANT_PF, z_scale=2.0)
     res = run_iterative(ctx, MODE_CONSTANT_PF, node_limit=400)
     assert res.converged and res.single_level.bound_by == SPLIT
-    assert res.single_level.bnb.nodes == 96
+    assert res.single_level.bnb.nodes == 24
     assert res.dp_plus - res.dp_minus == pytest.approx(0.46450, abs=1e-5)
     joint = solve_single_level(ctx, MODE_CONSTANT_PF, res.followers, node_limit=400, split=False)
     assert joint.bnb.status == "node_limit"
     assert joint.objective <= res.single_level.objective + epsilon
-    assert joint.bnb.bound > 0.67
+    assert joint.bnb.bound > 0.52
 
 
 def test_derived_dual_boxes_prove_the_constant_q_band_the_cap_left_open():

@@ -276,7 +276,7 @@ def test_stalled_loop_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     """A re-screening that keeps reporting an active follower stops the loop
     below its cap; the console says it stalled, with the cap's exit code."""
 
-    def stuck(ctx, mode, decision, *, direction="both"):
+    def stuck(ctx, mode, decision, *, direction="both", built=None):
         k, family = bilevel.worst_case_limits(ctx, mode, direction=direction).binding_upper
         seeded = Scenario(node=k, activation=POSITIVE, extremum=family)
         return bilevel.FeasibilityReport(
@@ -331,8 +331,8 @@ def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
     code, _, _ = run([*argv, "--out", str(tmp_path / "split")], capsys)
     assert code == cli.EXIT_OK
     doc = json.loads((tmp_path / "split" / "result.json").read_text())
-    assert doc["bnb_nodes_by_search"] == {"positive": 1, "negative": 43, "joint": 0}
-    assert doc["bnb_nodes"] == 44
+    assert doc["bnb_nodes_by_search"] == {"positive": 1, "negative": 3, "joint": 0}
+    assert doc["bnb_nodes"] == 4
     assert isinstance(doc["bnb_cold_resolves"], int) and doc["bnb_cold_resolves"] >= 0
 
     real = cli.run_iterative

@@ -19,6 +19,7 @@ import pytest
 
 import flexgrid.lp
 from edgewalk import scalar_edge_walk
+from corpus import BINDING_FEEDERS, corpus_context
 from randfeeders import random_context
 
 from flexgrid import build_context, load_feeder
@@ -267,7 +268,7 @@ def test_q_set_outside_the_cone_is_infeasible_on_both_paths(pv_ctx, activation):
 def test_fixed_q_certificates_stay_in_their_derived_dual_boxes(pv_model, gamma):
     """Every closed-form fixed-q certificate keeps its agg and qfix duals,
     the ones that meet a slot in the single level, inside
-    ``_Knapsack.dual_box``: both activations and extrema, every target
+    ``FollowerProblem.dual_box``: both activations and extrema, every target
     node, band edges from zero to the availability end, q_set at both ends
     of its box and drawn inside it, on three feeders whose cone half-width
     ``gamma`` is set to 0, 1e-3 and 2.  The aggregate dual reaches its bound
@@ -288,6 +289,8 @@ def test_fixed_q_certificates_stay_in_their_derived_dual_boxes(pv_model, gamma):
         for activation in ACTIVATIONS:
             full = dp_up if activation == POSITIVE else dp_lo
             for extremum in EXTREMA:
+                dual_box = [build_follower(ctx, Scenario(t, activation, extremum), MODE_CONSTANT_Q,
+                                           fix_q=True).dual_box(boxes) for t in range(ctx.n)]
                 for q_set in draws:
                     mf = family_follower(ctx, MODE_CONSTANT_Q, activation, extremum,
                                          {**q_set, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})
@@ -298,7 +301,7 @@ def test_fixed_q_certificates_stay_in_their_derived_dual_boxes(pv_model, gamma):
                     for i in np.flatnonzero(vals.optimal).tolist():
                         cert = mf.certificate(vals, i)
                         assert cert.method == CLOSED_FORM
-                        box = mf.dual_box(int(nodes[i]))
+                        box = dual_box[int(nodes[i])]
                         assert np.flatnonzero(np.isfinite(box)).tolist() == sorted(slot_rows)
                         duals = np.abs(cert.row_duals[slot_rows])
                         where = (gamma, activation, extremum, int(nodes[i]), q_set)
@@ -306,6 +309,49 @@ def test_fixed_q_certificates_stay_in_their_derived_dual_boxes(pv_model, gamma):
                         reached += bool(box[slot_rows[0]] > 0.0 and duals[0] == box[slot_rows[0]])
                         families.add((activation, extremum))
     assert len(families) == 4 and reached > 0
+
+
+def test_constant_pf_agg_duals_stay_in_their_derived_box():
+    """Every closed-form constant-pf certificate on the 14 constant-pf
+    feeders of the binding corpus keeps its agg dual inside
+    ``FollowerProblem.dual_box`` (μ̄, from the gains at both ends of the γ
+    box), bit for bit: both activations and extrema, every target node,
+    random band edges from zero to the availability end, and γ at the
+    lower ends, the upper ends, a random end per inverter and random
+    points of the box.  Of the rows that meet a slot only agg is bounded;
+    the pfq rows keep ±``LAMBDA_CAP``.  The dual reaches μ̄ somewhere, so
+    the box is not vacuous."""
+    rng = np.random.default_rng(27)
+    reached = checked = 0
+    for seed, z_scale in BINDING_FEEDERS:
+        ctx = corpus_context(seed, z_scale, MODE_CONSTANT_PF)
+        boxes = setpoint_boxes(ctx, MODE_CONSTANT_PF)
+        dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
+        draws = [{name: box[end] for name, box in boxes.items()} for end in (0, 1)]
+        draws.append({name: box[int(rng.integers(2))] for name, box in boxes.items()})
+        draws += [{name: float(rng.uniform(*box)) for name, box in boxes.items()} for _ in range(3)]
+        nodes = np.repeat(np.arange(ctx.n), 4)
+        for activation in ACTIVATIONS:
+            full = dp_up if activation == POSITIVE else dp_lo
+            for extremum in EXTREMA:
+                dual_box = [build_follower(ctx, Scenario(t, activation, extremum),
+                                           MODE_CONSTANT_PF).dual_box(boxes) for t in range(ctx.n)]
+                for gammas in draws:
+                    mf = family_follower(ctx, MODE_CONSTANT_PF, activation, extremum,
+                                         {**gammas, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})
+                    agg = mf.problem.row_names.index("agg")
+                    share = np.column_stack([np.zeros(ctx.n), np.ones(ctx.n), rng.uniform(size=(ctx.n, 2))])
+                    vals = mf.values(nodes, full * share.ravel())
+                    for i in np.flatnonzero(vals.optimal).tolist():
+                        cert = mf.certificate(vals, i)
+                        assert cert.method == CLOSED_FORM
+                        box = dual_box[int(nodes[i])]
+                        assert np.flatnonzero(np.isfinite(box)).tolist() == [agg]
+                        dual = abs(float(cert.row_duals[agg]))
+                        assert dual <= box[agg], (seed, z_scale, activation, extremum, int(nodes[i]), gammas)
+                        reached += bool(box[agg] > 0.0 and dual == box[agg])
+                        checked += 1
+    assert checked > 1000 and reached > 0
 
 
 def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatch):

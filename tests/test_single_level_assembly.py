@@ -6,8 +6,9 @@ dict-of-lists column view.  It reads each follower row's entries from the
 follower's triplets, so it checks how ``assemble_single_level`` lays out
 and stacks the blocks as arrays, bit for bit: the layout decides which
 degenerate vertex HiGHS returns, and so the B&B's node counts.  It boxes
-each fixed-q constant-q dual that meets a slot by ``derived_dual_box``,
-written out from the bound's formula, not read from the follower.
+each fixed-q constant-q dual that meets a slot, and each constant-pf agg
+dual, by ``derived_dual_box``, written out from the bound's formula, not
+read from the follower; the other duals that meet a slot at ±``LAMBDA_CAP``.
 """
 
 import math
@@ -57,16 +58,23 @@ def _param_rows(problem):
     return out
 
 
-def derived_dual_box(ctx, scenario, name):
-    """The bound on |dual| of fixed-q constant-q row ``name`` (agg or
-    qfix[k]) for ``scenario``'s target t.  The agg dual is at most
-    μ̄ = max(0, the largest item gain sign·σ·(s_p[t,I], s_l[t,L])), and the
-    qfix[k] dual at most |s_q[t,k]| + (|s_p[t,k]| + μ̄)/min(1, γ_k), with 1
-    in place of min(1, γ_k) where the cone half-width γ_k is 0."""
+def derived_dual_box(ctx, scenario, name, gamma_boxes):
+    """The bound on |dual| of row ``name`` for ``scenario``'s target t:
+    agg in constant-pf (``gamma_boxes`` holds each inverter node's γ box)
+    or in fixed-q constant-q (``gamma_boxes`` None), or qfix[k].  The agg
+    dual is at most μ̄ = max(0, every item gain), the gains being
+    sign·σ·(s_p[t,k] + γ·s_q[t,k]) per inverter node k at both ends γ of
+    its box (γ = 0 in constant-q) and sign·σ·s_l[t,l] per load node l.  The
+    qfix[k] dual is at most |s_q[t,k]| + (|s_p[t,k]| + μ̄)/min(1, γ_k), with
+    1 in place of min(1, γ_k) where the cone half-width γ_k is 0."""
     s_p, s_q, s_l, _ = ctx.sensitivities
     t = scenario.node
     sign = 1.0 if scenario.activation == POSITIVE else -1.0
-    mu = max(0.0, *(sign * scenario.sigma * float(g) for g in [*s_p[t], *s_l[t]]))
+    gains = [sign * scenario.sigma * float(g) for g in s_l[t]]
+    for i, k in enumerate(ctx.devices.inverter_nodes):
+        for gamma in gamma_boxes[k] if gamma_boxes else (0.0,):
+            gains.append(sign * scenario.sigma * (float(s_p[t, i]) + gamma * float(s_q[t, i])))
+    mu = max(0.0, *gains)
     if name == "agg":
         return mu
     assert name.startswith("qfix[")
@@ -87,10 +95,13 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
         SLOT_DP_MINUS: lp.add_var("dp_minus", lb=dp_lo, ub=0.0, obj=-1.0),
     }
     sp_boxes = setpoint_boxes(ctx, mode)
+    gamma_boxes = {}  # constant-pf: inverter node -> its γ box
     for name, (lo, hi) in sp_boxes.items():
         if name in fixed_setpoints:
             lo = hi = float(fixed_setpoints[name])
         upper_vars[name] = lp.add_var(name, lb=lo, ub=hi)
+        if name.startswith("gamma["):
+            gamma_boxes[int(name[6:-1])] = (lo, hi)
 
     blocks, product_duals, capped_duals = [], [], []
     for scenario in followers:
@@ -112,14 +123,15 @@ def reference_single_level(ctx, mode, followers, fixed_setpoints=None):
         dual_col = {}
         for r, (name, relation, _, _, _, coeff_slots, rhs_slots) in rows:
             has_product = bool(coeff_slots or rhs_slots)
+            derived = mode == MODE_CONSTANT_Q or (mode == MODE_CONSTANT_PF and name == "agg")
             lim = LAMBDA_CAP if has_product else math.inf
-            if has_product and mode == MODE_CONSTANT_Q:
-                lim = derived_dual_box(ctx, scenario, name)
+            if has_product and derived:
+                lim = derived_dual_box(ctx, scenario, name, gamma_boxes)
             lo, hi = {LE: (0.0, lim), GE: (-lim, 0.0), EQ: (-lim, lim)}[relation]
             d = dual_col[r] = lp.add_var(f"{tag}.lam[{name}]", lb=lo, ub=hi)
             if has_product:
                 product_duals.append(d)
-                if mode != MODE_CONSTANT_Q:
+                if not derived:
                     capped_duals.append(d)
         zl, zu = {}, {}
         for v in x_col:
@@ -226,6 +238,8 @@ def _cases():
         ))
     cases.append(pytest.param("gen7202_volt_var_ctx", MODE_VOLT_VAR, everyone, None,
                               id="gen7202-z2-volt-var"))
+    cases.append(pytest.param("gen7200_constant_pf_ctx", MODE_CONSTANT_PF, everyone, None,
+                              id="gen7200-z2-constant-pf"))
     return cases
 
 
@@ -233,6 +247,13 @@ def _cases():
 def gen7202_volt_var_ctx():
     """The volt-var feeder of the binding-small benchmark workload."""
     return random_context(np.random.default_rng(7202), mode=MODE_VOLT_VAR, z_scale=2.0)
+
+
+@pytest.fixture(scope="module")
+def gen7200_constant_pf_ctx():
+    """A constant-pf feeder of the binding-small benchmark workload, where
+    some targets' agg bound comes from the lower end of a γ box."""
+    return random_context(np.random.default_rng(7200), mode=MODE_CONSTANT_PF, z_scale=2.0)
 
 
 @pytest.mark.parametrize("ctx_name, mode, followers, fixed", _cases())
