@@ -212,6 +212,13 @@ def _walk(full: float, c: float, tol_abs: float):
     return lo
 
 
+def _band_cap(mf: MaterializedFollower) -> float:
+    """The follower objective sigma*|v| up to which its family stays in band
+    (both extrema compare it from below)."""
+    ctx = mf.problem.ctx
+    return (ctx.v_max if mf.problem.scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
+
+
 def _edge_walk(mf: MaterializedFollower, nodes, tol_abs: float) -> np.ndarray:
     """Largest |band edge| keeping the follower's extreme |v| in band, for
     each target node in ``nodes``, signed like the far end (0 where the
@@ -222,17 +229,13 @@ def _edge_walk(mf: MaterializedFollower, nodes, tol_abs: float) -> np.ndarray:
     lockstep: each step evaluates every target whose walk is still open
     with one ``mf.values`` call.
     """
-    ctx = mf.problem.ctx
-    scenario = mf.problem.scenario
     nodes = np.asarray(nodes, dtype=np.int64)
     limits = np.zeros(nodes.size)
-    full = mf.slots[scenario.dp_slot]
+    full = mf.slots[mf.problem.scenario.dp_slot]
     if full == 0.0:
         return limits
     sign = 1.0 if full > 0 else -1.0
-    # The objective is sigma * |v|, so both extrema compare it from below.
-    c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
-    walks = [_walk(abs(full), c, tol_abs) for _ in range(nodes.size)]
+    walks = [_walk(abs(full), _band_cap(mf), tol_abs) for _ in range(nodes.size)]
     live = list(range(nodes.size))
     steps = [next(w) for w in walks]
     while live:
@@ -634,6 +637,42 @@ def _edge_limited_decision(
     return {**setpoints, SLOT_DP_PLUS: max(t_pos, 0.0), SLOT_DP_MINUS: min(t_neg, 0.0)}
 
 
+def _could_widen(
+    families: Families,
+    followers: list[Scenario],
+    setpoints: dict[str, float],
+    dp_box: tuple[float, float],
+    floor: float,
+) -> bool:
+    """Whether ``_edge_limited_decision`` at ``setpoints`` could give a band
+    wider than ``floor``, checked with one ``values`` call per family.
+
+    A wider band needs Δp+ > floor + Δp_lower and Δp- < Δp_upper - floor.
+    Each family is evaluated at the edge its activation would need; if one
+    of its followers leaves the band there, the walk, whose extreme |v| is
+    nondecreasing in |edge|, stops short of that edge, so the band it gives
+    is no wider than ``floor``.  No walk goes past the far end of the box,
+    so an edge at or beyond it rules the walk out unevaluated; one at or
+    past zero rules nothing out.  False only where the walk cannot beat
+    ``floor``.
+    """
+    dp_lo, dp_up = dp_box
+    need = {POSITIVE: floor + dp_lo, NEGATIVE: dp_up - floor}
+    slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+    for family, mf in families.items():
+        edge, far = need[family[0]], slots[mf.problem.scenario.dp_slot]
+        if edge * far <= 0.0:
+            continue
+        if abs(edge) >= abs(far):
+            return False
+        mf.set_slots(slots)
+        vals = mf.values([sc.node for sc in followers if (sc.activation, sc.extremum) == family],
+                         edge)
+        if vals.optimal.all() and (vals.objective > _band_cap(mf)).any():
+            return False
+    return True
+
+
 def _candidate_setpoint_sets(boxes: dict[str, tuple[float, float]]) -> list[dict[str, float]]:
     """Bang-bang heuristic setpoints: neutral (0 clamped into each box),
     every lower end and every upper end, duplicates dropped (zero-width
@@ -777,12 +816,16 @@ def solve_single_level(
                 points[key] = x
             return points[key]
 
-        def hook(x_rel: np.ndarray) -> np.ndarray | None:
+        def hook(x_rel: np.ndarray, floor: float | None) -> np.ndarray | None:
             # Clamp the relaxation's setpoints into their boxes to kill LP roundoff.
-            return walk_once({
+            setpoints = {
                 name: float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
                 for name in slmap.setpoint_slots
-            })
+            }
+            if (floor is not None and tuple(setpoints.values()) not in points
+                    and not _could_widen(fams, followers, setpoints, dp_box, floor)):
+                return None  # no walk there can beat the floor
+            return walk_once(setpoints)
 
         res = spatial_branch_and_bound(
             bp, epsilon=epsilon, node_limit=limit, incumbent_hook=hook,

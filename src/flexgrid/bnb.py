@@ -13,13 +13,18 @@ and the envelope row bounds.  ``spatial_branch_and_bound`` drives the usual
 best-first refine loop: solve the relaxation (primal-only), try to promote a
 feasible incumbent, branch on the variable behind the largest envelope
 violation, split at the relaxation point clamped away from the box edges.
-One HiGHS model is kept per search: the root is solved cold, and every
-later node changes that model in place and re-solves warm from its
-parent's basis.
+Once the search holds an incumbent, each node's box is first tightened by
+the objective cutoff (``cutoff_box``: bounds tightening from the objective
+row, as in Belotti, Lee, Liberti, Margot & Wächter 2009), and the node hook
+is given the objective a candidate must beat, so a caller can skip work on
+one that cannot.  One HiGHS model is kept per search: the root is solved
+cold, and every later node changes that model in place and re-solves warm
+from its parent's basis.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -41,6 +46,7 @@ from .lp import (
 )
 
 FEAS_TOL = 1e-6  # worst row violation of a point the search accepts as feasible
+IMPROVE_TOL = 1e-12  # a candidate replaces the incumbent only when better by more than this
 NODE_LIMIT = "node_limit"  # status of a search stopped at its node limit with a gap
 
 
@@ -205,8 +211,11 @@ def mccormick_relax(
     corners = np.stack([li * lj, li * uj, ui * lj, ui * uj])
 
     rows = mccormick_rows(li, ui, lj, uj)
-    data = tpl.A.data.copy()
-    data[tpl._coef_pos] = np.concatenate(
+    # The template's matrix with new entries: its index arrays are shared,
+    # not checked again, so the kept model sees the same pattern at once.
+    A = copy.copy(tpl.A)
+    A.data = tpl.A.data.copy()
+    A.data[tpl._coef_pos] = np.concatenate(
         [a_x for a_x, _, _, _ in rows] + [a_y for _, a_y, _, _ in rows]
     )
     row_lb, row_ub = tpl.row_lb.copy(), tpl.row_ub.copy()
@@ -215,12 +224,43 @@ def mccormick_relax(
     return RangedLP(
         sense=tpl.sense,
         c=tpl.c,
-        A=csc_array((data, tpl.A.indices, tpl.A.indptr), shape=tpl.A.shape),
+        A=A,
         row_lb=row_lb,
         row_ub=row_ub,
         lb=np.concatenate([lb, corners.min(axis=0)]),
         ub=np.concatenate([ub, corners.max(axis=0)]),
     )
+
+
+def cutoff_box(
+    obj: np.ndarray, lb: np.ndarray, ub: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The box ``[lb, ub]`` cut to where ``obj @ x >= floor`` can still hold.
+
+    Each variable with a nonzero objective weight must let its term reach
+    ``floor`` less the most the other terms reach over the box, so its
+    bound moves inward to that; the cut keeps every point of the box whose
+    objective reaches ``floor``.  None when the box comes out empty.  While
+    some term is unbounded over the box, the box comes back unchanged.
+    """
+    # In Python floats: an objective has few terms, and a node calls this once.
+    cols = np.flatnonzero(obj)
+    w, lo, hi = obj[cols].tolist(), lb[cols].tolist(), ub[cols].tolist()
+    top = [wk * (b if wk > 0 else a) for wk, a, b in zip(w, lo, hi)]  # each term's largest
+    if not all(map(math.isfinite, top)):
+        return lb, ub
+    reach = sum(top)
+    for k, wk in enumerate(w):
+        edge = (floor - (reach - top[k])) / wk
+        if wk > 0:
+            lo[k] = max(lo[k], edge)
+        else:
+            hi[k] = min(hi[k], edge)
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    lb, ub = lb.copy(), ub.copy()
+    lb[cols], ub[cols] = lo, hi
+    return lb, ub
 
 
 @dataclass
@@ -250,13 +290,20 @@ def spatial_branch_and_bound(
     node's boxes and it is solved primal-only on the search's one
     ``KeptModel``: the root cold, every other node warm from the basis its
     parent's solve ended at, so a node's start does not depend on the
-    order the heap hands out nodes.  The relaxation point (and
-    optionally ``incumbent_hook(x_rel)``, which may return a candidate point
-    in base variable space) is screened for true feasibility within
-    ``FEAS_TOL``.  ``initial_points`` are warm-start candidates screened the
-    same way before the search, which lets a caller with a cheap primal
-    heuristic start from a real incumbent instead of waiting for one to fall
-    out of the tree.  Branching picks the product with the largest envelope
+    order the heap hands out nodes.  Once there is an incumbent, each node's
+    box is first cut by ``cutoff_box`` to where the objective can still
+    reach it (a node whose box comes out empty is closed unsolved), and its
+    children inherit the cut box: no point better than the incumbent is
+    cut, so every bound stays valid.  The relaxation point (and optionally
+    ``incumbent_hook(x_rel, floor)``, which may return a candidate point in
+    base variable space) is screened for true feasibility within
+    ``FEAS_TOL``.  A candidate replaces the incumbent only when its
+    objective beats the incumbent's by more than ``IMPROVE_TOL``; ``floor``
+    is the objective it must beat, None while there is no incumbent, so
+    the hook can skip a candidate that cannot be adopted.  ``initial_points``
+    are warm-start candidates screened the same way before the search,
+    which lets a caller with a cheap primal heuristic start from a real
+    incumbent instead of waiting for one to fall out of the tree.  Branching picks the product with the largest envelope
     violation (the first one on ties) and splits the wider box of its two
     variables at the relaxation value clamped to the middle half of the
     box.  Terminates when the remaining bound is within ``epsilon``
@@ -268,6 +315,7 @@ def spatial_branch_and_bound(
     tpl = RelaxationTemplate(bp)
     n = tpl.n_vars
     sigma = 1.0 if tpl.sense == MAX else -1.0  # work in "maximize sigma*obj"
+    obj = sigma * tpl.c[:n]
 
     best_x: np.ndarray | None = None
     best_val = -math.inf  # in sigma-space
@@ -279,8 +327,8 @@ def spatial_branch_and_bound(
         x = np.asarray(x, dtype=float)
         if x.shape[0] != n or tpl.max_row_violation(x) > FEAS_TOL:
             return
-        val = sigma * float(tpl.c[:n] @ x)
-        if val > best_val + 1e-12:
+        val = float(obj @ x)
+        if val > best_val + IMPROVE_TOL:
             best_val = val
             best_x = x.copy()
 
@@ -303,10 +351,15 @@ def spatial_branch_and_bound(
     while heap:
         neg_bound, _, lb, ub, basis = heapq.heappop(heap)
         parent_bound = -neg_bound
-        if best_x is not None and close_enough(parent_bound):
-            # Best-first order: every remaining node is at least as loose.
-            leftover_bound = parent_bound
-            break
+        if best_x is not None:
+            if close_enough(parent_bound):
+                # Best-first order: every remaining node is at least as loose.
+                leftover_bound = parent_bound
+                break
+            box = cutoff_box(obj, lb, ub, best_val)
+            if box is None:
+                continue  # nothing in the box reaches the incumbent
+            lb, ub = box
         if nodes >= node_limit:
             exhausted = False
             leftover_bound = parent_bound
@@ -325,7 +378,8 @@ def spatial_branch_and_bound(
 
         try_candidate(x_rel)
         if incumbent_hook is not None:
-            try_candidate(incumbent_hook(x_rel))
+            floor = None if best_x is None else sigma * (best_val + IMPROVE_TOL)
+            try_candidate(incumbent_hook(x_rel, floor))
         if best_x is not None and close_enough(node_bound):
             continue
 

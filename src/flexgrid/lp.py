@@ -377,9 +377,13 @@ class KeptModel:
 
     def _holds_shape_of(self, lp: RangedLP) -> bool:
         held = self._held
+        if held is None or held.sense != lp.sense or held.A.shape != lp.A.shape:
+            return False
+        # Relaxations built from one template share these arrays outright.
+        if held.c is lp.c and held.A.indptr is lp.A.indptr and held.A.indices is lp.A.indices:
+            return True
         return (
-            held is not None and held.sense == lp.sense and held.A.shape == lp.A.shape
-            and np.array_equal(held.c, lp.c) and np.array_equal(held.A.indptr, lp.A.indptr)
+            np.array_equal(held.c, lp.c) and np.array_equal(held.A.indptr, lp.A.indptr)
             and np.array_equal(held.A.indices, lp.A.indices)
         )
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from corpus import corpus_context
+from corpus import BINDING_FEEDERS, corpus_context
 from randfeeders import random_context
 
 from flexgrid import bilevel, build_context, load_feeder
 from flexgrid.bilevel import (
     DUAL_BOX,
+    EDGE_TOL_REL,
     JOINT,
     SPLIT,
     BilevelError,
@@ -22,6 +23,10 @@ from flexgrid.bilevel import (
     solve_single_level,
     worst_case_limits,
 )
+# Bound at import, so the oracle below is the walk as the module defines it
+# even while a test patches ``bilevel._edge_limited_decision`` to record.
+from flexgrid.bilevel import _edge_limited_decision as walk_oracle
+from flexgrid.bilevel import _could_widen, _family_followers
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 from flexgrid.follower import (
     MAX_V,
@@ -701,9 +706,10 @@ def test_the_node_hook_widens_the_presolve_band():
 
 def _recorded_walks(monkeypatch):
     """Patch the single level to record, for each search, the activations
-    of its program and the clamped setpoints its node hook walks, and for
-    each family walk (family, setpoints, the activations of the search
-    whose hook walks it or None)."""
+    of its program, the clamped setpoints its node hook is called at and
+    each ``_could_widen`` check (setpoints, floor, outcome), and for each
+    family walk (family, setpoints, the activations of the search whose
+    hook walks it or None)."""
     searches, walks = [], []
     current = None
     assemble = bilevel.assemble_single_level
@@ -711,16 +717,16 @@ def _recorded_walks(monkeypatch):
     def capture_map(*args, **kwargs):
         bp, slmap = assemble(*args, **kwargs)
         activations = {b.scenario.activation for b in slmap.blocks}
-        searches.append((slmap, np.array(bp.base.lb), np.array(bp.base.ub), activations, []))
+        searches.append((slmap, np.array(bp.base.lb), np.array(bp.base.ub), activations, [], []))
         return bp, slmap
 
     search = bilevel.spatial_branch_and_bound
 
     def watch_hook(bp, *, incumbent_hook, **kwargs):
-        slmap, lb, ub, activations, hook_keys = searches[-1]  # assembled just before
+        slmap, lb, ub, activations, hook_keys, _ = searches[-1]  # assembled just before
         up = slmap.upper_vars
 
-        def hook(x_rel):
+        def hook(x_rel, floor):
             nonlocal current
             hook_keys.append(tuple(
                 float(min(max(x_rel[up[name]], lb[up[name]]), ub[up[name]]))
@@ -728,7 +734,7 @@ def _recorded_walks(monkeypatch):
             ))
             current = activations
             try:
-                return incumbent_hook(x_rel)
+                return incumbent_hook(x_rel, floor)
             finally:
                 current = None
 
@@ -740,10 +746,38 @@ def _recorded_walks(monkeypatch):
         walks.extend((family, tuple(setpoints.values()), current) for family in families)
         return walk(families, followers, setpoints, *args)
 
+    could_widen = bilevel._could_widen
+
+    def record_check(families, followers, setpoints, dp_box, floor):
+        could = could_widen(families, followers, setpoints, dp_box, floor)
+        searches[-1][5].append((tuple(setpoints.values()), floor, could))
+        return could
+
     monkeypatch.setattr(bilevel, "assemble_single_level", capture_map)
     monkeypatch.setattr(bilevel, "spatial_branch_and_bound", watch_hook)
     monkeypatch.setattr(bilevel, "_edge_limited_decision", count_walk)
+    monkeypatch.setattr(bilevel, "_could_widen", record_check)
     return searches, walks
+
+
+def _skipped_walks_cannot_beat(ctx, mode, followers, searches):
+    """The setpoint sets each search's hook skipped (``_could_widen`` said
+    no), after checking that the full walk there, the oracle, gives a band
+    no wider than the floor of every check that skipped it."""
+    dp_box = available_flexibility_bounds(ctx.devices)
+    tol_abs = EDGE_TOL_REL * (dp_box[1] - dp_box[0])
+    skipped = []
+    for slmap, lb, _, activations, _, checks in searches:
+        subset = [sc for sc in followers if sc.activation in activations]
+        fams = _family_followers(ctx, mode, subset, {n: float(lb[vi]) for n, vi in slmap.upper_vars.items()})
+        for key, floor, could in checks:
+            if could:
+                continue
+            setpoints = dict(zip(slmap.setpoint_slots, key))
+            d = walk_oracle(fams, followers, setpoints, dp_box, tol_abs)
+            assert d is None or d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS] <= floor, (key, floor)
+            skipped.append(key)
+    return skipped
 
 
 def _seed_followers(seed):
@@ -758,21 +792,26 @@ def _seed_followers(seed):
 
 def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
     """The joint search's relaxations land on few distinct setpoint sets,
-    some of them the presolve's; each family is walked once at each set
-    over the presolve and the hook, and the search is the one that walked
-    them every time: 7 nodes to a band bit-identical to 0.31177 / -0.22848
-    p.u."""
+    some of them the presolve's; each family is walked at most once at
+    each set over the presolve and the hook, and the search is the one
+    that walked them every time: 7 nodes to a band bit-identical to
+    0.31177 / -0.22848 p.u.  The presolve's walk is already the band, so
+    the hook walks none of its 3 new sets: at each, one evaluation per
+    family shows the walk cannot beat the incumbent, and the full walk
+    there confirms it."""
     ctx, followers = _seed_followers(7200)
     searches, walks = _recorded_walks(monkeypatch)
     res = solve_single_level(ctx, MODE_CONSTANT_PF, followers, split=False)
     assert res.bnb.nodes == 7 and res.bound_by == JOINT
     assert res.nodes_by_search == {POSITIVE: 0, NEGATIVE: 0, JOINT: 7}
-    [(_, _, _, _, hook_keys)] = searches
+    [(_, _, _, _, hook_keys, _)] = searches
     presolve_keys = [key for _, key, hook in walks if hook is None]
     assert len(hook_keys) > len(set(hook_keys))  # the relaxations repeat setpoints
     assert set(hook_keys) & set(presolve_keys)  # ... and revisit the presolve's
     families = {family for family, _, _ in walks}
-    keys = set(hook_keys) | set(presolve_keys)
+    skipped = set(_skipped_walks_cannot_beat(ctx, MODE_CONSTANT_PF, followers, searches))
+    assert skipped == set(hook_keys) - set(presolve_keys) and len(skipped) == 3
+    keys = set(hook_keys) - skipped | set(presolve_keys)
     assert sorted((f, k) for f, k, _ in walks) == sorted((f, k) for f in families for k in keys)
     assert (res.decision.dp_plus.hex(), res.decision.dp_minus.hex()) == (
         "0x1.3f3e0370cdc88p-2", "-0x1.d3eb769efd182p-3",
@@ -784,14 +823,16 @@ def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
     the joint search's 7, to the same band bit for bit.  Each half's hook
     walks only its own families, no family is walked twice at one setpoint
     set over the presolve and both halves, and the decision's setpoints,
-    one half's final ones, are walked by every family."""
+    one half's final ones, are walked by every family.  The negative
+    half's hook skips the one new set its relaxations reach, where the
+    walk cannot beat that half's incumbent."""
     ctx, followers = _seed_followers(7200)
     searches, walks = _recorded_walks(monkeypatch)
     res = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
     assert res.bnb.status == "optimal" and res.bound_by == SPLIT and res.bnb.x is None
     assert res.nodes_by_search == {POSITIVE: 1, NEGATIVE: 3, JOINT: 0}
     assert res.bnb.nodes == 4
-    assert [activations for _, _, _, activations, _ in searches] == [{POSITIVE}, {NEGATIVE}]
+    assert [activations for _, _, _, activations, _, _ in searches] == [{POSITIVE}, {NEGATIVE}]
     assert all(family[0] in hook for family, _, hook in walks if hook is not None)
     pairs = [(family, key) for family, key, _ in walks]
     assert len(pairs) == len(set(pairs))
@@ -799,6 +840,9 @@ def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
     assert {family[0] for family in families} == {POSITIVE, NEGATIVE}
     decided = tuple(res.decision.setpoints.values())
     assert {family for family, key in pairs if key == decided} == families
+    skipped = _skipped_walks_cannot_beat(ctx, MODE_CONSTANT_PF, followers, searches)
+    assert len(skipped) == 1 and skipped[0] in searches[1][4]
+    assert not any(key == skipped[0] and hook is not None for _, key, hook in walks)
     assert (res.decision.dp_plus.hex(), res.decision.dp_minus.hex()) == (
         "0x1.3f3e0370cdc88p-2", "-0x1.d3eb769efd182p-3",
     )
@@ -848,6 +892,44 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
     assert completed > 0 and binding > 0
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_walk_the_hook_check_rules_out_cannot_beat_the_floor(mode):
+    """On the corpus feeders, at random setpoints and at floors around the
+    band the walk gives there, wherever ``_could_widen`` says no walk can
+    beat the floor, the full walk, its oracle, gives a band no wider than
+    the floor: over all followers' families, as the joint search holds
+    them, and over each activation's, as each half does."""
+    rng = np.random.default_rng(28)
+    ruled_out = left = 0
+    for seed, z_scale in BINDING_FEEDERS:
+        ctx = corpus_context(seed, z_scale, mode)
+        followers = all_scenarios(ctx.n)
+        dp_box = available_flexibility_bounds(ctx.devices)
+        span = dp_box[1] - dp_box[0]
+        boxes = setpoint_boxes(ctx, mode)
+        families = _family_followers(ctx, mode, followers, {
+            SLOT_DP_PLUS: dp_box[1], SLOT_DP_MINUS: dp_box[0],
+            **{name: lo for name, (lo, _) in boxes.items()},
+        })
+        halves = [{f: mf for f, mf in families.items() if f[0] == a} for a in (POSITIVE, NEGATIVE)]
+        for _ in range(3):
+            setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
+            for fams in [families, *halves]:
+                d = walk_oracle(fams, followers, setpoints, dp_box, EDGE_TOL_REL * span)
+                width = None if d is None else d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS]
+                centre = span if width is None else width
+                floors = [centre, *(centre * rng.uniform(0.8, 1.2, 3)), 1.5 * span]
+                for floor in floors:
+                    if _could_widen(fams, followers, setpoints, dp_box, float(floor)):
+                        left += 1
+                    else:
+                        ruled_out += floor < span
+                        assert width is None or width <= floor, (seed, z_scale, setpoints, floor)
+    # Not vacuous: floors inside the span, which only an evaluation can
+    # rule out, are ruled out, and others are left to the walk.
+    assert ruled_out > 0 and left > 0
+
+
 def test_a_binding_dual_box_in_a_half_leaves_the_split_band_unproven(monkeypatch):
     """A half's λ box binds as the joint search's does: below the ceiling,
     a box the halves' incumbents reach marks the split's band ``dual_box``,
@@ -865,13 +947,15 @@ def test_a_binding_dual_box_in_a_half_leaves_the_split_band_unproven(monkeypatch
     assert wider.objective == boxed.objective
 
 
-def test_the_split_proves_a_band_the_joint_search_loses():
+def test_the_split_proves_bands_in_fewer_nodes_than_the_joint_search():
     """7210-z2 constant-q: split by activation, the solve at
-    ``node_limit=2000`` proves 0.42583 p.u., and the joint search over the
-    two seed followers proves the same band.  7208-z2 constant-pf: the
-    split proves 0.46450 p.u. in 24 nodes, where the joint search over the
-    same followers, capped at 400, stops at that band unproven, its bound
-    above 0.52 p.u."""
+    ``node_limit=2000`` proves 0.42583 p.u. in 14 nodes, and the joint
+    search over the two seed followers proves the same band in 38.
+    7208-z2 constant-pf: the split proves 0.46450 p.u. in 8 nodes, and the
+    joint search over the same followers, capped at 400, proves it in 15.
+    Before the objective cutoff tightened each node's box, the split took
+    8 and 24 nodes, and the joint search stopped at 7208-z2's cap of 400
+    unproven, its bound above 0.52 p.u."""
     epsilon = 1e-4
     ctx = random_context(np.random.default_rng(7210), mode=MODE_CONSTANT_Q, z_scale=2.0)
     res = run_iterative(ctx, MODE_CONSTANT_Q, node_limit=2000)
@@ -883,16 +967,17 @@ def test_the_split_proves_a_band_the_joint_search_loses():
     assert joint.bnb.status == "optimal"
     assert joint.objective == pytest.approx(res.single_level.objective,
                                             abs=epsilon * (1.0 + joint.objective))
+    assert (res.single_level.bnb.nodes, joint.bnb.nodes) == (14, 38)
 
     ctx = random_context(np.random.default_rng(7208), mode=MODE_CONSTANT_PF, z_scale=2.0)
     res = run_iterative(ctx, MODE_CONSTANT_PF, node_limit=400)
     assert res.converged and res.single_level.bound_by == SPLIT
-    assert res.single_level.bnb.nodes == 24
+    assert res.single_level.bnb.nodes == 8
     assert res.dp_plus - res.dp_minus == pytest.approx(0.46450, abs=1e-5)
     joint = solve_single_level(ctx, MODE_CONSTANT_PF, res.followers, node_limit=400, split=False)
-    assert joint.bnb.status == "node_limit"
-    assert joint.objective <= res.single_level.objective + epsilon
-    assert joint.bnb.bound > 0.52
+    assert joint.bnb.status == "optimal" and joint.bnb.nodes == 15
+    assert joint.objective == pytest.approx(res.single_level.objective,
+                                            abs=epsilon * (1.0 + joint.objective))
 
 
 def test_derived_dual_boxes_prove_the_constant_q_band_the_cap_left_open():

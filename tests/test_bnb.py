@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from flexgrid.bilevel import assemble_single_level, solve_single_level
 from flexgrid.bnb import (
+    IMPROVE_TOL,
     BilinearProgram,
     RelaxationTemplate,
+    cutoff_box,
     mccormick_relax,
     mccormick_rows,
     spatial_branch_and_bound,
@@ -31,6 +33,8 @@ from flexgrid.lp import (
 
 from randfeeders import random_context
 from lpgen import (
+    _best_linear_values,
+    _bilinear_eval,
     grid_oracle,
     random_bilinear,
     reference_max_row_violation,
@@ -206,16 +210,138 @@ def test_node_limit_without_incumbent():
 
 
 def test_incumbent_hook_candidates_are_adopted():
+    """The hook is given the objective a candidate must beat to be adopted:
+    None at the root of a search started without an incumbent, the
+    incumbent's by ``IMPROVE_TOL`` after it, in either sense."""
     calls = []
 
-    def hook(x_rel):
-        calls.append(np.array(x_rel))
+    def hook(x_rel, floor):
+        calls.append((np.array(x_rel), floor))
         return OPTIMUM
 
     res = spatial_branch_and_bound(_product_bp(), epsilon=1e-6, incumbent_hook=hook)
     assert res.status == "optimal"
     assert calls, "hook was never consulted"
     assert res.objective == pytest.approx(2.25, abs=1e-6)
+    assert calls[0][1] is None
+    assert all(floor == res.objective + IMPROVE_TOL for _, floor in calls[1:])
+
+    seeded = []
+    spatial_branch_and_bound(_product_bp(), epsilon=1e-6, initial_points=[np.array([1.0, 1.0, 1.0])],
+                             incumbent_hook=lambda x_rel, floor: seeded.append(floor))
+    assert seeded and seeded[0] == 1.0 + IMPROVE_TOL
+
+    # min x + y  s.t.  x*y >= 1: a candidate must come in below the incumbent.
+    base = LinearProgram(sense=MIN)
+    x = base.add_var("x", lb=0.1, ub=4.0, obj=1.0)
+    y = base.add_var("y", lb=0.1, ub=4.0, obj=1.0)
+    bp = BilinearProgram(base)
+    bp.add_term(base.add_row({}, GE, 1.0), 1.0, x, y)
+    floors = []
+    spatial_branch_and_bound(bp, epsilon=1e-6, initial_points=[np.array([2.0, 2.0])],
+                             incumbent_hook=lambda x_rel, floor: floors.append(floor))
+    assert floors and floors[0] == 4.0 - IMPROVE_TOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.lists(st.tuples(st.floats(-2.0, 2.0), bound, st.floats(0.0, 4.0)), min_size=1,
+                  max_size=5),
+    floor=st.floats(-10.0, 10.0),
+    t=st.lists(unit, min_size=5, max_size=5),
+)
+def test_the_cutoff_box_keeps_every_point_that_reaches_the_floor(data, floor, t):
+    """``cutoff_box`` keeps each point of the box whose objective reaches
+    the floor, and comes back empty only when the box's best corner misses
+    it (random weights, zeros among them, and boxes)."""
+    w = np.array([d[0] for d in data])
+    w[np.abs(w) < 0.1] = 0.0
+    lb = np.array([d[1] for d in data])
+    ub = lb + np.array([d[2] for d in data])
+    box = cutoff_box(w, lb, ub, floor)
+    best = np.where(w > 0, ub, lb)
+    x = lb + np.array(t[:w.size]) * (ub - lb)
+    slack = 1e-9 * (1.0 + np.abs(w) @ np.maximum(np.abs(lb), np.abs(ub)) + abs(floor))
+    if box is None:
+        assert w @ best < floor + slack
+        return
+    cut_lb, cut_ub = box
+    assert np.all(cut_lb >= lb) and np.all(cut_ub <= ub)
+    assert np.all(cut_lb[w == 0] == lb[w == 0]) and np.all(cut_ub[w == 0] == ub[w == 0])
+    for point in (x, best):
+        if w @ point >= floor + slack:
+            assert np.all(point >= cut_lb - 1e-9) and np.all(point <= cut_ub + 1e-9)
+
+
+def test_the_cutoff_box_skips_an_unbounded_objective_term():
+    """A term with no bound on its side of the box leaves the box as it is,
+    with no NaN from inf - inf, and a search over such a program proves the
+    same optimum: here t in [0, inf) is capped only by its row t <= x*y."""
+    lb, ub = np.array([0.0, 0.0]), np.array([1.0, np.inf])
+    for w in (np.array([1.0, 1.0]), np.array([-1.0, 1.0]), np.array([0.0, 2.0])):
+        got_lb, got_ub = cutoff_box(w, lb, ub, 5.0)
+        assert np.array_equal(got_lb, lb) and np.array_equal(got_ub, ub)
+    cut_lb, cut_ub = cutoff_box(np.array([1.0, -1.0]), lb, ub, 0.5)  # t's term ends at 0
+    assert np.array_equal(cut_lb, [0.5, 0.0]) and np.array_equal(cut_ub, [1.0, 0.5])
+
+    base = LinearProgram(sense=MAX)
+    x = base.add_var("x", lb=0.0, ub=2.0)
+    y = base.add_var("y", lb=0.0, ub=3.0)
+    t = base.add_var("t", lb=0.0, obj=1.0)
+    r = base.add_row({t: 1.0}, LE, 0.0)
+    base.add_row({x: 1.0, y: 1.0}, LE, 3.0)
+    bp = BilinearProgram(base)
+    bp.add_term(r, -1.0, x, y)
+    res = spatial_branch_and_bound(bp, epsilon=1e-6, initial_points=[np.array([1.0, 1.0, 1.0])])
+    assert res.status == "optimal" and res.objective == pytest.approx(2.25, abs=1e-5)
+
+
+def test_each_cut_node_box_keeps_the_points_that_beat_the_incumbent(monkeypatch):
+    """On random bilinear programs, every node box the search cuts keeps
+    each sampled feasible point of the uncut box whose objective reaches
+    the incumbent, and a box cut empty holds none; the searches still
+    match the grid oracle."""
+    from flexgrid import bnb
+
+    cuts = []
+
+    def recorded(obj, lb, ub, floor):
+        box = cutoff_box(obj, lb, ub, floor)
+        cuts.append((obj, lb, ub, floor, box))
+        return box
+
+    monkeypatch.setattr(bnb, "cutoff_box", recorded)
+    rng = np.random.default_rng(2024)
+    checked = moved = branched = 0
+    while branched < 5:
+        bp = random_bilinear(rng, max_vars=4)
+        cuts.clear()
+        res = spatial_branch_and_bound(bp, epsilon=5e-5)
+        if res.nodes == 1:
+            continue
+        branched += 1
+        ref = grid_oracle(bp)
+        assert res.status == "optimal" and abs(res.objective - ref) <= 1e-4 * (1 + abs(ref))
+        base = bp.base
+        lb, ub = np.array(base.lb), np.array(base.ub)
+        X = lb + rng.random((4000, lb.size)) * (ub - lb)
+        free = np.setdiff1d(np.arange(lb.size), np.array(bp.products()).ravel())
+        X = _best_linear_values(bp, X, free)
+        obj, feasible = _bilinear_eval(bp, X)
+        X = X[feasible]
+        for w, node_lb, node_ub, floor, box in cuts:
+            assert np.isfinite(floor)
+            inside = np.all((X >= node_lb) & (X <= node_ub), axis=1)
+            reach = X[inside & (X @ w >= floor + 1e-9 * (1.0 + abs(floor)))]
+            if box is None:
+                assert reach.shape[0] == 0
+                continue
+            assert not (np.isnan(box[0]).any() or np.isnan(box[1]).any())
+            assert np.all(reach >= box[0] - 1e-12) and np.all(reach <= box[1] + 1e-12)
+            checked += reach.shape[0]
+            moved += not (np.array_equal(box[0], node_lb) and np.array_equal(box[1], node_ub))
+    # Not vacuous: boxes were cut, with sampled points that beat the incumbent inside.
+    assert checked > 0 and moved > 0
 
 
 def test_structure_helpers():
