@@ -125,13 +125,8 @@ class WorstCaseLimits:
         return k, self.lower_family[k]
 
 
-# One run's family followers, by (activation, extremum, ``fixes_q``).
-Built = dict[tuple[str, str, bool], MaterializedFollower]
-
-
 def family_follower(
     ctx: FlexContext, mode: str, activation: str, extremum: str, slots: dict[str, float],
-    *, built: Built | None = None,
 ) -> MaterializedFollower:
     """The follower LP of one (activation, extremum) family at fixed slots.
 
@@ -139,25 +134,22 @@ def family_follower(
     serves every node of the family: ``values`` solves any batch of them at
     once.  ``slots`` may carry more than the family reads (both band edges,
     say); whether constant-q followers hold q_gen at q_set is read off them
-    (``fixes_q``).  A family found in ``built`` (followers of ``ctx`` and
-    ``mode`` only) is re-slotted rather than built again; one built here
-    is added to it.
+    (``fixes_q``).  The family is materialized once per context and kept
+    in ``ctx.followers``; every later call re-slots it.
     """
-    key = (activation, extremum, fixes_q(mode, slots))
-    mf = None if built is None else built.get(key)
+    key = (mode, activation, extremum, fixes_q(mode, slots))
+    mf = ctx.followers.get(key)
     problem = mf.problem if mf is not None else build_follower(
-        ctx, Scenario(node=0, activation=activation, extremum=extremum), mode, fix_q=key[2]
+        ctx, Scenario(node=0, activation=activation, extremum=extremum), mode, fix_q=key[3]
     )
     missing = [s for s in problem.slot_names if s not in slots]
     if missing:
         raise BilevelError(f"decision lacks slots required by followers: {missing}")
     values = {s: slots[s] for s in problem.slot_names}
-    if mf is not None:
+    if mf is None:
+        mf = ctx.followers[key] = problem.materialize(values)
+    else:
         mf.set_slots(values)
-        return mf
-    mf = problem.materialize(values)
-    if built is not None:
-        built[key] = mf
     return mf
 
 
@@ -215,8 +207,8 @@ def _walk(full: float, c: float, tol_abs: float):
 def _band_cap(mf: MaterializedFollower) -> float:
     """The follower objective sigma*|v| up to which its family stays in band
     (both extrema compare it from below)."""
-    ctx = mf.problem.ctx
-    return (ctx.v_max if mf.problem.scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
+    p = mf.problem
+    return (p.v_max if p.scenario.extremum == MAX_V else -p.v_min) + 1e-9
 
 
 def _edge_walk(mf: MaterializedFollower, nodes, tol_abs: float) -> np.ndarray:
@@ -264,7 +256,6 @@ def worst_case_limits(
     mode: str,
     *,
     direction: str = "both",
-    built: Built | None = None,
 ) -> WorstCaseLimits:
     """Per-node worst-case band limits (step 1 of the iterative method).
 
@@ -275,8 +266,6 @@ def worst_case_limits(
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
-    ``built`` shares the family followers with the rest of a run
-    (``family_follower``).
     """
     check_anchor(ctx)
     if ctx.n == 0:
@@ -295,7 +284,7 @@ def worst_case_limits(
             slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-            mf = family_follower(ctx, mode, activation, extremum, slots, built=built)
+            mf = family_follower(ctx, mode, activation, extremum, slots)
             lim = _edge_walk(mf, np.arange(n), tol_abs)
             if activation == POSITIVE:
                 tighter, limits, family = lim < upper - 1e-15, upper, upper_family
@@ -544,7 +533,6 @@ Families = dict[tuple[str, str], MaterializedFollower]
 
 def _family_followers(
     ctx: FlexContext, mode: str, followers: list[Scenario], slots: dict[str, float],
-    *, built: Built | None = None,
 ) -> Families:
     """One materialized follower per (activation, extremum) family of ``followers``.
 
@@ -554,7 +542,7 @@ def _family_followers(
     """
     keys = dict.fromkeys((sc.activation, sc.extremum) for sc in followers)
     return {
-        (activation, extremum): family_follower(ctx, mode, activation, extremum, slots, built=built)
+        (activation, extremum): family_follower(ctx, mode, activation, extremum, slots)
         for activation, extremum in keys
     }
 
@@ -718,7 +706,6 @@ def solve_single_level(
     epsilon: float = 1e-4,
     node_limit: int = 5000,
     split: bool = True,
-    built: Built | None = None,
 ) -> SingleLevelResult:
     """Solve the ideal case for a follower subset by spatial branch-and-bound.
 
@@ -739,8 +726,7 @@ def solve_single_level(
     joint search what is left after both.  A family's walk at a setpoint
     set is made once per solve, over the presolve and every search's node
     hook.  ``split=False`` runs the joint search alone: it is the
-    reference the tests hold the split solve to.  ``built`` shares the
-    family followers with the rest of a run (``family_follower``).
+    reference the tests hold the split solve to.
 
     The capped duals (constant-pf's pfq duals and every volt-var dual
     that meets a slot in a product) sit in a ±``LAMBDA_CAP`` box, a big-M
@@ -761,7 +747,7 @@ def solve_single_level(
     # Any in-box slot values will do: every use re-slots the followers first.
     families = _family_followers(ctx, mode, followers, {
         SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: dp_box[0], **{n: lo for n, (lo, _) in boxes.items()},
-    }, built=built)
+    })
     # The relaxations keep landing on the same box vertices (often the
     # presolve's, or the other half's), and a family's walk depends on the
     # setpoints alone: walk each family once at each set.
@@ -934,7 +920,6 @@ def feasibility_check(
     decision: UpperDecision,
     *,
     direction: str = "both",
-    built: Built | None = None,
 ) -> FeasibilityReport:
     """Screen every follower at a fixed decision.
 
@@ -945,13 +930,12 @@ def feasibility_check(
     screened with free q_gen (``fixes_q``), the stronger adversary, as
     ``oracle.verify_decision`` checks it.  An infeasible follower is an
     assembly bug: at Δp = 0 every follower admits the zero-deviation point.
-    ``built`` shares the family followers with the rest of a run.
     """
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
     for activation in ACTIVATIONS:
         for extremum in screened_extrema(direction):
-            mf = family_follower(ctx, mode, activation, extremum, decision.slots, built=built)
+            mf = family_follower(ctx, mode, activation, extremum, decision.slots)
             vals = mf.values(np.arange(ctx.n))
             if not vals.optimal.all():
                 raise BilevelError(
@@ -1022,15 +1006,14 @@ def run_iterative(
     that finds only followers already active ends the loop early
     (``stalled``): solving again would give the same decision.  Each
     (activation, extremum) family follower, with q_gen held or free, is
-    built once per run and re-slotted for the screening, every
+    materialized once per context and re-slotted for the screening, every
     single-level solve and every re-screening (``family_follower``).
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite non-negative number, got {epsilon}")
-    built: Built = {}
-    wc = worst_case_limits(ctx, mode, direction=direction, built=built)
+    wc = worst_case_limits(ctx, mode, direction=direction)
     scenarios_all = all_scenarios(ctx.n, direction=direction)
     cap = max_iterations if max_iterations is not None else len(scenarios_all)
 
@@ -1047,13 +1030,9 @@ def run_iterative(
     converged = stalled = False
     iterations = 0
     for iterations in range(1, cap + 1):
-        result = solve_single_level(
-            ctx, mode, active, epsilon=epsilon, node_limit=node_limit, built=built
-        )
+        result = solve_single_level(ctx, mode, active, epsilon=epsilon, node_limit=node_limit)
         history.append(result.objective)
-        report = feasibility_check(
-            ctx, mode, result.decision, direction=direction, built=built
-        )
+        report = feasibility_check(ctx, mode, result.decision, direction=direction)
         if report.ok:
             converged = result.bnb.status == OPTIMAL
             break

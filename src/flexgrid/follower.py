@@ -219,9 +219,12 @@ def build_devices(model: FeederModel, index: BusPhaseIndex | None = None) -> Nod
     return dev
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlexContext:
-    """Everything the flexibility problems need about one feeder state."""
+    """Everything the flexibility problems need about one feeder state.
+
+    Frozen: what is derived from it and kept on it (``sensitivities``, the
+    family ``followers``) stays valid as long as the context lives."""
 
     feeder: FeederModel
     index: BusPhaseIndex
@@ -260,6 +263,14 @@ class FlexContext:
         )
         s_l = s_p[:, loads] + s_q[:, loads] * dev.beta_load[loads]
         return (*map(np.ascontiguousarray, (s_p[:, inv], s_q[:, inv], s_l)), m0)
+
+    @cached_property
+    def followers(self) -> dict[tuple[str, str, str, bool], MaterializedFollower]:
+        """The family followers made on this context, by (mode, activation,
+        extremum, ``fixes_q``); ``bilevel.family_follower`` fills it and
+        re-slots what it finds there.  No follower refers back to the
+        context, so holding them here makes no reference cycle."""
+        return {}
 
 
 def build_context(
@@ -371,7 +382,11 @@ class FollowerProblem:
     def __init__(self, ctx: FlexContext, scenario: Scenario, mode: str, *, fix_q: bool = False):
         if mode not in (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR):
             raise ValueError(f"unknown mode {mode!r}")
-        self.ctx = ctx
+        # What the problem reads after construction; it keeps no reference
+        # to ``ctx``, which may hold it (``FlexContext.followers``).
+        self.devices, self.v_min, self.v_max = ctx.devices, ctx.v_min, ctx.v_max
+        # Magnitude-sensitivity rows, shared by every follower of the context.
+        self.s_p, self.s_q, self.s_l, self.m0 = ctx.sensitivities
         self.scenario = scenario
         self.mode = mode
         self.fix_q = fix_q
@@ -424,7 +439,7 @@ class FollowerProblem:
     def injections(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Net nodal injections (p, q) in p.u. encoded by a follower solution
         ``x`` (or by each row of a stack of them)."""
-        dev = self.ctx.devices
+        dev = self.devices
         dpg, dpl, qg = (np.zeros(x.shape[:-1] + (self.n,)) for _ in range(3))
         dpg[..., self.inv] = x[..., self._dpg[self.inv]]
         dpl[..., self.loads] = x[..., self._dpl[self.loads]]
@@ -454,8 +469,8 @@ class FollowerProblem:
 
     # --- assembly --------------------------------------------------------
     def _build(self) -> None:
-        ctx, n, inv, loads = self.ctx, self.n, self.inv, self.loads
-        dev = ctx.devices
+        n, inv, loads = self.n, self.inv, self.loads
+        dev = self.devices
         sc = self.scenario
         positive = sc.activation == POSITIVE
         m = inv.size
@@ -481,9 +496,6 @@ class FollowerProblem:
         self.lb[all_dpg], self.ub[all_dpg] = dpg_lo, np.maximum(dpg_lo, dpg_hi)
         self.lb[all_dpl], self.ub[all_dpl] = dpl_lo, np.maximum(dpl_lo, dpl_hi)
         self.lb[all_qg], self.ub[all_qg] = -dev.s_cap[inv], dev.s_cap[inv]
-
-        # Magnitude-sensitivity rows, shared by every follower of the context.
-        self.s_p, self.s_q, self.s_l, self.m0 = ctx.sensitivities
 
         # Row groups in order: their rhs and (row, column, value) triplets, in
         # row order; ``add`` appends one (``row`` counts from 0 in the group).
@@ -528,7 +540,7 @@ class FollowerProblem:
         ])
 
         # Control-mode rows.
-        vband = ctx.v_max - ctx.v_min
+        vband = self.v_max - self.v_min
         slots: list[str] = []
         if self.mode == MODE_CONSTANT_PF:
             rows = per_inverter([("pfq", EQ, zero, [(all_qg, one)])])[0].tolist()
@@ -552,7 +564,7 @@ class FollowerProblem:
             rows = per_inverter([("vv", EQ, zero, [(all_qg, one)])])[0].tolist()
             slots = [slot_qbar(k) for k in inv.tolist()]
             self.coeff_slots += zip(rows, self.i_vm(inv).tolist(), slots, [2.0 / vband] * m)
-            self.rhs_slots += zip(rows, slots, [(ctx.v_max + ctx.v_min) / vband] * m)
+            self.rhs_slots += zip(rows, slots, [(self.v_max + self.v_min) / vband] * m)
 
         # Aggregate activation row: one-sided per activation case.
         agg = add(
@@ -642,7 +654,7 @@ class FollowerProblem:
         mu = float(gains.max(initial=0.0))
         box[self._row_at["agg"]] = mu
         if fixed_q:
-            gc = self.ctx.devices.gamma_const[self.inv]
+            gc = self.devices.gamma_const[self.inv]
             d = np.where(gc > 0.0, np.minimum(1.0, gc), 1.0)
             box[self.row_index("qfix")] = np.abs(self.s_q[t]) + (np.abs(self.s_p[t]) + mu) / d
         return box
@@ -926,7 +938,7 @@ class _Knapsack(MaterializedFollower):
         setpoints, and give every target its row of gains."""
         p, inv, slots = self.problem, self.inv, self.slots
         m = inv.size
-        p_gen0 = p.ctx.devices.p_gen0[inv]
+        p_gen0 = p.devices.p_gen0[inv]
         if p.mode == MODE_CONSTANT_PF:
             kappa = np.array([slots[slot_gamma(k)] for k in inv], dtype=float)
             q0 = kappa * p_gen0
@@ -1001,9 +1013,9 @@ class _VoltVar(MaterializedFollower):
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
         p, inv = self.problem, self.inv
-        ctx, dev = p.ctx, p.ctx.devices
-        band = ctx.v_max - ctx.v_min
-        self.d, self.c = 2.0 / band, (ctx.v_max + ctx.v_min) / band
+        dev = p.devices
+        band = p.v_max - p.v_min
+        self.d, self.c = 2.0 / band, (p.v_max + p.v_min) / band
         self.vv_rows = p.row_index("vv")
         self.s_ii = (p.s_p[inv], p.s_l[inv], p.s_q[inv])  # the inverter nodes' rows
         self.set_items(*self.z_box(p.lb[self.gen_cols], p.ub[self.gen_cols]))
@@ -1083,7 +1095,7 @@ class _FreeQ(MaterializedFollower):
 
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
-        p, inv, dev = self.problem, self.inv, self.problem.ctx.devices
+        p, inv, dev = self.problem, self.inv, self.problem.devices
         m, n_rows, n_vars = inv.size, p.n_rows, p.n_vars
         gamma, p0, s = dev.gamma_const[inv], dev.p_gen0[inv], dev.s_cap[inv]
         # h = min over pieces j (cone, q_gen bound, capability row) of

@@ -50,6 +50,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 DEFAULT_METHOD = "highs"
+DUALITY_TOL = 1e-6  # ``verify_strong_duality``'s gap and slackness, relative to 1 + |primal|
 
 
 class LPEngineError(RuntimeError):
@@ -281,8 +282,6 @@ def solve_materialized(mat: RangedLP) -> DualCertificate:
     )
 
 
-_highs: highs._Highs | None = None
-
 # HiGHS model status -> certificate status, as ``milp`` maps them.  A model
 # HiGHS rejects (such as a column whose bounds are both +inf) counts as
 # infeasible; any status not listed is an engine failure.
@@ -332,14 +331,6 @@ def _run(h: highs._Highs, lp: RangedLP) -> DualCertificate | None:
     return DualCertificate(status=OPTIMAL, objective=float(lp.c @ x), x=x)
 
 
-def _run_cold(h: highs._Highs, lp: RangedLP) -> DualCertificate:
-    """``_run`` on a model just passed; an unmapped status is an engine failure."""
-    cert = _run(h, lp)
-    if cert is None:
-        raise LPEngineError(f"LP backend failure: {h.modelStatusToString(h.getModelStatus())}")
-    return cert
-
-
 # HiGHS instances of ended searches.  A new ``KeptModel`` takes one of these
 # before it makes its own, which spares a single-node search the set-up of a
 # fresh instance.
@@ -351,7 +342,7 @@ class KeptModel:
 
     An LP that comes without a basis, or whose sense, shape, objective or
     sparsity pattern differs from the held one, is passed whole and solved
-    cold with HiGHS defaults, exactly as a bare ``solve_lp`` solves it.
+    cold with HiGHS defaults; a bare ``solve_lp`` solves on a fresh one.
     Any other LP changes the held model where it differs (column bounds,
     matrix entries, row bounds) and is re-solved from ``basis``, which
     ``basis()`` gave after an earlier solve, with presolve off (on the
@@ -415,7 +406,10 @@ class KeptModel:
             self._held = None
             return DualCertificate(status=INFEASIBLE)
         self._held = lp
-        return _run_cold(h, lp)
+        cert = _run(h, lp)
+        if cert is None:  # a cold solve has no fallback: an engine failure
+            raise LPEngineError(f"LP backend failure: {h.modelStatusToString(h.getModelStatus())}")
+        return cert
 
 
 def solve_lp(
@@ -432,9 +426,9 @@ def solve_lp(
     ranged rows as they are: its certificate carries the status, ``x`` and
     the objective, and no duals.  A NaN or infinite objective or matrix
     entry, or a NaN bound, raises ``ValueError`` before HiGHS sees it.
-    Without ``kept`` the solve is cold and leaves nothing behind; with it,
-    ``kept`` solves the LP, warm from ``basis`` when it can (see
-    ``KeptModel``).
+    With ``kept``, ``kept`` solves the LP, warm from ``basis`` when it can
+    (see ``KeptModel``); without it, the solve is cold, on a ``KeptModel``
+    closed right after.
     """
     if not isinstance(lp, RangedLP):
         return solve_materialized(lp.materialize())
@@ -444,12 +438,11 @@ def solve_lp(
         raise ValueError("RangedLP: bounds must not hold NaN")
     if kept is not None:
         return kept.solve(lp, basis)
-    global _highs
-    if _highs is None:
-        _highs = _new_highs()
-    if not _pass_model(_highs, lp):
-        return DualCertificate(status=INFEASIBLE)
-    return _run_cold(_highs, lp)
+    kept = KeptModel()
+    try:
+        return kept.solve(lp, None)
+    finally:
+        kept.close()
 
 
 @dataclass
@@ -460,19 +453,14 @@ class DualityReport:
     primal_objective: float
 
 
-def verify_strong_duality(
-    lp: LinearProgram,
-    cert: DualCertificate,
-    *,
-    gap_tol: float = 1e-6,
-    slack_tol: float = 1e-6,
-) -> DualityReport:
+def verify_strong_duality(lp: LinearProgram, cert: DualCertificate) -> DualityReport:
     """Check the duality identity and complementary slackness for a certificate.
 
-    The gap test is relative (tol * (1 + |primal|)); slackness multiplies each
-    row dual by its row slack and each bound dual by its bound slack.  The
-    identity is basis-independent, so degenerate problems with multiple optima
-    still verify regardless of which optimal vertex the backend returned.
+    Both tests are relative (``DUALITY_TOL`` * (1 + |primal|)); slackness
+    multiplies each row dual by its row slack and each bound dual by its
+    bound slack.  The identity is basis-independent, so degenerate problems
+    with multiple optima still verify regardless of which optimal vertex the
+    backend returned.
     """
     if not cert.is_optimal:
         raise ValueError("strong duality can only be verified on an optimal certificate")
@@ -491,7 +479,7 @@ def verify_strong_duality(
     ))
     gap = abs(primal - dual)
     scale = 1.0 + abs(primal)
-    ok = gap <= gap_tol * scale and max_slack <= slack_tol * scale
+    ok = gap <= DUALITY_TOL * scale and max_slack <= DUALITY_TOL * scale
     return DualityReport(
         ok=ok,
         gap=gap,

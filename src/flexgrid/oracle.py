@@ -109,9 +109,11 @@ def verify_decision(
     depends on its target only through the order of its gains, so many
     targets share one dispatch.  The distinct profiles go through one
     stacked Newton solve and one matrix product of the linear model.
-    The families are ``bilevel.family_follower``'s at the decision's slots,
-    so a constant-q decision without q_set slots is checked with free q_gen,
-    the stronger adversary, as ``bilevel.feasibility_check`` screens it.
+    The families are ``bilevel.family_follower``'s at the decision's slots:
+    the context's own, so a verify after a solve on the same context
+    re-slots the solve's followers, and a constant-q decision without q_set
+    slots is checked with free q_gen, the stronger adversary, as
+    ``bilevel.feasibility_check`` screens it.
     """
     if not ctx.n:
         return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
@@ -340,13 +342,13 @@ def brute_force_worst_voltage(
     """The brute-force extreme of one scenario, read off its activation's grid.
 
     ``brute_force_extremes`` runs once per activation and is kept while the
-    context (the same object), its voltage limits, the mode, the
-    activation's band edge and the setpoint values stay the same; a call
-    that raises keeps nothing.
+    context (the same object, whose voltage limits cannot change), the
+    mode, the activation's band edge and the setpoint values stay the same;
+    a call that raises keeps nothing.
     """
     activation = scenario.activation
     edge = decision.dp_plus if activation == POSITIVE else decision.dp_minus
-    key = (ctx.v_min, ctx.v_max, mode, edge, tuple(sorted(decision.setpoints.items())))
+    key = (mode, edge, tuple(sorted(decision.setpoints.items())))
     held = _BRUTE_FORCE_MEMO.get(activation)
     if held is None or held[0] is not ctx or held[1] != key:
         extremes = brute_force_extremes(ctx, mode, decision, activation)

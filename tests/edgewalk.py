@@ -19,14 +19,14 @@ def scalar_edge_walk(mf, node, tol_abs):
     """Largest |band edge| keeping the follower's extreme |v| at ``node`` in
     band, signed like the family's far end (0 where the follower is out of
     band at zero)."""
-    ctx = mf.problem.ctx
-    scenario = mf.problem.scenario
+    problem = mf.problem
+    scenario = problem.scenario
     full = mf.slots[scenario.dp_slot]
     if full == 0.0:
         return 0.0
     sign = 1.0 if full > 0 else -1.0
     # The objective is sigma * |v|, so both extrema compare it from below.
-    c = (ctx.v_max if scenario.extremum == MAX_V else -ctx.v_min) + 1e-9
+    c = (problem.v_max if scenario.extremum == MAX_V else -problem.v_min) + 1e-9
     aim = c - 0.5 * EDGE_ROOT_TOL
 
     def value(s):

@@ -91,7 +91,7 @@ def solved_scenarios(random_batch, ieee13_runs):
 
     For the random batch that is all 4n scenarios per feeder; for the 13-node
     runs, the active follower set of each mode.  Entries are
-    (problem, scenario, slots, certificate) with only optimal statuses kept
+    (context, problem, scenario, slots, certificate) with only optimal statuses kept
     (an adversarial band can make isolated scenarios infeasible).
     """
     solved = []
@@ -101,14 +101,14 @@ def solved_scenarios(random_batch, ieee13_runs):
             problem, slots = _decision_problem(ctx, sc, mode, res.decision)
             cert = problem.solve(slots)
             if cert.is_optimal:
-                solved.append((problem, sc, slots, cert))
+                solved.append((ctx, problem, sc, slots, cert))
     ctx13, runs = ieee13_runs
     for mode, (res, _) in runs.items():
         for sc in res.followers:
             problem, slots = _decision_problem(ctx13, sc, mode, res.decision)
             cert = problem.solve(slots)
             if cert.is_optimal:
-                solved.append((problem, sc, slots, cert))
+                solved.append((ctx13, problem, sc, slots, cert))
     return solved
 
 
@@ -209,8 +209,8 @@ def test_strong_duality_holds_for_accepted_and_random_followers(
 ):
     # every follower solved at an accepted decision carries a tight certificate
     assert len(solved_scenarios) >= 80
-    for problem, sc, slots, cert in solved_scenarios:
-        rep = verify_strong_duality(problem.to_lp(slots), cert, gap_tol=1e-6)
+    for _, problem, sc, slots, cert in solved_scenarios:
+        rep = verify_strong_duality(problem.to_lp(slots), cert)
         assert rep.gap <= 1e-6 * (1.0 + abs(rep.primal_objective))
         assert rep.ok, (sc, rep.gap, rep.max_slackness)
 
@@ -236,7 +236,7 @@ def test_strong_duality_holds_for_accepted_and_random_followers(
         cert = solve_lp(lp)
         if cert.status != "optimal":
             continue
-        rep = verify_strong_duality(lp, cert, gap_tol=1e-6)
+        rep = verify_strong_duality(lp, cert)
         assert rep.gap <= 1e-6 * (1.0 + abs(rep.primal_objective))
         assert rep.ok, (rec["seed"], sc, rep.gap, rep.max_slackness)
         verified += 1
@@ -345,8 +345,8 @@ def test_linear_model_reproduces_every_anchor_exactly(ieee13_model, random_batch
 
 def test_activation_sign_rules_hold_in_every_solved_scenario(solved_scenarios):
     assert len(solved_scenarios) >= 80
-    for problem, sc, _, cert in solved_scenarios:
-        dev = problem.ctx.devices
+    for _, problem, sc, _, cert in solved_scenarios:
+        dev = problem.devices
         dpg = cert.x[problem.i_dpg(np.array(dev.inverter_nodes))]
         dpl = cert.x[problem.i_dpl(np.array(dev.load_nodes))]
         if sc.activation == POSITIVE:
@@ -360,7 +360,7 @@ def test_activation_sign_rules_hold_in_every_solved_scenario(solved_scenarios):
 def test_argmax_magnitudes_are_the_linear_flow_of_its_injections(solved_scenarios):
     """Every follower argmax carries the |v| profile its own injections give."""
     assert len(solved_scenarios) >= 80
-    for problem, sc, _, cert in solved_scenarios:
+    for ctx, problem, sc, _, cert in solved_scenarios:
         p, q = problem.injections(cert.x)
         vm = cert.x[problem.i_vm(np.arange(problem.n))]
-        assert np.max(np.abs(vm - linear_magnitudes(problem.ctx, p, q))) <= 1e-9, sc
+        assert np.max(np.abs(vm - linear_magnitudes(ctx, p, q))) <= 1e-9, sc

@@ -1,5 +1,7 @@
 """Worst-case screening, single-level ideal case, and the iterative driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -516,9 +518,10 @@ def test_a_run_materializes_each_family_follower_once(seed, z_scale, mode, monke
     assert len(built) == len(set(built)) == (8 if mode == MODE_CONSTANT_Q else 4)
     assert res.iterations == (1 if mode == MODE_VOLT_VAR else 2)
 
+    # A copy of the context holds no follower, so each use builds its own.
     family_follower = bilevel.family_follower
     monkeypatch.setattr(bilevel, "family_follower",
-                        lambda *args, built=None: family_follower(*args))
+                        lambda ctx, *args: family_follower(dataclasses.replace(ctx), *args))
     runs = len(built)
     fresh = run_iterative(ctx, mode)
     assert len(built) - runs > len(set(built))

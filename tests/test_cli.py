@@ -276,7 +276,7 @@ def test_stalled_loop_exit_code(pv_file, tmp_path, capsys, monkeypatch):
     """A re-screening that keeps reporting an active follower stops the loop
     below its cap; the console says it stalled, with the cap's exit code."""
 
-    def stuck(ctx, mode, decision, *, direction="both", built=None):
+    def stuck(ctx, mode, decision, *, direction="both"):
         k, family = bilevel.worst_case_limits(ctx, mode, direction=direction).binding_upper
         seeded = Scenario(node=k, activation=POSITIVE, extremum=family)
         return bilevel.FeasibilityReport(

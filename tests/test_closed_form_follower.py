@@ -386,7 +386,7 @@ def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatc
 def _cut_duals(problem, cert):
     """Largest |dual| a certificate puts on a capability row or a q_gen bound."""
     caps = [i for i, name in enumerate(problem.row_names) if name.startswith("cap_")]
-    qg = problem.i_qg(np.array(problem.ctx.devices.inverter_nodes))
+    qg = problem.i_qg(np.array(problem.devices.inverter_nodes))
     return max(np.max(np.abs(cert.row_duals[caps])),
                np.max(np.abs(cert.lower_duals[qg])), np.max(np.abs(cert.upper_duals[qg])))
 

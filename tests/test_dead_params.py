@@ -22,8 +22,6 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_KNOBS = {
     ("solve_single_level", "split"):
         "False runs the joint search alone, the reference the split solve is tested against",
-    ("verify_strong_duality", "gap_tol"): "test_lp tightens the duality check",
-    ("verify_strong_duality", "slack_tol"): "test_lp tightens the duality check",
     ("run_iterative", "node_limit"):
         "bench/run.py passes it through **limit, which this scan cannot see",
 }

@@ -49,8 +49,8 @@ TOL = 1e-6
 def _reference_bisection(mf, node, tol_abs):
     """Largest |band edge| keeping the follower's extreme |v| at ``node`` in band,
     by plain bisection on the monotone value function."""
-    ctx = mf.problem.ctx
-    scenario = mf.problem.scenario
+    problem = mf.problem
+    scenario = problem.scenario
     full = mf.slots[scenario.dp_slot]
 
     def ok(t):
@@ -58,8 +58,8 @@ def _reference_bisection(mf, node, tol_abs):
         assert vals.optimal.all()
         vm = scenario.sigma * float(vals.objective[0])
         if scenario.extremum == MAX_V:
-            return vm <= ctx.v_max + 1e-9
-        return vm >= ctx.v_min - 1e-9
+            return vm <= problem.v_max + 1e-9
+        return vm >= problem.v_min - 1e-9
 
     if full == 0.0:
         return 0.0
@@ -118,9 +118,7 @@ class StubFamily:
     def __init__(self, functions, full, extremum=MAX_V):
         activation = POSITIVE if full >= 0 else NEGATIVE
         scenario = Scenario(node=0, activation=activation, extremum=extremum)
-        self.problem = SimpleNamespace(
-            ctx=SimpleNamespace(v_min=V_MIN, v_max=V_MAX), scenario=scenario
-        )
+        self.problem = SimpleNamespace(v_min=V_MIN, v_max=V_MAX, scenario=scenario)
         self.slots = {scenario.dp_slot: full}
         self.functions = functions
         self.sign = 1.0 if full >= 0 else -1.0
@@ -167,9 +165,11 @@ def _assert_in_band(family, limits):
     Run after the evaluation counts are checked: it adds to them."""
     nodes = np.flatnonzero(limits)
     if nodes.size:
-        ctx, extremum = family.problem.ctx, family.problem.scenario.extremum
+        problem, extremum = family.problem, family.problem.scenario.extremum
         vals = family.values(nodes, limits[nodes])
-        assert np.all(vals.objective <= (ctx.v_max if extremum == MAX_V else -ctx.v_min) + 1e-9)
+        assert np.all(
+            vals.objective <= (problem.v_max if extremum == MAX_V else -problem.v_min) + 1e-9
+        )
 
 
 def _assert_safe_and_tight(root, result):

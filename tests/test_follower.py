@@ -1,5 +1,6 @@
 """Adversarial follower LPs: structure, anchor recovery, duals, sign rules."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,15 @@ def neutral_slots(problem):
 
 
 # --- scenario bookkeeping -------------------------------------------------
+
+
+def test_a_context_is_frozen(pv_ctx):
+    """What a context derives and keeps (sensitivities, followers) stays
+    valid: none of its fields can be reassigned."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pv_ctx.v_max = 1.05
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pv_ctx.devices = None
 
 
 def test_scenario_numbering_and_signs():

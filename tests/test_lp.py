@@ -135,7 +135,9 @@ def test_degenerate_optimum_verifies():
     lp.add_row({x: 1.0, y: 1.0}, LE, 1.0)
     cert = solve_lp(lp)
     assert cert.objective == pytest.approx(1.0, abs=1e-8)
-    rep = verify_strong_duality(lp, cert, gap_tol=1e-7, slack_tol=1e-7)
+    rep = verify_strong_duality(lp, cert)
+    scale = 1.0 + abs(rep.primal_objective)
+    assert rep.gap <= 1e-7 * scale and rep.max_slackness <= 1e-7 * scale, rep
     assert rep.ok, rep
 
 

@@ -1,7 +1,9 @@
 """Nonlinear re-validation: injections, Newton cross-checks, brute force."""
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from flexgrid.follower import (
     POSITIVE,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
+    FollowerProblem,
     Scenario,
     _FreeQ,
     _Knapsack,
@@ -54,6 +57,7 @@ from flexgrid.oracle import (
 )
 from flexgrid.powerflow import anchor_injections
 
+from corpus import corpus_context
 from randfeeders import random_context
 
 
@@ -186,6 +190,55 @@ def test_verify_decision_requires_all_slots(pv_tight_ctx):
     bare = UpperDecision(dp_plus=0.1, dp_minus=-0.1, setpoints={})
     with pytest.raises(OracleError, match="lacks slots"):
         verify_decision(pv_tight_ctx, MODE_CONSTANT_PF, bare)
+
+
+def _report_bits(report):
+    """Everything a report holds, with each float as its exact bits."""
+    checks = [
+        (c.scenario, *(float(v).hex() for v in (c.lp_vm, c.nl_vm, c.error, c.band_excess)))
+        for c in report.checks
+    ]
+    profiles = [report.profile_linear.tobytes(), report.profile_nonlinear.tobytes()]
+    extremes = report.max_error.hex(), report.max_band_excess.hex()
+    return checks, report.profile_scenario, profiles, extremes
+
+
+@pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR])
+def test_a_verify_after_a_run_re_slots_the_runs_followers(mode, monkeypatch):
+    """``verify_decision`` on the context a run solved materializes no
+    follower, and reports to the bit what a verify on a copy of the
+    context, which builds its own followers, reports."""
+    ctx = corpus_context(7210, 3.0, mode)
+    decision = run_iterative(ctx, mode).decision
+    made = []
+    materialize = FollowerProblem.materialize
+    monkeypatch.setattr(FollowerProblem, "materialize",
+                        lambda problem, slots: made.append(1) or materialize(problem, slots))
+    report = verify_decision(ctx, mode, decision)
+    assert made == []
+    fresh = verify_decision(dataclasses.replace(ctx), mode, decision)
+    assert len(made) == 4
+    assert _report_bits(report) == _report_bits(fresh)
+
+
+@pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR])
+def test_a_context_is_freed_by_its_last_reference(mode):
+    """A context that kept its followers through a run and a verify is freed
+    as soon as the last reference to it goes, without the cycle collector:
+    no follower refers back to it.  The run's and verify's results keep
+    no reference to it either."""
+    ctx = corpus_context(7210, 3.0, mode)
+    res = run_iterative(ctx, mode)
+    report = verify_decision(ctx, mode, res.decision)
+    assert ctx.followers
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert res.followers and report.checks
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +744,8 @@ def _fresh(ctx, mode, decision, scenario):
 @pytest.mark.parametrize("change", ["setpoints in place", "dp_plus", "v_max", "v_max in place"])
 def test_the_brute_force_memo_misses_on_any_changed_input(change):
     """A decision or context changed after a call gives what a memo-cleared
-    call gives, and not the answer kept for the old inputs."""
+    call gives, and not the answer kept for the old inputs.  A context's
+    limits cannot change in place: it is frozen."""
     ctx, solved = _solved(7205, MODE_VOLT_VAR)
     boxes = setpoint_boxes(ctx, MODE_VOLT_VAR)
     # Full droop authority, so that the droop and its v_max show.
@@ -706,9 +760,9 @@ def test_the_brute_force_memo_misses_on_any_changed_input(change):
     elif change == "v_max":
         ctx = dataclasses.replace(ctx, v_max=ctx.v_max + 0.02)
     else:
-        ctx = dataclasses.replace(ctx)
-        brute_force_worst_voltage(ctx, MODE_VOLT_VAR, decision, sc)
-        ctx.v_max += 0.02
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.v_max += 0.02
+        return
     after = brute_force_worst_voltage(ctx, MODE_VOLT_VAR, decision, sc)
     assert after != before
     assert after == _fresh(ctx, MODE_VOLT_VAR, decision, sc)
