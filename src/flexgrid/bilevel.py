@@ -108,11 +108,11 @@ class WorstCaseLimits:
 
     @property
     def range_upper(self) -> float:
-        return float(np.min(self.upper)) if self.upper.size else 0.0
+        return float(np.min(self.upper))
 
     @property
     def range_lower(self) -> float:
-        return float(np.max(self.lower)) if self.lower.size else 0.0
+        return float(np.max(self.lower))
 
     @property
     def binding_upper(self) -> tuple[int, str]:
@@ -125,6 +125,18 @@ class WorstCaseLimits:
         return k, self.lower_family[k]
 
 
+def _family_problem(
+    ctx: FlexContext, mode: str, activation: str, extremum: str, fix_q: bool,
+) -> tuple[FollowerProblem, MaterializedFollower | None]:
+    """The LP of one family and the follower ``ctx`` keeps for it: the kept
+    follower's problem, else a new one, whose node (0) is a stand-in, and None."""
+    mf = ctx.followers.get((mode, activation, extremum, fix_q))
+    if mf is not None:
+        return mf.problem, mf
+    sc = Scenario(node=0, activation=activation, extremum=extremum)
+    return build_follower(ctx, sc, mode, fix_q=fix_q), None
+
+
 def family_follower(
     ctx: FlexContext, mode: str, activation: str, extremum: str, slots: dict[str, float],
 ) -> MaterializedFollower:
@@ -135,13 +147,10 @@ def family_follower(
     once.  ``slots`` may carry more than the family reads (both band edges,
     say); whether constant-q followers hold q_gen at q_set is read off them
     (``fixes_q``).  The family is materialized once per context and kept
-    in ``ctx.followers``; every later call re-slots it.
+    in ``ctx.followers``, and nowhere else; every call after re-slots it.
     """
     key = (mode, activation, extremum, fixes_q(mode, slots))
-    mf = ctx.followers.get(key)
-    problem = mf.problem if mf is not None else build_follower(
-        ctx, Scenario(node=0, activation=activation, extremum=extremum), mode, fix_q=key[3]
-    )
+    problem, mf = _family_problem(ctx, *key)
     missing = [s for s in problem.slot_names if s not in slots]
     if missing:
         raise BilevelError(f"decision lacks slots required by followers: {missing}")
@@ -151,6 +160,14 @@ def family_follower(
     else:
         mf.set_slots(values)
     return mf
+
+
+def _by_family(followers: list[Scenario]) -> dict[tuple[str, str], list[int]]:
+    """The target nodes of ``followers`` by (activation, extremum) family, in order."""
+    families: dict[tuple[str, str], list[int]] = {}
+    for sc in followers:
+        families.setdefault((sc.activation, sc.extremum), []).append(sc.node)
+    return families
 
 
 def _walk(full: float, c: float, tol_abs: float):
@@ -268,8 +285,6 @@ def worst_case_limits(
     ``direction``.  The global safe range is (max of lower, min of upper).
     """
     check_anchor(ctx)
-    if ctx.n == 0:
-        raise BilevelError("feeder has no non-slack nodes")
     n = ctx.n
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
     tol_abs = EDGE_TOL_REL * max(dp_up, -dp_lo, 1e-12)
@@ -337,6 +352,9 @@ class FollowerBlock:
     """
 
     scenario: Scenario
+    # The family's problem, shared by its blocks: its ``scenario.node``,
+    # ``objective`` and ``to_lp`` are a stand-in node's, not the block's
+    # target, which only ``scenario`` gives.
     problem: FollowerProblem
     x_vars: np.ndarray  # kept follower variables
     x_cols: np.ndarray  # ... and their columns
@@ -379,7 +397,8 @@ def assemble_single_level(
     droop row holds the product q̄·|v_k|.  The other vm rows, their |v|
     columns, duals and dual rows drop out exactly (see ``FollowerBlock``).
     Each block is stacked from the follower's triplets as arrays, with one
-    ``add_vars`` and one ``add_rows`` call.
+    ``add_vars`` and one ``add_rows`` call; a family's blocks share its
+    ``_family_problem`` and read its objective and dual box at their node.
 
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
@@ -409,13 +428,15 @@ def assemble_single_level(
     capped_duals: list[int] = []
     # The blocks match the families the completion evaluates at these slots.
     fix_q = fixes_q(mode, sp_boxes)
+    problems = {f: _family_problem(ctx, mode, *f, fix_q)[0] for f in _by_family(followers)}
 
     for scenario in followers:
-        problem = build_follower(ctx, scenario, mode, fix_q=fix_q)
-        tag = f"s{scenario.number}k{scenario.node}"
+        problem = problems[scenario.activation, scenario.extremum]
+        node = scenario.node
+        tag = f"s{scenario.number}k{node}"
         # The |v| read here: the target's (objective, band rows) and, in
         # volt-var, the droop rows' at the inverter nodes (``FollowerBlock``).
-        read = {scenario.node}
+        read = {node}
         if mode == MODE_VOLT_VAR:
             read.update(ctx.devices.inverter_nodes)
         unread = np.array([j for j in range(problem.n) if j not in read], dtype=np.int64)
@@ -444,7 +465,7 @@ def assemble_single_level(
         relations = [problem.relations[r] for r in kept.tolist()]
         row_names = [problem.row_names[r] for r in kept.tolist()]
         rel = np.array(relations)
-        derived = problem.dual_box(sp_boxes)[kept]
+        derived = problem.dual_box(sp_boxes, node)[kept]
         capped = has_product[kept] & np.isinf(derived)
         lim = np.where(capped, LAMBDA_CAP, derived)
         finite = np.column_stack([np.isfinite(lb), np.isfinite(ub)]).ravel()
@@ -470,14 +491,15 @@ def assemble_single_level(
         sd = n_k + n_x
         t = keep_r[problem.a_row]
         a_row, a_col, a_val = problem.a_row[t], problem.a_col[t], problem.a_val[t]
-        c_obj = problem.objective
+        c_obj = np.zeros(problem.n_vars)  # σ at the target's |v|
+        c_obj[problem.i_vm(node)] = scenario.sigma
         obj, nz_rhs = np.flatnonzero(c_obj), kept[problem.rhs[kept] != 0.0]
         u_nz, l_nz = problem.ub[zu_var] != 0.0, problem.lb[zl_var] != 0.0
         sd_cols = np.concatenate([x_col[obj], d_col[nz_rhs], zu[u_nz], zl[l_nz]])
         sd_vals = np.concatenate([
             c_obj[obj], -problem.rhs[nz_rhs], -problem.ub[zu_var[u_nz]], problem.lb[zl_var[l_nz]],
         ])
-        vm_col = x_col[problem.i_vm(scenario.node)]
+        vm_col = x_col[problem.i_vm(node)]
         entries = [
             (r_pos[a_row], x_col[a_col], a_val),
             ([r_pos[r] for r, _, _ in rhs_slots], [upper_vars[s] for _, s, _ in rhs_slots],
@@ -528,28 +550,8 @@ def _decision_from_x(slmap: SingleLevelMap, x: np.ndarray) -> UpperDecision:
     )
 
 
-Families = dict[tuple[str, str], MaterializedFollower]
-
-
-def _family_followers(
-    ctx: FlexContext, mode: str, followers: list[Scenario], slots: dict[str, float],
-) -> Families:
-    """One materialized follower per (activation, extremum) family of ``followers``.
-
-    Each follower's LP is its family's LP with the follower's node as
-    objective, so the single-level heuristics re-slot these instead of
-    rebuilding.
-    """
-    keys = dict.fromkeys((sc.activation, sc.extremum) for sc in followers)
-    return {
-        (activation, extremum): family_follower(ctx, mode, activation, extremum, slots)
-        for activation, extremum in keys
-    }
-
-
 def _complete_point(
-    slmap: SingleLevelMap,
-    families: Families,
+    slmap: SingleLevelMap, mode: str,
     decision_slots: dict[str, float],
     lb: np.ndarray,
     ub: np.ndarray,
@@ -568,15 +570,15 @@ def _complete_point(
     x = np.zeros(lb.shape[0])
     for name, vi in slmap.upper_vars.items():
         x[vi] = decision_slots[name]
-    for family, mf in families.items():
-        mf.set_slots(decision_slots)
+    for family in _by_family([b.scenario for b in slmap.blocks]):
         blocks = [b for b in slmap.blocks if (b.scenario.activation, b.scenario.extremum) == family]
+        mf = family_follower(ctx, mode, *family, decision_slots)
         vals = mf.values([b.scenario.node for b in blocks])
         for i, block in enumerate(blocks):
             cert = mf.certificate(vals, i)
             if cert.status != OPTIMAL:
                 return None
-            vm = block.problem.worst_voltage(cert)
+            vm = mf.problem.worst_voltage(cert)
             if vm > ctx.v_max + 1e-9 or vm < ctx.v_min - 1e-9:
                 return None
             # Only the kept entries: the dropped rows' duals are 0 (see
@@ -591,14 +593,14 @@ def _complete_point(
 
 
 def _edge_limited_decision(
-    families: Families,
-    followers: list[Scenario],
+    ctx: FlexContext, mode: str,
+    families: dict[tuple[str, str], list[int]],
     setpoints: dict[str, float],
     dp_box: tuple[float, float],
     tol_abs: float,
 ) -> dict[str, float] | None:
     """Largest feasible band edges for fixed setpoints, within ``dp_box``
-    (Δp_lower, Δp_upper).
+    (Δp_lower, Δp_upper), for the target nodes ``families`` holds.
 
     Feasibility decomposes by direction: positive followers only see the
     upper edge and negative followers the lower one, so each edge is the
@@ -611,23 +613,22 @@ def _edge_limited_decision(
     dp_lo, dp_up = dp_box
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
     t_pos, t_neg = dp_up, dp_lo
-    try:
-        for family, mf in families.items():
-            mf.set_slots(slots)
-            nodes = [sc.node for sc in followers if (sc.activation, sc.extremum) == family]
+    for (activation, extremum), nodes in families.items():
+        mf = family_follower(ctx, mode, activation, extremum, slots)
+        try:
             edges = _edge_walk(mf, nodes, tol_abs).tolist()
-            if family[0] == POSITIVE:
-                t_pos = min([t_pos, *edges])
-            else:
-                t_neg = max([t_neg, *edges])
-    except BilevelError:
-        return None
+        except BilevelError:
+            return None
+        if activation == POSITIVE:
+            t_pos = min([t_pos, *edges])
+        else:
+            t_neg = max([t_neg, *edges])
     return {**setpoints, SLOT_DP_PLUS: max(t_pos, 0.0), SLOT_DP_MINUS: min(t_neg, 0.0)}
 
 
 def _could_widen(
-    families: Families,
-    followers: list[Scenario],
+    ctx: FlexContext, mode: str,
+    families: dict[tuple[str, str], list[int]],
     setpoints: dict[str, float],
     dp_box: tuple[float, float],
     floor: float,
@@ -645,17 +646,16 @@ def _could_widen(
     ``floor``.
     """
     dp_lo, dp_up = dp_box
-    need = {POSITIVE: floor + dp_lo, NEGATIVE: dp_up - floor}
+    need = {POSITIVE: (floor + dp_lo, dp_up), NEGATIVE: (dp_up - floor, dp_lo)}  # (edge, far end)
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
-    for family, mf in families.items():
-        edge, far = need[family[0]], slots[mf.problem.scenario.dp_slot]
+    for (activation, extremum), nodes in families.items():
+        edge, far = need[activation]
         if edge * far <= 0.0:
             continue
         if abs(edge) >= abs(far):
             return False
-        mf.set_slots(slots)
-        vals = mf.values([sc.node for sc in followers if (sc.activation, sc.extremum) == family],
-                         edge)
+        mf = family_follower(ctx, mode, activation, extremum, slots)
+        vals = mf.values(nodes, edge)
         if vals.optimal.all() and (vals.objective > _band_cap(mf)).any():
             return False
     return True
@@ -725,8 +725,9 @@ def solve_single_level(
     the positive half draws first, the negative half gets the rest, the
     joint search what is left after both.  A family's walk at a setpoint
     set is made once per solve, over the presolve and every search's node
-    hook.  ``split=False`` runs the joint search alone: it is the
-    reference the tests hold the split solve to.
+    hook, each step taking the family's follower from ``family_follower``.
+    ``split=False`` runs the joint search alone: it is the reference the
+    tests hold the split solve to.
 
     The capped duals (constant-pf's pfq duals and every volt-var dual
     that meets a slot in a product) sit in a ±``LAMBDA_CAP`` box, a big-M
@@ -744,23 +745,20 @@ def solve_single_level(
     dp_box = available_flexibility_bounds(ctx.devices)
     dp_span = dp_box[1] - dp_box[0]
     tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
-    # Any in-box slot values will do: every use re-slots the followers first.
-    families = _family_followers(ctx, mode, followers, {
-        SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: dp_box[0], **{n: lo for n, (lo, _) in boxes.items()},
-    })
+    families = _by_family(followers)
     # The relaxations keep landing on the same box vertices (often the
     # presolve's, or the other half's), and a family's walk depends on the
     # setpoints alone: walk each family once at each set.
     walks: dict[tuple, dict[str, float] | None] = {}
 
-    def walk(fams: Families, setpoints: dict[str, float]) -> dict[str, float] | None:
+    def walk(fams: dict, setpoints: dict[str, float]) -> dict[str, float] | None:
         """The widest safe band edges at ``setpoints`` for the families
         ``fams``; an edge none of them reads stays at its box end."""
         key = tuple(setpoints.values())
         for family in fams:
             if (family, key) not in walks:
                 walks[family, key] = _edge_limited_decision(
-                    {family: families[family]}, followers, setpoints, dp_box, tol_abs
+                    ctx, mode, {family: families[family]}, setpoints, dp_box, tol_abs
                 )
         edges = [walks[family, key] for family in fams]
         if None in edges:
@@ -777,7 +775,7 @@ def solve_single_level(
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up, capped = slmap.upper_vars, slmap.capped_duals
         derived = np.setdiff1d(slmap.product_duals, capped)
-        fams = {f: families[f] for f in dict.fromkeys((sc.activation, sc.extremum) for sc in subset)}
+        fams = _by_family(subset)
         points: dict[tuple[float, ...], np.ndarray | None] = {}
         left_box = False
 
@@ -788,7 +786,7 @@ def solve_single_level(
             key = tuple(setpoints.values())
             if key not in points:
                 decision = walk(fams, setpoints)
-                x = None if decision is None else _complete_point(slmap, fams, decision, lb, ub)
+                x = None if decision is None else _complete_point(slmap, mode, decision, lb, ub)
                 if x is not None:
                     left_box |= bool(np.any(np.abs(x[capped]) > LAMBDA_CAP))
                     # A derived box holds every certificate, so no completion may
@@ -809,7 +807,7 @@ def solve_single_level(
                 for name in slmap.setpoint_slots
             }
             if (floor is not None and tuple(setpoints.values()) not in points
-                    and not _could_widen(fams, followers, setpoints, dp_box, floor)):
+                    and not _could_widen(ctx, mode, fams, setpoints, dp_box, floor)):
                 return None  # no walk there can beat the floor
             return walk_once(setpoints)
 
@@ -1005,9 +1003,9 @@ def run_iterative(
     and volt-var's only), is feasible but unproven.  A re-screening
     that finds only followers already active ends the loop early
     (``stalled``): solving again would give the same decision.  Each
-    (activation, extremum) family follower, with q_gen held or free, is
-    materialized once per context and re-slotted for the screening, every
-    single-level solve and every re-screening (``family_follower``).
+    (activation, extremum) family follower (``family_follower``), q_gen held
+    or free, is made once per context, re-slotted by the screening, every
+    single-level solve and re-screening, and read by every assembly.
     """
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")

@@ -214,10 +214,10 @@ def load_feeder(source) -> FeederModel:
 
     ``source`` may be a path to a JSON file or an already-decoded dict.
     Validation covers referential integrity (bus names, phase presence),
-    slack completeness, per-phase connectivity to the slack, consistency of
-    co-located devices, finite numbers and invertible segment impedance
-    blocks.  Load lower bounds are clamped at zero draw: a load cannot turn
-    into an injector.
+    slack completeness, a bus beyond the slack, per-phase connectivity to
+    the slack, consistency of co-located devices, finite numbers and
+    invertible segment impedance blocks.  Load lower bounds are clamped at
+    zero draw: a load cannot turn into an injector.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -256,6 +256,7 @@ def load_feeder(source) -> FeederModel:
         by_id[slack].phases == PHASES,
         f"slack bus {slack!r} must carry all three phases",
     )
+    _require(len(buses) > 1, "feeder has no non-slack nodes: no device can offer flexibility")
 
     segments: list[Segment] = []
     for i, rec in _records(doc, "segments", "segment"):

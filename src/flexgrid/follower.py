@@ -223,8 +223,8 @@ def build_devices(model: FeederModel, index: BusPhaseIndex | None = None) -> Nod
 class FlexContext:
     """Everything the flexibility problems need about one feeder state.
 
-    Frozen: what is derived from it and kept on it (``sensitivities``, the
-    family ``followers``) stays valid as long as the context lives."""
+    Frozen: what is derived from it and kept on it (``sensitivities``,
+    ``followers``, ``brute_force``) stays valid as long as the context lives."""
 
     feeder: FeederModel
     index: BusPhaseIndex
@@ -267,9 +267,13 @@ class FlexContext:
     @cached_property
     def followers(self) -> dict[tuple[str, str, str, bool], MaterializedFollower]:
         """The family followers made on this context, by (mode, activation,
-        extremum, ``fixes_q``); ``bilevel.family_follower`` fills it and
-        re-slots what it finds there.  No follower refers back to the
-        context, so holding them here makes no reference cycle."""
+        extremum, ``fixes_q``), as ``bilevel.family_follower`` fills and
+        re-slots it; none refers back to the context (no reference cycle)."""
+        return {}
+
+    @cached_property
+    def brute_force(self) -> dict[str, tuple]:
+        """``oracle.brute_force_worst_voltage``'s memo: activation -> (arguments, extremes)."""
         return {}
 
 
@@ -376,7 +380,8 @@ class FollowerProblem:
     node, its mode rows (pfq; cq_hi, cq_lo and with ``fix_q`` qfix; or vv)
     and agg.  Row r is ``row_names[r]``: the triplets (``a_row``, ``a_col``,
     ``a_val``) with ``a_row == r``, ``relations[r]``, ``rhs[r]`` and its
-    slot terms.  The closed forms, ``to_lp`` and the single level read it.
+    slot terms.  The closed forms, ``to_lp`` and the single level read it,
+    and only ``objective`` reads the scenario's node: a family shares it.
     """
 
     def __init__(self, ctx: FlexContext, scenario: Scenario, mode: str, *, fix_q: bool = False):
@@ -613,9 +618,9 @@ class FollowerProblem:
         """Optimal |v| at the scenario's node (undo the min-objective sign)."""
         return self.scenario.sigma * cert.objective
 
-    def dual_box(self, boxes: dict[str, tuple[float, float]]) -> np.ndarray:
+    def dual_box(self, boxes: dict[str, tuple[float, float]], node: int) -> np.ndarray:
         """Bounds on |dual| per row that every closed-form certificate for
-        the scenario's target t keeps at any band edge and any setpoints in
+        target t = ``node`` keeps at any band edge and any setpoints in
         ``boxes``; inf on the rows without one.  Constant-pf bounds agg,
         fixed-q constant-q agg and qfix; free-q constant-q and volt-var
         bound nothing.
@@ -638,7 +643,7 @@ class FollowerProblem:
         these modes, so the box holds one optimal dual at every decision,
         and boxing the single level by it cuts off no decision.
         """
-        t, m = self.scenario.node, self.inv.size
+        t, m = node, self.inv.size
         box = np.full(self.n_rows, np.inf)
         fixed_q = self.mode == MODE_CONSTANT_Q and self.fix_q
         if self.mode != MODE_CONSTANT_PF and not fixed_q:

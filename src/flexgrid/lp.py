@@ -20,9 +20,9 @@ builds it directly.  Rows are folded only on the way into scipy's
 ``linprog``, which takes <= and = rows: ``solve_materialized`` negates the
 >= rows there and undoes the negation on the duals.  ``solve_lp`` solves a
 ``RangedLP`` primal-only, with no duals on the certificate, after checking
-it for NaN and infinite entries.  A bare solve runs on one HiGHS instance
-the module keeps and passes the whole model, which drops the previous
-model and basis, so it starts cold.  A solve on a ``KeptModel`` (the
+it for NaN and infinite entries.  A bare solve takes a spare HiGHS
+instance (``_spare_highs``, else a new one), passes it the whole model,
+so it starts cold, and hands it back.  A solve on a ``KeptModel`` (the
 branch-and-bound keeps one per search) writes only what differs from the
 LP that model holds and re-solves warm from a basis an earlier solve left.
 """
@@ -342,7 +342,7 @@ class KeptModel:
 
     An LP that comes without a basis, or whose sense, shape, objective or
     sparsity pattern differs from the held one, is passed whole and solved
-    cold with HiGHS defaults; a bare ``solve_lp`` solves on a fresh one.
+    cold with HiGHS defaults, as a bare ``solve_lp`` does on its own one.
     Any other LP changes the held model where it differs (column bounds,
     matrix entries, row bounds) and is re-solved from ``basis``, which
     ``basis()`` gave after an earlier solve, with presolve off (on the

@@ -12,7 +12,6 @@ stacks of injection profiles rather than one profile at a time.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +114,6 @@ def verify_decision(
     slots is checked with free q_gen, the stronger adversary, as
     ``bilevel.feasibility_check`` screens it.
     """
-    if not ctx.n:
-        return OracleReport(checks=[], max_error=0.0, max_band_excess=-math.inf)
     nodes = np.arange(ctx.n)
     scenarios: list[Scenario] = []
     lp_vm: list[np.ndarray] = []
@@ -329,31 +326,23 @@ def brute_force_extremes(
     )
 
 
-# Per activation, the last ``brute_force_extremes`` result with the context
-# it was computed on and every other argument its grid read.  ``all_scenarios``
-# orders scenarios node -> activation -> extremum, so one entry per
-# activation serves a whole loop over them with one grid each.
-_BRUTE_FORCE_MEMO: dict[str, tuple[FlexContext, tuple, ActivationExtremes]] = {}
-
-
 def brute_force_worst_voltage(
     ctx: FlexContext, mode: str, decision: UpperDecision, scenario: Scenario
 ) -> BruteForceResult:
     """The brute-force extreme of one scenario, read off its activation's grid.
 
-    ``brute_force_extremes`` runs once per activation and is kept while the
-    context (the same object, whose voltage limits cannot change), the
-    mode, the activation's band edge and the setpoint values stay the same;
-    a call that raises keeps nothing.
+    ``brute_force_extremes`` runs once per activation and is kept in
+    ``ctx.brute_force`` while the mode, the activation's band edge and the
+    setpoint values stay the same (the context is frozen); a call that
+    raises keeps nothing.  One grid per activation serves a whole loop over
+    ``all_scenarios``, which orders node -> activation -> extremum.
     """
     activation = scenario.activation
     edge = decision.dp_plus if activation == POSITIVE else decision.dp_minus
     key = (mode, edge, tuple(sorted(decision.setpoints.items())))
-    held = _BRUTE_FORCE_MEMO.get(activation)
-    if held is None or held[0] is not ctx or held[1] != key:
-        extremes = brute_force_extremes(ctx, mode, decision, activation)
-        held = _BRUTE_FORCE_MEMO[activation] = (ctx, key, extremes)
-    extremes = held[2]
+    if activation not in ctx.brute_force or ctx.brute_force[activation][0] != key:
+        ctx.brute_force[activation] = (key, brute_force_extremes(ctx, mode, decision, activation))
+    extremes = ctx.brute_force[activation][1]
     return BruteForceResult(
         scenario=scenario,
         vm_nonlinear=float(extremes.vm_nonlinear[scenario.extremum][scenario.node]),

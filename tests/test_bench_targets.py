@@ -59,7 +59,7 @@ def test_traced_oracle_run_serializes():
     scenarios = (Scenario(0, POSITIVE, MAX_V), Scenario(ctx.n - 1, POSITIVE, MIN_V))
 
     def traced(case):
-        oracle._BRUTE_FORCE_MEMO.clear()
+        ctx.brute_force.clear()
         tracer = tracing.Tracer()
         tracer.install()
         try:

@@ -28,8 +28,8 @@ from flexgrid.bilevel import (
 # Bound at import, so the oracle below is the walk as the module defines it
 # even while a test patches ``bilevel._edge_limited_decision`` to record.
 from flexgrid.bilevel import _edge_limited_decision as walk_oracle
-from flexgrid.bilevel import _could_widen, _family_followers
-from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
+from flexgrid.bilevel import _by_family, _could_widen
+from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR, FeederError
 from flexgrid.follower import (
     MAX_V,
     MIN_V,
@@ -67,9 +67,8 @@ def test_slack_only_feeder_has_no_flexibility_problem():
         "buses": [{"id": "s", "phases": "abc"}],
         "segments": [], "loads": [], "inverters": [],
     }
-    ctx = build_context(load_feeder(doc))
-    with pytest.raises(BilevelError, match="no non-slack nodes"):
-        run_iterative(ctx, MODE_CONSTANT_PF)
+    with pytest.raises(FeederError, match="no non-slack nodes"):
+        load_feeder(doc)
 
 
 def test_setpoint_boxes_per_mode(pv_ctx):
@@ -228,8 +227,10 @@ def test_single_level_solution_is_clean(pv_tight_ctx):
 
 def _lift_block(block, x):
     """A single-level block lifted into its follower's full LP: the dropped
-    |v_j| rebuilt from the sensitivities, the dropped rows' duals 0."""
-    p = block.problem
+    |v_j| rebuilt from the sensitivities, the dropped rows' duals 0.  The
+    block's problem is its family's, so the objective is read at the
+    block's own target."""
+    p, sc = block.problem, block.scenario
     xf = np.zeros(p.n_vars)
     xf[block.x_vars] = x[block.x_cols]
     dpg, dpl, qg = xf[p.i_dpg(p.inv)], xf[p.i_dpl(p.loads)], xf[p.i_qg(p.inv)]
@@ -242,7 +243,7 @@ def _lift_block(block, x):
     lower[block.zl_vars] = -x[block.zl_cols]
     upper[block.zu_vars] = x[block.zu_cols]
     return DualCertificate(
-        status=OPTIMAL, objective=float(p.objective @ xf), x=xf,
+        status=OPTIMAL, objective=float(sc.sigma * xf[p.i_vm(sc.node)]), x=xf,
         row_duals=row_duals, lower_duals=lower, upper_duals=upper,
     )
 
@@ -268,9 +269,10 @@ def test_reduced_blocks_lift_to_certified_follower_optima(
 ):
     """Each block keeps the vm rows of the |v| the single level reads: the
     target's, and in volt-var every inverter node's.  Lifted into the
-    follower's own LP (``to_lp``, which the assembly does not use), each
-    block of the joint search's incumbent is primal feasible, dual feasible
-    and passes the strong-duality check: dropping the rest was exact."""
+    follower's own LP (``to_lp`` of a problem built for the block's
+    scenario, which the assembly does not use), each block of the joint
+    search's incumbent is primal feasible, dual feasible and passes the
+    strong-duality check: dropping the rest was exact."""
     ctx = request.getfixturevalue(ctx_name)
     followers = followers(ctx)
     if fixed:
@@ -286,7 +288,8 @@ def test_reduced_blocks_lift_to_certified_follower_optima(
         want = {node} | (inverters if mode == MODE_VOLT_VAR else set())
         assert sorted(vm_rows) == sorted(f"vm[{k}]" for k in want)
 
-        lp = p.to_lp({s: slots[s] for s in p.slot_names})
+        own = build_follower(ctx, block.scenario, mode, fix_q=p.fix_q)
+        lp = own.to_lp({s: slots[s] for s in own.slot_names})
         cert = _lift_block(block, res.bnb.x)
         x = cert.x
         A = np.array([lp.row_dense(r) for r in range(lp.n_rows)])
@@ -493,6 +496,63 @@ def test_the_active_set_grows_by_the_rescreen_violators(ieee13_model, monkeypatc
     assert len(res.followers) == 9
 
 
+@pytest.mark.parametrize("mode, fix_q", [
+    (MODE_CONSTANT_PF, False), (MODE_CONSTANT_Q, False), (MODE_CONSTANT_Q, True),
+    (MODE_VOLT_VAR, False),
+])
+def test_a_follower_problem_reads_its_node_only_in_the_objective(pv_tight_ctx, mode, fix_q):
+    """The followers of one (activation, extremum) family build equal
+    triplets, right-hand sides, bounds, relations, row names and slot
+    terms at every target node: only the objective reads the node, so the
+    family's blocks can share one problem."""
+    ctx = pv_tight_ctx
+    for activation in (POSITIVE, NEGATIVE):
+        for extremum in (MIN_V, MAX_V):
+            problems = [build_follower(ctx, Scenario(k, activation, extremum), mode, fix_q=fix_q)
+                        for k in range(ctx.n)]
+            first = problems[0]
+            for p in problems[1:]:
+                for name in ("a_row", "a_col", "a_val", "rhs", "lb", "ub"):
+                    assert np.array_equal(getattr(p, name), getattr(first, name)), name
+                for name in ("relations", "row_names", "coeff_slots", "rhs_slots", "slot_names"):
+                    assert getattr(p, name) == getattr(first, name), name
+                assert np.flatnonzero(p.objective).tolist() == [p.i_vm(p.scenario.node)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_assembly_builds_at_most_one_problem_per_family(pv_tight_ctx, mode, monkeypatch):
+    """The blocks of one (activation, extremum) family share one
+    ``FollowerProblem``: an assembly over all 4n followers of a context
+    that keeps no follower builds one per family, and one on a context
+    that keeps the family followers builds none and reads their problems."""
+    builds = []
+    build = bilevel.build_follower
+
+    def counted(ctx, scenario, *args, **kwargs):
+        builds.append(scenario)
+        return build(ctx, scenario, *args, **kwargs)
+
+    monkeypatch.setattr(bilevel, "build_follower", counted)
+    ctx = dataclasses.replace(pv_tight_ctx)
+    followers = all_scenarios(ctx.n)
+    assert ctx.n > 1
+    families = _by_family(followers)
+    _, slmap = assemble_single_level(ctx, mode, followers)
+    assert len(builds) == len(families) == 4
+    # One problem per family: four (family, problem) pairs over the blocks.
+    assert len({(b.scenario.activation, b.scenario.extremum, id(b.problem))
+                for b in slmap.blocks}) == 4
+
+    boxes = setpoint_boxes(ctx, mode)
+    slots = {SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0, **{name: lo for name, (lo, _) in boxes.items()}}
+    kept = {family: bilevel.family_follower(ctx, mode, *family, slots) for family in families}
+    builds.clear()
+    _, slmap = assemble_single_level(ctx, mode, followers)
+    assert builds == []
+    assert all(b.problem is kept[b.scenario.activation, b.scenario.extremum].problem
+               for b in slmap.blocks)
+
+
 @pytest.mark.parametrize("seed, z_scale, mode", [
     (7200, 3.0, MODE_CONSTANT_PF),
     (7210, 3.0, MODE_CONSTANT_Q),
@@ -537,7 +597,7 @@ def test_direction_filter_restricts_the_follower_pool(pv_tight_ctx):
     assert res.converged
 
 
-def _completed_from_own_solves(slmap, families, decision, lb, ub):
+def _completed_from_own_solves(slmap, mode, decision, lb, ub):
     """The single-level point at ``decision``, one block at a time from the
     block's own ``solve`` at the decision's edge, entry by entry (None where
     a follower fails or leaves the band)."""
@@ -547,8 +607,7 @@ def _completed_from_own_solves(slmap, families, decision, lb, ub):
         x[vi] = decision[name]
     for block in slmap.blocks:
         sc = block.scenario
-        mf = families[(sc.activation, sc.extremum)]
-        mf.set_slots(decision)
+        mf = bilevel.family_follower(ctx, mode, sc.activation, sc.extremum, decision)
         cert = mf.solve(node=sc.node, dp_bound=decision[sc.dp_slot])
         vm = block.problem.worst_voltage(cert) if cert.status == OPTIMAL else np.nan
         if not ctx.v_min - 1e-9 <= vm <= ctx.v_max + 1e-9:
@@ -571,12 +630,7 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
     call per family and no ``solve`` call beyond the fallback rows, and its
     point is, bit for bit, the one assembled from each block's own solve at
     the decision's edge."""
-    from flexgrid.bilevel import (
-        EDGE_TOL_REL,
-        _complete_point,
-        _edge_limited_decision,
-        _family_followers,
-    )
+    from flexgrid.bilevel import EDGE_TOL_REL, _complete_point, _edge_limited_decision
     from flexgrid.follower import MaterializedFollower
 
     calls = {"values": 0, "solve": 0, "fallback": 0}
@@ -604,12 +658,12 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up = slmap.upper_vars
         dp_box = (lb[up[SLOT_DP_MINUS]], ub[up[SLOT_DP_PLUS]])
-        families = _family_followers(ctx, mode, followers, {n: float(lb[vi]) for n, vi in up.items()})
+        families = _by_family(followers)
         boxes = setpoint_boxes(ctx, mode)
         for _ in range(10):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
             decision = _edge_limited_decision(
-                families, followers, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
+                ctx, mode, families, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
             )
             if decision is None:
                 continue
@@ -618,10 +672,10 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(MaterializedFollower, "values", count_values)
                 m.setattr(MaterializedFollower, "solve", count_solve)
-                x = _complete_point(slmap, families, decision, lb, ub)
+                x = _complete_point(slmap, mode, decision, lb, ub)
             assert calls["values"] == len(families)
             assert calls["solve"] == calls["fallback"]
-            want = _completed_from_own_solves(slmap, families, decision, lb, ub)
+            want = _completed_from_own_solves(slmap, mode, decision, lb, ub)
             assert x is not None and want is not None
             assert np.array_equal(x, want)
             completed += 1
@@ -634,7 +688,7 @@ def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mo
     from a family's one ``values`` call at the decision is, bit for bit, the
     follower's own solve at the decision's edge; on feeders whose walks stop
     inside the availability box."""
-    from flexgrid.bilevel import EDGE_TOL_REL, _edge_limited_decision, _family_followers
+    from flexgrid.bilevel import EDGE_TOL_REL, _edge_limited_decision
 
     rng = np.random.default_rng(17)
     contexts = [pv_tight_ctx] + [
@@ -648,21 +702,21 @@ def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mo
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up = slmap.upper_vars
         dp_box = (lb[up[SLOT_DP_MINUS]], ub[up[SLOT_DP_PLUS]])
-        families = _family_followers(ctx, mode, followers, {n: float(lb[vi]) for n, vi in up.items()})
+        families = _by_family(followers)
         boxes = setpoint_boxes(ctx, mode)
         for _ in range(10):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
             decision = _edge_limited_decision(
-                families, followers, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
+                ctx, mode, families, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
             )
             if decision is None:
                 continue
             inside += (decision[SLOT_DP_PLUS] < dp_box[1]) + (decision[SLOT_DP_MINUS] > dp_box[0])
-            for (activation, extremum), mf in families.items():
-                mf.set_slots(decision)
-                fam = [sc for sc in followers if (sc.activation, sc.extremum) == (activation, extremum)]
-                vals = mf.values([sc.node for sc in fam])
-                for i, sc in enumerate(fam):
+            for (activation, extremum), nodes in families.items():
+                mf = bilevel.family_follower(ctx, mode, activation, extremum, decision)
+                vals = mf.values(nodes)
+                for i, node in enumerate(nodes):
+                    sc = Scenario(node, activation, extremum)
                     cert = mf.certificate(vals, i)
                     want = mf.solve(node=sc.node, dp_bound=decision[sc.dp_slot])
                     assert (cert.status, cert.objective, cert.method) == (
@@ -745,14 +799,14 @@ def _recorded_walks(monkeypatch):
 
     walk = bilevel._edge_limited_decision
 
-    def count_walk(families, followers, setpoints, *args):
+    def count_walk(ctx, mode, families, setpoints, *args):
         walks.extend((family, tuple(setpoints.values()), current) for family in families)
-        return walk(families, followers, setpoints, *args)
+        return walk(ctx, mode, families, setpoints, *args)
 
     could_widen = bilevel._could_widen
 
-    def record_check(families, followers, setpoints, dp_box, floor):
-        could = could_widen(families, followers, setpoints, dp_box, floor)
+    def record_check(ctx, mode, families, setpoints, dp_box, floor):
+        could = could_widen(ctx, mode, families, setpoints, dp_box, floor)
         searches[-1][5].append((tuple(setpoints.values()), floor, could))
         return could
 
@@ -771,13 +825,12 @@ def _skipped_walks_cannot_beat(ctx, mode, followers, searches):
     tol_abs = EDGE_TOL_REL * (dp_box[1] - dp_box[0])
     skipped = []
     for slmap, lb, _, activations, _, checks in searches:
-        subset = [sc for sc in followers if sc.activation in activations]
-        fams = _family_followers(ctx, mode, subset, {n: float(lb[vi]) for n, vi in slmap.upper_vars.items()})
+        fams = _by_family([sc for sc in followers if sc.activation in activations])
         for key, floor, could in checks:
             if could:
                 continue
             setpoints = dict(zip(slmap.setpoint_slots, key))
-            d = walk_oracle(fams, followers, setpoints, dp_box, tol_abs)
+            d = walk_oracle(ctx, mode, fams, setpoints, dp_box, tol_abs)
             assert d is None or d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS] <= floor, (key, floor)
             skipped.append(key)
     return skipped
@@ -858,12 +911,7 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
     |band edge|, so whenever in-box edges keep every follower in band, the
     walk at the same setpoints reaches them (within its tolerance): a
     completion at raw relaxation edges would add no incumbent."""
-    from flexgrid.bilevel import (
-        EDGE_TOL_REL,
-        _complete_point,
-        _edge_limited_decision,
-        _family_followers,
-    )
+    from flexgrid.bilevel import EDGE_TOL_REL, _complete_point, _edge_limited_decision
 
     rng = np.random.default_rng(11)
     contexts = [pv_tight_ctx] + [
@@ -877,16 +925,17 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
         up = slmap.upper_vars
         dp_up, dp_lo = ub[up[SLOT_DP_PLUS]], lb[up[SLOT_DP_MINUS]]
         tol_abs = EDGE_TOL_REL * (dp_up - dp_lo)
-        families = _family_followers(ctx, mode, followers, {n: float(lb[vi]) for n, vi in up.items()})
         boxes = setpoint_boxes(ctx, mode)
         for _ in range(30):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
             raw = {**setpoints, SLOT_DP_PLUS: float(rng.uniform(0.0, dp_up)),
                    SLOT_DP_MINUS: float(rng.uniform(dp_lo, 0.0))}
-            if _complete_point(slmap, families, raw, lb, ub) is None:
+            if _complete_point(slmap, mode, raw, lb, ub) is None:
                 continue
             completed += 1
-            edges = _edge_limited_decision(families, followers, setpoints, (dp_lo, dp_up), tol_abs)
+            edges = _edge_limited_decision(
+                ctx, mode, _by_family(followers), setpoints, (dp_lo, dp_up), tol_abs
+            )
             assert edges is not None
             assert edges[SLOT_DP_PLUS] >= raw[SLOT_DP_PLUS] - tol_abs
             assert edges[SLOT_DP_MINUS] <= raw[SLOT_DP_MINUS] + tol_abs
@@ -910,20 +959,17 @@ def test_a_walk_the_hook_check_rules_out_cannot_beat_the_floor(mode):
         dp_box = available_flexibility_bounds(ctx.devices)
         span = dp_box[1] - dp_box[0]
         boxes = setpoint_boxes(ctx, mode)
-        families = _family_followers(ctx, mode, followers, {
-            SLOT_DP_PLUS: dp_box[1], SLOT_DP_MINUS: dp_box[0],
-            **{name: lo for name, (lo, _) in boxes.items()},
-        })
-        halves = [{f: mf for f, mf in families.items() if f[0] == a} for a in (POSITIVE, NEGATIVE)]
+        families = _by_family(followers)
+        halves = [{f: nodes for f, nodes in families.items() if f[0] == a} for a in (POSITIVE, NEGATIVE)]
         for _ in range(3):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
             for fams in [families, *halves]:
-                d = walk_oracle(fams, followers, setpoints, dp_box, EDGE_TOL_REL * span)
+                d = walk_oracle(ctx, mode, fams, setpoints, dp_box, EDGE_TOL_REL * span)
                 width = None if d is None else d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS]
                 centre = span if width is None else width
                 floors = [centre, *(centre * rng.uniform(0.8, 1.2, 3)), 1.5 * span]
                 for floor in floors:
-                    if _could_widen(fams, followers, setpoints, dp_box, float(floor)):
+                    if _could_widen(ctx, mode, fams, setpoints, dp_box, float(floor)):
                         left += 1
                     else:
                         ruled_out += floor < span

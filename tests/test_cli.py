@@ -472,16 +472,32 @@ def test_malformed_result_fields_are_validation_errors(
     assert needle in stderr
 
 
-def test_worst_case_on_a_slack_only_feeder_is_a_solver_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve", "worst-case", "verify"])
+def test_a_slack_only_feeder_is_a_validation_error(solved_doc, tmp_path, capsys, command):
+    """A feeder of the slack bus alone has no device that could offer
+    flexibility: each command that studies it exits 2 and writes nothing,
+    ``verify`` also for a band of zero width that needs no setpoint."""
     feeder = tmp_path / "slack_only.json"
     feeder.write_text(json.dumps({
-        "base_kva": 100.0, "base_kv": 2.4, "slack": "s",
+        "base_kva": solved_doc["base_kva"], "base_kv": 2.4, "slack": "s",
         "buses": [{"id": "s", "phases": "abc"}],
         "segments": [], "loads": [], "inverters": [],
     }))
-    code, _, stderr = run(["worst-case", "--feeder", str(feeder), "--out", str(tmp_path)], capsys)
-    assert code == cli.EXIT_SOLVER
+    out = tmp_path / "out"
+    argv = [command, "--feeder", str(feeder), "--out", str(out)]
+    if command == "verify":
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(
+            {**solved_doc, "dp_plus_kw": 0.0, "dp_minus_kw": 0.0, "setpoints": []}, indent=2,
+        ))
+        before = result.read_bytes()
+        argv += ["--result", str(result)]
+    code, _, stderr = run(argv, capsys)
+    assert code == cli.EXIT_VALIDATION
     assert "feeder has no non-slack nodes" in stderr
+    assert not out.exists()
+    if command == "verify":
+        assert result.read_bytes() == before
 
 
 def test_parse_slot():

@@ -289,8 +289,9 @@ def test_fixed_q_certificates_stay_in_their_derived_dual_boxes(pv_model, gamma):
         for activation in ACTIVATIONS:
             full = dp_up if activation == POSITIVE else dp_lo
             for extremum in EXTREMA:
-                dual_box = [build_follower(ctx, Scenario(t, activation, extremum), MODE_CONSTANT_Q,
-                                           fix_q=True).dual_box(boxes) for t in range(ctx.n)]
+                problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_CONSTANT_Q,
+                                         fix_q=True)
+                dual_box = [problem.dual_box(boxes, t) for t in range(ctx.n)]
                 for q_set in draws:
                     mf = family_follower(ctx, MODE_CONSTANT_Q, activation, extremum,
                                          {**q_set, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})
@@ -334,8 +335,8 @@ def test_constant_pf_agg_duals_stay_in_their_derived_box():
         for activation in ACTIVATIONS:
             full = dp_up if activation == POSITIVE else dp_lo
             for extremum in EXTREMA:
-                dual_box = [build_follower(ctx, Scenario(t, activation, extremum),
-                                           MODE_CONSTANT_PF).dual_box(boxes) for t in range(ctx.n)]
+                problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_CONSTANT_PF)
+                dual_box = [problem.dual_box(boxes, t) for t in range(ctx.n)]
                 for gammas in draws:
                     mf = family_follower(ctx, MODE_CONSTANT_PF, activation, extremum,
                                          {**gammas, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})

@@ -223,14 +223,18 @@ def test_a_verify_after_a_run_re_slots_the_runs_followers(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR])
 def test_a_context_is_freed_by_its_last_reference(mode):
-    """A context that kept its followers through a run and a verify is freed
-    as soon as the last reference to it goes, without the cycle collector:
-    no follower refers back to it.  The run's and verify's results keep
-    no reference to it either."""
+    """A context that kept its followers through a run and a verify, and
+    its brute-force grids through a recheck, is freed as soon as the last
+    reference to it goes, without the cycle collector: no follower refers
+    back to it, and no module keeps a grid.  The run's, verify's and
+    recheck's results keep no reference to it either."""
     ctx = corpus_context(7210, 3.0, mode)
     res = run_iterative(ctx, mode)
     report = verify_decision(ctx, mode, res.decision)
-    assert ctx.followers
+    # The neutral decision reproduces the anchor: its grid is the anchor alone.
+    neutral = UpperDecision(dp_plus=0.0, dp_minus=0.0, setpoints=neutral_setpoints(ctx, mode))
+    brute = brute_force_worst_voltage(ctx, mode, neutral, res.followers[0])
+    assert ctx.followers and ctx.brute_force
     ref = weakref.ref(ctx)
     gc.disable()
     try:
@@ -238,7 +242,7 @@ def test_a_context_is_freed_by_its_last_reference(mode):
         assert ref() is None
     finally:
         gc.enable()
-    assert res.followers and report.checks
+    assert res.followers and report.checks and brute.points
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +730,7 @@ def test_a_scenario_loop_builds_one_grid_per_activation(seed, mode, monkeypatch)
     assert mode != MODE_CONSTANT_Q or per_grid == 2
 
     calls.clear()
-    oracle._BRUTE_FORCE_MEMO.clear()
+    ctx.brute_force.clear()
     for sc in all_scenarios(ctx.n):
         got = brute_force_worst_voltage(ctx, mode, decision, sc)
         ext = extremes[sc.activation]
@@ -737,7 +741,8 @@ def test_a_scenario_loop_builds_one_grid_per_activation(seed, mode, monkeypatch)
 
 
 def _fresh(ctx, mode, decision, scenario):
-    oracle._BRUTE_FORCE_MEMO.clear()
+    """The brute force on ``ctx`` after its kept grids are cleared."""
+    ctx.brute_force.clear()
     return brute_force_worst_voltage(ctx, mode, decision, scenario)
 
 
