@@ -125,16 +125,18 @@ class WorstCaseLimits:
         return k, self.lower_family[k]
 
 
-def _family_problem(
+def _kept_family(
     ctx: FlexContext, mode: str, activation: str, extremum: str, fix_q: bool,
-) -> tuple[FollowerProblem, MaterializedFollower | None]:
-    """The LP of one family and the follower ``ctx`` keeps for it: the kept
-    follower's problem, else a new one, whose node (0) is a stand-in, and None."""
-    mf = ctx.followers.get((mode, activation, extremum, fix_q))
-    if mf is not None:
-        return mf.problem, mf
-    sc = Scenario(node=0, activation=activation, extremum=extremum)
-    return build_follower(ctx, sc, mode, fix_q=fix_q), None
+    slots: dict[str, float],
+) -> MaterializedFollower:
+    """The follower ``ctx`` keeps for one family.  A new one, whose node (0)
+    is a stand-in, is kept materialized at ``slots``, zero where they lack
+    a slot."""
+    key = (mode, activation, extremum, fix_q)
+    if key not in ctx.followers:
+        problem = build_follower(ctx, Scenario(0, activation, extremum), mode, fix_q=fix_q)
+        ctx.followers[key] = problem.materialize(dict.fromkeys(problem.slot_names, 0.0) | slots)
+    return ctx.followers[key]
 
 
 def family_follower(
@@ -149,16 +151,11 @@ def family_follower(
     (``fixes_q``).  The family is materialized once per context and kept
     in ``ctx.followers``, and nowhere else; every call after re-slots it.
     """
-    key = (mode, activation, extremum, fixes_q(mode, slots))
-    problem, mf = _family_problem(ctx, *key)
-    missing = [s for s in problem.slot_names if s not in slots]
+    mf = _kept_family(ctx, mode, activation, extremum, fixes_q(mode, slots), slots)
+    missing = [s for s in mf.problem.slot_names if s not in slots]
     if missing:
         raise BilevelError(f"decision lacks slots required by followers: {missing}")
-    values = {s: slots[s] for s in problem.slot_names}
-    if mf is None:
-        mf = ctx.followers[key] = problem.materialize(values)
-    else:
-        mf.set_slots(values)
+    mf.set_slots(slots)
     return mf
 
 
@@ -397,8 +394,10 @@ def assemble_single_level(
     droop row holds the product q̄·|v_k|.  The other vm rows, their |v|
     columns, duals and dual rows drop out exactly (see ``FollowerBlock``).
     Each block is stacked from the follower's triplets as arrays, with one
-    ``add_vars`` and one ``add_rows`` call; a family's blocks share its
-    ``_family_problem`` and read its objective and dual box at their node.
+    ``add_vars`` and one ``add_rows`` call; a family's blocks share the
+    problem of the follower ``ctx`` keeps for it (``_kept_family``, which
+    keeps a new one at zero slots, for the completion to re-slot) and read
+    its objective and dual box at their node.
 
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
@@ -428,7 +427,7 @@ def assemble_single_level(
     capped_duals: list[int] = []
     # The blocks match the families the completion evaluates at these slots.
     fix_q = fixes_q(mode, sp_boxes)
-    problems = {f: _family_problem(ctx, mode, *f, fix_q)[0] for f in _by_family(followers)}
+    problems = {f: _kept_family(ctx, mode, *f, fix_q, {}).problem for f in _by_family(followers)}
 
     for scenario in followers:
         problem = problems[scenario.activation, scenario.extremum]

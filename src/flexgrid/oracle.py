@@ -4,9 +4,9 @@ The solver's claims rest on a linearized power flow and a first-order
 magnitude expansion.  This module closes the loop without reusing either:
 worst-case injections coming out of the follower LPs are pushed through the
 Newton power flow, and on small feeders a brute-force grid plays the
-adversary directly in the nonlinear model (including volt-var droop as a
-fixed point of control and physics).  Both hand the Newton solver whole
-stacks of injection profiles rather than one profile at a time.
+adversary directly in the nonlinear model (including volt-var droop,
+solved together with the flow as one Newton system).  Both hand the Newton
+solver whole stacks of injection profiles rather than one profile at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .follower import (
 )
 from .powerflow import solve_nonlinear_pf
 
-DROOP_MAX_ITER = 100  # Picard steps per damping factor of the volt-var fixed point
-DROOP_TOL = 1e-10  # |v| move (p.u.) below which a droop profile has settled
 GRID_STEPS = 7  # brute-force grid values per device's Δp box
 GRID_Q_STEPS = 5  # brute-force reactive levels per inverter's cone (free q)
 GRID_MAX_DEVICES = 4  # flexible devices the brute-force grid accepts
@@ -179,40 +177,23 @@ class BruteForceResult:
 def _droop_voltages(
     ctx: FlexContext, p: np.ndarray, qbar: np.ndarray, q_other: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed point of volt-var control and the nonlinear power flow.
+    """Equilibrium of volt-var control and the nonlinear power flow.
 
     q_inverter(vm) follows the droop line through (v_min, +q̄) and
     (v_max, -q̄); loads' reactive draw is in ``q_other``.  ``p`` and
-    ``q_other`` hold one profile ``(n,)`` or a stack ``(P, n)``.  Every
-    profile runs its own damped Picard iteration from the anchor |v|; each
-    step pushes all unsettled profiles through one stacked Newton solve, and
-    a profile drops out once its |v| moves less than ``DROOP_TOL``.  Profiles
-    that do not settle in ``DROOP_MAX_ITER`` steps restart from the anchor
-    with a smaller damping factor.  Returns (vm, q) in the input's shape,
-    NaN in the rows that never settle.
+    ``q_other`` hold one profile ``(n,)`` or a stack ``(P, n)``.  The line
+    is an intercept q̄·(v_max + v_min)/band added to ``q_other`` and a
+    slope 2q̄/band in |v|, so one stacked Newton solve finds every
+    profile's equilibrium with the droop rows joined to the flow.  Returns
+    (vm, q) in the input's shape, q the droop line at the solved |v|.  A
+    profile without an equilibrium the Newton solve reaches raises
+    ``PowerFlowError`` for the whole stack.
     """
     band = ctx.v_max - ctx.v_min
-    p_rows = np.atleast_2d(p)
-    q_rows = np.atleast_2d(q_other)
-    vm_out = np.full(p_rows.shape, np.nan)
-    q_out = np.full(p_rows.shape, np.nan)
-    rows = np.arange(len(p_rows))
-    # Damped Picard iteration: undamped steps oscillate once the droop gain
-    # times the grid sensitivity nears one (weak grids, large q̄).
-    for alpha in (1.0, 0.5, 0.2):
-        vm = np.tile(ctx.anchor.vm, (len(rows), 1))
-        for _ in range(DROOP_MAX_ITER):
-            if not rows.size:
-                break
-            q = q_rows[rows] + qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
-            new_vm = nonlinear_magnitudes(ctx, p_rows[rows], q)
-            done = np.max(np.abs(new_vm - vm), axis=1) < DROOP_TOL
-            vm_out[rows[done]] = new_vm[done]
-            q_out[rows[done]] = q[done]
-            rows, vm = rows[~done], (vm + alpha * (new_vm - vm))[~done]
-    if np.ndim(p) == 1:
-        return vm_out[0], q_out[0]
-    return vm_out, q_out
+    slope = 2.0 * qbar / band
+    q_fixed = q_other + qbar * (ctx.v_max + ctx.v_min) / band
+    vm = solve_nonlinear_pf(ctx.feeder, p, q_fixed, index=ctx.index, Y=ctx.ybus, slope=slope).vm
+    return vm, q_fixed - slope * vm
 
 
 @dataclass
@@ -234,10 +215,12 @@ def brute_force_extremes(
     points that respect the sign rules, device limits, the exact
     apparent-power circle and the aggregate bound (boolean masks over the
     array), and solves all of them in one stacked Newton call (volt-var:
-    one stacked droop fixed point).  The grid depends on the activation but
-    not on the node or the extremum, so this one solve gives every
-    scenario of ``activation``: the extreme at a node is the first grid
-    point, in enumeration order, with the most adverse |v| there.  Each
+    with the droop line joined to the flow, ``_droop_voltages``; a point
+    without a droop equilibrium raises ``PowerFlowError``).  The grid
+    depends on the activation but not on the node or the extremum, so this
+    one solve gives every scenario of ``activation``: the extreme at a node
+    is the first grid point, in enumeration order, with the most adverse
+    |v| there.  Each
     flexible device's box takes ``GRID_STEPS`` values and, for free q, each
     inverter's cone ``GRID_Q_STEPS`` levels; only meant for feeders with at
     most ``GRID_MAX_DEVICES`` flexible devices.
@@ -283,7 +266,6 @@ def brute_force_extremes(
         qbar = np.zeros(n)
         qbar[inv] = [decision.setpoints[slot_qbar(k)] for k in inv]
         vm, q = _droop_voltages(ctx, p, qbar, -q_load)
-        # NaN rows (droop never settled) fail the comparison and drop out.
         ok = np.all(np.abs(q + q_load) <= head + 1e-9, axis=1)
         vm, p, q = vm[ok], p[ok], q[ok]
     else:

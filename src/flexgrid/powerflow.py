@@ -6,7 +6,8 @@ Two solvers live here:
   balanced slack phasor), used to compute operating points and as the
   nonlinear reference everywhere else.  It solves a whole stack of injection
   profiles at once: each iteration takes every unconverged profile's step
-  with one stacked LU solve over their Jacobians;
+  with one stacked LU solve over their Jacobians, volt-var droop lines
+  included;
 * a fixed-point linear voltage model anchored at an operating point, exact at
   the anchor by construction, plus the first-order voltage-magnitude
   linearization used by the LP layers.
@@ -110,21 +111,24 @@ def solve_nonlinear_pf(
     *,
     index: BusPhaseIndex | None = None,
     Y: np.ndarray | None = None,
+    slope: np.ndarray | None = None,
 ) -> OperatingPoint:
     """Newton power flow in rectangular coordinates, one profile or a stack.
 
     ``p_inj``/``q_inj`` are one injection profile of shape ``(n,)`` or a
-    stack of ``P`` profiles of shape ``(P, n)``; with none given, solves the
-    feeder's current operating point (see ``anchor_injections``).  Every
-    profile starts flat at the slack phasor replicated to every node and
-    takes full Newton steps.  Each iteration builds the Jacobians of all
-    unconverged profiles as one ``(P, 2n, 2n)`` stack and solves them in one
-    stacked LU call.  A profile leaves the stack once its own power mismatch
-    drops below ``NEWTON_TOL`` (p.u.), so it takes the steps a lone solve
-    would; its last bits may still depend on the other rows of its stack
-    (a matrix product's rounding can vary with the stack's length).  Stacks
-    larger than ``NEWTON_STACK_BYTES`` allows are solved in chunks.  The result has the input's shape; for a stack,
-    ``iterations`` is the step count of the slowest profile and
+    stack of ``P`` profiles of shape ``(P, n)``; with neither given, solves
+    the feeder's current operating point (see ``anchor_injections``).  With
+    a ``slope`` of shape ``(n,)``, node k injects q_inj[k] - slope[k]·|v_k|
+    (a droop line).  Every profile starts flat at the slack phasor
+    replicated to every node and takes full Newton steps.  Each iteration
+    builds the Jacobians of all unconverged profiles as one ``(P, 2n, 2n)``
+    stack and solves them in one stacked LU call.  A profile leaves the
+    stack once its own power mismatch drops below ``NEWTON_TOL`` (p.u.), so
+    it takes the steps a lone solve would; its last bits may still depend
+    on the other rows of its stack (a matrix product's rounding can vary
+    with the stack's length).  Stacks larger than ``NEWTON_STACK_BYTES``
+    allows are solved in chunks.  The result has the input's shape; for a
+    stack, ``iterations`` is the step count of the slowest profile and
     ``residual`` the largest final mismatch.  A singular Jacobian, a
     collapsing voltage or ``NEWTON_MAX_ITER`` steps without convergence in
     any profile raises ``PowerFlowError``.
@@ -133,13 +137,17 @@ def solve_nonlinear_pf(
         index = index_nodes(model)
     if Y is None:
         Y = assemble_ybus(model, index)
-    if p_inj is None or q_inj is None:
+    if (p_inj is None) != (q_inj is None):
+        raise ValueError("give both p_inj and q_inj, or neither")
+    if p_inj is None:
         p_inj, q_inj = anchor_injections(model, index)
     p_inj = np.asarray(p_inj, dtype=float)
     q_inj = np.asarray(q_inj, dtype=float)
     n = index.n
     if p_inj.shape != q_inj.shape or p_inj.ndim not in (1, 2) or p_inj.shape[-1] != n:
         raise ValueError(f"injections must have shape ({n},) or (P, {n})")
+    if slope is not None and np.shape(slope) != (n,):
+        raise ValueError(f"slope must have shape ({n},)")
 
     Y00, Y0L, YL0, YLL = _partition_ybus(Y, index)
     v0 = SLACK_PHASOR.copy()
@@ -154,7 +162,7 @@ def solve_nonlinear_pf(
     rows = max(1, NEWTON_STACK_BYTES // (ROW_BYTES_PER_NODE2 * max(n, 1) ** 2))
     for i in range(0, len(s_spec), rows):
         chunk = slice(i, i + rows)
-        steps, worst = _newton(YLL, i_lin, v_flat, s_spec[chunk], v[chunk], s_calc[chunk])
+        steps, worst = _newton(YLL, i_lin, v_flat, s_spec[chunk], v[chunk], s_calc[chunk], slope)
         iterations, residual = max(iterations, steps), max(residual, worst)
     i_slack = Y00 @ v0 + v @ Y0L.T
     slack_power = v0 * np.conj(i_slack)
@@ -179,12 +187,14 @@ def _newton(
     s_spec: np.ndarray,
     v: np.ndarray,
     s_calc: np.ndarray,
+    slope: np.ndarray | None,
 ) -> tuple[int, float]:
     """Newton iterations on the ``(P, n)`` stack ``s_spec`` from a flat start,
     at most ``NEWTON_MAX_ITER`` of them, until every row's mismatch is below
     ``NEWTON_TOL``.
 
-    Writes the voltages into ``v`` and the realized injections into
+    With a ``slope`` the equations read S(v) + j·slope·|v| = s_spec.  Writes
+    the voltages into ``v`` and the realized injections S(v) into
     ``s_calc``; returns the step count of the slowest row and the largest
     final mismatch.
     """
@@ -203,6 +213,13 @@ def _newton(
         i_node = i_lin + v_live @ YLL_T
         s_now = v_live * np.conj(i_node)
         mismatch = s_live - s_now
+        c_d = np.conj(i_node)  # the diagonals of d(S)/d(vd) and d(S)/d(vq)
+        c_q = 1j * c_d
+        if slope is not None:  # j·slope·|v| joins S, j·slope·(vd, vq)/|v| the diagonals
+            vm = np.abs(v_live)
+            mismatch -= 1j * slope * vm
+            g = 1j * slope / vm
+            c_d, c_q = c_d + g * v_live.real, c_q + g * v_live.imag
         residual = np.abs(mismatch).max(axis=1, initial=0.0)
         done = residual < NEWTON_TOL
         finished = np.count_nonzero(done)
@@ -215,17 +232,16 @@ def _newton(
             s_calc[live[done]] = s_now[done]
             worst = max(worst, float(residual[done].max()))
             keep = ~done
-            live, v_live, s_live, i_node, mismatch = (
-                a[keep] for a in (live, v_live, s_live, i_node, mismatch)
+            live, v_live, s_live, c_d, c_q, mismatch = (
+                a[keep] for a in (live, v_live, s_live, c_d, c_q, mismatch)
             )
         # d(S)/d(vd) = diag(conj I) + diag(V) conj(YLL);  d(S)/d(vq) = j(diag(conj I) - diag(V) conj(YLL))
         # Built as the complex (n, 2n) block [d(S)/d(vd), d(S)/d(vq)] of each
         # row, whose real and imaginary parts are the P and Q rows of J.
         dS = (v_live[:, :, None, None] * YLL_pair).reshape(live.size, n, 2 * n)
-        c = np.conj(i_node)
         flat = dS.reshape(live.size, -1)
-        flat[:, ::diag] += c  # the diagonal of d(S)/d(vd)
-        flat[:, n::diag] += 1j * c  # the diagonal of d(S)/d(vq)
+        flat[:, ::diag] += c_d  # the diagonal of d(S)/d(vd)
+        flat[:, n::diag] += c_q  # the diagonal of d(S)/d(vq)
         J = np.concatenate([dS.real, dS.imag], axis=1)
         rhs = np.concatenate([mismatch.real, mismatch.imag], axis=1)
         try:

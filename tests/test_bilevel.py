@@ -553,6 +553,25 @@ def test_an_assembly_builds_at_most_one_problem_per_family(pv_tight_ctx, mode, m
                for b in slmap.blocks)
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("followers, split", [
+    ([Scenario(1, POSITIVE, MAX_V), Scenario(1, NEGATIVE, MIN_V)], False),
+    ([Scenario(1, POSITIVE, MAX_V)], True),
+    ([Scenario(1, POSITIVE, MAX_V)], False),
+])
+def test_an_assembly_first_solve_builds_each_family_once(mode, followers, split, monkeypatch):
+    """A solve on a fresh context whose assembly comes before any walk (the
+    joint search alone, or followers of one activation) keeps the
+    followers the assembly builds, and the walks re-slot them."""
+    builds = []
+    build = bilevel.build_follower
+    monkeypatch.setattr(bilevel, "build_follower",
+                        lambda *args, **kwargs: builds.append(1) or build(*args, **kwargs))
+    ctx = corpus_context(7200, 2.0, mode)
+    solve_single_level(ctx, mode, followers, split=split)
+    assert len(builds) == len(_by_family(followers))
+
+
 @pytest.mark.parametrize("seed, z_scale, mode", [
     (7200, 3.0, MODE_CONSTANT_PF),
     (7210, 3.0, MODE_CONSTANT_Q),

@@ -55,9 +55,9 @@ from flexgrid.oracle import (
     nonlinear_magnitudes,
     verify_decision,
 )
-from flexgrid.powerflow import anchor_injections
+from flexgrid.powerflow import NEWTON_TOL, PowerFlowError, anchor_injections
 
-from corpus import corpus_context
+from corpus import BINDING_FEEDERS, corpus_context
 from randfeeders import random_context
 
 
@@ -482,7 +482,8 @@ def test_brute_force_detects_an_unreachable_setpoint():
 # ---------------------------------------------------------------------------
 
 def _reference_droop(ctx, p, qbar, q_other, *, max_iter=100, tol=1e-10):
-    """Volt-var fixed point of one profile, one Newton solve per Picard step."""
+    """Volt-var fixed point of one profile by damped Picard iteration, one
+    Newton solve per step: the test oracle of the joint droop solve."""
     band = ctx.v_max - ctx.v_min
     for alpha in (1.0, 0.5, 0.2):
         vm = ctx.anchor.vm.copy()
@@ -569,10 +570,7 @@ def _reference_grid(ctx, mode, decision, activation, *, steps=7, q_steps=5):
             qbar = np.zeros(n)
             for k in dev.inverter_nodes:
                 qbar[k] = decision.setpoints[slot_qbar(k)]
-            try:
-                vm, q = _reference_droop(ctx, p, qbar, -q_load)
-            except OracleError:
-                continue
+            vm, q = _droop_voltages(ctx, p, qbar, -q_load)  # the droop solve, alone
             if np.any(np.abs(q + q_load) > head + 1e-9):
                 continue
             evaluated.append((vm, p, q))
@@ -672,36 +670,112 @@ def test_stacked_brute_force_matches_off_the_solved_setpoints(seed, mode):
     _assert_matches_reference(ctx, mode, trial, all_scenarios(ctx.n))
 
 
-@pytest.mark.parametrize("qbar,max_iter,all_settle", [(0.1, 30, True), (0.15, 6, False)])
-def test_stacked_droop_matches_the_per_profile_iteration(
-    qbar, max_iter, all_settle, monkeypatch
-):
-    """Rows that need the damped retries, or never settle, behave as alone.
+# ---------------------------------------------------------------------------
+# The joint droop solve against Picard iteration
+# ---------------------------------------------------------------------------
 
-    On a narrow band the droop gain is high: with q̄ = 0.1 and 30 steps some
-    profiles settle undamped and the rest only at half damping; with
-    q̄ = 0.15 and 6 steps one profile settles and the rest never do.
-    """
+PICARD_TOL = 1e-10  # ``_reference_droop``'s stopping move
+
+
+def _droop_tolerance(ctx):
+    """How far two solves of one droop equilibrium may part in |v|.
+
+    Each Newton solve stops at a power mismatch below ``NEWTON_TOL``, which
+    moves |v| by at most about ||Z||∞·NEWTON_TOL, Z the inverse of the
+    admittance matrix's load block; two solves can part by twice that.
+    Picard returns G(v) with |G(v) - v| below ``PICARD_TOL``, and under the
+    droop's negative feedback the fixed point of G is no farther from G(v)
+    than that."""
+    ns = len(ctx.index.slack_nodes)
+    z_norm = np.abs(np.linalg.inv(ctx.ybus[ns:, ns:])).sum(axis=1).max()
+    return PICARD_TOL + 2 * NEWTON_TOL * z_norm
+
+
+def _assert_droop_equilibrium(ctx, p, qbar, q_other, vm, q):
+    """q is the droop line at vm, and the plain Newton |v| at q is vm."""
+    band = ctx.v_max - ctx.v_min
+    line = q_other + qbar * ((ctx.v_max + ctx.v_min) - 2.0 * vm) / band
+    assert np.max(np.abs(q - line)) <= 1e-12
+    assert np.max(np.abs(nonlinear_magnitudes(ctx, p, q) - vm)) <= _droop_tolerance(ctx)
+
+
+def _narrow_band():
+    """The one-inverter feeder on a 0.01 p.u. band, where the droop gain is
+    high, and seven active-power profiles."""
     ctx = build_context(load_feeder(one_inverter_doc(MODE_VOLT_VAR)), v_min=0.995, v_max=1.005)
     p = np.linspace(0.0, 0.3, 7)[:, None]
-    q_other = np.zeros_like(p)
-    monkeypatch.setattr(oracle, "DROOP_MAX_ITER", max_iter)
-    vm, q = _droop_voltages(ctx, p, np.array([qbar]), q_other)
+    return ctx, p, np.zeros_like(p)
+
+
+@pytest.mark.parametrize("qbar", [0.1, 0.15])
+def test_the_droop_solve_matches_picard_on_a_narrow_band(qbar):
+    ctx, p, q_other = _narrow_band()
+    qbar = np.array([qbar])
+    vm, q = _droop_voltages(ctx, p, qbar, q_other)
     assert vm.shape == q.shape == p.shape
-    settled = 0
+    tol = _droop_tolerance(ctx)
+    slope = 2.0 * qbar / (ctx.v_max - ctx.v_min)
     for i in range(len(p)):
-        try:
-            vm_ref, q_ref = _reference_droop(
-                ctx, p[i], np.array([qbar]), q_other[i], max_iter=max_iter
-            )
-        except OracleError:
-            assert np.isnan(vm[i]).all() and np.isnan(q[i]).all(), i
-            continue
-        settled += 1
-        assert np.max(np.abs(vm[i] - vm_ref)) <= 1e-12, i
-        assert np.max(np.abs(q[i] - q_ref)) <= 1e-12, i
-    assert settled > 0
-    assert (settled == len(p)) == all_settle
+        vm_ref, q_ref = _reference_droop(ctx, p[i], qbar, q_other[i])
+        assert np.max(np.abs(vm[i] - vm_ref)) <= tol, i
+        # Picard's q is the line at its last iterate, within PICARD_TOL of vm_ref.
+        assert np.max(np.abs(q[i] - q_ref)) <= slope.max() * (tol + PICARD_TOL), i
+
+
+@pytest.mark.parametrize("qbar", [0.3, 1.0])
+def test_the_droop_solve_settles_where_picard_fails(qbar):
+    """At these gains damped Picard leaves the feasible injections on every
+    profile; the joint solve still finds an equilibrium."""
+    ctx, p, q_other = _narrow_band()
+    qbar = np.array([qbar])
+    vm, q = _droop_voltages(ctx, p, qbar, q_other)
+    for i in range(len(p)):
+        with pytest.raises((OracleError, PowerFlowError)):
+            _reference_droop(ctx, p[i], qbar, q_other[i])
+        _assert_droop_equilibrium(ctx, p[i], qbar, q_other[i], vm[i], q[i])
+
+
+def test_the_droop_solve_matches_picard_on_the_corpus():
+    """Each corpus feeder at full droop authority, under its anchor's
+    injections scaled from 0 to 2: every profile is an equilibrium, and
+    equals Picard's wherever Picard settles.  Picard settles on no profile
+    of 7210-z3 and 7235-z3."""
+    amp = np.linspace(0.0, 2.0, 5)[:, None]
+    unsettled = set()
+    for seed, z_scale in BINDING_FEEDERS:
+        ctx = corpus_context(seed, z_scale, MODE_VOLT_VAR)
+        p0, q0 = anchor_injections(ctx.feeder, ctx.index)
+        p, q_other = amp * p0, amp * q0
+        boxes = setpoint_boxes(ctx, MODE_VOLT_VAR)
+        qbar = np.zeros(ctx.n)
+        for k in ctx.devices.inverter_nodes:
+            qbar[k] = boxes[slot_qbar(k)][1]
+        vm, q = _droop_voltages(ctx, p, qbar, q_other)
+        tol = _droop_tolerance(ctx)
+        settled = 0
+        for i in range(len(p)):
+            _assert_droop_equilibrium(ctx, p[i], qbar, q_other[i], vm[i], q[i])
+            try:
+                vm_ref, _ = _reference_droop(ctx, p[i], qbar, q_other[i])
+            except (OracleError, PowerFlowError):
+                continue
+            settled += 1
+            assert np.max(np.abs(vm[i] - vm_ref)) <= tol, (seed, z_scale, i)
+        if not settled:
+            unsettled.add((seed, z_scale))
+    assert unsettled == {(7210, 3.0), (7235, 3.0)}
+
+
+@pytest.mark.parametrize("seed", [7210, 7235])
+def test_the_brute_force_rechecks_a_weak_volt_var_feeder(seed):
+    """On these z 3 feeders damped Picard reaches no droop equilibrium; the
+    joint solve does, and the decision holds the band in the Newton model."""
+    ctx = corpus_context(seed, 3.0, MODE_VOLT_VAR)
+    decision = run_iterative(ctx, MODE_VOLT_VAR, direction="both", node_limit=400).decision
+    for sc in all_scenarios(ctx.n):
+        bf = brute_force_worst_voltage(ctx, MODE_VOLT_VAR, decision, sc)
+        assert bf.points > 0
+        assert max(bf.vm_nonlinear - ctx.v_max, ctx.v_min - bf.vm_nonlinear) <= 0.0, sc
 
 
 # ---------------------------------------------------------------------------
@@ -716,18 +790,18 @@ def _solved(seed, mode):
 @pytest.mark.parametrize("seed,mode", [(7204, MODE_CONSTANT_Q), (7205, MODE_VOLT_VAR)])
 def test_a_scenario_loop_builds_one_grid_per_activation(seed, mode, monkeypatch):
     """The 4n scenarios make exactly the Newton calls of the two
-    activations' grids (constant-q: one call per grid; volt-var: one per
-    droop step), and each answer is read off its activation's extremes."""
+    activations' grids, one per grid (volt-var: the droop solve), and each
+    answer is read off its activation's extremes."""
     ctx, decision = _solved(seed, mode)
     calls = []
-    real = oracle.nonlinear_magnitudes
-    monkeypatch.setattr(oracle, "nonlinear_magnitudes",
+    real = oracle.solve_nonlinear_pf
+    monkeypatch.setattr(oracle, "solve_nonlinear_pf",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     extremes = {}
     for activation in (POSITIVE, NEGATIVE):
         extremes[activation] = brute_force_extremes(ctx, mode, decision, activation)
     per_grid = len(calls)
-    assert mode != MODE_CONSTANT_Q or per_grid == 2
+    assert per_grid == 2
 
     calls.clear()
     ctx.brute_force.clear()

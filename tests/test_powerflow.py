@@ -179,6 +179,21 @@ def test_bad_injection_shape_raises():
         solve_nonlinear_pf(model, np.zeros(2), np.zeros(2))
 
 
+def test_a_half_given_injection_raises():
+    """p without q (or q without p) is refused, not swapped for the anchor's."""
+    model = load_feeder(balanced_doc())
+    with pytest.raises(ValueError, match="both"):
+        solve_nonlinear_pf(model, np.full(3, -0.2))
+    with pytest.raises(ValueError, match="both"):
+        solve_nonlinear_pf(model, q_inj=np.full(3, -0.05))
+
+
+def test_bad_slope_shape_raises():
+    model = load_feeder(balanced_doc())  # n = 3
+    with pytest.raises(ValueError, match="slope"):
+        solve_nonlinear_pf(model, np.zeros(3), np.zeros(3), slope=np.ones(2))
+
+
 # ---------------------------------------------------------------------------
 # Stacked solves: a (P, n) stack of profiles in one Newton call
 # ---------------------------------------------------------------------------
@@ -217,6 +232,44 @@ def test_stacked_newton_matches_lone_solves(feeder_stack):
         assert np.max(np.abs(op.slack_power[i] - one.slack_power)) <= 1e-12, i
     assert op.iterations == max(one.iterations for one in lone)
     assert op.residual == pytest.approx(max(one.residual for one in lone), abs=1e-12)
+
+
+def _droop(index, q):
+    """A droop line on every node, with a slope from 0.5 to 2 (q per |v|,
+    p.u.) and q at 1 p.u. |v|: the intercept q + slope, and the slope."""
+    slope = np.linspace(0.5, 2.0, index.n)
+    return q + slope, slope
+
+
+def test_stacked_droop_solve_matches_lone_solves(feeder_stack):
+    """With a slope too, a row of a stack solves as it does alone."""
+    model, index, p, q = feeder_stack
+    Y = assemble_ybus(model, index)
+    q, slope = _droop(index, q)
+    op = solve_nonlinear_pf(model, p, q, index=index, Y=Y, slope=slope)
+    lone = [
+        solve_nonlinear_pf(model, p[i], q[i], index=index, Y=Y, slope=slope)
+        for i in range(STACK_ROWS)
+    ]
+    for i, one in enumerate(lone):
+        assert np.max(np.abs(op.v[i] - one.v)) <= 1e-12, i
+        assert np.max(np.abs(op.q_inj[i] - one.q_inj)) <= 1e-12, i
+    assert op.iterations == max(one.iterations for one in lone)
+
+
+def test_a_slope_lowers_each_reactive_injection_by_its_own_magnitude(feeder_stack):
+    """The realized injections are p + j(q - slope·|v|), recomputed from the
+    admittance matrix."""
+    model, index, p, q = feeder_stack
+    Y = assemble_ybus(model, index)
+    q, slope = _droop(index, q)
+    op = solve_nonlinear_pf(model, p, q, index=index, Y=Y, slope=slope)
+    ns = len(index.slack_nodes)
+    v_full = np.concatenate([np.tile(op.v_slack, (STACK_ROWS, 1)), op.v], axis=1)
+    s_full = v_full * np.conj(v_full @ Y.T)
+    assert np.max(np.abs(s_full[:, ns:] - (p + 1j * (q - slope * op.vm)))) < NEWTON_TOL
+    assert np.max(np.abs(s_full[:, ns:].imag - op.q_inj)) < 1e-12
+    assert op.residual < NEWTON_TOL
 
 
 def test_rows_leave_the_stack_at_their_own_step():
