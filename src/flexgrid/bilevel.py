@@ -28,13 +28,17 @@ inside [v_min, v_max].  Three steps:
    the completion;
 3. ``feasibility_check`` — re-screen all followers at the accepted decision,
    one batched evaluation per family, feeding violators back into step 2
-   (``run_iterative``).
+   (``run_iterative``).  The run's solves share a ``RunStore``: a search
+   whose followers, seeds and budget did not change since an earlier
+   iteration, and a family walk whose nodes and setpoints did not, are
+   taken from it, so each iteration searches again only what its new
+   followers change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -660,6 +664,11 @@ def _could_widen(
     return True
 
 
+def _check_node_limit(node_limit: int) -> None:
+    if not isinstance(node_limit, (int, np.integer)) or node_limit < 0:
+        raise ValueError(f"node_limit must be an integer >= 0, got {node_limit!r}")
+
+
 def _candidate_setpoint_sets(boxes: dict[str, tuple[float, float]]) -> list[dict[str, float]]:
     """Bang-bang heuristic setpoints: neutral (0 clamped into each box),
     every lower end and every upper end, duplicates dropped (zero-width
@@ -695,6 +704,20 @@ class SingleLevelResult:
     nodes_by_search: dict[str, int]
     bound_by: str
     escalations: int = 0  # always 0: the λ box is never widened (the benchmark still reads it)
+    reused: tuple[str, ...] = ()  # the searches taken from the run's store, in order
+
+
+@dataclass
+class RunStore:
+    """The searches and family walks of one run's single-level solves, kept
+    for its later solves.  A search is keyed by its follower subset, seed
+    setpoints, node budget, bound and ``epsilon``; a walk by its family,
+    the family's target nodes and the setpoints.  Neither key holds the
+    context, the mode or ``LAMBDA_CAP``, which a run does not change, so a
+    store serves one run (``run_iterative``) and is dropped with it."""
+
+    searches: dict[tuple, tuple[BnBResult, UpperDecision, bool]] = field(default_factory=dict)
+    walks: dict[tuple, dict[str, float] | None] = field(default_factory=dict)
 
 
 def solve_single_level(
@@ -705,6 +728,7 @@ def solve_single_level(
     epsilon: float = 1e-4,
     node_limit: int = 5000,
     split: bool = True,
+    store: RunStore | None = None,
 ) -> SingleLevelResult:
     """Solve the ideal case for a follower subset by spatial branch-and-bound.
 
@@ -723,8 +747,13 @@ def solve_single_level(
     split bound.  ``node_limit`` caps the relaxations of the whole solve:
     the positive half draws first, the negative half gets the rest, the
     joint search what is left after both.  A family's walk at a setpoint
-    set is made once per solve, over the presolve and every search's node
-    hook, each step taking the family's follower from ``family_follower``.
+    set is made once per run, over the presolve and every search's node
+    hook, each step taking the family's follower from ``family_follower``;
+    a search is made once per run at its followers, seeds, budget and
+    bound.  Both are kept in ``store``, which ``run_iterative`` passes to
+    each of its solves; without one the solve keeps its own.  A search
+    taken from the store returns the result it gave, nodes and all, so
+    it draws from ``node_limit`` as when it ran (``reused`` names it).
     ``split=False`` runs the joint search alone: it is the reference the
     tests hold the split solve to.
 
@@ -740,36 +769,43 @@ def solve_single_level(
     ``BilevelError`` when a search finds no incumbent, or when a
     completion leaves a proven box by more than the B&B tolerates.
     """
+    _check_node_limit(node_limit)
+    store = RunStore() if store is None else store
     boxes = setpoint_boxes(ctx, mode)
     dp_box = available_flexibility_bounds(ctx.devices)
     dp_span = dp_box[1] - dp_box[0]
     tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
     families = _by_family(followers)
-    # The relaxations keep landing on the same box vertices (often the
-    # presolve's, or the other half's), and a family's walk depends on the
-    # setpoints alone: walk each family once at each set.
-    walks: dict[tuple, dict[str, float] | None] = {}
+    reused: list[str] = []
 
     def walk(fams: dict, setpoints: dict[str, float]) -> dict[str, float] | None:
         """The widest safe band edges at ``setpoints`` for the families
-        ``fams``; an edge none of them reads stays at its box end."""
-        key = tuple(setpoints.values())
-        for family in fams:
-            if (family, key) not in walks:
-                walks[family, key] = _edge_limited_decision(
+        ``fams``; an edge none of them reads stays at its box end.  The
+        relaxations keep landing on the same box vertices (often the
+        presolve's, the other half's or an earlier iteration's), and a
+        family's walk depends on its nodes and the setpoints alone: walk
+        each family once at each set."""
+        keys = {f: (f, tuple(families[f]), tuple(setpoints.values())) for f in fams}
+        for family, key in keys.items():
+            if key not in store.walks:
+                store.walks[key] = _edge_limited_decision(
                     ctx, mode, {family: families[family]}, setpoints, dp_box, tol_abs
                 )
-        edges = [walks[family, key] for family in fams]
+        edges = [store.walks[key] for key in keys.values()]
         if None in edges:
             return None
         return {**setpoints, SLOT_DP_PLUS: min(e[SLOT_DP_PLUS] for e in edges),
                 SLOT_DP_MINUS: max(e[SLOT_DP_MINUS] for e in edges)}
 
-    def search(subset: list[Scenario], seeds: list[dict[str, float]], limit: int,
+    def search(label: str, subset: list[Scenario], seeds: list[dict[str, float]], limit: int,
                bound: float | None = None) -> tuple[BnBResult, UpperDecision, bool]:
         """Branch and bound over the single level of ``subset``, seeded with
         the walks at ``seeds``; gives the result, its decision and whether
-        the λ box binds."""
+        the λ box binds.  Taken from the store when the run made it before."""
+        made = (tuple(subset), tuple(tuple(sp.values()) for sp in seeds), limit, bound, epsilon)
+        if made in store.searches:
+            reused.append(label)
+            return store.searches[made]
         bp, slmap = assemble_single_level(ctx, mode, subset)
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up, capped = slmap.upper_vars, slmap.capped_duals
@@ -822,7 +858,8 @@ def solve_single_level(
                 "cut off every completion"
             )
         box = left_box or bool(np.any(np.abs(res.x[capped]) >= 0.999 * LAMBDA_CAP))
-        return res, _decision_from_x(slmap, res.x), box
+        store.searches[made] = res, _decision_from_x(slmap, res.x), box
+        return store.searches[made]
 
     def at_ceiling(width: float) -> bool:
         return width >= dp_span - 1e-9 * (1.0 + dp_span)
@@ -836,6 +873,7 @@ def solve_single_level(
         return SingleLevelResult(
             decision=decision, objective=res.objective, bnb=res,
             nodes_by_search={POSITIVE: 0, NEGATIVE: 0, JOINT: 0, **nodes}, bound_by=bound_by,
+            reused=tuple(reused),
         )
 
     def width(d: dict[str, float]) -> float:
@@ -854,13 +892,13 @@ def solve_single_level(
                 if at_ceiling(width(d)):
                     break
     if not presolve or at_ceiling(width(presolve[-1])):
-        res, decision, box = search(followers, candidates, node_limit)
+        res, decision, box = search(JOINT, followers, candidates, node_limit)
         return result(res, decision, box, {JOINT: res.nodes}, JOINT)
 
     budget, nodes, finals, split_bound, box = node_limit, {}, [], -dp_span, False
     cold_resolves = 0
     for activation, subset in halves.items():
-        res, decision, half_box = search(subset, candidates, budget)
+        res, decision, half_box = search(activation, subset, candidates, budget)
         budget -= res.nodes
         nodes[activation] = res.nodes
         cold_resolves += res.cold_resolves
@@ -873,7 +911,9 @@ def solve_single_level(
                key=width)
     proven = split_bound <= width(best) + epsilon * (1.0 + abs(width(best)))
     if not proven and budget > 0:
-        res, decision, joint_box = search(followers, candidates + finals, budget, split_bound)
+        res, decision, joint_box = search(
+            JOINT, followers, candidates + finals, budget, split_bound,
+        )
         nodes[JOINT] = res.nodes
         res = replace(res, nodes=sum(nodes.values()),
                       cold_resolves=cold_resolves + res.cold_resolves)
@@ -967,6 +1007,7 @@ class FlexibilityResult:
     worst_case: WorstCaseLimits
     followers: list[Scenario]
     objective_history: list[float]
+    active_history: list[int]  # the active-set size each iteration solved with
     feasibility: FeasibilityReport
     single_level: SingleLevelResult
 
@@ -1004,8 +1045,12 @@ def run_iterative(
     (``stalled``): solving again would give the same decision.  Each
     (activation, extremum) family follower (``family_follower``), q_gen held
     or free, is made once per context, re-slotted by the screening, every
-    single-level solve and re-screening, and read by every assembly.
+    single-level solve and re-screening, and read by every assembly.  The
+    run's solves share one ``RunStore``, so an iteration searches and
+    walks again only what its new followers change; the store goes with
+    the run.
     """
+    _check_node_limit(node_limit)
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
     if not 0.0 <= epsilon < math.inf:
@@ -1022,12 +1067,17 @@ def run_iterative(
         active.append(seed_lo)
 
     history: list[float] = []
+    active_history: list[int] = []
+    store = RunStore()
     result: SingleLevelResult | None = None
     report: FeasibilityReport | None = None
     converged = stalled = False
     iterations = 0
     for iterations in range(1, cap + 1):
-        result = solve_single_level(ctx, mode, active, epsilon=epsilon, node_limit=node_limit)
+        active_history.append(len(active))
+        result = solve_single_level(
+            ctx, mode, active, epsilon=epsilon, node_limit=node_limit, store=store,
+        )
         history.append(result.objective)
         report = feasibility_check(ctx, mode, result.decision, direction=direction)
         if report.ok:
@@ -1053,6 +1103,7 @@ def run_iterative(
         worst_case=wc,
         followers=list(active),
         objective_history=history,
+        active_history=active_history,
         feasibility=report,
         single_level=result,
     )

@@ -255,9 +255,11 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
         "bnb_nodes": bnb.nodes,
         "bnb_nodes_by_search": dict(res.single_level.nodes_by_search),
         "bnb_cold_resolves": bnb.cold_resolves,
+        "bnb_reused": list(res.single_level.reused),
         "dp_plus_kw": float(res.dp_plus * base),
         "dp_minus_kw": float(res.dp_minus * base),
         "objective_history_kw": [float(v * base) for v in res.objective_history],
+        "active_history": list(res.active_history),
         "setpoints": _setpoint_records(ctx, res.mode, res.decision),
         "followers": [
             {"node": s.node, "activation": s.activation, "extremum": s.extremum}

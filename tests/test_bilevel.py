@@ -468,6 +468,17 @@ def test_node_limit_leaves_a_feasible_band_unconverged():
     assert not res.converged
 
 
+@pytest.mark.parametrize("node_limit", [-1, 2.0, None])
+def test_a_node_limit_that_is_no_count_is_rejected(pv_tight_ctx, node_limit):
+    """A node budget below 0, or one that is not an integer, is an error,
+    not a band after 0 nodes."""
+    with pytest.raises(ValueError, match="node_limit"):
+        run_iterative(pv_tight_ctx, MODE_CONSTANT_PF, node_limit=node_limit)
+    with pytest.raises(ValueError, match="node_limit"):
+        solve_single_level(pv_tight_ctx, MODE_CONSTANT_PF, [Scenario(4, POSITIVE, MAX_V)],
+                           node_limit=node_limit)
+
+
 def test_the_active_set_grows_by_the_rescreen_violators(ieee13_model, monkeypatch):
     """13-bus constant-pf with v_max 0.5 mV above the anchor: the first band
     fails its re-screen, the violators not yet active join the two seeds,

@@ -76,6 +76,9 @@ def test_solve_result_document(solved):
     assert 0.0 <= doc["bnb_gap_kw"]
     assert doc["dp_minus_kw"] <= 0.0 <= doc["dp_plus_kw"]
     assert len(doc["objective_history_kw"]) == doc["iterations"]
+    assert len(doc["active_history"]) == doc["iterations"]
+    assert doc["active_history"][-1] == len(doc["followers"])
+    assert set(doc["bnb_reused"]) <= {"positive", "negative", "joint"}
     assert doc["verification"] is None
     for rec in doc["setpoints"]:
         assert rec["kind"] == "gamma"
