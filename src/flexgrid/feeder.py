@@ -92,7 +92,6 @@ class InverterSpec:
     p_min_kw: float
     p_max_kw: float
     s_kva: float  # apparent power rating
-    mode: str  # one of INVERTER_MODES
     pf: float = 0.9  # constant-pf mode: power-factor bound on the q/p ratio
     gamma: float = 0.48  # constant-q mode: fixed q/p cone half-width
 
@@ -354,7 +353,7 @@ def load_feeder(source) -> FeederModel:
         inverters.append(
             InverterSpec(
                 bus=bid, phase=phase, p_kw=p, p_min_kw=pmin, p_max_kw=pmax,
-                s_kva=s, mode=mode, pf=pf, gamma=gamma,
+                s_kva=s, pf=pf, gamma=gamma,
             )
         )
 
@@ -397,7 +396,7 @@ def dump_feeder(model: FeederModel) -> dict:
             {
                 "bus": g.bus, "phase": g.phase, "p_kw": g.p_kw,
                 "p_min": g.p_min_kw, "p_max": g.p_max_kw, "s_kva": g.s_kva,
-                "mode": g.mode, "mode_params": {"pf": g.pf, "gamma": g.gamma},
+                "mode_params": {"pf": g.pf, "gamma": g.gamma},
             }
             for g in model.inverters
         ],

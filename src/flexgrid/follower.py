@@ -30,8 +30,8 @@ so ``MaterializedFollower.values`` solves a batch of target nodes and band
 edges in one numpy pass, and ``solve`` is that pass on a batch of one plus
 the dual certificate:
 
-* constant-pf and fixed-q constant-q: the mode row ties each node's q_gen to
-  its own Δp_gen (``_Knapsack``);
+* constant-pf, fixed-q constant-q and any follower with no inverter: the
+  mode row ties each node's q_gen to its own Δp_gen (``_Knapsack``);
 * free-q constant-q: each node's best q_gen is the end of its cone, box and
   capability range that its gain prefers, a concave piecewise-linear function
   of Δp_gen, so each node's Δp_gen splits into segments of falling gain
@@ -39,10 +39,13 @@ the dual certificate:
 * volt-var: at fixed q̄ the droop rows are solved for q_gen, which turns the
   target row of the sensitivities into transformed gains (``_VoltVar``).
 
-Each fill also gives exact row and bound duals.  HiGHS is kept as a fallback,
-one target at a time, for the rows the closed forms cannot certify: a
-volt-var point that leaves the q_gen box or a capability row, a droop system
-that cannot be solved, and inconsistent device data.
+The knapsack and volt-var fills also give exact row and bound duals, the
+certificates the single-level completion reads.  q_gen is free only in the
+screening, which reads values alone, so a free-q certificate is HiGHS's.
+HiGHS is also the fallback, one target at a time, for the rows the closed
+forms cannot certify: a volt-var point that leaves the q_gen box or a
+capability row, a droop system that cannot be solved, and inconsistent
+device data.
 """
 
 from __future__ import annotations
@@ -173,10 +176,6 @@ class NodeDevices:
     gamma_const: np.ndarray  # constant-q mode: fixed cone half-width
     inverter_nodes: tuple[int, ...]
     load_nodes: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return self.p_load0.shape[0]
 
 
 def build_devices(model: FeederModel, index: BusPhaseIndex | None = None) -> NodeDevices:
@@ -601,10 +600,11 @@ class FollowerProblem:
         return lp
 
     def materialize(self, slots: dict[str, float]) -> "MaterializedFollower":
-        """The closed-form follower of this problem's mode at ``slots``."""
-        if self.mode == MODE_VOLT_VAR:
+        """The closed-form follower of this problem's mode at ``slots``; with
+        no inverter, the loads' knapsack whatever the mode."""
+        if self.mode == MODE_VOLT_VAR and self.inv.size:
             mf = _VoltVar(self)
-        elif self.mode == MODE_CONSTANT_Q and not self.fix_q:
+        elif self.mode == MODE_CONSTANT_Q and not self.fix_q and self.inv.size:
             mf = _FreeQ(self)
         else:
             mf = _Knapsack(self)
@@ -622,8 +622,9 @@ class FollowerProblem:
         """Bounds on |dual| per row that every closed-form certificate for
         target t = ``node`` keeps at any band edge and any setpoints in
         ``boxes``; inf on the rows without one.  Constant-pf bounds agg,
-        fixed-q constant-q agg and qfix; free-q constant-q and volt-var
-        bound nothing.
+        fixed-q constant-q agg and qfix, any mode agg with no inverter (the
+        loads' knapsack, gains sign·σ·s_l); free-q constant-q and volt-var
+        with inverters bound nothing.
 
         Proof, from ``_Knapsack``.  At setpoints κ (constant-pf: γ;
         fixed-q: 0) the items' gains are sign·σ·(s_p[t,i] + κ_i·s_q[t,i])
@@ -646,7 +647,7 @@ class FollowerProblem:
         t, m = node, self.inv.size
         box = np.full(self.n_rows, np.inf)
         fixed_q = self.mode == MODE_CONSTANT_Q and self.fix_q
-        if self.mode != MODE_CONSTANT_PF and not fixed_q:
+        if self.mode != MODE_CONSTANT_PF and not fixed_q and m:
             return box
         kappa = np.zeros((1, m))
         if self.mode == MODE_CONSTANT_PF:
@@ -669,20 +670,20 @@ class FollowerProblem:
 class FollowerValues:
     """The optima of one follower family at a batch of targets.
 
-    Row i is the family's follower with target node ``nodes[i]`` and the
-    band edge asked for it: the objective σ|v_t| of its optimum, the aggregate
-    row's dual, the optimum's device columns (``device_cols`` of the
-    follower) and the knapsack fill ``z`` behind it.  ``optimal`` is False
-    where the LP is infeasible, and the row's other entries then mean
-    nothing.  ``certified`` is False where the closed form could not certify
-    the row; ``fallback`` holds HiGHS's certificate of each such row.
+    Row i is the family's follower with target node ``nodes[i]`` and band
+    edge ``edges[i]``: the objective σ|v_t| of its optimum, the aggregate
+    row's dual and the optimum's device columns (``device_cols`` of the
+    follower).  ``optimal`` is False where the LP is infeasible, and the
+    row's other entries then mean nothing.  ``certified`` is False where the
+    closed form could not certify the row; ``fallback`` holds HiGHS's
+    certificate of each such row.
     """
 
     nodes: np.ndarray
+    edges: np.ndarray
     objective: np.ndarray
     agg_dual: np.ndarray
     devices: np.ndarray
-    z: np.ndarray
     optimal: np.ndarray
     certified: np.ndarray
     fallback: dict[int, DualCertificate] = field(default_factory=dict)
@@ -708,10 +709,12 @@ class MaterializedFollower:
     certificate (row and bound duals in ``problem.row_names`` and variable
     order), so strong duality and the single-level completion read it as
     they read HiGHS; ``solve`` is the kernel on a batch of one plus that
-    certificate.  Where a closed form cannot certify a target's point,
-    ``solve`` falls back to HiGHS on ``problem.to_lp``, built at the slots
-    with the band edge in the aggregate slot and the target node's
-    objective, and ``values`` hands each such target to ``solve``.
+    certificate.  ``_Knapsack`` and ``_VoltVar`` build it from the fill;
+    ``_FreeQ``, which only the screening's values need, takes HiGHS's on
+    ``problem.to_lp``, built at the slots with the row's band edge in the
+    aggregate slot and its target node's objective.  Where a closed form
+    cannot certify a target's point, ``solve`` falls back to that LP too,
+    and ``values`` hands each such target to ``solve``.
     """
 
     certifiable = True  # False where the closed form certifies nothing at these setpoints
@@ -779,12 +782,7 @@ class MaterializedFollower:
         node = p.scenario.node if node is None else node
         edge = self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound
         vals = self._closed(np.array([node], dtype=np.int64), np.array([edge], dtype=float))
-        if vals.certified[0]:
-            return self.certificate(vals, 0)
-        lp = p.to_lp({**self.slots, p.scenario.dp_slot: edge})
-        lp.set_objective(p.i_vm(p.scenario.node), 0.0)
-        lp.set_objective(p.i_vm(node), p.scenario.sigma)
-        return solve_materialized(lp.materialize())
+        return self.certificate(vals, 0) if vals.certified[0] else self._highs(vals, 0)
 
     def certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
         """The full certificate of row ``i`` of ``vals``, which must come from
@@ -800,17 +798,17 @@ class MaterializedFollower:
         t = nodes.size
         if not self.certifiable:
             return FollowerValues(
-                nodes=nodes, objective=np.full(t, np.nan),
+                nodes=nodes, edges=edges, objective=np.full(t, np.nan),
                 agg_dual=np.full(t, np.nan), devices=np.full((t, self.device_cols.size), np.nan),
-                z=np.full((t, self.item_lo.size), np.nan), optimal=np.zeros(t, dtype=bool),
-                certified=np.zeros(t, dtype=bool),
+                optimal=np.zeros(t, dtype=bool), certified=np.zeros(t, dtype=bool),
             )
         room = self.sign * edges - self.lo_sum
         z, mu, fits = _fill(self.gains[nodes], self.item_lo, self.item_hi, room)
         devices = self._devices(nodes, z)
         return FollowerValues(
-            nodes=nodes, objective=self.problem.scenario.sigma * self._magnitudes(nodes, devices),
-            agg_dual=self.sign * mu, devices=devices, z=z, optimal=fits & self.feasible,
+            nodes=nodes, edges=edges,
+            objective=self.problem.scenario.sigma * self._magnitudes(nodes, devices),
+            agg_dual=self.sign * mu, devices=devices, optimal=fits & self.feasible,
             certified=self._certifies(devices, fits),
         )
 
@@ -823,7 +821,17 @@ class MaterializedFollower:
         return np.ones(fits.size, dtype=bool)
 
     def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
-        raise NotImplementedError
+        """The certificate of optimal row ``i``: HiGHS's, where a subclass
+        has no closed form of it."""
+        return self._highs(vals, i)
+
+    def _highs(self, vals: FollowerValues, i: int) -> DualCertificate:
+        """HiGHS on ``problem.to_lp`` at row ``i``'s band edge, with its target node's objective."""
+        p = self.problem
+        lp = p.to_lp({**self.slots, p.scenario.dp_slot: float(vals.edges[i])})
+        lp.set_objective(p.i_vm(p.scenario.node), 0.0)
+        lp.set_objective(p.i_vm(int(vals.nodes[i])), p.scenario.sigma)
+        return solve_materialized(lp.materialize())
 
     def _magnitudes(self, rows, devices: np.ndarray) -> np.ndarray:
         """|v| at nodes ``rows`` of device columns ``devices`` (one set, or one
@@ -894,7 +902,8 @@ class MaterializedFollower:
 
 
 class _Knapsack(MaterializedFollower):
-    """Closed-form solve of a follower whose only cross-node row is ``agg``.
+    """Closed-form solve of a follower whose only cross-node row is ``agg``
+    (in any mode where it has no inverter).
 
     Substituting |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen and the
     node's mode row (pfq: q_gen = γ(p_gen0 + Δp_gen); qfix: q_gen = q_set)
@@ -1082,7 +1091,7 @@ class _VoltVar(MaterializedFollower):
 
 
 class _FreeQ(MaterializedFollower):
-    """Closed-form solve of a constant-q follower with free q_gen (screening).
+    """Closed-form values of a constant-q follower with free q_gen (screening).
 
     An inverter node's q_gen range is symmetric, |q_gen| <= h(Δp_gen) with
     h = min(γ(p_gen0 + Δp_gen), s_cap, √2·s_cap - p_gen0 - Δp_gen) from the
@@ -1091,63 +1100,52 @@ class _FreeQ(MaterializedFollower):
     g_x·Δp_gen + |g_q|·h(Δp_gen) is concave and piecewise linear: its
     Δp_gen box splits at the kinks of h into up to three segments of falling
     marginal gain, each defined by one of the three constraints on the side
-    g_q prefers, and the greedy fill over the segments stays exact.  In the
-    certificate, |g_q| (q_gen's reduced cost) goes to the constraint that
-    defines h where the fill leaves Δp_gen, and the rest of Δp_gen's reduced
-    cost to the box bound it sits at.  At a kink the two segments'
-    constraints share |g_q| so that the Δp_gen column balances.
+    g_q prefers, and the greedy fill over the segments stays exact.  No
+    decision leaves q_gen free, so no single-level completion asks for a
+    certificate: ``certificate`` is HiGHS's.
     """
 
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
         p, inv, dev = self.problem, self.inv, self.problem.devices
-        m, n_rows, n_vars = inv.size, p.n_rows, p.n_vars
+        m = inv.size
         gamma, p0, s = dev.gamma_const[inv], dev.p_gen0[inv], dev.s_cap[inv]
         # h = min over pieces j (cone, q_gen bound, capability row) of
         # b_j - a_j·Δp_gen; the pieces' slopes -a_j fall with j.
         self.a = np.column_stack([-gamma, np.zeros(m), np.ones(m)])
         self.b = np.column_stack([gamma * p0, s, math.sqrt(2.0) * s - p0])
-        dpg, qg = self.gen_cols, self.q_cols
-        lo, hi = p.lb[dpg], p.ub[dpg]
+        lo, hi = p.lb[self.gen_cols], p.ub[self.gen_cols]
         # h is concave, so it is >= 0 on the box when it is at both ends (it
         # is for any parsed inverter: s_cap > 0 and 0 <= p_gen0 <= s_cap).
         self.certifiable = bool(
             np.all(self._h(lo) >= -FEAS_TOL) and np.all(self._h(hi) >= -FEAS_TOL)
         )
-        # Where a piece's multiplier lands in [row duals, lower, upper], and
-        # its sign there, with q_gen at +h (side 0) or at -h (side 1).
-        self.target = np.stack([
-            np.column_stack([p.row_index("cq_hi"), n_rows + n_vars + qg, p.row_index("cap_hi")]),
-            np.column_stack([p.row_index("cq_lo"), n_rows + qg, p.row_index("cap_lo")]),
-        ], axis=2)
-        self.dual_sign = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
 
         # Segments per node in z order, padded to three: their pieces and z
         # ranges (the first starts at the node's z, the others at 0).
-        self.piece = np.zeros((m, 3), dtype=np.int64)
+        piece = np.zeros((m, 3), dtype=np.int64)
         self.valid = np.zeros((m, 3), dtype=bool)
-        self.seg_lo, self.seg_hi = np.zeros((m, 3)), np.zeros((m, 3))
+        seg_lo, seg_hi = np.zeros((m, 3)), np.zeros((m, 3))
         for i in range(m):
             segments = _envelope(self.a[i], self.b[i], lo[i], hi[i])
             if self.sign < 0:
                 segments = [(-x1, -x0, j) for x0, x1, j in reversed(segments)]
             for s_i, (z0, z1, j) in enumerate(segments):
-                self.piece[i, s_i], self.valid[i, s_i] = j, True
-                self.seg_lo[i, s_i] = z0 if s_i == 0 else 0.0
-                self.seg_hi[i, s_i] = z1 if s_i == 0 else z1 - z0
+                piece[i, s_i], self.valid[i, s_i] = j, True
+                seg_lo[i, s_i] = z0 if s_i == 0 else 0.0
+                seg_hi[i, s_i] = z1 if s_i == 0 else z1 - z0
         # Knapsack items: the segments, then Δp_load.
         z_lo, z_hi = self.z_box(lo, hi)
         self.set_items(
-            np.concatenate([self.seg_lo[self.valid], z_lo[m:]]),
-            np.concatenate([self.seg_hi[self.valid], z_hi[m:]]),
+            np.concatenate([seg_lo[self.valid], z_lo[m:]]),
+            np.concatenate([seg_hi[self.valid], z_hi[m:]]),
         )
         self.n_seg = int(self.valid.sum())
-        self.box_only[dpg] = self.box_only[qg] = False
         # Every target's gains: per unit z, g_x - |g_q|·a_j on a segment of
         # piece j, and the load shed's; q_gen sits at sign(g_q)·h.
         sigma = p.scenario.sigma
         g_abs = np.abs(sigma * p.s_q)[:, :, None]
-        seg_gain = sigma * p.s_p[:, :, None] - g_abs * self.a[np.arange(m)[:, None], self.piece]
+        seg_gain = sigma * p.s_p[:, :, None] - g_abs * self.a[np.arange(m)[:, None], piece]
         self.gains = self.sign * np.concatenate([seg_gain[:, self.valid], sigma * p.s_l], axis=1)
         self.q_side = np.where(sigma * p.s_q < 0.0, -1.0, 1.0)
 
@@ -1155,50 +1153,12 @@ class _FreeQ(MaterializedFollower):
         """h at each inverter node's Δp_gen (one set, or one per row)."""
         return np.min(self.b - self.a * x[..., None], axis=-1)
 
-    def _segments(self, z: np.ndarray) -> np.ndarray:
-        """The fills ``z`` of the segment items per inverter node and segment."""
-        zs = np.zeros(z.shape[:-1] + self.valid.shape)
-        zs[..., self.valid] = z[..., :self.n_seg]
-        return zs
-
     def _devices(self, nodes, z):
-        dpg = self.sign * self._segments(z).sum(axis=-1)
+        zs = np.zeros(z.shape[:-1] + self.valid.shape)  # the segments' fills per node
+        zs[..., self.valid] = z[..., :self.n_seg]
+        dpg = self.sign * zs.sum(axis=-1)
         dpl = -self.sign * z[:, self.n_seg:]
         return np.concatenate([dpg, dpl, self.q_side[nodes] * self._h(dpg)], axis=1)
-
-    def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
-        p = self.problem
-        m = np.arange(self.inv.size)
-        node = vals.nodes[i]
-        sigma = p.scenario.sigma
-        gain_g, gain_l, gain_q = sigma * p.s_p[node], sigma * p.s_l[node], sigma * p.s_q[node]
-        g_abs = np.abs(gain_q)
-        side = (gain_q < 0.0).astype(np.int64)
-        zs = self._segments(vals.z[i])
-        cert, duals, reduced = self.dual_parts(
-            vals, i, self._target(node), gain_g, gain_l, gain_q
-        )
-        # The fill leaves a node's segments full up to one partial segment (or
-        # a kink); ``cur`` is the segment defining h there, ``nxt`` the one after.
-        full = self.valid & (zs >= self.seg_hi)
-        partial = self.valid & ~full & (zs > self.seg_lo)
-        n_full, n_valid = full.sum(axis=1), self.valid.sum(axis=1)
-        has_partial = partial.any(axis=1)
-        cur = np.where(has_partial, partial.argmax(axis=1), np.maximum(n_full - 1, 0))
-        kink = ~has_partial & (n_full > 0) & (n_full < n_valid)
-        nxt = np.minimum(n_full, 2)
-        j_cur, j_nxt = self.piece[m, cur], self.piece[m, nxt]
-        a_cur, a_nxt = self.a[m, j_cur], self.a[m, j_nxt]
-        r = reduced[self.gen_cols] - a_cur * g_abs  # left for the Δp_gen bounds
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pi_nxt = np.where(kink, r / (a_nxt - a_cur), 0.0)
-        duals[self.target[m, j_cur, side]] += self.dual_sign[j_cur, side] * (g_abs - pi_nxt)
-        duals[self.target[m, j_nxt, side]] += self.dual_sign[j_nxt, side] * pi_nxt
-        r = np.where(kink | has_partial, 0.0, r)
-        n_rows = p.n_rows
-        duals[n_rows + self.gen_cols] = np.minimum(r, 0.0)
-        duals[n_rows + p.n_vars + self.gen_cols] = np.maximum(r, 0.0)
-        return cert
 
 
 def _envelope(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[tuple[float, float, int]]:

@@ -1,18 +1,17 @@
 """The scalar band-edge walk, kept as the oracle of ``bilevel._edge_walk``.
 
-``scalar_edge_walk`` walks one target node at a time with one
-``solve(node=..., dp_bound=...)`` per step and reads the slope through
-``agg_dual``: the per-target walk the lockstep ``_edge_walk`` replaced, with
-the same tangent, secant and midpoint steps and the same halving rule.  The
-lockstep walk must give its limits with the same number of evaluations per
-target.
+``scalar_edge_walk`` walks one target node at a time with a one-target
+``values`` call per step, which gives the objective and the slope (the
+aggregate dual) in closed form in every mode: the per-target walk the
+lockstep ``_edge_walk`` replaced, with the same tangent, secant and midpoint
+steps and the same halving rule.  The lockstep walk must give its limits
+with the same number of evaluations per target.
 """
 
 import math
 
 from flexgrid.bilevel import EDGE_ROOT_TOL, BilevelError
 from flexgrid.follower import MAX_V
-from flexgrid.lp import INFEASIBLE
 
 
 def scalar_edge_walk(mf, node, tol_abs):
@@ -30,10 +29,10 @@ def scalar_edge_walk(mf, node, tol_abs):
     aim = c - 0.5 * EDGE_ROOT_TOL
 
     def value(s):
-        cert = mf.solve(node=node, dp_bound=sign * s)
-        if cert.status == INFEASIBLE:
+        vals = mf.values([node], [sign * s])
+        if not vals.optimal[0]:
             raise BilevelError("follower LP infeasible during screening")
-        return cert.objective, sign * mf.agg_dual(cert)
+        return float(vals.objective[0]), sign * float(vals.agg_dual[0])
 
     hi = abs(full)
     f_hi, g_hi = value(hi)

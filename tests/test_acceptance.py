@@ -167,9 +167,8 @@ def _binding_limit_window(rec, side):
 
     sc = Scenario(k, act, fam)
     problem = build_follower(ctx, sc, mode)
-    mf = problem.materialize({**setpoints, sc.dp_slot: t})
-    cert = mf.solve()
-    lam = abs(mf.agg_dual(cert)) if cert.is_optimal else 0.0
+    vals = problem.materialize({**setpoints, sc.dp_slot: t}).values([k])
+    lam = abs(float(vals.agg_dual[0])) if vals.optimal[0] else 0.0
     tol = 1e-3 * abs(full)
     if lam > 1e-12:
         tol = max(tol, 0.01 / lam)

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import balanced_doc
 from corpus import BINDING_FEEDERS, corpus_context
 from randfeeders import random_context
 
-from flexgrid import bilevel, build_context, load_feeder
+from flexgrid import bilevel, build_context, follower, load_feeder
 from flexgrid.bilevel import (
     DUAL_BOX,
     EDGE_TOL_REL,
@@ -48,6 +49,7 @@ from flexgrid.follower import (
     slot_qset,
 )
 from flexgrid.lp import GE, LE, OPTIMAL, DualCertificate, verify_strong_duality
+from flexgrid.oracle import verify_decision
 
 MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
 
@@ -1099,3 +1101,47 @@ def test_the_split_agrees_with_the_joint_search(seed, z_scale, mode):
     assert (fallback > 0) == (split.bound_by == JOINT) == (seed == 7235)
     assert fallback <= joint.bnb.nodes
     assert feasibility_check(ctx, mode, split.decision).ok
+
+
+def _load_only_context():
+    """The balanced two-bus feeder (loads only, no inverter) with the band
+    4 mV below its lowest and 2 mV above its highest anchor |v|."""
+    model = load_feeder(balanced_doc())
+    vm = build_context(model).anchor.vm
+    return build_context(model, v_min=float(vm.min()) - 0.004, v_max=float(vm.max()) + 0.002)
+
+
+def test_a_feeder_without_inverters_solves_alike_in_every_mode():
+    """With no inverter every follower is the loads' knapsack, whatever the
+    mode, and ``dual_box`` bounds its aggregate dual: each mode proves the
+    constant-pf band, bit for bit, in 2 nodes."""
+    ctx = _load_only_context()
+    want = run_iterative(ctx, MODE_CONSTANT_PF)
+    for mode in MODES:
+        problem = build_follower(ctx, Scenario(0, POSITIVE, MAX_V), mode)
+        box = problem.dual_box(setpoint_boxes(ctx, mode), 0)
+        assert np.flatnonzero(np.isfinite(box)).tolist() == [problem.row_names.index("agg")]
+        res = run_iterative(ctx, mode)
+        assert res.converged and res.single_level.bnb.status == OPTIMAL, mode
+        assert (res.dp_plus, res.dp_minus) == (want.dp_plus, want.dp_minus), mode
+        assert res.single_level.bnb.nodes == 2, mode
+
+
+@pytest.mark.parametrize("case", ["load-only", "7208-z3", "7210-z3"])
+def test_runs_never_ask_a_free_q_follower_for_a_certificate(case, monkeypatch):
+    """Every decision fixes q_set, so q_gen is free only in the screening,
+    which reads values alone: with a free-q certificate made to raise,
+    ``run_iterative`` and ``verify_decision`` run clean on the load-only
+    feeder in every mode and on two constant-q corpus cases."""
+    def raising(self, vals, i):
+        raise AssertionError("a free-q follower was asked for a certificate")
+
+    monkeypatch.setattr(follower._FreeQ, "certificate", raising)
+    if case == "load-only":
+        runs = [(_load_only_context(), mode) for mode in MODES]
+    else:
+        seed, z_scale = int(case[:4]), float(case[-1])
+        runs = [(corpus_context(seed, z_scale, MODE_CONSTANT_Q), MODE_CONSTANT_Q)]
+    for ctx, mode in runs:
+        res = run_iterative(ctx, mode, node_limit=400)
+        assert verify_decision(ctx, mode, res.decision).checks, (case, mode)

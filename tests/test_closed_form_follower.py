@@ -1,18 +1,24 @@
 """The closed-form follower solves against HiGHS.
 
-Every follower mode is solved in closed form inside
-``MaterializedFollower.solve``: constant-pf and fixed-q constant-q
-followers as fractional knapsacks, free-q constant-q followers over
-segments of their concave node gains, and volt-var followers through the
-droop rows solved for q_gen.  The oracle shares no code with that path:
-HiGHS on the follower's plain LP from ``problem.to_lp``, with the target
-node's objective.  Every closed-form certificate must also pass the
-LP-level checks the single-level completion relies on: strong duality, and
-dual feasibility of its row and bound duals (which ``verify_strong_duality``
-does not test).
+Every follower mode is solved in closed form by
+``MaterializedFollower.values``: constant-pf and fixed-q constant-q
+followers (and any follower with no inverter) as fractional knapsacks,
+free-q constant-q followers over segments of their concave node gains, and
+volt-var followers through the droop rows solved for q_gen.  The oracle
+shares no code with that path: HiGHS on the follower's plain LP from
+``problem.to_lp``, with the target node's objective.  The knapsack and
+volt-var followers also certify their optima in closed form, and every
+such certificate must pass the LP-level checks the single-level completion
+relies on: strong duality, and dual feasibility of its row and bound duals
+(which ``verify_strong_duality`` does not test).  q_gen is free only in the
+screening, which reads values alone, so a free-q certificate is HiGHS's:
+there the values themselves are checked against HiGHS, their devices as a
+point of the LP attaining its optimum and their aggregate dual through the
+Lagrangian bound it gives.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -151,6 +157,32 @@ class Oracle:
         worst = max(worst, float(np.max(cert.lower_duals)), float(-np.min(cert.upper_duals)))
         return worst
 
+    def infeasibility(self, mf, devices):
+        """Largest violation of the rows (as last retargeted) and the bounds
+        by the LP point of ``mf``'s device columns ``devices``, with the
+        |v| they give."""
+        p = self.problem
+        x = np.zeros(p.n_vars)
+        x[mf.device_cols] = devices
+        x[self.vm] = p.m0 + mf.s_dev @ devices
+        ax = self.A @ x - np.array(self.lp.rhs)
+        rel = np.array(self.lp.relations)
+        rows = np.where(rel == LE, ax, np.where(rel == GE, -ax, np.abs(ax)))
+        return max(float(rows.max()), float(np.max(p.lb - x)), float(np.max(x - p.ub)))
+
+    def lagrangian(self, node, edge, mu):
+        """The Lagrangian bound at agg dual ``mu``: HiGHS's optimum of the LP
+        with the agg row priced at ``mu`` in the objective instead of
+        imposed (its bound put beyond any aggregate the device boxes allow),
+        plus mu·edge.  It is the optimum exactly when ``mu`` is an optimal
+        dual of the agg row."""
+        self.retarget(node, edge)
+        row_lb, row_ub = self.mat.row_lb.copy(), self.mat.row_ub.copy()
+        row_lb[self.agg], row_ub[self.agg] = -np.inf, 1e9
+        c = np.array(self.lp.obj) - mu * self.A[self.agg]
+        cert = solve_materialized(dataclasses.replace(self.mat, c=c, row_lb=row_lb, row_ub=row_ub))
+        return cert.objective + mu * edge
+
 
 def _breakpoint_edge(mf, node, edge):
     """A band edge on a kink of F(s), the follower's objective at |band edge|
@@ -160,14 +192,16 @@ def _breakpoint_edge(mf, node, edge):
     F is concave and piecewise linear with the aggregate dual as its slope,
     so the tangents at the two ends of an interval meet at or beyond its
     first kink, and a point where F still lies on the left tangent is that
-    kink.  Only ``solve`` and ``agg_dual`` are read.
+    kink.  Only one-target ``values`` calls are read.
     """
     sign = 1.0 if mf.problem.scenario.activation == POSITIVE else -1.0
     full = abs(mf.slots[mf.problem.scenario.dp_slot])
 
     def tangent(s):
-        cert = mf.solve(node=node, dp_bound=sign * s)
-        return (cert.objective, sign * mf.agg_dual(cert)) if cert.is_optimal else None
+        vals = mf.values([node], [sign * s])
+        if not vals.optimal[0]:
+            return None
+        return float(vals.objective[0]), sign * float(vals.agg_dual[0])
 
     for lo, hi in ((abs(edge), full), (0.0, abs(edge))):
         ends = tangent(lo), tangent(hi)
@@ -198,18 +232,45 @@ def _check_certificate(oracle, mf, node, edge, where):
     rep = verify_strong_duality(oracle.lp, got)
     assert rep.ok, (where, rep.gap, rep.max_slackness)
     assert oracle.dual_infeasibility(got) <= 1e-9, where
-    return got
+    return got.objective, mf.agg_dual(got)
 
 
-def _check_subgradient(oracle, mf, node, edge, cert, h, where):
-    """The aggregate dual lies between the one-sided difference quotients."""
-    f = cert.objective
+def _check_free_q_values(oracle, mf, vals, i, where):
+    """Row ``i`` of a free-q follower's ``values`` against HiGHS: the closed
+    form certifies it, its objective is HiGHS's optimum, its devices are a
+    point of the LP, and its aggregate dual is an optimal dual of the agg
+    row (signed for the row's relation, its Lagrangian bound meets the
+    optimum).  Returns (objective, aggregate dual), or None where the LP is
+    infeasible."""
+    node, edge = int(vals.nodes[i]), float(vals.edges[i])
+    want = oracle.solve(node, edge)
+    assert vals.certified[i], where
+    assert vals.optimal[i] == want.is_optimal, where
+    if not want.is_optimal:
+        return None
+    f, mu = float(vals.objective[i]), float(vals.agg_dual[i])
+    assert abs(f - want.objective) <= 1e-9, where
+    assert oracle.infeasibility(mf, vals.devices[i]) <= 1e-9, where
+    assert (mu >= 0.0) if oracle.lp.relations[oracle.agg] == LE else (mu <= 0.0), where
+    assert abs(oracle.lagrangian(node, edge, mu) - want.objective) <= 1e-9, where
+    return f, mu
+
+
+def _free_q(mf):
+    """Whether ``mf`` leaves q_gen free: closed-form values, HiGHS certificates."""
+    p = mf.problem
+    return p.mode == MODE_CONSTANT_Q and not p.fix_q and p.inv.size > 0
+
+
+def _check_subgradient(oracle, mf, node, edge, f, agg_dual, h, where):
+    """The aggregate dual of the optimum ``f`` lies between the one-sided
+    difference quotients."""
     sign = 1.0 if mf.problem.scenario.activation == POSITIVE else -1.0
     wider = oracle.solve(node, edge + sign * h)
     narrower = oracle.solve(node, edge - sign * h)
     right = (wider.objective - f) / h
     left = np.inf if narrower.status == INFEASIBLE else (f - narrower.objective) / h
-    slope = sign * mf.agg_dual(cert)
+    slope = sign * agg_dual
     assert right - 1e-5 <= slope <= left + 1e-5, (where, right, slope, left)
 
 
@@ -235,16 +296,20 @@ def test_closed_form_matches_highs(corpus, pv_model, ieee13_model):
                         for k in range(ctx.n):
                             interior = float(rng.uniform(0.05, 0.95)) * full
                             edges = {"zero": 0.0, "full": full, "interior": interior}
-                            if mf.solve(node=k, dp_bound=interior).is_optimal:
+                            if mf.values([k], [interior]).optimal[0]:
                                 kink = _breakpoint_edge(mf, k, interior)
                                 if kink is not None:
                                     edges["breakpoint"] = kink
                             for kind, edge in edges.items():
                                 where = (corpus, c_i, mode, fix_q, sp_i, activation, extremum,
                                          k, kind)
-                                cert = _check_certificate(oracle, mf, k, edge, where)
-                                if cert is not None and k % stride == 0:
-                                    _check_subgradient(oracle, mf, k, edge, cert, h, where)
+                                if _free_q(mf):
+                                    got = _check_free_q_values(
+                                        oracle, mf, mf.values([k], [edge]), 0, where)
+                                else:
+                                    got = _check_certificate(oracle, mf, k, edge, where)
+                                if got is not None and k % stride == 0:
+                                    _check_subgradient(oracle, mf, k, edge, *got, h, where)
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
@@ -522,7 +587,7 @@ def test_volt_var_at_a_singular_droop_system_falls_back_to_highs():
 def test_free_q_optimum_cut_by_the_capability_stays_closed_form(pv_model):
     """Free-q constant-q with a tight s_cap and a wide cone: the capability
     rows and the q_gen bounds cut h(Δp_gen) into three segments, and as
-    segments of the closed form they leave it exact."""
+    segments of the closed form they leave its values exact."""
     probe = build_context(pv_model)
     dev = probe.devices
     has_inv = dev.s_cap > 0.0
@@ -546,7 +611,8 @@ def test_free_q_optimum_cut_by_the_capability_stays_closed_form(pv_model):
                 kink = _breakpoint_edge(mf, k, edges[-1])
                 edges += [] if kink is None else [kink]
                 for edge in edges:
-                    _check_certificate(oracle, mf, k, edge, (activation, extremum, k, edge))
+                    where = (activation, extremum, k, edge)
+                    _check_free_q_values(oracle, mf, mf.values([k], [edge]), 0, where)
                     cut += _cut_duals(problem, oracle.solve(k, edge)) > 1e-9
     assert cut > 0
 
@@ -579,9 +645,10 @@ def test_free_q_falls_back_when_the_capability_excludes_the_operating_point(pv_m
 
 
 class HighsFollower:
-    """The HiGHS-backed stand-in for a materialized follower: the same
-    ``problem``/``slots``/``solve``/``agg_dual`` interface, solved by the
-    ``Oracle`` on the follower's plain LP."""
+    """The HiGHS-backed stand-in for a materialized follower: the
+    ``problem``/``slots``/``values`` interface the scalar walk reads, for
+    one target per call, solved by the ``Oracle`` on the follower's plain
+    LP."""
 
     def __init__(self, problem, slots):
         self.problem = problem
@@ -589,14 +656,16 @@ class HighsFollower:
         self.oracle = Oracle(problem, slots)
         self.solves = 0
 
-    def solve(self, *, node=None, dp_bound=None):
+    def values(self, nodes, edges):
+        (node,), (edge,) = nodes, edges
         self.solves += 1
-        node = self.problem.scenario.node if node is None else node
-        edge = self.slots[self.problem.scenario.dp_slot] if dp_bound is None else dp_bound
-        return self.oracle.solve(node, edge)
-
-    def agg_dual(self, cert):
-        return float(cert.row_duals[self.oracle.agg])
+        cert = self.oracle.solve(node, edge)
+        ok = cert.is_optimal
+        return SimpleNamespace(
+            objective=np.array([cert.objective if ok else np.nan]),
+            agg_dual=np.array([cert.row_duals[self.oracle.agg] if ok else np.nan]),
+            optimal=np.array([ok]),
+        )
 
 
 @pytest.mark.parametrize("corpus", ["pv_tight", "ieee13"])
@@ -666,7 +735,10 @@ def _free_q_excluded_context(pv_model):
 def _check_values(mf, nodes, edges, where):
     """One ``values`` call against a ``solve`` per row (bit for bit, the
     certificate of each row included) and against HiGHS on ``to_lp``;
-    returns the row counts (closed-form, fallback)."""
+    returns the row counts (closed-form, fallback).  A free-q row the
+    closed form certifies has HiGHS's certificate, the solve's: it is
+    checked against a one-target ``values`` call bit for bit and against
+    HiGHS by ``_check_free_q_values``."""
     problem = mf.problem
     oracle = Oracle(problem, mf.slots)
     vals = mf.values(nodes, edges)
@@ -674,13 +746,20 @@ def _check_values(mf, nodes, edges, where):
         got, want = mf.solve(node=node, dp_bound=edge), oracle.solve(node, edge)
         at = (where, node, edge)
         assert vals.optimal[i] == got.is_optimal == want.is_optimal, at
-        assert vals.certified[i] == (got.method == CLOSED_FORM), at
+        free_q = _free_q(mf) and vals.certified[i]
+        assert vals.certified[i] == (got.method == CLOSED_FORM) or free_q, at
         if not got.is_optimal:
             continue
-        assert vals.objective[i] == got.objective, at
-        assert vals.agg_dual[i] == mf.agg_dual(got), at
-        assert np.array_equal(vals.devices[i], got.x[mf.device_cols]), at
-        assert abs(vals.objective[i] - want.objective) <= 1e-9, at
+        if free_q:
+            one = mf.values([node], [edge])
+            for name in ("objective", "agg_dual", "devices"):
+                assert np.array_equal(getattr(vals, name)[i], getattr(one, name)[0]), (at, name)
+            _check_free_q_values(oracle, mf, vals, i, at)
+        else:
+            assert vals.objective[i] == got.objective, at
+            assert vals.agg_dual[i] == mf.agg_dual(got), at
+            assert np.array_equal(vals.devices[i], got.x[mf.device_cols]), at
+            assert abs(vals.objective[i] - want.objective) <= 1e-9, at
         cert = mf.certificate(vals, i)
         for name in ("status", "objective", "method"):
             assert getattr(cert, name) == getattr(got, name), (at, name)

@@ -6,7 +6,7 @@ which gives the exact roots and counts evaluations without HiGHS; the plain
 bisection the walk replaced, kept here as ``_reference_bisection`` and run
 on the same materialized follower LPs; and the scalar walk the lockstep walk
 replaced (``edgewalk.scalar_edge_walk``), which walks one target at a time
-through ``solve``.
+through one-target ``values`` calls.
 """
 
 from types import SimpleNamespace
@@ -39,7 +39,6 @@ from flexgrid.follower import (
     available_flexibility_bounds,
     fix_worst_case_setpoints,
 )
-from flexgrid.lp import OPTIMAL
 
 MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
 V_MIN, V_MAX = 0.9, 1.1
@@ -110,10 +109,9 @@ def _root(pieces, full, extremum):
 class StubFamily:
     """A follower family whose target node k has the value function
     ``functions[k]`` (s -> (F(s), F'(s)) at |edge| = s), behind the interface
-    the walks read: ``problem``, ``slots`` and ``values`` for the lockstep
-    walk, ``solve`` and ``agg_dual`` for the scalar one.  The aggregate dual
-    is F', signed as the LP would sign it; ``evaluations[k]`` counts target
-    k's evaluations and ``calls`` the ``values`` calls."""
+    the walks read: ``problem``, ``slots`` and ``values``.  The aggregate
+    dual is F', signed as the LP would sign it; ``evaluations[k]`` counts
+    target k's evaluations and ``calls`` the ``values`` calls."""
 
     def __init__(self, functions, full, extremum=MAX_V):
         activation = POSITIVE if full >= 0 else NEGATIVE
@@ -133,14 +131,6 @@ class StubFamily:
         f, g = np.array([self.functions[k](abs(e)) for k, e in zip(nodes, edges)]).T
         return SimpleNamespace(objective=f, agg_dual=self.sign * g,
                                optimal=np.ones(nodes.size, dtype=bool))
-
-    def solve(self, *, node=0, dp_bound=None):
-        vals = self.values([node], [dp_bound])
-        return SimpleNamespace(status=OPTIMAL, objective=float(vals.objective[0]),
-                               dual=float(vals.agg_dual[0]))
-
-    def agg_dual(self, cert):
-        return cert.dual
 
 
 def _concave(f0, breaks, slopes):
@@ -414,17 +404,10 @@ def test_lockstep_walk_matches_the_scalar_walk(corpus, pv_model, ieee13_model):
             mf = _count_rows(mf)
             limits = _edge_walk(mf, np.arange(ctx.n), tol_abs)
             rows, calls = mf.rows.copy(), mf.calls
-            solves = np.zeros(ctx.n, dtype=int)
-            solve = mf.solve
-
-            def counting(*, node, dp_bound):
-                solves[node] += 1
-                return solve(node=node, dp_bound=dp_bound)
-
-            mf.solve = counting
+            mf.rows[:] = 0
             for k in range(ctx.n):
                 assert scalar_edge_walk(mf, k, tol_abs) == limits[k], (where, k)
-            assert np.array_equal(rows, solves), where
+            assert np.array_equal(rows, mf.rows), where
             assert calls == rows.max(), where
             _assert_in_band(mf, limits)
 
