@@ -377,11 +377,6 @@ class SingleLevelMap:
     capped_duals: list[int]  # ... those boxed at ±LAMBDA_CAP: constant-pf pfq, volt-var
 
 
-def neutral_setpoints(ctx: FlexContext, mode: str) -> dict[str, float]:
-    """Setpoints that reproduce the anchor at zero activation (all zeros)."""
-    return {name: 0.0 for name in setpoint_boxes(ctx, mode)}
-
-
 def assemble_single_level(
     ctx: FlexContext,
     mode: str,
@@ -941,6 +936,22 @@ class Violation:
     amount: float  # p.u. beyond the band
 
 
+def screened_families(ctx: FlexContext, mode: str, decision: UpperDecision, direction: str):
+    """(activation, extremum, follower, values) of each screened family at
+    the decision's slots, with every node's row solved.  A decision that
+    lacks a slot, or a row without an optimum, raises ``BilevelError``."""
+    for activation in ACTIVATIONS:
+        for extremum in screened_extrema(direction):
+            mf = family_follower(ctx, mode, activation, extremum, decision.slots)
+            vals = mf.values(np.arange(ctx.n))
+            if not vals.optimal.all():
+                raise BilevelError(
+                    f"follower (node {int(np.argmin(vals.optimal))}, {activation}/{extremum}) "
+                    "has no optimum; followers are feasible by construction"
+                )
+            yield activation, extremum, mf, vals
+
+
 @dataclass
 class FeasibilityReport:
     violations: list[Violation]
@@ -970,24 +981,16 @@ def feasibility_check(
     """
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
-    for activation in ACTIVATIONS:
-        for extremum in screened_extrema(direction):
-            mf = family_follower(ctx, mode, activation, extremum, decision.slots)
-            vals = mf.values(np.arange(ctx.n))
-            if not vals.optimal.all():
-                raise BilevelError(
-                    f"follower (node {int(np.argmin(vals.optimal))}, {activation}/{extremum}) "
-                    "has no optimum; followers are feasible by construction"
+    for activation, extremum, _, vals in screened_families(ctx, mode, decision, direction):
+        for k, objective in enumerate(vals.objective.tolist()):
+            scenario = Scenario(node=k, activation=activation, extremum=extremum)
+            vm = scenario.sigma * objective
+            worst[(k, activation, extremum)] = vm
+            amount = max(vm - ctx.v_max, ctx.v_min - vm)
+            if amount > FEAS_TOL_PU:
+                violations.append(
+                    Violation(scenario=scenario, worst_vm=vm, amount=float(amount))
                 )
-            for k, objective in enumerate(vals.objective.tolist()):
-                scenario = Scenario(node=k, activation=activation, extremum=extremum)
-                vm = scenario.sigma * objective
-                worst[(k, activation, extremum)] = vm
-                amount = max(vm - ctx.v_max, ctx.v_min - vm)
-                if amount > FEAS_TOL_PU:
-                    violations.append(
-                        Violation(scenario=scenario, worst_vm=vm, amount=float(amount))
-                    )
     violations.sort(key=lambda v: (-v.amount, v.scenario.node, v.scenario.number))
     return FeasibilityReport(violations=violations, worst_vm=worst)
 

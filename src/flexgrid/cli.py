@@ -8,8 +8,8 @@ feasible decision, 5 feasible band whose optimality the branch-and-bound did
 not prove (it stopped at its node limit, or, in constant-pf or volt-var,
 the dual box binds at its incumbent: status ``dual_box``), 6 solver failure
 (any other bilevel error, such as a single-level solve with no incumbent or
-an infeasible follower LP).  All files are deterministic for a fixed
-configuration.
+an infeasible follower LP, or an LP engine failure).  All files are
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -33,9 +33,19 @@ from .bilevel import (
     run_iterative,
     worst_case_limits,
 )
-from .feeder import INVERTER_MODES, FeederError, load_feeder
+from .feeder import (
+    INVERTER_MODES,
+    FeederError,
+    _field,
+    _finite,
+    _number,
+    _records,
+    _require,
+    load_feeder,
+    read_json,
+)
 from .follower import DIRECTIONS, build_context, setpoint_boxes
-from .lp import OPTIMAL
+from .lp import OPTIMAL, LPEngineError
 from .oracle import OracleError, verify_decision
 from .powerflow import PowerFlowError
 
@@ -63,6 +73,8 @@ _RESULT_TABLES = (
     ("verification.nodes", ("node", "bus", "phase", "vm_linear", "vm_nonlinear"),
      ("vm_linear", "vm_nonlinear"), "magnitudes.csv"),
 )
+# The top-level result fields that hold numbers.
+_RESULT_NUMBERS = ("v_min", "v_max", "base_kva", "dp_plus_kw", "dp_minus_kw")
 
 _SLOT_RE = re.compile(r"^(gamma|qbar|qset)\[(\d+)\]$")
 
@@ -313,68 +325,47 @@ def cmd_solve(args) -> int:
 
 
 def _read_result(path: str) -> dict:
+    """The result document in ``path``, checked as far as ``verify`` and
+    ``plotdata`` read it; each error names the file."""
+    doc = read_json(path, "result file")
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FeederError(f"cannot read result file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != RESULT_FORMAT:
-        raise FeederError(f"{path}: not a {RESULT_FORMAT} document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise FeederError(f"{path}: unsupported result version {doc.get('version')!r}")
-    for key in ("feeder", "mode", "v_min", "v_max", "base_kva",
-                "dp_plus_kw", "dp_minus_kw", "setpoints"):
-        if key not in doc:
-            raise FeederError(f"{path}: result file lacks {key!r}")
-    for key in ("v_min", "v_max", "base_kva", "dp_plus_kw", "dp_minus_kw"):
-        _check_number(path, key, doc[key])
-    if doc["base_kva"] <= 0.0:
-        raise FeederError(f"{path}: 'base_kva' must be positive, got {doc['base_kva']!r}")
-    if not 0.0 < doc["v_min"] < doc["v_max"]:
-        raise FeederError(
-            f"{path}: need 0 < v_min < v_max, got v_min={doc['v_min']!r}, v_max={doc['v_max']!r}"
+        _require(
+            isinstance(doc, dict) and doc.get("format") == RESULT_FORMAT,
+            f"not a {RESULT_FORMAT} document",
         )
-    direction = doc.get("direction", "both")
-    if not isinstance(direction, str) or direction not in DIRECTIONS:
-        raise FeederError(
-            f"{path}: 'direction' must be one of {', '.join(DIRECTIONS)}, got {direction!r}"
+        _require(
+            doc.get("version") == FORMAT_VERSION,
+            f"unsupported result version {doc.get('version')!r}",
         )
-    for where, fields, numbers, _ in _RESULT_TABLES:
-        for i, rec in enumerate(_records(path, doc, where)):
-            for key in fields:
-                if key not in rec:
-                    raise FeederError(f"{path}: {where}[{i}] lacks {key!r}")
-            for key in numbers:
-                _check_number(path, f"{where}[{i}].{key}", rec[key])
-    slots = set()
-    for rec in doc["setpoints"]:
-        if not isinstance(rec["slot"], str):
-            raise FeederError(f"{path}: setpoint 'slot' must be a string, got {rec['slot']!r}")
-        if rec["slot"] in slots:
-            raise FeederError(f"{path}: setpoint {rec['slot']!r} is listed twice")
-        slots.add(rec["slot"])
+        for key in ("feeder", "mode", *_RESULT_NUMBERS, "setpoints"):
+            _require(key in doc, f"missing required key {key!r}")
+        for key in _RESULT_NUMBERS:
+            _finite(doc[key], key)
+        _require(doc["base_kva"] > 0.0, f"'base_kva' must be positive, got {doc['base_kva']!r}")
+        _require(
+            0.0 < doc["v_min"] < doc["v_max"],
+            f"need 0 < v_min < v_max, got v_min={doc['v_min']!r}, v_max={doc['v_max']!r}",
+        )
+        for key, choices in (("mode", INVERTER_MODES), ("direction", tuple(DIRECTIONS))):
+            value = doc.get(key, "both")  # only direction may be absent
+            _require(
+                value in choices, f"{key!r} must be one of {', '.join(choices)}, got {value!r}"
+            )
+        for where, fields, numbers, _ in _RESULT_TABLES:
+            for i, rec in _records(doc, where, where):
+                for key in fields:
+                    _field(rec, key, f"{where} {i}")
+                for key in numbers:
+                    _number(rec, key, f"{where} {i}")
+        slots = set()
+        for rec in doc["setpoints"]:
+            slot = rec["slot"]
+            _require(isinstance(slot, str), f"setpoint 'slot' must be a string, got {slot!r}")
+            _require(slot not in slots, f"setpoint {slot!r} is listed twice")
+            slots.add(slot)
+    except FeederError as exc:
+        raise FeederError(f"{path}: {exc}") from exc
     return doc
-
-
-def _check_number(path: str, field: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise FeederError(f"{path}: {field!r} must be a finite number, got {value!r}")
-
-
-def _records(path: str, doc: dict, where: str) -> list[dict]:
-    """The records of the result table at ``where``: a top-level list, or
-    ``section.key``, a list in an optional section (absent or null: none)."""
-    section, _, key = where.partition(".")
-    if key:
-        part = doc.get(section)
-        part = {} if part is None else part
-        if not isinstance(part, dict):
-            raise FeederError(f"{path}: {section!r} must be an object, got {type(part).__name__}")
-        records = part.get(key, [])
-    else:
-        records = doc[section]
-    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-        raise FeederError(f"{path}: {where!r} must be a list of objects")
-    return records
 
 
 def _decision_from_doc(ctx, doc: dict) -> UpperDecision:
@@ -495,7 +486,7 @@ def cmd_plotdata(args) -> int:
     for where, fields, numbers, name in _RESULT_TABLES:
         _write_csv(out / name, list(fields), [
             [float(r[k]) if k in numbers else r[k] for k in fields]
-            for r in _records(args.result, doc, where)
+            for _, r in _records(doc, where, where)
         ])
     print(f"plot data written to {out}")
     return EXIT_OK
@@ -512,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleAnchorError, PowerFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE_ANCHOR
-    except BilevelError as exc:
+    except (BilevelError, LPEngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

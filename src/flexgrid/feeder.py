@@ -188,8 +188,14 @@ def _finite(x, where: str, key: str | None = None) -> float:
 
 
 def _records(doc: dict, section: str, kind: str):
-    """(index, record) of each object in the list ``doc[section]`` (absent: none)."""
-    recs = doc.get(section, [])
+    """(index, record) of each object in the list ``doc[section]`` (absent:
+    none); a ``part.key`` section is the list at ``key`` of the object
+    ``doc[part]`` (absent or null: none)."""
+    part, _, key = section.rpartition(".")
+    if part:
+        doc = {} if doc.get(part) is None else doc[part]
+        _require(isinstance(doc, dict), f"{part!r} must be an object, got {type(doc).__name__}")
+    recs = doc.get(key, [])
     if not isinstance(recs, list):
         raise FeederError(f"{section!r} must be a list of objects")
     for i, rec in enumerate(recs):
@@ -208,6 +214,16 @@ def _number(rec: dict, key: str, where: str) -> float:
     return _finite(_field(rec, key, where), where, key)
 
 
+def read_json(path, kind: str):
+    """The JSON document in the file ``path``; ``kind`` names it in errors."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FeederError(f"cannot read {kind} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too many digits
+        raise FeederError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_feeder(source) -> FeederModel:
     """Parse and validate a feeder document.
 
@@ -219,14 +235,7 @@ def load_feeder(source) -> FeederModel:
     zero draw: a load cannot turn into an injector.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise FeederError(f"cannot read feeder file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FeederError(f"{path}: not valid JSON ({exc})") from exc
-        origin = str(path)
+        doc, origin = read_json(source, "feeder file"), str(Path(source))
     elif isinstance(source, dict):
         doc, origin = source, None
     else:
@@ -522,8 +531,3 @@ def assemble_ybus(model: FeederModel, index: BusPhaseIndex | None = None) -> np.
         Y[np.ix_(tidx, fidx)] += ytf
         Y[np.ix_(tidx, tidx)] += ytt
     return Y
-
-
-def feeder_equal(a: FeederModel, b: FeederModel) -> bool:
-    """Structural equality, ignoring the source path."""
-    return dump_feeder(a) == dump_feeder(b)

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bilevel import BilevelError, UpperDecision, family_follower
+from .bilevel import BilevelError, UpperDecision, screened_families
 from .feeder import MODE_CONSTANT_PF, MODE_VOLT_VAR
 from .follower import (
-    ACTIVATIONS,
     EXTREMA,
     MAX_V,
     POSITIVE,
@@ -27,7 +26,6 @@ from .follower import (
     Scenario,
     build_follower,
     fixes_q,
-    screened_extrema,
     slot_gamma,
     slot_qbar,
     slot_qset,
@@ -106,34 +104,26 @@ def verify_decision(
     depends on its target only through the order of its gains, so many
     targets share one dispatch.  The distinct profiles go through one
     stacked Newton solve and one matrix product of the linear model.
-    The families are ``bilevel.family_follower``'s at the decision's slots:
-    the context's own, so a verify after a solve on the same context
-    re-slots the solve's followers, and a constant-q decision without q_set
-    slots is checked with free q_gen, the stronger adversary, as
-    ``bilevel.feasibility_check`` screens it.
+    The families come from ``bilevel.screened_families``, the sweep
+    ``bilevel.feasibility_check`` screens with: ``family_follower`` at the
+    decision's slots, the context's own, so a verify after a solve on the
+    same context re-slots the solve's followers, and a constant-q decision
+    without q_set slots is checked with free q_gen, the stronger adversary.
     """
     nodes = np.arange(ctx.n)
     scenarios: list[Scenario] = []
     lp_vm: list[np.ndarray] = []
     injections: list[np.ndarray] = []  # (n, 2n) rows [p, q] per family
-    for activation in ACTIVATIONS:
-        for extremum in screened_extrema(direction):
-            try:
-                mf = family_follower(ctx, mode, activation, extremum, decision.slots)
-            except BilevelError as exc:  # the decision lacks slots
-                raise OracleError(str(exc)) from None
+    try:
+        for activation, extremum, mf, vals in screened_families(ctx, mode, decision, direction):
             problem = mf.problem
-            vals = mf.values(nodes)
-            if not vals.optimal.all():
-                raise OracleError(
-                    f"follower (node {int(np.argmin(vals.optimal))}, {activation}/{extremum}) "
-                    "has no optimum"
-                )
             x = np.zeros((ctx.n, problem.n_vars))
             x[:, mf.device_cols] = vals.devices
             injections.append(np.concatenate(problem.injections(x), axis=1))
             lp_vm.append(problem.scenario.sigma * vals.objective)
             scenarios += [Scenario(k, activation, extremum) for k in nodes.tolist()]
+    except BilevelError as exc:  # the decision lacks slots, or a follower has no optimum
+        raise OracleError(str(exc)) from None
     pq = np.concatenate(injections)
     stack_row: dict[bytes, int] = {}  # profile bytes -> its row in the Newton stack
     row = np.array([stack_row.setdefault(r.tobytes(), len(stack_row)) for r in pq])

@@ -20,7 +20,6 @@ from flexgrid.bilevel import (
     assemble_single_level,
     check_anchor,
     feasibility_check,
-    neutral_setpoints,
     run_iterative,
     setpoint_boxes,
     solve_single_level,
@@ -87,9 +86,6 @@ def test_setpoint_boxes_per_mode(pv_ctx):
     assert len(pf) == len(dev.inverter_nodes)
     with pytest.raises(ValueError, match="unknown mode"):
         setpoint_boxes(pv_ctx, "manual")
-    assert neutral_setpoints(pv_ctx, MODE_VOLT_VAR) == {
-        name: 0.0 for name in vv
-    }
 
 
 def test_upper_decision_slot_view():
@@ -432,7 +428,7 @@ def test_feasibility_check_flags_an_oversized_band(pv_tight_ctx):
 
     timid = UpperDecision(
         dp_plus=0.0, dp_minus=0.0,
-        setpoints=neutral_setpoints(ctx, MODE_CONSTANT_PF),
+        setpoints=dict.fromkeys(setpoint_boxes(ctx, MODE_CONSTANT_PF), 0.0),
     )
     assert feasibility_check(ctx, MODE_CONSTANT_PF, timid).ok
 

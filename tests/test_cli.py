@@ -11,9 +11,10 @@ import pytest
 from conftest import pv_doc
 from randfeeders import random_context, random_feeder_doc
 
-from flexgrid import bilevel, build_context, cli, load_feeder
+from flexgrid import bilevel, bnb, build_context, cli, load_feeder
 from flexgrid.bilevel import BilevelError
 from flexgrid.follower import POSITIVE, Scenario
+from flexgrid.lp import LPEngineError
 
 
 def run(argv, capsys):
@@ -412,7 +413,7 @@ def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):
         command="plotdata",  # both consumers validate the document
     )
     expect_validation(lambda d: d.update(version=99), "unsupported result version")
-    expect_validation(lambda d: d.pop("dp_plus_kw"), "lacks 'dp_plus_kw'")
+    expect_validation(lambda d: d.pop("dp_plus_kw"), "missing required key 'dp_plus_kw'")
     expect_validation(
         lambda d: d["setpoints"][0].update(value=99.0), "outside its box"
     )
@@ -449,12 +450,12 @@ def _repeat_slot(doc):
 @pytest.mark.parametrize("command", ["verify", "plotdata"])
 @pytest.mark.parametrize("mutate, needle", [
     (lambda d: d.update(base_kva=0), "'base_kva' must be positive"),
-    (lambda d: d.update(base_kva="x"), "'base_kva' must be a finite number"),
-    (lambda d: d.update(dp_plus_kw=None), "'dp_plus_kw' must be a finite number"),
-    (_drop_slot, "setpoints[0] lacks 'slot'"),
+    (lambda d: d.update(base_kva="x"), "base_kva: not a number: 'x'"),
+    (lambda d: d.update(dp_plus_kw=None), "dp_plus_kw: not a number: None"),
+    (_drop_slot, "setpoints 0: missing required key 'slot'"),
     (lambda d: d.update(setpoints={r["slot"]: r for r in d["setpoints"]}),
      "'setpoints' must be a list of objects"),
-    (_drop_bus, "worst_case.nodes[0] lacks 'bus'"),
+    (_drop_bus, "worst_case.nodes 0: missing required key 'bus'"),
     (lambda d: d.update(worst_case=d["worst_case"]["nodes"]), "'worst_case' must be an object"),
     (lambda d: d.update(worst_case=[]), "'worst_case' must be an object"),
     (lambda d: d.update(direction=["x"]), "'direction' must be one of"),
@@ -473,6 +474,107 @@ def test_malformed_result_fields_are_validation_errors(
     code, _, stderr = run([command, "--result", str(path), "--out", str(tmp_path)], capsys)
     assert code == cli.EXIT_VALIDATION
     assert needle in stderr
+    assert str(path) in stderr
+
+
+@pytest.fixture(scope="module")
+def verified_doc(solved_doc, tmp_path_factory):
+    """``solved_doc`` after a ``verify``, so it holds ``verification.nodes``."""
+    path = tmp_path_factory.mktemp("verified") / "result.json"
+    path.write_text(json.dumps(solved_doc))
+    cli.main(["verify", "--result", str(path), "--out", str(path.parent)])
+    doc = json.loads(path.read_text())
+    assert doc["verification"]["nodes"]
+    return doc
+
+
+HUGE = 10**399  # a 400-digit integer literal: valid JSON, beyond the float range
+
+
+@pytest.mark.parametrize("command", ["verify", "plotdata"])
+@pytest.mark.parametrize("field", [
+    ("v_min",), ("v_max",), ("base_kva",), ("dp_plus_kw",), ("dp_minus_kw",),
+    ("setpoints", 0, "value"), ("setpoints", 0, "lo"), ("setpoints", 0, "hi"),
+    ("worst_case", "nodes", 0, "dp_plus_kw"), ("worst_case", "nodes", 0, "dp_minus_kw"),
+    ("verification", "nodes", 0, "vm_linear"),
+], ids=lambda field: ".".join(map(str, field)))
+def test_a_number_beyond_the_float_range_is_a_validation_error(
+    verified_doc, tmp_path, capsys, command, field
+):
+    """Every number ``verify`` and ``plotdata`` read goes through the feeder's
+    number check, which maps an integer too large for a float to exit 2 with
+    the file and the field named, not to a traceback."""
+    doc = json.loads(json.dumps(verified_doc))
+    *parents, key = field
+    record = doc
+    for part in parents:
+        record = record[part]
+    record[key] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run([command, "--result", str(path), "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    where = key if len(field) == 1 else f"{'.'.join(parents[:-1])} 0 {key}"
+    assert stderr.startswith(f"error: {path}: {where}: non-finite number 1000")
+    assert "Traceback" not in stderr
+
+
+@pytest.fixture(scope="module")
+def load_only_result(ieee13_path, tmp_path_factory):
+    """The result file of a solve on ieee13 with its inverters removed."""
+    root = tmp_path_factory.mktemp("load_only")
+    feeder = root / "feeder.json"
+    feeder.write_text(json.dumps({**json.loads(ieee13_path.read_text()), "inverters": []}))
+    assert cli.main(["solve", "--feeder", str(feeder), "--out", str(root)]) == cli.EXIT_OK
+    return json.loads((root / "result.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["verify", "plotdata"])
+@pytest.mark.parametrize("mode", [[], {"a": 1}, "manual"], ids=["list", "object", "text"])
+def test_a_mode_outside_the_inverter_modes_is_a_validation_error(
+    load_only_result, tmp_path, capsys, command, mode
+):
+    """A result's mode is checked against the inverter modes as its direction
+    is against the directions, also where no setpoint box would look at it:
+    a feeder without inverters has no setpoints."""
+    assert load_only_result["setpoints"] == []
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps({**load_only_result, "mode": mode}))
+    code, _, stderr = run([command, "--result", str(path), "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert stderr.startswith(f"error: {path}: 'mode' must be one of constant-pf,")
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "plotdata"])
+@pytest.mark.parametrize("content", [
+    b"[" * 100_000 + b"]" * 100_000, b'{"format": "\xff"}', b"[" + b"9" * 5000 + b"]",
+], ids=["too-deep", "not-utf8", "too-many-digits"])
+def test_a_file_the_json_reader_refuses_is_a_validation_error(
+    tmp_path, capsys, command, content
+):
+    """Feeder and result files share one reader: JSON nested past the
+    recursion limit, text that is not UTF-8 and an integer past Python's
+    digit limit each exit 2 with the file named."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    option = "--feeder" if command == "solve" else "--result"
+    code, _, stderr = run([command, option, str(path), "--out", str(tmp_path / "out")], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert stderr.startswith(f"error: {path}: not valid JSON (")
+
+
+def test_an_lp_engine_failure_is_a_solver_error(ieee13_path, tmp_path, capsys, monkeypatch):
+    """An LP backend failure inside the branch-and-bound exits 6, the code
+    of a failed solver, with the engine's message."""
+    def fail(*args, **kwargs):
+        raise LPEngineError("LP backend failure: stub status")
+
+    monkeypatch.setattr(bnb, "solve_lp", fail)
+    out = tmp_path / "out"
+    code, _, stderr = run(["solve", "--feeder", str(ieee13_path), "--out", str(out)], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert stderr == "error: LP backend failure: stub status\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "worst-case", "verify"])

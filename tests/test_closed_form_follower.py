@@ -35,7 +35,6 @@ from flexgrid.bilevel import (
     _edge_walk,
     family_follower,
     feasibility_check,
-    neutral_setpoints,
     setpoint_boxes,
     worst_case_limits,
 )
@@ -318,7 +317,7 @@ def test_q_set_outside_the_cone_is_infeasible_on_both_paths(pv_ctx, activation):
     k = dev.inverter_nodes[0]
     reach = dev.gamma_const[k] * min(dev.p_gen_max[k], dev.s_cap[k])
     for q in (1.2 * reach + 1e-3, -1.2 * reach - 1e-3):
-        slots = {**neutral_setpoints(pv_ctx, MODE_CONSTANT_Q), slot_qset(k): q,
+        slots = {**dict.fromkeys(setpoint_boxes(pv_ctx, MODE_CONSTANT_Q), 0.0), slot_qset(k): q,
                  SLOT_DP_PLUS: 0.2, SLOT_DP_MINUS: -0.2}
         problem = build_follower(pv_ctx, Scenario(0, activation, EXTREMA[0]),
                                  MODE_CONSTANT_Q, fix_q=True)
@@ -436,14 +435,14 @@ def test_closed_form_followers_never_call_highs(ieee13_model, pv_ctx, monkeypatc
             continue
         decision = UpperDecision(
             dp_plus=wc.range_upper, dp_minus=wc.range_lower,
-            setpoints=neutral_setpoints(ctx, mode),
+            setpoints=dict.fromkeys(setpoint_boxes(ctx, mode), 0.0),
         )
         assert feasibility_check(ctx, mode, decision).worst_vm
         assert verify_decision(ctx, mode, decision, direction="overvoltage").checks
 
     decision_q = UpperDecision(
         dp_plus=0.1, dp_minus=-0.1,
-        setpoints=neutral_setpoints(pv_ctx, MODE_CONSTANT_Q),
+        setpoints=dict.fromkeys(setpoint_boxes(pv_ctx, MODE_CONSTANT_Q), 0.0),
     )
     report = feasibility_check(pv_ctx, MODE_CONSTANT_Q, decision_q)
     assert len(report.worst_vm) == 4 * pv_ctx.n
@@ -904,7 +903,7 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
         assert counts["solves"] == counts["fallback_rows"] > 0
         decision = UpperDecision(
             dp_plus=wc.range_upper, dp_minus=wc.range_lower,
-            setpoints=neutral_setpoints(pv_ctx, MODE_VOLT_VAR),
+            setpoints=dict.fromkeys(setpoint_boxes(pv_ctx, MODE_VOLT_VAR), 0.0),
         )
         counts.update(values=0, fallback_rows=0, solves=0)
         feasibility_check(pv_ctx, MODE_VOLT_VAR, decision)
@@ -926,7 +925,7 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
     wc = worst_case_limits(pv_ctx, MODE_CONSTANT_PF)
     decision = UpperDecision(
         dp_plus=wc.range_upper, dp_minus=wc.range_lower,
-        setpoints=neutral_setpoints(pv_ctx, MODE_CONSTANT_PF),
+        setpoints=dict.fromkeys(setpoint_boxes(pv_ctx, MODE_CONSTANT_PF), 0.0),
     )
     feasibility_check(pv_ctx, MODE_CONSTANT_PF, decision)
     assert counts["values"] > 4 and counts["solves"] == counts["fallback_rows"] == 0

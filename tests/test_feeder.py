@@ -1,6 +1,7 @@
 """Feeder parsing, validation, indexing and admittance assembly."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from flexgrid.feeder import (
     FeederError,
     assemble_ybus,
     dump_feeder,
-    feeder_equal,
     index_nodes,
     load_feeder,
     save_feeder,
@@ -104,14 +104,28 @@ def test_regulator_no_load_voltage_equals_tap():
 def test_round_trip_dump_load(tmp_path):
     model = load_feeder(pv_doc())
     again = load_feeder(dump_feeder(model))
-    assert feeder_equal(model, again)
+    assert again == model
 
     path = tmp_path / "feeder.json"
     save_feeder(model, path)
     from_file = load_feeder(path)
-    assert feeder_equal(model, from_file)
+    assert from_file == model
     assert from_file.source == str(path)
     assert model.source is None
+
+
+def test_feeder_equality_ignores_only_the_source(ieee13_model):
+    """``==`` compares every field but the file path: the ieee13 model equals
+    its dumped and reloaded copy, and a changed load or segment impedance
+    makes it differ."""
+    assert ieee13_model.source is not None
+    assert load_feeder(dump_feeder(ieee13_model)) == ieee13_model
+    load = ieee13_model.loads[0]
+    loads = [dataclasses.replace(load, p_kw=load.p_kw + 1.0), *ieee13_model.loads[1:]]
+    assert dataclasses.replace(ieee13_model, loads=loads) != ieee13_model
+    seg = ieee13_model.segments[0]
+    segments = [dataclasses.replace(seg, z_ohm=seg.z_ohm * 1.01), *ieee13_model.segments[1:]]
+    assert dataclasses.replace(ieee13_model, segments=segments) != ieee13_model
 
 
 def test_index_is_document_ordered():

@@ -8,12 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
-from flexgrid import build_context, load_feeder, oracle, powerflow
+from flexgrid import build_context, follower, load_feeder, oracle, powerflow
 from flexgrid.bilevel import (
+    BilevelError,
     UpperDecision,
     family_follower,
     feasibility_check,
-    neutral_setpoints,
     run_iterative,
     setpoint_boxes,
 )
@@ -192,6 +192,32 @@ def test_verify_decision_requires_all_slots(pv_tight_ctx):
         verify_decision(pv_tight_ctx, MODE_CONSTANT_PF, bare)
 
 
+def test_a_follower_row_without_an_optimum_stops_screening_and_verify(pv_model, monkeypatch):
+    """Both sweeps over the screened families refuse a family whose ``values``
+    report a row without an optimum: ``feasibility_check`` with
+    ``BilevelError`` and ``verify_decision`` with ``OracleError``, each
+    naming the first such row of the first family."""
+    ctx = build_context(pv_model)
+    decision = UpperDecision(
+        dp_plus=0.1, dp_minus=-0.1,
+        setpoints=dict.fromkeys(setpoint_boxes(ctx, MODE_CONSTANT_PF), 0.0),
+    )
+    solved = follower.MaterializedFollower.values
+
+    def row_two_without_optimum(self, nodes, edges=None):
+        vals = solved(self, nodes, edges)
+        optimal = vals.optimal.copy()
+        optimal[2] = False
+        return dataclasses.replace(vals, optimal=optimal)
+
+    monkeypatch.setattr(follower.MaterializedFollower, "values", row_two_without_optimum)
+    message = r"follower \(node 2, positive/min\) has no optimum"
+    with pytest.raises(BilevelError, match=message):
+        feasibility_check(ctx, MODE_CONSTANT_PF, decision)
+    with pytest.raises(OracleError, match=message):
+        verify_decision(ctx, MODE_CONSTANT_PF, decision)
+
+
 def _report_bits(report):
     """Everything a report holds, with each float as its exact bits."""
     checks = [
@@ -232,7 +258,9 @@ def test_a_context_is_freed_by_its_last_reference(mode):
     res = run_iterative(ctx, mode)
     report = verify_decision(ctx, mode, res.decision)
     # The neutral decision reproduces the anchor: its grid is the anchor alone.
-    neutral = UpperDecision(dp_plus=0.0, dp_minus=0.0, setpoints=neutral_setpoints(ctx, mode))
+    neutral = UpperDecision(
+        dp_plus=0.0, dp_minus=0.0, setpoints=dict.fromkeys(setpoint_boxes(ctx, mode), 0.0)
+    )
     brute = brute_force_worst_voltage(ctx, mode, neutral, res.followers[0])
     assert ctx.followers and ctx.brute_force
     ref = weakref.ref(ctx)
@@ -454,7 +482,7 @@ def test_brute_force_volt_var_runs_the_droop(pv_model):
 def test_brute_force_refuses_large_fleets(pv_tight_ctx):
     decision = UpperDecision(
         dp_plus=0.1, dp_minus=-0.1,
-        setpoints=neutral_setpoints(pv_tight_ctx, MODE_CONSTANT_PF),
+        setpoints=dict.fromkeys(setpoint_boxes(pv_tight_ctx, MODE_CONSTANT_PF), 0.0),
     )
     # negative activation opens boxes on all three loads plus both inverters
     with pytest.raises(OracleError, match="brute-force limit"):
