@@ -333,12 +333,15 @@ def _read_result(path: str) -> dict:
             isinstance(doc, dict) and doc.get("format") == RESULT_FORMAT,
             f"not a {RESULT_FORMAT} document",
         )
+        version = doc.get("version")
         _require(
-            doc.get("version") == FORMAT_VERSION,
-            f"unsupported result version {doc.get('version')!r}",
+            type(version) is int and version == FORMAT_VERSION,
+            f"unsupported result version {version!r}",
         )
         for key in ("feeder", "mode", *_RESULT_NUMBERS, "setpoints"):
             _require(key in doc, f"missing required key {key!r}")
+        feeder = doc["feeder"]
+        _require(isinstance(feeder, str), f"'feeder' must be a path, got {type(feeder).__name__}")
         for key in _RESULT_NUMBERS:
             _finite(doc[key], key)
         _require(doc["base_kva"] > 0.0, f"'base_kva' must be positive, got {doc['base_kva']!r}")
@@ -368,7 +371,9 @@ def _read_result(path: str) -> dict:
     return doc
 
 
-def _decision_from_doc(ctx, doc: dict) -> UpperDecision:
+def _decision_from_doc(ctx, doc: dict, path: str) -> UpperDecision:
+    """The decision of the result document ``doc``, read from ``path``, on
+    the feeder of ``ctx``; each error names the file."""
     base = doc["base_kva"]
     mode = doc["mode"]
     boxes = setpoint_boxes(ctx, mode)
@@ -376,21 +381,21 @@ def _decision_from_doc(ctx, doc: dict) -> UpperDecision:
     for rec in doc["setpoints"]:
         name = rec["slot"]
         if name not in boxes:
-            raise FeederError(f"result setpoint {name!r} does not exist for mode {mode!r}")
+            raise FeederError(f"{path}: setpoint {name!r} does not exist for mode {mode!r}")
         lo, hi = boxes[name]
         value = float(rec["value"])
         if not (lo - 1e-9 <= value <= hi + 1e-9):
             raise FeederError(
-                f"result setpoint {name} = {value:.6g} outside its box [{lo:.6g}, {hi:.6g}]"
+                f"{path}: setpoint {name} = {value:.6g} outside its box [{lo:.6g}, {hi:.6g}]"
             )
         setpoints[name] = value
     missing = [name for name in boxes if name not in setpoints]
     if missing:
-        raise FeederError(f"result lacks setpoints {missing}")
+        raise FeederError(f"{path}: lacks setpoints {missing}")
     dp_plus = doc["dp_plus_kw"] / base
     dp_minus = doc["dp_minus_kw"] / base
     if not (dp_minus <= 0.0 <= dp_plus):
-        raise FeederError("result band must satisfy dp_minus <= 0 <= dp_plus")
+        raise FeederError(f"{path}: band must satisfy dp_minus <= 0 <= dp_plus")
     return UpperDecision(dp_plus=dp_plus, dp_minus=dp_minus, setpoints=setpoints)
 
 
@@ -402,10 +407,10 @@ def cmd_verify(args) -> int:
     model = load_feeder(feeder_path)
     if doc["base_kva"] != model.base_kva:
         raise FeederError(
-            f"result base_kva {doc['base_kva']!r} differs from the feeder's {model.base_kva!r}"
+            f"{args.result}: base_kva {doc['base_kva']!r} is not the feeder's {model.base_kva!r}"
         )
     ctx = build_context(model, v_min=doc["v_min"], v_max=doc["v_max"])
-    decision = _decision_from_doc(ctx, doc)
+    decision = _decision_from_doc(ctx, doc, args.result)
     direction = doc.get("direction", "both")
     report = verify_decision(ctx, doc["mode"], decision, direction=direction)
 

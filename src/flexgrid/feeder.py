@@ -373,7 +373,7 @@ def load_feeder(source) -> FeederModel:
     )
     _check_connectivity(model)
     # Fail early on singular blocks rather than during admittance assembly.
-    for i, seg in enumerate(segments):
+    for i in range(len(segments)):
         _segment_admittance(model, i)
     return model
 

@@ -379,8 +379,13 @@ class FollowerProblem:
     node, its mode rows (pfq; cq_hi, cq_lo and with ``fix_q`` qfix; or vv)
     and agg.  Row r is ``row_names[r]``: the triplets (``a_row``, ``a_col``,
     ``a_val``) with ``a_row == r``, ``relations[r]``, ``rhs[r]`` and its
-    slot terms.  The closed forms, ``to_lp`` and the single level read it,
-    and only ``objective`` reads the scenario's node: a family shares it.
+    slot terms.  ``to_lp`` and the single level read the rows, and only
+    ``objective`` reads the scenario's node: a family shares it.  The
+    closed forms and ``dual_box`` read each inverter node's (Δp_gen, q_gen)
+    region from one table instead: ``region`` = (a, e, b), each of shape
+    (inverter node, kind), with rows a·Δp_gen + e·q_gen <= b over
+    ``region_kinds`` (both bounds of each column, cap_hi, cap_lo and, in
+    constant-q, cq_hi, cq_lo).  The cap and cone rows are written from it.
     """
 
     def __init__(self, ctx: FlexContext, scenario: Scenario, mode: str, *, fix_q: bool = False):
@@ -462,15 +467,6 @@ class FollowerProblem:
         nodes = self.inv if nodes is None else nodes
         return np.array([self._row_at[f"{name}[{k}]"] for k in nodes], dtype=np.int64)
 
-    def coefficients(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The coefficient of column ``cols[i]`` in row ``rows[i]`` for each i
-        (``rows`` distinct), read from the triplets."""
-        at = np.full(self.n_rows, -1)
-        at[rows] = np.arange(rows.size)
-        i = at[self.a_row]  # -1 outside ``rows``, where the appended -1 is read
-        hit = (i >= 0) & (self.a_col == np.append(cols, -1)[i])
-        return np.bincount(i[hit], self.a_val[hit], minlength=rows.size)
-
     # --- assembly --------------------------------------------------------
     def _build(self) -> None:
         n, inv, loads = self.n, self.inv, self.loads
@@ -500,6 +496,27 @@ class FollowerProblem:
         self.lb[all_dpg], self.ub[all_dpg] = dpg_lo, np.maximum(dpg_lo, dpg_hi)
         self.lb[all_dpl], self.ub[all_dpl] = dpl_lo, np.maximum(dpl_lo, dpl_hi)
         self.lb[all_qg], self.ub[all_qg] = -dev.s_cap[inv], dev.s_cap[inv]
+
+        # The region table, kind by kind (kind, a, e, b); the capability
+        # outer approximation's box part is the bounds.
+        one, zero = np.ones(m), np.zeros(m)
+        cap = math.sqrt(2.0) * dev.s_cap[inv] - dev.p_gen0[inv]
+        region = [
+            ("dpg_hi", one, zero, self.ub[all_dpg]),
+            ("dpg_lo", -one, zero, -self.lb[all_dpg]),
+            ("q_hi", zero, one, self.ub[all_qg]),
+            ("q_lo", zero, -one, -self.lb[all_qg]),
+            ("cap_hi", one, one, cap),
+            ("cap_lo", one, -one, cap),
+        ]
+        if self.mode == MODE_CONSTANT_Q:
+            gc = dev.gamma_const[inv]
+            cone = gc * dev.p_gen0[inv]
+            region += [("cq_hi", -gc, one, cone), ("cq_lo", -gc, -one, cone)]
+        self.region_kinds, *table = zip(*region)
+        self.region = tuple(np.array(c).T for c in table)  # each (node, kind)
+        # Each region kind as a ``per_inverter`` kind of LP rows.
+        region_rows = {k: (k, LE, b, [(all_dpg, a), (all_qg, e)]) for k, a, e, b in region}
 
         # Row groups in order: their rhs and (row, column, value) triplets, in
         # row order; ``add`` appends one (``row`` counts from 0 in the group).
@@ -535,13 +552,7 @@ class FollowerProblem:
             )
             return first + rows
 
-        # Inverter capability outer approximation (box part is in the bounds).
-        one, zero = np.ones(m), np.zeros(m)
-        cap = math.sqrt(2.0) * dev.s_cap[inv] - dev.p_gen0[inv]
-        per_inverter([
-            ("cap_hi", LE, cap, [(all_dpg, one), (all_qg, one)]),
-            ("cap_lo", LE, cap, [(all_dpg, one), (all_qg, -one)]),
-        ])
+        per_inverter([region_rows["cap_hi"], region_rows["cap_lo"]])
 
         # Control-mode rows.
         vband = self.v_max - self.v_min
@@ -552,12 +563,7 @@ class FollowerProblem:
             self.coeff_slots += zip(rows, all_dpg.tolist(), slots, [-1.0] * m)
             self.rhs_slots += zip(rows, slots, dev.p_gen0[inv].tolist())
         elif self.mode == MODE_CONSTANT_Q:
-            gc = dev.gamma_const[inv]
-            cone = gc * dev.p_gen0[inv]
-            kinds = [
-                ("cq_hi", LE, cone, [(all_qg, one), (all_dpg, -gc)]),
-                ("cq_lo", LE, cone, [(all_qg, -one), (all_dpg, -gc)]),
-            ]
+            kinds = [region_rows["cq_hi"], region_rows["cq_lo"]]
             if self.fix_q:
                 kinds.append(("qfix", EQ, zero, [(all_qg, one)]))
             rows = per_inverter(kinds)
@@ -636,9 +642,10 @@ class FollowerProblem:
         r_i = σ·s_p[t,i] ∓ μ, so |r_i| <= |s_p[t,i]| + μ̄, and c is a column
         defining an end of the interval, so a_c != 0.  Hence
         |λ_i| <= |s_q[t,i]| + (|s_p[t,i]| + μ̄)/d_i, d_i the least |a_c/e_c|
-        over i's rows with a_c != 0 != e_c: the capability rows' 1 and the
-        cone rows' gc_i, so d_i = min(1, gc_i), and 1 where gc_i = 0 (a cone
-        row with a = 0 never ends the interval).  A constant-pf pfq dual
+        over i's kinds in the region table with a_c != 0 != e_c (a kind with
+        a = 0 never ends the interval), read off the table: the capability
+        rows give 1 and the cone rows gc_i, so d_i = min(1, gc_i), and 1
+        where gc_i = 0.  A constant-pf pfq dual
         divides by a_c + e_c·γ_i instead, which can vanish inside the box,
         so it gets no bound.  The closed form certifies every optimum of
         these modes, so the box holds one optimal dual at every decision,
@@ -660,8 +667,9 @@ class FollowerProblem:
         mu = float(gains.max(initial=0.0))
         box[self._row_at["agg"]] = mu
         if fixed_q:
-            gc = self.devices.gamma_const[self.inv]
-            d = np.where(gc > 0.0, np.minimum(1.0, gc), 1.0)
+            a, e, _ = self.region
+            ratio = np.divide(a, e, out=np.full_like(a, np.inf), where=(a != 0.0) & (e != 0.0))
+            d = np.abs(ratio).min(axis=1)
             box[self.row_index("qfix")] = np.abs(self.s_q[t]) + (np.abs(self.s_p[t]) + mu) / d
         return box
 
@@ -921,30 +929,25 @@ class _Knapsack(MaterializedFollower):
 
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
-        p, inv = self.problem, self.inv
+        p = self.problem
         self.mode_rows = p.row_index("pfq" if p.mode == MODE_CONSTANT_PF else "qfix")
 
-        # Constraints on an inverter node's (Δp_gen, q_gen), a·Δp_gen + e·q_gen <= b:
-        # both bounds of each variable, then the node's inequality rows.  Each
-        # column's dual lands at ``target`` of [row duals, lower, upper] as
-        # ``dual_sign`` times its multiplier.
+        # The region table's rows a·Δp_gen + e·q_gen <= b, in its kind order.
+        # Each kind's dual lands at ``target`` of [row duals, lower, upper] as
+        # ``dual_sign`` times its multiplier: a bound's at its column's bound
+        # dual, a row's at the row.
         n_rows, n_vars = p.n_rows, p.n_vars
         dpg, qg = self.gen_cols, self.q_cols
-        one, zero = np.ones(inv.size), np.zeros(inv.size)
-        cols = [
-            (one, zero, p.ub[dpg], n_rows + n_vars + dpg, 1.0),
-            (-one, zero, -p.lb[dpg], n_rows + dpg, -1.0),
-            (zero, one, p.ub[qg], n_rows + n_vars + qg, 1.0),
-            (zero, -one, -p.lb[qg], n_rows + qg, -1.0),
-        ]
-        names = ("cap_hi", "cap_lo") + (("cq_hi", "cq_lo") if p.mode == MODE_CONSTANT_Q else ())
-        r = np.array([p.row_index(name) for name in names])  # (row kind, node)
-        a, e = (p.coefficients(r.ravel(), np.tile(c, len(names))).reshape(r.shape) for c in (dpg, qg))
-        cols += zip(a, e, p.rhs[r], r, [1.0] * len(names))
-        self.a, self.e, self.b, self.target = (
-            np.stack([c[i] for c in cols], axis=1) for i in range(4)
-        )
-        self.dual_sign = np.array([c[4] for c in cols])
+        bounds = {
+            "dpg_hi": (n_rows + n_vars + dpg, 1.0),
+            "dpg_lo": (n_rows + dpg, -1.0),
+            "q_hi": (n_rows + n_vars + qg, 1.0),
+            "q_lo": (n_rows + qg, -1.0),
+        }
+        targets = [bounds[k] if k in bounds else (p.row_index(k), 1.0) for k in p.region_kinds]
+        self.a, self.e, self.b = p.region
+        self.target = np.stack([t for t, _ in targets], axis=1)
+        self.dual_sign = np.array([s for _, s in targets])
         self.box_only[dpg] = self.box_only[qg] = False
 
     def _fix_setpoints(self) -> None:
@@ -1027,14 +1030,11 @@ class _VoltVar(MaterializedFollower):
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
         p, inv = self.problem, self.inv
-        dev = p.devices
         band = p.v_max - p.v_min
         self.d, self.c = 2.0 / band, (p.v_max + p.v_min) / band
         self.vv_rows = p.row_index("vv")
         self.s_ii = (p.s_p[inv], p.s_l[inv], p.s_q[inv])  # the inverter nodes' rows
         self.set_items(*self.z_box(p.lb[self.gen_cols], p.ub[self.gen_cols]))
-        self.q_cap = dev.s_cap[inv]
-        self.pq_cap = math.sqrt(2.0) * dev.s_cap[inv] - dev.p_gen0[inv]  # capability rows' rhs
         self.box_only[self.q_cols] = False
 
     def _fix_setpoints(self) -> None:
@@ -1069,14 +1069,12 @@ class _VoltVar(MaterializedFollower):
         return np.concatenate([dp, self.q0 - np.einsum("td,id->ti", dp, self.ks)], axis=1)
 
     def _certifies(self, devices, fits):
-        """Points inside the q_gen box and the capability rows, and infeasible
-        fills: the fill solves a relaxation."""
+        """Points inside every row of the region table, and infeasible fills:
+        the fill solves a relaxation."""
         m = self.inv.size
-        q_abs = np.abs(devices[:, devices.shape[1] - m:])
-        inside = np.all(q_abs <= self.q_cap + FEAS_TOL, axis=1) & np.all(
-            devices[:, :m] + q_abs <= self.pq_cap + FEAS_TOL, axis=1
-        )
-        return ~fits | inside
+        a, e, b = self.problem.region
+        dpg, q = devices[:, :m, None], devices[:, devices.shape[1] - m:, None]
+        return ~fits | np.all(a * dpg + e * q <= b + FEAS_TOL, axis=(1, 2))
 
     def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
         p, m = self.problem, self.inv.size
@@ -1095,7 +1093,7 @@ class _FreeQ(MaterializedFollower):
 
     An inverter node's q_gen range is symmetric, |q_gen| <= h(Δp_gen) with
     h = min(γ(p_gen0 + Δp_gen), s_cap, √2·s_cap - p_gen0 - Δp_gen) from the
-    cone rows, the q_gen bounds and the capability rows.  So its best q_gen
+    region table's cone, q_gen bound and capability kinds.  So its best q_gen
     is sign(g_q)·h, g_q = σ·s_q[t,k], and the node's gain
     g_x·Δp_gen + |g_q|·h(Δp_gen) is concave and piecewise linear: its
     Δp_gen box splits at the kinks of h into up to three segments of falling
@@ -1107,13 +1105,12 @@ class _FreeQ(MaterializedFollower):
 
     def __init__(self, problem: FollowerProblem):
         super().__init__(problem)
-        p, inv, dev = self.problem, self.inv, self.problem.devices
-        m = inv.size
-        gamma, p0, s = dev.gamma_const[inv], dev.p_gen0[inv], dev.s_cap[inv]
-        # h = min over pieces j (cone, q_gen bound, capability row) of
-        # b_j - a_j·Δp_gen; the pieces' slopes -a_j fall with j.
-        self.a = np.column_stack([-gamma, np.zeros(m), np.ones(m)])
-        self.b = np.column_stack([gamma * p0, s, math.sqrt(2.0) * s - p0])
+        p, m = self.problem, self.inv.size
+        # h = min over pieces j of b_j - a_j·Δp_gen, the region's upper-q
+        # kinds (e = 1) cone, q_gen bound and capability row: their slopes
+        # -a_j fall with j.
+        pieces = [p.region_kinds.index(kind) for kind in ("cq_hi", "q_hi", "cap_hi")]
+        self.a, _, self.b = (c[:, pieces] for c in p.region)
         lo, hi = p.lb[self.gen_cols], p.ub[self.gen_cols]
         # h is concave, so it is >= 0 on the box when it is at both ends (it
         # is for any parsed inverter: s_cap > 0 and 0 <= p_gen0 <= s_cap).

@@ -413,25 +413,20 @@ class KeptModel:
 
 
 def solve_lp(
-    lp: LinearProgram | RangedLP,
+    lp: RangedLP,
     kept: KeptModel | None = None,
     basis: highs.HighsBasis | None = None,
 ) -> DualCertificate:
-    """Solve an LP exactly.
+    """Solve a ranged LP exactly, primal-only.
 
-    A ``LinearProgram`` is materialized and solved through ``linprog`` by
-    ``solve_materialized``, and comes back with the primal point and its
-    dual sensitivities.  A ``RangedLP`` is solved primal-only by HiGHS's
-    default LP solver, called directly rather than through scipy, with its
-    ranged rows as they are: its certificate carries the status, ``x`` and
-    the objective, and no duals.  A NaN or infinite objective or matrix
-    entry, or a NaN bound, raises ``ValueError`` before HiGHS sees it.
-    With ``kept``, ``kept`` solves the LP, warm from ``basis`` when it can
-    (see ``KeptModel``); without it, the solve is cold, on a ``KeptModel``
-    closed right after.
+    HiGHS's default LP solver, called directly rather than through scipy,
+    takes the ranged rows as they are; the certificate carries the status,
+    ``x`` and the objective, and no duals (``solve_materialized`` gives
+    them).  A NaN or infinite objective or matrix entry, or a NaN bound,
+    raises ``ValueError`` before HiGHS sees it.  With ``kept``, ``kept``
+    solves the LP, warm from ``basis`` when it can (see ``KeptModel``);
+    without it, the solve is cold, on a ``KeptModel`` closed right after.
     """
-    if not isinstance(lp, RangedLP):
-        return solve_materialized(lp.materialize())
     if not (np.isfinite(lp.c).all() and np.isfinite(lp.A.data).all()):
         raise ValueError("RangedLP: c and A must hold finite numbers")
     if any(np.isnan(b).any() for b in (lp.lb, lp.ub, lp.row_lb, lp.row_ub)):

@@ -29,6 +29,7 @@ from flexgrid.lp import (
     LinearProgram,
     RangedLP,
     solve_lp,
+    solve_materialized,
 )
 
 from randfeeders import random_context
@@ -436,7 +437,7 @@ def test_template_matches_the_row_by_row_reference(pv_tight_ctx):
                 assert np.array_equal(getattr(got, name), getattr(ref, name)), name
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got.A, name), getattr(ref.A, name)), name
-            mine, want, dual = solve_lp(got), solve_lp(ref), solve_lp(ref_lp)
+            mine, want, dual = solve_lp(got), solve_lp(ref), solve_materialized(ref)
             assert mine.status == want.status == dual.status
             if want.status == OPTIMAL:
                 solved += 1

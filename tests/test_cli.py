@@ -187,6 +187,7 @@ def test_verify_feeder_override(solved, tmp_path, capsys):
     )
     assert code == cli.EXIT_VALIDATION
     assert "base_kva" in stderr
+    assert str(result_path) in stderr
 
 
 def test_plotdata_tables(solved, capsys):
@@ -406,6 +407,7 @@ def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):
         )
         assert code == cli.EXIT_VALIDATION
         assert needle in stderr
+        assert str(p) in stderr
 
     expect_validation(
         lambda d: d.update(format="something-else"),
@@ -413,6 +415,8 @@ def test_corrupted_result_files_are_rejected(solved, tmp_path, capsys):
         command="plotdata",  # both consumers validate the document
     )
     expect_validation(lambda d: d.update(version=99), "unsupported result version")
+    expect_validation(lambda d: d.update(version=True), "unsupported result version True")
+    expect_validation(lambda d: d.update(version=1.0), "unsupported result version 1.0")
     expect_validation(lambda d: d.pop("dp_plus_kw"), "missing required key 'dp_plus_kw'")
     expect_validation(
         lambda d: d["setpoints"][0].update(value=99.0), "outside its box"
@@ -461,9 +465,10 @@ def _repeat_slot(doc):
     (lambda d: d.update(direction=["x"]), "'direction' must be one of"),
     (lambda d: d.update(v_min=-1.0), "need 0 < v_min < v_max"),
     (_repeat_slot, "listed twice"),
+    (lambda d: d.update(feeder=pv_doc()), "'feeder' must be a path, got dict"),
 ], ids=["zero-base", "text-base", "null-band", "no-slot", "setpoint-dict", "no-bus",
         "worst-case-list", "worst-case-empty-list", "direction-list", "negative-vmin",
-        "repeated-slot"])
+        "repeated-slot", "inline-feeder"])
 def test_malformed_result_fields_are_validation_errors(
     solved_doc, tmp_path, capsys, command, mutate, needle
 ):

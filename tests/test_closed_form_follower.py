@@ -59,7 +59,6 @@ from flexgrid.lp import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    solve_lp,
     solve_materialized,
     verify_strong_duality,
 )
@@ -322,7 +321,7 @@ def test_q_set_outside_the_cone_is_infeasible_on_both_paths(pv_ctx, activation):
         problem = build_follower(pv_ctx, Scenario(0, activation, EXTREMA[0]),
                                  MODE_CONSTANT_Q, fix_q=True)
         slots = {s: slots[s] for s in problem.slot_names}
-        assert solve_lp(problem.to_lp(slots)).status == INFEASIBLE
+        assert solve_materialized(problem.to_lp(slots).materialize()).status == INFEASIBLE
         mf = problem.materialize(slots)
         for node in range(pv_ctx.n):
             assert mf.solve(node=node).status == INFEASIBLE
@@ -636,7 +635,7 @@ def test_free_q_falls_back_when_the_capability_excludes_the_operating_point(pv_m
         for slots in (mf.slots, {SLOT_DP_PLUS: 0.05, SLOT_DP_MINUS: -0.05}):
             mf.set_slots(slots)
             fresh = problem.materialize(slots)
-            assert solve_lp(problem.to_lp(mf.slots)).status == INFEASIBLE
+            assert solve_materialized(problem.to_lp(mf.slots).materialize()).status == INFEASIBLE
             for node in range(ctx.n):
                 got, want = mf.solve(node=node), fresh.solve(node=node)
                 assert got.status == want.status == INFEASIBLE

@@ -33,7 +33,7 @@ def test_objective_matches_vertex_enumeration():
         ref = vertex_enumeration_optimum(lp)
         assert ref is not None
         # the dual-certificate solve and the primal-only solve of the ranged form
-        for cert in (solve_lp(lp), solve_lp(lp.materialize())):
+        for cert in (solve_materialized(lp.materialize()), solve_lp(lp.materialize())):
             assert cert.status == OPTIMAL  # generator guarantees feasible + bounded
             assert cert.objective == pytest.approx(ref, abs=1e-8)
         checked += 1
@@ -45,14 +45,14 @@ def test_row_duals_are_rhs_sensitivities():
     rng = np.random.default_rng(5)
     for _ in range(8):
         lp = random_lp(rng, max_vars=5)
-        cert = solve_lp(lp)
+        cert = solve_materialized(lp.materialize())
         h = 1e-6
         for r in range(lp.n_rows):
             saved = lp.rhs[r]
             lp.rhs[r] = saved + h
-            up_cert = solve_lp(lp)
+            up_cert = solve_materialized(lp.materialize())
             lp.rhs[r] = saved - h
-            dn_cert = solve_lp(lp)
+            dn_cert = solve_materialized(lp.materialize())
             lp.rhs[r] = saved
             if not (up_cert.is_optimal and dn_cert.is_optimal):
                 continue  # perturbation fell off the feasible set
@@ -72,7 +72,7 @@ def test_dual_sign_conventions_on_tiny_problems():
     lp = LinearProgram(sense=MAX)
     x = lp.add_var(lb=0.0, obj=1.0)
     lp.add_row({x: 1.0}, LE, 2.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(2.0)
     assert cert.row_duals[0] == pytest.approx(1.0)
 
@@ -80,7 +80,7 @@ def test_dual_sign_conventions_on_tiny_problems():
     lp = LinearProgram(sense=MIN)
     x = lp.add_var(obj=1.0)
     lp.add_row({x: 1.0}, GE, 3.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(3.0)
     assert cert.row_duals[0] == pytest.approx(1.0)
 
@@ -88,7 +88,7 @@ def test_dual_sign_conventions_on_tiny_problems():
     lp = LinearProgram(sense=MAX)
     x = lp.add_var(lb=0.0, ub=5.0, obj=-1.0)
     lp.add_row({x: 1.0}, GE, 1.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(-1.0)
     assert cert.row_duals[0] == pytest.approx(-1.0)
 
@@ -97,7 +97,7 @@ def test_dual_sign_conventions_on_tiny_problems():
     x = lp.add_var(lb=0.0, obj=1.0)
     y = lp.add_var(lb=0.0, obj=1.0)
     lp.add_row({x: 1.0, y: 1.0}, EQ, 1.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(1.0)
     assert cert.row_duals[0] == pytest.approx(1.0)
 
@@ -107,7 +107,7 @@ def test_bound_duals_and_reduced_costs():
     lp = LinearProgram(sense=MAX)
     lp.add_var(lb=0.0, ub=1.0, obj=2.0)
     lp.add_var(lb=0.0, ub=3.0, obj=1.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(5.0)
     assert np.allclose(cert.upper_duals, [2.0, 1.0])
     assert np.allclose(cert.lower_duals, [0.0, 0.0])
@@ -120,7 +120,7 @@ def test_strong_duality_identity_random_batch():
     rng = np.random.default_rng(99)
     for _ in range(25):
         lp = random_lp(rng)
-        cert = solve_lp(lp)
+        cert = solve_materialized(lp.materialize())
         rep = verify_strong_duality(lp, cert)
         assert rep.ok, (rep.gap, rep.max_slackness)
         assert rep.primal_objective == pytest.approx(cert.objective, abs=1e-9)
@@ -133,7 +133,7 @@ def test_degenerate_optimum_verifies():
     x = lp.add_var(lb=0.0, ub=1.0, obj=1.0)
     y = lp.add_var(lb=0.0, ub=1.0, obj=1.0)
     lp.add_row({x: 1.0, y: 1.0}, LE, 1.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(1.0, abs=1e-8)
     rep = verify_strong_duality(lp, cert)
     scale = 1.0 + abs(rep.primal_objective)
@@ -146,16 +146,16 @@ def test_infeasible_and_unbounded_detection():
     x = lp.add_var(lb=0.0, obj=1.0)
     lp.add_row({x: 1.0}, LE, 1.0)
     lp.add_row({x: 1.0}, GE, 2.0)
-    assert solve_lp(lp).status == INFEASIBLE
+    assert solve_materialized(lp.materialize()).status == INFEASIBLE
     assert solve_lp(lp.materialize()).status == INFEASIBLE
 
     lp = LinearProgram(sense=MAX)
     lp.add_var(lb=0.0, obj=1.0)
-    assert solve_lp(lp).status == UNBOUNDED
+    assert solve_materialized(lp.materialize()).status == UNBOUNDED
     assert solve_lp(lp.materialize()).status == UNBOUNDED
 
     with pytest.raises(ValueError, match="optimal certificate"):
-        verify_strong_duality(lp, solve_lp(lp))
+        verify_strong_duality(lp, solve_materialized(lp.materialize()))
 
 
 def test_le_ge_row_equivalence():
@@ -166,7 +166,7 @@ def test_le_ge_row_equivalence():
         y = lp.add_var(lb=0.0, obj=1.0)
         sgn = 1.0 if rel == LE else -1.0
         lp.add_row({x: sgn * 1.0, y: sgn * 2.0}, rel, sgn * rhs)
-        return lp, solve_lp(lp)
+        return lp, solve_materialized(lp.materialize())
 
     lp_le, le = build(LE, 4.0)
     lp_ge, ge = build(GE, 4.0)
@@ -180,7 +180,7 @@ def test_empty_and_degenerate_shapes():
     # no rows at all: optimum sits on the box
     lp = LinearProgram(sense=MIN)
     lp.add_var(lb=-2.0, ub=4.0, obj=3.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(-6.0)
     assert cert.x[0] == pytest.approx(-2.0)
 
@@ -188,7 +188,7 @@ def test_empty_and_degenerate_shapes():
     lp = LinearProgram(sense=MAX)
     lp.add_var(lb=0.0, ub=1.0, obj=1.0)
     lp.add_row({}, LE, 1.0)
-    cert = solve_lp(lp)
+    cert = solve_materialized(lp.materialize())
     assert cert.objective == pytest.approx(1.0)
     assert cert.row_duals[0] == 0.0
 
@@ -269,7 +269,7 @@ def test_materialize_gives_each_row_its_ranged_bounds():
     rng = np.random.default_rng(31)
     for _ in range(30):
         lp = random_lp(rng)
-        x = solve_lp(lp).x
+        x = solve_materialized(lp.materialize()).x
         a = rng.normal(size=lp.n_vars)
         # A >= row, an = row and a <= row that names column 0 twice, all
         # satisfied at the optimum, so the LP stays feasible and bounded.
@@ -286,7 +286,7 @@ def test_materialize_gives_each_row_its_ranged_bounds():
             assert np.array_equal(mat.A[[r]].toarray()[0], lp.row_dense(r))
             want = {LE: (-np.inf, rhs), GE: (rhs, np.inf), EQ: (rhs, rhs)}[rel]
             assert (mat.row_lb[r], mat.row_ub[r]) == want
-        dual, primal = solve_lp(lp), solve_lp(mat)
+        dual, primal = solve_materialized(lp.materialize()), solve_lp(mat)
         assert dual.status == primal.status == OPTIMAL
         assert primal.objective == pytest.approx(dual.objective, rel=1e-9, abs=1e-9)
 
