@@ -152,6 +152,11 @@ class Scenario:
         return 1.0 if self.extremum == MAX_V else -1.0
 
     @property
+    def sign(self) -> float:
+        """Activation sign: +1 under positive activation, -1 under negative."""
+        return 1.0 if self.activation == POSITIVE else -1.0
+
+    @property
     def number(self) -> int:
         return _SCENARIO_NUMBER[(self.activation, self.extremum)]
 
@@ -385,7 +390,8 @@ class FollowerProblem:
     region from one table instead: ``region`` = (a, e, b), each of shape
     (inverter node, kind), with rows a·Δp_gen + e·q_gen <= b over
     ``region_kinds`` (both bounds of each column, cap_hi, cap_lo and, in
-    constant-q, cq_hi, cq_lo).  The cap and cone rows are written from it.
+    constant-q, cq_hi, cq_lo).  The cap and cone rows are written from it;
+    ``intervals`` folds it for the knapsack followers, whose gains are ``gains``.
     """
 
     def __init__(self, ctx: FlexContext, scenario: Scenario, mode: str, *, fix_q: bool = False):
@@ -582,7 +588,7 @@ class FollowerProblem:
             np.concatenate([all_dpg, all_dpl]), np.concatenate([one, -np.ones(loads.size)]),
         )
         self.rhs_slots.append((agg, sc.dp_slot, 1.0))
-        self.slot_names = slots + [sc.dp_slot]
+        self.setpoint_slots, self.slot_names = slots, slots + [sc.dp_slot]
         self.rhs, self.a_row, self.a_col, self.a_val = (np.concatenate(a) for a in zip(*groups))
 
     # --- materialization and solving -------------------------------------
@@ -624,28 +630,55 @@ class FollowerProblem:
         """Optimal |v| at the scenario's node (undo the min-objective sign)."""
         return self.scenario.sigma * cert.objective
 
+    def gains(self, kappa: np.ndarray, targets) -> np.ndarray:
+        """The knapsack items' gains per unit z, sign·σ·(s_p[t] + κ·s_q[t]) per
+        inverter's Δp_gen and sign·σ·s_l[t] per load's shed, at target rows
+        ``targets`` and setpoints κ (one per inverter, or a stack of them)."""
+        s_p, s_q, s_l = self.s_p[targets], self.s_q[targets], self.s_l[targets]
+        kappa = kappa[..., None, :] if s_p.ndim == 2 else kappa
+        g = s_p + kappa * s_q
+        s_l = np.broadcast_to(s_l, g.shape[:-1] + s_l.shape[-1:])
+        return (self.scenario.sign * self.scenario.sigma) * np.concatenate([g, s_l], axis=-1)
+
+    def intervals(self, kappa: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each inverter's Δp_gen interval under the knapsack mode row q_gen =
+        q0 + κ·Δp_gen, which makes the region rows ap·Δp_gen <= b - e·q0 with
+        ap = a + e·κ: lo, hi, the kinds defining them, ap and whether each is
+        nonempty within ``FEAS_TOL`` (an empty one pinches to a point of the
+        box).  κ and q0 hold one value per inverter, or are stacks of them."""
+        a, e, b = self.region
+        ap, bp = a + e * kappa[..., None], b - e * q0[..., None]
+        with np.errstate(all="ignore"):  # a row with ap = 0 defines no end
+            ratio = bp / ap
+        up = np.where(ap > 0.0, ratio, np.inf)
+        dn = np.where(ap < 0.0, ratio, -np.inf)
+        c_lo, c_hi = dn.argmax(axis=-1), up.argmin(axis=-1)
+        # The defining rows' own ends (a max can return either zero of a tie of ±0).
+        at = np.indices(c_lo.shape, sparse=True)
+        lo, hi = dn[(*at, c_lo)], up[(*at, c_hi)]
+        feasible = ~(np.any((ap == 0.0) & (bp < -FEAS_TOL), axis=-1) | (lo > hi + FEAS_TOL))
+        pinch, point = lo > hi, np.minimum(lo, b[:, 0])
+        return np.where(pinch, point, lo), np.where(pinch, point, hi), c_lo, c_hi, ap, feasible
+
     def dual_box(self, boxes: dict[str, tuple[float, float]], node: int) -> np.ndarray:
         """Bounds on |dual| per row that every closed-form certificate for
         target t = ``node`` keeps at any band edge and any setpoints in
         ``boxes``; inf on the rows without one.  Constant-pf bounds agg,
         fixed-q constant-q agg and qfix, any mode agg with no inverter (the
-        loads' knapsack, gains sign·σ·s_l); free-q constant-q and volt-var
-        with inverters bound nothing.
+        loads' knapsack); free-q constant-q and volt-var with inverters
+        bound nothing.
 
-        Proof, from ``_Knapsack``.  At setpoints κ (constant-pf: γ;
-        fixed-q: 0) the items' gains are sign·σ·(s_p[t,i] + κ_i·s_q[t,i])
-        per inverter and sign·σ·s_l[t,l] per load, and the agg dual is ±μ,
-        μ being the gain of the item the fill runs out in, or 0.  Each gain
-        is affine in κ_i, so its largest value over the box sits at an end:
+        Proof, from ``_Knapsack``.  The agg dual is ±μ, μ being the gain
+        (``gains``) of the item the fill runs out in, or 0.  Each gain is
+        affine in κ_i, so its largest value over the box sits at an end:
         |μ| <= μ̄ = max(0, every gain at both ends of the γ box).  In
         fixed-q, inverter i's qfix dual is σ·s_q[t,i] - r_i·e_c/a_c, where
-        r_i = σ·s_p[t,i] ∓ μ, so |r_i| <= |s_p[t,i]| + μ̄, and c is a column
-        defining an end of the interval, so a_c != 0.  Hence
-        |λ_i| <= |s_q[t,i]| + (|s_p[t,i]| + μ̄)/d_i, d_i the least |a_c/e_c|
-        over i's kinds in the region table with a_c != 0 != e_c (a kind with
-        a = 0 never ends the interval), read off the table: the capability
-        rows give 1 and the cone rows gc_i, so d_i = min(1, gc_i), and 1
-        where gc_i = 0.  A constant-pf pfq dual
+        r_i = σ·s_p[t,i] ∓ μ, so |r_i| <= |s_p[t,i]| + μ̄, and c is the kind
+        defining the end of i's interval (``intervals`` at κ = 0), so
+        a_c != 0.  Hence |λ_i| <= |s_q[t,i]| + (|s_p[t,i]| + μ̄)/d_i, d_i
+        the least |a_c/e_c| over i's kinds with a_c != 0 != e_c, read off
+        the region table: the capability rows give 1 and the cone rows gc_i,
+        so d_i = min(1, gc_i), and 1 where gc_i = 0.  A constant-pf pfq dual
         divides by a_c + e_c·γ_i instead, which can vanish inside the box,
         so it gets no bound.  The closed form certifies every optimum of
         these modes, so the box holds one optimal dual at every decision,
@@ -657,15 +690,9 @@ class FollowerProblem:
         if self.mode != MODE_CONSTANT_PF and not fixed_q and m:
             return box
         kappa = np.zeros((1, m))
-        if self.mode == MODE_CONSTANT_PF:
-            ends = [boxes[slot_gamma(k)] for k in self.inv.tolist()]
-            kappa = np.array(ends, dtype=float).reshape(m, 2).T  # (lower end, upper end)
-        sign = 1.0 if self.scenario.activation == POSITIVE else -1.0
-        gains = (sign * self.scenario.sigma) * np.concatenate(
-            [(self.s_p[t] + kappa * self.s_q[t]).ravel(), self.s_l[t]]
-        )
-        mu = float(gains.max(initial=0.0))
-        box[self._row_at["agg"]] = mu
+        if self.mode == MODE_CONSTANT_PF:  # the γ boxes' (lower ends, upper ends)
+            kappa = np.array([boxes[s] for s in self.setpoint_slots], dtype=float).reshape(m, 2).T
+        mu = box[self._row_at["agg"]] = float(self.gains(kappa, t).max(initial=0.0))
         if fixed_q:
             a, e, _ = self.region
             ratio = np.divide(a, e, out=np.full_like(a, np.inf), where=(a != 0.0) & (e != 0.0))
@@ -705,13 +732,12 @@ class MaterializedFollower:
     closed form of the follower's mode; ``FollowerProblem.materialize``
     picks the subclass (``_Knapsack``, ``_FreeQ`` or ``_VoltVar``).  Each
     closed form reduces the follower at fixed slots to a fractional knapsack
-    over items z, sign·(Δp_gen, -Δp_load) or segments of it, with sign = +1
-    under positive activation and -1 under negative, so the aggregate row
-    reads sum(z) <= sign·edge for either activation.  Only the items' gains
-    depend on the target: a subclass keeps every node's row of them
-    (``gains``) for the current setpoints, and ``_fill`` fills the rows of a
-    batch at once.  Device arrays run over the problem's inverter nodes
-    (Δp_gen, q_gen) and load nodes (Δp_load) in its column order.
+    over items z, sign·(Δp_gen, -Δp_load) or segments of it (``Scenario.sign``),
+    so the aggregate row reads sum(z) <= sign·edge for either activation.
+    Only the items' gains depend on the target: a subclass keeps every node's
+    row of them (``gains``) for the current setpoints, and ``_fill`` fills
+    the rows of a batch at once.  Device arrays run over the problem's
+    inverter nodes (Δp_gen, q_gen) and load nodes (Δp_load) in its column order.
 
     ``certificate`` turns a row of the values into the full dual
     certificate (row and bound duals in ``problem.row_names`` and variable
@@ -739,7 +765,7 @@ class MaterializedFollower:
         self.s_dev = np.ascontiguousarray(np.concatenate([p.s_p, -p.s_l, p.s_q], axis=1))
         self.agg_row = p.row_names.index("agg")
         self.vm_rows = p.row_index("vm", nodes)
-        self.sign = 1.0 if p.scenario.activation == POSITIVE else -1.0
+        self.sign = p.scenario.sign
         # (Δp_gen, Δp_load) = z_sign·z where the items are the devices themselves.
         self.z_sign = np.repeat([self.sign, -self.sign], [p.inv.size, p.loads.size])
         # Variables whose reduced cost goes to the bound they sit at: all but
@@ -914,12 +940,11 @@ class _Knapsack(MaterializedFollower):
     (in any mode where it has no inverter).
 
     Substituting |v| = m0 + s_p·Δp_gen - s_l·Δp_load + s_q·q_gen and the
-    node's mode row (pfq: q_gen = γ(p_gen0 + Δp_gen); qfix: q_gen = q_set)
-    leaves each node's Δp_gen in one interval, cut from its own box by the
-    q_gen box and the capability (and cone) rows, next to Δp_load's box.
-    Row t of the sensitivities gives every device a gain per unit of the
-    aggregate row, and filling devices in order of gain until the band
-    edge is used up is optimal (Dantzig's fractional knapsack).  The fill
+    node's mode row leaves each node's Δp_gen in one interval
+    (``FollowerProblem.intervals``), next to Δp_load's box, and gives every
+    device a gain per unit of the aggregate row (``FollowerProblem.gains``);
+    filling devices in order of gain until the band edge is used up is
+    optimal (Dantzig's fractional knapsack).  The fill
     also yields the duals: the aggregate dual is the gain of the device the
     edge runs out in, each device's reduced cost goes to the constraint
     defining the end of its interval it sits at, and the mode row takes what
@@ -932,10 +957,9 @@ class _Knapsack(MaterializedFollower):
         p = self.problem
         self.mode_rows = p.row_index("pfq" if p.mode == MODE_CONSTANT_PF else "qfix")
 
-        # The region table's rows a·Δp_gen + e·q_gen <= b, in its kind order.
-        # Each kind's dual lands at ``target`` of [row duals, lower, upper] as
-        # ``dual_sign`` times its multiplier: a bound's at its column's bound
-        # dual, a row's at the row.
+        # Each region kind's dual lands at ``target`` of [row duals, lower,
+        # upper] as ``dual_sign`` times its multiplier: a bound's at its
+        # column's bound dual, a row's at the row.
         n_rows, n_vars = p.n_rows, p.n_vars
         dpg, qg = self.gen_cols, self.q_cols
         bounds = {
@@ -945,45 +969,24 @@ class _Knapsack(MaterializedFollower):
             "q_lo": (n_rows + qg, -1.0),
         }
         targets = [bounds[k] if k in bounds else (p.row_index(k), 1.0) for k in p.region_kinds]
-        self.a, self.e, self.b = p.region
+        self.e = p.region[1]
         self.target = np.stack([t for t, _ in targets], axis=1)
         self.dual_sign = np.array([s for _, s in targets])
         self.box_only[dpg] = self.box_only[qg] = False
 
     def _fix_setpoints(self) -> None:
-        """Fold each inverter node's rows into its Δp_gen interval at these
-        setpoints, and give every target its row of gains."""
-        p, inv, slots = self.problem, self.inv, self.slots
-        m = inv.size
-        p_gen0 = p.devices.p_gen0[inv]
+        """Each inverter node's Δp_gen interval and every target's row of
+        gains at these setpoints: κ and q0 of the mode row, read off the slots."""
+        p = self.problem
+        values = np.array([self.slots[s] for s in p.setpoint_slots], dtype=float)
         if p.mode == MODE_CONSTANT_PF:
-            kappa = np.array([slots[slot_gamma(k)] for k in inv], dtype=float)
-            q0 = kappa * p_gen0
+            self.kappa, self.q0 = values, values * p.devices.p_gen0[self.inv]
         else:
-            kappa = np.zeros(m)
-            q0 = np.array([slots[slot_qset(k)] for k in inv], dtype=float)
-        # With q_gen = q0 + kappa·Δp_gen, column j reads ap_j·Δp_gen <= bp_j.
-        ap = self.a + self.e * kappa[:, None]
-        bp = self.b - self.e * q0[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = bp / ap
-        up = np.where(ap > 0.0, ratio, np.inf)
-        dn = np.where(ap < 0.0, ratio, -np.inf)
-        self.c_hi, self.c_lo = up.argmin(axis=1), dn.argmax(axis=1)
-        hi, lo = up[np.arange(m), self.c_hi], dn[np.arange(m), self.c_lo]
-        self.feasible = not (
-            np.any((ap == 0.0) & (bp < -FEAS_TOL)) or np.any(lo > hi + FEAS_TOL)
-        )
-        # An interval empty within the tolerance pinches to a point of the box.
-        pinch = lo > hi
-        lo[pinch] = hi[pinch] = np.minimum(lo[pinch], self.b[pinch, 0])
-        self.ap, self.kappa, self.q0 = ap, kappa, q0
+            self.kappa, self.q0 = np.zeros(self.inv.size), values
+        lo, hi, self.c_lo, self.c_hi, self.ap, feasible = p.intervals(self.kappa, self.q0)
+        self.feasible = bool(feasible.all())
         self.set_items(*self.z_box(lo, hi))
-        # Gains per unit z: σ·(s_p + κ·s_q) per unit Δp_gen and σ·s_l per unit
-        # of load shed (-Δp_load), times sign.
-        self.gains = (self.sign * p.scenario.sigma) * np.concatenate(
-            [p.s_p + kappa * p.s_q, p.s_l], axis=1
-        )
+        self.gains = p.gains(self.kappa, slice(None))
 
     def _devices(self, nodes, z):
         dp = z * self.z_sign
@@ -1042,7 +1045,7 @@ class _VoltVar(MaterializedFollower):
         K = A⁻¹·d·Q̄, and give every target t its row of gains through
         y = e_t - E_I·w, w = Kᵀ·s_q[t,I]ᵀ (the d·Q̄·w above)."""
         p, inv = self.problem, self.inv
-        qbar = np.array([self.slots[slot_qbar(k)] for k in inv], dtype=float)
+        qbar = np.array([self.slots[s] for s in p.setpoint_slots], dtype=float)
         dq = self.d * qbar
         s_p_ii, s_l_ii, s_q_ii = self.s_ii
         a = np.eye(inv.size) + dq[:, None] * s_q_ii

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from flexgrid import build_context, load_feeder
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 from flexgrid.follower import (
+    ACTIVATIONS,
     MAX_V,
     MIN_V,
     NEGATIVE,
@@ -22,6 +23,7 @@ from flexgrid.follower import (
     available_flexibility_bounds,
     build_follower,
     fix_worst_case_setpoints,
+    setpoint_boxes,
     slot_gamma,
     slot_qbar,
     slot_qset,
@@ -30,6 +32,7 @@ from flexgrid.lp import verify_strong_duality
 from flexgrid.oracle import linear_magnitudes
 
 from conftest import pv_doc
+from corpus import BINDING_FEEDERS, corpus_context
 from randfeeders import random_context, random_slots
 
 MODES = (MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR)
@@ -57,15 +60,16 @@ def test_a_context_is_frozen(pv_ctx):
 
 def test_scenario_numbering_and_signs():
     table = {
-        (POSITIVE, MIN_V): (1, -1.0, SLOT_DP_PLUS),
-        (POSITIVE, MAX_V): (2, 1.0, SLOT_DP_PLUS),
-        (NEGATIVE, MIN_V): (3, -1.0, SLOT_DP_MINUS),
-        (NEGATIVE, MAX_V): (4, 1.0, SLOT_DP_MINUS),
+        (POSITIVE, MIN_V): (1, -1.0, 1.0, SLOT_DP_PLUS),
+        (POSITIVE, MAX_V): (2, 1.0, 1.0, SLOT_DP_PLUS),
+        (NEGATIVE, MIN_V): (3, -1.0, -1.0, SLOT_DP_MINUS),
+        (NEGATIVE, MAX_V): (4, 1.0, -1.0, SLOT_DP_MINUS),
     }
-    for (act, ext), (number, sigma, dp_slot) in table.items():
+    for (act, ext), (number, sigma, sign, dp_slot) in table.items():
         sc = Scenario(node=2, activation=act, extremum=ext)
         assert sc.number == number
         assert sc.sigma == sigma
+        assert sc.sign == sign
         assert sc.dp_slot == dp_slot
     with pytest.raises(ValueError, match="activation"):
         Scenario(node=0, activation="up", extremum=MIN_V)
@@ -427,3 +431,124 @@ def test_strong_duality_on_random_instances(mode):
         rep = verify_strong_duality(problem.to_lp(slots), cert)
         assert rep.ok, (mode, rep.gap, rep.max_slackness)
         done += 1
+
+
+# --- the knapsack followers' affine form: ``gains`` and ``intervals`` ------
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", (MODE_CONSTANT_PF, MODE_CONSTANT_Q))
+@pytest.mark.parametrize("feeder", ["pv", "corpus"])
+def test_stacked_affine_form_matches_each_setpoint_and_the_knapsack(pv_ctx, mode, feeder):
+    """Row i of a stacked ``gains``/``intervals`` call is the call at κ_i bit
+    for bit, for a slice, an array and a single node as targets, and a
+    re-slotted knapsack follower holds exactly ``gains(κ, slice(None))`` and
+    ``intervals(κ, q0)``, with κ and q0 read off its slots here: constant-pf
+    κ = γ, q0 = γ·p_gen0; fixed-q constant-q κ = 0, q0 = q_set."""
+    ctx = pv_ctx if feeder == "pv" else corpus_context(7208, 2.0, mode)
+    rng = np.random.default_rng(36)
+    for activation in ACTIVATIONS:
+        problem = build_follower(ctx, Scenario(0, activation, MAX_V), mode, fix_q=True)
+        m = problem.inv.size
+        kappa, q0 = rng.uniform(-0.5, 0.5, (5, m)), rng.uniform(-0.05, 0.05, (5, m))
+        for targets in (slice(None), np.array([ctx.n - 1, 0]), ctx.n - 1):
+            stacked = problem.gains(kappa, targets)
+            for i in range(len(kappa)):
+                assert _same_bits(stacked[i], problem.gains(kappa[i], targets))
+        assert _same_bits(problem.gains(kappa[0], 1), problem.gains(kappa[0], slice(None))[1])
+        stacked = problem.intervals(kappa, q0)
+        for i in range(len(kappa)):
+            for got, want in zip(stacked, problem.intervals(kappa[i], q0[i]), strict=True):
+                assert _same_bits(got[i], want)
+
+        mf = problem.materialize(random_slots(rng, ctx, mode, problem=problem))
+        for _ in range(3):
+            slots = random_slots(rng, ctx, mode, problem=problem)
+            mf.set_slots(slots)
+            values = np.array([slots[s] for s in problem.setpoint_slots])
+            if mode == MODE_CONSTANT_PF:
+                k, q = values, values * ctx.devices.p_gen0[problem.inv]
+            else:
+                k, q = np.zeros(m), values
+            assert _same_bits(mf.gains, problem.gains(k, slice(None)))
+            lo, hi, c_lo, c_hi, ap, nonempty = problem.intervals(k, q)
+            item_lo, item_hi = mf.z_box(lo, hi)
+            assert _same_bits(mf.item_lo, item_lo) and _same_bits(mf.item_hi, item_hi)
+            for got, want in ((mf.c_lo, c_lo), (mf.c_hi, c_hi), (mf.ap, ap)):
+                assert _same_bits(got, want)
+            assert mf.feasible == nonempty.all()
+
+
+def interval_cuts(ctx) -> set[tuple[int, str, float, str, bool]]:
+    """Where a region row with e != 0 ends an inverter's constant-pf Δp_gen
+    interval somewhere in its γ box, as (node, activation, γ, the row's
+    kind, whether the interval is nonempty).
+
+    With q0 = γ·p_gen0 a row's end (b - e·p_gen0·γ)/(a + e·γ) is monotone
+    in γ on either side of its pole -a/e, and the box rows (e = 0) stay put.
+    So where such a row cuts an interval inside the box, one of them cuts it
+    at an end of that stretch of monotony too: at the points ``intervals`` is
+    evaluated at, the box's ends and both sides of each pole inside it.
+    """
+    boxes = setpoint_boxes(ctx, MODE_CONSTANT_PF)
+    cuts = set()
+    for activation in ACTIVATIONS:
+        problem = build_follower(ctx, Scenario(0, activation, MAX_V), MODE_CONSTANT_PF)
+        a, e, _ = problem.region
+        points = []
+        for i, slot in enumerate(problem.setpoint_slots):
+            lo, hi = boxes[slot]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                poles = -a[i] / e[i]
+            poles = poles[(lo < poles) & (poles < hi)]
+            points.append([lo, hi, *np.nextafter(poles, -np.inf), *np.nextafter(poles, np.inf)])
+        # One stacked call: column i runs through inverter i's points, padded
+        # with its lower end.
+        width = max(map(len, points), default=0)
+        gamma = np.array([p + p[:1] * (width - len(p)) for p in points]).T
+        p_gen0 = ctx.devices.p_gen0[problem.inv]
+        _, _, c_lo, c_hi, _, nonempty = problem.intervals(gamma, gamma * p_gen0)
+        for kinds in (c_lo, c_hi):
+            for r, i in zip(*np.nonzero(e[np.arange(len(points)), kinds] != 0.0)):
+                cuts.add((
+                    int(problem.inv[i]), activation, float(gamma[r, i]),
+                    problem.region_kinds[kinds[r, i]], bool(nonempty[r, i]),
+                ))
+    return cuts
+
+
+def test_no_capability_row_cuts_a_binding_constant_pf_interval(ieee13_binding_ctx):
+    """On binding-13bus and the 14 constant-pf corpus feeders, every
+    constant-pf Δp_gen interval is its box over the whole γ box: no row that
+    reads q_gen ends it."""
+    assert interval_cuts(ieee13_binding_ctx) == set()
+    for seed, z_scale in BINDING_FEEDERS:
+        assert interval_cuts(corpus_context(seed, z_scale, MODE_CONSTANT_PF)) == set(), seed
+
+
+def test_a_tight_capability_cuts_the_constant_pf_interval():
+    """With s_cap = p_gen_max = p_gen0 the capability octagon is tighter than
+    the 0.9 power factor: at |γ| = cap the anchor's own q_gen = γ·p_gen0
+    leaves it, since √2 - 1 < cap.  Under negative activation the cap row
+    on γ's side ends Δp_gen's interval below 0 (cap_lo at -cap, cap_hi at
+    +cap); under positive activation, whose box is the point 0, the interval
+    is empty.  Inside the box both start at |γ| = √2 - 1; the helper sees
+    them at its ends."""
+    doc = pv_doc()
+    for inv in doc["inverters"]:
+        inv["s_kva"] = inv["p_max"]
+    ctx = build_context(load_feeder(doc))
+    boxes = setpoint_boxes(ctx, MODE_CONSTANT_PF)
+    want = set()
+    for k in ctx.devices.inverter_nodes:
+        lo, hi = boxes[slot_gamma(k)]
+        for activation in ACTIVATIONS:
+            nonempty = activation == NEGATIVE
+            want |= {(k, activation, lo, "cap_lo", nonempty), (k, activation, hi, "cap_hi", nonempty)}
+    assert ctx.devices.inverter_nodes == (2, 4)
+    assert interval_cuts(ctx) == want
+    assert interval_cuts(build_context(load_feeder(pv_doc()))) == set()
