@@ -688,10 +688,10 @@ class SingleLevelResult:
     """A single-level solve.  ``bnb`` holds the status, gap and ``bound`` of
     the whole solve, in ``nodes`` every relaxation it solved and in
     ``cold_resolves`` those solved again cold after a warm solve;
-    ``nodes_by_search`` splits the nodes by search (POSITIVE, NEGATIVE, JOINT)
-    and ``bound_by`` names the bound that holds (SPLIT or JOINT).  ``bnb.x``
-    is the joint program's point, None when the halves settled the band
-    without the joint program."""
+    ``nodes_by_search`` splits the nodes by search (POSITIVE, NEGATIVE, JOINT;
+    0 for a half its walk proved) and ``bound_by`` names the bound that holds
+    (SPLIT or JOINT).  ``bnb.x`` is the joint program's point, None when the
+    halves settled the band without the joint program."""
 
     decision: UpperDecision
     objective: float
@@ -729,28 +729,30 @@ def solve_single_level(
 
     The presolve walks every follower at the bang-bang setpoints.  When the
     followers hold both activations and none of these walks reaches the
-    availability ceiling, the program is split: positive followers read only Δp+ and
-    negative ones only Δp-, so each activation's followers form a half
-    whose other edge sits at its box end, and each half gets its own
-    search.  Giving each half its own copy of the setpoints is a
-    relaxation, so U+ + U- - span bounds the band, U± being each half's
-    bound.  Walking all followers at each half's final setpoints gives
-    joint incumbents; when the best is within ``epsilon`` of that bound,
-    it is the proven band.  Otherwise (and always with ``split=False``,
-    with one activation or at the ceiling) the joint search over all
-    followers runs, seeded with every walked point and started from the
-    split bound.  ``node_limit`` caps the relaxations of the whole solve:
-    the positive half draws first, the negative half gets the rest, the
-    joint search what is left after both.  A family's walk at a setpoint
-    set is made once per run, over the presolve and every search's node
-    hook, each step taking the family's follower from ``family_follower``;
-    a search is made once per run at its followers, seeds, budget and
-    bound.  Both are kept in ``store``, which ``run_iterative`` passes to
-    each of its solves; without one the solve keeps its own.  A search
-    taken from the store returns the result it gave, nodes and all, so
-    it draws from ``node_limit`` as when it ran (``reused`` names it).
-    ``split=False`` runs the joint search alone: it is the reference the
-    tests hold the split solve to.
+    availability ceiling, the program is split: positive followers read only
+    Δp+ and negative ones only Δp-, so each activation's followers form a
+    half whose other edge sits at its box end, and each half gets its own
+    search.  A half one of whose walks at the bang-bang setpoints reaches
+    its edge's box end meets the span that bounds it: that walk proves it,
+    at the walk's setpoints and with no search.  Giving each half its own
+    copy of the setpoints is a relaxation, so U+ + U- - span bounds the
+    band, U± being each half's bound.  Walking all followers at each half's
+    final setpoints gives joint incumbents; when the best is within
+    ``epsilon`` of that bound, it is the proven band.  Otherwise (and always
+    with ``split=False``, with one activation or at the ceiling) the joint
+    search over all followers runs, seeded with every walked point and
+    started from the split bound.  ``node_limit`` caps the relaxations of
+    the whole solve: the positive half's search draws first, the negative
+    half's gets the rest, the joint search what is left.  A family's walk at
+    a setpoint set is made once per run, over the presolve and every
+    search's node hook, each step taking the family's follower from
+    ``family_follower``; a search is made once per run at its followers,
+    seeds, budget and bound.  Both are kept in ``store``, which
+    ``run_iterative`` passes to each of its solves; without one the solve
+    keeps its own.  A search taken from the store returns the result it
+    gave, nodes and all, so it draws from ``node_limit`` as when it ran
+    (``reused`` names it).  ``split=False`` runs the joint search alone: it
+    is the reference the tests hold the split solve to.
 
     The capped duals (constant-pf's pfq duals and every volt-var dual
     that meets a slot in a product) sit in a ±``LAMBDA_CAP`` box, a big-M
@@ -893,6 +895,13 @@ def solve_single_level(
     budget, nodes, finals, split_bound, box = node_limit, {}, [], -dp_span, False
     cold_resolves = 0
     for activation, subset in halves.items():
+        # A seed walk at the half's edge meets the span that bounds the half.
+        seed = next((sp for sp in candidates if (d := walk(_by_family(subset), sp)) is not None
+                     and at_ceiling(width(d))), None)
+        if seed is not None:
+            finals.append(seed)
+            split_bound += dp_span
+            continue
         res, decision, half_box = search(activation, subset, candidates, budget)
         budget -= res.nodes
         nodes[activation] = res.nodes

@@ -1,4 +1,4 @@
-"""One sha256 over the solver's results on the binding corpus and ieee13-binding.
+"""Two sha256 digests over the solver's results on the binding corpus and ieee13-binding.
 
 Run from the repository root:
 
@@ -7,8 +7,11 @@ Run from the repository root:
 Each case is solved by ``run_iterative(node_limit=400)`` and its decision
 checked by ``verify_decision``; both results are written out field by field,
 floats as ``float.hex``, and hashed in case order.  Two trees that print the
-same digest gave the same bands, decisions, B&B records and oracle checks bit
-for bit, which is how a refactor shows it changed no result.  Pytest does not
+same first digest gave the same bands, decisions, B&B records and oracle checks
+bit for bit, which is how a refactor shows it changed no result.  The second
+digest leaves the node accounting out (``NODE_ACCOUNTING``): two trees that
+print the same second digest differ at most in how many relaxations each search
+solved and which searches were taken from the run's store.  Pytest does not
 collect this file.
 """
 
@@ -25,6 +28,11 @@ from flexgrid import build_context, load_feeder
 from flexgrid.bilevel import run_iterative
 from flexgrid.feeder import MODE_CONSTANT_PF
 from flexgrid.oracle import verify_decision
+
+# (dataclass, field) pairs the second digest leaves out.
+NODE_ACCOUNTING = frozenset({
+    ("SingleLevelResult", "nodes_by_search"), ("SingleLevelResult", "reused"), ("BnBResult", "nodes"),
+})
 
 DATA_13 = Path(__file__).resolve().parents[1] / "src" / "flexgrid" / "data" / "ieee13.json"
 
@@ -43,18 +51,21 @@ def cases():
     yield "ieee13-binding", ieee13_binding_context(), MODE_CONSTANT_PF
 
 
-def encode(obj) -> str:
-    """A canonical text of a result: dataclasses by field, floats as hex."""
+def encode(obj, omit=frozenset()) -> str:
+    """A canonical text of a result: dataclasses by field, floats as hex,
+    and no (dataclass, field) pair in ``omit``."""
     if dataclasses.is_dataclass(obj):
-        parts = (f"{f.name}={encode(getattr(obj, f.name))}" for f in dataclasses.fields(obj))
-        return f"{type(obj).__name__}({','.join(parts)})"
+        name = type(obj).__name__
+        parts = (f"{f.name}={encode(getattr(obj, f.name), omit)}" for f in dataclasses.fields(obj)
+                 if (name, f.name) not in omit)
+        return f"{name}({','.join(parts)})"
     if isinstance(obj, dict):
-        items = sorted((encode(k), encode(v)) for k, v in obj.items())
+        items = sorted((encode(k, omit), encode(v, omit)) for k, v in obj.items())
         return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(map(encode, obj)) + "]"
+        return "[" + ",".join(encode(v, omit) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
-        return f"array{obj.shape}[{','.join(map(encode, obj.ravel().tolist()))}]"
+        return f"array{obj.shape}[{','.join(encode(v, omit) for v in obj.ravel().tolist())}]"
     if isinstance(obj, (float, np.floating)):
         return float(obj).hex()
     if isinstance(obj, np.generic):
@@ -63,13 +74,15 @@ def encode(obj) -> str:
 
 
 def main() -> None:
-    digest = hashlib.sha256()
+    full, projected = hashlib.sha256(), hashlib.sha256()
     for name, ctx, mode in cases():
         result = run_iterative(ctx, mode, node_limit=400)
         report = verify_decision(ctx, mode, result.decision)
-        digest.update(f"{name}\n{encode(result)}\n{encode(report)}\n".encode())
+        for digest, omit in ((full, frozenset()), (projected, NODE_ACCOUNTING)):
+            digest.update(f"{name}\n{encode(result, omit)}\n{encode(report, omit)}\n".encode())
         print(name, f"{result.dp_minus:+.6f}", f"{result.dp_plus:+.6f}", file=sys.stderr)
-    print(digest.hexdigest())
+    print(full.hexdigest())
+    print(projected.hexdigest(), "(node accounting left out)")
 
 
 if __name__ == "__main__":

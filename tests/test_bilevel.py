@@ -28,7 +28,7 @@ from flexgrid.bilevel import (
 # Bound at import, so the oracle below is the walk as the module defines it
 # even while a test patches ``bilevel._edge_limited_decision`` to record.
 from flexgrid.bilevel import _edge_limited_decision as walk_oracle
-from flexgrid.bilevel import _by_family, _could_widen
+from flexgrid.bilevel import _by_family, _candidate_setpoint_sets, _could_widen
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR, FeederError
 from flexgrid.follower import (
     MAX_V,
@@ -864,6 +864,22 @@ def _skipped_walks_cannot_beat(ctx, mode, followers, searches):
     return skipped
 
 
+def _walk_proven_halves(ctx, mode, followers):
+    """The activations whose followers' walk at some bang-bang setpoint set
+    reaches their edge's box end, where the availability span caps the
+    half: the halves the split proves by that walk, with no search."""
+    dp_box = available_flexibility_bounds(ctx.devices)
+    span = dp_box[1] - dp_box[0]
+    proven = set()
+    for activation in (POSITIVE, NEGATIVE):
+        fams = _by_family([sc for sc in followers if sc.activation == activation])
+        for setpoints in _candidate_setpoint_sets(setpoint_boxes(ctx, mode)):
+            d = walk_oracle(ctx, mode, fams, setpoints, dp_box, EDGE_TOL_REL * span)
+            if d is not None and d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS] >= span - 1e-9 * (1.0 + span):
+                proven.add(activation)
+    return proven
+
+
 def _seed_followers(seed):
     """A binding feeder and the two seed followers, one per activation,
     that its run closes on in one iteration."""
@@ -903,20 +919,23 @@ def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
 
 
 def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
-    """Split by activation, the same followers close in 1 + 3 nodes, not
-    the joint search's 7, to the same band bit for bit.  Each half's hook
-    walks only its own families, no family is walked twice at one setpoint
-    set over the presolve and both halves, and the decision's setpoints,
-    one half's final ones, are walked by every family.  The negative
-    half's hook skips the one new set its relaxations reach, where the
-    walk cannot beat that half's incumbent."""
+    """Split by activation, the same followers close in 0 + 3 nodes, not
+    the joint search's 7, to the same band bit for bit: a presolve walk
+    of the positive half reaches Δp+'s box end, which proves that half
+    with no search.  The negative half's hook walks only its own families,
+    no family is walked twice at one setpoint set over the presolve and
+    the search, and the decision's setpoints, one half's final ones, are
+    walked by every family.  The negative half's hook skips the one new
+    set its relaxations reach, where the walk cannot beat that half's
+    incumbent."""
     ctx, followers = _seed_followers(7200)
     searches, walks = _recorded_walks(monkeypatch)
     res = solve_single_level(ctx, MODE_CONSTANT_PF, followers)
     assert res.bnb.status == "optimal" and res.bound_by == SPLIT and res.bnb.x is None
-    assert res.nodes_by_search == {POSITIVE: 1, NEGATIVE: 3, JOINT: 0}
-    assert res.bnb.nodes == 4
-    assert [activations for _, _, _, activations, _, _ in searches] == [{POSITIVE}, {NEGATIVE}]
+    assert _walk_proven_halves(ctx, MODE_CONSTANT_PF, followers) == {POSITIVE}
+    assert res.nodes_by_search == {POSITIVE: 0, NEGATIVE: 3, JOINT: 0}
+    assert res.bnb.nodes == 3
+    assert [activations for _, _, _, activations, _, _ in searches] == [{NEGATIVE}]
     assert all(family[0] in hook for family, _, hook in walks if hook is not None)
     pairs = [(family, key) for family, key, _ in walks]
     assert len(pairs) == len(set(pairs))
@@ -925,7 +944,7 @@ def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
     decided = tuple(res.decision.setpoints.values())
     assert {family for family, key in pairs if key == decided} == families
     skipped = _skipped_walks_cannot_beat(ctx, MODE_CONSTANT_PF, followers, searches)
-    assert len(skipped) == 1 and skipped[0] in searches[1][4]
+    assert len(skipped) == 1 and skipped[0] in searches[0][4]
     assert not any(key == skipped[0] and hook is not None for _, key, hook in walks)
     assert (res.decision.dp_plus.hex(), res.decision.dp_minus.hex()) == (
         "0x1.3f3e0370cdc88p-2", "-0x1.d3eb769efd182p-3",
@@ -1026,9 +1045,10 @@ def test_a_binding_dual_box_in_a_half_leaves_the_split_band_unproven(monkeypatch
 
 def test_the_split_proves_bands_in_fewer_nodes_than_the_joint_search():
     """7210-z2 constant-q: split by activation, the solve at
-    ``node_limit=2000`` proves 0.42583 p.u. in 14 nodes, and the joint
-    search over the two seed followers proves the same band in 38.
-    7208-z2 constant-pf: the split proves 0.46450 p.u. in 8 nodes, and the
+    ``node_limit=2000`` proves 0.42583 p.u. in 13 nodes (the positive half
+    by its walk, in none), and the joint search over the two seed
+    followers proves the same band in 38.  7208-z2 constant-pf: the split
+    proves 0.46450 p.u. in 7 nodes (again none in the positive half), and the
     joint search over the same followers, capped at 400, proves it in 15.
     Before the objective cutoff tightened each node's box, the split took
     8 and 24 nodes, and the joint search stopped at 7208-z2's cap of 400
@@ -1044,12 +1064,14 @@ def test_the_split_proves_bands_in_fewer_nodes_than_the_joint_search():
     assert joint.bnb.status == "optimal"
     assert joint.objective == pytest.approx(res.single_level.objective,
                                             abs=epsilon * (1.0 + joint.objective))
-    assert (res.single_level.bnb.nodes, joint.bnb.nodes) == (14, 38)
+    assert res.single_level.nodes_by_search[POSITIVE] == 0
+    assert (res.single_level.bnb.nodes, joint.bnb.nodes) == (13, 38)
 
     ctx = random_context(np.random.default_rng(7208), mode=MODE_CONSTANT_PF, z_scale=2.0)
     res = run_iterative(ctx, MODE_CONSTANT_PF, node_limit=400)
     assert res.converged and res.single_level.bound_by == SPLIT
-    assert res.single_level.bnb.nodes == 8
+    assert res.single_level.nodes_by_search[POSITIVE] == 0
+    assert res.single_level.bnb.nodes == 7
     assert res.dp_plus - res.dp_minus == pytest.approx(0.46450, abs=1e-5)
     joint = solve_single_level(ctx, MODE_CONSTANT_PF, res.followers, node_limit=400, split=False)
     assert joint.bnb.status == "optimal" and joint.bnb.nodes == 15
@@ -1081,8 +1103,10 @@ def test_derived_dual_boxes_prove_the_constant_q_band_the_cap_left_open():
 def test_the_split_agrees_with_the_joint_search(seed, z_scale, mode):
     """On the final active set of a binding run, the split and the joint
     search, its oracle, both prove the band and agree within ``epsilon``.
-    On 7235-z3 the walks stop below the split bound, so the joint search
-    runs from it, and it never takes more nodes than on its own."""
+    A half draws no node exactly when one of its walks at the bang-bang
+    setpoints reaches its edge's box end.  On 7235-z3 the walks stop below
+    the split bound, so the joint search runs from it, and it never takes
+    more nodes than on its own."""
     epsilon = 1e-4
     ctx = random_context(np.random.default_rng(seed), mode=mode, z_scale=z_scale)
     followers = run_iterative(ctx, mode, epsilon=epsilon).followers
@@ -1092,11 +1116,76 @@ def test_the_split_agrees_with_the_joint_search(seed, z_scale, mode):
     assert split.objective == pytest.approx(joint.objective, abs=epsilon * (1.0 + joint.objective))
     assert split.objective == pytest.approx(split.decision.dp_plus - split.decision.dp_minus)
     assert split.bnb.nodes == sum(split.nodes_by_search.values())
-    assert split.nodes_by_search[POSITIVE] >= 1 and split.nodes_by_search[NEGATIVE] >= 1
+    proven = _walk_proven_halves(ctx, mode, followers)
+    assert proven == {POSITIVE}
+    for activation in (POSITIVE, NEGATIVE):
+        assert (split.nodes_by_search[activation] == 0) == (activation in proven), activation
     fallback = split.nodes_by_search[JOINT]
     assert (fallback > 0) == (split.bound_by == JOINT) == (seed == 7235)
     assert fallback <= joint.bnb.nodes
     assert feasibility_check(ctx, mode, split.decision).ok
+
+
+@pytest.mark.parametrize("case", [
+    (7200, 2.0, MODE_CONSTANT_PF),
+    (7219, 3.0, MODE_CONSTANT_PF),
+    (7235, 3.0, MODE_CONSTANT_PF),
+    (7201, 3.0, MODE_CONSTANT_Q),
+    (7235, 3.0, MODE_CONSTANT_Q),
+    (7202, 2.0, MODE_VOLT_VAR),
+    (7210, 3.0, MODE_VOLT_VAR),
+    "ieee13-binding",
+], ids=lambda case: case if isinstance(case, str) else f"{case[0]}-z{case[1]:g}-{case[2]}")
+def test_a_half_its_walk_proves_is_proven_by_its_search(case, request, monkeypatch):
+    """A half one of whose walks at the bang-bang setpoints reaches its
+    edge's box end is proven by that walk: the split assembles no program
+    for it.  Its search, the oracle of that rule, is what a solve over
+    that half's followers alone runs: ``assemble_single_level`` and
+    ``spatial_branch_and_bound`` once, seeded with the walks at the same
+    setpoint sets.  It proves the half optimal at the availability span
+    within ``epsilon``.  The corpus cases solve their run's final active
+    set; ieee13-binding (overvoltage, ``node_limit=2``, as the binding-13bus
+    benchmark runs it) its first iteration's two seed followers."""
+    epsilon = 1e-4
+    if case == "ieee13-binding":
+        ctx, mode, node_limit = request.getfixturevalue("ieee13_binding_ctx"), MODE_CONSTANT_PF, 2
+        wc = worst_case_limits(ctx, mode, direction="overvoltage")
+        (k_up, fam_up), (k_lo, fam_lo) = wc.binding_upper, wc.binding_lower
+        followers = [Scenario(k_up, POSITIVE, fam_up), Scenario(k_lo, NEGATIVE, fam_lo)]
+    else:
+        ctx, mode, node_limit = corpus_context(*case), case[2], 400
+        followers = run_iterative(ctx, mode, epsilon=epsilon, node_limit=node_limit).followers
+    dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
+    span = dp_up - dp_lo
+    seeds = _candidate_setpoint_sets(setpoint_boxes(ctx, mode))
+    assembled, searches = [], []
+    assemble, search = bilevel.assemble_single_level, bilevel.spatial_branch_and_bound
+
+    def recorded_assembly(ctx, mode, subset):
+        assembled.append({sc.activation for sc in subset})
+        return assemble(ctx, mode, subset)
+
+    def recorded_search(bp, *, initial_points, **kwargs):
+        searches.append((len(initial_points), search(bp, initial_points=initial_points, **kwargs)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(bilevel, "assemble_single_level", recorded_assembly)
+    monkeypatch.setattr(bilevel, "spatial_branch_and_bound", recorded_search)
+    split = solve_single_level(ctx, mode, followers, epsilon=epsilon, node_limit=node_limit)
+    proven = _walk_proven_halves(ctx, mode, followers)
+    assert proven and split.bound_by in (SPLIT, JOINT)
+    assert not any(activations <= proven for activations in assembled)
+    for activation in (POSITIVE, NEGATIVE):
+        assert (split.nodes_by_search[activation] == 0) == (activation in proven), activation
+    for activation in proven:
+        half = [sc for sc in followers if sc.activation == activation]
+        assembled.clear()
+        searches.clear()
+        solve_single_level(ctx, mode, half, epsilon=epsilon, node_limit=node_limit)
+        [(n_seeds, res)] = searches
+        assert assembled == [{activation}] and n_seeds == len(seeds)
+        assert res.status == OPTIMAL, (activation, res.status)
+        assert res.objective == pytest.approx(span, abs=epsilon * (1.0 + span)), activation
 
 
 def _load_only_context():

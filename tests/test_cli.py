@@ -326,9 +326,11 @@ def test_unproven_band_exit_code(pv_file, tmp_path, capsys, monkeypatch):
 
 def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
     """On a feeder whose single level splits by activation, result.json gives
-    each search's relaxations, and they sum to ``bnb_nodes``.  Stopped at a
-    node limit before the joint search can run, the console names the
-    bound that holds: the split's."""
+    each search's relaxations, and they sum to ``bnb_nodes``: none for the
+    positive half, which a presolve walk at Δp+'s box end proves, and 3 for
+    the negative half.  Stopped at a node limit before the joint search can
+    run, the negative half gets the one node the positive half did not
+    draw, and the console names the bound that holds: the split's."""
     feeder = tmp_path / "gen7200.json"
     feeder.write_text(json.dumps(random_feeder_doc(np.random.default_rng(7200))))
     ctx = random_context(np.random.default_rng(7200))
@@ -336,8 +338,8 @@ def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
     code, _, _ = run([*argv, "--out", str(tmp_path / "split")], capsys)
     assert code == cli.EXIT_OK
     doc = json.loads((tmp_path / "split" / "result.json").read_text())
-    assert doc["bnb_nodes_by_search"] == {"positive": 1, "negative": 3, "joint": 0}
-    assert doc["bnb_nodes"] == 4
+    assert doc["bnb_nodes_by_search"] == {"positive": 0, "negative": 3, "joint": 0}
+    assert doc["bnb_nodes"] == 3
     assert isinstance(doc["bnb_cold_resolves"], int) and doc["bnb_cold_resolves"] >= 0
 
     real = cli.run_iterative
@@ -345,7 +347,7 @@ def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run([*argv, "--out", str(tmp_path / "capped")], capsys)
     assert code == cli.EXIT_UNPROVEN
     doc = json.loads((tmp_path / "capped" / "result.json").read_text())
-    assert doc["bnb_nodes_by_search"] == {"positive": 1, "negative": 0, "joint": 0}
+    assert doc["bnb_nodes_by_search"] == {"positive": 0, "negative": 1, "joint": 0}
     assert doc["bnb_nodes"] == 1 and doc["bnb_status"] == "node_limit"
     line = next(ln for ln in stdout.splitlines() if ln.startswith("ideal range"))
     found = re.search(r"gap (\S+) kW to the split bound (\S+) kW", line)

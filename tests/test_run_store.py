@@ -82,8 +82,12 @@ def test_the_store_changes_no_result(ieee13_model, feeder, mode, direction, node
 
 def test_the_second_iteration_searches_only_the_half_that_changed(ieee13_model, monkeypatch):
     """binding-13bus's second iteration adds 7 negative followers to the
-    seeds: its positive half is the first iteration's, taken from the
-    store with its walks, so 3 searches and 11 walks run, not 4 and 14."""
+    seeds.  In both iterations a presolve walk of the positive half reaches
+    Δp+'s box end, so that walk proves the half: no search, and its node of
+    the budget ``node_limit=2`` goes to the negative half.  The second
+    iteration takes the positive half's walks from the store, so 11 walks
+    run, not 14, and 2 searches, one per negative half; none is taken from
+    the store."""
     calls = dict.fromkeys(
         ("assemble_single_level", "spatial_branch_and_bound", "_edge_limited_decision"), 0,
     )
@@ -105,12 +109,11 @@ def test_the_second_iteration_searches_only_the_half_that_changed(ieee13_model, 
                         direction="overvoltage", node_limit=2)
     assert res.active_history == [2, 9]
     assert calls == {
-        "assemble_single_level": 3, "spatial_branch_and_bound": 3, "_edge_limited_decision": 11,
+        "assemble_single_level": 2, "spatial_branch_and_bound": 2, "_edge_limited_decision": 11,
     }
-    assert [s.reused for s in solves] == [(), (POSITIVE,)]
-    # The reused half still draws its node from the budget.
+    assert [s.reused for s in solves] == [(), ()]
     assert [s.nodes_by_search for s in solves] == [
-        {POSITIVE: 1, NEGATIVE: 1, JOINT: 0}, {POSITIVE: 1, NEGATIVE: 1, JOINT: 0},
+        {POSITIVE: 0, NEGATIVE: 2, JOINT: 0}, {POSITIVE: 0, NEGATIVE: 2, JOINT: 0},
     ]
 
 
