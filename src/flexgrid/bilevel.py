@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bnb import FEAS_TOL, NODE_LIMIT, BilinearProgram, BnBResult, spatial_branch_and_bound
-from .feeder import MODE_CONSTANT_Q, MODE_VOLT_VAR
+from .feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR, FeederError
 from .follower import (
     ACTIVATIONS,
     MAX_V,
@@ -93,6 +93,27 @@ def check_anchor(ctx: FlexContext) -> None:
         raise InfeasibleAnchorError(
             f"anchor voltage {vm[k]:.4f} p.u. at ({bus}, {phase}) violates "
             f"[{ctx.v_min}, {ctx.v_max}]; no flexibility band exists"
+        )
+
+
+def check_capability(ctx: FlexContext, problem: FollowerProblem) -> None:
+    """Constant-pf followers hold q_gen = γ·(p_gen0 + Δp_gen), so at zero
+    deviation each inverter sits at (Δp_gen, q_gen) = (0, γ·p_gen0): its
+    region (``FollowerProblem.region``) must hold that point at both ends of
+    its γ box, or no follower is feasible there.  Raises ``FeederError``
+    naming the first inverter whose capability cannot."""
+    _, e, b = problem.region  # at Δp_gen = 0 only e·q_gen <= b remains
+    boxes = setpoint_boxes(ctx, MODE_CONSTANT_PF)
+    ends = np.array([boxes[s] for s in problem.setpoint_slots]).reshape(-1, 2)
+    q0 = ends * ctx.devices.p_gen0[problem.inv][:, None]  # (inverter, end)
+    outside = (e[:, None, :] * q0[:, :, None] > b[:, None, :] + FEAS_TOL_PU).any(axis=(1, 2))
+    if outside.any():
+        i = int(np.argmax(outside))
+        bus, phase = ctx.index.nodes[problem.inv[i]]
+        raise FeederError(
+            f"inverter at bus {bus!r} phase {phase!r}: its capability (s_kva) cannot hold "
+            f"the anchor's q_gen = gamma * p_kw at the ends of its constant-pf gamma box "
+            f"+/-{ends[i, 1]:.4g}; raise its s_kva or its pf"
         )
 
 
@@ -284,6 +305,8 @@ def worst_case_limits(
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
+    A constant-pf inverter whose capability cannot hold the anchor at its
+    γ box ends raises ``FeederError`` (``check_capability``).
     """
     check_anchor(ctx)
     n = ctx.n
@@ -301,6 +324,8 @@ def worst_case_limits(
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
             mf = family_follower(ctx, mode, activation, extremum, slots)
+            if mode == MODE_CONSTANT_PF:
+                check_capability(ctx, mf.problem)
             lim = _edge_walk(mf, np.arange(n), tol_abs)
             if activation == POSITIVE:
                 tighter, limits, family = lim < upper - 1e-15, upper, upper_family
@@ -686,17 +711,21 @@ SPLIT = "split"  # the bound summed from the POSITIVE and NEGATIVE halves' searc
 @dataclass
 class SingleLevelResult:
     """A single-level solve.  ``bnb`` holds the status, gap and ``bound`` of
-    the whole solve, in ``nodes`` every relaxation it solved and in
-    ``cold_resolves`` those solved again cold after a warm solve;
-    ``nodes_by_search`` splits the nodes by search (POSITIVE, NEGATIVE, JOINT;
-    0 for a half its walk proved) and ``bound_by`` names the bound that holds
-    (SPLIT or JOINT).  ``bnb.x`` is the joint program's point, None when the
-    halves settled the band without the joint program."""
+    the whole solve, in ``nodes`` every relaxation it solved, in
+    ``cold_resolves`` those solved again cold after a warm solve and in
+    ``tightening_lps`` and ``boxes_shrunk`` its root bound tightening's LPs
+    and shrunk boxes; ``nodes_by_search`` splits the nodes by search
+    (POSITIVE, NEGATIVE, JOINT; 0 for a half its walk proved) and
+    ``tightening_by_search`` the (LPs, boxes shrunk) pairs, and ``bound_by``
+    names the bound that holds (SPLIT or JOINT).  ``bnb.x`` is the joint
+    program's point, None when the halves settled the band without the
+    joint program."""
 
     decision: UpperDecision
     objective: float
     bnb: BnBResult
     nodes_by_search: dict[str, int]
+    tightening_by_search: dict[str, tuple[int, int]]
     bound_by: str
     escalations: int = 0  # always 0: the λ box is never widened (the benchmark still reads it)
     reused: tuple[str, ...] = ()  # the searches taken from the run's store, in order
@@ -846,6 +875,7 @@ def solve_single_level(
         res = spatial_branch_and_bound(
             bp, epsilon=epsilon, node_limit=limit, incumbent_hook=hook,
             initial_points=[walk_once(sp) for sp in seeds], bound=bound,
+            tighten=mode != MODE_CONSTANT_PF,
         )
         if res.x is None:
             raise BilevelError(
@@ -861,16 +891,26 @@ def solve_single_level(
     def at_ceiling(width: float) -> bool:
         return width >= dp_span - 1e-9 * (1.0 + dp_span)
 
+    def totals(runs: dict[str, BnBResult]) -> dict[str, int]:
+        """The counts of the searches ``runs``, summed for the whole solve."""
+        return {count: sum(getattr(r, count) for r in runs.values())
+                for count in ("nodes", "cold_resolves", "tightening_lps", "boxes_shrunk")}
+
     def result(res: BnBResult, decision: UpperDecision, box: bool,
-               nodes: dict[str, int], bound_by: str) -> SingleLevelResult:
+               runs: dict[str, BnBResult], bound_by: str) -> SingleLevelResult:
         # The deviation boxes alone cap the objective, so no dual box can cut
         # off anything above an incumbent at the availability ceiling.
         if box and not at_ceiling(res.objective):
             res = replace(res, status=DUAL_BOX)
+        labels = (POSITIVE, NEGATIVE, JOINT)
         return SingleLevelResult(
             decision=decision, objective=res.objective, bnb=res,
-            nodes_by_search={POSITIVE: 0, NEGATIVE: 0, JOINT: 0, **nodes}, bound_by=bound_by,
-            reused=tuple(reused),
+            nodes_by_search={k: runs[k].nodes if k in runs else 0 for k in labels},
+            tightening_by_search={
+                k: (runs[k].tightening_lps, runs[k].boxes_shrunk) if k in runs else (0, 0)
+                for k in labels
+            },
+            bound_by=bound_by, reused=tuple(reused),
         )
 
     def width(d: dict[str, float]) -> float:
@@ -890,10 +930,9 @@ def solve_single_level(
                     break
     if not presolve or at_ceiling(width(presolve[-1])):
         res, decision, box = search(JOINT, followers, candidates, node_limit)
-        return result(res, decision, box, {JOINT: res.nodes}, JOINT)
+        return result(res, decision, box, {JOINT: res}, JOINT)
 
-    budget, nodes, finals, split_bound, box = node_limit, {}, [], -dp_span, False
-    cold_resolves = 0
+    budget, runs, finals, split_bound, box = node_limit, {}, [], -dp_span, False
     for activation, subset in halves.items():
         # A seed walk at the half's edge meets the span that bounds the half.
         seed = next((sp for sp in candidates if (d := walk(_by_family(subset), sp)) is not None
@@ -904,8 +943,7 @@ def solve_single_level(
             continue
         res, decision, half_box = search(activation, subset, candidates, budget)
         budget -= res.nodes
-        nodes[activation] = res.nodes
-        cold_resolves += res.cold_resolves
+        runs[activation] = res
         finals.append(decision.setpoints)
         # A half's objective is its own edge plus the other edge's whole box,
         # so the span caps it, also for a half stopped before its root.
@@ -918,20 +956,18 @@ def solve_single_level(
         res, decision, joint_box = search(
             JOINT, followers, candidates + finals, budget, split_bound,
         )
-        nodes[JOINT] = res.nodes
-        res = replace(res, nodes=sum(nodes.values()),
-                      cold_resolves=cold_resolves + res.cold_resolves)
-        return result(res, decision, box or joint_box, nodes, JOINT)
+        runs[JOINT] = res
+        return result(replace(res, **totals(runs)), decision, box or joint_box, runs, JOINT)
     res = BnBResult(
         status=OPTIMAL if proven else NODE_LIMIT, x=None, objective=width(best),
         bound=max(split_bound, width(best)), gap=max(split_bound - width(best), 0.0),
-        nodes=sum(nodes.values()), cold_resolves=cold_resolves,
+        **totals(runs),
     )
     decision = UpperDecision(
         dp_plus=best[SLOT_DP_PLUS], dp_minus=best[SLOT_DP_MINUS],
         setpoints={name: best[name] for name in boxes},
     )
-    return result(res, decision, box, nodes, SPLIT)
+    return result(res, decision, box, runs, SPLIT)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@ Once the search holds an incumbent, each node's box is first tightened by
 the objective cutoff (``cutoff_box``: bounds tightening from the objective
 row, as in Belotti, Lee, Liberti, Margot & Wächter 2009), and the node hook
 is given the objective a candidate must beat, so a caller can skip work on
-one that cannot.  One HiGHS model is kept per search: the root is solved
-cold, and every later node changes that model in place and re-solves warm
-from its parent's basis.
+one that cannot.  A search may also shrink its root box once, before the
+root solve, by optimization-based bound tightening under the incumbent
+(``tighten_box``: Gleixner, Berthold, Müller & Weltge 2017, "Three
+enhancements for optimization-based bound tightening").  One HiGHS model
+is kept per search: the tightening LPs and the root are solved on it, and
+every later node changes that model in place and re-solves warm from its
+parent's basis.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csc_array, csr_array, vstack
 
 from .lp import (
     GE,
@@ -48,6 +52,8 @@ from .lp import (
 FEAS_TOL = 1e-6  # worst row violation of a point the search accepts as feasible
 IMPROVE_TOL = 1e-12  # a candidate replaces the incumbent only when better by more than this
 NODE_LIMIT = "node_limit"  # status of a search stopped at its node limit with a gap
+LP_TOL = 1e-7  # HiGHS's primal feasibility tolerance: a bound moves inward by more or not at all
+TIGHTEN_ROUNDS = 3  # most rounds of root bound tightening
 
 
 @dataclass(frozen=True)
@@ -263,6 +269,94 @@ def cutoff_box(
     return lb, ub
 
 
+def tighten_box(
+    tpl: RelaxationTemplate, kept: KeptModel, obj: np.ndarray,
+    lb: np.ndarray, ub: np.ndarray, floor: float,
+) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+    """The box ``[lb, ub]`` shrunk to where ``obj @ x >= floor`` can still
+    hold, by minimizing and maximizing each product variable over the
+    McCormick relaxation plus that cutoff row; also gives the LPs solved.
+
+    The LPs run on ``kept``: the first is passed whole (the cutoff row gives
+    it a shape of its own), every later one writes only its objective, or a
+    round's new box, and re-solves warm.  A side that a solution of the
+    round sits at, within the margin below, cannot move and is not solved.
+    A bound moves to the LP's optimum less an outward margin of
+    ``FEAS_TOL`` * (1 + |optimum|), and only when that is more than
+    ``LP_TOL`` inward, so no point the search would accept is cut off.  A
+    round solves one fixed LP; the next, over the shrunk box, runs while the
+    last one shrank some box, up to ``TIGHTEN_ROUNDS``.
+
+    HiGHS can call a bound's LP infeasible where the region is flat along
+    that variable, so such a side moves nothing; the LP with ``obj`` itself
+    is solved cold instead, and only its infeasibility shows that the
+    relaxation holds no point that reaches ``floor``: the box then comes
+    back (None, None).
+    """
+    n, (m, n_cols) = tpl.n_vars, tpl.A.shape
+    cols = np.unique(np.concatenate([tpl.prod_i, tpl.prod_j])).tolist()
+    nz = np.flatnonzero(obj)
+    cutoff = csc_array((obj[nz], (np.zeros(nz.size, dtype=np.int64), nz)), shape=(1, n_cols))
+    # The relaxation's matrix over the cutoff row, its pattern made once: each
+    # round writes the relaxation's entries, which come first in their columns.
+    stacked = vstack([tpl.A, cutoff], format="csc")
+    entries = np.flatnonzero(stacked.indices < m)
+    goal = np.concatenate([obj, np.zeros(n_cols - n)])
+    lps, basis = 0, None
+    for _ in range(TIGHTEN_ROUNDS):
+        relax = mccormick_relax(tpl, lb, ub)
+        A = copy.copy(stacked)
+        A.data = stacked.data.copy()
+        A.data[entries] = relax.A.data
+        row_lb, row_ub = np.append(relax.row_lb, floor), np.append(relax.row_ub, np.inf)
+
+        def solve(c, basis):
+            nonlocal lps
+            lps += 1
+            cert = solve_lp(RangedLP(MAX, c, A, row_lb, row_ub, relax.lb, relax.ub), kept, basis)
+            if cert.status not in (OPTIMAL, INFEASIBLE):  # a product variable's box is finite
+                raise ValueError(f"bound tightening solve failed: {cert.status}")
+            return cert
+
+        new_lb, new_ub = lb.copy(), ub.copy()
+        lo_open, hi_open = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        for v, sign in itertools.product(cols, (-1.0, 1.0)):
+            if not (lo_open if sign < 0 else hi_open)[v]:
+                continue
+            c = np.zeros(n_cols)
+            c[v] = sign
+            cert = solve(c, basis)
+            moves = cert.status == OPTIMAL
+            if not moves:
+                cert = solve(goal, None)
+                if cert.status == INFEASIBLE:
+                    return None, None, lps
+            basis = kept.basis()
+            x = cert.x[:n]
+            margin = FEAS_TOL * (1.0 + np.abs(x))
+            lo_open &= x > lb + margin + LP_TOL
+            hi_open &= x < ub - margin - LP_TOL
+            if not moves:
+                continue
+            edge = x[v] + sign * margin[v]  # moved outward by the margin
+            if sign < 0 and edge > lb[v] + LP_TOL:
+                new_lb[v] = min(edge, ub[v])
+            elif sign > 0 and edge < ub[v] - LP_TOL:
+                new_ub[v] = max(edge, lb[v])
+        moved = (new_lb != lb).any() or (new_ub != ub).any()
+        lb, ub = new_lb, new_ub
+        if not moved:
+            break
+    return lb, ub, lps
+
+
+def objective_reach(obj: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
+    """The most ``obj @ x`` reaches over the box ``[lb, ub]`` (inf if unbounded)."""
+    cols = np.flatnonzero(obj)
+    w = obj[cols]
+    return float(np.sum(w * np.where(w > 0, ub[cols], lb[cols])))
+
+
 @dataclass
 class BnBResult:
     status: str  # OPTIMAL | INFEASIBLE | NODE_LIMIT
@@ -272,6 +366,8 @@ class BnBResult:
     gap: float
     nodes: int
     cold_resolves: int  # warm node solves HiGHS left unsettled, solved again cold
+    tightening_lps: int = 0  # LPs of the root bound tightening (``tighten_box``)
+    boxes_shrunk: int = 0  # variables whose root box the tightening shrank
 
 
 def spatial_branch_and_bound(
@@ -282,6 +378,7 @@ def spatial_branch_and_bound(
     incumbent_hook=None,
     initial_points=None,
     bound: float | None = None,
+    tighten: bool = False,
 ) -> BnBResult:
     """Globally solve a bilinear program by box refinement.
 
@@ -310,7 +407,14 @@ def spatial_branch_and_bound(
     (relative) of the incumbent.  ``bound``, in the problem's sense, is a
     bound the caller already holds: it stands for the root's, which is
     otherwise infinite, so an initial point within ``epsilon`` of it closes
-    the search before any node, and no node's bound exceeds it.
+    the search before any node, and no node's bound exceeds it.  With
+    ``tighten``, a search that holds an incumbent after the initial points,
+    and whose root box lets the objective reach further than ``epsilon``
+    past it, first shrinks that box by ``tighten_box``; the root and every
+    node start from the shrunk box, and a box in which nothing reaches the
+    incumbent proves it with no node.  ``nodes`` counts relaxations only;
+    ``tightening_lps`` and ``boxes_shrunk`` count the tightening's LPs and
+    the variables whose box it shrank.
     """
     tpl = RelaxationTemplate(bp)
     n = tpl.n_vars
@@ -342,8 +446,15 @@ def spatial_branch_and_bound(
     # Heap entries: (-sigma_bound, tiebreak, lb, ub, parent's basis).  Root
     # bound is +inf (or the caller's) until solved; the root has no basis.
     root_bound = math.inf if bound is None else sigma * bound
-    heap: list[tuple] = [(-root_bound, next(counter), tpl.lb, tpl.ub, None)]
     kept = KeptModel()
+    lb, ub, lps, shrunk = tpl.lb, tpl.ub, 0, 0
+    if tighten and best_x is not None:
+        box = cutoff_box(obj, lb, ub, best_val)
+        if box is not None and not close_enough(min(root_bound, objective_reach(obj, lb, ub))):
+            lb, ub, lps = tighten_box(tpl, kept, obj, *box, best_val)
+            if lb is not None:
+                shrunk = int(np.count_nonzero((lb > box[0]) | (ub < box[1])))
+    heap: list[tuple] = [] if lb is None else [(-root_bound, next(counter), lb, ub, None)]
     nodes = 0
     exhausted = True
     leftover_bound = -math.inf  # tightest open bound at an early exit
@@ -405,7 +516,8 @@ def spatial_branch_and_bound(
     if best_x is None:
         status = INFEASIBLE if exhausted else NODE_LIMIT
         return BnBResult(status=status, x=None, objective=None, bound=math.inf * sigma,
-                         gap=math.inf, nodes=nodes, cold_resolves=kept.cold_resolves)
+                         gap=math.inf, nodes=nodes, cold_resolves=kept.cold_resolves,
+                         tightening_lps=lps, boxes_shrunk=shrunk)
 
     open_bound = max((-b for b, *_ in heap), default=-math.inf)
     open_bound = max(open_bound, leftover_bound, best_val)
@@ -419,4 +531,6 @@ def spatial_branch_and_bound(
         gap=gap,
         nodes=nodes,
         cold_resolves=kept.cold_resolves,
+        tightening_lps=lps,
+        boxes_shrunk=shrunk,
     )

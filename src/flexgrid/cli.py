@@ -267,6 +267,12 @@ def _result_doc(args, model, ctx, res: FlexibilityResult) -> dict:
         "bnb_nodes": bnb.nodes,
         "bnb_nodes_by_search": dict(res.single_level.nodes_by_search),
         "bnb_cold_resolves": bnb.cold_resolves,
+        "bnb_tightening_lps": bnb.tightening_lps,
+        "bnb_boxes_shrunk": bnb.boxes_shrunk,
+        "bnb_tightening_by_search": {
+            search: {"lps": lps, "boxes_shrunk": shrunk}
+            for search, (lps, shrunk) in res.single_level.tightening_by_search.items()
+        },
         "bnb_reused": list(res.single_level.reused),
         "dp_plus_kw": float(res.dp_plus * base),
         "dp_minus_kw": float(res.dp_minus * base),
@@ -317,7 +323,8 @@ def cmd_solve(args) -> int:
         state, code = "ITERATION CAP REACHED", EXIT_ITERATION_CAP
     print(
         f"ideal range: [{res.dp_minus * base:.1f}, {res.dp_plus * base:.1f}] kW "
-        f"({res.iterations} iteration(s), {state})"
+        f"({res.iterations} iteration(s), {state}; root tightening: "
+        f"{bnb.tightening_lps} LP(s), {bnb.boxes_shrunk} box(es) shrunk)"
     )
     print(f"result written to {out / 'result.json'}")
     print(f"wall time: {time.perf_counter() - t0:.2f} s")

@@ -24,7 +24,8 @@ it for NaN and infinite entries.  A bare solve takes a spare HiGHS
 instance (``_spare_highs``, else a new one), passes it the whole model,
 so it starts cold, and hands it back.  A solve on a ``KeptModel`` (the
 branch-and-bound keeps one per search) writes only what differs from the
-LP that model holds and re-solves warm from a basis an earlier solve left.
+LP that model holds, objective included, and re-solves warm from a basis
+an earlier solve left.
 """
 
 from __future__ import annotations
@@ -331,6 +332,8 @@ def _run(h: highs._Highs, lp: RangedLP) -> DualCertificate | None:
     return DualCertificate(status=OPTIMAL, objective=float(lp.c @ x), x=x)
 
 
+_DUAL, _PRIMAL = 1, 4  # HiGHS ``simplex_strategy`` values; the dual is its default
+
 # HiGHS instances of ended searches.  A new ``KeptModel`` takes one of these
 # before it makes its own, which spares a single-node search the set-up of a
 # fresh instance.
@@ -340,13 +343,16 @@ _spare_highs: list[highs._Highs] = []
 class KeptModel:
     """One HiGHS instance that re-solves a sequence of LPs in place.
 
-    An LP that comes without a basis, or whose sense, shape, objective or
-    sparsity pattern differs from the held one, is passed whole and solved
-    cold with HiGHS defaults, as a bare ``solve_lp`` does on its own one.
-    Any other LP changes the held model where it differs (column bounds,
+    An LP that comes without a basis, or whose sense, shape or sparsity
+    pattern differs from the held one, is passed whole and solved cold with
+    HiGHS defaults, as a bare ``solve_lp`` does on its own one.  Any other
+    LP changes the held model where it differs (objective, column bounds,
     matrix entries, row bounds) and is re-solved from ``basis``, which
     ``basis()`` gave after an earlier solve, with presolve off (on the
-    branch-and-bound's small relaxations it costs more than it saves).
+    branch-and-bound's small relaxations it costs more than it saves), by
+    the primal simplex when only the objective changed and the dual one
+    otherwise.  An array the held LP shares with the new one counts as
+    unchanged, so an LP's arrays must not change in place once solved.
     A warm solve ending in a HiGHS status ``solve_lp`` does not map is
     solved again cold; ``cold_resolves`` counts these.  ``close`` hands
     the instance on to the next ``KeptModel`` made.
@@ -371,37 +377,56 @@ class KeptModel:
         if held is None or held.sense != lp.sense or held.A.shape != lp.A.shape:
             return False
         # Relaxations built from one template share these arrays outright.
-        if held.c is lp.c and held.A.indptr is lp.A.indptr and held.A.indices is lp.A.indices:
+        if held.A.indptr is lp.A.indptr and held.A.indices is lp.A.indices:
             return True
         return (
-            np.array_equal(held.c, lp.c) and np.array_equal(held.A.indptr, lp.A.indptr)
+            np.array_equal(held.A.indptr, lp.A.indptr)
             and np.array_equal(held.A.indices, lp.A.indices)
         )
 
-    def _write_changes(self, lp: RangedLP) -> None:
+    def _write_changes(self, lp: RangedLP) -> bool:
+        """Write where ``lp`` differs from the held LP; True when only its
+        objective does."""
         held, h = self._held, self._highs
-        cols = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
-        if cols.size:
-            h.changeColsBounds(cols.size, cols.astype(np.int32), lp.lb[cols], lp.ub[cols])
-        pos = np.flatnonzero(lp.A.data != held.A.data)
-        pos_col = np.searchsorted(lp.A.indptr, pos, side="right") - 1
-        for r, c, v in zip(lp.A.indices[pos].tolist(), pos_col.tolist(), lp.A.data[pos].tolist()):
-            h.changeCoeff(r, c, v)
-        for r in np.flatnonzero((lp.row_lb != held.row_lb) | (lp.row_ub != held.row_ub)).tolist():
-            h.changeRowBounds(r, lp.row_lb[r], lp.row_ub[r])
+        if lp.c is not held.c:
+            cols = np.flatnonzero(lp.c != held.c)
+            sign = -1.0 if lp.sense == MAX else 1.0
+            h.changeColsCost(cols.size, cols.astype(np.int32), sign * lp.c[cols])
+        objective_only = True
+        if lp.lb is not held.lb or lp.ub is not held.ub:
+            cols = np.flatnonzero((lp.lb != held.lb) | (lp.ub != held.ub))
+            if cols.size:
+                h.changeColsBounds(cols.size, cols.astype(np.int32), lp.lb[cols], lp.ub[cols])
+                objective_only = False
+        if lp.A.data is not held.A.data:
+            pos = np.flatnonzero(lp.A.data != held.A.data)
+            pos_col = np.searchsorted(lp.A.indptr, pos, side="right") - 1
+            for r, c, v in zip(lp.A.indices[pos].tolist(), pos_col.tolist(), lp.A.data[pos].tolist()):
+                h.changeCoeff(r, c, v)
+            objective_only &= not pos.size
+        if lp.row_lb is not held.row_lb or lp.row_ub is not held.row_ub:
+            rows = np.flatnonzero((lp.row_lb != held.row_lb) | (lp.row_ub != held.row_ub))
+            for r in rows.tolist():
+                h.changeRowBounds(r, lp.row_lb[r], lp.row_ub[r])
+            objective_only &= not rows.size
+        return objective_only
 
     def solve(self, lp: RangedLP, basis: highs.HighsBasis | None) -> DualCertificate:
         h = self._highs
         if basis is not None and self._holds_shape_of(lp):
-            self._write_changes(lp)
+            # A new objective alone leaves a basis of the held LP primal
+            # feasible: the primal simplex takes it on in about half the time.
+            strategy = _PRIMAL if self._write_changes(lp) else _DUAL
             self._held = lp
             h.setBasis(basis)
             h.setOptionValue("presolve", "off")
+            h.setOptionValue("simplex_strategy", strategy)
             cert = _run(h, lp)
             if cert is not None:
                 return cert
             self.cold_resolves += 1
         h.setOptionValue("presolve", "choose")
+        h.setOptionValue("simplex_strategy", _DUAL)
         if not _pass_model(h, lp):
             self._held = None
             return DualCertificate(status=INFEASIBLE)

@@ -11,20 +11,23 @@ same first digest gave the same bands, decisions, B&B records and oracle checks
 bit for bit, which is how a refactor shows it changed no result.  The second
 digest leaves the node accounting out (``NODE_ACCOUNTING``): two trees that
 print the same second digest differ at most in how many relaxations each search
-solved and which searches were taken from the run's store.  Pytest does not
-collect this file.
+solved and which searches were taken from the run's store.  Before the
+digests, standard error gets each case's band and then, per mode, the
+corpus's node total over every single-level solve, its proven cases and the
+wall time of its ``run_iterative`` calls.  Pytest does not collect this file.
 """
 
 import dataclasses
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from corpus import BINDING_CORPUS, case_id, corpus_context
 
-from flexgrid import build_context, load_feeder
+from flexgrid import bilevel, build_context, load_feeder
 from flexgrid.bilevel import run_iterative
 from flexgrid.feeder import MODE_CONSTANT_PF
 from flexgrid.oracle import verify_decision
@@ -32,6 +35,8 @@ from flexgrid.oracle import verify_decision
 # (dataclass, field) pairs the second digest leaves out.
 NODE_ACCOUNTING = frozenset({
     ("SingleLevelResult", "nodes_by_search"), ("SingleLevelResult", "reused"), ("BnBResult", "nodes"),
+    ("SingleLevelResult", "tightening_by_search"), ("BnBResult", "tightening_lps"),
+    ("BnBResult", "boxes_shrunk"),
 })
 
 DATA_13 = Path(__file__).resolve().parents[1] / "src" / "flexgrid" / "data" / "ieee13.json"
@@ -75,12 +80,34 @@ def encode(obj, omit=frozenset()) -> str:
 
 def main() -> None:
     full, projected = hashlib.sha256(), hashlib.sha256()
+    nodes = [0]  # relaxations of every single-level solve of the running case
+    solve = bilevel.solve_single_level
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        nodes[0] += res.bnb.nodes
+        return res
+
+    bilevel.solve_single_level = counted
+    table: dict[str, list] = {}  # mode -> [nodes, proven, wall s] over the corpus
     for name, ctx, mode in cases():
+        nodes[0] = 0
+        start = time.perf_counter()
         result = run_iterative(ctx, mode, node_limit=400)
+        wall = time.perf_counter() - start
         report = verify_decision(ctx, mode, result.decision)
         for digest, omit in ((full, frozenset()), (projected, NODE_ACCOUNTING)):
             digest.update(f"{name}\n{encode(result, omit)}\n{encode(report, omit)}\n".encode())
         print(name, f"{result.dp_minus:+.6f}", f"{result.dp_plus:+.6f}", file=sys.stderr)
+        if name != "ieee13-binding":
+            row = table.setdefault(mode, [0, 0, 0.0])
+            row[0] += nodes[0]
+            row[1] += result.single_level.bnb.status == "optimal"
+            row[2] += wall
+    bilevel.solve_single_level = solve
+    print("mode nodes proven wall_s", file=sys.stderr)
+    for mode, (total, proven, wall) in table.items():
+        print(mode, total, proven, f"{wall:.2f}", file=sys.stderr)
     print(full.hexdigest())
     print(projected.hexdigest(), "(node accounting left out)")
 

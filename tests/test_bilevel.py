@@ -9,7 +9,7 @@ from conftest import balanced_doc
 from corpus import BINDING_FEEDERS, corpus_context
 from randfeeders import random_context
 
-from flexgrid import bilevel, build_context, follower, load_feeder
+from flexgrid import bilevel, bnb, build_context, follower, load_feeder
 from flexgrid.bilevel import (
     DUAL_BOX,
     EDGE_TOL_REL,
@@ -1043,11 +1043,44 @@ def test_a_binding_dual_box_in_a_half_leaves_the_split_band_unproven(monkeypatch
     assert wider.objective == boxed.objective
 
 
+def test_a_capped_dual_box_shrunk_inside_the_cap_still_leaves_the_band_unproven(monkeypatch):
+    """``DUAL_BOX`` is read against ±``LAMBDA_CAP``, never against the box
+    the root tightening shrinks a capped dual to: that box is only what the
+    capped relaxation implies.  7201-z2 volt-var at a cap of 0.0705: the
+    negative half's tightening shrinks every capped dual's box to well
+    inside ±cap, yet completions leave the cap, so the band stays
+    ``dual_box``; at 0.071 the same band is proven."""
+    ctx = corpus_context(7201, 2.0, MODE_VOLT_VAR)
+    followers = run_iterative(ctx, MODE_VOLT_VAR).followers
+    tightened = []
+    tighten = bnb.tighten_box
+
+    def recorded(tpl, kept, obj, lb, ub, floor):
+        out = tighten(tpl, kept, obj, lb, ub, floor)
+        tightened.append((lb, ub, out))
+        return out
+
+    monkeypatch.setattr(bnb, "tighten_box", recorded)
+    cap = 0.0705
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", cap)
+    boxed = solve_single_level(ctx, MODE_VOLT_VAR, followers)
+    assert boxed.bound_by == SPLIT and boxed.bnb.status == DUAL_BOX
+    assert boxed.tightening_by_search[NEGATIVE][1] > 0
+    [(lb, ub, (new_lb, new_ub, _))] = tightened
+    capped = np.flatnonzero((lb == -cap) | (ub == cap))
+    assert capped.size and np.all(((new_lb > lb) | (new_ub < ub))[capped])
+    assert np.all(np.maximum(np.abs(new_lb), np.abs(new_ub))[capped] < 0.99 * cap)
+    monkeypatch.setattr(bilevel, "LAMBDA_CAP", 0.071)
+    wider = solve_single_level(ctx, MODE_VOLT_VAR, followers)
+    assert wider.bnb.status == "optimal" and wider.objective == boxed.objective
+
+
 def test_the_split_proves_bands_in_fewer_nodes_than_the_joint_search():
     """7210-z2 constant-q: split by activation, the solve at
-    ``node_limit=2000`` proves 0.42583 p.u. in 13 nodes (the positive half
+    ``node_limit=2000`` proves 0.42583 p.u. in 4 nodes (the positive half
     by its walk, in none), and the joint search over the two seed
-    followers proves the same band in 38.  7208-z2 constant-pf: the split
+    followers proves the same band in 14; both searches shrink their root
+    box first (13 and 38 nodes without that).  7208-z2 constant-pf: the split
     proves 0.46450 p.u. in 7 nodes (again none in the positive half), and the
     joint search over the same followers, capped at 400, proves it in 15.
     Before the objective cutoff tightened each node's box, the split took
@@ -1065,7 +1098,7 @@ def test_the_split_proves_bands_in_fewer_nodes_than_the_joint_search():
     assert joint.objective == pytest.approx(res.single_level.objective,
                                             abs=epsilon * (1.0 + joint.objective))
     assert res.single_level.nodes_by_search[POSITIVE] == 0
-    assert (res.single_level.bnb.nodes, joint.bnb.nodes) == (13, 38)
+    assert (res.single_level.bnb.nodes, joint.bnb.nodes) == (4, 14)
 
     ctx = random_context(np.random.default_rng(7208), mode=MODE_CONSTANT_PF, z_scale=2.0)
     res = run_iterative(ctx, MODE_CONSTANT_PF, node_limit=400)
@@ -1199,7 +1232,9 @@ def _load_only_context():
 def test_a_feeder_without_inverters_solves_alike_in_every_mode():
     """With no inverter every follower is the loads' knapsack, whatever the
     mode, and ``dual_box`` bounds its aggregate dual: each mode proves the
-    constant-pf band, bit for bit, in 2 nodes."""
+    constant-pf band, bit for bit.  Constant-pf takes 2 nodes; constant-q
+    and volt-var, whose searches shrink their root box first, take 1 (the
+    positive half's tightening proves it with none)."""
     ctx = _load_only_context()
     want = run_iterative(ctx, MODE_CONSTANT_PF)
     for mode in MODES:
@@ -1209,7 +1244,7 @@ def test_a_feeder_without_inverters_solves_alike_in_every_mode():
         res = run_iterative(ctx, mode)
         assert res.converged and res.single_level.bnb.status == OPTIMAL, mode
         assert (res.dp_plus, res.dp_minus) == (want.dp_plus, want.dp_minus), mode
-        assert res.single_level.bnb.nodes == 2, mode
+        assert res.single_level.bnb.nodes == (2 if mode == MODE_CONSTANT_PF else 1), mode
 
 
 @pytest.mark.parametrize("case", ["load-only", "7208-z3", "7210-z3"])

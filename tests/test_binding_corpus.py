@@ -5,14 +5,16 @@ prove every band, give the width the single level proved when every
 product dual sat in the ±``LAMBDA_CAP`` box, and take fewer
 branch-and-bound nodes than that solve did.  On all 42 cases it must give
 no band narrower than the search gave before its nodes' boxes were cut by
-the objective cutoff, prove more of them and take fewer nodes.
+the objective cutoff, prove more of them and take fewer nodes.  On six
+constant-q and volt-var cases the root bound tightening must keep the band
+of the search it leaves untightened, in no more nodes.
 """
 
 import pytest
 
 from corpus import BINDING_CORPUS, BINDING_FEEDERS, case_id, corpus_context
 
-from flexgrid import bilevel
+from flexgrid import bilevel, bnb
 from flexgrid.bilevel import run_iterative
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 
@@ -137,3 +139,29 @@ def test_the_cutoff_loses_no_band_and_proves_more_of_the_corpus_in_fewer_nodes(m
             proven.append(case_id(*case))
     assert len(proven) >= UNCUT_PROVEN + 1
     assert nodes[0] < UNCUT_NODES
+
+
+# Constant-q and volt-var cases whose searches shrink their root box, with
+# 7210-z3 constant-q and 7208-z3 volt-var, which reach the node cap without it.
+TIGHTENED_CASES = [
+    (7210, 3.0, MODE_CONSTANT_Q), (7208, 2.0, MODE_CONSTANT_Q), (7235, 3.0, MODE_CONSTANT_Q),
+    (7208, 3.0, MODE_VOLT_VAR), (7200, 2.0, MODE_VOLT_VAR), (7210, 2.0, MODE_VOLT_VAR),
+]
+
+
+@pytest.mark.parametrize("case", TIGHTENED_CASES, ids=lambda case: case_id(*case))
+def test_root_tightening_keeps_the_band_of_the_untightened_search(case, monkeypatch):
+    """The search whose root box the tightening leaves as it is stays the
+    reference: at ``node_limit=400`` the tightened run gives its band within
+    ``epsilon`` and takes no more nodes over every single-level solve."""
+    nodes = _count_nodes(monkeypatch)
+    tightened = run_iterative(corpus_context(*case), case[2], epsilon=EPSILON, node_limit=400)
+    tightened_nodes, nodes[0] = nodes[0], 0
+    assert tightened.single_level.bnb.tightening_lps > 0
+    monkeypatch.setattr(bnb, "tighten_box", lambda tpl, kept, obj, lb, ub, floor: (lb, ub, 0))
+    plain = run_iterative(corpus_context(*case), case[2], epsilon=EPSILON, node_limit=400)
+    assert plain.single_level.bnb.boxes_shrunk == 0
+    want = plain.dp_plus - plain.dp_minus
+    width = tightened.dp_plus - tightened.dp_minus
+    assert width == pytest.approx(want, abs=EPSILON * (1.0 + want))
+    assert tightened_nodes <= nodes[0]

@@ -14,6 +14,7 @@ from flexgrid.bnb import (
     mccormick_relax,
     mccormick_rows,
     spatial_branch_and_bound,
+    tighten_box,
 )
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR
 from flexgrid.follower import MAX_V, MIN_V, NEGATIVE, POSITIVE, Scenario
@@ -343,6 +344,75 @@ def test_each_cut_node_box_keeps_the_points_that_beat_the_incumbent(monkeypatch)
             moved += not (np.array_equal(box[0], node_lb) and np.array_equal(box[1], node_ub))
     # Not vacuous: boxes were cut, with sampled points that beat the incumbent inside.
     assert checked > 0 and moved > 0
+
+
+def _feasible_samples(rng, bp, count=4000):
+    """Feasible points of ``bp`` sampled in its box, the columns in no
+    product moved to their best values, and their objectives."""
+    lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
+    X = lb + rng.random((count, lb.size)) * (ub - lb)
+    free = np.setdiff1d(np.arange(lb.size), np.array(bp.products()).ravel())
+    X = _best_linear_values(bp, X, free)
+    obj, feasible = _bilinear_eval(bp, X)
+    return X[feasible], obj[feasible]
+
+
+def test_root_tightening_keeps_every_point_that_reaches_the_floor():
+    """On random bilinear programs, with the floor at the objective that a
+    third of the sampled feasible points reach: every such point stays in
+    the shrunk box, which shrinks somewhere, and a floor above the root
+    relaxation's bound leaves nothing.  Searched with the tightening from
+    the best sample, each program still matches the grid oracle."""
+    rng = np.random.default_rng(38)
+    shrunk = 0
+    for _ in range(8):
+        bp = random_bilinear(rng, max_vars=4)
+        X, obj = _feasible_samples(rng, bp)
+        tpl = RelaxationTemplate(bp)
+        sigma = 1.0 if tpl.sense == MAX else -1.0
+        w = sigma * tpl.c[:tpl.n_vars]
+        floor = float(np.quantile(sigma * obj, 2.0 / 3.0))
+        kept = KeptModel()
+        lb, ub, lps = tighten_box(tpl, kept, w, tpl.lb, tpl.ub, floor)
+        assert lps > 0 and lb is not None
+        reach = X[X @ w >= floor]
+        assert reach.shape[0] > 0
+        assert np.all(reach >= lb - 1e-12) and np.all(reach <= ub + 1e-12)
+        shrunk += np.count_nonzero((lb > tpl.lb) | (ub < tpl.ub))
+        root = solve_lp(mccormick_relax(tpl))
+        above = float(w @ root.x[:tpl.n_vars]) + 1e-3
+        assert tighten_box(tpl, kept, w, tpl.lb, tpl.ub, above)[0] is None
+        kept.close()
+
+        res = spatial_branch_and_bound(
+            bp, epsilon=5e-5, initial_points=[X[np.argmax(sigma * obj)]], tighten=True,
+        )
+        ref = grid_oracle(bp)
+        assert res.status == "optimal" and abs(res.objective - ref) <= 1e-4 * (1 + abs(ref))
+        assert res.tightening_lps > 0
+    assert shrunk > 0
+
+
+def test_a_tightened_search_with_nothing_above_the_incumbent_needs_no_node():
+    """max t with t <= x*y, x fixed at 1 and y <= 1.5: the envelope is exact
+    and the optimum is 1.5.  An initial point 5e-7 above it, within the
+    search's feasibility tolerance, leaves the tightening's cutoff LP
+    infeasible, so the search is proven with no node; without the
+    tightening it solves its root."""
+    base = LinearProgram(sense=MAX)
+    x = base.add_var("x", lb=1.0, ub=1.0)
+    y = base.add_var("y", lb=0.0, ub=2.0)
+    t = base.add_var("t", lb=0.0, ub=6.0, obj=1.0)
+    r = base.add_row({t: 1.0}, LE, 0.0)
+    base.add_row({y: 1.0}, LE, 1.5)
+    bp = BilinearProgram(base)
+    bp.add_term(r, -1.0, x, y)
+    above = np.array([1.0, 1.5, 1.5 + 5e-7])
+    res = spatial_branch_and_bound(bp, epsilon=1e-6, initial_points=[above], tighten=True)
+    assert res.status == "optimal" and res.objective == above[2]
+    assert res.nodes == 0 and res.tightening_lps > 0
+    plain = spatial_branch_and_bound(bp, epsilon=1e-6, initial_points=[above])
+    assert plain.status == "optimal" and plain.nodes == 1 and plain.tightening_lps == 0
 
 
 def test_structure_helpers():

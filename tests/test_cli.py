@@ -341,6 +341,8 @@ def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
     assert doc["bnb_nodes_by_search"] == {"positive": 0, "negative": 3, "joint": 0}
     assert doc["bnb_nodes"] == 3
     assert isinstance(doc["bnb_cold_resolves"], int) and doc["bnb_cold_resolves"] >= 0
+    # Constant-pf searches are never tightened.
+    assert doc["bnb_tightening_lps"] == doc["bnb_boxes_shrunk"] == 0
 
     real = cli.run_iterative
     monkeypatch.setattr(cli, "run_iterative", lambda *a, **kw: real(*a, **kw, node_limit=1))
@@ -355,6 +357,53 @@ def test_result_counts_the_nodes_of_each_search(tmp_path, capsys, monkeypatch):
     width_kw = doc["dp_plus_kw"] - doc["dp_minus_kw"]
     assert float(found[1]) == pytest.approx(doc["bnb_gap_kw"], abs=0.051)
     assert float(found[2]) == pytest.approx(width_kw + doc["bnb_gap_kw"], abs=0.051)
+
+
+def test_result_counts_the_root_tightening_of_each_search(tmp_path, capsys):
+    """Volt-var on gen7202 at z 2: result.json gives each search's root
+    tightening LPs and shrunk boxes, which sum to the totals the console
+    line prints; the negative half, the one search, solves 1 node."""
+    rng = lambda: np.random.default_rng(7202)
+    feeder = tmp_path / "gen7202.json"
+    feeder.write_text(json.dumps(random_feeder_doc(rng(), mode="volt-var", z_scale=2.0)))
+    ctx = random_context(rng(), mode="volt-var", z_scale=2.0)
+    code, stdout, _ = run(
+        ["solve", "--feeder", str(feeder), "--mode", "volt-var", "--vmin", repr(ctx.v_min),
+         "--vmax", repr(ctx.v_max), "--out", str(tmp_path / "vv")], capsys,
+    )
+    assert code == cli.EXIT_OK
+    doc = json.loads((tmp_path / "vv" / "result.json").read_text())
+    assert doc["bnb_nodes_by_search"] == {"positive": 0, "negative": 1, "joint": 0}
+    by_search = doc["bnb_tightening_by_search"]
+    assert list(by_search) == ["positive", "negative", "joint"]
+    assert by_search["positive"] == by_search["joint"] == {"lps": 0, "boxes_shrunk": 0}
+    assert by_search["negative"]["lps"] == doc["bnb_tightening_lps"] > 0
+    assert by_search["negative"]["boxes_shrunk"] == doc["bnb_boxes_shrunk"] > 0
+    line = next(ln for ln in stdout.splitlines() if ln.startswith("ideal range"))
+    found = re.search(r"root tightening: (\d+) LP\(s\), (\d+) box\(es\) shrunk\)$", line)
+    assert found, line
+    assert (int(found[1]), int(found[2])) == (doc["bnb_tightening_lps"], doc["bnb_boxes_shrunk"])
+
+
+def test_a_capability_that_cannot_hold_the_constant_pf_anchor_is_a_feeder_error(tmp_path, capsys):
+    """With each inverter's s_kva at its p_max, the capability octagon
+    cannot hold the anchor's q_gen = gamma * p_kw at the ends of the pf's
+    gamma box: constant-pf stops with exit 2, naming the inverter's bus and
+    phase, before any band-edge walk; constant-q and volt-var still solve."""
+    doc = pv_doc()
+    for inv in doc["inverters"]:
+        inv["s_kva"] = inv["p_max"]
+    feeder = tmp_path / "tight_s.json"
+    feeder.write_text(json.dumps(doc))
+    argv = ["solve", "--feeder", str(feeder), "--out", str(tmp_path / "out")]
+    code, _, stderr = run([*argv, "--mode", "constant-pf"], capsys)
+    assert code == cli.EXIT_VALIDATION
+    assert "inverter at bus 'mid' phase 'c'" in stderr and "s_kva" in stderr
+    code, _, stderr = run(["worst-case", *argv[1:], "--mode", "constant-pf"], capsys)
+    assert code == cli.EXIT_VALIDATION and "bus 'mid' phase 'c'" in stderr
+    for mode in ("constant-q", "volt-var"):
+        code, stdout, _ = run([*argv, "--mode", mode], capsys)
+        assert code == cli.EXIT_OK and "converged" in stdout, mode
 
 
 def test_solver_failure_exit_code(pv_file, tmp_path, capsys, monkeypatch):

@@ -433,3 +433,30 @@ def test_ranged_solve_rejects_a_malformed_matrix_or_bound(lp):
     matrix entry) or model error; the direct solve refuses them up front."""
     with pytest.raises(ValueError, match="finite|NaN"):
         solve_lp(lp)
+
+
+def test_a_kept_model_re_solves_a_new_objective_in_place(monkeypatch):
+    """LPs that differ from the held one only in their objective, in either
+    sense, change it in place and re-solve warm to every optimum a cold
+    solve finds; only the first is passed whole."""
+    from flexgrid import lp as lp_module
+
+    passed = []
+    pass_model = lp_module._pass_model
+    monkeypatch.setattr(lp_module, "_pass_model", lambda h, lp: passed.append(lp) or pass_model(h, lp))
+    rng = np.random.default_rng(38)
+    for sense in (MAX, MIN):
+        lp = random_lp(rng, max_vars=8).materialize()
+        kept, basis = KeptModel(), None
+        for _ in range(12):
+            c = rng.uniform(-1.0, 1.0, lp.c.size)
+            one = RangedLP(sense, c, lp.A, lp.row_lb, lp.row_ub, lp.lb, lp.ub)
+            warm = solve_lp(one, kept, basis)
+            basis = kept.basis()
+            kept_passed = len(passed)
+            cold = solve_lp(one)
+            del passed[kept_passed:]
+            assert warm.status == cold.status == OPTIMAL
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9 * (1 + abs(cold.objective)))
+        kept.close()
+    assert len(passed) == 2
