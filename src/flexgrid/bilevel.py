@@ -23,11 +23,11 @@ inside [v_min, v_max].  Three steps:
    fixing the setpoints (the bang-bang ones before a search, each node's
    relaxation setpoints during it), walking the band edges as in step 1
    and completing the point with the followers' optimal primal/dual pairs,
-   each family's evaluated with one batched call at the walked decision.
+   each activation's evaluated with one batched call at the walked decision.
    The walk returns only the band edges, so it shares no code path with
    the completion;
 3. ``feasibility_check`` — re-screen all followers at the accepted decision,
-   one batched evaluation per family, feeding violators back into step 2
+   one batched evaluation per activation, feeding violators back into step 2
    (``run_iterative``).  The run's solves share a ``RunStore``: a search
    whose followers, seeds and budget did not change since an earlier
    iteration, and a family walk whose nodes and setpoints did not, are
@@ -49,6 +49,7 @@ from .follower import (
     MAX_V,
     NEGATIVE,
     POSITIVE,
+    SIGMA,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
     FlexContext,
@@ -60,6 +61,7 @@ from .follower import (
     build_follower,
     fix_worst_case_setpoints,
     fixes_q,
+    per_row,
     screened_extrema,
     setpoint_boxes,
 )
@@ -151,32 +153,34 @@ class WorstCaseLimits:
 
 
 def _kept_family(
-    ctx: FlexContext, mode: str, activation: str, extremum: str, fix_q: bool,
-    slots: dict[str, float],
+    ctx: FlexContext, mode: str, activation: str, fix_q: bool, slots: dict[str, float],
 ) -> MaterializedFollower:
-    """The follower ``ctx`` keeps for one family.  A new one, whose node (0)
-    is a stand-in, is kept materialized at ``slots``, zero where they lack
-    a slot."""
-    key = (mode, activation, extremum, fix_q)
+    """The follower ``ctx`` keeps for one activation.  A new one, whose node
+    (0) and extremum (max-|v|) are stand-ins, is kept materialized at
+    ``slots``, zero where they lack a slot."""
+    key = (mode, activation, fix_q)
     if key not in ctx.followers:
-        problem = build_follower(ctx, Scenario(0, activation, extremum), mode, fix_q=fix_q)
+        problem = build_follower(ctx, Scenario(0, activation, MAX_V), mode, fix_q=fix_q)
         ctx.followers[key] = problem.materialize(dict.fromkeys(problem.slot_names, 0.0) | slots)
     return ctx.followers[key]
 
 
 def family_follower(
-    ctx: FlexContext, mode: str, activation: str, extremum: str, slots: dict[str, float],
+    ctx: FlexContext, mode: str, activation: str, slots: dict[str, float],
 ) -> MaterializedFollower:
-    """The follower LP of one (activation, extremum) family at fixed slots.
+    """The follower LP of one activation at fixed slots, for both extrema.
 
-    Only the objective depends on the target node, so one materialized LP
-    serves every node of the family: ``values`` solves any batch of them at
-    once.  ``slots`` may carry more than the family reads (both band edges,
-    say); whether constant-q followers hold q_gen at q_set is read off them
-    (``fixes_q``).  The family is materialized once per context and kept
-    in ``ctx.followers``, and nowhere else; every call after re-slots it.
+    Only the objective depends on the target node and the extremum, whose
+    sign σ multiplies it, so one materialized LP serves every (node,
+    extremum) family of the activation: ``values`` solves any batch of
+    nodes and signs at once.  ``slots`` may carry more than the follower
+    reads (both band edges, say); whether constant-q followers hold q_gen
+    at q_set is read off them (``fixes_q``).  The follower is materialized
+    once per context and kept in ``ctx.followers``, and nowhere else; every
+    call after re-slots it, and a re-slot at the same setpoints keeps what
+    they derive, whichever extremum reads it next.
     """
-    mf = _kept_family(ctx, mode, activation, extremum, fixes_q(mode, slots), slots)
+    mf = _kept_family(ctx, mode, activation, fixes_q(mode, slots), slots)
     missing = [s for s in mf.problem.slot_names if s not in slots]
     if missing:
         raise BilevelError(f"decision lacks slots required by followers: {missing}")
@@ -243,34 +247,36 @@ def _walk(full: float, c: float, tol_abs: float):
     return lo
 
 
-def _band_cap(mf: MaterializedFollower) -> float:
-    """The follower objective sigma*|v| up to which its family stays in band
-    (both extrema compare it from below)."""
-    p = mf.problem
-    return (p.v_max if p.scenario.extremum == MAX_V else -p.v_min) + 1e-9
+def _band_cap(problem: FollowerProblem, sigma) -> np.ndarray:
+    """The follower objective sigma*|v| up to which a follower of objective
+    sign ``sigma`` (one or one per target) stays in band (both extrema
+    compare it from below)."""
+    return np.where(np.asarray(sigma) > 0.0, problem.v_max, -problem.v_min) + 1e-9
 
 
-def _edge_walk(mf: MaterializedFollower, nodes, tol_abs: float) -> np.ndarray:
+def _edge_walk(mf: MaterializedFollower, nodes, sigma, tol_abs: float) -> np.ndarray:
     """Largest |band edge| keeping the follower's extreme |v| in band, for
-    each target node in ``nodes``, signed like the far end (0 where the
-    follower is out of band at zero).
+    each target node in ``nodes`` at objective sign ``sigma`` (one per
+    node, or one for all), signed like the far end (0 where the follower is
+    out of band at zero).
 
-    The far end is the family's band edge as materialized in ``mf``.  Each
-    target takes the steps of its own ``_walk``, and the targets walk in
-    lockstep: each step evaluates every target whose walk is still open
+    The far end is the activation's band edge as materialized in ``mf``.
+    Each target takes the steps of its own ``_walk``, and the targets walk
+    in lockstep: each step evaluates every target whose walk is still open
     with one ``mf.values`` call.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
+    sigma = per_row(sigma, nodes.shape)
     limits = np.zeros(nodes.size)
     full = mf.slots[mf.problem.scenario.dp_slot]
     if full == 0.0:
         return limits
     sign = 1.0 if full > 0 else -1.0
-    walks = [_walk(abs(full), _band_cap(mf), tol_abs) for _ in range(nodes.size)]
+    walks = [_walk(abs(full), c, tol_abs) for c in _band_cap(mf.problem, sigma).tolist()]
     live = list(range(nodes.size))
     steps = [next(w) for w in walks]
     while live:
-        vals = mf.values(nodes[live], sign * np.array(steps))
+        vals = mf.values(nodes[live], sign * np.array(steps), sigma[live])
         if not vals.optimal.all():
             raise BilevelError(
                 "follower LP infeasible during screening; followers are "
@@ -301,7 +307,8 @@ def worst_case_limits(
     For every node and activation case, the follower is given adversarial
     setpoints (constant-Q leaves reactive power to the adversary outright)
     and the largest safe band edge is found by ``_edge_walk``, which walks
-    a family's n nodes in lockstep, one kernel call per step; positive
+    the n nodes of every extremum that shares those setpoints in lockstep,
+    one kernel call per step (constant-q: both extrema at once); positive
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
@@ -319,14 +326,23 @@ def worst_case_limits(
     upper_family = [extrema[0]] * n
     lower_family = [extrema[0]] * n
     for activation in ACTIVATIONS:
+        # The extrema by their adversarial slots, each set walked once.
+        by_slots: dict[tuple, list[str]] = {}
         for extremum in extrema:
             slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
             if mode != MODE_CONSTANT_Q:
                 slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-            mf = family_follower(ctx, mode, activation, extremum, slots)
+            by_slots.setdefault(tuple(slots.items()), []).append(extremum)
+        limits_of: dict[str, np.ndarray] = {}
+        for slots, group in by_slots.items():
+            mf = family_follower(ctx, mode, activation, dict(slots))
             if mode == MODE_CONSTANT_PF:
                 check_capability(ctx, mf.problem)
-            lim = _edge_walk(mf, np.arange(n), tol_abs)
+            sigma = np.repeat([SIGMA[e] for e in group], n)
+            lim = _edge_walk(mf, np.tile(np.arange(n), len(group)), sigma, tol_abs)
+            limits_of.update(zip(group, lim.reshape(len(group), n)))
+        for extremum in extrema:
+            lim = limits_of[extremum]
             if activation == POSITIVE:
                 tighter, limits, family = lim < upper - 1e-15, upper, upper_family
             else:
@@ -378,9 +394,9 @@ class FollowerBlock:
     """
 
     scenario: Scenario
-    # The family's problem, shared by its blocks: its ``scenario.node``,
-    # ``objective`` and ``to_lp`` are a stand-in node's, not the block's
-    # target, which only ``scenario`` gives.
+    # The activation's problem, shared by its blocks: its ``scenario.node``,
+    # ``scenario.extremum``, ``objective`` and ``to_lp`` are a stand-in's,
+    # not the block's target and extremum, which only ``scenario`` gives.
     problem: FollowerProblem
     x_vars: np.ndarray  # kept follower variables
     x_cols: np.ndarray  # ... and their columns
@@ -418,10 +434,11 @@ def assemble_single_level(
     droop row holds the product q̄·|v_k|.  The other vm rows, their |v|
     columns, duals and dual rows drop out exactly (see ``FollowerBlock``).
     Each block is stacked from the follower's triplets as arrays, with one
-    ``add_vars`` and one ``add_rows`` call; a family's blocks share the
-    problem of the follower ``ctx`` keeps for it (``_kept_family``, which
-    keeps a new one at zero slots, for the completion to re-slot) and read
-    its objective and dual box at their node.
+    ``add_vars`` and one ``add_rows`` call; an activation's blocks share
+    the problem of the follower ``ctx`` keeps for it (``_kept_family``,
+    which keeps a new one at zero slots, for the completion to re-slot) and
+    read its objective and dual box at their node and their extremum's
+    sign σ, the one place a block's extremum enters.
 
     Products appear between a slot variable and either a follower variable
     (mode rows) or a row dual (dual rows and the strong-duality row's
@@ -449,12 +466,13 @@ def assemble_single_level(
     blocks: list[FollowerBlock] = []
     product_duals: list[int] = []
     capped_duals: list[int] = []
-    # The blocks match the families the completion evaluates at these slots.
+    # The blocks match the followers the completion evaluates at these slots.
     fix_q = fixes_q(mode, sp_boxes)
-    problems = {f: _kept_family(ctx, mode, *f, fix_q, {}).problem for f in _by_family(followers)}
+    problems = {a: _kept_family(ctx, mode, a, fix_q, {}).problem
+                for a in dict.fromkeys(sc.activation for sc in followers)}
 
     for scenario in followers:
-        problem = problems[scenario.activation, scenario.extremum]
+        problem = problems[scenario.activation]
         node = scenario.node
         tag = f"s{scenario.number}k{node}"
         # The |v| read here: the target's (objective, band rows) and, in
@@ -488,7 +506,7 @@ def assemble_single_level(
         relations = [problem.relations[r] for r in kept.tolist()]
         row_names = [problem.row_names[r] for r in kept.tolist()]
         rel = np.array(relations)
-        derived = problem.dual_box(sp_boxes, node)[kept]
+        derived = problem.dual_box(sp_boxes, node, scenario.sigma)[kept]
         capped = has_product[kept] & np.isinf(derived)
         lim = np.where(capped, LAMBDA_CAP, derived)
         finite = np.column_stack([np.isfinite(lb), np.isfinite(ub)]).ravel()
@@ -584,8 +602,9 @@ def _complete_point(
     With the upper level pinned, every follower is an ordinary LP; its
     optimal primal/dual pair satisfies the primal, dual and strong-duality
     rows by construction, so a full single-level point can be assembled
-    exactly.  Each family's blocks are evaluated with one ``values`` call
-    at the decision, and each block's certificate is built from its row.
+    exactly.  Each activation's blocks, both extrema's, are evaluated with
+    one ``values`` call at the decision, and each block's certificate is
+    built from its row.
     Returns None when a follower leaves the voltage band or fails to solve
     (the candidate would be rejected anyway).
     """
@@ -593,15 +612,18 @@ def _complete_point(
     x = np.zeros(lb.shape[0])
     for name, vi in slmap.upper_vars.items():
         x[vi] = decision_slots[name]
-    for family in _by_family([b.scenario for b in slmap.blocks]):
-        blocks = [b for b in slmap.blocks if (b.scenario.activation, b.scenario.extremum) == family]
-        mf = family_follower(ctx, mode, *family, decision_slots)
-        vals = mf.values([b.scenario.node for b in blocks])
+    by_activation: dict[str, list[FollowerBlock]] = {}
+    for block in slmap.blocks:
+        by_activation.setdefault(block.scenario.activation, []).append(block)
+    for activation, blocks in by_activation.items():
+        mf = family_follower(ctx, mode, activation, decision_slots)
+        scenarios = [b.scenario for b in blocks]
+        vals = mf.values([sc.node for sc in scenarios], None, [sc.sigma for sc in scenarios])
         for i, block in enumerate(blocks):
             cert = mf.certificate(vals, i)
             if cert.status != OPTIMAL:
                 return None
-            vm = mf.problem.worst_voltage(cert)
+            vm = block.scenario.sigma * cert.objective
             if vm > ctx.v_max + 1e-9 or vm < ctx.v_min - 1e-9:
                 return None
             # Only the kept entries: the dropped rows' duals are 0 (see
@@ -637,9 +659,9 @@ def _edge_limited_decision(
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
     t_pos, t_neg = dp_up, dp_lo
     for (activation, extremum), nodes in families.items():
-        mf = family_follower(ctx, mode, activation, extremum, slots)
+        mf = family_follower(ctx, mode, activation, slots)
         try:
-            edges = _edge_walk(mf, nodes, tol_abs).tolist()
+            edges = _edge_walk(mf, nodes, SIGMA[extremum], tol_abs).tolist()
         except BilevelError:
             return None
         if activation == POSITIVE:
@@ -677,9 +699,10 @@ def _could_widen(
             continue
         if abs(edge) >= abs(far):
             return False
-        mf = family_follower(ctx, mode, activation, extremum, slots)
-        vals = mf.values(nodes, edge)
-        if vals.optimal.all() and (vals.objective > _band_cap(mf)).any():
+        mf = family_follower(ctx, mode, activation, slots)
+        sigma = SIGMA[extremum]
+        vals = mf.values(nodes, edge, sigma)
+        if vals.optimal.all() and (vals.objective > _band_cap(mf.problem, sigma)).any():
             return False
     return True
 
@@ -774,7 +797,7 @@ def solve_single_level(
     the whole solve: the positive half's search draws first, the negative
     half's gets the rest, the joint search what is left.  A family's walk at
     a setpoint set is made once per run, over the presolve and every
-    search's node hook, each step taking the family's follower from
+    search's node hook, each step taking its activation's follower from
     ``family_follower``; a search is made once per run at its followers,
     seeds, budget and bound.  Both are kept in ``store``, which
     ``run_iterative`` passes to each of its solves; without one the solve
@@ -982,19 +1005,24 @@ class Violation:
 
 
 def screened_families(ctx: FlexContext, mode: str, decision: UpperDecision, direction: str):
-    """(activation, extremum, follower, values) of each screened family at
-    the decision's slots, with every node's row solved.  A decision that
+    """(scenarios, follower, values) per activation at the decision's slots:
+    one ``values`` call solves every node's row of each screened extremum,
+    extremum by extremum, row i being ``scenarios[i]``.  A decision that
     lacks a slot, or a row without an optimum, raises ``BilevelError``."""
+    extrema = screened_extrema(direction)
+    nodes = np.arange(len(extrema) * ctx.n) % ctx.n
+    sigma = np.repeat([SIGMA[e] for e in extrema], ctx.n)
     for activation in ACTIVATIONS:
-        for extremum in screened_extrema(direction):
-            mf = family_follower(ctx, mode, activation, extremum, decision.slots)
-            vals = mf.values(np.arange(ctx.n))
-            if not vals.optimal.all():
-                raise BilevelError(
-                    f"follower (node {int(np.argmin(vals.optimal))}, {activation}/{extremum}) "
-                    "has no optimum; followers are feasible by construction"
-                )
-            yield activation, extremum, mf, vals
+        mf = family_follower(ctx, mode, activation, decision.slots)
+        vals = mf.values(nodes, None, sigma)
+        scenarios = [Scenario(k, activation, e) for e in extrema for k in range(ctx.n)]
+        if not vals.optimal.all():
+            sc = scenarios[int(np.argmin(vals.optimal))]
+            raise BilevelError(
+                f"follower (node {sc.node}, {activation}/{sc.extremum}) "
+                "has no optimum; followers are feasible by construction"
+            )
+        yield scenarios, mf, vals
 
 
 @dataclass
@@ -1017,20 +1045,20 @@ def feasibility_check(
     """Screen every follower at a fixed decision.
 
     Solves the 4n (or direction-filtered 2n) follower LPs with the decision's
-    band edges and setpoints, each family's n nodes in one ``values`` call,
-    and reports scenarios whose extreme voltage leaves [v_min, v_max] by
-    more than ``FEAS_TOL_PU``.  A constant-q decision without q_set slots is
+    band edges and setpoints, each activation's n nodes of both extrema in
+    one ``values`` call (``screened_families``), and reports scenarios
+    whose extreme voltage leaves [v_min, v_max] by more than
+    ``FEAS_TOL_PU``.  A constant-q decision without q_set slots is
     screened with free q_gen (``fixes_q``), the stronger adversary, as
     ``oracle.verify_decision`` checks it.  An infeasible follower is an
     assembly bug: at Δp = 0 every follower admits the zero-deviation point.
     """
     violations: list[Violation] = []
     worst: dict[tuple[int, str, str], float] = {}
-    for activation, extremum, _, vals in screened_families(ctx, mode, decision, direction):
-        for k, objective in enumerate(vals.objective.tolist()):
-            scenario = Scenario(node=k, activation=activation, extremum=extremum)
+    for scenarios, _, vals in screened_families(ctx, mode, decision, direction):
+        for scenario, objective in zip(scenarios, vals.objective.tolist()):
             vm = scenario.sigma * objective
-            worst[(k, activation, extremum)] = vm
+            worst[(scenario.node, scenario.activation, scenario.extremum)] = vm
             amount = max(vm - ctx.v_max, ctx.v_min - vm)
             if amount > FEAS_TOL_PU:
                 violations.append(
@@ -1091,10 +1119,10 @@ def run_iterative(
     and volt-var's only), is feasible but unproven.  A re-screening
     that finds only followers already active ends the loop early
     (``stalled``): solving again would give the same decision.  Each
-    (activation, extremum) family follower (``family_follower``), q_gen held
-    or free, is made once per context, re-slotted by the screening, every
-    single-level solve and re-screening, and read by every assembly.  The
-    run's solves share one ``RunStore``, so an iteration searches and
+    activation's follower (``family_follower``), q_gen held or free, serves
+    both extrema: it is made once per context, re-slotted by the screening,
+    every single-level solve and re-screening, and read by every assembly.
+    The run's solves share one ``RunStore``, so an iteration searches and
     walks again only what its new followers change; the store goes with
     the run.
     """

@@ -365,7 +365,9 @@ class BnBResult:
     bound: float  # best relaxation bound in the problem's sense
     gap: float
     nodes: int
-    cold_resolves: int  # warm node solves HiGHS left unsettled, solved again cold
+    # Warm node solves HiGHS left unsettled or ended infeasible, solved
+    # again cold, and found optimal cold in the second case.
+    cold_resolves: int
     tightening_lps: int = 0  # LPs of the root bound tightening (``tighten_box``)
     boxes_shrunk: int = 0  # variables whose root box the tightening shrank
 
@@ -387,7 +389,12 @@ def spatial_branch_and_bound(
     node's boxes and it is solved primal-only on the search's one
     ``KeptModel``: the root cold, every other node warm from the basis its
     parent's solve ended at, so a node's start does not depend on the
-    order the heap hands out nodes.  Once there is an incumbent, each node's
+    order the heap hands out nodes.  HiGHS can end a warm solve infeasible
+    where a cold one finds an optimum, so a node closes as infeasible only
+    when a cold solve of its relaxation, on an instance of its own, agrees;
+    where that solve finds an optimum the node goes on from it, its
+    children start from the basis it started from, and ``cold_resolves``
+    counts it.  Once there is an incumbent, each node's
     box is first cut by ``cutoff_box`` to where the objective can still
     reach it (a node whose box comes out empty is closed unsolved), and its
     children inherit the cut box: no point better than the incumbent is
@@ -455,7 +462,7 @@ def spatial_branch_and_bound(
             if lb is not None:
                 shrunk = int(np.count_nonzero((lb > box[0]) | (ub < box[1])))
     heap: list[tuple] = [] if lb is None else [(-root_bound, next(counter), lb, ub, None)]
-    nodes = 0
+    nodes = overturned = 0
     exhausted = True
     leftover_bound = -math.inf  # tightest open bound at an early exit
 
@@ -477,7 +484,14 @@ def spatial_branch_and_bound(
             break
         nodes += 1
 
-        cert = solve_lp(mccormick_relax(tpl, lb, ub), kept, basis)
+        relax = mccormick_relax(tpl, lb, ub)
+        cert = solve_lp(relax, kept, basis)
+        cold = False  # whether the node goes on from a cold solve's certificate
+        if cert.status == INFEASIBLE and basis is not None:
+            # A warm verdict: only a cold solve, on an instance of its own, closes the node.
+            cert = solve_lp(relax)
+            cold = cert.status != INFEASIBLE
+            overturned += cold
         if cert.status == INFEASIBLE:
             continue
         if cert.status != OPTIMAL:
@@ -506,7 +520,7 @@ def spatial_branch_and_bound(
         v = i if ub[i] - lb[i] >= ub[j] - lb[j] else j
         lo, hi = lb[v], ub[v]
         split = min(max(x_rel[v], lo + 0.25 * (hi - lo)), lo + 0.75 * (hi - lo))
-        basis = kept.basis()
+        basis = basis if cold else kept.basis()
         for child_lo, child_hi in ((lo, split), (split, hi)):
             clb, cub = lb.copy(), ub.copy()
             clb[v], cub[v] = child_lo, child_hi
@@ -516,7 +530,7 @@ def spatial_branch_and_bound(
     if best_x is None:
         status = INFEASIBLE if exhausted else NODE_LIMIT
         return BnBResult(status=status, x=None, objective=None, bound=math.inf * sigma,
-                         gap=math.inf, nodes=nodes, cold_resolves=kept.cold_resolves,
+                         gap=math.inf, nodes=nodes, cold_resolves=kept.cold_resolves + overturned,
                          tightening_lps=lps, boxes_shrunk=shrunk)
 
     open_bound = max((-b for b, *_ in heap), default=-math.inf)
@@ -530,7 +544,7 @@ def spatial_branch_and_bound(
         bound=sigma * open_bound,
         gap=gap,
         nodes=nodes,
-        cold_resolves=kept.cold_resolves,
+        cold_resolves=kept.cold_resolves + overturned,
         tightening_lps=lps,
         boxes_shrunk=shrunk,
     )

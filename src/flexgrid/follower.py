@@ -1,4 +1,5 @@
-"""Adversarial follower problems: one LP per (node, activation, extremum).
+"""Adversarial follower problems: one LP per (node, activation, extremum),
+solved for every node and both extrema of an activation by one follower.
 
 Each follower models an aggregator that redispatches flexible devices against
 the DSO's offered band to push one node's voltage magnitude to an extreme.
@@ -24,18 +25,21 @@ With the slots fixed, every follower is solved in closed form.  |v| is an
 affine function of the device deviations and the aggregate row is the only
 row coupling nodes' active power, so each mode reduces to a fractional
 knapsack, which filling devices in order of gain solves exactly (Dantzig
-1957).  The followers of one (activation, extremum) family share the
-knapsack's items, boxes and budget and differ only in their row of gains,
-so ``MaterializedFollower.values`` solves a batch of target nodes and band
-edges in one numpy pass, and ``solve`` is that pass on a batch of one plus
-the dual certificate:
+1957).  The followers of one activation share every row, bound and region
+row, and so the knapsack's items, boxes and budget: the target node and the
+extremum's objective sign σ = ±1 enter their rows of gains only.  So
+``MaterializedFollower.values`` solves a batch of target nodes, extrema and
+band edges in one numpy pass, and ``solve`` is that pass on a batch of one
+plus the dual certificate.  In the knapsack and volt-var forms σ multiplies
+a target's gains, so a min-|v| row's gains are the max-|v| row's negated:
 
 * constant-pf, fixed-q constant-q and any follower with no inverter: the
   mode row ties each node's q_gen to its own Δp_gen (``_Knapsack``);
 * free-q constant-q: each node's best q_gen is the end of its cone, box and
   capability range that its gain prefers, a concave piecewise-linear function
   of Δp_gen, so each node's Δp_gen splits into segments of falling gain
-  (``_FreeQ``);
+  (``_FreeQ``, which keeps one table of gains per extremum: σ also picks the
+  end of the q_gen range);
 * volt-var: at fixed q̄ the droop rows are solved for q_gen, which turns the
   target row of the sensitivities into transformed gains (``_VoltVar``).
 
@@ -92,6 +96,7 @@ ACTIVATIONS = (POSITIVE, NEGATIVE)
 MIN_V = "min"
 MAX_V = "max"
 EXTREMA = (MIN_V, MAX_V)
+SIGMA = {MIN_V: -1.0, MAX_V: 1.0}  # each extremum's objective sign σ on |v|
 
 # Extremum families screened for each study direction.
 DIRECTIONS = {
@@ -149,7 +154,7 @@ class Scenario:
     @property
     def sigma(self) -> float:
         """Objective sign: +1 maximizes |v|, -1 minimizes it."""
-        return 1.0 if self.extremum == MAX_V else -1.0
+        return SIGMA[self.extremum]
 
     @property
     def sign(self) -> float:
@@ -269,10 +274,11 @@ class FlexContext:
         return (*map(np.ascontiguousarray, (s_p[:, inv], s_q[:, inv], s_l)), m0)
 
     @cached_property
-    def followers(self) -> dict[tuple[str, str, str, bool], MaterializedFollower]:
-        """The family followers made on this context, by (mode, activation,
-        extremum, ``fixes_q``), as ``bilevel.family_follower`` fills and
-        re-slots it; none refers back to the context (no reference cycle)."""
+    def followers(self) -> dict[tuple[str, str, bool], MaterializedFollower]:
+        """The followers made on this context, one per (mode, activation,
+        ``fixes_q``) serving both extrema, as ``bilevel.family_follower``
+        fills and re-slots it; none refers back to the context (no
+        reference cycle)."""
         return {}
 
     @cached_property
@@ -385,7 +391,8 @@ class FollowerProblem:
     and agg.  Row r is ``row_names[r]``: the triplets (``a_row``, ``a_col``,
     ``a_val``) with ``a_row == r``, ``relations[r]``, ``rhs[r]`` and its
     slot terms.  ``to_lp`` and the single level read the rows, and only
-    ``objective`` reads the scenario's node: a family shares it.  The
+    ``objective`` reads the scenario's node and extremum: one problem serves
+    every follower of an activation.  The
     closed forms and ``dual_box`` read each inverter node's (Δp_gen, q_gen)
     region from one table instead: ``region`` = (a, e, b), each of shape
     (inverter node, kind), with rows a·Δp_gen + e·q_gen <= b over
@@ -626,19 +633,16 @@ class FollowerProblem:
     def solve(self, slots: dict[str, float]) -> DualCertificate:
         return self.materialize(slots).solve()
 
-    def worst_voltage(self, cert: DualCertificate) -> float:
-        """Optimal |v| at the scenario's node (undo the min-objective sign)."""
-        return self.scenario.sigma * cert.objective
-
     def gains(self, kappa: np.ndarray, targets) -> np.ndarray:
-        """The knapsack items' gains per unit z, sign·σ·(s_p[t] + κ·s_q[t]) per
-        inverter's Δp_gen and sign·σ·s_l[t] per load's shed, at target rows
-        ``targets`` and setpoints κ (one per inverter, or a stack of them)."""
+        """The knapsack items' max-|v| gains per unit z, sign·(s_p[t] + κ·s_q[t])
+        per inverter's Δp_gen and sign·s_l[t] per load's shed, at target rows
+        ``targets`` and setpoints κ (one per inverter, or a stack of them);
+        an extremum's gains are σ times these."""
         s_p, s_q, s_l = self.s_p[targets], self.s_q[targets], self.s_l[targets]
         kappa = kappa[..., None, :] if s_p.ndim == 2 else kappa
         g = s_p + kappa * s_q
         s_l = np.broadcast_to(s_l, g.shape[:-1] + s_l.shape[-1:])
-        return (self.scenario.sign * self.scenario.sigma) * np.concatenate([g, s_l], axis=-1)
+        return self.scenario.sign * np.concatenate([g, s_l], axis=-1)
 
     def intervals(self, kappa: np.ndarray, q0: np.ndarray) -> tuple[np.ndarray, ...]:
         """Each inverter's Δp_gen interval under the knapsack mode row q_gen =
@@ -660,17 +664,20 @@ class FollowerProblem:
         pinch, point = lo > hi, np.minimum(lo, b[:, 0])
         return np.where(pinch, point, lo), np.where(pinch, point, hi), c_lo, c_hi, ap, feasible
 
-    def dual_box(self, boxes: dict[str, tuple[float, float]], node: int) -> np.ndarray:
+    def dual_box(
+        self, boxes: dict[str, tuple[float, float]], node: int, sigma: float | None = None
+    ) -> np.ndarray:
         """Bounds on |dual| per row that every closed-form certificate for
-        target t = ``node`` keeps at any band edge and any setpoints in
-        ``boxes``; inf on the rows without one.  Constant-pf bounds agg,
+        target t = ``node`` and objective sign σ = ``sigma`` (default the
+        scenario's) keeps at any band edge and any setpoints in ``boxes``;
+        inf on the rows without one.  Constant-pf bounds agg,
         fixed-q constant-q agg and qfix, any mode agg with no inverter (the
         loads' knapsack); free-q constant-q and volt-var with inverters
         bound nothing.
 
         Proof, from ``_Knapsack``.  The agg dual is ±μ, μ being the gain
-        (``gains``) of the item the fill runs out in, or 0.  Each gain is
-        affine in κ_i, so its largest value over the box sits at an end:
+        (σ times ``gains``) of the item the fill runs out in, or 0.  Each
+        gain is affine in κ_i, so its largest value over the box sits at an end:
         |μ| <= μ̄ = max(0, every gain at both ends of the γ box).  In
         fixed-q, inverter i's qfix dual is σ·s_q[t,i] - r_i·e_c/a_c, where
         r_i = σ·s_p[t,i] ∓ μ, so |r_i| <= |s_p[t,i]| + μ̄, and c is the kind
@@ -685,6 +692,7 @@ class FollowerProblem:
         and boxing the single level by it cuts off no decision.
         """
         t, m = node, self.inv.size
+        sigma = self.scenario.sigma if sigma is None else sigma
         box = np.full(self.n_rows, np.inf)
         fixed_q = self.mode == MODE_CONSTANT_Q and self.fix_q
         if self.mode != MODE_CONSTANT_PF and not fixed_q and m:
@@ -692,7 +700,7 @@ class FollowerProblem:
         kappa = np.zeros((1, m))
         if self.mode == MODE_CONSTANT_PF:  # the γ boxes' (lower ends, upper ends)
             kappa = np.array([boxes[s] for s in self.setpoint_slots], dtype=float).reshape(m, 2).T
-        mu = box[self._row_at["agg"]] = float(self.gains(kappa, t).max(initial=0.0))
+        mu = box[self._row_at["agg"]] = float((sigma * self.gains(kappa, t)).max(initial=0.0))
         if fixed_q:
             a, e, _ = self.region
             ratio = np.divide(a, e, out=np.full_like(a, np.inf), where=(a != 0.0) & (e != 0.0))
@@ -703,10 +711,11 @@ class FollowerProblem:
 
 @dataclass
 class FollowerValues:
-    """The optima of one follower family at a batch of targets.
+    """The optima of one activation's followers at a batch of targets.
 
-    Row i is the family's follower with target node ``nodes[i]`` and band
-    edge ``edges[i]``: the objective σ|v_t| of its optimum, the aggregate
+    Row i is the follower with target node ``nodes[i]``, objective sign
+    ``sigma[i]`` (+1 max-|v|, -1 min-|v|) and band edge ``edges[i]``: the
+    objective σ|v_t| of its optimum, the aggregate
     row's dual and the optimum's device columns (``device_cols`` of the
     follower).  ``optimal`` is False where the LP is infeasible, and the
     row's other entries then mean nothing.  ``certified`` is False where the
@@ -716,6 +725,7 @@ class FollowerValues:
 
     nodes: np.ndarray
     edges: np.ndarray
+    sigma: np.ndarray
     objective: np.ndarray
     agg_dual: np.ndarray
     devices: np.ndarray
@@ -725,19 +735,23 @@ class FollowerValues:
 
 
 class MaterializedFollower:
-    """One follower family at fixed slots, solved for any target nodes and band edges.
+    """One activation's followers at fixed slots, solved for any target
+    nodes, extrema and band edges.
 
-    ``values`` solves a batch of targets, each a target node (the objective)
-    and an aggregate-row bound (the band edge), in one numpy pass of the
+    ``values`` solves a batch of targets, each a target node and an
+    objective sign σ (together the objective) and an aggregate-row bound
+    (the band edge), in one numpy pass of the
     closed form of the follower's mode; ``FollowerProblem.materialize``
     picks the subclass (``_Knapsack``, ``_FreeQ`` or ``_VoltVar``).  Each
     closed form reduces the follower at fixed slots to a fractional knapsack
     over items z, sign·(Δp_gen, -Δp_load) or segments of it (``Scenario.sign``),
     so the aggregate row reads sum(z) <= sign·edge for either activation.
     Only the items' gains depend on the target: a subclass keeps every node's
-    row of them (``gains``) for the current setpoints, and ``_fill`` fills
-    the rows of a batch at once.  Device arrays run over the problem's
-    inverter nodes (Δp_gen, q_gen) and load nodes (Δp_load) in its column order.
+    row of them (``gains``, the max-|v| rows, or one table per extremum in
+    ``_FreeQ``) for the current setpoints, ``_gains`` gives a batch's rows
+    at their σ, and ``_fill`` fills them at once.  Device arrays run over
+    the problem's inverter nodes (Δp_gen, q_gen) and load nodes (Δp_load)
+    in its column order.
 
     ``certificate`` turns a row of the values into the full dual
     certificate (row and bound duals in ``problem.row_names`` and variable
@@ -746,9 +760,9 @@ class MaterializedFollower:
     certificate.  ``_Knapsack`` and ``_VoltVar`` build it from the fill;
     ``_FreeQ``, which only the screening's values need, takes HiGHS's on
     ``problem.to_lp``, built at the slots with the row's band edge in the
-    aggregate slot and its target node's objective.  Where a closed form
-    cannot certify a target's point, ``solve`` falls back to that LP too,
-    and ``values`` hands each such target to ``solve``.
+    aggregate slot and its target node's objective at its σ.  Where a
+    closed form cannot certify a target's point, ``solve`` falls back to
+    that LP too, and ``values`` hands each such target to ``solve``.
     """
 
     certifiable = True  # False where the closed form certifies nothing at these setpoints
@@ -792,30 +806,39 @@ class MaterializedFollower:
     def _fix_setpoints(self) -> None:
         """Derive the items, their boxes and every node's gains from the setpoints in ``slots``."""
 
-    def values(self, nodes, edges=None) -> FollowerValues:
-        """The optima at target nodes ``nodes`` with band edges ``edges`` (one
-        per node, or one for all; default the slot's edge)."""
+    def values(self, nodes, edges=None, sigma=None) -> FollowerValues:
+        """The optima at target nodes ``nodes`` with band edges ``edges`` and
+        objective signs ``sigma`` (each one per node, or one for all; default
+        the slot's edge and the scenario's σ)."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        edges = np.asarray(self.slots[self.problem.scenario.dp_slot] if edges is None else edges,
-                           dtype=float)
-        if edges.shape != nodes.shape:
-            edges = np.full(nodes.shape, edges)
-        vals = self._closed(nodes, edges)
+        sc = self.problem.scenario
+        edges = per_row(self.slots[sc.dp_slot] if edges is None else edges, nodes.shape)
+        sigma = per_row(sc.sigma if sigma is None else sigma, nodes.shape)
+        vals = self._closed(nodes, edges, sigma)
         if vals.certified.all():
             return vals
         for i in np.flatnonzero(~vals.certified).tolist():
-            cert = vals.fallback[i] = self.solve(node=int(nodes[i]), dp_bound=float(edges[i]))
+            cert = vals.fallback[i] = self.solve(
+                float(sigma[i]), node=int(nodes[i]), dp_bound=float(edges[i])
+            )
             vals.optimal[i] = cert.is_optimal
             if cert.is_optimal:
                 vals.objective[i], vals.agg_dual[i] = cert.objective, self.agg_dual(cert)
                 vals.devices[i] = cert.x[self.device_cols]
         return vals
 
-    def solve(self, *, node: int | None = None, dp_bound: float | None = None) -> DualCertificate:
-        p = self.problem
-        node = p.scenario.node if node is None else node
-        edge = self.slots[p.scenario.dp_slot] if dp_bound is None else dp_bound
-        vals = self._closed(np.array([node], dtype=np.int64), np.array([edge], dtype=float))
+    def solve(
+        self, sigma: float | None = None, *, node: int | None = None,
+        dp_bound: float | None = None,
+    ) -> DualCertificate:
+        """The certificate of one target: objective sign ``sigma``, target
+        ``node`` and band edge ``dp_bound``, each by default the scenario's."""
+        sc = self.problem.scenario
+        vals = self._closed(
+            np.array([sc.node if node is None else node], dtype=np.int64),
+            np.array([self.slots[sc.dp_slot] if dp_bound is None else dp_bound], dtype=float),
+            np.array([sc.sigma if sigma is None else sigma], dtype=float),
+        )
         return self.certificate(vals, 0) if vals.certified[0] else self._highs(vals, 0)
 
     def certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
@@ -827,27 +850,32 @@ class MaterializedFollower:
             return DualCertificate(status=INFEASIBLE, method=CLOSED_FORM)
         return self._certificate(vals, i)
 
-    def _closed(self, nodes: np.ndarray, edges: np.ndarray) -> FollowerValues:
+    def _closed(self, nodes: np.ndarray, edges: np.ndarray, sigma: np.ndarray) -> FollowerValues:
         """The closed form at every target: the kernel under ``values`` and ``solve``."""
         t = nodes.size
         if not self.certifiable:
             return FollowerValues(
-                nodes=nodes, edges=edges, objective=np.full(t, np.nan),
+                nodes=nodes, edges=edges, sigma=sigma, objective=np.full(t, np.nan),
                 agg_dual=np.full(t, np.nan), devices=np.full((t, self.device_cols.size), np.nan),
                 optimal=np.zeros(t, dtype=bool), certified=np.zeros(t, dtype=bool),
             )
         room = self.sign * edges - self.lo_sum
-        z, mu, fits = _fill(self.gains[nodes], self.item_lo, self.item_hi, room)
-        devices = self._devices(nodes, z)
+        z, mu, fits = _fill(self._gains(nodes, sigma), self.item_lo, self.item_hi, room)
+        devices = self._devices(nodes, sigma, z)
         return FollowerValues(
-            nodes=nodes, edges=edges,
-            objective=self.problem.scenario.sigma * self._magnitudes(nodes, devices),
+            nodes=nodes, edges=edges, sigma=sigma,
+            objective=sigma * self._magnitudes(nodes, devices),
             agg_dual=self.sign * mu, devices=devices, optimal=fits & self.feasible,
             certified=self._certifies(devices, fits),
         )
 
-    def _devices(self, nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Device columns of the fills ``z`` of targets ``nodes``."""
+    def _gains(self, nodes: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """The gains of targets ``nodes`` at objective signs ``sigma``: σ
+        times the max-|v| rows, so a min-|v| row is one negated."""
+        return sigma[:, None] * self.gains[nodes]
+
+    def _devices(self, nodes: np.ndarray, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Device columns of the fills ``z`` of targets ``nodes`` at signs ``sigma``."""
         raise NotImplementedError
 
     def _certifies(self, devices: np.ndarray, fits: np.ndarray) -> np.ndarray:
@@ -860,11 +888,12 @@ class MaterializedFollower:
         return self._highs(vals, i)
 
     def _highs(self, vals: FollowerValues, i: int) -> DualCertificate:
-        """HiGHS on ``problem.to_lp`` at row ``i``'s band edge, with its target node's objective."""
+        """HiGHS on ``problem.to_lp`` at row ``i``'s band edge, with its
+        target node's objective at its σ."""
         p = self.problem
         lp = p.to_lp({**self.slots, p.scenario.dp_slot: float(vals.edges[i])})
         lp.set_objective(p.i_vm(p.scenario.node), 0.0)
-        lp.set_objective(p.i_vm(int(vals.nodes[i])), p.scenario.sigma)
+        lp.set_objective(p.i_vm(int(vals.nodes[i])), float(vals.sigma[i]))
         return solve_materialized(lp.materialize())
 
     def _magnitudes(self, rows, devices: np.ndarray) -> np.ndarray:
@@ -892,8 +921,8 @@ class MaterializedFollower:
     def dual_parts(self, vals: FollowerValues, i: int, y, gain_g, gain_l, gain_q):
         """The point of row ``i`` of ``vals`` and its certificate.
 
-        The vm rows take σy (y: the target row's weights on the
-        sensitivities), agg its dual, and each box-only variable's reduced
+        The vm rows take σy (σ: the row's sign; y: the target row's weights
+        on the sensitivities), agg its dual, and each box-only variable's reduced
         cost goes to the bound it sits at.  Also returns the duals as
         [row duals, lower, upper] and the reduced costs, for the subclass to
         place the rest.
@@ -908,7 +937,7 @@ class MaterializedFollower:
         duals = np.zeros(n_rows + 2 * n_vars)
         lower = duals[n_rows:n_rows + n_vars]
         upper = duals[n_rows + n_vars:]
-        duals[self.vm_rows] = p.scenario.sigma * y
+        duals[self.vm_rows] = vals.sigma[i] * y
         duals[self.agg_row] = agg_dual
         reduced = np.zeros(n_vars)
         reduced[gens] = gain_g - agg_dual
@@ -988,16 +1017,16 @@ class _Knapsack(MaterializedFollower):
         self.set_items(*self.z_box(lo, hi))
         self.gains = p.gains(self.kappa, slice(None))
 
-    def _devices(self, nodes, z):
+    def _devices(self, nodes, sigma, z):
         dp = z * self.z_sign
         q = self.q0 + self.kappa * dp[:, :self.inv.size]  # the mode row pins q_gen
         return np.concatenate([dp, q], axis=1)
 
     def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
         p, m = self.problem, self.inv.size
-        node = vals.nodes[i]
-        gain = self.sign * self.gains[node]
-        gain_q = p.scenario.sigma * p.s_q[node]
+        node, sigma = vals.nodes[i], vals.sigma[i]
+        gain = sigma * self.sign * self.gains[node]
+        gain_q = sigma * p.s_q[node]
         cert, duals, reduced = self.dual_parts(
             vals, i, self._target(node), gain[:m], gain[m:], gain_q
         )
@@ -1022,7 +1051,8 @@ class _VoltVar(MaterializedFollower):
     So |v_t| is affine in u with weights y = e_t - E_I·(d·Q̄·w), Aᵀw = s_q[t,I]ᵀ,
     and without the q_gen box and the capability rows the follower is a
     fractional knapsack over the device boxes, with gains σ·s_pᵀy per unit
-    Δp_gen and σ·s_lᵀy per unit of load shed.  The certificate puts σy on
+    Δp_gen and σ·s_lᵀy per unit of load shed (y is σ-free, so the table
+    kept is σ = +1's).  The certificate puts σy on
     the vm rows, σ(s_qᵀy)_I on the droop rows (which zeroes q_gen's reduced
     cost at I), the fill's dual on agg and nothing on the q_gen box and the
     capability rows.  It is exact when the fill's point meets those; when it
@@ -1060,14 +1090,13 @@ class _VoltVar(MaterializedFollower):
             return
         self.q0, self.k = sol[:, 0], sol[:, 1:]
         self.w = p.s_q @ self.k  # row t: w of target t
-        sigma = p.scenario.sigma
         self.gains = self.sign * np.concatenate(
-            [sigma * (p.s_p - self.w @ s_p_ii), sigma * (p.s_l - self.w @ s_l_ii)], axis=1
+            [p.s_p - self.w @ s_p_ii, p.s_l - self.w @ s_l_ii], axis=1
         )
         # q_I = q0 - ks·(Δp_gen, Δp_load)
         self.ks = self.k @ np.concatenate([s_p_ii, -s_l_ii], axis=1)
 
-    def _devices(self, nodes, z):
+    def _devices(self, nodes, sigma, z):
         dp = z * self.z_sign
         return np.concatenate([dp, self.q0 - np.einsum("td,id->ti", dp, self.ks)], axis=1)
 
@@ -1081,9 +1110,9 @@ class _VoltVar(MaterializedFollower):
 
     def _certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
         p, m = self.problem, self.inv.size
-        node = vals.nodes[i]
-        gain = self.sign * self.gains[node]
-        gain_q = p.scenario.sigma * (p.s_q[node] - self.w[node] @ self.s_ii[2])
+        node, sigma = vals.nodes[i], vals.sigma[i]
+        gain = sigma * self.sign * self.gains[node]
+        gain_q = sigma * (p.s_q[node] - self.w[node] @ self.s_ii[2])
         y = self._target(node)
         y[self.inv] -= self.w[node]
         cert, duals, _ = self.dual_parts(vals, i, y, gain[:m], gain[m:], gain_q)
@@ -1101,7 +1130,9 @@ class _FreeQ(MaterializedFollower):
     g_x·Δp_gen + |g_q|·h(Δp_gen) is concave and piecewise linear: its
     Δp_gen box splits at the kinks of h into up to three segments of falling
     marginal gain, each defined by one of the three constraints on the side
-    g_q prefers, and the greedy fill over the segments stays exact.  No
+    g_q prefers, and the greedy fill over the segments stays exact.  A
+    segment's gain σ·s_p - |s_q|·a_j is no negation of the other extremum's,
+    so the segments' gains and q_gen's side are kept per extremum.  No
     decision leaves q_gen free, so no single-level completion asks for a
     certificate: ``certificate`` is HiGHS's.
     """
@@ -1141,24 +1172,39 @@ class _FreeQ(MaterializedFollower):
             np.concatenate([seg_hi[self.valid], z_hi[m:]]),
         )
         self.n_seg = int(self.valid.sum())
-        # Every target's gains: per unit z, g_x - |g_q|·a_j on a segment of
-        # piece j, and the load shed's; q_gen sits at sign(g_q)·h.
-        sigma = p.scenario.sigma
-        g_abs = np.abs(sigma * p.s_q)[:, :, None]
-        seg_gain = sigma * p.s_p[:, :, None] - g_abs * self.a[np.arange(m)[:, None], piece]
-        self.gains = self.sign * np.concatenate([seg_gain[:, self.valid], sigma * p.s_l], axis=1)
-        self.q_side = np.where(sigma * p.s_q < 0.0, -1.0, 1.0)
+        # Every target's gains per extremum (min-|v|, max-|v|): per unit z,
+        # g_x - |g_q|·a_j on a segment of piece j, and the load shed's; q_gen
+        # sits at sign(g_q)·h.
+        a_seg = self.a[np.arange(m)[:, None], piece]
+        gains, sides = [], []
+        for sigma in (-1.0, 1.0):
+            seg_gain = sigma * p.s_p[:, :, None] - np.abs(sigma * p.s_q)[:, :, None] * a_seg
+            seg_gain = seg_gain[:, self.valid]
+            gains.append(self.sign * np.concatenate([seg_gain, sigma * p.s_l], axis=1))
+            sides.append(np.where(sigma * p.s_q < 0.0, -1.0, 1.0))
+        self.gains, self.q_side = np.stack(gains), np.stack(sides)
+
+    def _gains(self, nodes, sigma):
+        return self.gains[(sigma > 0.0).astype(np.int64), nodes]
 
     def _h(self, x: np.ndarray) -> np.ndarray:
         """h at each inverter node's Δp_gen (one set, or one per row)."""
         return np.min(self.b - self.a * x[..., None], axis=-1)
 
-    def _devices(self, nodes, z):
+    def _devices(self, nodes, sigma, z):
         zs = np.zeros(z.shape[:-1] + self.valid.shape)  # the segments' fills per node
         zs[..., self.valid] = z[..., :self.n_seg]
         dpg = self.sign * zs.sum(axis=-1)
         dpl = -self.sign * z[:, self.n_seg:]
-        return np.concatenate([dpg, dpl, self.q_side[nodes] * self._h(dpg)], axis=1)
+        side = self.q_side[(sigma > 0.0).astype(np.int64), nodes]
+        return np.concatenate([dpg, dpl, side * self._h(dpg)], axis=1)
+
+
+def per_row(a, shape: tuple[int, ...]) -> np.ndarray:
+    """``a`` as floats of ``shape``: as it is where it has that shape, else
+    repeated (one value for all rows)."""
+    a = np.asarray(a, dtype=float)
+    return a if a.shape == shape else np.full(shape, a)
 
 
 def _envelope(a: np.ndarray, b: np.ndarray, lo: float, hi: float) -> list[tuple[float, float, int]]:

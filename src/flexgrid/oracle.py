@@ -98,30 +98,30 @@ def verify_decision(
     For each scenario the follower LP is solved at the decision, its argmax
     injection profile is evaluated exactly, and the report collects the
     largest |v| discrepancy plus how far the nonlinear voltages stray outside
-    the band.  Each (activation, extremum) family takes its n argmax rows
-    from one ``values`` call.  The rows of all families are stacked and exact
+    the band.  Each activation takes the n argmax rows of each extremum
+    from one ``values`` call: one follower serves both extrema.  The rows of
+    all activations are stacked and exact
     repeats dropped (first occurrences kept): a follower's knapsack fill
     depends on its target only through the order of its gains, so many
     targets share one dispatch.  The distinct profiles go through one
     stacked Newton solve and one matrix product of the linear model.
-    The families come from ``bilevel.screened_families``, the sweep
+    The rows come from ``bilevel.screened_families``, the sweep
     ``bilevel.feasibility_check`` screens with: ``family_follower`` at the
     decision's slots, the context's own, so a verify after a solve on the
     same context re-slots the solve's followers, and a constant-q decision
     without q_set slots is checked with free q_gen, the stronger adversary.
     """
-    nodes = np.arange(ctx.n)
     scenarios: list[Scenario] = []
     lp_vm: list[np.ndarray] = []
-    injections: list[np.ndarray] = []  # (n, 2n) rows [p, q] per family
+    injections: list[np.ndarray] = []  # rows [p, q] (2n wide) per activation
     try:
-        for activation, extremum, mf, vals in screened_families(ctx, mode, decision, direction):
+        for rows, mf, vals in screened_families(ctx, mode, decision, direction):
             problem = mf.problem
-            x = np.zeros((ctx.n, problem.n_vars))
+            x = np.zeros((len(rows), problem.n_vars))
             x[:, mf.device_cols] = vals.devices
             injections.append(np.concatenate(problem.injections(x), axis=1))
-            lp_vm.append(problem.scenario.sigma * vals.objective)
-            scenarios += [Scenario(k, activation, extremum) for k in nodes.tolist()]
+            lp_vm.append(vals.sigma * vals.objective)
+            scenarios += rows
     except BilevelError as exc:  # the decision lacks slots, or a follower has no optimum
         raise OracleError(str(exc)) from None
     pq = np.concatenate(injections)
@@ -133,7 +133,7 @@ def verify_decision(
     vm_nl = nonlinear_magnitudes(ctx, p, q)
     errors = np.max(np.abs(vm_lin - vm_nl), axis=1)[row]
     excess = np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl), axis=1)[row]
-    nl_vm = vm_nl[row, np.tile(nodes, len(injections))]
+    nl_vm = vm_nl[row, [sc.node for sc in scenarios]]
     checks = [
         ScenarioCheck(scenario=sc, lp_vm=lp, nl_vm=nl, error=err, band_excess=ex)
         for sc, lp, nl, err, ex in zip(

@@ -11,25 +11,26 @@ with the same number of evaluations per target.
 import math
 
 from flexgrid.bilevel import EDGE_ROOT_TOL, BilevelError
-from flexgrid.follower import MAX_V
 
 
-def scalar_edge_walk(mf, node, tol_abs):
+def scalar_edge_walk(mf, node, tol_abs, sigma=None):
     """Largest |band edge| keeping the follower's extreme |v| at ``node`` in
-    band, signed like the family's far end (0 where the follower is out of
+    band, for objective sign ``sigma`` (default the follower's scenario's),
+    signed like the follower's far end (0 where the follower is out of
     band at zero)."""
     problem = mf.problem
     scenario = problem.scenario
+    sigma = scenario.sigma if sigma is None else sigma
     full = mf.slots[scenario.dp_slot]
     if full == 0.0:
         return 0.0
     sign = 1.0 if full > 0 else -1.0
     # The objective is sigma * |v|, so both extrema compare it from below.
-    c = (problem.v_max if scenario.extremum == MAX_V else -problem.v_min) + 1e-9
+    c = (problem.v_max if sigma > 0 else -problem.v_min) + 1e-9
     aim = c - 0.5 * EDGE_ROOT_TOL
 
     def value(s):
-        vals = mf.values([node], [sign * s])
+        vals = mf.values([node], [sign * s], [sigma])
         if not vals.optimal[0]:
             raise BilevelError("follower LP infeasible during screening")
         return float(vals.objective[0]), sign * float(vals.agg_dual[0])

@@ -14,7 +14,8 @@ print the same second digest differ at most in how many relaxations each search
 solved and which searches were taken from the run's store.  Before the
 digests, standard error gets each case's band and then, per mode, the
 corpus's node total over every single-level solve, its proven cases and the
-wall time of its ``run_iterative`` calls.  Pytest does not collect this file.
+wall times of its ``run_iterative`` and of its ``verify_decision`` calls.
+Pytest does not collect this file.
 """
 
 import dataclasses
@@ -89,25 +90,28 @@ def main() -> None:
         return res
 
     bilevel.solve_single_level = counted
-    table: dict[str, list] = {}  # mode -> [nodes, proven, wall s] over the corpus
+    table: dict[str, list] = {}  # mode -> [nodes, proven, solve s, verify s] over the corpus
     for name, ctx, mode in cases():
         nodes[0] = 0
         start = time.perf_counter()
         result = run_iterative(ctx, mode, node_limit=400)
         wall = time.perf_counter() - start
+        start = time.perf_counter()
         report = verify_decision(ctx, mode, result.decision)
+        verify_wall = time.perf_counter() - start
         for digest, omit in ((full, frozenset()), (projected, NODE_ACCOUNTING)):
             digest.update(f"{name}\n{encode(result, omit)}\n{encode(report, omit)}\n".encode())
         print(name, f"{result.dp_minus:+.6f}", f"{result.dp_plus:+.6f}", file=sys.stderr)
         if name != "ieee13-binding":
-            row = table.setdefault(mode, [0, 0, 0.0])
+            row = table.setdefault(mode, [0, 0, 0.0, 0.0])
             row[0] += nodes[0]
             row[1] += result.single_level.bnb.status == "optimal"
             row[2] += wall
+            row[3] += verify_wall
     bilevel.solve_single_level = solve
-    print("mode nodes proven wall_s", file=sys.stderr)
-    for mode, (total, proven, wall) in table.items():
-        print(mode, total, proven, f"{wall:.2f}", file=sys.stderr)
+    print("mode nodes proven wall_s verify_ms", file=sys.stderr)
+    for mode, (total, proven, wall, verify_wall) in table.items():
+        print(mode, total, proven, f"{wall:.2f}", f"{1e3 * verify_wall:.1f}", file=sys.stderr)
     print(full.hexdigest())
     print(projected.hexdigest(), "(node accounting left out)")
 

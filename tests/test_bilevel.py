@@ -31,10 +31,12 @@ from flexgrid.bilevel import _edge_limited_decision as walk_oracle
 from flexgrid.bilevel import _by_family, _candidate_setpoint_sets, _could_widen
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR, FeederError
 from flexgrid.follower import (
+    ACTIVATIONS,
     MAX_V,
     MIN_V,
     NEGATIVE,
     POSITIVE,
+    SIGMA,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
     FollowerProblem,
@@ -137,7 +139,7 @@ def test_bisection_agrees_with_grid_threshold(pv_tight_ctx):
     _, dp_up = wc.dp_box
     grid = np.linspace(0.0, dp_up, 81)
     feas = [
-        problem.worst_voltage(mf.solve(dp_bound=float(t))) <= ctx.v_max + 1e-9
+        mf.solve(dp_bound=float(t)).objective <= ctx.v_max + 1e-9  # σ = +1: the objective is |v|
         for t in grid
     ]
     last_ok = grid[max(i for i, f in enumerate(feas) if f)]
@@ -530,10 +532,11 @@ def test_a_follower_problem_reads_its_node_only_in_the_objective(pv_tight_ctx, m
 
 @pytest.mark.parametrize("mode", MODES)
 def test_an_assembly_builds_at_most_one_problem_per_family(pv_tight_ctx, mode, monkeypatch):
-    """The blocks of one (activation, extremum) family share one
+    """The blocks of one activation, both extrema's families, share one
     ``FollowerProblem``: an assembly over all 4n followers of a context
-    that keeps no follower builds one per family, and one on a context
-    that keeps the family followers builds none and reads their problems."""
+    that keeps no follower builds one per activation, and one on a context
+    that keeps the activations' followers builds none and reads their
+    problems."""
     builds = []
     build = bilevel.build_follower
 
@@ -545,21 +548,20 @@ def test_an_assembly_builds_at_most_one_problem_per_family(pv_tight_ctx, mode, m
     ctx = dataclasses.replace(pv_tight_ctx)
     followers = all_scenarios(ctx.n)
     assert ctx.n > 1
-    families = _by_family(followers)
+    assert len(_by_family(followers)) == 4
     _, slmap = assemble_single_level(ctx, mode, followers)
-    assert len(builds) == len(families) == 4
-    # One problem per family: four (family, problem) pairs over the blocks.
-    assert len({(b.scenario.activation, b.scenario.extremum, id(b.problem))
-                for b in slmap.blocks}) == 4
+    assert len(builds) == len(ACTIVATIONS) == 2
+    # One problem per activation: two (activation, problem) pairs over the
+    # blocks of four families.
+    assert len({(b.scenario.activation, id(b.problem)) for b in slmap.blocks}) == 2
 
     boxes = setpoint_boxes(ctx, mode)
     slots = {SLOT_DP_PLUS: 0.0, SLOT_DP_MINUS: 0.0, **{name: lo for name, (lo, _) in boxes.items()}}
-    kept = {family: bilevel.family_follower(ctx, mode, *family, slots) for family in families}
+    kept = {a: bilevel.family_follower(ctx, mode, a, slots) for a in ACTIVATIONS}
     builds.clear()
     _, slmap = assemble_single_level(ctx, mode, followers)
     assert builds == []
-    assert all(b.problem is kept[b.scenario.activation, b.scenario.extremum].problem
-               for b in slmap.blocks)
+    assert all(b.problem is kept[b.scenario.activation].problem for b in slmap.blocks)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -567,18 +569,20 @@ def test_an_assembly_builds_at_most_one_problem_per_family(pv_tight_ctx, mode, m
     ([Scenario(1, POSITIVE, MAX_V), Scenario(1, NEGATIVE, MIN_V)], False),
     ([Scenario(1, POSITIVE, MAX_V)], True),
     ([Scenario(1, POSITIVE, MAX_V)], False),
+    ([Scenario(1, POSITIVE, MAX_V), Scenario(0, POSITIVE, MIN_V)], True),
 ])
 def test_an_assembly_first_solve_builds_each_family_once(mode, followers, split, monkeypatch):
     """A solve on a fresh context whose assembly comes before any walk (the
     joint search alone, or followers of one activation) keeps the
-    followers the assembly builds, and the walks re-slot them."""
+    followers the assembly builds, one per activation whatever extrema it
+    holds, and the walks re-slot them."""
     builds = []
     build = bilevel.build_follower
     monkeypatch.setattr(bilevel, "build_follower",
                         lambda *args, **kwargs: builds.append(1) or build(*args, **kwargs))
     ctx = corpus_context(7200, 2.0, mode)
     solve_single_level(ctx, mode, followers, split=split)
-    assert len(builds) == len(_by_family(followers))
+    assert len(builds) == len({sc.activation for sc in followers})
 
 
 @pytest.mark.parametrize("seed, z_scale, mode", [
@@ -587,23 +591,24 @@ def test_an_assembly_first_solve_builds_each_family_once(mode, followers, split,
     (7202, 2.0, MODE_VOLT_VAR),
 ])
 def test_a_run_materializes_each_family_follower_once(seed, z_scale, mode, monkeypatch):
-    """``run_iterative`` materializes each (activation, extremum) family
-    once per q_gen treatment, held or free, and re-slots it for the
-    screening, every single-level solve and every re-screening: 4 families
-    in constant-pf and volt-var, 8 in constant-q, whose screening frees
-    q_gen.  The run is bit for bit the one that builds a fresh follower at
-    every use.  The constant-pf and constant-q cases take 2 iterations."""
+    """``run_iterative`` materializes one follower per activation, serving
+    both extrema, once per q_gen treatment, held or free, and re-slots it
+    for the screening, every single-level solve and every re-screening: 2
+    followers in constant-pf and volt-var, 4 in constant-q, whose screening
+    frees q_gen.  The run is bit for bit the one that builds a fresh
+    follower at every use.  The constant-pf and constant-q cases take 2
+    iterations."""
     ctx = corpus_context(seed, z_scale, mode)
     built = []
     materialize = FollowerProblem.materialize
 
     def counted(problem, slots):
-        built.append((problem.scenario.activation, problem.scenario.extremum, problem.fix_q))
+        built.append((problem.scenario.activation, problem.fix_q))
         return materialize(problem, slots)
 
     monkeypatch.setattr(FollowerProblem, "materialize", counted)
     res = run_iterative(ctx, mode)
-    assert len(built) == len(set(built)) == (8 if mode == MODE_CONSTANT_Q else 4)
+    assert len(built) == len(set(built)) == (4 if mode == MODE_CONSTANT_Q else 2)
     assert res.iterations == (1 if mode == MODE_VOLT_VAR else 2)
 
     # A copy of the context holds no follower, so each use builds its own.
@@ -635,9 +640,9 @@ def _completed_from_own_solves(slmap, mode, decision, lb, ub):
         x[vi] = decision[name]
     for block in slmap.blocks:
         sc = block.scenario
-        mf = bilevel.family_follower(ctx, mode, sc.activation, sc.extremum, decision)
-        cert = mf.solve(node=sc.node, dp_bound=decision[sc.dp_slot])
-        vm = block.problem.worst_voltage(cert) if cert.status == OPTIMAL else np.nan
+        mf = bilevel.family_follower(ctx, mode, sc.activation, decision)
+        cert = mf.solve(sc.sigma, node=sc.node, dp_bound=decision[sc.dp_slot])
+        vm = sc.sigma * cert.objective if cert.status == OPTIMAL else np.nan
         if not ctx.v_min - 1e-9 <= vm <= ctx.v_max + 1e-9:
             return None
         for v, col in zip(block.x_vars.tolist(), block.x_cols.tolist()):
@@ -655,7 +660,8 @@ def _completed_from_own_solves(slmap, mode, decision, lb, ub):
 def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
     """At the walked decisions of random setpoints, on feeders whose walks
     stop inside the availability box, the completion makes one ``values``
-    call per family and no ``solve`` call beyond the fallback rows, and its
+    call per activation, for both extrema's families, and no ``solve`` call
+    beyond the fallback rows, and its
     point is, bit for bit, the one assembled from each block's own solve at
     the decision's edge."""
     from flexgrid.bilevel import EDGE_TOL_REL, _complete_point, _edge_limited_decision
@@ -664,15 +670,15 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
     calls = {"values": 0, "solve": 0, "fallback": 0}
     values, solve = MaterializedFollower.values, MaterializedFollower.solve
 
-    def count_values(self, nodes, edges=None):
+    def count_values(self, nodes, edges=None, sigma=None):
         calls["values"] += 1
-        vals = values(self, nodes, edges)
+        vals = values(self, nodes, edges, sigma)
         calls["fallback"] += len(vals.fallback)
         return vals
 
-    def count_solve(self, **kwargs):
+    def count_solve(self, *args, **kwargs):
         calls["solve"] += 1
-        return solve(self, **kwargs)
+        return solve(self, *args, **kwargs)
 
     rng = np.random.default_rng(17)
     contexts = [pv_tight_ctx] + [
@@ -701,7 +707,7 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
                 m.setattr(MaterializedFollower, "values", count_values)
                 m.setattr(MaterializedFollower, "solve", count_solve)
                 x = _complete_point(slmap, mode, decision, lb, ub)
-            assert calls["values"] == len(families)
+            assert calls["values"] == len({a for a, _ in families}) == 2
             assert calls["solve"] == calls["fallback"]
             want = _completed_from_own_solves(slmap, mode, decision, lb, ub)
             assert x is not None and want is not None
@@ -713,9 +719,10 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mode):
     """At the walked decisions of random setpoints, every certificate built
-    from a family's one ``values`` call at the decision is, bit for bit, the
-    follower's own solve at the decision's edge; on feeders whose walks stop
-    inside the availability box."""
+    from a family's one ``values`` call at the decision, on its activation's
+    follower at the family's σ, is, bit for bit, the follower's own solve at
+    the decision's edge and σ; on feeders whose walks stop inside the
+    availability box."""
     from flexgrid.bilevel import EDGE_TOL_REL, _edge_limited_decision
 
     rng = np.random.default_rng(17)
@@ -741,12 +748,12 @@ def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mo
                 continue
             inside += (decision[SLOT_DP_PLUS] < dp_box[1]) + (decision[SLOT_DP_MINUS] > dp_box[0])
             for (activation, extremum), nodes in families.items():
-                mf = bilevel.family_follower(ctx, mode, activation, extremum, decision)
-                vals = mf.values(nodes)
+                mf = bilevel.family_follower(ctx, mode, activation, decision)
+                vals = mf.values(nodes, None, SIGMA[extremum])
                 for i, node in enumerate(nodes):
                     sc = Scenario(node, activation, extremum)
                     cert = mf.certificate(vals, i)
-                    want = mf.solve(node=sc.node, dp_bound=decision[sc.dp_slot])
+                    want = mf.solve(sc.sigma, node=sc.node, dp_bound=decision[sc.dp_slot])
                     assert (cert.status, cert.objective, cert.method) == (
                         want.status, want.objective, want.method), sc
                     for field in ("x", "row_duals", "lower_duals", "upper_duals"):

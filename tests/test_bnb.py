@@ -562,14 +562,22 @@ def test_warm_re_solves_agree_with_cold_ones(pv_tight_ctx):
 
 
 def test_a_search_passes_its_model_to_highs_once(monkeypatch):
-    """The root's relaxation is passed to HiGHS whole; every later node
-    changes the kept model in place."""
-    passed = []
-    pass_model = lp_module._pass_model
-    monkeypatch.setattr(lp_module, "_pass_model", lambda h, lp: passed.append(lp) or pass_model(h, lp))
+    """The root's relaxation is passed to the kept HiGHS instance whole;
+    every later node changes the kept model in place.  The only other
+    passes are the cold solves, each on an instance of its own, that
+    confirm a warm INFEASIBLE verdict: this search has some, and none
+    overturns its verdict."""
+    from flexgrid import bnb as bnb_module
+
+    passed, confirmations = [], []
+    pass_model, solve = lp_module._pass_model, bnb_module.solve_lp
+    monkeypatch.setattr(lp_module, "_pass_model", lambda h, lp: passed.append(h) or pass_model(h, lp))
+    monkeypatch.setattr(bnb_module, "solve_lp", lambda lp, kept=None, basis=None: (
+        kept is None and confirmations.append(1)) or solve(lp, kept, basis))
     res = spatial_branch_and_bound(_product_bp(), epsilon=1e-6)
     assert res.nodes > 1 and res.cold_resolves == 0
-    assert len(passed) == 1
+    assert [h for h in passed if h is passed[0]] == passed[:1]
+    assert len(passed) == 1 + len(confirmations) and confirmations
 
 
 class _UnsettledWhenWarm:
@@ -629,3 +637,62 @@ def test_a_warm_solve_highs_leaves_unsettled_is_solved_again_cold(monkeypatch):
     assert fallen.status == warm.status == OPTIMAL
     assert fallen.nodes > 1 and fallen.cold_resolves == fallen.nodes - 1
     assert fallen.objective == pytest.approx(warm.objective, abs=1e-6 * (1 + abs(warm.objective)))
+
+
+def _warm_verdicts_infeasible(monkeypatch):
+    """Patch the search's ``solve_lp`` so that every warm solve (one on a
+    kept model from a basis) runs and then says INFEASIBLE; returns the
+    list that gets one entry per forced verdict."""
+    from flexgrid import bnb as bnb_module
+    from flexgrid.lp import DualCertificate
+
+    solve, forced = bnb_module.solve_lp, []
+
+    def warm_infeasible(lp, kept=None, basis=None):
+        cert = solve(lp, kept, basis)
+        if kept is None or basis is None:
+            return cert
+        forced.append(cert.status)
+        return DualCertificate(status=INFEASIBLE)
+
+    monkeypatch.setattr(bnb_module, "solve_lp", warm_infeasible)
+    return forced
+
+
+def test_a_warm_infeasible_verdict_is_confirmed_cold(monkeypatch):
+    """HiGHS can end a warm solve infeasible where a cold solve finds an
+    optimum, so a node closes as infeasible only on a cold verdict.  With
+    every warm node solve forced to say INFEASIBLE, each such node is solved
+    again cold, counted in ``cold_resolves`` where the cold solve finds an
+    optimum, and such a node is still searched: its children are solved
+    too, and the search proves the optimum the unforced one proves."""
+    ref = spatial_branch_and_bound(_product_bp(), epsilon=1e-6)
+    forced = _warm_verdicts_infeasible(monkeypatch)
+    res = spatial_branch_and_bound(_product_bp(), epsilon=1e-6)
+    # Every node but the root solves warm; the cold solve overturns each
+    # verdict the warm solve itself did not reach.
+    assert len(forced) == res.nodes - 1
+    assert res.cold_resolves == forced.count(OPTIMAL) > 0
+    assert res.nodes > 3  # beyond the root and its children: forced nodes branched
+    assert res.status == ref.status == OPTIMAL
+    assert res.objective == pytest.approx(ref.objective, abs=1e-6 * (1 + abs(ref.objective)))
+    assert np.allclose(res.x[:3], OPTIMUM, atol=1e-3)
+
+
+@pytest.mark.parametrize("seed, z_scale, mode", [
+    (7235, 3.0, MODE_CONSTANT_Q), (7210, 3.0, MODE_VOLT_VAR),
+])
+def test_a_band_survives_forced_warm_infeasible_verdicts(seed, z_scale, mode, monkeypatch):
+    """On corpus cases whose searches branch, a run whose warm node solves
+    all say INFEASIBLE gives the band of the unforced run, within
+    ``epsilon``, and counts each overturned verdict."""
+    from corpus import corpus_context
+    from flexgrid.bilevel import run_iterative
+
+    ref = run_iterative(corpus_context(seed, z_scale, mode), mode)
+    forced = _warm_verdicts_infeasible(monkeypatch)
+    res = run_iterative(corpus_context(seed, z_scale, mode), mode)
+    width, want = res.dp_plus - res.dp_minus, ref.dp_plus - ref.dp_minus
+    assert forced and res.single_level.bnb.cold_resolves > 0
+    assert res.converged and ref.converged
+    assert abs(width - want) <= 1e-4 * (1.0 + abs(want))

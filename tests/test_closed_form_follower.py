@@ -18,6 +18,7 @@ Lagrangian bound it gives.
 """
 
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +36,7 @@ from flexgrid.bilevel import (
     _edge_walk,
     family_follower,
     feasibility_check,
+    run_iterative,
     setpoint_boxes,
     worst_case_limits,
 )
@@ -44,13 +46,19 @@ from flexgrid.follower import (
     CLOSED_FORM,
     EXTREMA,
     MAX_V,
+    MIN_V,
     POSITIVE,
+    SIGMA,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
     Scenario,
+    _FreeQ,
+    _Knapsack,
+    _VoltVar,
     available_flexibility_bounds,
     build_follower,
     fix_worst_case_setpoints,
+    fixes_q,
     slot_qbar,
     slot_qset,
 )
@@ -112,12 +120,14 @@ def _setpoint_draws(rng, ctx, mode):
 
 class Oracle:
     """HiGHS on the follower's plain LP from ``problem.to_lp``, materialized
-    once and solved with the target node's objective and the band edge as
-    the aggregate row's bound, both written into a copy of the materialized
-    arrays (the edge goes on each side the agg row's relation bounds)."""
+    once and solved with the target node's objective at sign ``sigma``
+    (default the problem's scenario's) and the band edge as the aggregate
+    row's bound, both written into a copy of the materialized arrays (the
+    edge goes on each side the agg row's relation bounds)."""
 
-    def __init__(self, problem, slots):
+    def __init__(self, problem, slots, sigma=None):
         self.problem = problem
+        self.sigma = problem.scenario.sigma if sigma is None else sigma
         self.lp = problem.to_lp(slots)
         self.mat = self.lp.materialize()
         self.agg = problem.row_names.index("agg")
@@ -129,7 +139,7 @@ class Oracle:
         self.lp.rhs[self.agg] = float(edge)
         for v in self.vm:
             self.lp.obj[v] = 0.0
-        self.lp.obj[self.problem.i_vm(node)] = self.problem.scenario.sigma
+        self.lp.obj[self.problem.i_vm(node)] = self.sigma
 
     def solve(self, node, edge):
         self.retarget(node, edge)
@@ -356,12 +366,12 @@ def test_fixed_q_certificates_stay_in_their_derived_dual_boxes(pv_model, gamma):
                                          fix_q=True)
                 dual_box = [problem.dual_box(boxes, t) for t in range(ctx.n)]
                 for q_set in draws:
-                    mf = family_follower(ctx, MODE_CONSTANT_Q, activation, extremum,
+                    mf = family_follower(ctx, MODE_CONSTANT_Q, activation,
                                          {**q_set, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})
                     p = mf.problem
                     slot_rows = [p.row_names.index("agg"), *p.row_index("qfix").tolist()]
                     share = np.column_stack([np.zeros(ctx.n), np.ones(ctx.n), rng.uniform(size=(ctx.n, 2))])
-                    vals = mf.values(nodes, full * share.ravel())
+                    vals = mf.values(nodes, full * share.ravel(), SIGMA[extremum])
                     for i in np.flatnonzero(vals.optimal).tolist():
                         cert = mf.certificate(vals, i)
                         assert cert.method == CLOSED_FORM
@@ -401,11 +411,11 @@ def test_constant_pf_agg_duals_stay_in_their_derived_box():
                 problem = build_follower(ctx, Scenario(0, activation, extremum), MODE_CONSTANT_PF)
                 dual_box = [problem.dual_box(boxes, t) for t in range(ctx.n)]
                 for gammas in draws:
-                    mf = family_follower(ctx, MODE_CONSTANT_PF, activation, extremum,
+                    mf = family_follower(ctx, MODE_CONSTANT_PF, activation,
                                          {**gammas, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})
                     agg = mf.problem.row_names.index("agg")
                     share = np.column_stack([np.zeros(ctx.n), np.ones(ctx.n), rng.uniform(size=(ctx.n, 2))])
-                    vals = mf.values(nodes, full * share.ravel())
+                    vals = mf.values(nodes, full * share.ravel(), SIGMA[extremum])
                     for i in np.flatnonzero(vals.optimal).tolist():
                         cert = mf.certificate(vals, i)
                         assert cert.method == CLOSED_FORM
@@ -646,7 +656,7 @@ class HighsFollower:
     """The HiGHS-backed stand-in for a materialized follower: the
     ``problem``/``slots``/``values`` interface the scalar walk reads, for
     one target per call, solved by the ``Oracle`` on the follower's plain
-    LP."""
+    LP at its problem's extremum."""
 
     def __init__(self, problem, slots):
         self.problem = problem
@@ -654,7 +664,7 @@ class HighsFollower:
         self.oracle = Oracle(problem, slots)
         self.solves = 0
 
-    def values(self, nodes, edges):
+    def values(self, nodes, edges, sigma=None):
         (node,), (edge,) = nodes, edges
         self.solves += 1
         cert = self.oracle.solve(node, edge)
@@ -682,12 +692,15 @@ def test_edge_walk_over_the_closed_form_matches_highs(corpus, pv_model, ieee13_m
                 slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
                 if mode != MODE_CONSTANT_Q:
                     slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-                mf = family_follower(ctx, mode, activation, extremum, slots)
-                reference = HighsFollower(mf.problem, mf.slots)
+                mf = family_follower(ctx, mode, activation, slots)
+                own = build_follower(ctx, Scenario(0, activation, extremum), mode,
+                                     fix_q=mf.problem.fix_q)
+                reference = HighsFollower(own, mf.slots)
                 rows = np.zeros(ctx.n, dtype=int)
-                values = mf.values
-                mf.values = lambda nodes, edges: np.add.at(rows, nodes, 1) or values(nodes, edges)
-                closed = _edge_walk(mf, np.arange(ctx.n), tol_abs)
+                values = functools.partial(type(mf).values, mf)
+                mf.values = lambda nodes, edges, sigma: (
+                    np.add.at(rows, nodes, 1) or values(nodes, edges, sigma))
+                closed = _edge_walk(mf, np.arange(ctx.n), SIGMA[extremum], tol_abs)
                 for k in range(ctx.n):
                     before = reference.solves
                     limits["closed"][extremum, k] = closed[k]
@@ -730,18 +743,19 @@ def _free_q_excluded_context(pv_model):
     ))
 
 
-def _check_values(mf, nodes, edges, where):
-    """One ``values`` call against a ``solve`` per row (bit for bit, the
-    certificate of each row included) and against HiGHS on ``to_lp``;
-    returns the row counts (closed-form, fallback).  A free-q row the
-    closed form certifies has HiGHS's certificate, the solve's: it is
-    checked against a one-target ``values`` call bit for bit and against
-    HiGHS by ``_check_free_q_values``."""
+def _check_values(mf, nodes, edges, where, sigma=None):
+    """One ``values`` call at objective sign ``sigma`` (default the
+    scenario's) against a ``solve`` per row (bit for bit, the certificate
+    of each row included) and against HiGHS on ``to_lp``; returns the row
+    counts (closed-form, fallback).  A free-q row the closed form certifies
+    has HiGHS's certificate, the solve's: it is checked against a
+    one-target ``values`` call bit for bit and against HiGHS by
+    ``_check_free_q_values``."""
     problem = mf.problem
-    oracle = Oracle(problem, mf.slots)
-    vals = mf.values(nodes, edges)
+    oracle = Oracle(problem, mf.slots, sigma)
+    vals = mf.values(nodes, edges, sigma)
     for i, (node, edge) in enumerate(zip(nodes.tolist(), edges.tolist())):
-        got, want = mf.solve(node=node, dp_bound=edge), oracle.solve(node, edge)
+        got, want = mf.solve(sigma, node=node, dp_bound=edge), oracle.solve(node, edge)
         at = (where, node, edge)
         assert vals.optimal[i] == got.is_optimal == want.is_optimal, at
         free_q = _free_q(mf) and vals.certified[i]
@@ -749,7 +763,7 @@ def _check_values(mf, nodes, edges, where):
         if not got.is_optimal:
             continue
         if free_q:
-            one = mf.values([node], [edge])
+            one = mf.values([node], [edge], sigma)
             for name in ("objective", "agg_dual", "devices"):
                 assert np.array_equal(getattr(vals, name)[i], getattr(one, name)[0]), (at, name)
             _check_free_q_values(oracle, mf, vals, i, at)
@@ -775,6 +789,53 @@ def _batch(rng, n, full):
                                 rng.uniform(0.0, 1.0, 3 * some.size)])
     order = rng.permutation(nodes.size)
     return nodes[order], fractions[order] * full
+
+
+# Corpus runs whose decisions the shared followers' min-|v| rows are checked
+# at: (seed, z, mode, whether the decision keeps its q_set slots).  Without
+# them a constant-q decision leaves q_gen free, which takes ``_FreeQ``'s
+# min-|v| table of segment gains.
+SHARED_DECISIONS = [
+    (7200, 2.0, MODE_CONSTANT_PF, True), (7235, 3.0, MODE_CONSTANT_PF, True),
+    (7210, 3.0, MODE_CONSTANT_Q, True), (7201, 2.0, MODE_CONSTANT_Q, False),
+    (7210, 3.0, MODE_CONSTANT_Q, False), (7202, 2.0, MODE_VOLT_VAR, True),
+    (7208, 3.0, MODE_VOLT_VAR, True),
+]
+SHARED_KINDS = {(MODE_CONSTANT_PF, True): _Knapsack, (MODE_CONSTANT_Q, True): _Knapsack,
+                (MODE_CONSTANT_Q, False): _FreeQ, (MODE_VOLT_VAR, True): _VoltVar}
+
+
+@pytest.mark.parametrize("seed, z_scale, mode, held", SHARED_DECISIONS)
+def test_a_shared_followers_min_rows_match_highs(seed, z_scale, mode, held):
+    """One follower serves both extrema of an activation.  At a corpus
+    run's decision, the min-|v| rows of the follower the context keeps
+    match HiGHS on ``to_lp`` + ``solve_materialized`` within the closed-form
+    tolerance, certificates included (``_check_values``), and are bit for
+    bit the rows of a follower built for min-|v| alone.  A batch that mixes
+    both extrema gives each row the bits of its own extremum's batch."""
+    ctx = corpus_context(seed, z_scale, mode)
+    decision = run_iterative(ctx, mode).decision
+    if not held:
+        decision = dataclasses.replace(decision, setpoints={})
+    slots = decision.slots
+    rng = np.random.default_rng(seed)
+    for activation in ACTIVATIONS:
+        mf = family_follower(ctx, mode, activation, slots)
+        assert type(mf) is SHARED_KINDS[mode, held]
+        nodes, edges = _batch(rng, ctx.n, slots[mf.problem.scenario.dp_slot])
+        where = (seed, z_scale, mode, held, activation)
+        _check_values(mf, nodes, edges, where, SIGMA[MIN_V])
+        own = build_follower(ctx, Scenario(0, activation, MIN_V), mode, fix_q=fixes_q(mode, slots))
+        alone = own.materialize({s: slots[s] for s in own.slot_names}).values(nodes, edges)
+        by_sigma = {sigma: mf.values(nodes, edges, sigma) for sigma in (-1.0, 1.0)}
+        sigma = rng.choice([-1.0, 1.0], nodes.size)
+        mixed = mf.values(nodes, edges, sigma)
+        for name in ("objective", "agg_dual", "devices", "optimal", "certified"):
+            assert np.array_equal(getattr(by_sigma[-1.0], name), getattr(alone, name),
+                                  equal_nan=True), (where, name)
+            for i, s in enumerate(sigma.tolist()):
+                assert np.array_equal(getattr(mixed, name)[i], getattr(by_sigma[s], name)[i],
+                                      equal_nan=True), (where, name, i)
 
 
 @pytest.mark.parametrize("corpus", ["pv", "pv_tight", "ieee13"])
@@ -868,15 +929,15 @@ def _count_fallbacks(monkeypatch):
     counts = {"values": 0, "fallback_rows": 0, "solves": 0}
     values, solve = MaterializedFollower.values, MaterializedFollower.solve
 
-    def counting_values(self, nodes, edges=None):
+    def counting_values(self, nodes, edges=None, sigma=None):
         counts["values"] += 1
-        vals = values(self, nodes, edges)
+        vals = values(self, nodes, edges, sigma)
         counts["fallback_rows"] += int((~vals.certified).sum())
         return vals
 
-    def counting_solve(self, **kwargs):
+    def counting_solve(self, *args, **kwargs):
         counts["solves"] += 1
-        return solve(self, **kwargs)
+        return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(MaterializedFollower, "values", counting_values)
     monkeypatch.setattr(MaterializedFollower, "solve", counting_solve)
@@ -887,7 +948,8 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
     """``worst_case_limits`` and ``feasibility_check`` reach a per-target
     ``solve`` (and so HiGHS) only for the rows the closed form cannot
     certify, and the feasibility check makes one ``values`` call per
-    family: with every volt-var row uncertified (a singular droop solve), on
+    activation, for both extrema: with every volt-var row uncertified (a
+    singular droop solve), on
     a batch that mixes both kinds (the capability cut) and in constant-pf,
     which needs no fallback."""
     counts = _count_fallbacks(monkeypatch)
@@ -906,7 +968,7 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
         )
         counts.update(values=0, fallback_rows=0, solves=0)
         feasibility_check(pv_ctx, MODE_VOLT_VAR, decision)
-        assert counts["values"] == 4
+        assert counts["values"] == 2
         assert counts["solves"] == counts["fallback_rows"] == 4 * pv_ctx.n
 
     ctx = _cut_context(pv_model)
@@ -917,7 +979,7 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
     )
     counts.update(values=0, fallback_rows=0, solves=0)
     feasibility_check(ctx, MODE_VOLT_VAR, cut)
-    assert counts["values"] == 4
+    assert counts["values"] == 2
     assert 0 < counts["solves"] == counts["fallback_rows"] < 4 * ctx.n
 
     counts.update(values=0, fallback_rows=0, solves=0)

@@ -9,6 +9,7 @@ replaced (``edgewalk.scalar_edge_walk``), which walks one target at a time
 through one-target ``values`` calls.
 """
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,18 +46,20 @@ V_MIN, V_MAX = 0.9, 1.1
 TOL = 1e-6
 
 
-def _reference_bisection(mf, node, tol_abs):
-    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in band,
+def _reference_bisection(mf, node, tol_abs, sigma=None):
+    """Largest |band edge| keeping the follower's extreme |v| at ``node`` in
+    band, for objective sign ``sigma`` (default the follower's scenario's),
     by plain bisection on the monotone value function."""
     problem = mf.problem
     scenario = problem.scenario
+    sigma = scenario.sigma if sigma is None else sigma
     full = mf.slots[scenario.dp_slot]
 
     def ok(t):
-        vals = mf.values([node], t)
+        vals = mf.values([node], t, sigma)
         assert vals.optimal.all()
-        vm = scenario.sigma * float(vals.objective[0])
-        if scenario.extremum == MAX_V:
+        vm = sigma * float(vals.objective[0])
+        if sigma > 0:
             return vm <= problem.v_max + 1e-9
         return vm >= problem.v_min - 1e-9
 
@@ -123,7 +126,7 @@ class StubFamily:
         self.evaluations = np.zeros(len(functions), dtype=int)
         self.calls = 0
 
-    def values(self, nodes, edges):
+    def values(self, nodes, edges, sigma=None):
         self.calls += 1
         nodes = np.atleast_1d(nodes)
         edges = np.broadcast_to(edges, nodes.shape)
@@ -147,19 +150,19 @@ def _concave(f0, breaks, slopes):
 
 def _walk(family):
     """The lockstep walk over all the family's targets in one call."""
-    return _edge_walk(family, np.arange(len(family.functions)), TOL)
+    return _edge_walk(family, np.arange(len(family.functions)), family.problem.scenario.sigma, TOL)
 
 
-def _assert_in_band(family, limits):
-    """Each nonzero limit, evaluated again at exactly that edge, is in band.
+def _assert_in_band(family, limits, sigma=None):
+    """Each nonzero limit, evaluated again at exactly that edge for
+    objective sign ``sigma`` (default the family's scenario's), is in band.
     Run after the evaluation counts are checked: it adds to them."""
     nodes = np.flatnonzero(limits)
     if nodes.size:
-        problem, extremum = family.problem, family.problem.scenario.extremum
-        vals = family.values(nodes, limits[nodes])
-        assert np.all(
-            vals.objective <= (problem.v_max if extremum == MAX_V else -problem.v_min) + 1e-9
-        )
+        problem = family.problem
+        sigma = problem.scenario.sigma if sigma is None else sigma
+        vals = family.values(nodes, limits[nodes], sigma)
+        assert np.all(vals.objective <= (problem.v_max if sigma > 0 else -problem.v_min) + 1e-9)
 
 
 def _assert_safe_and_tight(root, result):
@@ -350,7 +353,8 @@ def _corpus(corpus, pv_model, ieee13_model):
 
 
 def _screening_families(ctx):
-    """Every screening family of ``ctx``: (where, materialized follower, tol_abs)."""
+    """Every screening family of ``ctx``: (where, its activation's follower
+    at the family's slots, the family's σ, tol_abs)."""
     dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
     tol_abs = EDGE_TOL_REL * max(dp_up, -dp_lo, 1e-12)
     for mode in MODES:
@@ -359,20 +363,21 @@ def _screening_families(ctx):
                 slots = {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
                 if mode != MODE_CONSTANT_Q:
                     slots.update(fix_worst_case_setpoints(ctx, mode, extremum))
-                mf = family_follower(ctx, mode, activation, extremum, slots)
-                yield (mode, activation, extremum), mf, tol_abs
+                mf = family_follower(ctx, mode, activation, slots)
+                yield (mode, activation, extremum), mf, Scenario(0, activation, extremum).sigma, tol_abs
 
 
 def _count_rows(mf):
-    """Count the targets passed to the follower's ``values`` (per node) and its calls."""
-    values = mf.values
+    """Count the targets passed to the follower's ``values`` (per node) and
+    its calls; counting again starts the counts over."""
+    values = functools.partial(type(mf).values, mf)
     mf.rows = np.zeros(mf.problem.n, dtype=int)
     mf.calls = 0
 
-    def counting(nodes, edges=None):
+    def counting(nodes, edges=None, sigma=None):
         mf.calls += 1
         np.add.at(mf.rows, np.asarray(nodes), 1)
-        return values(nodes, edges)
+        return values(nodes, edges, sigma)
 
     mf.values = counting
     return mf
@@ -381,13 +386,13 @@ def _count_rows(mf):
 @pytest.mark.parametrize("corpus", ["pv_tight", "ieee13", "random_batch", "weak_grid"])
 def test_walk_matches_the_bisection_on_screening_followers(corpus, pv_model, ieee13_model):
     for ctx in _corpus(corpus, pv_model, ieee13_model):
-        for where, mf, tol_abs in _screening_families(ctx):
+        for where, mf, sigma, tol_abs in _screening_families(ctx):
             mf = _count_rows(mf)
-            walk = _edge_walk(mf, np.arange(ctx.n), tol_abs)
+            walk = _edge_walk(mf, np.arange(ctx.n), sigma, tol_abs)
             walk_evaluations = int(mf.rows.sum())
             mf.rows[:] = 0
             for k in range(ctx.n):
-                bisection = _reference_bisection(mf, k, tol_abs)
+                bisection = _reference_bisection(mf, k, tol_abs, sigma)
                 assert abs(walk[k] - bisection) <= tol_abs, (where, k)
                 assert abs(walk[k]) >= abs(bisection) - tol_abs, (where, k)
             assert walk_evaluations <= mf.rows.sum(), where
@@ -400,16 +405,16 @@ def test_lockstep_walk_matches_the_scalar_walk(corpus, pv_model, ieee13_model):
     bit, from the same number of evaluations per target, in one ``values``
     call per step."""
     for ctx in _corpus(corpus, pv_model, ieee13_model):
-        for where, mf, tol_abs in _screening_families(ctx):
+        for where, mf, sigma, tol_abs in _screening_families(ctx):
             mf = _count_rows(mf)
-            limits = _edge_walk(mf, np.arange(ctx.n), tol_abs)
+            limits = _edge_walk(mf, np.arange(ctx.n), sigma, tol_abs)
             rows, calls = mf.rows.copy(), mf.calls
             mf.rows[:] = 0
             for k in range(ctx.n):
-                assert scalar_edge_walk(mf, k, tol_abs) == limits[k], (where, k)
+                assert scalar_edge_walk(mf, k, tol_abs, sigma) == limits[k], (where, k)
             assert np.array_equal(rows, mf.rows), where
             assert calls == rows.max(), where
-            _assert_in_band(mf, limits)
+            _assert_in_band(mf, limits, sigma)
 
 
 def test_ieee13_screening_solve_count(ieee13_model, monkeypatch):
@@ -419,13 +424,13 @@ def test_ieee13_screening_solve_count(ieee13_model, monkeypatch):
     rows, solves = [], []
     values, solve = MaterializedFollower.values, MaterializedFollower.solve
 
-    def counting_values(self, nodes, edges=None):
+    def counting_values(self, nodes, edges=None, sigma=None):
         rows.append(np.size(nodes))
-        return values(self, nodes, edges)
+        return values(self, nodes, edges, sigma)
 
-    def counting_solve(self, **kwargs):
+    def counting_solve(self, *args, **kwargs):
         solves.append(1)
-        return solve(self, **kwargs)
+        return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(MaterializedFollower, "values", counting_values)
     monkeypatch.setattr(MaterializedFollower, "solve", counting_solve)

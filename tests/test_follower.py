@@ -306,7 +306,7 @@ def test_zero_band_recovers_the_anchor(pv_ctx, mode, activation):
             problem = build_follower(pv_ctx, sc, mode, fix_q=fix_q)
             cert = problem.solve(neutral_slots(problem))
             assert cert.is_optimal
-            vm = problem.worst_voltage(cert)
+            vm = sc.sigma * cert.objective
             assert vm == pytest.approx(pv_ctx.anchor.vm[node], abs=1e-9)
 
 
@@ -315,8 +315,8 @@ def test_worst_voltage_orders_extrema(pv_ctx):
     slots_hi[SLOT_DP_PLUS] = 0.3
     lo_p = build_follower(pv_ctx, Scenario(4, POSITIVE, MIN_V), MODE_CONSTANT_PF)
     hi_p = build_follower(pv_ctx, Scenario(4, POSITIVE, MAX_V), MODE_CONSTANT_PF)
-    v_lo = lo_p.worst_voltage(lo_p.solve(slots_hi))
-    v_hi = hi_p.worst_voltage(hi_p.solve(slots_hi))
+    v_lo = -lo_p.solve(slots_hi).objective  # σ = -1: the objective is -|v|
+    v_hi = hi_p.solve(slots_hi).objective
     assert v_lo <= v_hi
     assert v_hi > pv_ctx.anchor.vm[4]  # boosting generation raises the node
 

@@ -157,11 +157,9 @@ def test_the_slots_pick_the_family_for_the_re_screen_and_the_oracle(pv_tight_ctx
     decision = run_iterative(ctx, mode).decision
     if mode == MODE_CONSTANT_Q:
         dp_lo, dp_up = available_flexibility_bounds(ctx.devices)
-        for activation, extremum in itertools.product(ACTIVATIONS, screened_extrema("both")):
-            free = family_follower(
-                ctx, mode, activation, extremum, {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
-            )
-            held = family_follower(ctx, mode, activation, extremum, decision.slots)
+        for activation in ACTIVATIONS:
+            free = family_follower(ctx, mode, activation, {SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo})
+            held = family_follower(ctx, mode, activation, decision.slots)
             assert type(free) is _FreeQ and type(held) is _Knapsack
             qfix = [[r for r in mf.problem.row_names if r.startswith("qfix")] for mf in (free, held)]
             assert qfix == [[], [f"qfix[{k}]" for k in ctx.devices.inverter_nodes]]
@@ -204,8 +202,8 @@ def test_a_follower_row_without_an_optimum_stops_screening_and_verify(pv_model, 
     )
     solved = follower.MaterializedFollower.values
 
-    def row_two_without_optimum(self, nodes, edges=None):
-        vals = solved(self, nodes, edges)
+    def row_two_without_optimum(self, nodes, edges=None, sigma=None):
+        vals = solved(self, nodes, edges, sigma)
         optimal = vals.optimal.copy()
         optimal[2] = False
         return dataclasses.replace(vals, optimal=optimal)
@@ -216,6 +214,30 @@ def test_a_follower_row_without_an_optimum_stops_screening_and_verify(pv_model, 
         feasibility_check(ctx, MODE_CONSTANT_PF, decision)
     with pytest.raises(OracleError, match=message):
         verify_decision(ctx, MODE_CONSTANT_PF, decision)
+
+
+@pytest.mark.parametrize("mode", [MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR])
+@pytest.mark.parametrize("direction", ["both", "overvoltage"])
+def test_a_re_screen_and_a_verify_make_one_kernel_call_per_activation(mode, direction, monkeypatch):
+    """One follower serves both extrema of an activation, so at a run's
+    decision ``feasibility_check`` and ``verify_decision`` each fill the
+    rows of every node and screened extremum of one activation with one
+    closed-form kernel call (``follower._fill``): two calls whatever the
+    direction, of 2n rows each under "both" and of n under "overvoltage".
+    Any further call is a one-row fallback solve."""
+    ctx = corpus_context(7210, 3.0, mode)
+    decision = run_iterative(ctx, mode, direction=direction).decision
+    rows, fallbacks = [], []
+    fill, solve = follower._fill, follower.MaterializedFollower.solve
+    monkeypatch.setattr(follower, "_fill", lambda gain, *args: rows.append(len(gain)) or fill(gain, *args))
+    monkeypatch.setattr(follower.MaterializedFollower, "solve",
+                        lambda self, *args, **kwargs: fallbacks.append(1) or solve(self, *args, **kwargs))
+    want = [len(screened_extrema(direction)) * ctx.n] * len(ACTIVATIONS)
+    for sweep in (feasibility_check, verify_decision):
+        rows.clear(), fallbacks.clear()
+        sweep(ctx, mode, decision, direction=direction)
+        assert [r for r in rows if r > 1] == want, sweep.__name__
+        assert len(rows) == len(want) + len(fallbacks), sweep.__name__
 
 
 def _report_bits(report):
@@ -233,7 +255,8 @@ def _report_bits(report):
 def test_a_verify_after_a_run_re_slots_the_runs_followers(mode, monkeypatch):
     """``verify_decision`` on the context a run solved materializes no
     follower, and reports to the bit what a verify on a copy of the
-    context, which builds its own followers, reports."""
+    context reports, which builds its own followers: one per activation,
+    serving both extrema."""
     ctx = corpus_context(7210, 3.0, mode)
     decision = run_iterative(ctx, mode).decision
     made = []
@@ -243,7 +266,7 @@ def test_a_verify_after_a_run_re_slots_the_runs_followers(mode, monkeypatch):
     report = verify_decision(ctx, mode, decision)
     assert made == []
     fresh = verify_decision(dataclasses.replace(ctx), mode, decision)
-    assert len(made) == 4
+    assert len(made) == 2
     assert _report_bits(report) == _report_bits(fresh)
 
 
@@ -448,7 +471,7 @@ def test_brute_force_agrees_with_the_lp_adversary():
     )
     bf = brute_force_worst_voltage(ctx, MODE_CONSTANT_PF, decision, sc)
     assert bf.points == 7  # every dpg grid point respects the wide band
-    assert bf.vm_linear == pytest.approx(problem.worst_voltage(cert), abs=1e-9)
+    assert bf.vm_linear == pytest.approx(cert.objective, abs=1e-9)  # σ = +1: the objective is |v|
     assert bf.vm_nonlinear == pytest.approx(bf.vm_linear, abs=2e-3)
     assert bf.vm_nonlinear > ctx.anchor.vm[0]
 
