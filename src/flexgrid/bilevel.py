@@ -21,8 +21,9 @@ inside [v_min, v_max].  Three steps:
    bounds, summed, bound the band; the joint search runs only when the
    walks at the halves' setpoints leave a gap.  Incumbents all come from
    fixing the setpoints (the bang-bang ones before a search, each node's
-   relaxation setpoints during it), walking the band edges as in step 1
-   and completing the point with the followers' optimal primal/dual pairs,
+   relaxation setpoints during it), walking the band edges as in step 1,
+   each activation's followers, both extrema's, in one lockstep walk, and
+   completing the point with the followers' optimal primal/dual pairs,
    each activation's evaluated with one batched call at the walked decision.
    The walk returns only the band edges, so it shares no code path with
    the completion;
@@ -30,9 +31,9 @@ inside [v_min, v_max].  Three steps:
    one batched evaluation per activation, feeding violators back into step 2
    (``run_iterative``).  The run's solves share a ``RunStore``: a search
    whose followers, seeds and budget did not change since an earlier
-   iteration, and a family walk whose nodes and setpoints did not, are
-   taken from it, so each iteration searches again only what its new
-   followers change.
+   iteration, and an activation's walk whose followers and setpoints did
+   not, are taken from it, so each iteration searches and walks again only
+   what its new followers change.
 """
 
 from __future__ import annotations
@@ -188,12 +189,12 @@ def family_follower(
     return mf
 
 
-def _by_family(followers: list[Scenario]) -> dict[tuple[str, str], list[int]]:
-    """The target nodes of ``followers`` by (activation, extremum) family, in order."""
-    families: dict[tuple[str, str], list[int]] = {}
-    for sc in followers:
-        families.setdefault((sc.activation, sc.extremum), []).append(sc.node)
-    return families
+def _by_activation(followers: list[Scenario]) -> dict[str, list[Scenario]]:
+    """``followers`` by activation, activations and followers in order: the
+    unit of a walk, a ``_could_widen`` check, a split half and a problem
+    the assembly shares."""
+    return {a: [sc for sc in followers if sc.activation == a]
+            for a in dict.fromkeys(sc.activation for sc in followers)}
 
 
 def _walk(full: float, c: float, tol_abs: float):
@@ -468,8 +469,7 @@ def assemble_single_level(
     capped_duals: list[int] = []
     # The blocks match the followers the completion evaluates at these slots.
     fix_q = fixes_q(mode, sp_boxes)
-    problems = {a: _kept_family(ctx, mode, a, fix_q, {}).problem
-                for a in dict.fromkeys(sc.activation for sc in followers)}
+    problems = {a: _kept_family(ctx, mode, a, fix_q, {}).problem for a in _by_activation(followers)}
 
     for scenario in followers:
         problem = problems[scenario.activation]
@@ -639,29 +639,31 @@ def _complete_point(
 
 def _edge_limited_decision(
     ctx: FlexContext, mode: str,
-    families: dict[tuple[str, str], list[int]],
+    followers: list[Scenario],
     setpoints: dict[str, float],
     dp_box: tuple[float, float],
     tol_abs: float,
 ) -> dict[str, float] | None:
     """Largest feasible band edges for fixed setpoints, within ``dp_box``
-    (Δp_lower, Δp_upper), for the target nodes ``families`` holds.
+    (Δp_lower, Δp_upper), for ``followers``.
 
     Feasibility decomposes by direction: positive followers only see the
     upper edge and negative followers the lower one, so each edge is the
-    tightest ``_edge_walk`` over the followers, each family's followers
-    walked in one call.  Returns the decision's slots, or None when a
-    follower is infeasible outright at these setpoints (a constant-Q
-    setpoint outside the cone reachable under the activation's sign rules
-    does that).
+    tightest ``_edge_walk`` over its activation's followers, both extrema's
+    walked in one lockstep call at each follower's σ.  Returns the
+    decision's slots, or None when a follower is infeasible outright at
+    these setpoints (a constant-Q setpoint outside the cone reachable under
+    the activation's sign rules does that).
     """
     dp_lo, dp_up = dp_box
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
     t_pos, t_neg = dp_up, dp_lo
-    for (activation, extremum), nodes in families.items():
+    for activation, group in _by_activation(followers).items():
         mf = family_follower(ctx, mode, activation, slots)
         try:
-            edges = _edge_walk(mf, nodes, SIGMA[extremum], tol_abs).tolist()
+            edges = _edge_walk(
+                mf, [sc.node for sc in group], [sc.sigma for sc in group], tol_abs,
+            ).tolist()
         except BilevelError:
             return None
         if activation == POSITIVE:
@@ -673,35 +675,35 @@ def _edge_limited_decision(
 
 def _could_widen(
     ctx: FlexContext, mode: str,
-    families: dict[tuple[str, str], list[int]],
+    followers: list[Scenario],
     setpoints: dict[str, float],
     dp_box: tuple[float, float],
     floor: float,
 ) -> bool:
     """Whether ``_edge_limited_decision`` at ``setpoints`` could give a band
-    wider than ``floor``, checked with one ``values`` call per family.
+    wider than ``floor``, checked with one ``values`` call per activation.
 
     A wider band needs Δp+ > floor + Δp_lower and Δp- < Δp_upper - floor.
-    Each family is evaluated at the edge its activation would need; if one
-    of its followers leaves the band there, the walk, whose extreme |v| is
-    nondecreasing in |edge|, stops short of that edge, so the band it gives
-    is no wider than ``floor``.  No walk goes past the far end of the box,
-    so an edge at or beyond it rules the walk out unevaluated; one at or
-    past zero rules nothing out.  False only where the walk cannot beat
-    ``floor``.
+    Each activation's followers, both extrema's, are evaluated at the edge
+    it would need; if one of them leaves the band there, the walk, whose
+    extreme |v| is nondecreasing in |edge|, stops short of that edge, so the
+    band it gives is no wider than ``floor``.  No walk goes past the far end
+    of the box, so an edge at or beyond it rules the walk out unevaluated;
+    one at or past zero rules nothing out.  False only where the walk cannot
+    beat ``floor``.
     """
     dp_lo, dp_up = dp_box
     need = {POSITIVE: (floor + dp_lo, dp_up), NEGATIVE: (dp_up - floor, dp_lo)}  # (edge, far end)
     slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
-    for (activation, extremum), nodes in families.items():
+    for activation, group in _by_activation(followers).items():
         edge, far = need[activation]
         if edge * far <= 0.0:
             continue
         if abs(edge) >= abs(far):
             return False
         mf = family_follower(ctx, mode, activation, slots)
-        sigma = SIGMA[extremum]
-        vals = mf.values(nodes, edge, sigma)
+        sigma = [sc.sigma for sc in group]
+        vals = mf.values([sc.node for sc in group], edge, sigma)
         if vals.optimal.all() and (vals.objective > _band_cap(mf.problem, sigma)).any():
             return False
     return True
@@ -710,6 +712,11 @@ def _could_widen(
 def _check_node_limit(node_limit: int) -> None:
     if not isinstance(node_limit, (int, np.integer)) or node_limit < 0:
         raise ValueError(f"node_limit must be an integer >= 0, got {node_limit!r}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite non-negative number, got {epsilon}")
 
 
 def _candidate_setpoint_sets(boxes: dict[str, tuple[float, float]]) -> list[dict[str, float]]:
@@ -756,10 +763,10 @@ class SingleLevelResult:
 
 @dataclass
 class RunStore:
-    """The searches and family walks of one run's single-level solves, kept
-    for its later solves.  A search is keyed by its follower subset, seed
-    setpoints, node budget, bound and ``epsilon``; a walk by its family,
-    the family's target nodes and the setpoints.  Neither key holds the
+    """The searches and walks of one run's single-level solves, kept for its
+    later solves.  A search is keyed by its follower subset, seed setpoints,
+    node budget, bound and ``epsilon``; a walk by one activation's
+    followers, both extrema's, and the setpoints.  Neither key holds the
     context, the mode or ``LAMBDA_CAP``, which a run does not change, so a
     store serves one run (``run_iterative``) and is dropped with it."""
 
@@ -795,13 +802,13 @@ def solve_single_level(
     search over all followers runs, seeded with every walked point and
     started from the split bound.  ``node_limit`` caps the relaxations of
     the whole solve: the positive half's search draws first, the negative
-    half's gets the rest, the joint search what is left.  A family's walk at
-    a setpoint set is made once per run, over the presolve and every
-    search's node hook, each step taking its activation's follower from
-    ``family_follower``; a search is made once per run at its followers,
-    seeds, budget and bound.  Both are kept in ``store``, which
-    ``run_iterative`` passes to each of its solves; without one the solve
-    keeps its own.  A search taken from the store returns the result it
+    half's gets the rest, the joint search what is left.  An activation's
+    walk at a setpoint set, all its followers in lockstep, is made once per
+    run, over the presolve and every search's node hook, each step taking
+    its follower from ``family_follower``; a search is made once per run
+    at its followers, seeds, budget and bound.  Both are kept in ``store``,
+    which ``run_iterative`` passes to each of its solves; without one the
+    solve keeps its own.  A search taken from the store returns the result it
     gave, nodes and all, so it draws from ``node_limit`` as when it ran
     (``reused`` names it).  ``split=False`` runs the joint search alone: it
     is the reference the tests hold the split solve to.
@@ -819,28 +826,29 @@ def solve_single_level(
     completion leaves a proven box by more than the B&B tolerates.
     """
     _check_node_limit(node_limit)
+    _check_epsilon(epsilon)
     store = RunStore() if store is None else store
     boxes = setpoint_boxes(ctx, mode)
     dp_box = available_flexibility_bounds(ctx.devices)
     dp_span = dp_box[1] - dp_box[0]
     tol_abs = EDGE_TOL_REL * max(dp_span, 1e-12)
-    families = _by_family(followers)
     reused: list[str] = []
 
-    def walk(fams: dict, setpoints: dict[str, float]) -> dict[str, float] | None:
-        """The widest safe band edges at ``setpoints`` for the families
-        ``fams``; an edge none of them reads stays at its box end.  The
+    def walk(subset: list[Scenario], setpoints: dict[str, float]) -> dict[str, float] | None:
+        """The widest safe band edges at ``setpoints`` for the followers
+        ``subset``; an edge none of them reads stays at its box end.  The
         relaxations keep landing on the same box vertices (often the
-        presolve's, the other half's or an earlier iteration's), and a
-        family's walk depends on its nodes and the setpoints alone: walk
-        each family once at each set."""
-        keys = {f: (f, tuple(families[f]), tuple(setpoints.values())) for f in fams}
-        for family, key in keys.items():
+        presolve's, the other half's or an earlier iteration's), and an
+        activation's walk depends on its followers and the setpoints alone:
+        walk each activation's followers once at each set."""
+        edges = []
+        for group in _by_activation(subset).values():
+            key = (tuple(group), tuple(setpoints.values()))
             if key not in store.walks:
                 store.walks[key] = _edge_limited_decision(
-                    ctx, mode, {family: families[family]}, setpoints, dp_box, tol_abs
+                    ctx, mode, group, setpoints, dp_box, tol_abs
                 )
-        edges = [store.walks[key] for key in keys.values()]
+            edges.append(store.walks[key])
         if None in edges:
             return None
         return {**setpoints, SLOT_DP_PLUS: min(e[SLOT_DP_PLUS] for e in edges),
@@ -859,7 +867,6 @@ def solve_single_level(
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up, capped = slmap.upper_vars, slmap.capped_duals
         derived = np.setdiff1d(slmap.product_duals, capped)
-        fams = _by_family(subset)
         points: dict[tuple[float, ...], np.ndarray | None] = {}
         left_box = False
 
@@ -869,7 +876,7 @@ def solve_single_level(
             nonlocal left_box
             key = tuple(setpoints.values())
             if key not in points:
-                decision = walk(fams, setpoints)
+                decision = walk(subset, setpoints)
                 x = None if decision is None else _complete_point(slmap, mode, decision, lb, ub)
                 if x is not None:
                     left_box |= bool(np.any(np.abs(x[capped]) > LAMBDA_CAP))
@@ -891,7 +898,7 @@ def solve_single_level(
                 for name in slmap.setpoint_slots
             }
             if (floor is not None and tuple(setpoints.values()) not in points
-                    and not _could_widen(ctx, mode, fams, setpoints, dp_box, floor)):
+                    and not _could_widen(ctx, mode, subset, setpoints, dp_box, floor)):
                 return None  # no walk there can beat the floor
             return walk_once(setpoints)
 
@@ -940,13 +947,13 @@ def solve_single_level(
         return d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS]
 
     candidates = _candidate_setpoint_sets(boxes)
-    halves = {a: [sc for sc in followers if sc.activation == a] for a in ACTIVATIONS}
+    halves = _by_activation(followers)
     presolve: list[dict[str, float]] = []
-    if split and all(halves.values()):
+    if split and len(halves) == len(ACTIVATIONS):
         # Up to the first walk that reaches the ceiling, where no bound can
         # do better (the joint search then walks the rest in its own order).
         for sp in candidates:
-            d = walk(families, sp)
+            d = walk(followers, sp)
             if d is not None:
                 presolve.append(d)
                 if at_ceiling(width(d)):
@@ -956,9 +963,10 @@ def solve_single_level(
         return result(res, decision, box, {JOINT: res}, JOINT)
 
     budget, runs, finals, split_bound, box = node_limit, {}, [], -dp_span, False
-    for activation, subset in halves.items():
+    for activation in ACTIVATIONS:
+        subset = halves[activation]
         # A seed walk at the half's edge meets the span that bounds the half.
-        seed = next((sp for sp in candidates if (d := walk(_by_family(subset), sp)) is not None
+        seed = next((sp for sp in candidates if (d := walk(subset, sp)) is not None
                      and at_ceiling(width(d))), None)
         if seed is not None:
             finals.append(seed)
@@ -972,7 +980,7 @@ def solve_single_level(
         # so the span caps it, also for a half stopped before its root.
         split_bound += min(res.bound, dp_span)
         box |= half_box
-    best = max(presolve + [d for d in (walk(families, sp) for sp in finals) if d is not None],
+    best = max(presolve + [d for d in (walk(followers, sp) for sp in finals) if d is not None],
                key=width)
     proven = split_bound <= width(best) + epsilon * (1.0 + abs(width(best)))
     if not proven and budget > 0:
@@ -1129,8 +1137,7 @@ def run_iterative(
     _check_node_limit(node_limit)
     if max_iterations is not None and max_iterations < 1:
         raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be a finite non-negative number, got {epsilon}")
+    _check_epsilon(epsilon)
     wc = worst_case_limits(ctx, mode, direction=direction)
     scenarios_all = all_scenarios(ctx.n, direction=direction)
     cap = max_iterations if max_iterations is not None else len(scenarios_all)

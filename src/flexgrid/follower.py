@@ -756,13 +756,13 @@ class MaterializedFollower:
     ``certificate`` turns a row of the values into the full dual
     certificate (row and bound duals in ``problem.row_names`` and variable
     order), so strong duality and the single-level completion read it as
-    they read HiGHS; ``solve`` is the kernel on a batch of one plus that
-    certificate.  ``_Knapsack`` and ``_VoltVar`` build it from the fill;
+    they read HiGHS; ``solve`` is ``values`` at the scenario's own target
+    plus that certificate.  ``_Knapsack`` and ``_VoltVar`` build it from the fill;
     ``_FreeQ``, which only the screening's values need, takes HiGHS's on
     ``problem.to_lp``, built at the slots with the row's band edge in the
     aggregate slot and its target node's objective at its σ.  Where a
-    closed form cannot certify a target's point, ``solve`` falls back to
-    that LP too, and ``values`` hands each such target to ``solve``.
+    closed form cannot certify a target's point, ``values`` falls back to
+    that LP too, and keeps its certificate for the row (``fallback``).
     """
 
     certifiable = True  # False where the closed form certifies nothing at these setpoints
@@ -818,28 +818,16 @@ class MaterializedFollower:
         if vals.certified.all():
             return vals
         for i in np.flatnonzero(~vals.certified).tolist():
-            cert = vals.fallback[i] = self.solve(
-                float(sigma[i]), node=int(nodes[i]), dp_bound=float(edges[i])
-            )
+            cert = vals.fallback[i] = self._highs(vals, i)
             vals.optimal[i] = cert.is_optimal
             if cert.is_optimal:
                 vals.objective[i], vals.agg_dual[i] = cert.objective, self.agg_dual(cert)
                 vals.devices[i] = cert.x[self.device_cols]
         return vals
 
-    def solve(
-        self, sigma: float | None = None, *, node: int | None = None,
-        dp_bound: float | None = None,
-    ) -> DualCertificate:
-        """The certificate of one target: objective sign ``sigma``, target
-        ``node`` and band edge ``dp_bound``, each by default the scenario's."""
-        sc = self.problem.scenario
-        vals = self._closed(
-            np.array([sc.node if node is None else node], dtype=np.int64),
-            np.array([self.slots[sc.dp_slot] if dp_bound is None else dp_bound], dtype=float),
-            np.array([sc.sigma if sigma is None else sigma], dtype=float),
-        )
-        return self.certificate(vals, 0) if vals.certified[0] else self._highs(vals, 0)
+    def solve(self) -> DualCertificate:
+        """The certificate of the scenario's own target, at the slot's band edge."""
+        return self.certificate(self.values([self.problem.scenario.node]), 0)
 
     def certificate(self, vals: FollowerValues, i: int) -> DualCertificate:
         """The full certificate of row ``i`` of ``vals``, which must come from
@@ -851,7 +839,7 @@ class MaterializedFollower:
         return self._certificate(vals, i)
 
     def _closed(self, nodes: np.ndarray, edges: np.ndarray, sigma: np.ndarray) -> FollowerValues:
-        """The closed form at every target: the kernel under ``values`` and ``solve``."""
+        """The closed form at every target: the kernel under ``values``."""
         t = nodes.size
         if not self.certifiable:
             return FollowerValues(

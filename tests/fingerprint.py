@@ -31,6 +31,7 @@ from corpus import BINDING_CORPUS, case_id, corpus_context
 from flexgrid import bilevel, build_context, load_feeder
 from flexgrid.bilevel import run_iterative
 from flexgrid.feeder import MODE_CONSTANT_PF
+from flexgrid.follower import MaterializedFollower
 from flexgrid.oracle import verify_decision
 
 # (dataclass, field) pairs the second digest leaves out.
@@ -89,10 +90,19 @@ def main() -> None:
         nodes[0] += res.bnb.nodes
         return res
 
+    kernel = [0]  # ``values`` calls of the running case
+    values = MaterializedFollower.values
+
+    def counted_values(*args, **kwargs):
+        kernel[0] += 1
+        return values(*args, **kwargs)
+
     bilevel.solve_single_level = counted
-    table: dict[str, list] = {}  # mode -> [nodes, proven, solve s, verify s] over the corpus
+    MaterializedFollower.values = counted_values
+    # mode -> [nodes, proven, solve s, verify s, values calls] over the corpus
+    table: dict[str, list] = {}
     for name, ctx, mode in cases():
-        nodes[0] = 0
+        nodes[0] = kernel[0] = 0
         start = time.perf_counter()
         result = run_iterative(ctx, mode, node_limit=400)
         wall = time.perf_counter() - start
@@ -103,15 +113,17 @@ def main() -> None:
             digest.update(f"{name}\n{encode(result, omit)}\n{encode(report, omit)}\n".encode())
         print(name, f"{result.dp_minus:+.6f}", f"{result.dp_plus:+.6f}", file=sys.stderr)
         if name != "ieee13-binding":
-            row = table.setdefault(mode, [0, 0, 0.0, 0.0])
+            row = table.setdefault(mode, [0, 0, 0.0, 0.0, 0])
             row[0] += nodes[0]
             row[1] += result.single_level.bnb.status == "optimal"
             row[2] += wall
             row[3] += verify_wall
+            row[4] += kernel[0]
     bilevel.solve_single_level = solve
-    print("mode nodes proven wall_s verify_ms", file=sys.stderr)
-    for mode, (total, proven, wall, verify_wall) in table.items():
-        print(mode, total, proven, f"{wall:.2f}", f"{1e3 * verify_wall:.1f}", file=sys.stderr)
+    MaterializedFollower.values = values
+    print("mode nodes proven wall_s verify_ms values_calls", file=sys.stderr)
+    for mode, (total, proven, wall, verify_wall, calls) in table.items():
+        print(mode, total, proven, f"{wall:.2f}", f"{1e3 * verify_wall:.1f}", calls, file=sys.stderr)
     print(full.hexdigest())
     print(projected.hexdigest(), "(node accounting left out)")
 

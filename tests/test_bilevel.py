@@ -1,12 +1,14 @@
 """Worst-case screening, single-level ideal case, and the iterative driver."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from conftest import balanced_doc
 from corpus import BINDING_FEEDERS, corpus_context
+from edgewalk import scalar_edge_walk
 from randfeeders import random_context
 
 from flexgrid import bilevel, bnb, build_context, follower, load_feeder
@@ -28,15 +30,15 @@ from flexgrid.bilevel import (
 # Bound at import, so the oracle below is the walk as the module defines it
 # even while a test patches ``bilevel._edge_limited_decision`` to record.
 from flexgrid.bilevel import _edge_limited_decision as walk_oracle
-from flexgrid.bilevel import _by_family, _candidate_setpoint_sets, _could_widen
+from flexgrid.bilevel import _candidate_setpoint_sets, _could_widen
 from flexgrid.feeder import MODE_CONSTANT_PF, MODE_CONSTANT_Q, MODE_VOLT_VAR, FeederError
 from flexgrid.follower import (
     ACTIVATIONS,
+    EXTREMA,
     MAX_V,
     MIN_V,
     NEGATIVE,
     POSITIVE,
-    SIGMA,
     SLOT_DP_MINUS,
     SLOT_DP_PLUS,
     FollowerProblem,
@@ -139,7 +141,8 @@ def test_bisection_agrees_with_grid_threshold(pv_tight_ctx):
     _, dp_up = wc.dp_box
     grid = np.linspace(0.0, dp_up, 81)
     feas = [
-        mf.solve(dp_bound=float(t)).objective <= ctx.v_max + 1e-9  # σ = +1: the objective is |v|
+        # σ = +1: the objective is |v|
+        mf.certificate(mf.values([k], float(t)), 0).objective <= ctx.v_max + 1e-9
         for t in grid
     ]
     last_ok = grid[max(i for i, f in enumerate(feas) if f)]
@@ -479,6 +482,20 @@ def test_a_node_limit_that_is_no_count_is_rejected(pv_tight_ctx, node_limit):
                            node_limit=node_limit)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, -1.0, math.inf])
+def test_an_epsilon_that_is_no_tolerance_is_rejected(epsilon):
+    """A NaN, negative or infinite ``epsilon`` is an error from either entry
+    point, not a band proven against no tolerance.  Without the check, a
+    single-level solve of 7200-z2 constant-pf's run followers at NaN or -1
+    returns ``optimal`` after 10 nodes."""
+    ctx = corpus_context(7200, 2.0, MODE_CONSTANT_PF)
+    followers = [Scenario(0, POSITIVE, MIN_V), Scenario(0, NEGATIVE, MIN_V)]
+    with pytest.raises(ValueError, match="epsilon"):
+        run_iterative(ctx, MODE_CONSTANT_PF, epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        solve_single_level(ctx, MODE_CONSTANT_PF, followers, epsilon=epsilon)
+
+
 def test_the_active_set_grows_by_the_rescreen_violators(ieee13_model, monkeypatch):
     """13-bus constant-pf with v_max 0.5 mV above the anchor: the first band
     fails its re-screen, the violators not yet active join the two seeds,
@@ -548,7 +565,7 @@ def test_an_assembly_builds_at_most_one_problem_per_family(pv_tight_ctx, mode, m
     ctx = dataclasses.replace(pv_tight_ctx)
     followers = all_scenarios(ctx.n)
     assert ctx.n > 1
-    assert len(_by_family(followers)) == 4
+    assert len({(sc.activation, sc.extremum) for sc in followers}) == 4
     _, slmap = assemble_single_level(ctx, mode, followers)
     assert len(builds) == len(ACTIVATIONS) == 2
     # One problem per activation: two (activation, problem) pairs over the
@@ -641,7 +658,7 @@ def _completed_from_own_solves(slmap, mode, decision, lb, ub):
     for block in slmap.blocks:
         sc = block.scenario
         mf = bilevel.family_follower(ctx, mode, sc.activation, decision)
-        cert = mf.solve(sc.sigma, node=sc.node, dp_bound=decision[sc.dp_slot])
+        cert = mf.certificate(mf.values([sc.node], decision[sc.dp_slot], sc.sigma), 0)
         vm = sc.sigma * cert.objective if cert.status == OPTIMAL else np.nan
         if not ctx.v_min - 1e-9 <= vm <= ctx.v_max + 1e-9:
             return None
@@ -661,20 +678,18 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
     """At the walked decisions of random setpoints, on feeders whose walks
     stop inside the availability box, the completion makes one ``values``
     call per activation, for both extrema's families, and no ``solve`` call
-    beyond the fallback rows, and its
-    point is, bit for bit, the one assembled from each block's own solve at
-    the decision's edge."""
+    (a row the closed form cannot certify goes to HiGHS from ``values``),
+    and its point is, bit for bit, the one assembled from each block's own
+    solve at the decision's edge."""
     from flexgrid.bilevel import EDGE_TOL_REL, _complete_point, _edge_limited_decision
     from flexgrid.follower import MaterializedFollower
 
-    calls = {"values": 0, "solve": 0, "fallback": 0}
+    calls = {"values": 0, "solve": 0}
     values, solve = MaterializedFollower.values, MaterializedFollower.solve
 
     def count_values(self, nodes, edges=None, sigma=None):
         calls["values"] += 1
-        vals = values(self, nodes, edges, sigma)
-        calls["fallback"] += len(vals.fallback)
-        return vals
+        return values(self, nodes, edges, sigma)
 
     def count_solve(self, *args, **kwargs):
         calls["solve"] += 1
@@ -692,23 +707,22 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up = slmap.upper_vars
         dp_box = (lb[up[SLOT_DP_MINUS]], ub[up[SLOT_DP_PLUS]])
-        families = _by_family(followers)
         boxes = setpoint_boxes(ctx, mode)
         for _ in range(10):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
             decision = _edge_limited_decision(
-                ctx, mode, families, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
+                ctx, mode, followers, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
             )
             if decision is None:
                 continue
             inside += (decision[SLOT_DP_PLUS] < dp_box[1]) + (decision[SLOT_DP_MINUS] > dp_box[0])
-            calls.update(values=0, solve=0, fallback=0)
+            calls.update(values=0, solve=0)
             with monkeypatch.context() as m:
                 m.setattr(MaterializedFollower, "values", count_values)
                 m.setattr(MaterializedFollower, "solve", count_solve)
                 x = _complete_point(slmap, mode, decision, lb, ub)
-            assert calls["values"] == len({a for a, _ in families}) == 2
-            assert calls["solve"] == calls["fallback"]
+            assert calls["values"] == len(ACTIVATIONS) == 2
+            assert calls["solve"] == 0
             want = _completed_from_own_solves(slmap, mode, decision, lb, ub)
             assert x is not None and want is not None
             assert np.array_equal(x, want)
@@ -719,10 +733,10 @@ def test_completion_evaluates_each_family_once(pv_tight_ctx, mode, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mode):
     """At the walked decisions of random setpoints, every certificate built
-    from a family's one ``values`` call at the decision, on its activation's
-    follower at the family's σ, is, bit for bit, the follower's own solve at
-    the decision's edge and σ; on feeders whose walks stop inside the
-    availability box."""
+    from an activation's one ``values`` call at the decision, on its
+    follower at each target's σ, both extrema in one batch, is, bit for bit,
+    the follower's own solve at the decision's edge and σ; on feeders whose
+    walks stop inside the availability box."""
     from flexgrid.bilevel import EDGE_TOL_REL, _edge_limited_decision
 
     rng = np.random.default_rng(17)
@@ -737,23 +751,22 @@ def test_walk_certificates_are_the_solves_at_the_decision_edges(pv_tight_ctx, mo
         lb, ub = np.array(bp.base.lb), np.array(bp.base.ub)
         up = slmap.upper_vars
         dp_box = (lb[up[SLOT_DP_MINUS]], ub[up[SLOT_DP_PLUS]])
-        families = _by_family(followers)
         boxes = setpoint_boxes(ctx, mode)
         for _ in range(10):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
             decision = _edge_limited_decision(
-                ctx, mode, families, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
+                ctx, mode, followers, setpoints, dp_box, EDGE_TOL_REL * (dp_box[1] - dp_box[0])
             )
             if decision is None:
                 continue
             inside += (decision[SLOT_DP_PLUS] < dp_box[1]) + (decision[SLOT_DP_MINUS] > dp_box[0])
-            for (activation, extremum), nodes in families.items():
+            for activation in ACTIVATIONS:
+                group = [sc for sc in followers if sc.activation == activation]
                 mf = bilevel.family_follower(ctx, mode, activation, decision)
-                vals = mf.values(nodes, None, SIGMA[extremum])
-                for i, node in enumerate(nodes):
-                    sc = Scenario(node, activation, extremum)
+                vals = mf.values([sc.node for sc in group], None, [sc.sigma for sc in group])
+                for i, sc in enumerate(group):
                     cert = mf.certificate(vals, i)
-                    want = mf.solve(sc.sigma, node=sc.node, dp_bound=decision[sc.dp_slot])
+                    want = mf.certificate(mf.values([sc.node], decision[sc.dp_slot], sc.sigma), 0)
                     assert (cert.status, cert.objective, cert.method) == (
                         want.status, want.objective, want.method), sc
                     for field in ("x", "row_duals", "lower_duals", "upper_duals"):
@@ -800,8 +813,8 @@ def _recorded_walks(monkeypatch):
     """Patch the single level to record, for each search, the activations
     of its program, the clamped setpoints its node hook is called at and
     each ``_could_widen`` check (setpoints, floor, outcome), and for each
-    family walk (family, setpoints, the activations of the search whose
-    hook walks it or None)."""
+    activation's walk (activation, setpoints, the activations of the search
+    whose hook walks it or None)."""
     searches, walks = [], []
     current = None
     assemble = bilevel.assemble_single_level
@@ -834,14 +847,15 @@ def _recorded_walks(monkeypatch):
 
     walk = bilevel._edge_limited_decision
 
-    def count_walk(ctx, mode, families, setpoints, *args):
-        walks.extend((family, tuple(setpoints.values()), current) for family in families)
-        return walk(ctx, mode, families, setpoints, *args)
+    def count_walk(ctx, mode, followers, setpoints, *args):
+        walks.extend((activation, tuple(setpoints.values()), current)
+                     for activation in dict.fromkeys(sc.activation for sc in followers))
+        return walk(ctx, mode, followers, setpoints, *args)
 
     could_widen = bilevel._could_widen
 
-    def record_check(ctx, mode, families, setpoints, dp_box, floor):
-        could = could_widen(ctx, mode, families, setpoints, dp_box, floor)
+    def record_check(ctx, mode, followers, setpoints, dp_box, floor):
+        could = could_widen(ctx, mode, followers, setpoints, dp_box, floor)
         searches[-1][5].append((tuple(setpoints.values()), floor, could))
         return could
 
@@ -860,12 +874,12 @@ def _skipped_walks_cannot_beat(ctx, mode, followers, searches):
     tol_abs = EDGE_TOL_REL * (dp_box[1] - dp_box[0])
     skipped = []
     for slmap, lb, _, activations, _, checks in searches:
-        fams = _by_family([sc for sc in followers if sc.activation in activations])
+        subset = [sc for sc in followers if sc.activation in activations]
         for key, floor, could in checks:
             if could:
                 continue
             setpoints = dict(zip(slmap.setpoint_slots, key))
-            d = walk_oracle(ctx, mode, fams, setpoints, dp_box, tol_abs)
+            d = walk_oracle(ctx, mode, subset, setpoints, dp_box, tol_abs)
             assert d is None or d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS] <= floor, (key, floor)
             skipped.append(key)
     return skipped
@@ -879,9 +893,9 @@ def _walk_proven_halves(ctx, mode, followers):
     span = dp_box[1] - dp_box[0]
     proven = set()
     for activation in (POSITIVE, NEGATIVE):
-        fams = _by_family([sc for sc in followers if sc.activation == activation])
+        half = [sc for sc in followers if sc.activation == activation]
         for setpoints in _candidate_setpoint_sets(setpoint_boxes(ctx, mode)):
-            d = walk_oracle(ctx, mode, fams, setpoints, dp_box, EDGE_TOL_REL * span)
+            d = walk_oracle(ctx, mode, half, setpoints, dp_box, EDGE_TOL_REL * span)
             if d is not None and d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS] >= span - 1e-9 * (1.0 + span):
                 proven.add(activation)
     return proven
@@ -899,12 +913,12 @@ def _seed_followers(seed):
 
 def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
     """The joint search's relaxations land on few distinct setpoint sets,
-    some of them the presolve's; each family is walked at most once at
-    each set over the presolve and the hook, and the search is the one
-    that walked them every time: 7 nodes to a band bit-identical to
+    some of them the presolve's; each activation's followers are walked at
+    most once at each set over the presolve and the hook, and the search is
+    the one that walked them every time: 7 nodes to a band bit-identical to
     0.31177 / -0.22848 p.u.  The presolve's walk is already the band, so
     the hook walks none of its 3 new sets: at each, one evaluation per
-    family shows the walk cannot beat the incumbent, and the full walk
+    activation shows the walk cannot beat the incumbent, and the full walk
     there confirms it."""
     ctx, followers = _seed_followers(7200)
     searches, walks = _recorded_walks(monkeypatch)
@@ -915,11 +929,11 @@ def test_the_node_hook_walks_each_setpoint_set_once(monkeypatch):
     presolve_keys = [key for _, key, hook in walks if hook is None]
     assert len(hook_keys) > len(set(hook_keys))  # the relaxations repeat setpoints
     assert set(hook_keys) & set(presolve_keys)  # ... and revisit the presolve's
-    families = {family for family, _, _ in walks}
+    activations = {activation for activation, _, _ in walks}
     skipped = set(_skipped_walks_cannot_beat(ctx, MODE_CONSTANT_PF, followers, searches))
     assert skipped == set(hook_keys) - set(presolve_keys) and len(skipped) == 3
     keys = set(hook_keys) - skipped | set(presolve_keys)
-    assert sorted((f, k) for f, k, _ in walks) == sorted((f, k) for f in families for k in keys)
+    assert sorted((a, k) for a, k, _ in walks) == sorted((a, k) for a in activations for k in keys)
     assert (res.decision.dp_plus.hex(), res.decision.dp_minus.hex()) == (
         "0x1.3f3e0370cdc88p-2", "-0x1.d3eb769efd182p-3",
     )
@@ -929,10 +943,10 @@ def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
     """Split by activation, the same followers close in 0 + 3 nodes, not
     the joint search's 7, to the same band bit for bit: a presolve walk
     of the positive half reaches Δp+'s box end, which proves that half
-    with no search.  The negative half's hook walks only its own families,
-    no family is walked twice at one setpoint set over the presolve and
-    the search, and the decision's setpoints, one half's final ones, are
-    walked by every family.  The negative half's hook skips the one new
+    with no search.  The negative half's hook walks only its own followers,
+    no activation's followers are walked twice at one setpoint set over the
+    presolve and the search, and the decision's setpoints, one half's final
+    ones, are walked by both activations.  The negative half's hook skips the one new
     set its relaxations reach, where the walk cannot beat that half's
     incumbent."""
     ctx, followers = _seed_followers(7200)
@@ -943,13 +957,12 @@ def test_the_split_walks_each_family_once_per_setpoint_set(monkeypatch):
     assert res.nodes_by_search == {POSITIVE: 0, NEGATIVE: 3, JOINT: 0}
     assert res.bnb.nodes == 3
     assert [activations for _, _, _, activations, _, _ in searches] == [{NEGATIVE}]
-    assert all(family[0] in hook for family, _, hook in walks if hook is not None)
-    pairs = [(family, key) for family, key, _ in walks]
+    assert all(activation in hook for activation, _, hook in walks if hook is not None)
+    pairs = [(activation, key) for activation, key, _ in walks]
     assert len(pairs) == len(set(pairs))
-    families = {family for family, _ in pairs}
-    assert {family[0] for family in families} == {POSITIVE, NEGATIVE}
+    assert {activation for activation, _ in pairs} == {POSITIVE, NEGATIVE}
     decided = tuple(res.decision.setpoints.values())
-    assert {family for family, key in pairs if key == decided} == families
+    assert {activation for activation, key in pairs if key == decided} == {POSITIVE, NEGATIVE}
     skipped = _skipped_walks_cannot_beat(ctx, MODE_CONSTANT_PF, followers, searches)
     assert len(skipped) == 1 and skipped[0] in searches[0][4]
     assert not any(key == skipped[0] and hook is not None for _, key, hook in walks)
@@ -988,7 +1001,7 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
                 continue
             completed += 1
             edges = _edge_limited_decision(
-                ctx, mode, _by_family(followers), setpoints, (dp_lo, dp_up), tol_abs
+                ctx, mode, followers, setpoints, (dp_lo, dp_up), tol_abs
             )
             assert edges is not None
             assert edges[SLOT_DP_PLUS] >= raw[SLOT_DP_PLUS] - tol_abs
@@ -998,13 +1011,35 @@ def test_raw_band_edges_that_complete_never_beat_the_edge_walk(pv_tight_ctx, mod
     assert completed > 0 and binding > 0
 
 
+def _scalar_edges(ctx, mode, halves, setpoints, dp_box, tol_abs):
+    """Each activation's band edge at ``setpoints``: the tightest
+    ``scalar_edge_walk`` over its followers in ``halves``, one target at a
+    time, clamped to the box; None where one of them is infeasible."""
+    dp_lo, dp_up = dp_box
+    slots = {**setpoints, SLOT_DP_PLUS: dp_up, SLOT_DP_MINUS: dp_lo}
+    edges = {}
+    for activation, half in halves.items():
+        mf = bilevel.family_follower(ctx, mode, activation, slots)
+        try:
+            walked = [scalar_edge_walk(mf, sc.node, tol_abs, sc.sigma) for sc in half]
+        except BilevelError:
+            edges[activation] = None
+        else:
+            edges[activation] = (max(min([dp_up, *walked]), 0.0) if activation == POSITIVE
+                                 else min(max([dp_lo, *walked]), 0.0))
+    return edges
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_a_walk_the_hook_check_rules_out_cannot_beat_the_floor(mode):
     """On the corpus feeders, at random setpoints and at floors around the
     band the walk gives there, wherever ``_could_widen`` says no walk can
     beat the floor, the full walk, its oracle, gives a band no wider than
-    the floor: over all followers' families, as the joint search holds
-    them, and over each activation's, as each half does."""
+    the floor: over all followers, as the joint search holds them, and
+    over each activation's, as each half does.  Each activation holds both
+    extrema, walked in one lockstep call at per-row σ: every band edge is,
+    bit for bit, the tightest scalar walk (``edgewalk.scalar_edge_walk``)
+    over that activation's targets."""
     rng = np.random.default_rng(28)
     ruled_out = left = 0
     for seed, z_scale in BINDING_FEEDERS:
@@ -1012,18 +1047,27 @@ def test_a_walk_the_hook_check_rules_out_cannot_beat_the_floor(mode):
         followers = all_scenarios(ctx.n)
         dp_box = available_flexibility_bounds(ctx.devices)
         span = dp_box[1] - dp_box[0]
+        tol_abs = EDGE_TOL_REL * span
         boxes = setpoint_boxes(ctx, mode)
-        families = _by_family(followers)
-        halves = [{f: nodes for f, nodes in families.items() if f[0] == a} for a in (POSITIVE, NEGATIVE)]
+        halves = {a: [sc for sc in followers if sc.activation == a] for a in (POSITIVE, NEGATIVE)}
+        assert all({sc.extremum for sc in half} == set(EXTREMA) for half in halves.values())
+        subsets = [(followers, halves), *((h, {a: h}) for a, h in halves.items())]
         for _ in range(3):
             setpoints = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in boxes.items()}
-            for fams in [families, *halves]:
-                d = walk_oracle(ctx, mode, fams, setpoints, dp_box, EDGE_TOL_REL * span)
+            scalar = _scalar_edges(ctx, mode, halves, setpoints, dp_box, tol_abs)
+            for subset, held in subsets:
+                d = walk_oracle(ctx, mode, subset, setpoints, dp_box, tol_abs)
+                want = {a: scalar[a] for a in held}
+                if None in want.values():
+                    assert d is None, (seed, z_scale, setpoints)
+                else:
+                    assert d == {**setpoints, SLOT_DP_PLUS: want.get(POSITIVE, dp_box[1]),
+                                 SLOT_DP_MINUS: want.get(NEGATIVE, dp_box[0])}, setpoints
                 width = None if d is None else d[SLOT_DP_PLUS] - d[SLOT_DP_MINUS]
                 centre = span if width is None else width
                 floors = [centre, *(centre * rng.uniform(0.8, 1.2, 3)), 1.5 * span]
                 for floor in floors:
-                    if _could_widen(ctx, mode, fams, setpoints, dp_box, float(floor)):
+                    if _could_widen(ctx, mode, subset, setpoints, dp_box, float(floor)):
                         left += 1
                     else:
                         ruled_out += floor < span

@@ -229,7 +229,7 @@ def _breakpoint_edge(mf, node, edge):
 
 def _check_certificate(oracle, mf, node, edge, where):
     want = oracle.solve(node, edge)
-    got = mf.solve(node=node, dp_bound=edge)
+    got = mf.certificate(mf.values([node], edge), 0)
     assert got.method == CLOSED_FORM, where  # these draws never cut a volt-var optimum
     assert got.status == want.status, where
     if got.status == INFEASIBLE:
@@ -334,7 +334,7 @@ def test_q_set_outside_the_cone_is_infeasible_on_both_paths(pv_ctx, activation):
         assert solve_materialized(problem.to_lp(slots).materialize()).status == INFEASIBLE
         mf = problem.materialize(slots)
         for node in range(pv_ctx.n):
-            assert mf.solve(node=node).status == INFEASIBLE
+            assert mf.certificate(mf.values([node]), 0).status == INFEASIBLE
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 2.0])
@@ -488,7 +488,7 @@ def test_volt_var_optimum_cut_by_the_capability_falls_back_to_highs(pv_model):
             oracle = Oracle(problem, mf.slots)
             for k in range(ctx.n):
                 for edge in (0.0, 0.5 * full, full):
-                    got, want = mf.solve(node=k, dp_bound=edge), oracle.solve(k, edge)
+                    got, want = mf.certificate(mf.values([k], edge), 0), oracle.solve(k, edge)
                     where = (activation, extremum, k, edge)
                     assert got.status == want.status, where
                     if got.is_optimal:
@@ -499,7 +499,8 @@ def test_volt_var_optimum_cut_by_the_capability_falls_back_to_highs(pv_model):
                 mf.set_slots(again)
                 fresh = problem.materialize(again)
                 for k in range(ctx.n):
-                    got, want = mf.solve(node=k), fresh.solve(node=k)
+                    got = mf.certificate(mf.values([k]), 0)
+                    want = fresh.certificate(fresh.values([k]), 0)
                     assert (got.status, got.method) == (want.status, want.method), k
                     assert got.objective == want.objective, k
     assert cut_optima > 0
@@ -529,7 +530,7 @@ def test_volt_var_singular_droop_system_falls_back_to_highs(pv_ctx, monkeypatch)
             oracle = Oracle(problem, mf.slots)
             for k in range(pv_ctx.n):
                 for edge in (0.0, 0.5 * full, full):
-                    got, want = mf.solve(node=k, dp_bound=edge), oracle.solve(k, edge)
+                    got, want = mf.certificate(mf.values([k], edge), 0), oracle.solve(k, edge)
                     where = (activation, extremum, k, edge)
                     assert got.method != CLOSED_FORM, where
                     assert got.status == want.status, where
@@ -584,7 +585,7 @@ def test_volt_var_at_a_singular_droop_system_falls_back_to_highs():
             oracle = Oracle(problem, mf.slots)
             for edge in (0.0, 0.5 * full, full):
                 where = (activation, extremum, edge)
-                got, want = mf.solve(dp_bound=edge), oracle.solve(0, edge)
+                got, want = mf.certificate(mf.values([0], edge), 0), oracle.solve(0, edge)
                 assert got.method != CLOSED_FORM, where
                 assert got.status == want.status == OPTIMAL, where
                 assert abs(got.objective - want.objective) <= 1e-9, where
@@ -647,7 +648,8 @@ def test_free_q_falls_back_when_the_capability_excludes_the_operating_point(pv_m
             fresh = problem.materialize(slots)
             assert solve_materialized(problem.to_lp(mf.slots).materialize()).status == INFEASIBLE
             for node in range(ctx.n):
-                got, want = mf.solve(node=node), fresh.solve(node=node)
+                got = mf.certificate(mf.values([node]), 0)
+                want = fresh.certificate(fresh.values([node]), 0)
                 assert got.status == want.status == INFEASIBLE
                 assert got.method != CLOSED_FORM
 
@@ -755,7 +757,8 @@ def _check_values(mf, nodes, edges, where, sigma=None):
     oracle = Oracle(problem, mf.slots, sigma)
     vals = mf.values(nodes, edges, sigma)
     for i, (node, edge) in enumerate(zip(nodes.tolist(), edges.tolist())):
-        got, want = mf.solve(sigma, node=node, dp_bound=edge), oracle.solve(node, edge)
+        got = mf.certificate(mf.values([node], edge, sigma), 0)
+        want = oracle.solve(node, edge)
         at = (where, node, edge)
         assert vals.optimal[i] == got.is_optimal == want.is_optimal, at
         free_q = _free_q(mf) and vals.certified[i]
@@ -922,12 +925,13 @@ def test_values_fall_back_when_free_q_cannot_certify(pv_model):
 
 
 def _count_fallbacks(monkeypatch):
-    """Patch ``values`` and ``solve`` to count values calls, uncertified rows
-    and solves."""
+    """Patch ``values``, ``_highs`` and ``solve`` to count values calls,
+    uncertified rows, HiGHS solves of one row and per-target solves."""
     from flexgrid.follower import MaterializedFollower
 
-    counts = {"values": 0, "fallback_rows": 0, "solves": 0}
-    values, solve = MaterializedFollower.values, MaterializedFollower.solve
+    counts = {"values": 0, "fallback_rows": 0, "highs": 0, "solves": 0}
+    values, highs = MaterializedFollower.values, MaterializedFollower._highs
+    solve = MaterializedFollower.solve
 
     def counting_values(self, nodes, edges=None, sigma=None):
         counts["values"] += 1
@@ -935,23 +939,28 @@ def _count_fallbacks(monkeypatch):
         counts["fallback_rows"] += int((~vals.certified).sum())
         return vals
 
+    def counting_highs(self, vals, i):
+        counts["highs"] += 1
+        return highs(self, vals, i)
+
     def counting_solve(self, *args, **kwargs):
         counts["solves"] += 1
         return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(MaterializedFollower, "values", counting_values)
+    monkeypatch.setattr(MaterializedFollower, "_highs", counting_highs)
     monkeypatch.setattr(MaterializedFollower, "solve", counting_solve)
     return counts
 
 
 def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
-    """``worst_case_limits`` and ``feasibility_check`` reach a per-target
-    ``solve`` (and so HiGHS) only for the rows the closed form cannot
-    certify, and the feasibility check makes one ``values`` call per
-    activation, for both extrema: with every volt-var row uncertified (a
-    singular droop solve), on
-    a batch that mixes both kinds (the capability cut) and in constant-pf,
-    which needs no fallback."""
+    """``worst_case_limits`` and ``feasibility_check`` reach HiGHS only for
+    the rows the closed form cannot certify, one row at a time and never
+    through a per-target ``solve``, and the feasibility check makes one
+    ``values`` call per activation, for both extrema: with every volt-var
+    row uncertified (a singular droop solve), on a batch that mixes both
+    kinds (the capability cut) and in constant-pf, which needs no
+    fallback."""
     counts = _count_fallbacks(monkeypatch)
     dev = pv_ctx.devices
 
@@ -961,15 +970,16 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "solve", singular)
         wc = worst_case_limits(pv_ctx, MODE_VOLT_VAR)
-        assert counts["solves"] == counts["fallback_rows"] > 0
+        assert counts["highs"] == counts["fallback_rows"] > 0 and counts["solves"] == 0
         decision = UpperDecision(
             dp_plus=wc.range_upper, dp_minus=wc.range_lower,
             setpoints=dict.fromkeys(setpoint_boxes(pv_ctx, MODE_VOLT_VAR), 0.0),
         )
-        counts.update(values=0, fallback_rows=0, solves=0)
+        counts.update(dict.fromkeys(counts, 0))
         feasibility_check(pv_ctx, MODE_VOLT_VAR, decision)
         assert counts["values"] == 2
-        assert counts["solves"] == counts["fallback_rows"] == 4 * pv_ctx.n
+        assert counts["highs"] == counts["fallback_rows"] == 4 * pv_ctx.n
+        assert counts["solves"] == 0
 
     ctx = _cut_context(pv_model)
     dp_lo, dp_up = available_flexibility_bounds(dev)
@@ -977,16 +987,17 @@ def test_screening_solves_only_the_fallback_rows(pv_model, pv_ctx, monkeypatch):
         dp_plus=dp_up, dp_minus=dp_lo,
         setpoints={slot_qbar(k): float(dev.s_cap[k]) for k in dev.inverter_nodes},
     )
-    counts.update(values=0, fallback_rows=0, solves=0)
+    counts.update(dict.fromkeys(counts, 0))
     feasibility_check(ctx, MODE_VOLT_VAR, cut)
     assert counts["values"] == 2
-    assert 0 < counts["solves"] == counts["fallback_rows"] < 4 * ctx.n
+    assert 0 < counts["highs"] == counts["fallback_rows"] < 4 * ctx.n and counts["solves"] == 0
 
-    counts.update(values=0, fallback_rows=0, solves=0)
+    counts.update(dict.fromkeys(counts, 0))
     wc = worst_case_limits(pv_ctx, MODE_CONSTANT_PF)
     decision = UpperDecision(
         dp_plus=wc.range_upper, dp_minus=wc.range_lower,
         setpoints=dict.fromkeys(setpoint_boxes(pv_ctx, MODE_CONSTANT_PF), 0.0),
     )
     feasibility_check(pv_ctx, MODE_CONSTANT_PF, decision)
-    assert counts["values"] > 4 and counts["solves"] == counts["fallback_rows"] == 0
+    assert counts["values"] > 4
+    assert counts["highs"] == counts["fallback_rows"] == counts["solves"] == 0

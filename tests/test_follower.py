@@ -359,7 +359,7 @@ def test_node_swap_matches_dedicated_problem(pv_ctx):
         want = build_follower(
             pv_ctx, Scenario(node, POSITIVE, MAX_V), MODE_CONSTANT_PF
         ).solve(slots)
-        got = mat.solve(node=node)
+        got = mat.certificate(mat.values([node]), 0)
         assert got.objective == pytest.approx(want.objective, abs=1e-9)
 
 
@@ -368,7 +368,7 @@ def test_dp_bound_override_matches_fresh_slots(pv_ctx):
     slots0 = {slot_gamma(k): 0.0 for k in pv_ctx.devices.inverter_nodes}
     mat = problem.materialize({**slots0, SLOT_DP_PLUS: 0.05})
     for t in (0.0, 0.12, 0.4):
-        got = mat.solve(dp_bound=t)
+        got = mat.certificate(mat.values([3], t), 0)
         want = problem.solve({**slots0, SLOT_DP_PLUS: t})
         assert got.objective == pytest.approx(want.objective, abs=1e-9)
 
@@ -388,8 +388,8 @@ def test_set_slots_matches_a_fresh_materialization(pv_ctx, mode, activation):
         assert mat.slots == fresh.slots
         for node in range(pv_ctx.n):
             for dp_bound in (None, 0.0):
-                got = mat.solve(node=node, dp_bound=dp_bound)
-                want = fresh.solve(node=node, dp_bound=dp_bound)
+                got = mat.certificate(mat.values([node], dp_bound), 0)
+                want = fresh.certificate(fresh.values([node], dp_bound), 0)
                 assert (got.status, got.method) == (want.status, want.method)
                 assert got.objective == want.objective
                 for field in ("x", "row_duals", "lower_duals", "upper_duals"):
@@ -401,10 +401,10 @@ def test_aggregate_dual_is_band_sensitivity(pv_ctx):
     slots = {slot_gamma(k): 0.2 for k in pv_ctx.devices.inverter_nodes}
     mat = problem.materialize({**slots, SLOT_DP_PLUS: 0.0})
     t, h = 0.2, 1e-5
-    cert = mat.solve(dp_bound=t)
+    cert = mat.certificate(mat.values([4], t), 0)
     lam = mat.agg_dual(cert)
-    up = mat.solve(dp_bound=t + h).objective
-    dn = mat.solve(dp_bound=t - h).objective
+    up = mat.certificate(mat.values([4], t + h), 0).objective
+    dn = mat.certificate(mat.values([4], t - h), 0).objective
     lo = min((up - cert.objective) / h, (cert.objective - dn) / h)
     hi = max((up - cert.objective) / h, (cert.objective - dn) / h)
     assert lo - 1e-6 <= lam <= hi + 1e-6

@@ -1,10 +1,11 @@
-"""The run's store of searches and family walks.
+"""The run's store of searches and walks.
 
 ``run_iterative`` hands one ``RunStore`` to each of its single-level
-solves, so an iteration takes from it every search and walk an earlier
-iteration made with the same followers, seeds and budget.  The results
-must be those of solving each iteration afresh, and the store must live
-for one run only.
+solves, so an iteration takes from it every search an earlier iteration
+made with the same followers, seeds and budget, and every walk of one
+activation's followers, both extrema's, at setpoints it walked before.
+The results must be those of solving each iteration afresh, and the store
+must live for one run only.
 """
 
 import numpy as np
