@@ -100,24 +100,34 @@ def check_anchor(ctx: FlexContext) -> None:
 
 
 def check_capability(ctx: FlexContext, problem: FollowerProblem) -> None:
-    """Constant-pf followers hold q_gen = γ·(p_gen0 + Δp_gen), so at zero
-    deviation each inverter sits at (Δp_gen, q_gen) = (0, γ·p_gen0): its
-    region (``FollowerProblem.region``) must hold that point at both ends of
-    its γ box, or no follower is feasible there.  Raises ``FeederError``
+    """At zero deviation each inverter sits at (Δp_gen, q_gen) = (0, q0),
+    q0 linear in its setpoint: constant-pf's q0 = γ·p_gen0, volt-var's
+    anchor droop q0 = q̄·(v_max + v_min - 2|v0|)/band.  Its region
+    (``FollowerProblem.region``) must hold that point at both ends of its
+    setpoint box, or no follower is feasible there.  Raises ``FeederError``
     naming the first inverter whose capability cannot."""
     _, e, b = problem.region  # at Δp_gen = 0 only e·q_gen <= b remains
-    boxes = setpoint_boxes(ctx, MODE_CONSTANT_PF)
+    boxes = setpoint_boxes(ctx, problem.mode)
     ends = np.array([boxes[s] for s in problem.setpoint_slots]).reshape(-1, 2)
-    q0 = ends * ctx.devices.p_gen0[problem.inv][:, None]  # (inverter, end)
+    if problem.mode == MODE_CONSTANT_PF:
+        per_setpoint = ctx.devices.p_gen0[problem.inv]
+    else:
+        band = ctx.v_max - ctx.v_min
+        per_setpoint = (ctx.v_max + ctx.v_min - 2.0 * ctx.anchor.vm[problem.inv]) / band
+    q0 = ends * per_setpoint[:, None]  # (inverter, end)
     outside = (e[:, None, :] * q0[:, :, None] > b[:, None, :] + FEAS_TOL_PU).any(axis=(1, 2))
     if outside.any():
         i = int(np.argmax(outside))
         bus, phase = ctx.index.nodes[problem.inv[i]]
-        raise FeederError(
-            f"inverter at bus {bus!r} phase {phase!r}: its capability (s_kva) cannot hold "
-            f"the anchor's q_gen = gamma * p_kw at the ends of its constant-pf gamma box "
-            f"+/-{ends[i, 1]:.4g}; raise its s_kva or its pf"
-        )
+        if problem.mode == MODE_CONSTANT_PF:
+            what = (f"the anchor's q_gen = gamma * p_kw at the ends of its constant-pf gamma box "
+                    f"+/-{ends[i, 1]:.4g}; raise its s_kva or its pf")
+        else:
+            what = (f"the volt-var droop q_gen = {q0[i, 1]:.4g} p.u. at its anchor |v| "
+                    f"{ctx.anchor.vm[problem.inv[i]]:.4f} and qbar = s_kva; raise its s_kva, "
+                    f"lower its p_kw or move the band's edges away from that |v|")
+        raise FeederError(f"inverter at bus {bus!r} phase {phase!r}: its capability (s_kva) "
+                          f"cannot hold {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +323,9 @@ def worst_case_limits(
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
-    A constant-pf inverter whose capability cannot hold the anchor at its
-    γ box ends raises ``FeederError`` (``check_capability``).
+    A constant-pf or volt-var inverter whose capability cannot hold the
+    anchor at its setpoint box ends raises ``FeederError``
+    (``check_capability``).
     """
     check_anchor(ctx)
     n = ctx.n
@@ -337,7 +348,7 @@ def worst_case_limits(
         limits_of: dict[str, np.ndarray] = {}
         for slots, group in by_slots.items():
             mf = family_follower(ctx, mode, activation, dict(slots))
-            if mode == MODE_CONSTANT_PF:
+            if mode != MODE_CONSTANT_Q:
                 check_capability(ctx, mf.problem)
             sigma = np.repeat([SIGMA[e] for e in group], n)
             lim = _edge_walk(mf, np.tile(np.arange(n), len(group)), sigma, tol_abs)

@@ -438,6 +438,7 @@ def cmd_verify(args) -> int:
     verification = {
         "max_linearization_error_pu": report.max_error,
         "max_band_excess_pu": report.max_band_excess,
+        "newton_fallback_rows": report.newton_fallback_rows,
         "tolerance_pu": args.verify_tol,
         "passed": report.within(args.verify_tol) and not violations,
         "violations": violations,

@@ -3,10 +3,14 @@
 The solver's claims rest on a linearized power flow and a first-order
 magnitude expansion.  This module closes the loop without reusing either:
 worst-case injections coming out of the follower LPs are pushed through the
-Newton power flow, and on small feeders a brute-force grid plays the
+nonlinear power flow, and on small feeders a brute-force grid plays the
 adversary directly in the nonlinear model (including volt-var droop,
-solved together with the flow as one Newton system).  Both hand the Newton
-solver whole stacks of injection profiles rather than one profile at a time.
+solved together with the flow).  Both hand the power flow whole stacks of
+injection profiles rather than one profile at a time.  It solves them by
+fixed-point sweeps of the Z-bus map from the anchor, on the linear model's
+own factorization, and accepts a row only once its power mismatch,
+recomputed from the admittance matrix, is below a tolerance tighter than
+Newton's; a row the sweeps do not settle falls back to the Newton solve.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .follower import (
     slot_qbar,
     slot_qset,
 )
-from .powerflow import solve_nonlinear_pf
+from .powerflow import OperatingPoint, solve_nonlinear_pf
 
 GRID_STEPS = 7  # brute-force grid values per device's Δp box
 GRID_Q_STEPS = 5  # brute-force reactive levels per inverter's cone (free q)
@@ -48,13 +52,21 @@ def linear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndar
     return ctx.taylor.magnitude(v.real, v.imag)
 
 
+def _nonlinear_flow(ctx: FlexContext, p: np.ndarray, q: np.ndarray, slope=None) -> OperatingPoint:
+    """The power flow of one injection profile ``(n,)`` or a stack ``(P, n)``,
+    swept on the context's linear model with Newton as the fallback."""
+    return solve_nonlinear_pf(
+        ctx.feeder, p, q, index=ctx.index, Y=ctx.ybus, slope=slope, lpf=ctx.lpf
+    )
+
+
 def nonlinear_magnitudes(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Newton |v| of one injection profile ``(n,)`` or a stack ``(P, n)``."""
-    return solve_nonlinear_pf(ctx.feeder, p, q, index=ctx.index, Y=ctx.ybus).vm
+    """Nonlinear |v| of one injection profile ``(n,)`` or a stack ``(P, n)``."""
+    return _nonlinear_flow(ctx, p, q).vm
 
 
 def linearization_error(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> float:
-    """Worst nodal |v| gap between the linear model and the Newton solution."""
+    """Worst nodal |v| gap between the linear model and the nonlinear solution."""
     return float(np.max(np.abs(linear_magnitudes(ctx, p, q) - nonlinear_magnitudes(ctx, p, q))))
 
 
@@ -66,7 +78,7 @@ def linearization_error(ctx: FlexContext, p: np.ndarray, q: np.ndarray) -> float
 class ScenarioCheck:
     scenario: Scenario
     lp_vm: float  # follower optimum (linear model)
-    nl_vm: float  # Newton |v| at the same injections, scenario node
+    nl_vm: float  # nonlinear |v| at the same injections, scenario node
     error: float  # max over all nodes of |linear - nonlinear|
     band_excess: float  # how far the nonlinear voltage leaves [v_min, v_max]
 
@@ -81,6 +93,7 @@ class OracleReport:
     profile_scenario: Scenario | None = None
     profile_linear: np.ndarray | None = None
     profile_nonlinear: np.ndarray | None = None
+    newton_fallback_rows: int = 0  # distinct profiles the fixed-point sweeps left to Newton
 
     def within(self, tol: float) -> bool:
         return self.max_error <= tol
@@ -93,7 +106,7 @@ def verify_decision(
     *,
     direction: str = "both",
 ) -> OracleReport:
-    """Push every follower's worst-case injections through the Newton flow.
+    """Push every follower's worst-case injections through the nonlinear flow.
 
     For each scenario the follower LP is solved at the decision, its argmax
     injection profile is evaluated exactly, and the report collects the
@@ -104,7 +117,7 @@ def verify_decision(
     repeats dropped (first occurrences kept): a follower's knapsack fill
     depends on its target only through the order of its gains, so many
     targets share one dispatch.  The distinct profiles go through one
-    stacked Newton solve and one matrix product of the linear model.
+    stacked power flow and one matrix product of the linear model.
     The rows come from ``bilevel.screened_families``, the sweep
     ``bilevel.feasibility_check`` screens with: ``family_follower`` at the
     decision's slots, the context's own, so a verify after a solve on the
@@ -125,12 +138,13 @@ def verify_decision(
     except BilevelError as exc:  # the decision lacks slots, or a follower has no optimum
         raise OracleError(str(exc)) from None
     pq = np.concatenate(injections)
-    stack_row: dict[bytes, int] = {}  # profile bytes -> its row in the Newton stack
+    stack_row: dict[bytes, int] = {}  # profile bytes -> its row in the power-flow stack
     row = np.array([stack_row.setdefault(r.tobytes(), len(stack_row)) for r in pq])
     first = np.unique(row, return_index=True)[1]
     p, q = pq[first, : ctx.n], pq[first, ctx.n :]
     vm_lin = linear_magnitudes(ctx, p, q)
-    vm_nl = nonlinear_magnitudes(ctx, p, q)
+    flow = _nonlinear_flow(ctx, p, q)
+    vm_nl = flow.vm
     errors = np.max(np.abs(vm_lin - vm_nl), axis=1)[row]
     excess = np.max(np.maximum(vm_nl - ctx.v_max, ctx.v_min - vm_nl), axis=1)[row]
     nl_vm = vm_nl[row, [sc.node for sc in scenarios]]
@@ -149,6 +163,7 @@ def verify_decision(
         profile_scenario=checks[worst].scenario,
         profile_linear=vm_lin[row[worst]],
         profile_nonlinear=vm_nl[row[worst]],
+        newton_fallback_rows=flow.newton_fallback_rows,
     )
 
 
@@ -173,16 +188,16 @@ def _droop_voltages(
     (v_max, -q̄); loads' reactive draw is in ``q_other``.  ``p`` and
     ``q_other`` hold one profile ``(n,)`` or a stack ``(P, n)``.  The line
     is an intercept q̄·(v_max + v_min)/band added to ``q_other`` and a
-    slope 2q̄/band in |v|, so one stacked Newton solve finds every
-    profile's equilibrium with the droop rows joined to the flow.  Returns
+    slope 2q̄/band in |v|, so one stacked power flow finds every
+    profile's equilibrium with the droop joined to the flow.  Returns
     (vm, q) in the input's shape, q the droop line at the solved |v|.  A
-    profile without an equilibrium the Newton solve reaches raises
+    profile without an equilibrium the fallback Newton solve reaches raises
     ``PowerFlowError`` for the whole stack.
     """
     band = ctx.v_max - ctx.v_min
     slope = 2.0 * qbar / band
     q_fixed = q_other + qbar * (ctx.v_max + ctx.v_min) / band
-    vm = solve_nonlinear_pf(ctx.feeder, p, q_fixed, index=ctx.index, Y=ctx.ybus, slope=slope).vm
+    vm = _nonlinear_flow(ctx, p, q_fixed, slope).vm
     return vm, q_fixed - slope * vm
 
 
@@ -204,7 +219,7 @@ def brute_force_extremes(
     for constant-Q without a q_set) as one array of grid points, keeps the
     points that respect the sign rules, device limits, the exact
     apparent-power circle and the aggregate bound (boolean masks over the
-    array), and solves all of them in one stacked Newton call (volt-var:
+    array), and solves all of them in one stacked power flow (volt-var:
     with the droop line joined to the flow, ``_droop_voltages``; a point
     without a droop equilibrium raises ``PowerFlowError``).  The grid
     depends on the activation but not on the node or the extremum, so this

@@ -2,12 +2,15 @@
 
 Two solvers live here:
 
-* a Newton power flow in rectangular voltage coordinates (flat start at the
-  balanced slack phasor), used to compute operating points and as the
+* a nonlinear power flow, used to compute operating points and as the
   nonlinear reference everywhere else.  It solves a whole stack of injection
-  profiles at once: each iteration takes every unconverged profile's step
-  with one stacked LU solve over their Jacobians, volt-var droop lines
-  included;
+  profiles at once, volt-var droop lines included.  Given an anchored linear
+  model, each profile first takes fixed-point sweeps of the Z-bus map from
+  the anchor, one matrix product per sweep over the stack and no new
+  factorization; a profile the sweeps do not settle, and every profile
+  without a model, goes to a Newton solve in rectangular voltage coordinates
+  from a flat start at the balanced slack phasor, which takes every
+  unconverged profile's step with one stacked LU solve over their Jacobians;
 * a fixed-point linear voltage model anchored at an operating point, exact at
   the anchor by construction, plus the first-order voltage-magnitude
   linearization used by the LP layers.
@@ -30,6 +33,10 @@ SLACK_PHASOR = np.exp(1j * np.deg2rad(np.array([0.0, -120.0, 120.0])))
 
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 50
+# A fixed-point sweep row stops at a power mismatch below SWEEP_TOL (p.u.),
+# tighter than Newton's, after at most SWEEP_MAX_ITER sweeps.
+SWEEP_TOL = 1e-10
+SWEEP_MAX_ITER = NEWTON_MAX_ITER
 # Memory budget of one stacked Newton solve.  A profile in the stack holds
 # its complex (n, 2n) derivative block and its real (2n, 2n) Jacobian,
 # ROW_BYTES_PER_NODE2 * n^2 bytes; longer stacks are solved in chunks.
@@ -48,9 +55,9 @@ class OperatingPoint:
     The per-node arrays have shape ``(n,)`` for one profile and ``(P, n)``
     for a stack of ``P`` (``slack_power`` likewise per slack phase).
     ``p_inj``/``q_inj`` hold the *realized* injections V·conj(I) at the
-    solution, which agree with the requested ones to the Newton tolerance but
-    are exactly consistent with ``v`` — that consistency is what makes the
-    anchored linear model reproduce the anchor to machine precision.
+    solution, which agree with the requested ones to the solver's tolerance
+    but are exactly consistent with ``v`` — that consistency is what makes
+    the anchored linear model reproduce the anchor to machine precision.
     """
 
     index: BusPhaseIndex
@@ -59,8 +66,9 @@ class OperatingPoint:
     p_inj: np.ndarray  # realized active injections, p.u., generation-positive
     q_inj: np.ndarray  # realized reactive injections, p.u.
     slack_power: np.ndarray  # complex per-phase power injected by the slack
-    iterations: int  # Newton steps (of the slowest profile in a stack)
+    iterations: int  # sweeps, plus Newton steps of any fallback (slowest profile)
     residual: float  # max |S_spec - S(v)| over nodes (and profiles), p.u.
+    newton_fallback_rows: int = 0  # profiles the fixed-point sweeps left to Newton
 
     @property
     def vd(self) -> np.ndarray:
@@ -112,26 +120,36 @@ def solve_nonlinear_pf(
     index: BusPhaseIndex | None = None,
     Y: np.ndarray | None = None,
     slope: np.ndarray | None = None,
+    lpf: LinearPFModel | None = None,
 ) -> OperatingPoint:
-    """Newton power flow in rectangular coordinates, one profile or a stack.
+    """Nonlinear power flow, one profile or a stack.
 
     ``p_inj``/``q_inj`` are one injection profile of shape ``(n,)`` or a
     stack of ``P`` profiles of shape ``(P, n)``; with neither given, solves
     the feeder's current operating point (see ``anchor_injections``).  With
     a ``slope`` of shape ``(n,)``, node k injects q_inj[k] - slope[k]·|v_k|
-    (a droop line).  Every profile starts flat at the slack phasor
-    replicated to every node and takes full Newton steps.  Each iteration
-    builds the Jacobians of all unconverged profiles as one ``(P, 2n, 2n)``
-    stack and solves them in one stacked LU call.  A profile leaves the
+    (a droop line).
+
+    With ``lpf``, a linear model anchored on this feeder, every profile
+    first takes fixed-point sweeps from the anchor (``_sweep``); a profile
+    the sweeps leave unsettled goes to Newton as below, and
+    ``newton_fallback_rows`` counts those profiles.  Without ``lpf`` every
+    profile is solved by Newton in rectangular coordinates.
+
+    A Newton profile starts flat at the slack phasor replicated to every
+    node and takes full Newton steps.  Each iteration builds the Jacobians
+    of all unconverged profiles as one ``(P, 2n, 2n)`` stack and solves
+    them in one stacked LU call.  A profile leaves the
     stack once its own power mismatch drops below ``NEWTON_TOL`` (p.u.), so
     it takes the steps a lone solve would; its last bits may still depend
     on the other rows of its stack (a matrix product's rounding can vary
     with the stack's length).  Stacks larger than ``NEWTON_STACK_BYTES``
     allows are solved in chunks.  The result has the input's shape; for a
-    stack, ``iterations`` is the step count of the slowest profile and
-    ``residual`` the largest final mismatch.  A singular Jacobian, a
-    collapsing voltage or ``NEWTON_MAX_ITER`` steps without convergence in
-    any profile raises ``PowerFlowError``.
+    stack, ``iterations`` is the sweep count of the slowest profile plus the
+    Newton step count of the slowest fallback profile, and ``residual`` the
+    largest final mismatch.  A singular Jacobian, a collapsing voltage or
+    ``NEWTON_MAX_ITER`` steps without convergence in any profile raises
+    ``PowerFlowError``.
     """
     if index is None:
         index = index_nodes(model)
@@ -151,19 +169,29 @@ def solve_nonlinear_pf(
 
     Y00, Y0L, YL0, YLL = _partition_ybus(Y, index)
     v0 = SLACK_PHASOR.copy()
-    # Flat start: slack phasor replicated phase-wise to every node.
-    phase_pos = {"a": 0, "b": 1, "c": 2}
-    v_flat = np.array([v0[phase_pos[ph]] for (_, ph) in index.nodes], dtype=complex)
     s_spec = np.atleast_2d(p_inj + 1j * q_inj)
     v = np.empty(s_spec.shape, dtype=complex)
     s_calc = np.empty_like(v)
     i_lin = YL0 @ v0
-    iterations, residual = 0, 0.0
-    rows = max(1, NEWTON_STACK_BYTES // (ROW_BYTES_PER_NODE2 * max(n, 1) ** 2))
-    for i in range(0, len(s_spec), rows):
-        chunk = slice(i, i + rows)
-        steps, worst = _newton(YLL, i_lin, v_flat, s_spec[chunk], v[chunk], s_calc[chunk], slope)
-        iterations, residual = max(iterations, steps), max(residual, worst)
+    sweeps, steps, residual, left = 0, 0, 0.0, slice(None)
+    if lpf is not None:
+        sweeps, residual, left = _sweep(lpf, YLL, i_lin, s_spec, v, s_calc, slope)
+    # The rows left to Newton: views of the whole stack without a model,
+    # copies of the fallback rows with one.
+    s_left, v_left, c_left = s_spec[left], v[left], s_calc[left]
+    if len(s_left):
+        # Flat start: slack phasor replicated phase-wise to every node.
+        phase_pos = {"a": 0, "b": 1, "c": 2}
+        v_flat = np.array([v0[phase_pos[ph]] for (_, ph) in index.nodes], dtype=complex)
+        rows = max(1, NEWTON_STACK_BYTES // (ROW_BYTES_PER_NODE2 * max(n, 1) ** 2))
+        for i in range(0, len(s_left), rows):
+            chunk = slice(i, i + rows)
+            chunk_steps, worst = _newton(
+                YLL, i_lin, v_flat, s_left[chunk], v_left[chunk], c_left[chunk], slope
+            )
+            steps, residual = max(steps, chunk_steps), max(residual, worst)
+        if lpf is not None:
+            v[left], s_calc[left] = v_left, c_left
     i_slack = Y00 @ v0 + v @ Y0L.T
     slack_power = v0 * np.conj(i_slack)
     if p_inj.ndim == 1:
@@ -175,9 +203,73 @@ def solve_nonlinear_pf(
         p_inj=s_calc.real.copy(),
         q_inj=s_calc.imag.copy(),
         slack_power=slack_power,
-        iterations=iterations,
+        iterations=sweeps + steps,
         residual=residual,
+        newton_fallback_rows=len(s_left) if lpf is not None else 0,
     )
+
+
+def _sweep(
+    lpf: LinearPFModel,
+    YLL: np.ndarray,
+    i_lin: np.ndarray,
+    s_spec: np.ndarray,
+    v: np.ndarray,
+    s_calc: np.ndarray,
+    slope: np.ndarray | None,
+) -> tuple[int, float, np.ndarray]:
+    """Fixed-point sweeps of the Z-bus map on the ``(P, n)`` stack ``s_spec``.
+
+    Every row starts at the anchor of ``lpf`` and takes sweeps of
+    v <- z1 + conj(s·v_anchor/v)·z2ᵀ, which is v <- w + YLL⁻¹·conj(s/v)
+    because z2 = YLL⁻¹·diag(1/conj v_anchor): the linear model's own
+    factorization, and its linearization at the anchor.  With a ``slope``,
+    s = s_spec - j·slope·|v| at the current iterate.  A row leaves once its
+    power mismatch, recomputed from YLL as in ``_newton``, is below
+    ``SWEEP_TOL``; a row whose mismatch does not fall from one sweep to the
+    next, or that is still live after ``SWEEP_MAX_ITER`` sweeps, is left to
+    Newton.  Writes the settled rows' voltages into ``v`` and their realized
+    injections into ``s_calc``; returns the sweep count of the slowest row,
+    the largest final mismatch and the rows left to Newton.
+    """
+    m = len(s_spec)
+    worst = 0.0
+    live = np.arange(m)
+    s_live = s_spec
+    # The first sweep, from the anchor, gives the linear model's voltages.
+    s_anchor = s_live if slope is None else s_live - 1j * slope * lpf.anchor.vm
+    v_live = lpf.z1 + s_anchor.conj() @ lpf.z2.T
+    last = np.full(m, np.inf)
+    left = [live[:0]]  # the rows left to Newton, batch by batch
+    YLL_T = YLL.T
+    Z_T = (lpf.z2 * np.conj(lpf.anchor.v)).T  # z2·diag(conj v_anchor) = YLL⁻¹
+    it = 1
+    with np.errstate(all="ignore"):  # a diverging row's nan or inf leaves it to Newton
+        while True:
+            i_node = v_live @ YLL_T
+            i_node += i_lin
+            s_now = v_live * i_node.conj()
+            s_want = s_live if slope is None else s_live - 1j * slope * np.abs(v_live)
+            residual = np.abs(s_want - s_now).max(axis=1)
+            done = residual < SWEEP_TOL
+            out = done | ~(residual < last)  # settled, or stalled (nan included)
+            if it >= SWEEP_MAX_ITER:
+                out[:] = True
+            if out.any():
+                if done.any():
+                    v[live[done]] = v_live[done]
+                    s_calc[live[done]] = s_now[done]
+                    worst = max(worst, float(residual[done].max()))
+                left.append(live[out & ~done])
+                keep = ~out
+                live, v_live, s_live, s_want, residual = (
+                    a[keep] for a in (live, v_live, s_live, s_want, residual)
+                )
+            if not live.size:
+                return it, worst, np.sort(np.concatenate(left))
+            last = residual
+            v_live = lpf.z1 + (s_want / v_live).conj() @ Z_T
+            it += 1
 
 
 def _newton(

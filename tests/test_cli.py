@@ -147,6 +147,19 @@ def test_verify_writes_report_and_updates_result(solved, capsys):
     assert ver["max_linearization_error_pu"] == report["max_linearization_error_pu"]
 
 
+def test_verify_counts_the_profiles_left_to_newton(ieee13_path, tmp_path, capsys):
+    """On ieee13 the fixed-point sweeps settle every worst-case profile: the
+    report and the result file count 0 rows left to Newton."""
+    argv = ["--mode", "volt-var", "--direction", "overvoltage", "--out", str(tmp_path)]
+    assert run(["solve", "--feeder", str(ieee13_path), *argv], capsys)[0] == cli.EXIT_OK
+    result = tmp_path / "result.json"
+    code, _, _ = run(["verify", "--result", str(result), "--out", str(tmp_path)], capsys)
+    assert code == cli.EXIT_OK
+    report = json.loads((tmp_path / "oracle_report.json").read_text())
+    assert report["newton_fallback_rows"] == 0
+    assert json.loads(result.read_text())["verification"]["newton_fallback_rows"] == 0
+
+
 def test_verify_fails_on_impossible_tolerance(solved, capsys):
     result_path, out, _ = solved
     code, stdout, stderr = run(
@@ -403,6 +416,49 @@ def test_a_capability_that_cannot_hold_the_constant_pf_anchor_is_a_feeder_error(
     assert code == cli.EXIT_VALIDATION and "bus 'mid' phase 'c'" in stderr
     for mode in ("constant-q", "volt-var"):
         code, stdout, _ = run([*argv, "--mode", mode], capsys)
+        assert code == cli.EXIT_OK and "converged" in stdout, mode
+
+
+def _droop_tight_feeder():
+    """One inverter at p_kw = p_max with s_kva just above it, and a load that
+    can shed, so the positive activation has room to walk."""
+    return {
+        "base_kva": 100.0, "base_kv": 2.4, "slack": "s",
+        "buses": [{"id": "s", "phases": "abc"}, {"id": "m", "phases": "a"}],
+        "segments": [{"from": "s", "to": "m", "z": [
+            [0.9, 1.7], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.9, 1.7], [0.0, 0.0],
+            [0.0, 0.0], [0.0, 0.0], [0.9, 1.7]]}],
+        "loads": [{"bus": "m", "phase": "a", "p_kw": 10.0, "p_min": 5.0, "p_max": 15.0,
+                   "pf": 0.95}],
+        "inverters": [{"bus": "m", "phase": "a", "p_kw": 16.0, "p_min": 0.0, "p_max": 16.0,
+                       "s_kva": 16.5, "mode": "volt-var",
+                       "mode_params": {"pf": 0.92, "gamma": 0.4}}],
+    }
+
+
+@pytest.mark.parametrize("edge", ["v_max", "v_min"])
+def test_a_capability_that_cannot_hold_the_volt_var_droop_is_a_feeder_error(
+    edge, tmp_path, capsys
+):
+    """With the anchor |v| 1 mV inside one band edge, the droop asks the
+    inverter for q_gen near -/+s_kva at qbar = s_kva, which its capability
+    cannot give at p_kw = p_max: volt-var stops with exit 2, naming the
+    inverter's bus and phase, before any band-edge walk (it used to exit 6
+    from the screening, blaming an assembly bug); the other modes solve."""
+    doc = _droop_tight_feeder()
+    vm = float(build_context(load_feeder(doc)).anchor.vm[0])
+    v_min, v_max = (vm - 0.05, vm + 0.001) if edge == "v_max" else (vm - 0.001, vm + 0.05)
+    feeder = tmp_path / "droop_tight.json"
+    feeder.write_text(json.dumps(doc))
+    argv = ["--feeder", str(feeder), "--vmin", repr(v_min), "--vmax", repr(v_max),
+            "--out", str(tmp_path / "out")]
+    for command in ("solve", "worst-case"):
+        code, _, stderr = run([command, *argv, "--mode", "volt-var"], capsys)
+        assert code == cli.EXIT_VALIDATION, command
+        assert "inverter at bus 'm' phase 'a'" in stderr and "volt-var droop" in stderr
+        assert "assembly bug" not in stderr
+    for mode in ("constant-pf", "constant-q"):
+        code, stdout, _ = run(["solve", *argv, "--mode", mode], capsys)
         assert code == cli.EXIT_OK and "converged" in stdout, mode
 
 

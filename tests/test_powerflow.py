@@ -9,6 +9,8 @@ the single-branch voltage equation: with W = V / V_slack,
 Expected values below were computed from that formula and frozen.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -364,3 +366,81 @@ def test_memory_cap_splits_the_stack_into_chunks(feeder_stack, monkeypatch):
     assert chunks == [3] * (STACK_ROWS // 3)
     assert np.max(np.abs(capped.vm - whole.vm)) <= 1e-12
     assert capped.iterations == whole.iterations
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point sweeps on the anchored linear model, Newton as the fallback
+# ---------------------------------------------------------------------------
+
+def _anchored_model(model, index, Y):
+    anchor = solve_nonlinear_pf(model, index=index, Y=Y)
+    return build_fixed_point_model(model, anchor, Y=Y)
+
+
+@pytest.mark.parametrize("slope", [None, 0.05], ids=["no-droop", "droop"])
+def test_sweeps_match_newton(feeder_stack, slope):
+    """Every row settles by sweeps alone, within 1e-9 p.u. of its Newton
+    solve, and realizes the requested injections to ``SWEEP_TOL``."""
+    model, index, p, q = feeder_stack
+    Y = assemble_ybus(model, index)
+    kw = {}
+    if slope is not None:
+        kw["slope"] = np.full(index.n, slope)
+        q = q + kw["slope"]  # the droop line through q at 1 p.u. |v|
+    newton = solve_nonlinear_pf(model, p, q, index=index, Y=Y, **kw)
+    lpf = _anchored_model(model, index, Y)
+    swept = solve_nonlinear_pf(model, p, q, index=index, Y=Y, lpf=lpf, **kw)
+    assert newton.newton_fallback_rows == swept.newton_fallback_rows == 0
+    assert np.max(np.abs(swept.v - newton.v)) <= 1e-9
+    assert swept.residual < powerflow.SWEEP_TOL
+    droop = 0.0 if slope is None else kw["slope"] * swept.vm
+    s_want = p + 1j * (q - droop)
+    assert np.max(np.abs(swept.p_inj + 1j * swept.q_inj - s_want)) < powerflow.SWEEP_TOL
+
+
+def test_a_wrong_model_falls_back_to_newton(feeder_stack):
+    """With z2 off by 1 %, the sweeps' fixed point misses the power flow: the
+    mismatch, recomputed from Y, never reaches ``SWEEP_TOL``, so every row
+    with an injection goes to Newton and gives Newton's answer.  The row
+    without one settles at z1, which z2 does not touch."""
+    model, index, p, q = feeder_stack
+    Y = assemble_ybus(model, index)
+    lpf = _anchored_model(model, index, Y)
+    wrong = dataclasses.replace(lpf, z2=lpf.z2 * 1.01)
+    swept = solve_nonlinear_pf(model, p, q, index=index, Y=Y, lpf=wrong)
+    newton = solve_nonlinear_pf(model, p, q, index=index, Y=Y)
+    loaded = np.any((p != 0) | (q != 0), axis=1)
+    assert not loaded[0] and loaded[1:].all()
+    assert swept.newton_fallback_rows == STACK_ROWS - 1
+    assert np.max(np.abs(swept.v - newton.v)) <= 1e-12
+    assert np.max(np.abs(swept.q_inj - newton.q_inj)) <= 1e-12
+
+
+def test_sweeps_that_do_not_contract_fall_back_to_newton(ieee13_model):
+    """On ieee13 a droop slope of 0.5 at every node does not contract within
+    ``SWEEP_MAX_ITER`` sweeps: every row goes to Newton, whole, and gives
+    Newton's bits."""
+    index = index_nodes(ieee13_model)
+    Y = assemble_ybus(ieee13_model, index)
+    p0, q0 = anchor_injections(ieee13_model, index)
+    amp = np.linspace(0.0, 2.5, STACK_ROWS)[:, None]
+    p, q = amp * p0, amp * q0
+    slope = np.full(index.n, 0.5)
+    newton = solve_nonlinear_pf(ieee13_model, p, q, index=index, Y=Y, slope=slope)
+    swept = solve_nonlinear_pf(ieee13_model, p, q, index=index, Y=Y, slope=slope,
+                               lpf=_anchored_model(ieee13_model, index, Y))
+    assert swept.newton_fallback_rows == STACK_ROWS
+    assert swept.v.tobytes() == newton.v.tobytes()
+
+
+def test_an_infeasible_row_still_raises_with_a_model():
+    model = load_feeder(balanced_doc())
+    index = index_nodes(model)
+    Y = assemble_ybus(model, index)
+    lpf = _anchored_model(model, index, Y)
+    p = np.full((4, 3), -0.2)
+    q = np.full((4, 3), -0.05)
+    assert solve_nonlinear_pf(model, p, q, lpf=lpf).newton_fallback_rows == 0
+    p[2], q[2] = -60.0, -30.0
+    with pytest.raises(PowerFlowError):
+        solve_nonlinear_pf(model, p, q, lpf=lpf)
