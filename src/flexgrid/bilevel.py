@@ -99,35 +99,35 @@ def check_anchor(ctx: FlexContext) -> None:
         )
 
 
-def check_capability(ctx: FlexContext, problem: FollowerProblem) -> None:
-    """At zero deviation each inverter sits at (Δp_gen, q_gen) = (0, q0),
-    q0 linear in its setpoint: constant-pf's q0 = γ·p_gen0, volt-var's
-    anchor droop q0 = q̄·(v_max + v_min - 2|v0|)/band.  Its region
-    (``FollowerProblem.region``) must hold that point at both ends of its
-    setpoint box, or no follower is feasible there.  Raises ``FeederError``
-    naming the first inverter whose capability cannot."""
-    _, e, b = problem.region  # at Δp_gen = 0 only e·q_gen <= b remains
-    boxes = setpoint_boxes(ctx, problem.mode)
-    ends = np.array([boxes[s] for s in problem.setpoint_slots]).reshape(-1, 2)
-    if problem.mode == MODE_CONSTANT_PF:
-        per_setpoint = ctx.devices.p_gen0[problem.inv]
+def check_capability(ctx: FlexContext, mf: MaterializedFollower) -> None:
+    """Name the inverter behind a constant-pf or volt-var follower that has
+    no feasible point at its slots.  At zero deviation each inverter sits at
+    (Δp_gen, q_gen) = (0, q0), q0 its mode row's at the slots' setpoint
+    (``mf.q0``: constant-pf's γ·p_gen0, volt-var's droop at the anchor
+    through the sensitivities).  Raises ``FeederError`` naming the first
+    inverter whose region (``FollowerProblem.region``) cannot hold that
+    point; returns when each can, or when the droop system has no solution.
+    The follower can still move Δp_gen, so this names a culprit of an
+    infeasible follower and proves no infeasibility by itself."""
+    p = mf.problem
+    if mf.q0 is None:
+        return
+    _, e, b = p.region  # at Δp_gen = 0 only e·q_gen <= b remains
+    outside = (e * mf.q0[:, None] > b + FEAS_TOL_PU).any(axis=1)
+    if not outside.any():
+        return
+    i = int(np.argmax(outside))
+    k, q0, setpoint = p.inv[i], float(mf.q0[i]), mf.slots[p.setpoint_slots[i]]
+    bus, phase = ctx.index.nodes[k]
+    if p.mode == MODE_CONSTANT_PF:
+        what = (f"the anchor's q_gen = gamma * p_kw = {q0:.4g} p.u. at its constant-pf "
+                f"gamma {setpoint:.4g}; raise its s_kva or its pf")
     else:
-        band = ctx.v_max - ctx.v_min
-        per_setpoint = (ctx.v_max + ctx.v_min - 2.0 * ctx.anchor.vm[problem.inv]) / band
-    q0 = ends * per_setpoint[:, None]  # (inverter, end)
-    outside = (e[:, None, :] * q0[:, :, None] > b[:, None, :] + FEAS_TOL_PU).any(axis=(1, 2))
-    if outside.any():
-        i = int(np.argmax(outside))
-        bus, phase = ctx.index.nodes[problem.inv[i]]
-        if problem.mode == MODE_CONSTANT_PF:
-            what = (f"the anchor's q_gen = gamma * p_kw at the ends of its constant-pf gamma box "
-                    f"+/-{ends[i, 1]:.4g}; raise its s_kva or its pf")
-        else:
-            what = (f"the volt-var droop q_gen = {q0[i, 1]:.4g} p.u. at its anchor |v| "
-                    f"{ctx.anchor.vm[problem.inv[i]]:.4f} and qbar = s_kva; raise its s_kva, "
-                    f"lower its p_kw or move the band's edges away from that |v|")
-        raise FeederError(f"inverter at bus {bus!r} phase {phase!r}: its capability (s_kva) "
-                          f"cannot hold {what}")
+        what = (f"the volt-var droop q_gen = {q0:.4g} p.u. at its anchor |v| "
+                f"{ctx.anchor.vm[k]:.4f} and qbar {setpoint:.4g}; raise its s_kva, "
+                f"lower its p_kw or move the band's edges away from that |v|")
+    raise FeederError(f"inverter at bus {bus!r} phase {phase!r}: its capability (s_kva) "
+                      f"cannot hold {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,10 @@ def worst_case_limits(
     activations produce Δp+ limits, negative ones Δp- limits.  A node's
     limit is the tightest over the extremum families selected by
     ``direction``.  The global safe range is (max of lower, min of upper).
-    A constant-pf or volt-var inverter whose capability cannot hold the
-    anchor at its setpoint box ends raises ``FeederError``
-    (``check_capability``).
+    A constant-pf or volt-var follower found infeasible by the walk raises
+    ``FeederError`` when ``check_capability`` names an inverter whose
+    capability cannot hold its zero-deviation point, ``BilevelError``
+    otherwise.
     """
     check_anchor(ctx)
     n = ctx.n
@@ -348,10 +349,13 @@ def worst_case_limits(
         limits_of: dict[str, np.ndarray] = {}
         for slots, group in by_slots.items():
             mf = family_follower(ctx, mode, activation, dict(slots))
-            if mode != MODE_CONSTANT_Q:
-                check_capability(ctx, mf.problem)
             sigma = np.repeat([SIGMA[e] for e in group], n)
-            lim = _edge_walk(mf, np.tile(np.arange(n), len(group)), sigma, tol_abs)
+            try:
+                lim = _edge_walk(mf, np.tile(np.arange(n), len(group)), sigma, tol_abs)
+            except BilevelError:
+                if mode != MODE_CONSTANT_Q:
+                    check_capability(ctx, mf)
+                raise
             limits_of.update(zip(group, lim.reshape(len(group), n)))
         for extremum in extrema:
             lim = limits_of[extremum]

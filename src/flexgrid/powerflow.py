@@ -176,8 +176,8 @@ def solve_nonlinear_pf(
     sweeps, steps, residual, left = 0, 0, 0.0, slice(None)
     if lpf is not None:
         sweeps, residual, left = _sweep(lpf, YLL, i_lin, s_spec, v, s_calc, slope)
-    # The rows left to Newton: views of the whole stack without a model,
-    # copies of the fallback rows with one.
+    # The rows left to Newton: the whole stack without a model (views), the
+    # fallback rows (copies) with one.
     s_left, v_left, c_left = s_spec[left], v[left], s_calc[left]
     if len(s_left):
         # Flat start: slack phasor replicated phase-wise to every node.
@@ -190,8 +190,7 @@ def solve_nonlinear_pf(
                 YLL, i_lin, v_flat, s_left[chunk], v_left[chunk], c_left[chunk], slope
             )
             steps, residual = max(steps, chunk_steps), max(residual, worst)
-        if lpf is not None:
-            v[left], s_calc[left] = v_left, c_left
+        v[left], s_calc[left] = v_left, c_left
     i_slack = Y00 @ v0 + v @ Y0L.T
     slack_power = v0 * np.conj(i_slack)
     if p_inj.ndim == 1:

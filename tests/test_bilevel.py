@@ -193,15 +193,11 @@ def test_single_level_structure(pv_tight_ctx):
 
 
 def test_single_level_matches_bisection_at_fixed_setpoints(pv_tight_ctx, pin_setpoints):
-    """Dual route to the same number: strong-duality B&B vs direct bisection.
-    Both modes are screened before any setpoint is pinned: the screening
-    checks each inverter's capability at its mode's setpoint boxes."""
+    """Dual route to the same number: strong-duality B&B vs direct bisection."""
     ctx = pv_tight_ctx
-    cases = [
-        (mode, extremum, worst_case_limits(ctx, mode, direction="overvoltage"))
-        for mode, extremum in ((MODE_CONSTANT_PF, MAX_V), (MODE_VOLT_VAR, MAX_V))
-    ]
-    for mode, extremum, wc in cases:
+    for mode, extremum in ((MODE_CONSTANT_PF, MAX_V), (MODE_VOLT_VAR, MAX_V)):
+        direction = "overvoltage" if extremum == MAX_V else "undervoltage"
+        wc = worst_case_limits(ctx, mode, direction=direction)
         k, _ = wc.binding_upper
         adv = fix_worst_case_setpoints(ctx, mode, extremum)
         pin_setpoints(adv)

@@ -402,7 +402,8 @@ def test_a_capability_that_cannot_hold_the_constant_pf_anchor_is_a_feeder_error(
     """With each inverter's s_kva at its p_max, the capability octagon
     cannot hold the anchor's q_gen = gamma * p_kw at the ends of the pf's
     gamma box: constant-pf stops with exit 2, naming the inverter's bus and
-    phase, before any band-edge walk; constant-q and volt-var still solve."""
+    phase, when the band-edge walk finds the follower infeasible; constant-q
+    and volt-var still solve."""
     doc = pv_doc()
     for inv in doc["inverters"]:
         inv["s_kva"] = inv["p_max"]
@@ -442,9 +443,10 @@ def test_a_capability_that_cannot_hold_the_volt_var_droop_is_a_feeder_error(
 ):
     """With the anchor |v| 1 mV inside one band edge, the droop asks the
     inverter for q_gen near -/+s_kva at qbar = s_kva, which its capability
-    cannot give at p_kw = p_max: volt-var stops with exit 2, naming the
-    inverter's bus and phase, before any band-edge walk (it used to exit 6
-    from the screening, blaming an assembly bug); the other modes solve."""
+    cannot give at p_kw = p_max: the band-edge walk finds the follower
+    infeasible, and volt-var stops with exit 2, naming the inverter's bus
+    and phase rather than blaming an assembly bug (exit 6); the other modes
+    solve."""
     doc = _droop_tight_feeder()
     vm = float(build_context(load_feeder(doc)).anchor.vm[0])
     v_min, v_max = (vm - 0.05, vm + 0.001) if edge == "v_max" else (vm - 0.001, vm + 0.05)
@@ -460,6 +462,28 @@ def test_a_capability_that_cannot_hold_the_volt_var_droop_is_a_feeder_error(
     for mode in ("constant-pf", "constant-q"):
         code, stdout, _ = run(["solve", *argv, "--mode", mode], capsys)
         assert code == cli.EXIT_OK and "converged" in stdout, mode
+
+
+def test_a_droop_the_capability_cannot_hold_at_zero_deviation_alone_still_solves(
+    tmp_path, capsys
+):
+    """The same inverter with no load and the anchor |v| 1 mV below v_max:
+    its droop at qbar = s_kva does not fit at zero deviation, but no walk
+    asks for that point (the positive band edge is 0, and a negative one
+    can curtail p_gen), so volt-var solves with the band [-16, 0] kW."""
+    doc = {**_droop_tight_feeder(), "loads": []}
+    vm = float(build_context(load_feeder(doc)).anchor.vm[0])
+    feeder = tmp_path / "droop_no_load.json"
+    feeder.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code, stdout, _ = run(
+        ["solve", "--feeder", str(feeder), "--mode", "volt-var", "--vmin", repr(vm - 0.05),
+         "--vmax", repr(vm + 0.001), "--out", str(out)], capsys,
+    )
+    assert code == cli.EXIT_OK and "converged" in stdout
+    assert "worst-case range: [-16.0, 0.0] kW" in stdout
+    result = json.loads((out / "result.json").read_text())
+    assert (result["dp_minus_kw"], result["dp_plus_kw"]) == (pytest.approx(-16.0), 0.0)
 
 
 def test_solver_failure_exit_code(pv_file, tmp_path, capsys, monkeypatch):

@@ -424,8 +424,12 @@ def test_verify_matches_one_newton_stack_per_family(solved_study, study, mode, d
 
 def test_verify_splits_its_stack_into_newton_chunks(solved_study, monkeypatch):
     """A stack over the memory budget is solved in chunks with the same result.
-    No sweep is allowed, so every profile, the reference's too, goes to Newton."""
+    No sweep past the linear model's first is allowed, so every distinct
+    profile, the reference's too, goes to Newton."""
     ctx, decision = solved_study("ieee13-binding", MODE_CONSTANT_PF)
+    families = _argmax_families(ctx, MODE_CONSTANT_PF, decision, "both")
+    distinct = len(np.unique(np.concatenate([np.concatenate([p, q], axis=1)
+                                             for *_, p, q in families]), axis=0))
     monkeypatch.setattr(powerflow, "SWEEP_MAX_ITER", 0)
     ref = _reference_verify(ctx, MODE_CONSTANT_PF, decision, "both")
     chunks = []
@@ -436,7 +440,7 @@ def test_verify_splits_its_stack_into_newton_chunks(solved_study, monkeypatch):
         chunks.append(len(s_spec)) or newton(YLL, i_lin, v_flat, s_spec, *out)))
     got = verify_decision(ctx, MODE_CONSTANT_PF, decision, direction="both")
     assert len(chunks) > 1 and max(chunks) == 4
-    assert got.newton_fallback_rows == sum(chunks)
+    assert sum(chunks) == got.newton_fallback_rows == distinct
     _assert_same_report(got, ref, 1e-12)
 
 
